@@ -44,6 +44,7 @@ from .verdict import RelationVerdict, Status
 SCHEMA_VERSION = 1
 RANDOM_TUPLE_SEED = 0x5EED
 THREADS_ENV = "SUMCOLLAPSE_THREADS"
+THREADS_HELP = "accepted for compatibility; the output does not depend on it"
 
 
 @dataclass
@@ -391,9 +392,9 @@ def _collapse_checks(table: PrimeTable, limit: int) -> list[CheckEntry]:
     return entries
 
 
-def _strata_checks(table: PrimeTable, limit: int, threads: int) -> list[CheckEntry]:
+def _strata_checks(table: PrimeTable, limit: int) -> list[CheckEntry]:
     entries: list[CheckEntry] = []
-    st, ms = _timed(lambda: strata_mod.compute_strata(limit, table, threads=threads))
+    st, ms = _timed(lambda: strata_mod.compute_strata(limit, table))
     single = st.max_layer == 1 and not st.unassigned
     entries.append(
         CheckEntry(
@@ -547,12 +548,12 @@ def _ring_checks() -> list[CheckEntry]:
     return entries
 
 
-def run_battery(limit: int, threads: int) -> list[CheckEntry]:
+def run_battery(limit: int) -> list[CheckEntry]:
     table = PrimeTable(limit)
     entries = []
     entries += _sieve_checks(table)
     entries += _collapse_checks(table, limit)
-    entries += _strata_checks(table, limit, threads)
+    entries += _strata_checks(table, limit)
     entries += _ring_checks()
     entries.sort(key=lambda e: e.ref)
     return entries
@@ -563,7 +564,7 @@ def run_battery(limit: int, threads: int) -> list[CheckEntry]:
 
 
 def _cmd_verify(args) -> int:
-    entries = run_battery(args.limit, args.threads)
+    entries = run_battery(args.limit)
     payload = {
         "schema": SCHEMA_VERSION,
         "suite": args.suite,
@@ -612,7 +613,7 @@ def _cmd_sieve(args) -> int:
 
 def _cmd_strata(args) -> int:
     table = PrimeTable(args.limit)
-    st = strata_mod.compute_strata(args.limit, table, threads=args.threads)
+    st = strata_mod.compute_strata(args.limit, table)
     if args.csv:
         st.write_csv(args.csv)
     payload = st.census_dict()
@@ -781,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full theorem-check battery")
     p.add_argument("--suite", choices=("theorems",), default="theorems")
     p.add_argument("--limit", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=int, default=default_threads, help=THREADS_HELP)
     p.add_argument("--timings", action="store_true", help="include real timings (non-reproducible)")
     common(p)
     p.set_defaults(fn=_cmd_verify)
@@ -796,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strata", help="layer classification of odd composites")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--csv", metavar="PATH", help="write per-composite rows")
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=int, default=default_threads, help=THREADS_HELP)
     common(p)
     p.set_defaults(fn=_cmd_strata)
 

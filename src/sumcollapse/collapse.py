@@ -220,17 +220,21 @@ def _compare_sumsets(
 def _containment(b_expr, c_expr, b_ws, c_ws) -> RelationVerdict:
     b_cof = b_expr.to_cofinite() if isinstance(b_expr, SetExpr) else None
     c_cof = c_expr.to_cofinite() if isinstance(c_expr, SetExpr) else None
+    missing = None
     if b_cof is not None and c_cof is not None:
-        if c_cof.is_subset_of(b_cof):
+        missing = c_cof.least_not_in(b_cof)
+        if missing is None:
             return holds("containment decided exactly on cofinite forms")
         # fall through for a concrete on-window witness
     extra = c_ws.bits & ~b_ws.bits
     if extra:
         value = c_ws.lo + (extra & -extra).bit_length() - 1
         return fails(value, f"{value} belongs to the right-hand set but not the left")
-    if b_cof is not None and c_cof is not None and not c_cof.is_subset_of(b_cof):
+    if missing is not None:
         return fails(
-            -1, "containment fails beyond the window (cofinite comparison)"
+            missing,
+            f"{missing} belongs to the right-hand set but not the left; it lies "
+            "outside the window (cofinite comparison)",
         )
     return holds_on_window((b_ws.lo, b_ws.hi), "containment verified on the window")
 

@@ -97,13 +97,17 @@ class CofiniteOddSet:
 
     def is_subset_of(self, other: "CofiniteOddSet") -> bool:
         """Exact containment test between two cofinite odd sets."""
-        for n in range(self.lower, other.lower, 2):
-            if n not in self.excluded:
-                return False
-        for f in other.excluded:
-            if f >= self.lower and f not in self.excluded:
-                return False
-        return True
+        return self.least_not_in(other) is None
+
+    def least_not_in(self, other: "CofiniteOddSet") -> int | None:
+        """The least member of this set missing from ``other``; None when
+        this set is contained in ``other``."""
+        missing = [f for f in other.excluded if f >= self.lower and f not in self.excluded]
+        below = (n for n in range(self.lower, other.lower, 2) if n not in self.excluded)
+        first_below = next(below, None)
+        if first_below is not None:
+            missing.append(first_below)
+        return min(missing, default=None)
 
     def describe(self) -> str:
         if not self.excluded:

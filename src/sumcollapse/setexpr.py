@@ -251,8 +251,9 @@ class Stratum(SetExpr):
 
     def window_bits(self, lo, hi, table=None):
         st = self._strata(hi, table)
-        vals = (c for c, lay in st.layers.items() if lay == self.layer)
-        return bits_from_values(vals, lo, hi)
+        members = st.composites[st.layer == self.layer]
+        members = members[(members >= lo) & (members <= hi)]
+        return bits_from_values(members.tolist(), lo, hi)
 
     def subset_of_odd_from_3(self):
         return True

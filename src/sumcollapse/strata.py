@@ -5,45 +5,92 @@ primes; layer k > 1 holds those whose shift peels one odd prime onto a
 layer-(k-1) composite.  Within a window the classification is
 self-contained: deciding c only ever consults primes and composites below
 c + 3, so recomputing with a larger limit never relabels anything.
+
+A :class:`StrataTable` is three parallel arrays indexed by composite rank:
+the sorted odd composites, one ``int8`` layer each (0 for unassigned) and
+one ``int32`` witness prime p each; the witness partner is c + 3 - p.
+
+Layer 1 is classified with the primes in the outer loop: for p = 3, 5, 7,
+... in increasing order, one numpy pass tests c + 3 - p against the sieve's
+odd-prime mask for every composite still pending, so each composite takes
+the least p whose partner is an odd prime >= 3.  A handful of prime passes
+settles everything (132 at 10^7, largest witness prime 751).  That count of
+prime passes is not the census ``passes`` field, which counts layer passes
+(1 when every composite lands in layer 1).  Higher layers repeat the same
+prime-outer scheme against the previous layer.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from .intsets import restrict, sumset_equal_window
 from .setexpr import IntRange, OddRange, Primes, RoughOdd
 from .sieve import PrimeTable
 from .verdict import RelationVerdict, Status, holds_on_window
 
+# c + 3 - p is computed in int32, so c + 3 must fit
+_MAX_LIMIT = int(np.iinfo(np.int32).max) - 3
+_MAX_LAYER = int(np.iinfo(np.int8).max)
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class StrataTable:
-    """Layer assignment for every odd composite up to ``limit``."""
+    """Layer assignment for every odd composite up to ``limit``.
+
+    Parallel arrays, one entry per odd composite in ``[9, limit]``:
+    ``composites`` holds them sorted (``int32``), ``layer`` their layer
+    (``int8``, 0 for unassigned) and ``witness_prime`` the prime p of each
+    witness split (``int32``); the partner is ``c + 3 - p``.  ``layers`` and
+    ``witnesses`` are read-only ``{c: layer}`` and ``{c: (p, partner)}``
+    views over the assigned entries.  ``passes`` counts layer passes, not
+    the prime passes inside layer 1.
+    """
 
     limit: int
-    layers: dict[int, int]
-    witnesses: dict[int, tuple[int, int]]
-    unassigned: tuple[int, ...]
+    composites: np.ndarray
+    layer: np.ndarray
+    witness_prime: np.ndarray
     passes: int
 
     @property
+    def layers(self) -> Mapping[int, int]:
+        return _AssignedView(self, lambda idx: self.layer[idx].tolist())
+
+    @property
+    def witnesses(self) -> Mapping[int, tuple[int, int]]:
+        return _AssignedView(self, self._witness_pairs)
+
+    def _witness_pairs(self, idx) -> list[tuple[int, int]]:
+        primes = self.witness_prime[idx]
+        return list(zip(primes.tolist(), (self.composites[idx] + 3 - primes).tolist()))
+
+    @property
+    def unassigned(self) -> tuple[int, ...]:
+        return tuple(self.composites[self.layer == 0].tolist())
+
+    @property
     def max_layer(self) -> int:
-        return max(self.layers.values(), default=0)
+        return int(self.layer.max(initial=0))
 
     def layer_members(self, k: int) -> list[int]:
-        return sorted(c for c, lay in self.layers.items() if lay == k)
+        return self.composites[self.layer == k].tolist()
 
     def census(self) -> dict[int, dict[str, int]]:
         out: dict[int, dict[str, int]] = {}
-        for c, lay in self.layers.items():
-            entry = out.setdefault(lay, {"count": 0, "min": c, "max": c})
-            entry["count"] += 1
-            entry["min"] = min(entry["min"], c)
-            entry["max"] = max(entry["max"], c)
-        return dict(sorted(out.items()))
+        for k in np.unique(self.layer).tolist():
+            if k:
+                members = self.composites[self.layer == k]
+                out[k] = {
+                    "count": int(members.size),
+                    "min": int(members[0]),
+                    "max": int(members[-1]),
+                }
+        return out
 
     def census_dict(self) -> dict:
         return {
@@ -56,32 +103,76 @@ class StrataTable:
         }
 
     def write_csv(self, path: str) -> None:
+        idx = np.flatnonzero(self.layer)
+        comps, primes = self.composites[idx], self.witness_prime[idx]
+        columns = (comps, self.layer[idx], primes, comps + 3 - primes)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["c", "layer", "witness_prime", "witness_partner"])
-            for c in sorted(self.layers):
-                p, q = self.witnesses[c]
-                writer.writerow([c, self.layers[c], p, q])
-            for c in self.unassigned:
-                writer.writerow([c, "", "", ""])
+            writer.writerows(zip(*(col.tolist() for col in columns)))
+            writer.writerows([c, "", "", ""] for c in self.unassigned)
 
 
-def _classify_layer1(chunk, table: PrimeTable, primes: list[int]):
-    """First odd-prime split of 3 + c, probing p in increasing order."""
-    is_prime = table.is_prime
-    bits = table._bits
-    found = {}
-    for c in chunk:
-        s = 3 + c
-        for p in primes:
-            if p > s - 3:
-                break
-            q = s - p
-            i = q >> 1
-            if bits[i >> 3] >> (i & 7) & 1:
-                found[c] = (p, q)
-                break
+class _AssignedView(Mapping):
+    """Read-only ``{c: value}`` view over the assigned entries of a table;
+    ``values`` maps an index array to the list of its values."""
+
+    def __init__(self, st: StrataTable, values):
+        self._st = st
+        self._values = values
+
+    def __getitem__(self, c):
+        comps = self._st.composites
+        if isinstance(c, (int, np.integer)) and 9 <= c <= _MAX_LIMIT:
+            # a scalar of the array's own dtype keeps searchsorted from casting the array
+            i = int(comps.searchsorted(comps.dtype.type(c)))
+            if i < comps.size and comps[i] == c and self._st.layer[i]:
+                return self._values([i])[0]
+        raise KeyError(c)
+
+    def __iter__(self):
+        return iter(self._st.composites[self._st.layer != 0].tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._st.layer))
+
+
+def _odd_prime_mask(table: PrimeTable, limit: int) -> np.ndarray:
+    """The sieve's odd-prime flags (index i for 2i + 1) through ``limit``."""
+    if table.limit < limit:
+        raise ValueError(f"sieve limit {table.limit} below requested {limit}")
+    return table.odd_prime_mask()[: (limit + 1) // 2]
+
+
+def _odd_composites(odd_prime: np.ndarray) -> np.ndarray:
+    """Sorted odd composites >= 9 covered by an odd-prime mask."""
+    return (2 * np.flatnonzero(~odd_prime[4:]) + 9).astype(np.int32)
+
+
+def _least_prime_splits(values: np.ndarray, primes, floor: int, accepts) -> np.ndarray:
+    """Per sorted value c, the least p from the increasing ``primes`` whose
+    partner c + 3 - p is >= ``floor`` and passes ``accepts``; 0 where none."""
+    found = np.zeros(values.size, dtype=np.int32)
+    pos = np.arange(values.size)
+    cand = values
+    for p in primes:
+        # partners only shrink as p grows: a value whose partner fell below
+        # the floor can never be split by a later prime
+        first = int(cand.searchsorted(cand.dtype.type(p + floor - 3)))
+        pos, cand = pos[first:], cand[first:]
+        if not cand.size:
+            break
+        hit = accepts(cand + (3 - p))
+        found[pos[hit]] = p
+        pos, cand = pos[~hit], cand[~hit]
     return found
+
+
+def _layer_by_odd(composites: np.ndarray, layer: np.ndarray, size: int) -> np.ndarray:
+    """Layer per odd number (index i for 2i + 1), 0 where the table has none."""
+    out = np.zeros(size, dtype=np.int8)
+    out[composites >> 1] = layer
+    return out
 
 
 def compute_strata(
@@ -92,61 +183,43 @@ def compute_strata(
     Passes repeat until nothing new is assigned; whatever remains is surfaced
     as unassigned rather than raising, since within a self-contained window
     an unassigned composite indicates an implementation bug worth inspecting.
+    ``threads`` is accepted for compatibility and does not change the result.
     """
     if limit < 9:
         raise ValueError(f"limit must be >= 9, got {limit}")
+    if limit > _MAX_LIMIT:
+        raise ValueError(f"limit must be <= {_MAX_LIMIT}, got {limit}")
     if table is None:
         table = PrimeTable(limit)
-    elif table.limit < limit:
-        raise ValueError(f"sieve limit {table.limit} below requested {limit}")
+    odd_prime = _odd_prime_mask(table, limit)
+    composites = _odd_composites(odd_prime)
 
-    comps = list(table.odd_composites_in(9, limit))
-    primes = list(table.primes_in(3, limit))
+    witness = _least_prime_splits(
+        composites, table.primes_in(3, limit), 3, lambda q: odd_prime[q >> 1]
+    )
+    layer = (witness > 0).astype(np.int8)
 
-    layers: dict[int, int] = {}
-    witnesses: dict[int, tuple[int, int]] = {}
-
-    if threads > 1 and len(comps) > 1024:
-        n_chunks = min(threads * 4, 64)
-        size = (len(comps) + n_chunks - 1) // n_chunks
-        chunks = [comps[i : i + size] for i in range(0, len(comps), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for found in pool.map(
-                lambda ch: _classify_layer1(ch, table, primes), chunks
-            ):
-                for c, wit in found.items():
-                    layers[c] = 1
-                    witnesses[c] = wit
-    else:
-        for c, wit in _classify_layer1(comps, table, primes).items():
-            layers[c] = 1
-            witnesses[c] = wit
-
-    pending = [c for c in comps if c not in layers]
+    # pass k assigns layer k, so the last layer assigned is also the pass count
     passes = 1
-    current = 2
-    while pending:
-        newly: list[tuple[int, tuple[int, int]]] = []
-        for c in pending:
-            s = 3 + c
-            for p in primes:
-                partner = s - p
-                if partner < 9:
-                    break
-                if layers.get(partner) == current - 1:
-                    newly.append((c, (p, partner)))
-                    break
-        if not newly:
+    while passes < _MAX_LAYER:
+        pending = np.flatnonzero(layer == 0)
+        if not pending.size:
             break
-        for c, wit in newly:
-            layers[c] = current
-            witnesses[c] = wit
-        assigned = {c for c, _ in newly}
-        pending = [c for c in pending if c not in assigned]
+        by_odd = _layer_by_odd(composites, layer, odd_prime.size)
+        found = _least_prime_splits(
+            composites[pending],
+            table.primes_in(3, limit),
+            9,
+            lambda q, lower=passes: by_odd[q >> 1] == lower,
+        )
+        hit = found > 0
+        if not hit.any():
+            break
         passes += 1
-        current += 1
+        layer[pending[hit]] = passes
+        witness[pending[hit]] = found[hit]
 
-    return StrataTable(limit, layers, witnesses, tuple(pending), passes)
+    return StrataTable(limit, composites, layer, witness, passes)
 
 
 @dataclass(frozen=True)
@@ -163,33 +236,65 @@ class PartitionReport:
         return not self.anomalies
 
 
+def _at_odd(flags: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``flags[v >> 1]`` for each odd ``v`` that ``flags`` covers, else 0."""
+    inside = (values & 1 == 1) & (values > 0) & ((values >> 1) < flags.size)
+    out = np.zeros(values.shape, dtype=flags.dtype)
+    out[inside] = flags[values[inside] >> 1]
+    return out
+
+
 def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> PartitionReport:
-    """Re-derive the composite list and audit the table against it."""
+    """Re-derive the composite list from the sieve and audit the table against it.
+
+    The partner of a witness is c + 3 - p by construction, so the sum check
+    reduces to a witness prime being recorded (p != 0) for every assigned
+    entry.
+    """
     if table is None:
         table = PrimeTable(st.limit)
-    expected = set(table.odd_composites_in(9, st.limit))
+    odd_prime = _odd_prime_mask(table, st.limit)
+    expected = _odd_composites(odd_prime)
+    comps = st.composites.astype(np.int64)
+    lay = st.layer.astype(np.int16)
+    assigned = lay != 0
+
+    in_range = (comps & 1 == 1) & (comps >= 9) & (comps <= st.limit)
+    is_comp = in_range & ~_at_odd(odd_prime, comps)
+    listed = np.zeros(odd_prime.size, dtype=bool)
+    listed[comps[is_comp] >> 1] = True
+    unassigned = comps[~assigned]
+
     anomalies: list[str] = []
-    seen = set(st.layers) | set(st.unassigned)
-    for c in sorted(expected - seen):
+    for c in expected[~listed[expected >> 1]].tolist():
         anomalies.append(f"odd composite {c} missing from the table")
-    for c in sorted(seen - expected):
+    for c in np.unique(comps[~is_comp]).tolist():
         anomalies.append(f"table entry {c} is not an odd composite <= {st.limit}")
-    overlap = set(st.layers) & set(st.unassigned)
-    for c in sorted(overlap):
+    for c in np.unique(comps[assigned & np.isin(comps, unassigned)]).tolist():
         anomalies.append(f"{c} is both assigned and unassigned")
-    for c in st.unassigned:
+    for c in unassigned.tolist():
         anomalies.append(f"{c} was never assigned to a layer")
-    for c, lay in st.layers.items():
-        p, q = st.witnesses.get(c, (0, 0))
-        if p + q != c + 3:
+
+    p = st.witness_prime.astype(np.int64)
+    q = comps + 3 - p
+    no_witness = assigned & (p == 0)
+    checked = assigned & ~no_witness
+    p_odd_prime = _at_odd(odd_prime, p)
+    bad_first = checked & (lay == 1) & ~(p_odd_prime & _at_odd(odd_prime, q))
+    by_odd = _layer_by_odd(comps[in_range], st.layer[in_range], odd_prime.size)
+    peels = (p_odd_prime | (p == 2)) & (_at_odd(by_odd, q) == lay - 1)
+    bad_deeper = checked & (lay != 1) & ~peels
+    for i in np.flatnonzero(no_witness | bad_first | bad_deeper).tolist():
+        c = int(comps[i])
+        if no_witness[i]:
             anomalies.append(f"witness for {c} does not sum to {c + 3}")
-        elif lay == 1:
-            if not (table.is_prime(p) and table.is_prime(q) and p % 2 and q % 2):
-                anomalies.append(f"layer-1 witness for {c} is not an odd prime pair")
+        elif bad_first[i]:
+            anomalies.append(f"layer-1 witness for {c} is not an odd prime pair")
         else:
-            if not table.is_prime(p) or st.layers.get(q) != lay - 1:
-                anomalies.append(f"layer-{lay} witness for {c} does not peel correctly")
-    return PartitionReport(st.limit, len(expected), len(st.layers), tuple(anomalies))
+            anomalies.append(f"layer-{int(lay[i])} witness for {c} does not peel correctly")
+    return PartitionReport(
+        st.limit, int(expected.size), int(np.count_nonzero(assigned)), tuple(anomalies)
+    )
 
 
 @dataclass(frozen=True)
@@ -230,7 +335,8 @@ def verify_absorption(
     vacuous: list[int] = []
     failures: list[tuple[int, int]] = []
     for k in range(2, k_max + 1):
-        members = [c for c in st.layer_members(k - 1) if lo <= c <= hi]
+        members = st.composites[st.layer == k - 1]
+        members = members[(members >= lo) & (members <= hi)].tolist()
         if not members:
             vacuous.append(k)
             continue

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -126,6 +127,30 @@ def test_strata_outputs(tmp_path, capsys):
     first = rows[0]
     assert first["c"] == "9" and first["layer"] == "1"
     assert first["witness_prime"] == "5" and first["witness_partner"] == "7"
+
+
+# frozen from the dict-backed implementation this table replaced
+STRATA_2000_CSV_SHA256 = "737973f3c836406537a1c00efae6b5b5150ae933bfea988231a447c7817a07ca"
+STRATA_2000_CENSUS = (
+    '{\n  "layers": {\n    "1": {\n      "count": 697,\n      "max": 1995,\n'
+    '      "min": 9\n    }\n  },\n  "limit": 2000,\n  "max_layer": 1,\n'
+    '  "passes": 1,\n  "schema": 1,\n  "unassigned": []\n}\n'
+)
+
+
+def test_strata_golden_bytes(tmp_path, capsys):
+    csv_path = tmp_path / "strata.csv"
+    json_path = tmp_path / "census.json"
+    code, _, _ = run_cli(
+        ["strata", "--limit", "2000", "--csv", str(csv_path), "--out", str(json_path)],
+        capsys,
+    )
+    assert code == 0
+    data = csv_path.read_bytes()
+    assert data.startswith(b"c,layer,witness_prime,witness_partner\r\n9,1,5,7\r\n")
+    assert data.count(b"\r\n") == 698
+    assert hashlib.sha256(data).hexdigest() == STRATA_2000_CSV_SHA256
+    assert json_path.read_text() == STRATA_2000_CENSUS
 
 
 def test_partitions(capsys):

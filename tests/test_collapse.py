@@ -88,6 +88,10 @@ def test_relation_containment_failure(table_small):
     v = check_relation(Primes(3), OddRange(3), 2, 2, (3, 100), table_small, require_subset=True)
     assert v.status is Status.FAILS
     assert v.counterexample == 9  # smallest odd >= 3 outside the primes
+    # the only missing value lies past the window: the cofinite forms name it
+    v = check_relation("odd>=3 \\ {9}", "odd>=3", 2, 2, (3, 7), table_small, require_subset=True)
+    assert v.status is Status.FAILS
+    assert v.counterexample == 9
 
 
 def test_relation_parts_exposed(table_small):

@@ -33,6 +33,9 @@ def test_cofinite_membership_and_subset():
     assert CofiniteOddSet(3, frozenset({9, 15})).is_subset_of(CofiniteOddSet(3))
     assert not CofiniteOddSet(3).is_subset_of(CofiniteOddSet(3, frozenset({9})))
     assert CofiniteOddSet(5, frozenset()).is_subset_of(CofiniteOddSet(3, frozenset({3})))
+    assert CofiniteOddSet(3).least_not_in(CofiniteOddSet(3, frozenset({9}))) == 9
+    assert CofiniteOddSet(3, frozenset({3})).least_not_in(CofiniteOddSet(7, frozenset({11}))) == 5
+    assert CofiniteOddSet(5).least_not_in(CofiniteOddSet(3, frozenset({3}))) is None
 
 
 def test_restrict_examples(table_small):

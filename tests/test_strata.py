@@ -1,8 +1,10 @@
-import copy
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sumcollapse import (
+    PrimeTable,
     compute_strata,
     nfold_all_integers_check,
     nfold_collapse_check,
@@ -12,7 +14,7 @@ from sumcollapse import (
 )
 from sumcollapse.verdict import Status
 
-from oracles import goldbach_pair, odd_composites_upto, sum_of_k_primes_bf
+from oracles import goldbach_pair, odd_composites_upto, primes_upto, sum_of_k_primes_bf
 
 
 def test_first_layer_witnesses(table_small):
@@ -31,9 +33,12 @@ def test_minimal_table():
 
 
 def test_layer_one_matches_pair_oracle(strata_1e5):
-    # spot the full window: layer 1 iff a two-odd-prime split of 3 + c exists
+    # spot the full window: layer 1 iff a two-odd-prime split of 3 + c exists,
+    # and the witness is the split with the least odd prime
     for c in odd_composites_upto(3_000):
-        assert (strata_1e5.layers.get(c) == 1) == (goldbach_pair(3 + c) is not None)
+        pair = goldbach_pair(3 + c)
+        assert (strata_1e5.layers.get(c) == 1) == (pair is not None)
+        assert strata_1e5.witnesses.get(c) == pair
 
 
 def test_witnesses_use_smallest_prime(strata_1e5, table_1e5):
@@ -57,6 +62,68 @@ def test_threaded_matches_sequential(table_small):
     assert seq.layers == par.layers and seq.witnesses == par.witnesses
 
 
+def _strata_loop(limit, visible):
+    """Per-composite loop reference: partners must lie in ``visible``
+    (layer 1) or the previous layer; witness primes come from all odd primes."""
+    primes = [p for p in primes_upto(limit) if p > 2]
+    comps = [c for c in range(9, limit + 1, 2) if c not in visible]
+    layers, witnesses = {}, {}
+    for c in comps:
+        for p in primes:
+            if p > c:
+                break
+            if c + 3 - p in visible:
+                layers[c], witnesses[c] = 1, (p, c + 3 - p)
+                break
+    pending = [c for c in comps if c not in layers]
+    k = 2
+    while pending:
+        newly = {}
+        for c in pending:
+            for p in primes:
+                partner = c + 3 - p
+                if partner < 9:
+                    break
+                if layers.get(partner) == k - 1:
+                    newly[c] = (p, partner)
+                    break
+        if not newly:
+            break
+        for c, wit in newly.items():
+            layers[c], witnesses[c] = k, wit
+        pending = [c for c in pending if c not in newly]
+        k += 1
+    return layers, witnesses, tuple(pending)
+
+
+class _OnlyThreeVisible(PrimeTable):
+    """Masks every odd prime but 3, so higher layers and unassigned entries occur."""
+
+    def odd_prime_mask(self):
+        mask = super().odd_prime_mask().copy()
+        mask[2:] = False
+        return mask
+
+
+def test_higher_layers_match_loop_reference():
+    st = compute_strata(300, _OnlyThreeVisible(300))
+    layers, witnesses, unassigned = _strata_loop(300, {3})
+    assert st.layers == layers and st.witnesses == witnesses
+    assert st.unassigned == unassigned == (9,)
+    assert st.passes == 2 and st.max_layer == 2
+    # against the true sieve, the hidden primes are stray entries, but every
+    # higher-layer witness still peels onto layer 1
+    rep = verify_partition(st, PrimeTable(300))
+    assert "9 was never assigned to a layer" in rep.anomalies
+    assert not any("peel" in a for a in rep.anomalies)
+    i = int(np.flatnonzero(st.layer == 2)[0])
+    primes = st.witness_prime.copy()
+    primes[i] = 3  # the partner is c itself, a layer-2 entry
+    rep = verify_partition(replace(st, witness_prime=primes), PrimeTable(300))
+    c = int(st.composites[i])
+    assert f"layer-2 witness for {c} does not peel correctly" in rep.anomalies
+
+
 def test_partition_audit(strata_1e5, table_1e5):
     rep = verify_partition(strata_1e5, table_1e5)
     assert rep.ok
@@ -68,17 +135,53 @@ def test_partition_audit(strata_1e5, table_1e5):
     assert rep4.ok
 
 
+def _without(st, c):
+    keep = st.composites != c
+    return replace(
+        st,
+        composites=st.composites[keep],
+        layer=st.layer[keep],
+        witness_prime=st.witness_prime[keep],
+    )
+
+
+def _with(st, c, layer, p):
+    i = int(np.searchsorted(st.composites, c))
+    return replace(
+        st,
+        composites=np.insert(st.composites, i, c),
+        layer=np.insert(st.layer, i, layer),
+        witness_prime=np.insert(st.witness_prime, i, p),
+    )
+
+
 def test_partition_audit_flags_corruption(table_small):
     st = compute_strata(2_000, table_small)
-    bad = copy.deepcopy(st)
-    bad.layers[11] = 1  # a prime smuggled in
-    assert not verify_partition(bad, table_small).ok
-    bad2 = copy.deepcopy(st)
-    del bad2.layers[9], bad2.witnesses[9]
-    assert not verify_partition(bad2, table_small).ok
-    bad3 = copy.deepcopy(st)
-    bad3.witnesses[9] = (3, 9)  # does not peel to an odd prime pair
-    assert not verify_partition(bad3, table_small).ok
+    assert verify_partition(st, table_small).ok
+    # a prime smuggled in, with a valid-looking witness 7 + 7 = 11 + 3
+    rep = verify_partition(_with(st, 11, 1, 7), table_small)
+    assert not rep.ok
+    assert rep.anomalies == ("table entry 11 is not an odd composite <= 2000",)
+    rep = verify_partition(_without(st, 9), table_small)
+    assert not rep.ok
+    assert rep.anomalies == ("odd composite 9 missing from the table",)
+    primes = st.witness_prime.copy()
+    primes[0] = 3  # witness (3, 9) for 9 does not peel to an odd prime pair
+    bad = replace(st, witness_prime=primes)
+    assert bad.witnesses[9] == (3, 9)
+    rep = verify_partition(bad, table_small)
+    assert not rep.ok
+    assert rep.anomalies == ("layer-1 witness for 9 is not an odd prime pair",)
+    primes = st.witness_prime.copy()
+    primes[3] = 9  # witness (9, 19) for 25: the partner is prime, p is not
+    bad = replace(st, witness_prime=primes)
+    assert bad.witnesses[25] == (9, 19)
+    rep = verify_partition(bad, table_small)
+    assert rep.anomalies == ("layer-1 witness for 25 is not an odd prime pair",)
+    primes = st.witness_prime.copy()
+    primes[1] = 0  # no witness recorded for 15
+    rep = verify_partition(replace(st, witness_prime=primes), table_small)
+    assert rep.anomalies == ("witness for 15 does not sum to 18",)
 
 
 def test_census(strata_1e5):
@@ -86,6 +189,7 @@ def test_census(strata_1e5):
     assert set(cen) == {1}
     assert cen[1]["min"] == 9
     assert cen[1]["count"] == len(odd_composites_upto(100_000))
+    assert len(strata_1e5.layers) == len(strata_1e5.witnesses) == cen[1]["count"]
     d = strata_1e5.census_dict()
     assert d["schema"] == 1 and d["max_layer"] == 1 and d["unassigned"] == []
 
