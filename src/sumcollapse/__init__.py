@@ -1,5 +1,6 @@
 """Verification toolkit for sumset-collapse relations over the integers and
-finite residue rings: exact removal certificates for cofinite odd sets,
+finite residue rings: exact removal certificates for the odd integers minus
+finitely many odd composites,
 windowed sumset comparisons, a layered classification of odd composites by
 prime-shift reachability, and exhaustive ground truth in Z/mZ.
 """
@@ -9,7 +10,6 @@ from .collapse import (
     FactorStats,
     PairSweepReport,
     PartitionRecord,
-    Progression,
     check_fp,
     check_relation,
     composite_removal_check,
@@ -43,7 +43,6 @@ from .finite_ring import (
     zm_unit_group_check,
 )
 from .intsets import (
-    CofiniteOddSet,
     WindowSet,
     dilation,
     iterated_sumset,
@@ -55,8 +54,8 @@ from .setexpr import (
     FiniteSet,
     IntRange,
     OddComposites,
-    OddRange,
     Primes,
+    Progression,
     RoughOdd,
     SetExpr,
     Stratum,

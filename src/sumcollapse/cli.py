@@ -14,11 +14,14 @@ Set expressions follow the grammar in :mod:`sumcollapse.setexpr`:
 ``composites``, ``strata(1)``, ``{9,15,21}``.
 
 Exit codes: 0 all checks passed (or evidence-only reports completed),
-1 a claim failed verification, 2 configuration error.
+1 a claim failed verification (``fails``, or a ``hypothesis_failed`` where a
+check expected ``holds``), 2 configuration error, 3 internal error (the
+tool's own consistency guard tripped or it ran out of memory; no claim was
+decided).
 
 JSON reports are canonical: keys sorted, entries sorted by ``ref``, and
 timings zeroed unless ``--timings`` is given, so identical configurations
-produce byte-identical files regardless of thread count.
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import re
 import sys
@@ -36,15 +38,12 @@ from dataclasses import dataclass
 from . import collapse as col
 from . import finite_ring as ring
 from . import strata as strata_mod
-from .intsets import pair_sum_cover_decision
-from .setexpr import parse_set_expr
+from .setexpr import Progression, parse_set_expr
 from .sieve import CompositeIndex, PrimeTable
-from .verdict import RelationVerdict, Status
+from .verdict import RelationVerdict, Status, is_success, jsonable
 
 SCHEMA_VERSION = 1
 RANDOM_TUPLE_SEED = 0x5EED
-THREADS_ENV = "SUMCOLLAPSE_THREADS"
-THREADS_HELP = "accepted for compatibility; the output does not depend on it"
 
 
 @dataclass
@@ -57,18 +56,18 @@ class CheckEntry:
     witnesses: tuple = ()
     elapsed_ms: float = 0.0
 
+    @property
+    def ok(self) -> bool:
+        return is_success(self.status)
+
     def to_dict(self, timings: bool) -> dict:
         return {
             "ref": self.ref,
             "claim": self.claim,
             "status": self.status,
-            "certified_range": list(self.certified_range)
-            if self.certified_range
-            else None,
-            "counterexample": list(self.counterexample)
-            if isinstance(self.counterexample, tuple)
-            else self.counterexample,
-            "witnesses": [list(w) if isinstance(w, tuple) else w for w in self.witnesses],
+            "certified_range": jsonable(self.certified_range),
+            "counterexample": jsonable(self.counterexample),
+            "witnesses": jsonable(self.witnesses),
             "elapsed_ms": round(self.elapsed_ms, 3) if timings else 0,
         }
 
@@ -570,15 +569,15 @@ def _cmd_verify(args) -> int:
         "suite": args.suite,
         "limit": args.limit,
         "checks": [e.to_dict(args.timings) for e in entries],
-        "passed": sum(1 for e in entries if e.status != "fails"),
-        "failed": sum(1 for e in entries if e.status == "fails"),
+        "passed": sum(1 for e in entries if e.ok),
+        "failed": sum(1 for e in entries if not e.ok),
     }
     _write_report(args.out, payload)
     if args.format == "json":
         sys.stdout.write(_canonical_json(payload))
     else:
         for e in entries:
-            mark = "PASS" if e.status != "fails" else "FAIL"
+            mark = "PASS" if e.ok else "FAIL"
             print(f"{mark} {e.ref} [{e.status}] {e.claim}")
             if e.status == "fails":
                 print(f"     counterexample: {e.counterexample}")
@@ -598,7 +597,7 @@ def _cmd_sieve(args) -> int:
     if args.check:
         entries = _sieve_checks(table)
         info["checks"] = [e.to_dict(args.timings) for e in entries]
-        info["failed"] = sum(1 for e in entries if e.status == "fails")
+        info["failed"] = sum(1 for e in entries if not e.ok)
     _write_report(args.out, info)
     if args.format == "json":
         sys.stdout.write(_canonical_json(info))
@@ -606,7 +605,7 @@ def _cmd_sieve(args) -> int:
         print(f"primes <= {args.limit}: {info['prime_count']}")
         print(f"odd composites <= {args.limit}: {info['odd_composite_count']}")
         for e in info.get("checks", []):
-            mark = "PASS" if e["status"] != "fails" else "FAIL"
+            mark = "PASS" if is_success(e["status"]) else "FAIL"
             print(f"{mark} {e['ref']}")
     return 1 if info.get("failed") else 0
 
@@ -642,27 +641,11 @@ def _cmd_collapse(args) -> int:
     rhs = parse_set_expr(match.group("rhs"))
     m_fold, n_fold = int(match.group("m")), int(match.group("n"))
     lo, hi = args.window
-    lhs_cof = lhs.to_cofinite()
-    rhs_cof = rhs.to_cofinite()
-    exact = (
-        m_fold == n_fold == 2
-        and lhs_cof is not None
-        and rhs_cof is not None
-        and lhs_cof.lower == 3
-        and not lhs_cof.excluded
-        and rhs_cof.lower == 3
+    removed_top = rhs.max_excluded if isinstance(rhs, Progression) else 0
+    table = PrimeTable(max(hi, 9, 2 * removed_top + 6))
+    verdict = col.check_relation(
+        lhs, rhs, m_fold, n_fold, (lo, hi), table, require_subset=args.directed
     )
-    table_limit = max(hi, 9)
-    if rhs_cof is not None and rhs_cof.excluded:
-        table_limit = max(table_limit, 2 * max(rhs_cof.excluded) + 6)
-    table = PrimeTable(table_limit)
-    if exact and all(not table.is_prime(e) for e in rhs_cof.excluded):
-        verdict = col.composite_removal_check(tuple(sorted(rhs_cof.excluded)), table) \
-            if rhs_cof.excluded else pair_sum_cover_decision(rhs_cof)
-    else:
-        verdict = col.check_relation(
-            lhs, rhs, m_fold, n_fold, (lo, hi), table, require_subset=args.directed
-        )
     payload = {
         "schema": SCHEMA_VERSION,
         "relation": args.rel,
@@ -772,7 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sumcollapse",
         description="verification toolkit for sumset-collapse relations",
     )
-    default_threads = int(os.environ.get(THREADS_ENV, "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -782,7 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full theorem-check battery")
     p.add_argument("--suite", choices=("theorems",), default="theorems")
     p.add_argument("--limit", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=default_threads, help=THREADS_HELP)
     p.add_argument("--timings", action="store_true", help="include real timings (non-reproducible)")
     common(p)
     p.set_defaults(fn=_cmd_verify)
@@ -797,7 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strata", help="layer classification of odd composites")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--csv", metavar="PATH", help="write per-composite rows")
-    p.add_argument("--threads", type=int, default=default_threads, help=THREADS_HELP)
     common(p)
     p.set_defaults(fn=_cmd_strata)
 
@@ -834,6 +814,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, MemoryError) as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,12 +1,16 @@
 """Relation deciders over the integers: equal iterated sumsets plus the
-multiplicative factorization property, exact removal certificates for
-cofinite odd sets, and the decomposition / partition enumerators.
+multiplicative factorization property, exact removal certificates for the
+odd integers >= 3 minus finitely many odd composites, and the
+decomposition / partition enumerators.
 
 A relation here pairs two set descriptions ``B`` and ``C`` and asks whether
 ``m``-fold sums of ``B`` equal ``n``-fold sums of ``C`` while every member
 of ``B`` is a product of members of ``C`` (and, for the directed form,
-``C`` is contained in ``B``).  Prime-backed sets only ever earn windowed
-verdicts; cofinite odd removals admit exact ones.
+``C`` is contained in ``B``).  :func:`check_relation` is the one entry
+point and picks the decider: the pair relation between ``odd>=3`` and
+``odd>=3`` minus finitely many odd composites gets the exact removal
+certificate; everything else, prime-backed sets included, earns a windowed
+verdict.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ import math
 from dataclasses import dataclass
 
 from .intsets import (
-    CofiniteOddSet,
     WindowSet,
     iterated_sumset,
     pair_sum_cover_decision,
     restrict,
     sumset_equal_window,
 )
-from .setexpr import FiniteSet, OddRange, Primes, SetExpr, as_set_expr
+from .setexpr import FiniteSet, Primes, Progression, SetExpr, as_set_expr
 from .sieve import CompositeIndex, PrimeTable, _is_prime_slow
 from .verdict import (
     RelationVerdict,
@@ -33,51 +36,6 @@ from .verdict import (
     hypothesis_failed,
     weakest,
 )
-
-
-@dataclass(frozen=True)
-class Progression(SetExpr):
-    """Arithmetic progression {base + i*step : i >= 0}, optionally minus a finite set."""
-
-    base: int
-    step: int
-    excluded: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError(f"progression step must be positive, got {self.step}")
-        object.__setattr__(self, "excluded", frozenset(self.excluded))
-
-    def contains(self, n, table=None):
-        return (
-            n >= self.base
-            and (n - self.base) % self.step == 0
-            and n not in self.excluded
-        )
-
-    def window_bits(self, lo, hi, table=None):
-        from .intsets import bits_from_values
-
-        start = max(self.base, self.base + ((lo - self.base + self.step - 1) // self.step) * self.step)
-        vals = (v for v in range(start, hi + 1, self.step) if v not in self.excluded)
-        return bits_from_values(vals, lo, hi)
-
-    def subset_of_odd_from_3(self):
-        return self.base >= 3 and self.base % 2 == 1 and self.step % 2 == 0
-
-    def contains_all_odd_primes(self):
-        return (
-            self.base == 3
-            and self.step == 2
-            and not any(_is_prime_slow(e) for e in self.excluded)
-        )
-
-    def without(self, values) -> "Progression":
-        return Progression(self.base, self.step, self.excluded | frozenset(values))
-
-    def describe(self):
-        tail = f" \\ {{{','.join(map(str, sorted(self.excluded)))}}}" if self.excluded else ""
-        return f"{self.base}+{self.step}k{tail}"
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +176,11 @@ def _compare_sumsets(
 
 
 def _containment(b_expr, c_expr, b_ws, c_ws) -> RelationVerdict:
-    b_cof = b_expr.to_cofinite() if isinstance(b_expr, SetExpr) else None
-    c_cof = c_expr.to_cofinite() if isinstance(c_expr, SetExpr) else None
     missing = None
-    if b_cof is not None and c_cof is not None:
-        missing = c_cof.least_not_in(b_cof)
+    if isinstance(b_expr, Progression) and isinstance(c_expr, Progression):
+        missing = c_expr.least_not_in(b_expr)
         if missing is None:
-            return holds("containment decided exactly on cofinite forms")
+            return holds("containment decided exactly on the progressions")
         # fall through for a concrete on-window witness
     extra = c_ws.bits & ~b_ws.bits
     if extra:
@@ -234,7 +190,7 @@ def _containment(b_expr, c_expr, b_ws, c_ws) -> RelationVerdict:
         return fails(
             missing,
             f"{missing} belongs to the right-hand set but not the left; it lies "
-            "outside the window (cofinite comparison)",
+            "outside the window (progression comparison)",
         )
     return holds_on_window((b_ws.lo, b_ws.hi), "containment verified on the window")
 
@@ -265,6 +221,16 @@ def relation_parts(
     return RelationParts(sum_v, fp_v, sub_v)
 
 
+def _is_composite_removal(b_expr: SetExpr, c_expr: SetExpr) -> bool:
+    """B is ``odd>=3`` and C is ``odd>=3`` minus finitely many odd non-primes."""
+    return (
+        b_expr == Progression(3)
+        and isinstance(c_expr, Progression)
+        and (c_expr.base, c_expr.step) == (3, 2)
+        and c_expr.contains_all_odd_primes()
+    )
+
+
 def check_relation(
     b_spec,
     c_spec,
@@ -274,9 +240,23 @@ def check_relation(
     table: PrimeTable | None = None,
     require_subset: bool = False,
 ) -> RelationVerdict:
-    """Windowed decision of the (m, n) sum-factor relation between two sets."""
+    """Decide the (m, n) sum-factor relation between two sets.
+
+    The pair relation (m = n = 2) from the odd integers >= 3 to the same set
+    minus finitely many odd composites gets the exact removal certificate,
+    which settles the directed form too; ``table`` must then cover the
+    largest removed value (one is built when none is given).  Every other
+    relation is decided on the window.
+    """
+    b_expr = as_set_expr(b_spec)
+    c_expr = as_set_expr(c_spec)
+    lo, hi = window
+    if m_fold == n_fold == 2 and 1 <= lo <= hi and _is_composite_removal(b_expr, c_expr):
+        if table is None:
+            table = PrimeTable(max(c_expr.max_excluded, 9))
+        return _removal_certificate(c_expr, table)
     return relation_parts(
-        b_spec, c_spec, m_fold, n_fold, window, table, require_subset
+        b_expr, c_expr, m_fold, n_fold, window, table, require_subset
     ).combined()
 
 
@@ -302,11 +282,11 @@ def prime_surplus_hypothesis(ks, table: PrimeTable) -> bool:
     return all(table.prime_count(c) >= i + 2 for i, c in enumerate(ks, start=1))
 
 
-def _removal_witnesses(ks, excluded: frozenset[int], table: PrimeTable):
+def _removal_witnesses(excluded: frozenset[int], table: PrimeTable):
     """For each removed value (largest first) a pair p + d = 3 + value avoiding
     the removed set, found by walking the odd primes upward."""
     out = []
-    for c in sorted(ks, reverse=True):
+    for c in sorted(excluded, reverse=True):
         s = 3 + c
         for p in table.primes_in(3, s - 3):
             d = s - p
@@ -316,14 +296,42 @@ def _removal_witnesses(ks, excluded: frozenset[int], table: PrimeTable):
     return tuple(out)
 
 
+def _removal_certificate(
+    removal: Progression, table: PrimeTable, window: tuple[int, int] | None = None
+) -> RelationVerdict:
+    """Exact decision whether 2*(odd integers >= 3) equals 2*``removal``.
+
+    A ``holds`` is cross-validated against the windowed sumset engine on
+    ``[3, window end]`` (by default up to past the enumerated threshold)
+    and carries one witness per removed value.
+    """
+    exact = pair_sum_cover_decision(removal)
+    if exact.status is not Status.HOLDS or not removal.excluded:
+        return exact
+    hi = max(2 * removal.max_excluded + 6, 60) if window is None else window[1]
+    cross = sumset_equal_window(
+        restrict(Progression(3), 3, hi), restrict(removal, 3, hi), 2
+    )
+    if cross.status is not Status.HOLDS_ON_WINDOW:
+        raise RuntimeError(
+            f"exact decision and windowed sumsets disagree for removal "
+            f"{sorted(removal.excluded)}"
+        )
+    witnesses = _removal_witnesses(removal.excluded, table)
+    return holds(
+        exact.note + f"; cross-validated against bitset sumsets on [3, {hi}]; "
+        "the removed values are composite, so factorization into odd primes is untouched",
+        witnesses=witnesses,
+    )
+
+
 def composite_removal_check(
     ks, table: PrimeTable, window: tuple[int, int] | None = None
 ) -> RelationVerdict:
     """Exact certificate that removing ``ks`` keeps all even pair sums reachable.
 
     Requires the prime-surplus hypothesis; without it the claim is not
-    attempted and a hypothesis failure is reported instead.  The exact
-    cofinite decision is cross-validated against the windowed sumset engine.
+    attempted and a hypothesis failure is reported instead.
     """
     ks = _validate_composite_tuple(ks, table)
     for i, c in enumerate(ks, start=1):
@@ -333,24 +341,7 @@ def composite_removal_check(
                 f"candidate #{i} = {c} has only {table.prime_count(c)} primes below "
                 f"it, fewer than {i + 2}",
             )
-    removal = CofiniteOddSet(3, frozenset(ks))
-    exact = pair_sum_cover_decision(removal)
-    if exact.status is not Status.HOLDS:
-        return exact
-    hi = max(2 * max(ks) + 6, 60) if window is None else window[1]
-    cross = sumset_equal_window(
-        restrict(OddRange(3), 3, hi), restrict(removal, 3, hi), 2
-    )
-    if cross.status is not Status.HOLDS_ON_WINDOW:
-        raise RuntimeError(
-            f"exact decision and windowed sumsets disagree for removal {sorted(ks)}"
-        )
-    witnesses = _removal_witnesses(ks, removal.excluded, table)
-    return holds(
-        exact.note + f"; cross-validated against bitset sumsets on [3, {hi}]; "
-        "the removed values are composite, so factorization into odd primes is untouched",
-        witnesses=witnesses,
-    )
+    return _removal_certificate(Progression(3, 2, frozenset(ks)), table, window)
 
 
 def gap_subsequence_check(
@@ -367,7 +358,7 @@ def gap_subsequence_check(
             raise ValueError(
                 f"gap condition violated: {bs[i + 1]} - {bs[i]} <= 2"
             )
-    removal = CofiniteOddSet(3, frozenset(bs))
+    removal = Progression(3, 2, frozenset(bs))
     exact = pair_sum_cover_decision(removal)
     if exact.status is not Status.HOLDS:
         return exact
@@ -483,14 +474,14 @@ def prefix_removal_cascade(k: int, l: int, table: PrimeTable) -> RelationVerdict
     for i in range(l + 1):
         kept = prefix[k + i - 1]
         removal = frozenset(prefix) - {kept}
-        verdict = pair_sum_cover_decision(CofiniteOddSet(3, removal))
+        verdict = pair_sum_cover_decision(Progression(3, 2, removal))
         results.append({"premise": i, "kept": kept, "status": verdict.status.value})
         if verdict.status is Status.FAILS:
             return fails(
                 verdict.counterexample,
                 f"premise {i} (keeping {kept}) fails: {verdict.note}",
             )
-    conclusion = pair_sum_cover_decision(CofiniteOddSet(3, frozenset(prefix)))
+    conclusion = pair_sum_cover_decision(Progression(3, 2, frozenset(prefix)))
     results.append({"conclusion": True, "status": conclusion.status.value})
     status = weakest(conclusion.status, *(Status(r["status"]) for r in results[:-1]))
     return RelationVerdict(
@@ -811,7 +802,7 @@ def parameter_uniqueness_report(table: PrimeTable, hi: int) -> UniquenessReport:
     )
 
     window_verdict = sumset_equal_window(
-        restrict(OddRange(3), 3, hi), restrict(Primes(3), 3, hi, table), 2
+        restrict(Progression(3), 3, hi), restrict(Primes(3), 3, hi, table), 2
     )
     return UniquenessReport(tuple(cases), window_verdict)
 

@@ -1,20 +1,17 @@
-"""Exact and windowed integer-set representations with sumset arithmetic.
+"""Window bitsets with sumset arithmetic, and the exact pair-sum decision.
 
-Two representations cover everything the checkers need:
-
-* :class:`CofiniteOddSet`: all odd integers >= ``lower`` minus a finite
-  exclusion list.  The only infinite sets admitting exact (non-windowed)
-  pair-sum decisions.
-* :class:`WindowSet`: a bitset over a finite interval, carrying an
-  ``exact_from`` marker delimiting where derived sumsets are certified.
+:class:`WindowSet` is a bitset over a finite interval, carrying an
+``exact_from`` marker delimiting where derived sumsets are certified.  The
+infinite sets behind it are described in :mod:`sumcollapse.setexpr`; the
+only ones admitting exact (non-windowed) pair-sum decisions are the odd
+integers >= 3 minus finitely many values, decided by
+:func:`pair_sum_cover_decision`.
 
 Sumsets are computed by shift-OR bitset convolution over the sparser
 operand; Python's big integers do the word-level work.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .verdict import RelationVerdict, fails, holds, holds_on_window
 
@@ -50,70 +47,18 @@ def bits_from_values(values, lo: int, hi: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _alternating_bits(count: int) -> int:
-    """``count`` set bits at positions 0, 2, 4, ... (a step-2 progression)."""
-    if count <= 0:
-        return 0
-    return ((1 << (2 * count)) - 1) // 3
+def progression_bits(base: int, step: int, lo: int, hi: int) -> int:
+    """Bitset over ``[lo, hi]`` of the progression ``base, base + step, ...``.
 
-
-def odd_pattern_bits(first_odd: int, lo: int, hi: int) -> int:
-    """Bitset over ``[lo, hi]`` of all odd integers >= ``first_odd``."""
-    start = max(first_odd, lo)
-    if start % 2 == 0:
-        start += 1
+    ``count`` members spaced ``step`` apart form the base-2^step repunit
+    (2^(step*count) - 1) / (2^step - 1), shifted to the first member.
+    """
+    start = base if base >= lo else base + (lo - base + step - 1) // step * step
     if start > hi:
         return 0
-    return _alternating_bits((hi - start) // 2 + 1) << (start - lo)
-
-
-@dataclass(frozen=True)
-class CofiniteOddSet:
-    """All odd integers >= ``lower`` except a finite excluded set."""
-
-    lower: int
-    excluded: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if self.lower < 3 or self.lower % 2 == 0:
-            raise ValueError(f"lower bound must be an odd integer >= 3, got {self.lower}")
-        object.__setattr__(self, "excluded", frozenset(self.excluded))
-        for e in self.excluded:
-            if e % 2 == 0 or e < self.lower:
-                raise ValueError(f"excluded element {e} is not an odd integer >= {self.lower}")
-
-    @property
-    def max_excluded(self) -> int:
-        return max(self.excluded, default=0)
-
-    def contains(self, n: int) -> bool:
-        return n % 2 == 1 and n >= self.lower and n not in self.excluded
-
-    __contains__ = contains
-
-    def window_bits(self, lo: int, hi: int) -> int:
-        bits = odd_pattern_bits(self.lower, lo, hi)
-        return bits & ~bits_from_values(self.excluded, lo, hi)
-
-    def is_subset_of(self, other: "CofiniteOddSet") -> bool:
-        """Exact containment test between two cofinite odd sets."""
-        return self.least_not_in(other) is None
-
-    def least_not_in(self, other: "CofiniteOddSet") -> int | None:
-        """The least member of this set missing from ``other``; None when
-        this set is contained in ``other``."""
-        missing = [f for f in other.excluded if f >= self.lower and f not in self.excluded]
-        below = (n for n in range(self.lower, other.lower, 2) if n not in self.excluded)
-        first_below = next(below, None)
-        if first_below is not None:
-            missing.append(first_below)
-        return min(missing, default=None)
-
-    def describe(self) -> str:
-        if not self.excluded:
-            return f"odd>={self.lower}"
-        inner = ",".join(str(e) for e in sorted(self.excluded))
-        return f"odd>={self.lower} \\ {{{inner}}}"
+    count = (hi - start) // step + 1
+    repunit = ((1 << step * count) - 1) // ((1 << step) - 1)
+    return repunit << (start - lo)
 
 
 class WindowSet:
@@ -199,14 +144,12 @@ class WindowSet:
 def restrict(source, lo: int, hi: int, table=None) -> WindowSet:
     """Materialise a set description onto ``[lo, hi]`` with ``exact_from = lo``.
 
-    ``source`` may be a :class:`CofiniteOddSet`, any object exposing
-    ``window_bits(lo, hi)`` (set expressions pass a sieve via ``table``),
+    ``source`` may be any object exposing ``window_bits(lo, hi, table)``
+    (set expressions; prime-backed ones need the sieve ``table``),
     a plain collection of integers, or a membership predicate.
     """
     if lo > hi:
         raise ValueError(f"inverted window [{lo}, {hi}]")
-    if isinstance(source, CofiniteOddSet):
-        return WindowSet(lo, hi, source.window_bits(lo, hi))
     if hasattr(source, "window_bits"):
         return WindowSet(lo, hi, source.window_bits(lo, hi, table))
     if isinstance(source, (set, frozenset, list, tuple, range)):
@@ -326,8 +269,10 @@ def sumset_equal_window(a: WindowSet, b: WindowSet, n: int) -> RelationVerdict:
     )
 
 
-def pair_sum_cover_decision(d: CofiniteOddSet) -> RelationVerdict:
-    """Decide exactly whether 2*(odd integers >= 3) equals 2*D.
+def pair_sum_cover_decision(d) -> RelationVerdict:
+    """Decide exactly whether 2*(odd integers >= 3) equals 2*D, for a
+    :class:`~sumcollapse.setexpr.Progression` D of odd integers >= 3 minus
+    finitely many.
 
     Even sums up to twice the largest excluded element plus 6 are checked by
     enumeration.  Beyond that threshold a representation always exists: with
@@ -335,8 +280,8 @@ def pair_sum_cover_decision(d: CofiniteOddSet) -> RelationVerdict:
     (M, s/2] wide enough to contain an odd a >= 3 that is not excluded, and
     its partner s - a >= s/2 > M cannot be excluded either.
     """
-    if d.lower != 3:
-        raise ValueError("the exact pair-sum decision is defined for lower bound 3")
+    if (d.base, d.step) != (3, 2):
+        raise ValueError("the exact pair-sum decision is defined for odd>=3 minus a finite set")
     m = d.max_excluded
     threshold = 2 * m + 6
     excluded = d.excluded

@@ -2,7 +2,7 @@
 
 Grammar (whitespace-insensitive)::
 
-    odd>=A              all odd integers >= A
+    odd>=A              all odd integers >= A (A odd and positive)
     odd>=A \\ {a,b,...}  the same minus a finite exclusion list
     ints>=A             all integers >= A
     primes>=P           all primes >= P
@@ -13,13 +13,20 @@ Grammar (whitespace-insensitive)::
 
 Expressions are decidable pointwise and can materialise a window bitset;
 prime-backed forms need a sieve table covering the window.
+
+Both ``odd>=`` forms parse to a :class:`Progression`, the one description
+of "an arithmetic progression minus a finite set".  Containment between two
+progressions is decided exactly (:meth:`Progression.least_not_in`), and
+the odd integers >= 3 minus finitely many are the sets the exact pair-sum
+decision accepts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .intsets import CofiniteOddSet, bits_from_values, odd_pattern_bits
+from .intsets import bits_from_values, progression_bits
 from .sieve import PrimeTable, _is_prime_slow
 
 
@@ -34,10 +41,6 @@ class SetExpr:
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    def to_cofinite(self) -> CofiniteOddSet | None:
-        """Exact cofinite-odd form, when one exists."""
-        return None
 
     def subset_of_odd_from_3(self) -> bool:
         """Conservative: True only if provably within the odd integers >= 3."""
@@ -60,42 +63,79 @@ def _require_table(table: PrimeTable | None, hi: int, what: str) -> PrimeTable:
 
 
 @dataclass(frozen=True)
-class OddRange(SetExpr):
-    """Odd integers >= ``lower``, optionally minus a finite excluded set."""
+class Progression(SetExpr):
+    """The progression {base + i*step : i >= 0} minus a finite excluded set.
 
-    lower: int
+    With the default step 2 and an odd base this is ``odd>=base``; every
+    excluded value must be a member of the bare progression.
+    """
+
+    base: int
+    step: int = 2
     excluded: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.lower < 1 or self.lower % 2 == 0:
-            raise ValueError(f"lower bound must be a positive odd integer, got {self.lower}")
+        if self.step < 1:
+            raise ValueError(f"progression step must be positive, got {self.step}")
         object.__setattr__(self, "excluded", frozenset(self.excluded))
         for e in self.excluded:
-            if e % 2 == 0 or e < self.lower:
-                raise ValueError(f"excluded element {e} not an odd integer >= {self.lower}")
+            if e < self.base or (e - self.base) % self.step:
+                raise ValueError(f"excluded element {e} is not in {self._head()}")
+
+    @property
+    def max_excluded(self) -> int:
+        return max(self.excluded, default=0)
 
     def contains(self, n, table=None):
-        return n % 2 == 1 and n >= self.lower and n not in self.excluded
+        return n >= self.base and (n - self.base) % self.step == 0 and n not in self.excluded
 
     def window_bits(self, lo, hi, table=None):
-        bits = odd_pattern_bits(self.lower, lo, hi)
+        bits = progression_bits(self.base, self.step, lo, hi)
         return bits & ~bits_from_values(self.excluded, lo, hi)
 
-    def to_cofinite(self):
-        if self.lower >= 3:
-            return CofiniteOddSet(self.lower, self.excluded)
-        return None
+    def least_not_in(self, other: "Progression") -> int | None:
+        """The least member of this set missing from ``other``; None when
+        this set is contained in ``other``.
+
+        A missing value is either excluded from ``other`` or outside the
+        bare progression of ``other``.  Past both bases, the members of
+        this progression outside that one recur with period
+        lcm(step, other.step): the scan stops one period past both bases if
+        it has met none, and otherwise at the first one not excluded here,
+        which takes at most one period per excluded value.
+        """
+        missing = [f for f in other.excluded if self.contains(f)]
+        settled = max(self.base, other.base) + math.lcm(self.step, other.step)
+        recurring = False
+        n = self.base
+        while n < settled or recurring:
+            if n < other.base or (n - other.base) % other.step:
+                if n not in self.excluded:
+                    missing.append(n)
+                    break
+                recurring = recurring or n >= other.base
+            n += self.step
+        return min(missing, default=None)
+
+    def without(self, values) -> "Progression":
+        return Progression(self.base, self.step, self.excluded | frozenset(values))
 
     def subset_of_odd_from_3(self):
-        return self.lower >= 3
+        return self.base >= 3 and self.base % 2 == 1 and self.step % 2 == 0
 
     def contains_all_odd_primes(self):
-        return self.lower <= 3 and not any(_is_prime_slow(e) for e in self.excluded)
+        covers = self.step == 2 and self.base % 2 == 1 and self.base <= 3
+        return covers and not any(_is_prime_slow(e) for e in self.excluded)
+
+    def _head(self) -> str:
+        if self.step == 2 and self.base >= 1 and self.base % 2 == 1:
+            return f"odd>={self.base}"
+        return f"{self.base}+{self.step}k"
 
     def describe(self):
         if not self.excluded:
-            return f"odd>={self.lower}"
-        return f"odd>={self.lower} \\ {{{','.join(map(str, sorted(self.excluded)))}}}"
+            return self._head()
+        return f"{self._head()} \\ {{{','.join(map(str, sorted(self.excluded)))}}}"
 
 
 @dataclass(frozen=True)
@@ -108,10 +148,7 @@ class IntRange(SetExpr):
         return n >= self.lower
 
     def window_bits(self, lo, hi, table=None):
-        start = max(lo, self.lower)
-        if start > hi:
-            return 0
-        return ((1 << (hi - start + 1)) - 1) << (start - lo)
+        return progression_bits(self.lower, 1, lo, hi)
 
     def subset_of_odd_from_3(self):
         return False
@@ -177,7 +214,7 @@ class RoughOdd(SetExpr):
 
     def window_bits(self, lo, hi, table=None):
         if self.min_prime == 3:
-            return odd_pattern_bits(3, lo, hi)
+            return progression_bits(3, 2, lo, hi)
         buf = bytearray((hi - lo) // 8 + 1) if hi >= lo else bytearray(1)
         small = [q for q in range(3, self.min_prime, 2)]
         start = max(lo, 3)
@@ -212,7 +249,7 @@ class OddComposites(SetExpr):
 
     def window_bits(self, lo, hi, table=None):
         table = _require_table(table, hi, self.describe())
-        odd = odd_pattern_bits(9, lo, hi)
+        odd = progression_bits(9, 2, lo, hi)
         prime = bits_from_values(table.primes_in(max(lo, 9), hi), lo, hi)
         return odd & ~prime
 
@@ -354,11 +391,14 @@ def parse_set_expr(text: str) -> SetExpr:
     if "\\" in s:
         base_text, _, excl_text = s.partition("\\")
         base = parse_set_expr(base_text)
-        if not isinstance(base, OddRange):
+        if not isinstance(base, Progression):
             raise ValueError(f"exclusions are only supported after odd>=: {text!r}")
-        return OddRange(base.lower, _parse_braced(excl_text))
+        return base.without(_parse_braced(excl_text))
     if s.startswith("odd>="):
-        return OddRange(int(s[5:]))
+        lower = int(s[5:])
+        if lower < 1 or lower % 2 == 0:
+            raise ValueError(f"odd>= takes a positive odd bound, got {lower}")
+        return Progression(lower)
     if s.startswith("ints>="):
         return IntRange(int(s[6:]))
     if s.startswith("primes>="):
@@ -378,8 +418,6 @@ def as_set_expr(obj) -> SetExpr:
     """Coerce the argument forms the checkers accept into a ``SetExpr``."""
     if isinstance(obj, SetExpr):
         return obj
-    if isinstance(obj, CofiniteOddSet):
-        return OddRange(obj.lower, obj.excluded)
     if isinstance(obj, str):
         return parse_set_expr(obj)
     if isinstance(obj, (set, frozenset, list, tuple)):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intsets import restrict, sumset_equal_window
-from .setexpr import IntRange, OddRange, Primes, RoughOdd
+from .setexpr import IntRange, Primes, Progression, RoughOdd
 from .sieve import PrimeTable
 from .verdict import RelationVerdict, Status, holds_on_window
 
@@ -175,15 +175,12 @@ def _layer_by_odd(composites: np.ndarray, layer: np.ndarray, size: int) -> np.nd
     return out
 
 
-def compute_strata(
-    limit: int, table: PrimeTable | None = None, threads: int = 1
-) -> StrataTable:
+def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
     """Assign every odd composite <= limit to its layer.
 
     Passes repeat until nothing new is assigned; whatever remains is surfaced
     as unassigned rather than raising, since within a self-contained window
     an unassigned composite indicates an implementation bug worth inspecting.
-    ``threads`` is accepted for compatibility and does not change the result.
     """
     if limit < 9:
         raise ValueError(f"limit must be >= 9, got {limit}")
@@ -358,7 +355,7 @@ def nfold_collapse_check(
     if 3 * n > hi:
         raise ValueError(f"window [{lo}, {hi}] too small for {n}-fold sums of odds >= 3")
     verdict = sumset_equal_window(
-        restrict(OddRange(3), lo, hi), restrict(Primes(3), lo, hi, table), n
+        restrict(Progression(3), lo, hi), restrict(Primes(3), lo, hi, table), n
     )
     if verdict.status is not Status.HOLDS_ON_WINDOW:
         return verdict

@@ -53,21 +53,30 @@ class RelationVerdict:
 
     @property
     def ok(self) -> bool:
-        return self.status in (Status.HOLDS, Status.HOLDS_ON_WINDOW)
+        return is_success(self.status)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "status": self.status.value,
             "note": self.note,
-            "counterexample": list(self.counterexample)
-            if isinstance(self.counterexample, tuple)
-            else self.counterexample,
-            "certified_range": list(self.certified_range)
-            if self.certified_range is not None
-            else None,
-            "witnesses": [list(w) if isinstance(w, tuple) else w for w in self.witnesses],
+            "counterexample": jsonable(self.counterexample),
+            "certified_range": jsonable(self.certified_range),
+            "witnesses": jsonable(self.witnesses),
             "failed_hypothesis": self.failed_hypothesis,
         }
+
+
+def is_success(status: str) -> bool:
+    """Only ``holds`` and ``holds_on_window`` count as a passed check."""
+    return status in (Status.HOLDS, Status.HOLDS_ON_WINDOW)
+
+
+def jsonable(value: Any) -> Any:
+    """``value`` with tuples and lists turned into lists, at every depth, as
+    a JSON report writes them."""
+    if isinstance(value, (tuple, list)):
+        return [jsonable(v) for v in value]
+    return value
 
 
 def holds(note: str, witnesses: tuple = ()) -> RelationVerdict:

@@ -7,9 +7,8 @@ first violation.
 import random
 
 from sumcollapse import (
-    CofiniteOddSet,
-    OddRange,
     Primes,
+    Progression,
     ZmSubset,
     composite_removal_check,
     decompositions,
@@ -39,12 +38,12 @@ def lift_on_cofinite_removals(table, cases: int = 200) -> int:
     ran = 0
     for _ in range(cases):
         ks = _random_removal(rng, table)
-        base = pair_sum_cover_decision(CofiniteOddSet(3, frozenset(ks)))
+        base = pair_sum_cover_decision(Progression(3, 2, frozenset(ks)))
         if base.status is not Status.HOLDS:
             continue
         hi = max(3 * max(ks) + 9, 200)
-        a = restrict(OddRange(3), 3, hi)
-        b = restrict(CofiniteOddSet(3, frozenset(ks)), 3, hi)
+        a = restrict(Progression(3), 3, hi)
+        b = restrict(Progression(3, 2, frozenset(ks)), 3, hi)
         for n in (3, 4):
             v = sumset_equal_window(a, b, n)
             assert v.status is Status.HOLDS_ON_WINDOW, (ks, n, v)
@@ -125,7 +124,7 @@ def decomposition_counts(table, cases: int = 200) -> int:
     """Enumerator totals match the naive ordered-factorization count."""
     rng = random.Random(SEED ^ 0xD0)
     specs = [
-        OddRange(3),
+        Progression(3),
         Primes(3),
     ]
     ran = 0

@@ -4,7 +4,12 @@ import json
 import subprocess
 import sys
 
-from sumcollapse.cli import main
+import pytest
+
+from sumcollapse import collapse
+from sumcollapse.cli import CheckEntry, main
+
+from oracles import is_prime_bf
 
 
 def run_cli(args, capsys):
@@ -51,6 +56,65 @@ def test_collapse_exact(capsys):
     )
     assert code == 0
     assert out.startswith("holds:")
+
+
+FIRST_23 = (9, 15, 21, 25, 27, 33, 35, 39, 45, 49, 51, 55, 57, 63, 65, 69, 75, 77,
+            81, 85, 87, 91, 93)
+
+
+def test_collapse_first_23_is_exact(capsys):
+    # the prime-surplus premise fails at the 23rd odd composite, but the exact
+    # decider still settles the removal
+    rel = "odd>=3 ~(2,2)~ odd>=3 \\ {" + ",".join(map(str, FIRST_23)) + "}"
+    code, out, _ = run_cli(["collapse", "--rel", rel, "--format", "json"], capsys)
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["status"] == "holds"
+    assert verdict["certified_range"] is None and verdict["counterexample"] is None
+    witnesses = verdict["witnesses"]
+    assert sorted(c for c, _, _ in witnesses) == list(FIRST_23)
+    for c, p, d in witnesses:
+        assert p + d == c + 3 and is_prime_bf(p) and p % 2 == 1
+        assert d >= 3 and d % 2 == 1 and d not in FIRST_23
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("exact decision and windowed sumsets disagree")
+
+    monkeypatch.setattr(collapse, "_removal_certificate", broken)
+    code, out, err = run_cli(["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3 \\ {9}"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: exact decision and windowed sumsets disagree\n"
+
+
+def _synthetic_entries():
+    return [
+        CheckEntry("a/exact", "settled", "holds"),
+        CheckEntry("b/window", "windowed", "holds_on_window", (6, 100)),
+        CheckEntry("c/premise", "premise not met", "hypothesis_failed"),
+    ]
+
+
+def test_hypothesis_failed_is_not_a_pass(monkeypatch, capsys):
+    from sumcollapse import cli
+
+    monkeypatch.setattr(cli, "run_battery", lambda limit: _synthetic_entries())
+    code, out, _ = run_cli(["verify", "--limit", "100", "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 1
+    assert (payload["passed"], payload["failed"]) == (2, 1)
+    code, out, _ = run_cli(["verify", "--limit", "100"], capsys)
+    assert code == 1
+    assert "FAIL c/premise [hypothesis_failed]" in out and "PASS b/window" in out
+
+    monkeypatch.setattr(cli, "_sieve_checks", lambda table: _synthetic_entries())
+    code, out, _ = run_cli(["sieve", "--limit", "100", "--check"], capsys)
+    assert code == 1
+    assert "FAIL c/premise" in out and "PASS a/exact" in out
+    code, out, _ = run_cli(["sieve", "--limit", "100", "--check", "--format", "json"], capsys)
+    assert code == 1 and json.loads(out)["failed"] == 1
 
 
 def test_collapse_windowed_failure(capsys):
@@ -167,12 +231,10 @@ def test_sieve_check(capsys):
     assert "primes <= 5000: 669" in out
 
 
-def test_thread_env_override(monkeypatch):
-    from sumcollapse.cli import build_parser
-
-    monkeypatch.setenv("SUMCOLLAPSE_THREADS", "7")
-    args = build_parser().parse_args(["strata", "--limit", "100"])
-    assert args.threads == 7
+def test_threads_option_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["strata", "--limit", "100", "--threads", "2"])
+    capsys.readouterr()
 
 
 def test_entry_point_runs():

@@ -1,12 +1,11 @@
 import pytest
 
 from sumcollapse import (
-    CofiniteOddSet,
     CompositeIndex,
     FiniteSet,
     IntRange,
-    OddRange,
     Primes,
+    Progression,
     Union,
     check_fp,
     check_relation,
@@ -39,7 +38,7 @@ from oracles import (
 
 
 def test_check_fp_fast_path(table_small):
-    v = check_fp(OddRange(3), CofiniteOddSet(3, frozenset({9})), (3, 1000), table_small)
+    v = check_fp(Progression(3), Progression(3, 2, frozenset({9})), (3, 1000), table_small)
     assert v.status is Status.HOLDS
     assert "odd primes" in v.note
 
@@ -58,7 +57,7 @@ def test_check_fp_window_validation():
 
 
 def test_check_fp_allows_one_as_direct_member():
-    v = check_fp(Union(FiniteSet(frozenset({2})), OddRange(1)), Union(FiniteSet(frozenset({2})), OddRange(1)), (1, 50))
+    v = check_fp(Union(FiniteSet(frozenset({2})), Progression(1)), Union(FiniteSet(frozenset({2})), Progression(1)), (1, 50))
     assert v.ok  # 1 = 1 is a single-factor decomposition
 
 
@@ -67,25 +66,48 @@ def test_check_fp_allows_one_as_direct_member():
 
 def test_relation_mixed_parity_example(table_small):
     b = IntRange(1)
-    c = Union(FiniteSet(frozenset({2})), OddRange(1))
+    c = Union(FiniteSet(frozenset({2})), Progression(1))
     v = check_relation(b, c, 2, 2, (1, 2000), table_small, require_subset=True)
     assert v.status is Status.HOLDS_ON_WINDOW
 
 
 def test_relation_reflexive(table_small):
-    v = check_relation(OddRange(3), OddRange(3), 2, 2, (3, 500), table_small)
-    assert v.ok
+    v = check_relation(Progression(3), Progression(3), 2, 2, (3, 500), table_small)
+    assert v.status is Status.HOLDS  # the pair relation on odd>=3 is decided exactly
+    v = check_relation(Progression(3), Progression(3), 3, 3, (3, 500), table_small)
+    assert v.status is Status.HOLDS_ON_WINDOW
+
+
+def test_check_relation_picks_the_decider(table_small):
+    first23 = CompositeIndex(table_small).first(23)
+    # exact: odd>=3 against odd>=3 minus odd composites, prime surplus or not
+    v = check_relation("odd>=3", Progression(3, 2, frozenset(first23)), 2, 2, (3, 500), table_small)
+    assert v.status is Status.HOLDS
+    assert [w[0] for w in v.witnesses] == sorted(first23, reverse=True)
+    v = check_relation("odd>=3", "odd>=3 \\ {9,15,21}", 2, 2, (3, 500), None)
+    assert v.status is Status.HOLDS and len(v.witnesses) == 3  # builds its own table
+    # windowed: a prime removed, exclusions on the left, other folds or bases
+    for b, c, n in [
+        ("odd>=3", "odd>=3 \\ {7}", 2),
+        ("odd>=3 \\ {9}", "odd>=3 \\ {9}", 2),
+        ("odd>=3", "odd>=3 \\ {9}", 3),
+        ("odd>=5", "odd>=5 \\ {9}", 2),
+    ]:
+        v = check_relation(b, c, n, n, (3, 500), table_small, require_subset=True)
+        assert v.status in (Status.HOLDS_ON_WINDOW, Status.FAILS), (b, c, n, v)
+    with pytest.raises(ValueError):
+        check_relation("odd>=3", "odd>=3 \\ {9}", 2, 2, (0, 500), table_small)
 
 
 def test_relation_goldbach_window_never_exact(table_1e5):
     v = check_relation(
-        OddRange(3), Primes(3), 2, 2, (3, 100_000), table_1e5, require_subset=True
+        Progression(3), Primes(3), 2, 2, (3, 100_000), table_1e5, require_subset=True
     )
     assert v.status is Status.HOLDS_ON_WINDOW  # windowed only, never HOLDS
 
 
 def test_relation_containment_failure(table_small):
-    v = check_relation(Primes(3), OddRange(3), 2, 2, (3, 100), table_small, require_subset=True)
+    v = check_relation(Primes(3), Progression(3), 2, 2, (3, 100), table_small, require_subset=True)
     assert v.status is Status.FAILS
     assert v.counterexample == 9  # smallest odd >= 3 outside the primes
     # the only missing value lies past the window: the cofinite forms name it
@@ -95,7 +117,7 @@ def test_relation_containment_failure(table_small):
 
 
 def test_relation_parts_exposed(table_small):
-    parts = relation_parts(OddRange(3), OddRange(3, frozenset({9})), 2, 2, (3, 300), table_small, require_subset=True)
+    parts = relation_parts(Progression(3), Progression(3, 2, frozenset({9})), 2, 2, (3, 300), table_small, require_subset=True)
     assert parts.sumsets.status is Status.HOLDS_ON_WINDOW
     assert parts.factorization.status is Status.HOLDS
     assert parts.containment.status is Status.HOLDS
@@ -105,7 +127,7 @@ def test_relation_unequal_folds(table_small):
     # 1-fold of evens>=6 equals 2-fold of odds>=3 on a window, while the
     # factorization side rightly fails (no even is a product of odds)
     evens = lambda v: v >= 6 and v % 2 == 0  # noqa: E731
-    parts = relation_parts(evens, OddRange(3), 1, 2, (3, 400), table_small)
+    parts = relation_parts(evens, Progression(3), 1, 2, (3, 400), table_small)
     assert parts.sumsets.status is Status.HOLDS_ON_WINDOW
     assert parts.factorization.status is Status.FAILS
     assert parts.factorization.counterexample == 6
@@ -225,7 +247,7 @@ def test_prefix_cascade_precondition(table_small):
 def test_decompositions_examples():
     recs = decompositions(9, {3, 9}, (1, 20))
     assert [r.factors for r in recs] == [(9,), (3, 3)]
-    recs = decompositions(45, OddRange(3), (1, 100))
+    recs = decompositions(45, Progression(3), (1, 100))
     assert [r.factors for r in recs] == [
         (45,),
         (3, 15),
@@ -241,7 +263,7 @@ def test_decompositions_examples():
 
 def test_decompositions_match_oracle(table_small):
     for a in (12, 24, 36, 60, 90, 225, 256, 999):
-        got = [r.factors for r in decompositions(a, OddRange(3), (1, 1000))]
+        got = [r.factors for r in decompositions(a, Progression(3), (1, 1000))]
         want = ordered_factorizations_bf(a, lambda v: v % 2 == 1 and v >= 3)
         assert sorted(got) == sorted(want), a
 
@@ -249,15 +271,15 @@ def test_decompositions_match_oracle(table_small):
 def test_decompositions_validation():
     for bad in (0, 1, -1, -6):
         with pytest.raises(ValueError):
-            decompositions(bad, OddRange(3), (1, 10))
+            decompositions(bad, Progression(3), (1, 10))
     with pytest.raises(ValueError):
-        decompositions(50, OddRange(3), (1, 10))  # outside the window
+        decompositions(50, Progression(3), (1, 10))  # outside the window
     with pytest.raises(ValueError):
-        decompositions(9, OddRange(1), (1, 20))  # 1 in the set
+        decompositions(9, Progression(1), (1, 20))  # 1 in the set
 
 
 def test_factor_stats_examples():
-    fs = factor_stats(45, OddRange(3), (1, 100))
+    fs = factor_stats(45, Progression(3), (1, 100))
     assert (fs.factor_count, fs.exponent, fs.degree) == (5, 2, 3)
     fs = factor_stats(9, {3}, (1, 20))
     assert (fs.factor_count, fs.exponent, fs.degree) == (1, 2, 2)
@@ -273,23 +295,23 @@ def test_k_partitions_examples(table_small):
     ps = k_partitions(6, {3}, 2, (1, 20))
     assert [p.parts for p in ps] == [((3, 2),)]
     assert ps[0].length == 2
-    assert k_partitions(7, OddRange(3), 2, (1, 20)) == []
+    assert k_partitions(7, Progression(3), 2, (1, 20)) == []
 
 
 def test_k_partitions_match_oracle(table_small):
     vals = [v for v in range(3, 40, 2)]
     for a in (20, 30, 45):
         for k in (2, 3, 4):
-            got = {p.parts for p in k_partitions(a, OddRange(3), k, (1, 50))}
+            got = {p.parts for p in k_partitions(a, Progression(3), k, (1, 50))}
             assert got == k_partitions_bf(a, vals, k), (a, k)
 
 
 def test_k_partitions_constraints(table_small):
     # empty below k * min and on parity mismatch
     assert k_partitions(5, {3}, 2, (1, 20)) == []
-    assert k_partitions(11, OddRange(3), 2, (1, 20)) == []
+    assert k_partitions(11, Progression(3), 2, (1, 20)) == []
     with pytest.raises(ValueError):
-        k_partitions(30, OddRange(3), 0, (1, 40))
+        k_partitions(30, Progression(3), 0, (1, 40))
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -333,7 +355,7 @@ def test_equivalence_chain_agreement(table_1e5):
     index = CompositeIndex(table_1e5)
     for hi in (2_000, 20_000):
         goldbach = check_relation(
-            OddRange(3), Primes(3), 2, 2, (3, hi), table_1e5, require_subset=True
+            Progression(3), Primes(3), 2, 2, (3, hi), table_1e5, require_subset=True
         )
         removal = composite_removal_check(
             tuple(sorted(rng.sample([index.nth(k) for k in range(1, 60)], 8))),

@@ -1,13 +1,13 @@
 import pytest
 
 from sumcollapse import (
-    CofiniteOddSet,
-    OddRange,
     Primes,
+    Progression,
     WindowSet,
     dilation,
     iterated_sumset,
     pair_sum_cover_decision,
+    parse_set_expr,
     restrict,
     sumset_equal_window,
 )
@@ -17,33 +17,35 @@ from oracles import goldbach_pair, nfold_sums_bf
 
 
 def test_cofinite_validation():
-    CofiniteOddSet(3, frozenset({9, 15}))
+    Progression(3, 2, frozenset({9, 15}))
+    # an even odd>= bound is refused by the grammar; as a progression it is 4+2k
     with pytest.raises(ValueError):
-        CofiniteOddSet(4)
+        parse_set_expr("odd>=4")
+    assert Progression(4).describe() == "4+2k"
     with pytest.raises(ValueError):
-        CofiniteOddSet(3, frozenset({8}))
+        Progression(3, 2, frozenset({8}))
     with pytest.raises(ValueError):
-        CofiniteOddSet(9, frozenset({3}))
+        Progression(9, 2, frozenset({3}))
+    with pytest.raises(ValueError):
+        Progression(3, 0)
 
 
 def test_cofinite_membership_and_subset():
-    d = CofiniteOddSet(3, frozenset({9}))
-    assert 3 in d and 11 in d
-    assert 9 not in d and 4 not in d and 1 not in d
-    assert CofiniteOddSet(3, frozenset({9, 15})).is_subset_of(CofiniteOddSet(3))
-    assert not CofiniteOddSet(3).is_subset_of(CofiniteOddSet(3, frozenset({9})))
-    assert CofiniteOddSet(5, frozenset()).is_subset_of(CofiniteOddSet(3, frozenset({3})))
-    assert CofiniteOddSet(3).least_not_in(CofiniteOddSet(3, frozenset({9}))) == 9
-    assert CofiniteOddSet(3, frozenset({3})).least_not_in(CofiniteOddSet(7, frozenset({11}))) == 5
-    assert CofiniteOddSet(5).least_not_in(CofiniteOddSet(3, frozenset({3}))) is None
+    d = Progression(3, 2, frozenset({9}))
+    assert d.contains(3) and d.contains(11)
+    assert not d.contains(9) and not d.contains(4) and not d.contains(1)
+    assert Progression(3, 2, frozenset({9, 15})).least_not_in(Progression(3)) is None
+    assert Progression(5).least_not_in(Progression(3, 2, frozenset({3}))) is None
+    assert Progression(3).least_not_in(Progression(3, 2, frozenset({9}))) == 9
+    assert Progression(3, 2, frozenset({3})).least_not_in(Progression(7, 2, frozenset({11}))) == 5
 
 
 def test_restrict_examples(table_small):
-    assert sorted(restrict(OddRange(3), 3, 11).members()) == [3, 5, 7, 9, 11]
-    assert sorted(restrict(CofiniteOddSet(3, frozenset({9})), 3, 11).members()) == [3, 5, 7, 11]
+    assert sorted(restrict(Progression(3), 3, 11).members()) == [3, 5, 7, 9, 11]
+    assert sorted(restrict(Progression(3, 2, frozenset({9})), 3, 11).members()) == [3, 5, 7, 11]
     assert sorted(restrict(Primes(3), 3, 20, table_small).members()) == [3, 5, 7, 11, 13, 17, 19]
     with pytest.raises(ValueError):
-        restrict(OddRange(3), 10, 5)
+        restrict(Progression(3), 10, 5)
 
 
 def test_window_set_basics():
@@ -64,7 +66,7 @@ def test_degenerate_window():
     assert list(ws.members()) == [5]
     one = iterated_sumset(ws, 1)
     assert one == ws
-    d = restrict(CofiniteOddSet(3), 7, 7)
+    d = restrict(Progression(3), 7, 7)
     assert list(d.members()) == [7]
 
 
@@ -75,7 +77,7 @@ def test_difference_values():
 
 
 def test_iterated_sumset_pair_cover():
-    base = restrict(OddRange(3), 3, 100)
+    base = restrict(Progression(3), 3, 100)
     two = iterated_sumset(base, 2)
     assert two.lo == 6 and two.hi == 100 and two.exact_from == 6
     assert sorted(two.members()) == list(range(6, 101, 2))
@@ -90,19 +92,19 @@ def test_iterated_sumset_identity_and_triples(table_small):
 
 
 def test_iterated_sumset_preconditions():
-    base = restrict(OddRange(3), 3, 10)
+    base = restrict(Progression(3), 3, 10)
     with pytest.raises(ValueError):
         iterated_sumset(base, 4)  # 12 > 10
     with pytest.raises(ValueError):
         iterated_sumset(base, 0)
-    partial = WindowSet(3, 50, restrict(OddRange(3), 3, 50).bits, exact_from=10)
+    partial = WindowSet(3, 50, restrict(Progression(3), 3, 50).bits, exact_from=10)
     with pytest.raises(ValueError):
         iterated_sumset(partial, 2)  # not exact from the window start
 
 
 def test_sumset_monotone(table_small):
-    big = restrict(OddRange(3), 3, 400)
-    small = restrict(CofiniteOddSet(3, frozenset({9, 25, 33})), 3, 400)
+    big = restrict(Progression(3), 3, 400)
+    small = restrict(Progression(3, 2, frozenset({9, 25, 33})), 3, 400)
     for n in (2, 3):
         sb = iterated_sumset(big, n)
         ss = iterated_sumset(small, n)
@@ -129,17 +131,19 @@ def test_dilation():
 
 
 def test_pair_sum_cover_decisions():
-    assert pair_sum_cover_decision(CofiniteOddSet(3)).status is Status.HOLDS
-    assert pair_sum_cover_decision(CofiniteOddSet(3, frozenset({9}))).status is Status.HOLDS
-    v = pair_sum_cover_decision(CofiniteOddSet(3, frozenset({3})))
+    assert pair_sum_cover_decision(Progression(3)).status is Status.HOLDS
+    assert pair_sum_cover_decision(Progression(3, 2, frozenset({9}))).status is Status.HOLDS
+    v = pair_sum_cover_decision(Progression(3, 2, frozenset({3})))
     assert v.status is Status.FAILS and v.counterexample == 6
     with pytest.raises(ValueError):
-        pair_sum_cover_decision(CofiniteOddSet(5))
+        pair_sum_cover_decision(Progression(5))
+    with pytest.raises(ValueError):
+        pair_sum_cover_decision(Progression(3, 4))
 
 
 def test_pair_sum_failure_is_recheckable():
     excluded = frozenset({3})
-    v = pair_sum_cover_decision(CofiniteOddSet(3, excluded))
+    v = pair_sum_cover_decision(Progression(3, 2, excluded))
     s = v.counterexample
     reps = [
         (a, s - a)
@@ -150,24 +154,24 @@ def test_pair_sum_failure_is_recheckable():
 
 
 def test_sumset_equal_window_verdicts():
-    a = restrict(OddRange(3), 3, 10_000)
-    b = restrict(CofiniteOddSet(3, frozenset({9, 15})), 3, 10_000)
+    a = restrict(Progression(3), 3, 10_000)
+    b = restrict(Progression(3, 2, frozenset({9, 15})), 3, 10_000)
     v = sumset_equal_window(a, b, 2)
     assert v.status is Status.HOLDS_ON_WINDOW
     assert v.certified_range == (6, 10_000)
 
     assert sumset_equal_window(a, a, 4).status is Status.HOLDS_ON_WINDOW
 
-    c = restrict(CofiniteOddSet(3, frozenset({3})), 3, 200)
-    v = sumset_equal_window(restrict(OddRange(3), 3, 200), c, 2)
+    c = restrict(Progression(3, 2, frozenset({3})), 3, 200)
+    v = sumset_equal_window(restrict(Progression(3), 3, 200), c, 2)
     assert v.status is Status.FAILS and v.counterexample == 6
 
     with pytest.raises(ValueError):
-        sumset_equal_window(a, restrict(OddRange(3), 3, 50), 2)
+        sumset_equal_window(a, restrict(Progression(3), 3, 50), 2)
 
 
 def test_sumset_equal_window_empty_range():
-    a = restrict(OddRange(3), 3, 8)
+    a = restrict(Progression(3), 3, 8)
     v = sumset_equal_window(a, a, 3)  # 9 > 8
     assert v.status is Status.HOLDS_ON_WINDOW
     assert v.certified_range is None
@@ -177,11 +181,11 @@ def test_sumset_equal_window_empty_range():
 def test_exact_decision_agrees_with_windowed_engine():
     # the enumerated range of the exact decision matches bitset comparison
     for excluded in [frozenset(), frozenset({9}), frozenset({9, 15, 21}), frozenset({3, 7})]:
-        d = CofiniteOddSet(3, excluded)
+        d = Progression(3, 2, excluded)
         exact = pair_sum_cover_decision(d)
         hi = 2 * d.max_excluded + 6 if excluded else 40
         windowed = sumset_equal_window(
-            restrict(OddRange(3), 3, hi), restrict(d, 3, hi), 2
+            restrict(Progression(3), 3, hi), restrict(d, 3, hi), 2
         )
         if exact.status is Status.HOLDS:
             assert windowed.status is Status.HOLDS_ON_WINDOW
@@ -193,7 +197,7 @@ def test_exact_decision_agrees_with_windowed_engine():
 def test_goldbach_window_small(table_small):
     # every even in [6, 2000] splits into two odd primes; matches the oracle
     v = sumset_equal_window(
-        restrict(OddRange(3), 3, 2000), restrict(Primes(3), 3, 2000, table_small), 2
+        restrict(Progression(3), 3, 2000), restrict(Primes(3), 3, 2000, table_small), 2
     )
     assert v.status is Status.HOLDS_ON_WINDOW
     for s in range(6, 2001, 2):

@@ -1,16 +1,16 @@
 import pytest
 
 from sumcollapse import (
-    CofiniteOddSet,
     FiniteSet,
     IntRange,
     OddComposites,
-    OddRange,
     Primes,
+    Progression,
     RoughOdd,
     Stratum,
     Union,
     as_set_expr,
+    pair_sum_cover_decision,
     parse_set_expr,
     restrict,
 )
@@ -19,9 +19,9 @@ from oracles import is_prime_bf
 
 
 GRAMMAR_CASES = [
-    ("odd>=3", OddRange(3)),
-    ("odd>=5", OddRange(5)),
-    ("odd>=3 \\ {9,15,21}", OddRange(3, frozenset({9, 15, 21}))),
+    ("odd>=3", Progression(3)),
+    ("odd>=5", Progression(5)),
+    ("odd>=3 \\ {9,15,21}", Progression(3, 2, frozenset({9, 15, 21}))),
     ("ints>=2", IntRange(2)),
     ("primes>=3", Primes(3)),
     ("rough>=5", RoughOdd(5)),
@@ -46,6 +46,7 @@ def test_describe_round_trip(text):
     "bad",
     [
         "odd>=4",            # even bound
+        "odd>=-1",           # non-positive bound
         "primes>=9",         # not a prime
         "rough>=2",          # rough bound must be an odd prime
         "primes>=3 \\ {9}",  # exclusions only after odd>=
@@ -62,15 +63,17 @@ def test_parse_rejections(bad):
 
 def test_membership_agrees_with_window_bits(table_small):
     exprs = [
-        OddRange(3),
-        OddRange(5, frozenset({9, 15})),
+        Progression(3),
+        Progression(5, 2, frozenset({9, 15})),
+        Progression(4, 3, frozenset({10})),
+        Progression(-5, 1),
         IntRange(7),
         Primes(5),
         RoughOdd(5),
         RoughOdd(7),
         OddComposites(),
         FiniteSet(frozenset({4, 9, 30})),
-        Union(FiniteSet(frozenset({2})), OddRange(1)),
+        Union(FiniteSet(frozenset({2})), Progression(1)),
     ]
     lo, hi = 2, 300
     for expr in exprs:
@@ -94,26 +97,34 @@ def test_prime_backed_sets_need_a_table():
 
 
 def test_classification_flags():
-    assert OddRange(3).contains_all_odd_primes()
-    assert OddRange(3, frozenset({9})).contains_all_odd_primes()
-    assert not OddRange(3, frozenset({7})).contains_all_odd_primes()
-    assert not OddRange(5).contains_all_odd_primes()
+    assert Progression(3).contains_all_odd_primes()
+    assert Progression(3, 2, frozenset({9})).contains_all_odd_primes()
+    assert not Progression(3, 2, frozenset({7})).contains_all_odd_primes()
+    assert not Progression(5).contains_all_odd_primes()
+    assert not Progression(3, 4).contains_all_odd_primes()
     assert Primes(3).contains_all_odd_primes()
     assert not Primes(5).contains_all_odd_primes()
-    assert OddRange(3).subset_of_odd_from_3()
+    assert Progression(3).subset_of_odd_from_3()
+    assert Progression(5, 4).subset_of_odd_from_3()
+    assert not Progression(1).subset_of_odd_from_3()
     assert not IntRange(2).subset_of_odd_from_3()
     assert OddComposites().subset_of_odd_from_3()
 
 
-def test_to_cofinite():
-    assert OddRange(3, frozenset({9})).to_cofinite() == CofiniteOddSet(3, frozenset({9}))
-    assert OddRange(1).to_cofinite() is None
-    assert Primes(3).to_cofinite() is None
+def test_odd_forms_are_progressions():
+    # both odd>= forms parse to the one progression type; only odd>=3 minus
+    # a finite set is accepted by the exact pair-sum decision
+    assert parse_set_expr("odd>=3 \\ {9}") == Progression(3, 2, frozenset({9}))
+    assert parse_set_expr("odd>=1") == Progression(1)
+    with pytest.raises(ValueError):
+        pair_sum_cover_decision(Progression(1))
+    assert not isinstance(Primes(3), Progression)
+    assert Progression(3, 4, frozenset({7})).describe() == "3+4k \\ {7}"
 
 
 def test_as_set_expr_coercions():
-    assert as_set_expr("odd>=3") == OddRange(3)
-    assert as_set_expr(CofiniteOddSet(3, frozenset({9}))) == OddRange(3, frozenset({9}))
+    assert as_set_expr("odd>=3") == Progression(3)
+    assert as_set_expr(Progression(3, 2, frozenset({9}))) == Progression(3, 2, frozenset({9}))
     assert as_set_expr({3, 5}) == FiniteSet(frozenset({3, 5}))
     with pytest.raises(TypeError):
         as_set_expr(3.5)

@@ -56,12 +56,6 @@ def test_determinism_across_limits(table_small, strata_1e5):
         assert strata_1e5.witnesses[c] == small.witnesses[c]
 
 
-def test_threaded_matches_sequential(table_small):
-    seq = compute_strata(2_000, table_small, threads=1)
-    par = compute_strata(2_000, table_small, threads=4)
-    assert seq.layers == par.layers and seq.witnesses == par.witnesses
-
-
 def _strata_loop(limit, visible):
     """Per-composite loop reference: partners must lie in ``visible``
     (layer 1) or the previous layer; witness primes come from all odd primes."""
