@@ -1,0 +1,444 @@
+"""The theorem-check battery behind ``sumcollapse verify``.
+
+Four groups of checks -- sieve, collapse, strata and ring -- each a
+generator that yields ``(ref, claim, expected, verdict)``: every check
+declares the status it expects, and its outcome is a
+:class:`~sumcollapse.verdict.RelationVerdict`.  A check passes only when
+its verdict's status *is* the expected one, so a slide from ``holds`` to
+``holds_on_window`` fails as surely as a counterexample does.
+
+Work a group shares (the sieve arrays, the pair sweep, the strata table)
+lives in the group's own frame and is freed when the group ends.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import collapse as col
+from . import finite_ring as ring
+from . import strata as strata_mod
+from .sieve import CompositeIndex, PrimeTable
+from .verdict import RelationVerdict, Status, jsonable
+
+HOLDS, WINDOW = Status.HOLDS, Status.HOLDS_ON_WINDOW
+RANDOM_TUPLE_SEED = 0x5EED
+MIN_LIMIT = 93  # sieve/prime-surplus-window reads pi(93)
+
+
+def require_limit(limit: int) -> None:
+    if limit < MIN_LIMIT:
+        raise ValueError(
+            f"battery limit must be >= {MIN_LIMIT} (the prime-surplus check reads "
+            f"pi({MIN_LIMIT})), got {limit}"
+        )
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    ref: str
+    claim: str
+    expected: Status
+    verdict: RelationVerdict
+    elapsed_ms: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict.status is self.expected
+
+    def to_dict(self, timings: bool) -> dict:
+        v = self.verdict
+        return {
+            "ref": self.ref,
+            "claim": self.claim,
+            "status": v.status.value,
+            "certified_range": jsonable(v.certified_range),
+            "counterexample": jsonable(v.counterexample),
+            "witnesses": jsonable(v.witnesses[:8]),
+            "elapsed_ms": round(self.elapsed_ms, 3) if timings else 0,
+        }
+
+
+def decided(
+    ok: bool,
+    counterexample,
+    certified_range: tuple[int, int] | None = None,
+    witnesses: tuple = (),
+    good: Status = HOLDS,
+) -> RelationVerdict:
+    """The verdict of a yes/no check: ``good``, or ``fails`` carrying the
+    counterexample (a failure without one is a fault of the check)."""
+    if ok:
+        return RelationVerdict(good, certified_range=certified_range, witnesses=witnesses)
+    if counterexample is None:
+        raise RuntimeError("a check failed without a counterexample")
+    return RelationVerdict(
+        Status.FAILS,
+        counterexample=counterexample,
+        certified_range=certified_range,
+        witnesses=witnesses,
+    )
+
+
+def run(*groups) -> list[CheckResult]:
+    """Drain the groups in order; each check's time runs from the end of the
+    previous one, so a group's setup counts toward its first check."""
+    results = []
+    t0 = time.perf_counter()
+    for group in groups:
+        for ref, claim, expected, verdict in group:
+            t1 = time.perf_counter()
+            results.append(CheckResult(ref, claim, expected, verdict, (t1 - t0) * 1000.0))
+            t0 = t1
+    results.sort(key=lambda r: r.ref)
+    return results
+
+
+def run_battery(limit: int) -> list[CheckResult]:
+    require_limit(limit)
+    table = PrimeTable(limit)
+    return run(
+        sieve_checks(table),
+        collapse_checks(table, limit),
+        strata_checks(table, limit),
+        ring_checks(),
+    )
+
+
+# ---------------------------------------------------------------------------
+# sieve
+
+
+def _composite_arrays(table: PrimeTable):
+    """For each odd composite c <= limit: c, its index k and pi(c)."""
+    mask = table.odd_prime_mask()
+    odd_vals = 2 * np.arange(mask.size, dtype=np.int64) + 1
+    comp = (~mask) & (odd_vals >= 9)
+    pi_at_odd = np.cumsum(mask) + 1  # counts the prime 2 for every odd x >= 3
+    pi_at_odd[0] = 0
+    return mask, odd_vals[comp], np.cumsum(comp)[comp], pi_at_odd[comp]
+
+
+def _first(*arrays):
+    """The first entry of the first non-empty array, or None."""
+    return next((int(a[0]) for a in arrays if a.size), None)
+
+
+def sieve_checks(table: PrimeTable):
+    require_limit(table.limit)
+    mask, lhs, ks, pis = _composite_arrays(table)
+
+    bad = lhs[lhs != 2 * ks + 2 * pis - 1]
+    yield (
+        "sieve/composite-count-identity",
+        "the k-th odd composite equals 2k + 2 pi(value) - 1 for every indexed k",
+        HOLDS,
+        decided(bad.size == 0, _first(bad), (9, table.limit)),
+    )
+
+    holds_idx = ks[pis >= ks + 2]
+    first_fail = _first(ks[pis < ks + 2])
+    prefix_ok = bool((holds_idx[:22] == np.arange(1, 23)).all()) if holds_idx.size >= 22 else False
+    yield (
+        "sieve/prime-surplus-window",
+        "pi at the i-th odd composite stays >= i + 2 exactly up to i = 22; the "
+        "first failure is i = 23 where pi(93) = 24",
+        HOLDS,
+        decided(
+            prefix_ok and first_fail == 23 and table.prime_count(93) == 24,
+            first_fail,
+            witnesses=((23, 93, 24),),
+        ),
+    )
+
+    sel = ks >= 31
+    bad1 = lhs[sel][pis[sel] > ks[sel] - 1]
+    bad2 = lhs[sel][lhs[sel] > 4 * ks[sel] - 3]
+    yield (
+        "sieve/index-upper-bounds",
+        "from index 31 on, pi(value) <= k - 1 and value <= 4k - 3",
+        HOLDS,
+        decided(bad1.size == 0 and bad2.size == 0, _first(bad1, bad2), (31, table.limit)),
+    )
+
+    xs = np.arange(17, table.limit + 1, dtype=np.float64)
+    flags = np.zeros(table.limit + 1, dtype=bool)
+    flags[2] = True
+    flags[3::2] = mask[1:]
+    pi_all = np.cumsum(flags)[17:]
+    guard = 1e-12  # double-precision slop on the strict inequalities
+    ratio = xs / np.log(xs)
+    low_bad = np.nonzero(pi_all <= ratio * (1 - guard))[0] + 17
+    high_bad = np.nonzero(pi_all >= 1.25506 * ratio * (1 + guard))[0] + 17
+    del xs, flags, pi_all, ratio  # the group's frame outlives this check
+    yield (
+        "sieve/prime-count-band",
+        "x/ln x < pi(x) < 1.25506 x/ln x for every x in [17, limit] "
+        "(checked in double precision with a 1e-12 relative guard)",
+        HOLDS,
+        decided(
+            low_bad.size == 0 and high_bad.size == 0, _first(low_bad, high_bad), (17, table.limit)
+        ),
+    )
+
+    bad_ms = []
+    m = 1
+    while 13 ** (m + 1) <= table.limit:
+        sel = lhs >= 13 ** (m + 1)
+        if (pis[sel] * m >= ks[sel]).any() or (lhs[sel] >= (2 + 2 / m) * ks[sel] - 1).any():
+            bad_ms.append(m)
+        m += 1
+    yield (
+        "sieve/prime-count-scaling",
+        "whenever the k-th odd composite reaches 13^(m+1), pi(value) < k/m and "
+        "value < (2 + 2/m)k - 1",
+        HOLDS,
+        decided(not bad_ms, bad_ms[0] if bad_ms else None, witnesses=((1, m - 1),)),
+    )
+
+    sel = ks >= 31
+    bound = (0.5 * np.log(4 * ks[sel].astype(np.float64)) - 1) * pis[sel] + 1
+    bad = ks[sel][ks[sel] >= bound]
+    yield (
+        "sieve/index-log-bound",
+        "for k >= 31, k < (ln(4k)/2 - 1) pi(value) + 1",
+        HOLDS,
+        decided(bad.size == 0, _first(bad), (31, table.limit)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# collapse
+
+
+def _random_hypothesis_tuples(index: CompositeIndex, count: int, value_cap: int):
+    rng = random.Random(RANDOM_TUPLE_SEED)
+    total = index.count(value_cap)
+    pool = [index.nth(k) for k in range(1, total + 1)]
+    out = []
+    while len(out) < count:
+        size = rng.randint(1, min(22, total))
+        ks = tuple(sorted(rng.sample(pool, size)))
+        out.append(ks)
+    return out
+
+
+def collapse_checks(table: PrimeTable, limit: int):
+    index = CompositeIndex(table)
+    k_max = min(10_000, index.count(table.limit))
+
+    rep = col.shifted_composite_pair_sweep(k_max, table)
+    yield (
+        "collapse/shifted-pair-sweep",
+        "3 + (k-th odd composite) is a sum of two distinct smaller odd "
+        "composites for every k in [3, k_max] except exactly k = 4 and k = 7",
+        HOLDS,
+        decided(
+            rep.pair_missing == (4, 7),
+            rep.pair_missing,
+            (3, k_max),
+            (rep.pair_witnesses.get(3, ()),),
+        ),
+    )
+    even = (rep.even_exceptions, rep.even_distinct_exceptions)
+    yield (
+        "collapse/even-shift-membership",
+        "2k is a sum of two odd composites or 3 plus a prime, except exactly "
+        "k = 6, 14, 19; demanding distinct composites adds only k = 9",
+        HOLDS,
+        decided(even == ((6, 14, 19), (6, 9, 14, 19)), even, (3, k_max)),
+    )
+
+    yield (
+        "collapse/removal-triple",
+        "removing {9, 15, 21} keeps every even pair sum reachable (exact)",
+        HOLDS,
+        col.composite_removal_check((9, 15, 21), table),
+    )
+    yield (
+        "collapse/removal-first-22",
+        "removing the first 22 odd composites keeps every even pair sum "
+        "reachable (exact)",
+        HOLDS,
+        col.composite_removal_check(index.first(22), table),
+    )
+
+    statuses = [
+        col.composite_removal_check(ks, table).status
+        for ks in _random_hypothesis_tuples(index, 100, min(2000, table.limit))
+    ]
+    yield (
+        "collapse/removal-random-tuples",
+        "100 seeded random removal tuples satisfying the prime-surplus "
+        "hypothesis all earn exact certificates",
+        HOLDS,
+        decided(
+            all(s is HOLDS for s in statuses),
+            [s.value for s in statuses if s is not HOLDS][:3],
+            witnesses=((RANDOM_TUPLE_SEED,),),
+        ),
+    )
+
+    fam = col.primorial_odd_products(min(limit, table.limit))
+    yield (
+        "collapse/gap-family-primorial",
+        "removing the odd primorial products keeps pair sums reachable (exact)",
+        HOLDS,
+        col.gap_subsequence_check(fam, table),
+    )
+    chain = col.euclid_chain_composites(min(limit, table.limit))
+    if chain:
+        yield (
+            "collapse/gap-family-euclid-chain",
+            "removing the composite terms of the product-plus-one chain keeps "
+            "pair sums reachable (exact)",
+            HOLDS,
+            col.gap_subsequence_check(chain, table),
+        )
+
+    yield (
+        "collapse/prefix-cascade",
+        "leave-one-out removals of the first 8 odd composites and the full "
+        "removal all verify exactly",
+        HOLDS,
+        col.prefix_removal_cascade(1, 7, table),
+    )
+    yield (
+        "collapse/progression-removal",
+        "the three-term removal from the odd progression passes all three "
+        "hypotheses and its windowed conclusion",
+        WINDOW,
+        col.progression_removal_check(3, 2, (9, 15, 21), (3, 10_000), table),
+    )
+
+    rep = col.parameter_uniqueness_report(table, min(limit, 100_000))
+    yield (
+        "collapse/base-parameter-scan",
+        "every wrong (base, prime-floor) pairing exhibits its concrete "
+        "obstruction; the surviving pairing verifies on-window",
+        WINDOW,
+        decided(
+            rep.all_confirmed and rep.window_verdict.ok,
+            [c.label for c in rep.cases if not c.confirmed],
+            rep.window_verdict.certified_range,
+            tuple(c.label for c in rep.cases),
+            good=WINDOW,
+        ),
+    )
+
+
+# ---------------------------------------------------------------------------
+# strata
+
+
+def strata_checks(table: PrimeTable, limit: int):
+    st = strata_mod.compute_strata(limit, table)
+    yield (
+        "strata/single-layer",
+        "every odd composite in range lands in layer 1 (its shift by 3 is a "
+        "sum of two odd primes)",
+        HOLDS,
+        decided(
+            st.max_layer == 1 and not st.unassigned,
+            (st.max_layer, len(st.unassigned)),
+            (9, limit),
+            ((st.census().get(1, {}).get("count", 0),),),
+        ),
+    )
+    rep = strata_mod.verify_partition(st, table)
+    yield (
+        "strata/partition-audit",
+        "the layer assignment covers every odd composite exactly once with "
+        "consistent witnesses",
+        HOLDS,
+        decided(rep.ok, rep.anomalies[:3], (9, limit)),
+    )
+    cap = min(limit, 100_000)
+    rep = strata_mod.verify_absorption(st, 3, (9, cap), table)
+    yield (
+        "strata/absorption-pairs",
+        "3 + c is a two-odd-prime sum for every layer-1 member (higher layers "
+        "vacuous)",
+        HOLDS,
+        decided(rep.ok, rep.failures[:3], (9, cap)),
+    )
+    for n in (2, 3, 4):
+        yield (
+            f"strata/nfold-collapse-{n}",
+            f"{n}-fold sums of odd integers >= 3 equal {n}-fold sums of odd "
+            "primes on the window",
+            WINDOW,
+            strata_mod.nfold_collapse_check(n, (3, cap), table),
+        )
+    for n in (3, 4):
+        yield (
+            f"strata/nfold-all-integers-{n}",
+            f"{n}-fold sums of integers >= 2 equal {n}-fold sums of primes on "
+            "the window",
+            WINDOW,
+            strata_mod.nfold_all_integers_check(n, (2, cap), table),
+        )
+    for p in (3, 5):
+        ev = strata_mod.rough_pair_cover_evidence(p, (3, cap), table)
+        yield (
+            f"strata/pair-cover-evidence-p{p}",
+            f"pair sums of {p}-rough numbers fall inside pair sums of primes "
+            f">= {p} on the window (evidence only)",
+            WINDOW,
+            decided(
+                ev.clean,
+                ev.violations[:3],
+                ev.certified_range,
+                ((ev.violation_count,),),
+                good=WINDOW,
+            ),
+        )
+
+
+# ---------------------------------------------------------------------------
+# ring
+
+
+def ring_checks():
+    Z = ring.ZmSubset.from_elements
+
+    b, c = Z(4, [1]), Z(4, [3])
+    broken = [] if ring.zm_relation(b, c, 2, 2).symmetric else [(2, 2)]
+    if ring.zm_relation(b, c, 3, 3).sumset_equal:
+        broken.append((3, 3))
+    yield (
+        "ring/z4-pair-swap",
+        "mod 4, {1} and {3} exchange under the pair relation but not the "
+        "triple relation",
+        HOLDS,
+        decided(not broken, broken),
+    )
+
+    b, c = Z(8, [0, 2, 4]), Z(8, [0, 2])
+    broken = [f for f in ((3, 3), (1, 2), (2, 3)) if not ring.zm_relation(b, c, *f).directed]
+    if ring.zm_relation(b, c, 2, 2).sumset_equal:
+        broken.append((2, 2))
+    yield (
+        "ring/z8-fold-counterexample",
+        "mod 8, {0,2,4} onto {0,2} holds for folds (3,3), (1,2), (2,3) yet "
+        "fails for (2,2)",
+        HOLDS,
+        decided(not broken, broken),
+    )
+
+    b = Z(6, [0, 2])
+    broken = [
+        n
+        for n in range(2, 6)
+        if not any(o.mask == b.mask for o in ring.zm_optimal_subsets(6, n))
+    ]
+    yield (
+        "ring/z6-optimal-pair",
+        "mod 6, {0,2} is an optimal subset for every fold count in [2, 5]",
+        HOLDS,
+        decided(not broken, broken),
+    )

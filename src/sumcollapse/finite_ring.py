@@ -380,6 +380,8 @@ def relation_table_rows(m: int, n_max: int):
     [1, n_max]^2; rows come out in canonical (B, C, m_fold, n_fold) order."""
     if m > 10:
         raise ValueError(f"exhaustive table dump requires modulus <= 10, got {m}")
+    if n_max < 1:
+        raise ValueError(f"fold counts start at 1, got n_max = {n_max}")
     full = 1 << m
     sumsets: dict[tuple[int, int], int] = {}
     closures: dict[int, int] = {}

@@ -12,6 +12,7 @@ composite has rank 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -234,11 +235,12 @@ class CompositeIndex:
 
     def first(self, k: int) -> tuple[int, ...]:
         """The ``k`` smallest odd composites."""
-        out = []
-        it = self.table.odd_composites_in(9, self.table.limit)
-        for _ in range(k):
-            out.append(next(it))
-        return tuple(out)
+        out = tuple(itertools.islice(self.table.odd_composites_in(9, self.table.limit), k))
+        if len(out) < k:
+            raise ValueError(
+                f"only {len(out)} odd composites <= {self.table.limit}, {k} requested"
+            )
+        return out
 
 
 def is_rough(n: int, p: int) -> bool:

@@ -53,7 +53,8 @@ class RelationVerdict:
 
     @property
     def ok(self) -> bool:
-        return is_success(self.status)
+        """``holds`` or ``holds_on_window``: the claim survived the check."""
+        return self.status in (Status.HOLDS, Status.HOLDS_ON_WINDOW)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -64,11 +65,6 @@ class RelationVerdict:
             "witnesses": jsonable(self.witnesses),
             "failed_hypothesis": self.failed_hypothesis,
         }
-
-
-def is_success(status: str) -> bool:
-    """Only ``holds`` and ``holds_on_window`` count as a passed check."""
-    return status in (Status.HOLDS, Status.HOLDS_ON_WINDOW)
 
 
 def jsonable(value: Any) -> Any:

@@ -132,7 +132,7 @@ def test_a05_even_shift_membership(acc_table):
 
 
 def test_a06_removal_certificates(acc_table):
-    from sumcollapse.cli import _random_hypothesis_tuples
+    from sumcollapse.battery import _random_hypothesis_tuples
 
     index = CompositeIndex(acc_table)
     verdicts = [

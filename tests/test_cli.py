@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from sumcollapse import collapse
-from sumcollapse.cli import CheckEntry, main
+from sumcollapse import battery, collapse
+from sumcollapse.battery import MIN_LIMIT
+from sumcollapse.cli import main
+from sumcollapse.verdict import Status, holds, holds_on_window, hypothesis_failed
 
 from oracles import is_prime_bf
 
@@ -89,18 +91,20 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert err == "internal error: exact decision and windowed sumsets disagree\n"
 
 
-def _synthetic_entries():
-    return [
-        CheckEntry("a/exact", "settled", "holds"),
-        CheckEntry("b/window", "windowed", "holds_on_window", (6, 100)),
-        CheckEntry("c/premise", "premise not met", "hypothesis_failed"),
-    ]
+HOLDS, WINDOW = Status.HOLDS, Status.HOLDS_ON_WINDOW
+EXACT = ("a/exact", "settled", HOLDS, holds("by certificate"))
+WINDOWED = ("b/window", "windowed", WINDOW, holds_on_window((6, 100), "on the window"))
+
+
+def _patch_battery(monkeypatch, checks):
+    """Feed ``checks`` through the real runner to ``verify`` and ``sieve --check``."""
+    monkeypatch.setattr(battery, "run_battery", lambda limit: battery.run(checks))
+    monkeypatch.setattr(battery, "sieve_checks", lambda table: iter(checks))
 
 
 def test_hypothesis_failed_is_not_a_pass(monkeypatch, capsys):
-    from sumcollapse import cli
-
-    monkeypatch.setattr(cli, "run_battery", lambda limit: _synthetic_entries())
+    premise = ("c/premise", "premise not met", HOLDS, hypothesis_failed(1, "premise"))
+    _patch_battery(monkeypatch, [EXACT, WINDOWED, premise])
     code, out, _ = run_cli(["verify", "--limit", "100", "--format", "json"], capsys)
     payload = json.loads(out)
     assert code == 1
@@ -109,12 +113,67 @@ def test_hypothesis_failed_is_not_a_pass(monkeypatch, capsys):
     assert code == 1
     assert "FAIL c/premise [hypothesis_failed]" in out and "PASS b/window" in out
 
-    monkeypatch.setattr(cli, "_sieve_checks", lambda table: _synthetic_entries())
     code, out, _ = run_cli(["sieve", "--limit", "100", "--check"], capsys)
     assert code == 1
     assert "FAIL c/premise" in out and "PASS a/exact" in out
     code, out, _ = run_cli(["sieve", "--limit", "100", "--check", "--format", "json"], capsys)
     assert code == 1 and json.loads(out)["failed"] == 1
+
+
+@pytest.mark.parametrize(
+    "expected, verdict",
+    [
+        (HOLDS, holds_on_window((6, 100), "an exact check slid to a window")),
+        (WINDOW, holds("a windowed check reported as exact")),
+    ],
+    ids=["window-for-holds", "holds-for-window"],
+)
+def test_other_success_status_is_not_a_pass(monkeypatch, capsys, expected, verdict):
+    _patch_battery(monkeypatch, [EXACT, WINDOWED, ("c/slid", "slid", expected, verdict)])
+    status = verdict.status.value
+    code, out, _ = run_cli(["verify", "--limit", "100"], capsys)
+    assert code == 1
+    assert f"FAIL c/slid [{status}]" in out and "PASS a/exact" in out
+    assert out.endswith("2 passed, 1 failed\n")
+    code, out, _ = run_cli(["verify", "--limit", "100", "--format", "json"], capsys)
+    assert code == 1 and json.loads(out)["failed"] == 1
+    code, out, _ = run_cli(["sieve", "--limit", "100", "--check"], capsys)
+    assert code == 1
+    assert "FAIL c/slid" in out and "PASS b/window" in out
+    code, out, _ = run_cli(["sieve", "--limit", "100", "--check", "--format", "json"], capsys)
+    assert code == 1 and json.loads(out)["failed"] == 1
+
+
+@pytest.mark.parametrize("limit", [9, 50, 92])
+@pytest.mark.parametrize("command", [["verify"], ["sieve", "--check"]], ids=["verify", "sieve"])
+def test_battery_limit_below_floor_is_refused(monkeypatch, capsys, command, limit):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the limit was checked")
+
+    monkeypatch.setattr(battery, "PrimeTable", no_table)
+    monkeypatch.setattr("sumcollapse.cli.PrimeTable", no_table)
+    code, out, err = run_cli(command + ["--limit", str(limit)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"must be >= {MIN_LIMIT}" in err and f"got {limit}" in err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["sieve", "--check"]], ids=["verify", "sieve"])
+def test_battery_runs_at_floor(capsys, command):
+    code, out, _ = run_cli(command + ["--limit", str(MIN_LIMIT)], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+
+
+# sha256 of ``verify --limit 30000 --format json``, frozen from the battery as
+# it stood inside the CLI module
+VERIFY_30000_SHA256 = "a4d49dc2675276b86f89b154ef7c10134fe2b657b9d2e46b35663ee1ea9a8570"
+
+
+def test_verify_golden_bytes(capsys):
+    code, out, _ = run_cli(["verify", "--limit", "30000", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_30000_SHA256
 
 
 def test_collapse_windowed_failure(capsys):
@@ -166,6 +225,13 @@ def test_ring_csv(tmp_path, capsys):
     assert picked[("3", "3")]["directed"] == "1"
     assert picked[("1", "2")]["directed"] == "1"
     assert picked[("2", "3")]["directed"] == "1"
+
+
+@pytest.mark.parametrize("nmax", ["0", "-2"])
+def test_ring_nmax_below_one_is_refused(capsys, nmax):
+    code, out, err = run_cli(["ring", "--modulus", "8", "--nmax", nmax], capsys)
+    assert code == 2
+    assert out == "" and "n_max" in err
 
 
 def test_strata_outputs(tmp_path, capsys):
@@ -234,6 +300,20 @@ def test_sieve_check(capsys):
 def test_threads_option_is_gone(capsys):
     with pytest.raises(SystemExit):
         main(["strata", "--limit", "100", "--threads", "2"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "theorems"],
+        ["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3", "--directed"],
+    ],
+    ids=["suite", "directed"],
+)
+def test_no_op_options_are_gone(capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv)
     capsys.readouterr()
 
 

@@ -244,3 +244,6 @@ def test_relation_table_rows():
     assert swap.symmetric and not swap.subset
     with pytest.raises(ValueError):
         list(relation_table_rows(12, 2))
+    for n_max in (0, -2):
+        with pytest.raises(ValueError, match="n_max"):
+            list(relation_table_rows(4, n_max))

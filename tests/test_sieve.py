@@ -48,6 +48,14 @@ def test_nth_odd_composite():
         index.nth(10_000)
 
 
+def test_first_odd_composites():
+    index = CompositeIndex(build_table(100))
+    assert index.first(22) == tuple(odd_composites_upto(91))
+    assert index.first(25)[-1] == 99
+    with pytest.raises(ValueError, match="only 25 odd composites <= 100, 26 requested"):
+        index.first(26)
+
+
 def test_rank_round_trip(table_small):
     index = CompositeIndex(table_small)
     for k in range(1, 200):
