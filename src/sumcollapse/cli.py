@@ -42,6 +42,7 @@ from .sieve import CompositeIndex, PrimeTable
 from .verdict import Status
 
 SCHEMA_VERSION = 1
+MAX_REACH = 10**9  # largest prime table ``collapse`` builds (README, "Notes on scale")
 
 
 def _canonical_json(payload: dict) -> str:
@@ -145,7 +146,13 @@ def _cmd_collapse(args) -> int:
     m_fold, n_fold = int(match.group("m")), int(match.group("n"))
     lo, hi = args.window
     removed_top = rhs.max_excluded if isinstance(rhs, Progression) else 0
-    table = PrimeTable(max(hi, 9, 2 * removed_top + 6))
+    reach = max(hi, 9, 2 * removed_top + 6)
+    if reach > MAX_REACH:
+        raise ValueError(
+            f"collapse would need primes up to {reach} (the window end or twice the "
+            f"largest excluded value plus 6), past the bound {MAX_REACH}"
+        )
+    table = PrimeTable(reach)
     verdict = col.check_relation(
         lhs, rhs, m_fold, n_fold, (lo, hi), table, require_subset=args.directed
     )

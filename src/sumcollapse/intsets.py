@@ -8,10 +8,16 @@ integers >= 3 minus finitely many values, decided by
 :func:`pair_sum_cover_decision`.
 
 Sumsets are computed by shift-OR bitset convolution over the sparser
-operand; Python's big integers do the word-level work.
+operand; Python's big integers do the word-level work.  The loop stops as
+soon as the residue class that sums can reach (mod a step proven over both
+operands) is filled, so sums of odd numbers, odd primes or rough numbers
+stop after a few dozen shifts instead of running through every member.
+The exact pair-sum decision scans only the sums 3 + e for excluded e.
 """
 
 from __future__ import annotations
+
+import math
 
 from .verdict import RelationVerdict, fails, holds, holds_on_window
 
@@ -33,6 +39,10 @@ def iter_bits(bits: int):
             base = idx << 3
             for off in _BITPOS[byte]:
                 yield base + off
+
+
+def _lsb(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 def bits_from_values(values, lo: int, hi: int) -> int:
@@ -129,7 +139,7 @@ class WindowSet:
     def min_member(self) -> int | None:
         if not self.bits:
             return None
-        return self.lo + (self.bits & -self.bits).bit_length() - 1
+        return self.lo + _lsb(self.bits)
 
     def is_subset_of(self, other: "WindowSet") -> bool:
         if (self.lo, self.hi) != (other.lo, other.hi):
@@ -159,12 +169,38 @@ def restrict(source, lo: int, hi: int, table=None) -> WindowSet:
     raise TypeError(f"cannot restrict object of type {type(source).__name__}")
 
 
+def _position_step(bits: int) -> int:
+    """A common divisor of every difference between set positions of
+    ``bits``: 0 for at most one member, 1 when there is no larger one.
+
+    The candidate comes from the first members; one AND against the
+    progression it predicts then proves it over the whole operand, so a
+    single stray position further up falls back to 1.
+    """
+    if bits.bit_count() < 2:
+        return 0
+    lsb = _lsb(bits)
+    g = 0
+    for k, pos in enumerate(iter_bits(bits)):
+        g = math.gcd(g, pos - lsb)
+        if g == 1 or k == 64:
+            break
+    if g > 1 and bits & ~progression_bits(lsb, g, 0, bits.bit_length() - 1):
+        return 1
+    return g
+
+
 def _sumset_bits(a_bits: int, b_bits: int, out_len: int) -> int:
     """OR of ``a_bits`` shifted by every set position of ``b_bits``.
 
     Enumerates the sparser operand, drops shifts past the output window and
     keeps the shifted operand trimmed so intermediate integers never grow
     beyond the window.
+
+    Saturation: with g a proven common divisor of the position differences
+    in each operand, every sum lies in the class of ``a_lsb + b_lsb`` mod g.
+    Once ``acc`` holds every position of that class from the lowest one a
+    remaining shift can touch up to ``out_len``, no later shift adds a bit.
     """
     if out_len <= 0:
         return 0
@@ -172,27 +208,25 @@ def _sumset_bits(a_bits: int, b_bits: int, out_len: int) -> int:
     if a_bits.bit_count() < b_bits.bit_count():
         a_bits, b_bits = b_bits, a_bits
     a_bits &= full
-    if not a_bits:
+    b_bits &= full
+    if not a_bits or not b_bits:
         return 0
-    a_lsb = (a_bits & -a_bits).bit_length() - 1
+    a_lsb = _lsb(a_bits)
+    step = math.gcd(_position_step(a_bits), _position_step(b_bits)) or 1
+    reachable = progression_bits(a_lsb + _lsb(b_bits), step, 0, out_len - 1)
     acc = 0
     slack = 1 << 13  # trim the shifted operand only once it overshoots by this much
     since_check = 0
     for j in iter_bits(b_bits):
         allowed = out_len - j
-        if allowed <= 0:
-            break
         if a_bits.bit_length() > allowed + slack:
             a_bits &= (1 << (allowed + slack)) - 1
         acc |= a_bits << j
-        # saturation: once acc is solid ones above the lowest position any
-        # remaining shift could touch, further shifts are subsumed
         since_check += 1
         if since_check >= 64:
             since_check = 0
-            p = j + 1 + a_lsb
-            rem = out_len - p
-            if rem <= 0 or ((acc >> p) & ((1 << rem) - 1)).bit_count() == rem:
+            # every reachable position a later shift could touch is filled
+            if (reachable & ~acc).bit_length() <= j + 1 + a_lsb:
                 break
     return acc & full
 
@@ -279,13 +313,19 @@ def pair_sum_cover_decision(d) -> RelationVerdict:
     M the largest excluded element, any even s > 2M + 6 leaves the interval
     (M, s/2] wide enough to contain an odd a >= 3 that is not excluded, and
     its partner s - a >= s/2 > M cannot be excluded either.
+
+    Below the threshold only the sums 3 + e, e excluded, need the
+    enumeration: any other even s >= 6 is 3 + (s - 3) unless 3 itself is
+    excluded, and then 6 = 3 + 3, which has no other representation, is the
+    least counterexample.  Scanning those candidates in increasing order
+    therefore finds the least counterexample.
     """
     if (d.base, d.step) != (3, 2):
         raise ValueError("the exact pair-sum decision is defined for odd>=3 minus a finite set")
     m = d.max_excluded
     threshold = 2 * m + 6
     excluded = d.excluded
-    for s in range(6, threshold + 1, 2):
+    for s in sorted(3 + e for e in excluded):
         found = False
         for a in range(3, s // 2 + 1, 2):
             if a not in excluded and (s - a) not in excluded:

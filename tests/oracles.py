@@ -96,3 +96,24 @@ def k_partitions_bf(a: int, values, k: int) -> set[tuple[tuple[int, int], ...]]:
                 parts.append((v, combo.count(v)))
             out.add(tuple(parts))
     return out
+
+
+def shift_or_bf(a_bits: int, b_bits: int, out_len: int) -> int:
+    """OR of ``a_bits`` shifted by every set position of ``b_bits``, cut to
+    ``out_len`` bits; one shift per position, no early stop."""
+    acc = 0
+    for j in range(b_bits.bit_length()):
+        if b_bits >> j & 1:
+            acc |= a_bits << j
+    return acc & ((1 << max(out_len, 0)) - 1)
+
+
+def least_uncovered_pair_sum(excluded, threshold: int) -> int | None:
+    """Least even s in [6, threshold] that is no sum a + b of odd a, b >= 3
+    outside ``excluded``; None when every such s is covered."""
+    for s in range(6, threshold + 1, 2):
+        if not any(
+            a not in excluded and s - a not in excluded for a in range(3, s - 2, 2)
+        ):
+            return s
+    return None

@@ -8,7 +8,7 @@ import pytest
 
 from sumcollapse import battery, collapse
 from sumcollapse.battery import MIN_LIMIT
-from sumcollapse.cli import main
+from sumcollapse.cli import MAX_REACH, main
 from sumcollapse.verdict import Status, holds, holds_on_window, hypothesis_failed
 
 from oracles import is_prime_bf
@@ -174,6 +174,63 @@ def test_verify_golden_bytes(capsys):
     code, out, _ = run_cli(["verify", "--limit", "30000", "--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_30000_SHA256
+
+
+# sha256 of fold-check outputs at the saturation cutoff's introduction, taken
+# from the kernel that ran every shift: a drift in a certified range or a
+# counterexample changes these bytes
+FOLD_GOLDEN = [
+    (["collapse", "--rel", "odd>=3 ~(3,3)~ primes>=3", "--window", "3..20000"], 0,
+     "ff955167915c05d78a697f1b89bd0b1d1d888624314e3b37b4d808c0332cb4a0"),
+    (["collapse", "--rel", "primes>=3 ~(4,4)~ odd>=3", "--window", "3..20000"], 1,
+     "e9cadc540bc220c4db3b0b6fbb8232710f1027adc538d0d9ce36b27bdd20d08d"),
+    (["verify", "--limit", "200000"], 0,
+     "b3d6ac152888b1437de98052d3e25411cf15c3c2ed5ead56aaf25819348bf953"),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, digest", FOLD_GOLDEN, ids=["3-fold", "4-fold", "verify"])
+def test_fold_golden_bytes(capsys, argv, want_code, digest):
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "rel, window, reach",
+    [
+        ("odd>=3 ~(2,2)~ primes>=3", "3..1000000001", 1_000_000_001),
+        ("odd>=3 ~(2,2)~ odd>=3 \\ {9,499999999}", "3..100", 1_000_000_004),
+    ],
+    ids=["window-end", "excluded-value"],
+)
+def test_collapse_past_reach_is_refused(monkeypatch, capsys, rel, window, reach):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the reach was checked")
+
+    monkeypatch.setattr("sumcollapse.cli.PrimeTable", no_table)
+    code, out, err = run_cli(["collapse", "--rel", rel, "--window", window], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"primes up to {reach}" in err and f"past the bound {MAX_REACH}" in err
+
+
+@pytest.mark.parametrize(
+    "rel, window",
+    [
+        ("odd>=3 ~(2,2)~ primes>=3", "3..1000000000"),
+        ("odd>=3 ~(2,2)~ odd>=3 \\ {9,499999997}", "3..100"),
+    ],
+    ids=["window-end", "excluded-value"],
+)
+def test_collapse_at_reach_builds_its_table(monkeypatch, capsys, rel, window):
+    def stop(limit):
+        raise ValueError(f"table requested to {limit}")
+
+    monkeypatch.setattr("sumcollapse.cli.PrimeTable", stop)
+    code, _, err = run_cli(["collapse", "--rel", rel, "--window", window], capsys)
+    assert code == 2
+    assert f"table requested to {MAX_REACH}" in err
 
 
 def test_collapse_windowed_failure(capsys):

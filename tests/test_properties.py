@@ -1,12 +1,15 @@
 """Randomized and exhaustive property suites; each randomized suite is
 seed-pinned and runs at least 200 cases."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumcollapse import Progression, iterated_sumset, restrict
+from sumcollapse import Progression, intsets, iterated_sumset, pair_sum_cover_decision, restrict
 
-from oracles import nfold_sums_bf
+from oracles import is_prime_bf, least_uncovered_pair_sum, nfold_sums_bf, shift_or_bf
 import property_suites as ps
 
 
@@ -117,3 +120,107 @@ def test_progression_against_brute_force(data):
     # a member missing from q, if any, shows up well below 1000
     missing = [v for v in _members_bf(p, p.base, 1000) if not q.contains(v)]
     assert p.least_not_in(q) == (missing[0] if missing else None)
+
+
+def _class_operand(data, length):
+    """Positions in one residue class mod 1-6 below ``length``: the whole
+    class, the class with holes, or a sparse part of it; sometimes plus one
+    stray position, which may sit off the class."""
+    step = data.draw(st.integers(1, 6))
+    first = data.draw(st.integers(0, step - 1))
+    keep = data.draw(st.sampled_from([1.0, 0.9, 0.2]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    bits = 0
+    for p in range(first, length, step):
+        if keep == 1.0 or rng.random() < keep:
+            bits |= 1 << p
+    if length and data.draw(st.booleans()):
+        # uniform, so that it mostly lies past the members a sample would see
+        bits |= 1 << rng.randrange(length)
+    return bits
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_sumset_kernel_against_shift_or(data):
+    # lengths 0 give empty operands; windows below, at and past the operands
+    a = _class_operand(data, data.draw(st.sampled_from([3000, 700, 40, 1, 0])))
+    b = _class_operand(data, data.draw(st.sampled_from([3000, 700, 40, 1, 0])))
+    longest = max(a.bit_length(), b.bit_length())
+    out_len = data.draw(st.one_of(
+        st.sampled_from([0, longest, a.bit_length() + b.bit_length()]),
+        st.integers(0, 2 * longest + 2),
+    ))
+    assert intsets._sumset_bits(a, b, out_len) == shift_or_bf(a, b, out_len)
+
+
+def _shifts_taken(a_bits, b_bits, out_len):
+    """Positions the kernel's shift loop (its last enumeration) consumed."""
+    taken = []
+    real = intsets.iter_bits
+
+    def counting(bits):
+        taken.append(0)
+        slot = len(taken) - 1
+        for pos in real(bits):
+            taken[slot] += 1
+            yield pos
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intsets, "iter_bits", counting)
+        got = intsets._sumset_bits(a_bits, b_bits, out_len)
+    assert got == shift_or_bf(a_bits, b_bits, out_len)
+    return taken[-1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    step=st.integers(1, 6),
+    firsts=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    length=st.integers(1600, 3000),
+    cut=st.floats(0.5, 1.0),
+)
+def test_sumset_kernel_stops_on_a_filled_class(step, firsts, length, cut):
+    # the first shift of a whole class already fills every reachable
+    # position below ``length``: the loop stops at its first check, after
+    # 64 shifts, where running through would take at least 133
+    a, b = (
+        sum(1 << p for p in range(first % step, length, step)) for first in firsts
+    )
+    out_len = int(length * cut)
+    assert _shifts_taken(a, b, out_len) == 64
+
+
+def _expected_pair_cover(excluded):
+    """(status, counterexample, certified range, note) of the exact decision."""
+    m = max(excluded, default=0)
+    threshold = 2 * m + 6
+    s = least_uncovered_pair_sum(excluded, threshold)
+    if s is None:
+        return "holds", None, None, (
+            f"all even sums in [6, {threshold}] verified by enumeration; for even "
+            f"s > {threshold} pick an odd a in ({m}, s/2] with a >= 3: neither a nor "
+            f"s - a >= s/2 > {m} can be excluded, so s = a + (s - a) works"
+        )
+    return "fails", s, (6, threshold), (
+        f"{s} has no representation a + b with both odd, >= 3 and outside "
+        f"{sorted(excluded)}"
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    picks=st.sets(st.integers(1, 90), max_size=12),
+    runs=st.lists(st.tuples(st.integers(1, 90), st.integers(1, 8)), max_size=2),
+    with_three=st.booleans(),
+    primes=st.sets(st.sampled_from([p for p in range(3, 182) if is_prime_bf(p)]), max_size=3),
+)
+def test_pair_cover_decision_against_brute_force(picks, runs, with_three, primes):
+    excluded = {2 * k + 1 for k in picks} | primes
+    for start, count in runs:
+        excluded |= {2 * (start + i) + 1 for i in range(count)}
+    if with_three:
+        excluded.add(3)  # 6 = 3 + 3 loses its only representation
+    v = pair_sum_cover_decision(Progression(3, 2, frozenset(excluded)))
+    got = (v.status.value, v.counterexample, v.certified_range, v.note)
+    assert got == _expected_pair_cover(excluded)
