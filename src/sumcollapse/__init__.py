@@ -63,7 +63,7 @@ from .setexpr import (
     as_set_expr,
     parse_set_expr,
 )
-from .sieve import CompositeIndex, PrimeTable, build_table, is_rough
+from .sieve import CompositeIndex, PrimeTable, is_rough
 from .strata import (
     StrataTable,
     compute_strata,

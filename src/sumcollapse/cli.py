@@ -42,7 +42,7 @@ from .sieve import CompositeIndex, PrimeTable
 from .verdict import Status
 
 SCHEMA_VERSION = 1
-MAX_REACH = 10**9  # largest prime table ``collapse`` builds (README, "Notes on scale")
+MAX_REACH = 10**9  # largest prime table any command builds (README, "Notes on scale")
 
 
 def _canonical_json(payload: dict) -> str:
@@ -55,6 +55,15 @@ def _write_report(path: str | None, payload: dict) -> None:
             fh.write(_canonical_json(payload))
 
 
+def _within_reach(command: str, reach: int, why: str = "") -> int:
+    """``reach``, refused past ``MAX_REACH`` before any prime table is built."""
+    if reach > MAX_REACH:
+        raise ValueError(
+            f"{command} would need primes up to {reach}{why}, past the bound {MAX_REACH}"
+        )
+    return reach
+
+
 def _mark(result: battery.CheckResult) -> str:
     return "PASS" if result.passed else "FAIL"
 
@@ -64,7 +73,7 @@ def _mark(result: battery.CheckResult) -> str:
 
 
 def _cmd_verify(args) -> int:
-    results = battery.run_battery(args.limit)
+    results = battery.run_battery(_within_reach("verify", args.limit))
     passed = sum(1 for r in results if r.passed)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -90,7 +99,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sieve(args) -> int:
     if args.check:
         battery.require_limit(args.limit)
-    table = PrimeTable(args.limit)
+    table = PrimeTable(_within_reach("sieve", args.limit))
     index = CompositeIndex(table)
     info = {
         "schema": SCHEMA_VERSION,
@@ -115,7 +124,7 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-    table = PrimeTable(args.limit)
+    table = PrimeTable(_within_reach("strata", args.limit))
     st = strata_mod.compute_strata(args.limit, table)
     if args.csv:
         st.write_csv(args.csv)
@@ -147,12 +156,8 @@ def _cmd_collapse(args) -> int:
     lo, hi = args.window
     removed_top = rhs.max_excluded if isinstance(rhs, Progression) else 0
     reach = max(hi, 9, 2 * removed_top + 6)
-    if reach > MAX_REACH:
-        raise ValueError(
-            f"collapse would need primes up to {reach} (the window end or twice the "
-            f"largest excluded value plus 6), past the bound {MAX_REACH}"
-        )
-    table = PrimeTable(reach)
+    why = " (the window end or twice the largest excluded value plus 6)"
+    table = PrimeTable(_within_reach("collapse", reach, why))
     verdict = col.check_relation(
         lhs, rhs, m_fold, n_fold, (lo, hi), table, require_subset=args.directed
     )
@@ -230,7 +235,7 @@ def _cmd_ring(args) -> int:
 
 def _cmd_partitions(args) -> int:
     expr = parse_set_expr(args.set)
-    table = PrimeTable(max(args.target, 9))
+    table = PrimeTable(_within_reach("partitions", max(args.target, 9)))
     records = col.k_partitions(args.target, expr, args.k, (1, args.target), table)
     payload = {
         "schema": SCHEMA_VERSION,

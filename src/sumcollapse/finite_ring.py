@@ -2,8 +2,11 @@
 
 Everything here is finite and decided completely: sumsets by mask rotation,
 the factorization property by multiplicative-closure membership, and the
-reduction / expansion families by subset or superset scans.  Size guards
-fail fast instead of sampling, since exhaustive semantics is the point.
+reduction / expansion families by walks from B, down one removal or up one
+addition (inside closure(B)) at a time; the families are upward / downward
+closed, so the walks miss no member, and one single-removal test decides
+reducibility.  Size guards fail fast instead of sampling, since exhaustive
+semantics is the point.
 """
 
 from __future__ import annotations
@@ -15,6 +18,11 @@ MAX_MODULUS = 30
 MAX_SUBSET_SCAN = 1 << 20
 
 
+def _require_modulus(m: int) -> None:
+    if not (2 <= m <= MAX_MODULUS):
+        raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {m}")
+
+
 @dataclass(frozen=True)
 class ZmSubset:
     """Subset of Z/mZ as an m-bit membership mask."""
@@ -23,13 +31,13 @@ class ZmSubset:
     mask: int
 
     def __post_init__(self):
-        if not (2 <= self.modulus <= MAX_MODULUS):
-            raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {self.modulus}")
+        _require_modulus(self.modulus)
         if not (0 <= self.mask < (1 << self.modulus)):
             raise ValueError(f"mask {self.mask:#x} out of range for modulus {self.modulus}")
 
     @classmethod
     def from_elements(cls, modulus: int, elements) -> "ZmSubset":
+        _require_modulus(modulus)
         mask = 0
         for e in elements:
             mask |= 1 << (e % modulus)
@@ -163,12 +171,48 @@ def zm_relation(b: ZmSubset, c: ZmSubset, m_fold: int, n_fold: int) -> RelationT
     return RelationTableEntry(b, c, m_fold, n_fold, sumset_equal, fp, subset)
 
 
-def _submasks(mask: int):
-    """All non-empty submasks of ``mask``."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
+def _reduces(b: ZmSubset, c: ZmSubset, n: int, nb: int) -> bool:
+    """b relates onto its submask c by the directed n-fold relation (nb = S_n(b))."""
+    return bool(c.mask) and zm_sumset(c, n).mask == nb and b.is_subset_of(zm_closure(c))
+
+
+def _removals(b: ZmSubset, n: int, nb: int | None = None):
+    """Each b \\ {x}, x ascending, that b relates onto: the one reducibility
+    decider (``nb`` is S_n(b) when known).
+
+    Reduction families are upward closed among the submasks of b: for
+    c ⊆ c' ⊆ b, S_n(c) ⊆ S_n(c') ⊆ S_n(b) and closure(c) ⊆ closure(c').  So
+    b is reducible iff this yields anything.
+    """
+    nb = zm_sumset(b, n).mask if nb is None else nb
+    return (c for c in map(b.without, b.elements()) if _reduces(b, c, n, nb))
+
+
+def _walk(start: ZmSubset, free: int, keep):
+    """Every set reached from ``start`` by flipping the bits of ``free`` one at
+    a time, each at most once, through sets where ``keep`` holds; and those
+    from which no flip stays inside.  Each set is tested once, and both come
+    ordered by (size, mask)."""
+    m = start.modulus
+    kept = {start.mask: True}
+    ends, todo = [], [start.mask]
+    while todo:
+        s = todo.pop()
+        stuck = True
+        for x in ZmSubset(m, free & ~(s ^ start.mask)).elements():
+            t = s ^ 1 << x
+            if t not in kept:
+                kept[t] = keep(ZmSubset(m, t))
+                if kept[t]:
+                    todo.append(t)
+            stuck = stuck and not kept[t]
+        if stuck:
+            ends.append(ZmSubset(m, s))
+    return _by_size(ZmSubset(m, t) for t, ok in kept.items() if ok), _by_size(ends)
+
+
+def _by_size(sets) -> tuple[ZmSubset, ...]:
+    return tuple(sorted(sets, key=lambda s: (len(s), s.mask)))
 
 
 @dataclass(frozen=True)
@@ -186,25 +230,17 @@ class RdFamily:
 
 
 def zm_reduction_family(b: ZmSubset, n: int) -> RdFamily:
+    """Walk down from b one removal at a time.
+
+    The family is upward closed (see ``_removals``), so each member c is
+    reached through the members between c and b, and c is minimal iff no
+    c \\ {x} is a member.
+    """
     _require_nonempty(b)
     if 1 << len(b) > MAX_SUBSET_SCAN:
-        raise ValueError(
-            f"subset scan over 2^{len(b)} masks exceeds the 2^20 guard"
-        )
-    m = b.modulus
+        raise ValueError(f"subset scan over 2^{len(b)} masks exceeds the 2^20 guard")
     nb = zm_sumset(b, n).mask
-    members = []
-    for sub in _submasks(b.mask):
-        c = ZmSubset(m, sub)
-        if zm_sumset(c, n).mask == nb and b.is_subset_of(zm_closure(c)):
-            members.append(c)
-    members.sort(key=lambda s: (len(s), s.mask))
-    minimal = tuple(
-        c
-        for c in members
-        if not any(d.mask != c.mask and d.is_subset_of(c) for d in members)
-    )
-    return RdFamily(b, n, tuple(members), minimal)
+    return RdFamily(b, n, *_walk(b, b.mask, lambda c: _reduces(b, c, n, nb)))
 
 
 @dataclass(frozen=True)
@@ -215,51 +251,29 @@ class EpFamily:
     n: int
     members: tuple[ZmSubset, ...]
     maximal: tuple[ZmSubset, ...]
-    maximal_matches_unexpanded: bool | None
 
     @property
     def expandable(self) -> bool:
         return len(self.members) > 1
 
 
-def zm_expansion_family(b: ZmSubset, n: int, verify_maximality: bool | None = None) -> EpFamily:
+def zm_expansion_family(b: ZmSubset, n: int) -> EpFamily:
+    """Walk up from b one addition at a time inside closure(b).
+
+    The family is downward closed in [b, closure(b)]: for b ⊆ d' ⊆ d,
+    S_n(b) ⊆ S_n(d') ⊆ S_n(d) and d' ⊆ d ⊆ closure(b).  Each member d has
+    closure(d) = closure(b), so d's own family is the members containing d:
+    d is maximal iff it is unexpanded, iff no single addition stays inside.
+    """
     _require_nonempty(b)
-    m = b.modulus
-    free = ((1 << m) - 1) & ~b.mask
+    closure_b = zm_closure(b)
+    free = closure_b.mask & ~b.mask
     if 1 << free.bit_count() > MAX_SUBSET_SCAN:
         raise ValueError(
             f"superset scan over 2^{free.bit_count()} masks exceeds the 2^20 guard"
         )
-    closure_b = zm_closure(b)
     nb = zm_sumset(b, n).mask
-    members = []
-    sub = free
-    while True:
-        d = ZmSubset(m, b.mask | sub)
-        if d.is_subset_of(closure_b) and zm_sumset(d, n).mask == nb:
-            members.append(d)
-        if sub == 0:
-            break
-        sub = (sub - 1) & free
-    members.sort(key=lambda s: (len(s), s.mask))
-    maximal = tuple(
-        d
-        for d in members
-        if not any(e.mask != d.mask and d.is_subset_of(e) for e in members)
-    )
-    if verify_maximality is None:
-        verify_maximality = m <= 12
-    matches: bool | None = None
-    if verify_maximality:
-        matches = True
-        maximal_masks = {d.mask for d in maximal}
-        for d in members:
-            family = zm_expansion_family(d, n, verify_maximality=False)
-            unexpanded = len(family.members) == 1
-            if unexpanded != (d.mask in maximal_masks):
-                matches = False
-                break
-    return EpFamily(b, n, tuple(members), maximal, matches)
+    return EpFamily(b, n, *_walk(b, free, lambda d: zm_sumset(d, n).mask == nb))
 
 
 def zm_reduction_chain(b: ZmSubset, n: int) -> list[ZmSubset]:
@@ -267,35 +281,23 @@ def zm_reduction_chain(b: ZmSubset, n: int) -> list[ZmSubset]:
     irreducible subset related to from the start."""
     _require_nonempty(b)
     chain = [b]
-    current = b
-    while True:
-        step = None
-        for r in current.elements():
-            smaller = current.without(r)
-            if not smaller.mask:
-                continue
-            if zm_relation(current, smaller, n, n).directed:
-                step = smaller
-                break
-        if step is None:
-            return chain
+    nb = zm_sumset(b, n).mask
+    while (step := next(_removals(chain[-1], n, nb), None)) is not None:
         chain.append(step)
-        current = step
+    return chain
 
 
 def zm_optimal_subsets(m: int, n: int) -> tuple[ZmSubset, ...]:
     """All subsets whose closure relates onto them while they stay irreducible."""
+    _require_modulus(m)
     if m > 16:
         raise ValueError(f"full subset scan requires modulus <= 16, got {m}")
     out = []
     for mask in range(1, 1 << m):
         b = ZmSubset(m, mask)
-        closure = zm_closure(b)
-        if zm_sumset(closure, n).mask != zm_sumset(b, n).mask:
-            continue
-        if zm_reduction_family(b, n).reducible:
-            continue
-        out.append(b)
+        nb = zm_sumset(b, n).mask
+        if zm_sumset(zm_closure(b), n).mask == nb and next(_removals(b, n, nb), None) is None:
+            out.append(b)
     return tuple(out)
 
 
@@ -314,6 +316,7 @@ class OptimalWeights:
 
 def optimal_weight_set(m: int, n_max: int) -> OptimalWeights:
     """Scans n in [2, n_max] only; the unbounded analogue is not computable here."""
+    _require_modulus(m)
     values = tuple(n for n in range(2, n_max + 1) if zm_optimal_subsets(m, n))
     return OptimalWeights(m, n_max, values)
 
@@ -331,18 +334,10 @@ class UnitGroupReport:
 
 def zm_unit_group_check(m: int) -> UnitGroupReport:
     units = ZmSubset.from_elements(m, (a for a in range(1, m) if math.gcd(a, m) == 1))
-    removable: dict[int, bool] = {}
-    for b in units.elements():
-        remainder = units.without(b)
-        if not remainder.mask:
-            removable[b] = False
-            continue
-        removable[b] = zm_relation(units, remainder, 2, 2).directed
-    values = set(removable.values())
-    small = None
-    if len(units) <= 2:
-        small = not any(removable.values())
-    return UnitGroupReport(m, units, removable, len(values) <= 1, small)
+    steps = {c.mask for c in _removals(units, 2)}
+    removable = {b: units.without(b).mask in steps for b in units.elements()}
+    small = not any(removable.values()) if len(units) <= 2 else None
+    return UnitGroupReport(m, units, removable, len(set(removable.values())) <= 1, small)
 
 
 @dataclass(frozen=True)
@@ -378,6 +373,7 @@ def zm_quotient_check(
 def relation_table_rows(m: int, n_max: int):
     """Every ordered pair of non-empty subsets crossed with fold counts in
     [1, n_max]^2; rows come out in canonical (B, C, m_fold, n_fold) order."""
+    _require_modulus(m)
     if m > 10:
         raise ValueError(f"exhaustive table dump requires modulus <= 10, got {m}")
     if n_max < 1:

@@ -212,10 +212,6 @@ class PrimeTable:
         return np.unpackbits(raw, bitorder="little", count=self._n_bits).astype(bool)
 
 
-def build_table(limit: int) -> PrimeTable:
-    return PrimeTable(limit)
-
-
 @dataclass(frozen=True)
 class CompositeIndex:
     """1-based index into the increasing sequence of odd composite numbers."""

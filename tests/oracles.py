@@ -117,3 +117,34 @@ def least_uncovered_pair_sum(excluded, threshold: int) -> int | None:
         ):
             return s
     return None
+
+
+def zm_families_bf(m: int, n: int) -> dict:
+    """Reduction and expansion families of every non-empty subset B of Z/mZ
+    under the directed n-fold relation, by scanning every subset.
+
+    Sumsets enumerate n-tuples of elements and closures multiply pairs until
+    nothing new appears.  Maps B (a frozenset) to (reduction members, minimal
+    members, expansion members, maximal members), each a set of frozensets.
+    """
+    subsets = [
+        frozenset(c) for k in range(1, m + 1) for c in itertools.combinations(range(m), k)
+    ]
+    sums = {s: frozenset(sum(t) % m for t in itertools.product(s, repeat=n)) for s in subsets}
+    closure = {}
+    for s in subsets:
+        grown = set(s)
+        while True:
+            more = grown | {x * y % m for x in grown for y in grown}
+            if more == grown:
+                break
+            grown = more
+        closure[s] = frozenset(grown)
+    out = {}
+    for b in subsets:
+        red = {c for c in subsets if c <= b and sums[c] == sums[b] and b <= closure[c]}
+        exp = {d for d in subsets if b <= d and sums[d] == sums[b] and d <= closure[b]}
+        minimal = {c for c in red if not any(d < c for d in red)}
+        maximal = {d for d in exp if not any(d < e for e in exp)}
+        out[b] = (red, minimal, exp, maximal)
+    return out

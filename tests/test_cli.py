@@ -233,6 +233,42 @@ def test_collapse_at_reach_builds_its_table(monkeypatch, capsys, rel, window):
     assert f"table requested to {MAX_REACH}" in err
 
 
+REACH_COMMANDS = {
+    "verify": ["verify", "--limit", "{}"],
+    "sieve": ["sieve", "--limit", "{}"],
+    "sieve-check": ["sieve", "--check", "--limit", "{}"],
+    "strata": ["strata", "--limit", "{}"],
+    "partitions": ["partitions", "--set", "odd>=3", "--k", "2", "--target", "{}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REACH_COMMANDS))
+def test_table_past_reach_is_refused(monkeypatch, capsys, command):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built before the reach was checked")
+
+    monkeypatch.setattr(battery, "PrimeTable", no_table)
+    monkeypatch.setattr("sumcollapse.cli.PrimeTable", no_table)
+    argv = [a.format(MAX_REACH + 1) for a in REACH_COMMANDS[command]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert f"primes up to {MAX_REACH + 1}" in err and f"past the bound {MAX_REACH}" in err
+
+
+@pytest.mark.parametrize("command", sorted(REACH_COMMANDS))
+def test_table_at_reach_is_built(monkeypatch, capsys, command):
+    def stop(limit):
+        raise ValueError(f"table requested to {limit}")
+
+    monkeypatch.setattr(battery, "PrimeTable", stop)
+    monkeypatch.setattr("sumcollapse.cli.PrimeTable", stop)
+    argv = [a.format(MAX_REACH) for a in REACH_COMMANDS[command]]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert f"table requested to {MAX_REACH}" in err
+
+
 def test_collapse_windowed_failure(capsys):
     # excluding the prime 3 breaks the pair sum 6 and takes the windowed path
     code, out, _ = run_cli(
@@ -289,6 +325,13 @@ def test_ring_nmax_below_one_is_refused(capsys, nmax):
     code, out, err = run_cli(["ring", "--modulus", "8", "--nmax", nmax], capsys)
     assert code == 2
     assert out == "" and "n_max" in err
+
+
+@pytest.mark.parametrize("modulus", ["0", "1", "-3", "31"])
+def test_ring_degenerate_modulus_is_refused(capsys, modulus):
+    code, out, err = run_cli(["ring", "--modulus", modulus, "--nmax", "2"], capsys)
+    assert code == 2
+    assert out == "" and "modulus" in err
 
 
 def test_strata_outputs(tmp_path, capsys):

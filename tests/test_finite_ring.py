@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from sumcollapse import (
@@ -15,6 +18,8 @@ from sumcollapse import (
     zm_sumset,
     zm_unit_group_check,
 )
+
+from oracles import zm_families_bf
 
 Z = ZmSubset.from_elements
 
@@ -34,6 +39,22 @@ def test_subset_validation():
         ZmSubset(4, 1 << 5)
     s = Z(6, [8, 2])  # reduced mod 6
     assert s.elements() == (2,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: Z(m, [1]),
+        lambda m: zm_optimal_subsets(m, 2),
+        lambda m: optimal_weight_set(m, 3),
+        lambda m: list(relation_table_rows(m, 2)),
+    ],
+    ids=["from-elements", "optimal-subsets", "optimal-weights", "table-rows"],
+)
+@pytest.mark.parametrize("m", [0, 1, -3])
+def test_degenerate_modulus_is_refused(call, m):
+    with pytest.raises(ValueError, match=rf"modulus must be in \[2, 30\], got {m}"):
+        call(m)
 
 
 def test_sumsets_golden():
@@ -113,7 +134,6 @@ def test_expansion_family():
     fam = zm_expansion_family(sub, 2)
     assert fam.members == (sub,)
     assert not fam.expandable
-    assert fam.maximal_matches_unexpanded
     full = Z(6, range(6))
     assert zm_expansion_family(full, 2).members == (full,)
 
@@ -126,7 +146,16 @@ def test_expansion_family_nontrivial():
     fam = zm_expansion_family(c, 3)
     assert any(d.mask == Z(8, [0, 2, 4]).mask for d in fam.members)
     assert fam.expandable
-    assert fam.maximal_matches_unexpanded
+
+
+def test_family_scan_guards():
+    # the walk up stays inside closure(B), so the guard counts closure(B) \ B
+    b = Z(30, [1])
+    assert zm_expansion_family(b, 2).members == (b,)
+    with pytest.raises(ValueError, match=r"2\^22 masks exceeds"):
+        zm_expansion_family(Z(30, [2, 3, 5, 7]), 2)  # closure of 26 elements
+    with pytest.raises(ValueError, match=r"2\^21 masks exceeds"):
+        zm_reduction_family(Z(30, range(21)), 2)
 
 
 def test_reduction_chain():
@@ -139,6 +168,50 @@ def test_reduction_chain():
     assert not zm_reduction_family(chain[-1], 3).reducible
     irr = Z(6, [2])
     assert zm_reduction_chain(irr, 2) == [irr]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_families_against_brute_force(m, n):
+    def sets(family):
+        return {frozenset(s.elements()) for s in family}
+
+    def by_size(family):
+        return family == tuple(sorted(family, key=lambda s: (len(s), s.mask)))
+
+    for b_set, (red, minimal, exp, maximal) in zm_families_bf(m, n).items():
+        b = Z(m, b_set)
+        rd, ep = zm_reduction_family(b, n), zm_expansion_family(b, n)
+        assert (sets(rd.members), sets(rd.minimal)) == (red, minimal), b.describe()
+        assert (sets(ep.members), sets(ep.maximal)) == (exp, maximal), b.describe()
+        assert all(map(by_size, (rd.members, rd.minimal, ep.members, ep.maximal)))
+        assert rd.reducible == (len(zm_reduction_chain(b, n)) > 1), b.describe()
+        for d in ep.members:
+            unexpanded = zm_expansion_family(d, n).members == (d,)
+            assert unexpanded == (d in ep.maximal), (b.describe(), d.describe())
+
+
+# sha256 of the JSON mask list of ``zm_optimal_subsets(m, 2)``, frozen from the
+# scan that tested every submask of each candidate for reducibility
+OPTIMAL_PAIR_SHA256 = {
+    2: "a36b1f2c3f84522dd1005145646617d7054c0851e97c72a039c0bdfac9fa07f3",
+    3: "0795b18fffb85f4981b3902fb9ca30f6c18a1abc0ece66ce018e8e889f5e2d13",
+    4: "867396f2a669e2f80582c73db301d2f0b2e1ccc76790f2eae4ec1079d8d81e67",
+    5: "28e110f550db698a3e8b2b3d088b58487efedd5597bef560d651d008122b285b",
+    6: "0fc971b75de374288460a7a9a0a5210044447acadef5ccf33371b762dc55cbd5",
+    7: "485afb71840e2cfec16bfbbd9b76418f1a108d6b0d5ddd7e4a6e54e0362a9e8d",
+    8: "9830595a5e7d2ba138a8069eb4bbd263df1bb2c681bf3e76e01f5f01efb57d4b",
+    9: "9fa238664400eea81f042b0c7c36437eb7b937b8dee5c3df6c0e1539443ae0cd",
+    10: "685d0c62f534b5898d3359df35aa56a87caef0a2b998c1039d505fd5fc63b596",
+    11: "7ee7e8ae22f60614dccdccb973d2beb03860a221ed9f936453fa32f70a367457",
+    12: "c68193079b2c9fd8b073b8fe773c555c61849e89b7d75ab7a4ef5ce545513408",
+}
+
+
+@pytest.mark.parametrize("m", sorted(OPTIMAL_PAIR_SHA256))
+def test_optimal_subsets_golden(m):
+    masks = json.dumps([s.mask for s in zm_optimal_subsets(m, 2)])
+    assert hashlib.sha256(masks.encode()).hexdigest() == OPTIMAL_PAIR_SHA256[m]
 
 
 def test_optimal_subsets_mod6():

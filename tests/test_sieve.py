@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from sumcollapse import CompositeIndex, PrimeTable, build_table, is_rough
+from sumcollapse import CompositeIndex, PrimeTable, is_rough
 
 from oracles import is_prime_bf, odd_composites_upto, pi_bf, primes_upto
 
 
 def test_prime_count_cited_points():
-    assert build_table(100).prime_count(93) == 24
-    assert build_table(100).prime_count(2) == 1
+    assert PrimeTable(100).prime_count(93) == 24
+    assert PrimeTable(100).prime_count(2) == 1
     # pi(121) = 30, frozen from the trial-division oracle
     assert pi_bf(121) == 30
-    assert build_table(200).prime_count(121) == 30
+    assert PrimeTable(200).prime_count(121) == 30
 
 
 def test_prime_count_matches_oracle_everywhere_small(table_small):
@@ -20,7 +20,7 @@ def test_prime_count_matches_oracle_everywhere_small(table_small):
 
 
 def test_nth_prime():
-    t = build_table(500)
+    t = PrimeTable(500)
     assert t.nth_prime(1) == 2
     assert t.nth_prime(2) == 3
     assert t.nth_prime(3) == 5
@@ -34,7 +34,7 @@ def test_nth_prime():
 
 
 def test_nth_odd_composite():
-    t = build_table(500)
+    t = PrimeTable(500)
     index = CompositeIndex(t)
     assert index.nth(1) == 9
     assert index.nth(2) == 15
@@ -49,7 +49,7 @@ def test_nth_odd_composite():
 
 
 def test_first_odd_composites():
-    index = CompositeIndex(build_table(100))
+    index = CompositeIndex(PrimeTable(100))
     assert index.first(22) == tuple(odd_composites_upto(91))
     assert index.first(25)[-1] == 99
     with pytest.raises(ValueError, match="only 25 odd composites <= 100, 26 requested"):
