@@ -28,7 +28,9 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import re
 import sys
@@ -178,35 +180,45 @@ def _cmd_collapse(args) -> int:
     return 1 if verdict.status is Status.FAILS else 0
 
 
+_RING_HEADER = [
+    "modulus",
+    "b_mask",
+    "b_elements",
+    "c_mask",
+    "c_elements",
+    "m_fold",
+    "n_fold",
+    "sumset_equal",
+    "fp",
+    "subset",
+    "symmetric",
+    "directed",
+]
+
+
 def _cmd_ring(args) -> int:
-    rows = list(ring.relation_table_rows(args.modulus, args.nmax))
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "modulus",
-                    "b_mask",
-                    "b_elements",
-                    "c_mask",
-                    "c_elements",
-                    "m_fold",
-                    "n_fold",
-                    "sumset_equal",
-                    "fp",
-                    "subset",
-                    "symmetric",
-                    "directed",
-                ]
-            )
-            for r in rows:
+    m = args.modulus
+    entries = ring.relation_table_rows(m, args.nmax)
+    # a refused modulus or fold bound raises here, before any file is created
+    entries = itertools.chain([next(entries)], entries)
+    labels = ["|".join(str(x) for x in range(m) if mask >> x & 1) for mask in range(1 << m)]
+    rows = directed = 0
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if args.csv:
+            writer = csv.writer(stack.enter_context(open(args.csv, "w", newline="")))
+            writer.writerow(_RING_HEADER)
+        for r in entries:
+            rows += 1
+            directed += r.directed
+            if writer is not None:
                 writer.writerow(
                     [
-                        args.modulus,
+                        m,
                         r.b.mask,
-                        "|".join(map(str, r.b.elements())),
+                        labels[r.b.mask],
                         r.c.mask,
-                        "|".join(map(str, r.c.elements())),
+                        labels[r.c.mask],
                         r.m_fold,
                         r.n_fold,
                         int(r.sumset_equal),
@@ -216,19 +228,18 @@ def _cmd_ring(args) -> int:
                         int(r.directed),
                     ]
                 )
-    directed = sum(1 for r in rows if r.directed)
     payload = {
         "schema": SCHEMA_VERSION,
-        "modulus": args.modulus,
+        "modulus": m,
         "n_max": args.nmax,
-        "rows": len(rows),
+        "rows": rows,
         "directed_rows": directed,
     }
     _write_report(args.out, payload)
     if args.format == "json":
         sys.stdout.write(_canonical_json(payload))
     else:
-        print(f"{len(rows)} rows for modulus {args.modulus}, folds up to {args.nmax}")
+        print(f"{rows} rows for modulus {m}, folds up to {args.nmax}")
         print(f"directed relation holds in {directed} rows")
     return 0
 

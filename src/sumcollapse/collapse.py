@@ -10,7 +10,9 @@ of ``B`` is a product of members of ``C`` (and, for the directed form,
 point and picks the decider: the pair relation between ``odd>=3`` and
 ``odd>=3`` minus finitely many odd composites gets the exact removal
 certificate; everything else, prime-backed sets included, earns a windowed
-verdict.
+verdict.  Each part has one decider: the sumsets
+:func:`~sumcollapse.intsets.sumset_equal_window`, the factorization
+:func:`check_fp` and the containment ``_containment``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intsets import (
-    WindowSet,
-    iterated_sumset,
-    pair_sum_cover_decision,
-    restrict,
-    sumset_equal_window,
-)
+from .intsets import pair_sum_cover_decision, restrict, sumset_equal_window
 from .setexpr import FiniteSet, Primes, Progression, SetExpr, as_set_expr
 from .sieve import CompositeIndex, PrimeTable, _is_prime_slow
 from .verdict import (
@@ -40,10 +36,6 @@ from .verdict import (
 
 # ---------------------------------------------------------------------------
 # factorization property
-
-
-def _window_values(expr: SetExpr, lo: int, hi: int, table) -> list[int]:
-    return list(restrict(expr, lo, hi, table).members())
 
 
 def _can_decompose(v: int, member, memo: dict[int, bool]) -> bool:
@@ -73,6 +65,10 @@ def _can_decompose(v: int, member, memo: dict[int, bool]) -> bool:
 def check_fp(b_spec, c_spec, window: tuple[int, int], table: PrimeTable | None = None) -> RelationVerdict:
     """Does every member of B on the window factor into members of C?
 
+    Exact when C holds every prime from ``C.primes_from()`` on and every
+    member of B is a product of primes >= ``B.prime_floor()``, the first
+    bound being at most the second, or when B is finite and inside the
+    window; otherwise each member on the window is factored in turn.
     Members equal to 1 only pass by belonging to C directly; values below 1
     are rejected because divisor search would be ill-founded there.
     """
@@ -84,15 +80,16 @@ def check_fp(b_spec, c_spec, window: tuple[int, int], table: PrimeTable | None =
     b_expr = as_set_expr(b_spec)
     c_expr = as_set_expr(c_spec)
 
-    if c_expr.contains_all_odd_primes() and b_expr.subset_of_odd_from_3():
+    floor, start = b_expr.prime_floor(), c_expr.primes_from()
+    if floor is not None and start is not None and start <= floor:
         return holds(
-            "every member is odd and >= 3, so it is a product of odd primes, "
-            "all of which the right-hand set contains"
+            f"every member is a product of primes >= {floor}, and the right-hand "
+            f"set contains every prime >= {start}"
         )
 
     memo: dict[int, bool] = {}
     member = lambda v: c_expr.contains(v, table)  # noqa: E731 - tight inner predicate
-    for b in _window_values(b_expr, lo, hi, table):
+    for b in restrict(b_expr, lo, hi, table).members():
         if not _can_decompose(b, member, memo):
             return fails(
                 b,
@@ -145,36 +142,6 @@ class RelationParts:
         )
 
 
-def _compare_sumsets(
-    b_ws: WindowSet, m_fold: int, c_ws: WindowSet, n_fold: int
-) -> RelationVerdict:
-    lo, hi = b_ws.lo, b_ws.hi
-    common_lo = max(m_fold * lo, n_fold * lo)
-    if common_lo > hi:
-        return holds_on_window(
-            None, "certified range for the folded sums is empty; nothing to compare"
-        )
-    if m_fold == n_fold:
-        return sumset_equal_window(b_ws, c_ws, n_fold)
-    sb = iterated_sumset(b_ws, m_fold)
-    sc = iterated_sumset(c_ws, n_fold)
-    b_bits = sb.bits >> (common_lo - sb.lo)
-    c_bits = sc.bits >> (common_lo - sc.lo)
-    diff = b_bits ^ c_bits
-    if not diff:
-        return holds_on_window(
-            (common_lo, hi),
-            f"{m_fold}-fold and {n_fold}-fold sumsets agree on [{common_lo}, {hi}]",
-        )
-    value = common_lo + (diff & -diff).bit_length() - 1
-    side = "left" if b_bits >> (value - common_lo) & 1 else "right"
-    return fails(
-        value,
-        f"sumsets differ at {value} (present only in the {side} operand)",
-        certified_range=(common_lo, hi),
-    )
-
-
 def _containment(b_expr, c_expr, b_ws, c_ws) -> RelationVerdict:
     missing = None
     if isinstance(b_expr, Progression) and isinstance(c_expr, Progression):
@@ -215,7 +182,7 @@ def relation_parts(
     c_ws = restrict(c_expr, lo, hi, table)
     if not b_ws.bits or not c_ws.bits:
         raise ValueError("relation checks need non-empty sets on the window")
-    sum_v = _compare_sumsets(b_ws, m_fold, c_ws, n_fold)
+    sum_v = sumset_equal_window(b_ws, c_ws, m_fold, n_fold)
     fp_v = check_fp(b_expr, c_expr, window, table)
     sub_v = _containment(b_expr, c_expr, b_ws, c_ws) if require_subset else None
     return RelationParts(sum_v, fp_v, sub_v)
@@ -227,7 +194,7 @@ def _is_composite_removal(b_expr: SetExpr, c_expr: SetExpr) -> bool:
         b_expr == Progression(3)
         and isinstance(c_expr, Progression)
         and (c_expr.base, c_expr.step) == (3, 2)
-        and c_expr.contains_all_odd_primes()
+        and c_expr.primes_from() == 3
     )
 
 
@@ -276,10 +243,16 @@ def _validate_composite_tuple(ks, table: PrimeTable) -> tuple[int, ...]:
     return ks
 
 
+def _surplus_shortfall(ks: tuple[int, ...], table: PrimeTable) -> int | None:
+    """The first index i whose candidate has fewer than i + 2 primes below it."""
+    return next(
+        (i for i, c in enumerate(ks, start=1) if table.prime_count(c) < i + 2), None
+    )
+
+
 def prime_surplus_hypothesis(ks, table: PrimeTable) -> bool:
     """True iff the i-th candidate has at least i + 2 primes below it."""
-    ks = _validate_composite_tuple(ks, table)
-    return all(table.prime_count(c) >= i + 2 for i, c in enumerate(ks, start=1))
+    return _surplus_shortfall(_validate_composite_tuple(ks, table), table) is None
 
 
 def _removal_witnesses(excluded: frozenset[int], table: PrimeTable):
@@ -334,13 +307,14 @@ def composite_removal_check(
     attempted and a hypothesis failure is reported instead.
     """
     ks = _validate_composite_tuple(ks, table)
-    for i, c in enumerate(ks, start=1):
-        if table.prime_count(c) < i + 2:
-            return hypothesis_failed(
-                i,
-                f"candidate #{i} = {c} has only {table.prime_count(c)} primes below "
-                f"it, fewer than {i + 2}",
-            )
+    i = _surplus_shortfall(ks, table)
+    if i is not None:
+        c = ks[i - 1]
+        return hypothesis_failed(
+            i,
+            f"candidate #{i} = {c} has only {table.prime_count(c)} primes below "
+            f"it, fewer than {i + 2}",
+        )
     return _removal_certificate(Progression(3, 2, frozenset(ks)), table, window)
 
 
@@ -407,13 +381,12 @@ def progression_removal_check(
 
     depleted = prog.without(removed)
     if verify_hypotheses:
-        memo: dict[int, bool] = {}
-        member = lambda v: depleted.contains(v)  # noqa: E731
-        for c in removed:
-            if not _can_decompose(c, member, memo):
-                return hypothesis_failed(
-                    1, f"{c} has no factorization inside the depleted progression"
-                )
+        fp = check_fp(FiniteSet(removed), depleted, (removed[0], removed[-1]), table)
+        if not fp.ok:
+            return hypothesis_failed(
+                1,
+                f"{fp.counterexample} has no factorization inside the depleted progression",
+            )
         target = base + removed[-1]
         smaller = removed[:-1]
         pair = next(
@@ -801,9 +774,7 @@ def parameter_uniqueness_report(table: PrimeTable, hi: int) -> UniquenessReport:
         )
     )
 
-    window_verdict = sumset_equal_window(
-        restrict(Progression(3), 3, hi), restrict(Primes(3), 3, hi, table), 2
-    )
+    window_verdict = check_relation(Progression(3), Primes(3), 2, 2, (3, hi), table)
     return UniquenessReport(tuple(cases), window_verdict)
 
 

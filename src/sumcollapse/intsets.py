@@ -1,8 +1,8 @@
 """Window bitsets with sumset arithmetic, and the exact pair-sum decision.
 
-:class:`WindowSet` is a bitset over a finite interval, carrying an
-``exact_from`` marker delimiting where derived sumsets are certified.  The
-infinite sets behind it are described in :mod:`sumcollapse.setexpr`; the
+:class:`WindowSet` is a bitset over a finite interval; an n-fold sumset of
+a window from ``lo`` is certified from ``n*lo`` on.  The infinite sets
+behind it are described in :mod:`sumcollapse.setexpr`; the
 only ones admitting exact (non-windowed) pair-sum decisions are the odd
 integers >= 3 minus finitely many values, decided by
 :func:`pair_sum_cover_decision`.
@@ -74,15 +74,13 @@ def progression_bits(base: int, step: int, lo: int, hi: int) -> int:
 class WindowSet:
     """Finite integer window with a membership bitset.
 
-    Bit ``i`` of ``bits`` is membership of ``lo + i``.  ``exact_from`` marks
-    the start of the subrange on which the set is certified exact; for a
-    windowed restriction of a known set that is ``lo`` itself, while derived
-    sumsets push it up.  An empty window is represented by ``lo == hi + 1``.
+    Bit ``i`` of ``bits`` is membership of ``lo + i``; the set is exact on
+    the whole window.  An empty window is represented by ``lo == hi + 1``.
     """
 
-    __slots__ = ("lo", "hi", "bits", "exact_from")
+    __slots__ = ("lo", "hi", "bits")
 
-    def __init__(self, lo: int, hi: int, bits: int, exact_from: int | None = None):
+    def __init__(self, lo: int, hi: int, bits: int):
         if lo > hi + 1:
             raise ValueError(f"inverted window [{lo}, {hi}]")
         length = hi - lo + 1
@@ -91,26 +89,6 @@ class WindowSet:
         self.lo = lo
         self.hi = hi
         self.bits = bits
-        self.exact_from = lo if exact_from is None else exact_from
-        if not (lo <= self.exact_from <= hi + 1):
-            raise ValueError("exact_from must lie within the window (or just past it)")
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_values(cls, lo: int, hi: int, values) -> "WindowSet":
-        return cls(lo, hi, bits_from_values(values, lo, hi))
-
-    @classmethod
-    def from_predicate(cls, lo: int, hi: int, pred) -> "WindowSet":
-        buf = bytearray((hi - lo) // 8 + 1) if hi >= lo else bytearray(1)
-        for v in range(lo, hi + 1):
-            if pred(v):
-                i = v - lo
-                buf[i >> 3] |= 1 << (i & 7)
-        return cls(lo, hi, int.from_bytes(buf, "little"))
-
-    # -- queries -------------------------------------------------------------
 
     def __contains__(self, v: int) -> bool:
         return self.lo <= v <= self.hi and bool(self.bits >> (v - self.lo) & 1)
@@ -121,52 +99,35 @@ class WindowSet:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WindowSet)
-            and (self.lo, self.hi, self.bits, self.exact_from)
-            == (other.lo, other.hi, other.bits, other.exact_from)
+            and (self.lo, self.hi, self.bits) == (other.lo, other.hi, other.bits)
         )
 
     def __repr__(self) -> str:
-        return (
-            f"WindowSet([{self.lo}, {self.hi}], {len(self)} members, "
-            f"exact_from={self.exact_from})"
-        )
+        return f"WindowSet([{self.lo}, {self.hi}], {len(self)} members)"
 
     def members(self):
         lo = self.lo
         for i in iter_bits(self.bits):
             yield lo + i
 
-    def min_member(self) -> int | None:
-        if not self.bits:
-            return None
-        return self.lo + _lsb(self.bits)
-
     def is_subset_of(self, other: "WindowSet") -> bool:
         if (self.lo, self.hi) != (other.lo, other.hi):
             raise ValueError("subset test requires matching windows")
         return not (self.bits & ~other.bits & ((1 << (self.hi - self.lo + 1)) - 1))
 
-    def difference_values(self, other: "WindowSet") -> set[int]:
-        """The set of pairwise differences {a - b}; a small derived helper."""
-        return {a - b for a in self.members() for b in other.members()}
-
 
 def restrict(source, lo: int, hi: int, table=None) -> WindowSet:
-    """Materialise a set description onto ``[lo, hi]`` with ``exact_from = lo``.
+    """Materialise a set onto ``[lo, hi]``.
 
-    ``source`` may be any object exposing ``window_bits(lo, hi, table)``
-    (set expressions; prime-backed ones need the sieve ``table``),
-    a plain collection of integers, or a membership predicate.
+    ``source`` is anything :func:`~sumcollapse.setexpr.as_set_expr` accepts:
+    a set expression or its text (prime-backed ones need the sieve
+    ``table``), a collection of integers, or a membership predicate.
     """
+    from .setexpr import as_set_expr  # local import; setexpr builds on this module
+
     if lo > hi:
         raise ValueError(f"inverted window [{lo}, {hi}]")
-    if hasattr(source, "window_bits"):
-        return WindowSet(lo, hi, source.window_bits(lo, hi, table))
-    if isinstance(source, (set, frozenset, list, tuple, range)):
-        return WindowSet.from_values(lo, hi, source)
-    if callable(source):
-        return WindowSet.from_predicate(lo, hi, source)
-    raise TypeError(f"cannot restrict object of type {type(source).__name__}")
+    return WindowSet(lo, hi, as_set_expr(source).window_bits(lo, hi, table))
 
 
 def _position_step(bits: int) -> int:
@@ -240,12 +201,10 @@ def iterated_sumset(ws: WindowSet, n: int) -> WindowSet:
     """
     if n < 1:
         raise ValueError(f"fold count must be >= 1, got {n}")
-    if ws.exact_from != ws.lo:
-        raise ValueError("iterated_sumset needs a window that is exact from its start")
     if ws.lo < 0:
         raise ValueError("iterated_sumset requires a non-negative window")
     if n == 1:
-        return WindowSet(ws.lo, ws.hi, ws.bits, ws.exact_from)
+        return WindowSet(ws.lo, ws.hi, ws.bits)
     if n * ws.lo > ws.hi:
         raise ValueError(
             f"{n}-fold sums start at {n * ws.lo}, past the window end {ws.hi}"
@@ -254,7 +213,7 @@ def iterated_sumset(ws: WindowSet, n: int) -> WindowSet:
     for step in range(2, n + 1):
         out_len = ws.hi - step * ws.lo + 1
         acc = _sumset_bits(acc, ws.bits, out_len)
-    return WindowSet(n * ws.lo, ws.hi, acc, exact_from=n * ws.lo)
+    return WindowSet(n * ws.lo, ws.hi, acc)
 
 
 def dilation(ws: WindowSet, n: int) -> WindowSet:
@@ -262,44 +221,45 @@ def dilation(ws: WindowSet, n: int) -> WindowSet:
     if n < 1:
         raise ValueError(f"dilation factor must be >= 1, got {n}")
     if n == 1:
-        return WindowSet(ws.lo, ws.hi, ws.bits, ws.exact_from)
+        return WindowSet(ws.lo, ws.hi, ws.bits)
     new_lo = n * ws.lo
     if new_lo > ws.hi:
-        return WindowSet(ws.hi + 1, ws.hi, 0, exact_from=ws.hi + 1)
+        return WindowSet(ws.hi + 1, ws.hi, 0)
     scaled = (n * v for v in ws.members())
-    bits = bits_from_values(scaled, new_lo, ws.hi)
-    exact = min(n * ws.exact_from, ws.hi + 1)
-    return WindowSet(new_lo, ws.hi, bits, exact_from=exact)
+    return WindowSet(new_lo, ws.hi, bits_from_values(scaled, new_lo, ws.hi))
 
 
-def sumset_equal_window(a: WindowSet, b: WindowSet, n: int) -> RelationVerdict:
-    """Compare the n-fold sumsets of two windowed sets on their certified range."""
+def sumset_equal_window(
+    a: WindowSet, b: WindowSet, m: int, n: int | None = None
+) -> RelationVerdict:
+    """Compare the m-fold sumset of ``a`` with the n-fold sumset of ``b``
+    (n = m unless given) on the range where both are certified."""
+    n = m if n is None else n
     if (a.lo, a.hi) != (b.lo, b.hi):
         raise ValueError("sumset comparison requires matching windows")
-    if a.exact_from != a.lo or b.exact_from != b.lo:
-        raise ValueError("sumset comparison requires windows exact from their start")
-    if n * a.lo > a.hi:
+    lo, hi = a.lo, a.hi
+    folds = f"{m}-fold" if m == n else f"{m}-fold and {n}-fold"
+    common_lo = max(m * lo, n * lo)
+    if common_lo > hi:
         return holds_on_window(
             None,
-            f"certified range for {n}-fold sums over [{a.lo}, {a.hi}] is empty; "
+            f"certified range for {folds} sums over [{lo}, {hi}] is empty; "
             "nothing to compare",
         )
-    sa = iterated_sumset(a, n)
-    sb = iterated_sumset(b, n)
-    diff = sa.bits ^ sb.bits
+    sa = iterated_sumset(a, m).bits >> (common_lo - m * lo)
+    sb = iterated_sumset(b, n).bits >> (common_lo - n * lo)
+    diff = sa ^ sb
     if not diff:
         return holds_on_window(
-            (n * a.lo, a.hi),
-            f"{n}-fold sumsets agree on [{n * a.lo}, {a.hi}]; "
-            "no statement beyond the window",
+            (common_lo, hi),
+            f"{folds} sumsets agree on [{common_lo}, {hi}]; no statement beyond the window",
         )
-    low = diff & -diff
-    value = sa.lo + low.bit_length() - 1
-    side = "left" if value in sa else "right"
+    value = common_lo + _lsb(diff)
+    side = "left" if sa >> (value - common_lo) & 1 else "right"
     return fails(
         value,
-        f"{n}-fold sumsets differ at {value} (present only in the {side} operand)",
-        certified_range=(n * a.lo, a.hi),
+        f"{folds} sumsets differ at {value} (present only in the {side} operand)",
+        certified_range=(common_lo, hi),
     )
 
 

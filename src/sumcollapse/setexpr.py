@@ -42,13 +42,14 @@ class SetExpr:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def subset_of_odd_from_3(self) -> bool:
-        """Conservative: True only if provably within the odd integers >= 3."""
-        return False
+    def prime_floor(self) -> int | None:
+        """A p such that every member is >= 2 with no prime factor below p;
+        None when no such bound is known."""
+        return None
 
-    def contains_all_odd_primes(self) -> bool:
-        """Conservative: True only if provably a superset of the odd primes."""
-        return False
+    def primes_from(self) -> int | None:
+        """A p such that every prime >= p is a member; None when none is known."""
+        return None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()!r})"
@@ -120,12 +121,20 @@ class Progression(SetExpr):
     def without(self, values) -> "Progression":
         return Progression(self.base, self.step, self.excluded | frozenset(values))
 
-    def subset_of_odd_from_3(self):
-        return self.base >= 3 and self.base % 2 == 1 and self.step % 2 == 0
+    def prime_floor(self):
+        if self.base < 2:
+            return None
+        return 3 if self.base % 2 == 1 and self.step % 2 == 0 else 2
 
-    def contains_all_odd_primes(self):
-        covers = self.step == 2 and self.base % 2 == 1 and self.base <= 3
-        return covers and not any(_is_prime_slow(e) for e in self.excluded)
+    def primes_from(self):
+        if self.step == 1:
+            start = max(self.base, 2)
+        elif self.step == 2 and self.base % 2 == 1:
+            start = max(self.base, 3)
+        else:
+            return None
+        # every prime past the largest excluded one is still a member
+        return max([start] + [e + 1 for e in self.excluded if _is_prime_slow(e)])
 
     def _head(self) -> str:
         if self.step == 2 and self.base >= 1 and self.base % 2 == 1:
@@ -150,8 +159,11 @@ class IntRange(SetExpr):
     def window_bits(self, lo, hi, table=None):
         return progression_bits(self.lower, 1, lo, hi)
 
-    def subset_of_odd_from_3(self):
-        return False
+    def prime_floor(self):
+        return 2 if self.lower >= 2 else None
+
+    def primes_from(self):
+        return max(self.lower, 2)
 
     def describe(self):
         return f"ints>={self.lower}"
@@ -178,11 +190,11 @@ class Primes(SetExpr):
         table = _require_table(table, hi, self.describe())
         return bits_from_values(table.primes_in(max(lo, self.min_prime), hi), lo, hi)
 
-    def subset_of_odd_from_3(self):
-        return self.min_prime >= 3
+    def prime_floor(self):
+        return self.min_prime
 
-    def contains_all_odd_primes(self):
-        return self.min_prime <= 3
+    def primes_from(self):
+        return self.min_prime
 
     def describe(self):
         return f"primes>={self.min_prime}"
@@ -213,24 +225,17 @@ class RoughOdd(SetExpr):
         return True
 
     def window_bits(self, lo, hi, table=None):
-        if self.min_prime == 3:
-            return progression_bits(3, 2, lo, hi)
-        buf = bytearray((hi - lo) // 8 + 1) if hi >= lo else bytearray(1)
-        small = [q for q in range(3, self.min_prime, 2)]
-        start = max(lo, 3)
-        if start % 2 == 0:
-            start += 1
-        for v in range(start, hi + 1, 2):
-            if all(v % q for q in small):
-                i = v - lo
-                buf[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(buf, "little")
+        bits = progression_bits(3, 2, lo, hi)
+        for q in range(3, self.min_prime, 2):
+            if _is_prime_slow(q):
+                bits &= ~progression_bits(q, 2 * q, lo, hi)  # odd multiples of q
+        return bits
 
-    def subset_of_odd_from_3(self):
-        return True
+    def prime_floor(self):
+        return self.min_prime
 
-    def contains_all_odd_primes(self):
-        return self.min_prime == 3
+    def primes_from(self):
+        return self.min_prime
 
     def describe(self):
         return f"rough>={self.min_prime}"
@@ -253,8 +258,8 @@ class OddComposites(SetExpr):
         prime = bits_from_values(table.primes_in(max(lo, 9), hi), lo, hi)
         return odd & ~prime
 
-    def subset_of_odd_from_3(self):
-        return True
+    def prime_floor(self):
+        return 3
 
     def describe(self):
         return "composites"
@@ -292,8 +297,8 @@ class Stratum(SetExpr):
         members = members[(members >= lo) & (members <= hi)]
         return bits_from_values(members.tolist(), lo, hi)
 
-    def subset_of_odd_from_3(self):
-        return True
+    def prime_floor(self):
+        return 3
 
     def describe(self):
         return f"strata({self.layer})"
@@ -320,8 +325,10 @@ class FiniteSet(SetExpr):
     def window_bits(self, lo, hi, table=None):
         return bits_from_values(self.values, lo, hi)
 
-    def subset_of_odd_from_3(self):
-        return all(v >= 3 and v % 2 == 1 for v in self.values)
+    def prime_floor(self):
+        if all(v >= 3 and v % 2 == 1 for v in self.values):
+            return 3
+        return 2 if all(v >= 2 for v in self.values) else None
 
     def describe(self):
         return "{" + ",".join(map(str, sorted(self.values))) + "}"
@@ -362,11 +369,13 @@ class Union(SetExpr):
     def window_bits(self, lo, hi, table=None):
         return self.left.window_bits(lo, hi, table) | self.right.window_bits(lo, hi, table)
 
-    def subset_of_odd_from_3(self):
-        return self.left.subset_of_odd_from_3() and self.right.subset_of_odd_from_3()
+    def prime_floor(self):
+        floors = (self.left.prime_floor(), self.right.prime_floor())
+        return None if None in floors else min(floors)
 
-    def contains_all_odd_primes(self):
-        return self.left.contains_all_odd_primes() or self.right.contains_all_odd_primes()
+    def primes_from(self):
+        starts = (self.left.primes_from(), self.right.primes_from())
+        return min((p for p in starts if p is not None), default=None)
 
     def describe(self):
         return f"{self.left.describe()} u {self.right.describe()}"
@@ -420,7 +429,7 @@ def as_set_expr(obj) -> SetExpr:
         return obj
     if isinstance(obj, str):
         return parse_set_expr(obj)
-    if isinstance(obj, (set, frozenset, list, tuple)):
+    if isinstance(obj, (set, frozenset, list, tuple, range)):
         return FiniteSet(frozenset(obj))
     if callable(obj):
         return PredicateSet(obj)

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intsets import restrict, sumset_equal_window
+from .collapse import check_relation
+from .intsets import iterated_sumset, restrict
 from .setexpr import IntRange, Primes, Progression, RoughOdd
 from .sieve import PrimeTable
-from .verdict import RelationVerdict, Status, holds_on_window
+from .verdict import RelationVerdict
 
 # c + 3 - p is computed in int32, so c + 3 must fit
 _MAX_LIMIT = int(np.iinfo(np.int32).max) - 3
@@ -347,30 +348,21 @@ def verify_absorption(
 def nfold_collapse_check(
     n: int, window: tuple[int, int], table: PrimeTable
 ) -> RelationVerdict:
-    """Windowed check that n-fold sums of odd integers >= 3 equal n-fold sums
-    of odd primes; certified on [3n, hi] only."""
+    """The (n, n) relation from the odd integers >= 3 onto the odd primes:
+    sumsets certified on [3n, hi] only, factorization exact."""
     if n < 2:
         raise ValueError(f"fold count must be >= 2, got {n}")
     lo, hi = window
     if 3 * n > hi:
         raise ValueError(f"window [{lo}, {hi}] too small for {n}-fold sums of odds >= 3")
-    verdict = sumset_equal_window(
-        restrict(Progression(3), lo, hi), restrict(Primes(3), lo, hi, table), n
-    )
-    if verdict.status is not Status.HOLDS_ON_WINDOW:
-        return verdict
-    return holds_on_window(
-        verdict.certified_range,
-        verdict.note
-        + "; containment and factorization are exact (odd primes generate the odd "
-        "integers >= 3); nothing is claimed past the window",
-    )
+    return check_relation(Progression(3), Primes(3), n, n, window, table)
 
 
 def nfold_all_integers_check(
     n: int, window: tuple[int, int], table: PrimeTable
 ) -> RelationVerdict:
-    """Same comparison for all integers >= 2 against all primes; needs n >= 3."""
+    """The same relation from the integers >= 2 onto all primes, on [2, hi];
+    needs n >= 3."""
     if n < 3:
         raise ValueError(
             "the all-integers variant requires n >= 3 (11 = 4 + 7 breaks the pair case)"
@@ -378,15 +370,7 @@ def nfold_all_integers_check(
     lo, hi = window
     if 2 * n > hi:
         raise ValueError(f"window [{lo}, {hi}] too small for {n}-fold sums of ints >= 2")
-    verdict = sumset_equal_window(
-        restrict(IntRange(2), 2, hi), restrict(Primes(2), 2, hi, table), n
-    )
-    if verdict.status is not Status.HOLDS_ON_WINDOW:
-        return verdict
-    return holds_on_window(
-        verdict.certified_range,
-        verdict.note + "; primes generate the integers >= 2, so factorization is exact",
-    )
+    return check_relation(IntRange(2), Primes(2), n, n, (2, hi), table)
 
 
 @dataclass(frozen=True)
@@ -421,8 +405,6 @@ def rough_pair_cover_evidence(
     lo, hi = window
     rough = restrict(RoughOdd(p), lo, hi, table)
     primes = restrict(Primes(p), lo, hi, table)
-    from .intsets import iterated_sumset
-
     s2 = iterated_sumset(rough, 2)
     p2 = iterated_sumset(primes, 2)
     bad = s2.bits & ~p2.bits

@@ -300,14 +300,26 @@ def test_collapse_bad_set_spec(capsys):
     assert code == 2
 
 
+# sha256 of ``ring --modulus 8 --nmax 3 --csv``, taken before the table was streamed
+RING_8_3_CSV_SHA256 = "6af7de248ec8cc47473313a1763f1c04da5205dce4ff46d1a4158af2e29797f5"
+
+
 def test_ring_csv(tmp_path, capsys):
     path = tmp_path / "ring8.csv"
-    code, _, _ = run_cli(
-        ["ring", "--modulus", "8", "--nmax", "3", "--csv", str(path)], capsys
+    code, out, _ = run_cli(
+        ["ring", "--modulus", "8", "--nmax", "3", "--csv", str(path), "--format", "json"], capsys
     )
     assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RING_8_3_CSV_SHA256
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
+    payload = json.loads(out)
+    assert payload["rows"] == len(rows) == 255 * 255 * 9
+    assert payload["directed_rows"] == sum(r["directed"] == "1" for r in rows) == 3887
+    # the counts do not depend on writing the table
+    code, out, _ = run_cli(["ring", "--modulus", "4", "--nmax", "2", "--format", "json"], capsys)
+    assert code == 0
+    assert (json.loads(out)["rows"], json.loads(out)["directed_rows"]) == (15 * 15 * 4, 40)
     key = {"b_elements": "0|2|4", "c_elements": "0|2"}
     picked = {
         (r["m_fold"], r["n_fold"]): r
@@ -321,17 +333,25 @@ def test_ring_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("nmax", ["0", "-2"])
-def test_ring_nmax_below_one_is_refused(capsys, nmax):
-    code, out, err = run_cli(["ring", "--modulus", "8", "--nmax", nmax], capsys)
+def test_ring_nmax_below_one_is_refused(tmp_path, capsys, nmax):
+    path = tmp_path / "ring.csv"
+    code, out, err = run_cli(
+        ["ring", "--modulus", "8", "--nmax", nmax, "--csv", str(path)], capsys
+    )
     assert code == 2
     assert out == "" and "n_max" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("modulus", ["0", "1", "-3", "31"])
-def test_ring_degenerate_modulus_is_refused(capsys, modulus):
-    code, out, err = run_cli(["ring", "--modulus", modulus, "--nmax", "2"], capsys)
+def test_ring_degenerate_modulus_is_refused(tmp_path, capsys, modulus):
+    path = tmp_path / "ring.csv"
+    code, out, err = run_cli(
+        ["ring", "--modulus", modulus, "--nmax", "2", "--csv", str(path)], capsys
+    )
     assert code == 2
     assert out == "" and "modulus" in err
+    assert not path.exists()
 
 
 def test_strata_outputs(tmp_path, capsys):

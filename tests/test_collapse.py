@@ -40,7 +40,10 @@ from oracles import (
 def test_check_fp_fast_path(table_small):
     v = check_fp(Progression(3), Progression(3, 2, frozenset({9})), (3, 1000), table_small)
     assert v.status is Status.HOLDS
-    assert "odd primes" in v.note
+    assert "every prime >= 3" in v.note
+    # the prime floor of B meets the prime start of C: exact, not per member
+    for b, c in [(IntRange(2), Primes(2)), ("rough>=5", Primes(5)), ({9, 25}, "odd>=3 \\ {9}")]:
+        assert check_fp(b, c, (1, 1000), table_small).status is Status.HOLDS
 
 
 def test_check_fp_finite_cases():

@@ -156,6 +156,9 @@ def test_family_scan_guards():
         zm_expansion_family(Z(30, [2, 3, 5, 7]), 2)  # closure of 26 elements
     with pytest.raises(ValueError, match=r"2\^21 masks exceeds"):
         zm_reduction_family(Z(30, range(21)), 2)
+    # refused before any walk: a 17-element B would take minutes
+    with pytest.raises(ValueError, match=r"2\^17 masks exceeds the 2\^16 guard"):
+        zm_reduction_family(Z(30, range(17)), 2)
 
 
 def test_reduction_chain():

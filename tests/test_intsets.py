@@ -49,10 +49,13 @@ def test_restrict_examples(table_small):
 
 
 def test_window_set_basics():
-    ws = WindowSet.from_values(3, 20, [3, 5, 9])
+    ws = restrict([3, 5, 9, 25], 3, 20)
     assert 5 in ws and 7 not in ws and 21 not in ws
     assert len(ws) == 3
-    assert ws.min_member() == 3
+    assert restrict(range(4, 30, 7), 3, 20) == restrict({4, 11, 18}, 3, 20)
+    assert list(restrict(lambda v: v % 6 == 1, 3, 20).members()) == [7, 13, 19]
+    with pytest.raises(TypeError):
+        restrict(3.5, 3, 20)
     empty = WindowSet(6, 5, 0)
     assert len(empty) == 0 and list(empty.members()) == []
     with pytest.raises(ValueError):
@@ -70,16 +73,10 @@ def test_degenerate_window():
     assert list(d.members()) == [7]
 
 
-def test_difference_values():
-    a = WindowSet.from_values(1, 10, [5, 9])
-    b = WindowSet.from_values(1, 10, [2, 3])
-    assert a.difference_values(b) == {2, 3, 6, 7}
-
-
 def test_iterated_sumset_pair_cover():
     base = restrict(Progression(3), 3, 100)
     two = iterated_sumset(base, 2)
-    assert two.lo == 6 and two.hi == 100 and two.exact_from == 6
+    assert two.lo == 6 and two.hi == 100
     assert sorted(two.members()) == list(range(6, 101, 2))
 
 
@@ -97,9 +94,8 @@ def test_iterated_sumset_preconditions():
         iterated_sumset(base, 4)  # 12 > 10
     with pytest.raises(ValueError):
         iterated_sumset(base, 0)
-    partial = WindowSet(3, 50, restrict(Progression(3), 3, 50).bits, exact_from=10)
     with pytest.raises(ValueError):
-        iterated_sumset(partial, 2)  # not exact from the window start
+        iterated_sumset(WindowSet(-3, 10, 1), 2)  # negative window
 
 
 def test_sumset_monotone(table_small):
@@ -121,12 +117,12 @@ def test_progression_cardinality():
 
 
 def test_dilation():
-    ws = WindowSet.from_values(3, 20, [3, 5, 9])
+    ws = restrict([3, 5, 9], 3, 20)
     d = dilation(ws, 2)
     assert sorted(d.members()) == [6, 10, 18]
     assert d.lo == 6 and d.hi == 20
     assert dilation(ws, 1) == ws
-    tiny = dilation(WindowSet.from_values(9, 20, [15]), 2)
+    tiny = dilation(restrict([15], 9, 20), 2)
     assert list(tiny.members()) == []  # 30 exceeds the window
 
 
@@ -168,6 +164,14 @@ def test_sumset_equal_window_verdicts():
 
     with pytest.raises(ValueError):
         sumset_equal_window(a, restrict(Progression(3), 3, 50), 2)
+
+    # unequal folds compare from the larger fold's start
+    odds = restrict(Progression(3), 3, 400)
+    v = sumset_equal_window(restrict(range(6, 401, 2), 3, 400), odds, 1, 2)
+    assert v.status is Status.HOLDS_ON_WINDOW and v.certified_range == (6, 400)
+    v = sumset_equal_window(restrict(range(8, 401, 2), 3, 400), odds, 1, 2)
+    assert v.status is Status.FAILS and v.counterexample == 6
+    assert "only in the right operand" in v.note
 
 
 def test_sumset_equal_window_empty_range():

@@ -4,12 +4,31 @@ seed-pinned and runs at least 200 cases."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumcollapse import Progression, intsets, iterated_sumset, pair_sum_cover_decision, restrict
+from sumcollapse import (
+    FiniteSet,
+    IntRange,
+    OddComposites,
+    Primes,
+    Progression,
+    RoughOdd,
+    check_fp,
+    intsets,
+    iterated_sumset,
+    pair_sum_cover_decision,
+    restrict,
+)
+from sumcollapse.verdict import Status
 
-from oracles import is_prime_bf, least_uncovered_pair_sum, nfold_sums_bf, shift_or_bf
+from oracles import (
+    is_prime_bf,
+    least_uncovered_pair_sum,
+    nfold_sums_bf,
+    ordered_factorizations_bf,
+    shift_or_bf,
+)
 import property_suites as ps
 
 
@@ -224,3 +243,81 @@ def test_pair_cover_decision_against_brute_force(picks, runs, with_three, primes
     v = pair_sum_cover_decision(Progression(3, 2, frozenset(excluded)))
     got = (v.status.value, v.counterexample, v.certified_range, v.note)
     assert got == _expected_pair_cover(excluded)
+
+
+def _least_prime_factor(v):
+    return next(d for d in range(2, v + 1) if v % d == 0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 11, 13]), lo=st.integers(-20, 300), width=st.integers(0, 400))
+def test_rough_window_against_brute_force(p, lo, width):
+    # windows below, straddling and past 3
+    hi = lo + width
+    want = [v for v in range(max(lo, 3), hi + 1) if v % 2 and _least_prime_factor(v) >= p]
+    assert list(restrict(RoughOdd(p), lo, hi).members()) == want
+
+
+# each set as (expression, independent membership predicate)
+def _odd_from(a, excluded=()):
+    return (
+        Progression(a, 2, frozenset(excluded)),
+        lambda v: v >= a and v % 2 == 1 and v not in excluded,
+    )
+
+
+def _ints_from(a):
+    return IntRange(a), lambda v: v >= a
+
+
+def _primes_from(p):
+    return Primes(p), lambda v: v >= p and is_prime_bf(v)
+
+
+def _rough_from(p):
+    return RoughOdd(p), lambda v: v >= 3 and v % 2 == 1 and _least_prime_factor(v) >= p
+
+
+def _finite(values):
+    return FiniteSet(frozenset(values)), lambda v: v in values
+
+
+ODD_COMPOSITES = (OddComposites(), lambda v: v >= 9 and v % 2 == 1 and not is_prime_bf(v))
+
+
+@st.composite
+def _factor_sets(draw):
+    kinds = ["odd", "odd minus", "ints", "primes", "rough", "composites", "finite"]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("odd", "odd minus"):
+        a = draw(st.sampled_from([1, 3, 5, 7, 9]))
+        offsets = draw(st.sets(st.integers(0, 30), max_size=4)) if kind == "odd minus" else ()
+        return _odd_from(a, {a + 2 * k for k in offsets})
+    if kind == "ints":
+        return _ints_from(draw(st.integers(1, 6)))
+    if kind == "primes":
+        return _primes_from(draw(st.sampled_from([2, 3, 5, 7, 11])))
+    if kind == "rough":
+        return _rough_from(draw(st.sampled_from([3, 5, 7, 11])))
+    if kind == "composites":
+        return ODD_COMPOSITES
+    return _finite(draw(st.sets(st.integers(1, 400), min_size=1, max_size=8)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(b=_factor_sets(), c=_factor_sets(), lo=st.integers(1, 40), width=st.integers(0, 360))
+# an odd right-hand side cannot factor 2: a rough set holds no prime below its bound
+@example(b=_ints_from(2), c=_rough_from(3), lo=1, width=50)
+# 1 is no product of primes: ints>=1 has no prime floor
+@example(b=_ints_from(1), c=_primes_from(2), lo=1, width=50)
+# a removed prime starts the right-hand side's primes past it
+@example(b=_odd_from(3), c=_odd_from(3, {7}), lo=1, width=50)
+def test_check_fp_against_brute_force(table_small, b, c, lo, width):
+    (b_expr, in_b), (c_expr, in_c) = b, c
+    hi = lo + width
+    bad = [v for v in range(lo, hi + 1) if in_b(v) and not ordered_factorizations_bf(v, in_c)]
+    v = check_fp(b_expr, c_expr, (lo, hi), table_small)
+    if bad:
+        assert v.status is Status.FAILS and v.counterexample == bad[0], (b_expr, c_expr, v)
+    else:
+        assert v.ok, (b_expr, c_expr, v)

@@ -97,18 +97,31 @@ def test_prime_backed_sets_need_a_table():
 
 
 def test_classification_flags():
-    assert Progression(3).contains_all_odd_primes()
-    assert Progression(3, 2, frozenset({9})).contains_all_odd_primes()
-    assert not Progression(3, 2, frozenset({7})).contains_all_odd_primes()
-    assert not Progression(5).contains_all_odd_primes()
-    assert not Progression(3, 4).contains_all_odd_primes()
-    assert Primes(3).contains_all_odd_primes()
-    assert not Primes(5).contains_all_odd_primes()
-    assert Progression(3).subset_of_odd_from_3()
-    assert Progression(5, 4).subset_of_odd_from_3()
-    assert not Progression(1).subset_of_odd_from_3()
-    assert not IntRange(2).subset_of_odd_from_3()
-    assert OddComposites().subset_of_odd_from_3()
+    assert Progression(3).primes_from() == 3
+    assert Progression(3, 2, frozenset({9})).primes_from() == 3
+    assert Progression(3, 2, frozenset({7})).primes_from() == 8
+    assert Progression(5).primes_from() == 5
+    assert Progression(3, 4).primes_from() is None
+    assert Progression(2, 1, frozenset({2, 4})).primes_from() == 3
+    assert Primes(3).primes_from() == 3
+    assert Primes(5).primes_from() == 5
+    assert IntRange(1).primes_from() == 2
+    assert RoughOdd(7).primes_from() == 7
+    assert OddComposites().primes_from() is None
+    assert Progression(3).prime_floor() == 3
+    assert Progression(5, 4).prime_floor() == 3
+    assert Progression(1).prime_floor() is None
+    assert Progression(4).prime_floor() == 2
+    assert IntRange(2).prime_floor() == 2
+    assert IntRange(1).prime_floor() is None
+    assert Primes(2).prime_floor() == 2
+    assert RoughOdd(5).prime_floor() == 5
+    assert OddComposites().prime_floor() == 3
+    assert FiniteSet(frozenset({9, 15})).prime_floor() == 3
+    assert FiniteSet(frozenset({4, 9})).prime_floor() == 2
+    assert FiniteSet(frozenset({1, 9})).prime_floor() is None
+    assert Union(Primes(5), FiniteSet(frozenset({9}))).prime_floor() == 3
+    assert Union(Primes(5), OddComposites()).primes_from() == 5
 
 
 def test_odd_forms_are_progressions():
