@@ -13,6 +13,12 @@ certificate; everything else, prime-backed sets included, earns a windowed
 verdict.  Each part has one decider: the sumsets
 :func:`~sumcollapse.intsets.sumset_equal_window`, the factorization
 :func:`check_fp` and the containment ``_containment``.
+
+Every exact removal verdict -- a relation, a composite tuple, a gap family
+or a premise of the prefix cascade -- comes from one certificate,
+``_removal_certificate``: the exact pair-sum decision, cross-checked with
+bitset sumsets over the range it enumerates, plus one least-prime witness
+per removed value.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 
 from .intsets import pair_sum_cover_decision, restrict, sumset_equal_window
 from .setexpr import FiniteSet, Primes, Progression, SetExpr, as_set_expr
-from .sieve import CompositeIndex, PrimeTable, _is_prime_slow
+from .sieve import CompositeIndex, PrimeTable, _is_prime_slow, is_rough
 from .verdict import (
     RelationVerdict,
     Status,
@@ -238,7 +244,7 @@ def _validate_composite_tuple(ks, table: PrimeTable) -> tuple[int, ...]:
     if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
         raise ValueError("removal candidates must be strictly increasing")
     for c in ks:
-        if c % 2 == 0 or c < 9 or table.is_prime(c):
+        if not table.is_odd_composite(c):
             raise ValueError(f"{c} is not an odd composite number")
     return ks
 
@@ -269,19 +275,19 @@ def _removal_witnesses(excluded: frozenset[int], table: PrimeTable):
     return tuple(out)
 
 
-def _removal_certificate(
-    removal: Progression, table: PrimeTable, window: tuple[int, int] | None = None
-) -> RelationVerdict:
+def _removal_certificate(removal: Progression, table: PrimeTable) -> RelationVerdict:
     """Exact decision whether 2*(odd integers >= 3) equals 2*``removal``.
 
-    A ``holds`` is cross-validated against the windowed sumset engine on
-    ``[3, window end]`` (by default up to past the enumerated threshold)
-    and carries one witness per removed value.
+    Every exact removal verdict comes from here.  A ``holds`` is
+    cross-validated against the windowed sumset engine on ``[3, 2M + 6]``
+    (at least ``[3, 60]``), M the largest removed value, which is the range
+    the enumeration covers; it carries one witness per removed value,
+    largest first, each with the least prime that works.
     """
     exact = pair_sum_cover_decision(removal)
     if exact.status is not Status.HOLDS or not removal.excluded:
         return exact
-    hi = max(2 * removal.max_excluded + 6, 60) if window is None else window[1]
+    hi = max(2 * removal.max_excluded + 6, 60)
     cross = sumset_equal_window(
         restrict(Progression(3), 3, hi), restrict(removal, 3, hi), 2
     )
@@ -298,9 +304,7 @@ def _removal_certificate(
     )
 
 
-def composite_removal_check(
-    ks, table: PrimeTable, window: tuple[int, int] | None = None
-) -> RelationVerdict:
+def composite_removal_check(ks, table: PrimeTable) -> RelationVerdict:
     """Exact certificate that removing ``ks`` keeps all even pair sums reachable.
 
     Requires the prime-surplus hypothesis; without it the claim is not
@@ -315,16 +319,15 @@ def composite_removal_check(
             f"candidate #{i} = {c} has only {table.prime_count(c)} primes below "
             f"it, fewer than {i + 2}",
         )
-    return _removal_certificate(Progression(3, 2, frozenset(ks)), table, window)
+    return _removal_certificate(Progression(3, 2, frozenset(ks)), table)
 
 
-def gap_subsequence_check(
-    bs, table: PrimeTable, window: tuple[int, int] | None = None
-) -> RelationVerdict:
+def gap_subsequence_check(bs, table: PrimeTable) -> RelationVerdict:
     """Exact removal certificate for odd composites spaced more than 2 apart.
 
-    Replays the explicit witness 3 + b = 5 + (b - 2): the gap condition keeps
-    b - 2 outside the removed set.
+    The gap condition keeps b - 2 outside the removed set, and the prime 3
+    would pair with b itself, so the certificate's least-prime witness for
+    each removed b is 3 + b = 5 + (b - 2).
     """
     bs = _validate_composite_tuple(bs, table)
     for i in range(len(bs) - 1):
@@ -332,21 +335,7 @@ def gap_subsequence_check(
             raise ValueError(
                 f"gap condition violated: {bs[i + 1]} - {bs[i]} <= 2"
             )
-    removal = Progression(3, 2, frozenset(bs))
-    exact = pair_sum_cover_decision(removal)
-    if exact.status is not Status.HOLDS:
-        return exact
-    witnesses = []
-    for b in bs:
-        partner = b - 2
-        if partner in removal.excluded:  # cannot happen under the gap condition
-            raise RuntimeError(f"gap witness for {b} unexpectedly excluded")
-        witnesses.append((b, 5, partner))
-    return holds(
-        exact.note + "; every removed b also carries the explicit witness "
-        "3 + b = 5 + (b - 2)",
-        witnesses=tuple(witnesses),
-    )
+    return _removal_certificate(Progression(3, 2, frozenset(bs)), table)
 
 
 def progression_removal_check(
@@ -355,7 +344,6 @@ def progression_removal_check(
     removed,
     window: tuple[int, int],
     table: PrimeTable | None = None,
-    verify_hypotheses: bool = True,
 ) -> RelationVerdict:
     """Windowed check that removing ``removed`` from the progression keeps pair
     sums intact, contingent on three hypotheses.
@@ -363,8 +351,6 @@ def progression_removal_check(
     Hypotheses: (1) every removed value factors inside the depleted
     progression, (2) base + max(removed) is a sum of two distinct smaller
     removed values, (3) removal of each all-but-one subset already works.
-    With ``verify_hypotheses=False`` they are taken as given and only the
-    conclusion is compared on the window.
     """
     removed = tuple(sorted(removed))
     if len(removed) < 2:
@@ -380,39 +366,29 @@ def progression_removal_check(
         raise ValueError("window must cover every removed value")
 
     depleted = prog.without(removed)
-    if verify_hypotheses:
-        fp = check_fp(FiniteSet(removed), depleted, (removed[0], removed[-1]), table)
-        if not fp.ok:
-            return hypothesis_failed(
-                1,
-                f"{fp.counterexample} has no factorization inside the depleted progression",
-            )
-        target = base + removed[-1]
-        smaller = removed[:-1]
-        pair = next(
-            (
-                (x, y)
-                for i, x in enumerate(smaller)
-                for y in smaller[i + 1 :]
-                if x + y == target
-            ),
-            None,
+    fp = check_fp(FiniteSet(removed), depleted, (removed[0], removed[-1]), table)
+    if not fp.ok:
+        return hypothesis_failed(
+            1,
+            f"{fp.counterexample} has no factorization inside the depleted progression",
         )
-        if pair is None:
+    target = base + removed[-1]
+    smaller = removed[:-1]
+    if not any(target - x in smaller[i + 1 :] for i, x in enumerate(smaller)):
+        return hypothesis_failed(
+            2,
+            f"{base} + {removed[-1]} = {target} is not a sum of two distinct "
+            "smaller removed values",
+        )
+    for i, c in enumerate(removed):
+        d_i = frozenset(removed) - {c}
+        verdict = check_relation(
+            prog, prog.without(d_i), 2, 2, window, table, require_subset=True
+        )
+        if not verdict.ok:
             return hypothesis_failed(
-                2,
-                f"{base} + {removed[-1]} = {target} is not a sum of two distinct "
-                "smaller removed values",
+                3, f"all-but-one removal keeping {c} fails: {verdict.note}"
             )
-        for i, c in enumerate(removed):
-            d_i = frozenset(removed) - {c}
-            verdict = check_relation(
-                prog, prog.without(d_i), 2, 2, window, table, require_subset=True
-            )
-            if not verdict.ok:
-                return hypothesis_failed(
-                    3, f"all-but-one removal keeping {c} fails: {verdict.note}"
-                )
 
     conclusion = check_relation(
         prog, depleted, 2, 2, window, table, require_subset=True
@@ -446,15 +422,14 @@ def prefix_removal_cascade(k: int, l: int, table: PrimeTable) -> RelationVerdict
     results = []
     for i in range(l + 1):
         kept = prefix[k + i - 1]
-        removal = frozenset(prefix) - {kept}
-        verdict = pair_sum_cover_decision(Progression(3, 2, removal))
+        verdict = _removal_certificate(Progression(3, 2, frozenset(prefix) - {kept}), table)
         results.append({"premise": i, "kept": kept, "status": verdict.status.value})
         if verdict.status is Status.FAILS:
             return fails(
                 verdict.counterexample,
                 f"premise {i} (keeping {kept}) fails: {verdict.note}",
             )
-    conclusion = pair_sum_cover_decision(Progression(3, 2, frozenset(prefix)))
+    conclusion = _removal_certificate(Progression(3, 2, frozenset(prefix)), table)
     results.append({"conclusion": True, "status": conclusion.status.value})
     status = weakest(conclusion.status, *(Status(r["status"]) for r in results[:-1]))
     return RelationVerdict(
@@ -644,11 +619,7 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
             f"sieve limit {table.limit} holds fewer than {k_max} odd composites"
         )
     comps = index.first(k_max)
-    is_prime = table.is_prime
-
-    def is_odd_composite(v: int) -> bool:
-        return v >= 9 and v % 2 == 1 and not is_prime(v)
-
+    is_prime, is_odd_composite = table.is_prime, table.is_odd_composite
     missing = []
     witnesses: dict[int, tuple[int, int]] = {}
     for k in range(3, k_max + 1):
@@ -739,8 +710,6 @@ def parameter_uniqueness_report(table: PrimeTable, hi: int) -> UniquenessReport:
             note="pair sums of odds >= 5 start at 10, yet 6 = 3 + 3 is a prime pair sum",
         )
     )
-
-    from .sieve import is_rough
 
     cases.append(
         CaseResult(

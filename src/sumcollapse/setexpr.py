@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .intsets import bits_from_values, progression_bits
-from .sieve import PrimeTable, _is_prime_slow
+from .sieve import PrimeTable, _is_prime_slow, is_rough
 
 
 class SetExpr:
@@ -215,14 +215,7 @@ class RoughOdd(SetExpr):
             raise ValueError(f"rough>= takes an odd prime bound, got {self.min_prime}")
 
     def contains(self, n, table=None):
-        if n < 3 or n % 2 == 0:
-            return False
-        q = 3
-        while q < self.min_prime:
-            if n % q == 0:
-                return False
-            q += 2
-        return True
+        return n >= 3 and n % 2 == 1 and is_rough(n, self.min_prime)
 
     def window_bits(self, lo, hi, table=None):
         bits = progression_bits(3, 2, lo, hi)
@@ -246,11 +239,9 @@ class OddComposites(SetExpr):
     """All odd composite numbers (9, 15, 21, ...)."""
 
     def contains(self, n, table=None):
-        if n < 9 or n % 2 == 0:
-            return False
         if table is not None and n <= table.limit:
-            return not table.is_prime(n)
-        return not _is_prime_slow(n)
+            return table.is_odd_composite(n)
+        return n % 2 == 1 and n >= 9 and not _is_prime_slow(n)
 
     def window_bits(self, lo, hi, table=None):
         table = _require_table(table, hi, self.describe())
@@ -345,12 +336,7 @@ class PredicateSet(SetExpr):
         return bool(self.fn(n))
 
     def window_bits(self, lo, hi, table=None):
-        buf = bytearray((hi - lo) // 8 + 1) if hi >= lo else bytearray(1)
-        for v in range(lo, hi + 1):
-            if self.fn(v):
-                i = v - lo
-                buf[i >> 3] |= 1 << (i & 7)
-        return int.from_bytes(buf, "little")
+        return bits_from_values(filter(self.fn, range(lo, hi + 1)), lo, hi)
 
     def describe(self):
         return self.label

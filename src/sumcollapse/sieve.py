@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .intsets import _BITPOS
+
 SEGMENT_ODDS = 1 << 20      # odd numbers sieved per segment
 CHECKPOINT_BITS = 1 << 16   # bits per prime-count checkpoint block
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
-# bit positions set within a byte value, for fast scans
-_BITS_OF = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
 
 def _simple_odd_sieve(limit: int) -> bytearray:
@@ -103,6 +102,10 @@ class PrimeTable:
             return n == 2
         i = n >> 1
         return bool(self._bits[i >> 3] >> (i & 7) & 1)
+
+    def is_odd_composite(self, n: int) -> bool:
+        """Odd, >= 9 and not prime; only the primality lookup checks the range."""
+        return n % 2 == 1 and n >= 9 and not self.is_prime(n)
 
     def _count_odd_bits_through(self, i: int) -> int:
         """Popcount of prime bits with index in ``[0, i]``."""
@@ -188,7 +191,7 @@ class PrimeTable:
             if not b:
                 continue
             base = byte_idx << 3
-            for j in _BITS_OF[b]:
+            for j in _BITPOS[b]:
                 i = base + j
                 if i0 <= i <= i1:
                     yield 2 * i + 1
@@ -222,7 +225,7 @@ class CompositeIndex:
         return self.table.nth_odd_composite(k)
 
     def rank(self, c: int) -> int:
-        if c % 2 == 0 or c < 9 or self.table.is_prime(c):
+        if not self.table.is_odd_composite(c):
             raise ValueError(f"{c} is not an odd composite number")
         return self.table.odd_composite_count(c)
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 import csv
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .collapse import check_relation
-from .intsets import iterated_sumset, restrict
+from .intsets import iter_bits, iterated_sumset, restrict
 from .setexpr import IntRange, Primes, Progression, RoughOdd
 from .sieve import PrimeTable
 from .verdict import RelationVerdict
@@ -37,6 +38,10 @@ from .verdict import RelationVerdict
 # c + 3 - p is computed in int32, so c + 3 must fit
 _MAX_LIMIT = int(np.iinfo(np.int32).max) - 3
 _MAX_LAYER = int(np.iinfo(np.int8).max)
+
+# the shifted-prime inclusion starts at 3 + 7 = 10, the least pair sum of primes >= 5
+SHIFTED_MIN_PRIME = 7
+MAX_LISTED = 50  # rough-cover violations listed; the count covers them all
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +82,6 @@ class StrataTable:
     @property
     def max_layer(self) -> int:
         return int(self.layer.max(initial=0))
-
-    def layer_members(self, k: int) -> list[int]:
-        return self.composites[self.layer == k].tolist()
 
     def census(self) -> dict[int, dict[str, int]]:
         out: dict[int, dict[str, int]] = {}
@@ -391,15 +393,12 @@ class EvidenceReport:
 
 
 def rough_pair_cover_evidence(
-    p: int,
-    window: tuple[int, int],
-    table: PrimeTable,
-    shifted_min_prime: int = 7,
-    max_listed: int = 50,
+    p: int, window: tuple[int, int], table: PrimeTable
 ) -> EvidenceReport:
-    """List every on-window pair sum of p-rough numbers that is not a pair sum
-    of primes >= p, plus violations of the shifted-prime inclusion
-    3 + (primes >= shifted_min_prime) within pair sums of primes >= 5."""
+    """List the on-window pair sums of p-rough numbers that are not pair sums
+    of primes >= p (the first ``MAX_LISTED``, and their count), plus the
+    primes q on [7, hi - 3] whose shift 3 + q is not a pair sum of primes >= 5
+    on the window."""
     if p == 2:
         raise ValueError("p = 2 is covered by the all-integers witness 11 = 4 + 7")
     lo, hi = window
@@ -408,27 +407,23 @@ def rough_pair_cover_evidence(
     s2 = iterated_sumset(rough, 2)
     p2 = iterated_sumset(primes, 2)
     bad = s2.bits & ~p2.bits
-    count = bad.bit_count()
-    listed = []
-    t = bad
-    while t and len(listed) < max_listed:
-        low = t & -t
-        listed.append(s2.lo + low.bit_length() - 1)
-        t ^= low
+    listed = tuple(s2.lo + i for i in islice(iter_bits(bad), MAX_LISTED))
 
-    five = restrict(Primes(5), lo, hi, table)
-    pair5 = iterated_sumset(five, 2)
-    shifted_bad = []
-    for q in table.primes_in(shifted_min_prime, hi - 3):
-        s = 3 + q
-        if s < pair5.lo or not (pair5.bits >> (s - pair5.lo) & 1):
-            shifted_bad.append(q)
+    pair5 = iterated_sumset(restrict(Primes(5), lo, hi, table), 2)
+    shifted_bad = ()
+    q_lo = SHIFTED_MIN_PRIME
+    if hi - 3 >= q_lo:
+        # bit i of ``shifts`` is q = q_lo + i; align pair5 so its bit i is the sum q + 3
+        shifts = restrict(Primes(q_lo), q_lo, hi - 3, table).bits
+        offset = q_lo + 3 - pair5.lo
+        covered = pair5.bits >> offset if offset >= 0 else pair5.bits << -offset
+        shifted_bad = tuple(q_lo + i for i in iter_bits(shifts & ~covered))
     return EvidenceReport(
         p,
         window,
         (2 * lo, hi),
-        tuple(listed),
-        count,
-        shifted_min_prime,
-        tuple(shifted_bad),
+        listed,
+        bad.bit_count(),
+        SHIFTED_MIN_PRIME,
+        shifted_bad,
     )

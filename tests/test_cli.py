@@ -166,14 +166,24 @@ def test_battery_runs_at_floor(capsys, command):
 
 
 # sha256 of ``verify --limit 30000 --format json``, frozen from the battery as
-# it stood inside the CLI module
-VERIFY_30000_SHA256 = "a4d49dc2675276b86f89b154ef7c10134fe2b657b9d2e46b35663ee1ea9a8570"
+# it stood inside the CLI module; re-pinned when the gap families took their
+# witnesses from the one removal certificate, which lists them largest first
+# (the only difference from the earlier bytes)
+VERIFY_30000_SHA256 = "a9b49388708e7bddb67fe885287b531bee3c48eb88715e6fe22051945bac241f"
 
 
 def test_verify_golden_bytes(capsys):
     code, out, _ = run_cli(["verify", "--limit", "30000", "--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_30000_SHA256
+    # every exact removal entry lists its witnesses from the largest removed value down
+    checks = {c["ref"]: c for c in json.loads(out)["checks"]}
+    refs = ["collapse/removal-triple", "collapse/removal-first-22"]
+    refs += [ref for ref in checks if ref.startswith("collapse/gap-family-")]
+    assert len(refs) == 4
+    for ref in refs:
+        removed = [c for c, _, _ in checks[ref]["witnesses"]]
+        assert removed == sorted(set(removed), reverse=True), ref
 
 
 # sha256 of fold-check outputs at the saturation cutoff's introduction, taken
@@ -184,8 +194,10 @@ FOLD_GOLDEN = [
      "ff955167915c05d78a697f1b89bd0b1d1d888624314e3b37b4d808c0332cb4a0"),
     (["collapse", "--rel", "primes>=3 ~(4,4)~ odd>=3", "--window", "3..20000"], 1,
      "e9cadc540bc220c4db3b0b6fbb8232710f1027adc538d0d9ce36b27bdd20d08d"),
+    # re-pinned with the 30000 digest above: only the primorial gap family's
+    # witness order differs from the earlier bytes
     (["verify", "--limit", "200000"], 0,
-     "b3d6ac152888b1437de98052d3e25411cf15c3c2ed5ead56aaf25819348bf953"),
+     "2922a5aca27e08f98652efc058d64619132abcc319268255c9a5ae740e74726f"),
 ]
 
 

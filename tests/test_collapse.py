@@ -9,6 +9,7 @@ from sumcollapse import (
     Union,
     check_fp,
     check_relation,
+    collapse,
     composite_removal_check,
     decompositions,
     euclid_chain_composites,
@@ -23,7 +24,7 @@ from sumcollapse import (
     relation_parts,
     shifted_composite_pair_sweep,
 )
-from sumcollapse.verdict import Status
+from sumcollapse.verdict import Status, fails
 
 from oracles import (
     goldbach_pair,
@@ -173,14 +174,17 @@ def test_removal_witnesses_verify(table_small):
         assert d % 2 == 1 and d >= 3 and d not in ks
 
 
-def test_gap_subsequence(table_small):
-    v = gap_subsequence_check((9, 15, 21, 25), table_small)
-    assert v.status is Status.HOLDS
-    assert (9, 5, 7) in v.witnesses
+def test_gap_subsequence(table_1e5):
+    # the prime 3 would pair 3 + b with the removed b itself and the gap keeps
+    # b - 2, so the least-prime witness of every removed b is 5 + (b - 2)
+    for bs in [(9, 15, 21, 25), primorial_odd_products(100_000), (1807,)]:
+        v = gap_subsequence_check(bs, table_1e5)
+        assert v.status is Status.HOLDS
+        assert set(v.witnesses) == {(b, 5, b - 2) for b in bs}
     with pytest.raises(ValueError):
-        gap_subsequence_check((9, 11), table_small)  # 11 is prime
+        gap_subsequence_check((9, 11), table_1e5)  # 11 is prime
     with pytest.raises(ValueError):
-        gap_subsequence_check((25, 27), table_small)  # gap of 2
+        gap_subsequence_check((25, 27), table_1e5)  # gap of 2
 
 
 def test_removable_infinite_families(table_1e5):
@@ -207,13 +211,6 @@ def test_progression_removal_hypothesis2(table_small):
     assert v.status is Status.HYPOTHESIS_FAILED and v.failed_hypothesis == 2
 
 
-def test_progression_removal_assumed_hypotheses(table_small):
-    v = progression_removal_check(
-        3, 2, (9, 15), (3, 2000), table_small, verify_hypotheses=False
-    )
-    assert v.status is Status.HOLDS_ON_WINDOW
-
-
 def test_progression_removal_validation(table_small):
     with pytest.raises(ValueError):
         progression_removal_check(3, 2, (3, 9), (3, 100), table_small)  # base itself
@@ -231,6 +228,32 @@ def test_prefix_cascade(table_small):
     assert v.status is Status.HOLDS
     assert len(v.witnesses) == 9  # 8 leave-one-out premises plus the conclusion
     assert all(w["status"] == "holds" for w in v.witnesses)
+
+
+def test_removal_disagreement_is_an_internal_error(monkeypatch, table_small):
+    # every exact removal verdict is cross-checked against windowed sumsets
+    real = collapse.sumset_equal_window
+
+    def disagree_from(removed):
+        """Windowed sumsets that disagree once ``removed`` values are missing."""
+        def planted(a, b, m, n=None):
+            if len(a) - len(b) >= removed:
+                return fails(6, "planted disagreement")
+            return real(a, b, m, n)
+        return planted
+
+    claims = [
+        (1, lambda: composite_removal_check((9, 15, 21), table_small)),
+        (1, lambda: gap_subsequence_check((9, 15, 21, 25), table_small)),
+        (1, lambda: check_relation("odd>=3", "odd>=3 \\ {9,15}", 2, 2, (3, 100), table_small)),
+        (1, lambda: prefix_removal_cascade(1, 7, table_small)),
+        # only the cascade's conclusion removes all eight
+        (8, lambda: prefix_removal_cascade(1, 7, table_small)),
+    ]
+    for removed, claim in claims:
+        monkeypatch.setattr(collapse, "sumset_equal_window", disagree_from(removed))
+        with pytest.raises(RuntimeError, match="disagree"):
+            claim()
 
 
 def test_prefix_cascade_precondition(table_small):

@@ -19,6 +19,7 @@ from sumcollapse import (
     iterated_sumset,
     pair_sum_cover_decision,
     restrict,
+    rough_pair_cover_evidence,
 )
 from sumcollapse.verdict import Status
 
@@ -27,6 +28,7 @@ from oracles import (
     least_uncovered_pair_sum,
     nfold_sums_bf,
     ordered_factorizations_bf,
+    primes_upto,
     shift_or_bf,
 )
 import property_suites as ps
@@ -321,3 +323,24 @@ def test_check_fp_against_brute_force(table_small, b, c, lo, width):
         assert v.status is Status.FAILS and v.counterexample == bad[0], (b_expr, c_expr, v)
     else:
         assert v.ok, (b_expr, c_expr, v)
+
+
+
+_PRIMES_3000 = primes_upto(3_000)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(p=st.sampled_from([3, 5]), lo=st.integers(3, 60), width=st.integers(0, 2_880))
+@example(p=3, lo=3, width=3)  # a window ending below 10 shifts no prime
+@example(p=5, lo=60, width=0)  # every shift below 2 * lo is a violation
+def test_shifted_prime_inclusion_against_brute_force(table_1e5, p, lo, width):
+    # the primes q in [7, hi - 3] whose shift 3 + q is no sum of two primes
+    # >= 5 from the window [lo, hi]
+    hi = 2 * lo + width
+    pool = {q for q in _PRIMES_3000 if max(lo, 5) <= q <= hi}
+    want = tuple(
+        q for q in _PRIMES_3000
+        if 7 <= q <= hi - 3 and not any(3 + q - a in pool for a in pool)
+    )
+    ev = rough_pair_cover_evidence(p, (lo, hi), table_1e5)
+    assert ev.shifted_violations == want

@@ -91,6 +91,13 @@ def test_scans_match_oracle(table_small):
     assert list(table_small.primes_in(14, 16)) == []
 
 
+def test_is_odd_composite(table_small):
+    got = [n for n in range(-9, table_small.limit + 1) if table_small.is_odd_composite(n)]
+    assert got == odd_composites_upto(table_small.limit)
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        table_small.is_odd_composite(table_small.limit + 1)
+
+
 def test_is_rough():
     assert is_rough(9, 3)
     assert is_rough(35, 5)
