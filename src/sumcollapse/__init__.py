@@ -30,6 +30,7 @@ from .finite_ring import (
     RelationTableEntry,
     ZmSubset,
     optimal_weight_set,
+    relation_table,
     relation_table_rows,
     zm_closure,
     zm_expansion_family,

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import itertools
 import json
 import re
 import sys
+
+import numpy as np
 
 from . import battery
 from . import collapse as col
@@ -180,58 +180,58 @@ def _cmd_collapse(args) -> int:
     return 1 if verdict.status is Status.FAILS else 0
 
 
-_RING_HEADER = [
-    "modulus",
-    "b_mask",
-    "b_elements",
-    "c_mask",
-    "c_elements",
-    "m_fold",
-    "n_fold",
-    "sumset_equal",
-    "fp",
-    "subset",
-    "symmetric",
-    "directed",
-]
+_RING_HEADER = (
+    "modulus,b_mask,b_elements,c_mask,c_elements,m_fold,n_fold,"
+    "sumset_equal,fp,subset,symmetric,directed\r\n"
+)
+_RING_CHUNK = 1 << 16  # CSV lines joined into one write
+
+
+def _ring_lines(prefixes: list[str], suffixes: list[str], eq, low, n_max: int):
+    """One B block of the ring CSV, in strings of at most ``_RING_CHUNK`` lines.
+
+    Line ``i`` is ``prefixes[i // n_max]`` (modulus, B, C, m_fold) joined to
+    ``suffixes[8 * (n_fold - 1) + code]``, where ``code`` packs
+    (sumset_equal, fp, subset) and ``low`` holds fp and subset per C.
+    """
+    flat = eq.ravel()
+    for start in range(0, flat.size, _RING_CHUNK):
+        i = np.arange(start, min(start + _RING_CHUNK, flat.size))
+        code = i % n_max * 8 + flat[i] * 4 + low[i // (n_max * n_max)]
+        heads = map(prefixes.__getitem__, (i // n_max).tolist())
+        yield "".join(map(str.__add__, heads, map(suffixes.__getitem__, code.tolist())))
 
 
 def _cmd_ring(args) -> int:
-    m = args.modulus
-    entries = ring.relation_table_rows(m, args.nmax)
+    m, n_max = args.modulus, args.nmax
     # a refused modulus or fold bound raises here, before any file is created
-    entries = itertools.chain([next(entries)], entries)
+    blocks = ring.relation_table(m, n_max)
     labels = ["|".join(str(x) for x in range(m) if mask >> x & 1) for mask in range(1 << m)]
+    c_parts = [f"{c},{labels[c]}," for c in range(1, 1 << m)]
+    m_parts = [f"{mf}," for mf in range(1, n_max + 1)]
+    suffixes = [
+        f"{nf},{eq},{fp},{sub},{eq & fp},{eq & fp & sub}\r\n"
+        for nf in range(1, n_max + 1)
+        for eq in (0, 1)
+        for fp in (0, 1)
+        for sub in (0, 1)
+    ]
     rows = directed = 0
-    with contextlib.ExitStack() as stack:
-        writer = None
-        if args.csv:
-            writer = csv.writer(stack.enter_context(open(args.csv, "w", newline="")))
-            writer.writerow(_RING_HEADER)
-        for r in entries:
-            rows += 1
-            directed += r.directed
-            if writer is not None:
-                writer.writerow(
-                    [
-                        m,
-                        r.b.mask,
-                        labels[r.b.mask],
-                        r.c.mask,
-                        labels[r.c.mask],
-                        r.m_fold,
-                        r.n_fold,
-                        int(r.sumset_equal),
-                        int(r.fp),
-                        int(r.subset),
-                        int(r.symmetric),
-                        int(r.directed),
-                    ]
-                )
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
+        if fh is not None:
+            fh.write(_RING_HEADER)
+        for b, eq, fp, subset in blocks:
+            rows += eq.size
+            directed += int(np.count_nonzero(eq[fp & subset]))
+            if fh is not None:
+                head = f"{m},{b},{labels[b]},"
+                prefixes = [head + c + mf for c in c_parts for mf in m_parts]
+                low = fp * 2 + subset
+                fh.writelines(_ring_lines(prefixes, suffixes, eq, low, n_max))
     payload = {
         "schema": SCHEMA_VERSION,
         "modulus": m,
-        "n_max": args.nmax,
+        "n_max": n_max,
         "rows": rows,
         "directed_rows": directed,
     }
@@ -239,7 +239,7 @@ def _cmd_ring(args) -> int:
     if args.format == "json":
         sys.stdout.write(_canonical_json(payload))
     else:
-        print(f"{rows} rows for modulus {m}, folds up to {args.nmax}")
+        print(f"{rows} rows for modulus {m}, folds up to {n_max}")
         print(f"directed relation holds in {directed} rows")
     return 0
 

@@ -5,8 +5,11 @@ the factorization property by multiplicative-closure membership, and the
 reduction / expansion families by walks from B, down one removal or up one
 addition (inside closure(B)) at a time; the families are upward / downward
 closed, so the walks miss no member, and one single-removal test decides
-reducibility.  Size guards fail fast instead of sampling, since exhaustive
-semantics is the point.
+reducibility.  The exhaustive (B, C, m_fold, n_fold) table has one decider,
+:func:`relation_table`, which answers one B at a time in numpy blocks over
+every C from an S_n table and a closure table built once;
+:func:`relation_table_rows` reads its rows from those blocks.  Size guards
+fail fast instead of sampling, since exhaustive semantics is the point.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_MODULUS = 30
 MAX_SUBSET_SCAN = 1 << 16  # all of Z/16 walks in about 3 s, all of Z/20 not in 300 s
 _GUARD = f"2^{MAX_SUBSET_SCAN.bit_length() - 1} guard"
+MAX_TABLE_ROWS = 10**8  # (2^m - 1)^2 * n_max^2 rows: modulus 10 takes n_max <= 9
 
 
 def _require_modulus(m: int) -> None:
@@ -369,34 +375,57 @@ def zm_quotient_check(
     return QuotientReport(m, d, source, image)
 
 
-def relation_table_rows(m: int, n_max: int):
-    """Every ordered pair of non-empty subsets crossed with fold counts in
-    [1, n_max]^2; rows come out in canonical (B, C, m_fold, n_fold) order."""
+def relation_table(m: int, n_max: int):
+    """The one decider of the exhaustive relation table.
+
+    Yields ``(b_mask, sumset_equal, fp, subset)`` for each non-empty B in mask
+    order; each array runs over every non-empty C in mask order, and
+    ``sumset_equal[c - 1, m_fold - 1, n_fold - 1]`` compares S_{m_fold}(B) with
+    S_{n_fold}(C).  ``fp`` is B ⊆ closure(C) and ``subset`` is C ⊆ B.  The
+    guards raise at the call, before any table is built.
+    """
     _require_modulus(m)
     if m > 10:
         raise ValueError(f"exhaustive table dump requires modulus <= 10, got {m}")
     if n_max < 1:
         raise ValueError(f"fold counts start at 1, got n_max = {n_max}")
-    full = 1 << m
-    sumsets: dict[tuple[int, int], int] = {}
-    closures: dict[int, int] = {}
-    for mask in range(1, full):
-        s = ZmSubset(m, mask)
-        closures[mask] = zm_closure(s).mask
-        for n in range(1, n_max + 1):
-            sumsets[mask, n] = zm_sumset(s, n).mask
-    for b_mask in range(1, full):
-        for c_mask in range(1, full):
-            fp = not (b_mask & ~closures[c_mask])
-            subset = not (c_mask & ~b_mask)
-            for m_fold in range(1, n_max + 1):
-                for n_fold in range(1, n_max + 1):
-                    yield RelationTableEntry(
-                        ZmSubset(m, b_mask),
-                        ZmSubset(m, c_mask),
-                        m_fold,
-                        n_fold,
-                        sumsets[b_mask, m_fold] == sumsets[c_mask, n_fold],
-                        fp,
-                        subset,
-                    )
+    rows = ((1 << m) - 1) ** 2 * n_max**2
+    if rows > MAX_TABLE_ROWS:
+        raise ValueError(
+            f"a table of {rows} rows (modulus {m}, n_max {n_max}) exceeds the bound "
+            f"{MAX_TABLE_ROWS} rows"
+        )
+    return _table_blocks(m, n_max)
+
+
+def _table_blocks(m: int, n_max: int):
+    masks = np.arange(1, 1 << m)
+    full = (1 << m) - 1
+    # sums[n - 1] holds S_n of every mask: S_{n+1}(A) is S_n(A) rotated by each r in A
+    sums = np.empty((n_max, masks.size), dtype=np.int64)
+    sums[0] = masks
+    for n in range(1, n_max):
+        prev, acc = sums[n - 1], np.zeros_like(masks)
+        for r in range(m):
+            acc |= np.where(masks >> r & 1, ((prev << r) | (prev >> (m - r))) & full, 0)
+        sums[n] = acc
+    closures = np.array([zm_closure(ZmSubset(m, c)).mask for c in masks.tolist()])
+    by_c = sums.T[:, None, :]
+    for i, b in enumerate(masks.tolist()):
+        yield b, sums[:, i, None] == by_c, (b & ~closures) == 0, (masks & ~b) == 0
+
+
+def relation_table_rows(m: int, n_max: int):
+    """Every ordered pair of non-empty subsets crossed with fold counts in
+    [1, n_max]^2, as rows of :func:`relation_table`; rows come out in
+    canonical (B, C, m_fold, n_fold) order."""
+    blocks = relation_table(m, n_max)
+    folds = [(mf, nf) for mf in range(1, n_max + 1) for nf in range(1, n_max + 1)]
+    subsets = [ZmSubset(m, c) for c in range(1, 1 << m)]
+    for b_mask, eq, fp, subset in blocks:
+        b = subsets[b_mask - 1]
+        for c, eq_c, fp_c, sub_c in zip(
+            subsets, eq.reshape(len(subsets), -1).tolist(), fp.tolist(), subset.tolist()
+        ):
+            for (mf, nf), e in zip(folds, eq_c):
+                yield RelationTableEntry(b, c, mf, nf, e, fp_c, sub_c)

@@ -22,7 +22,6 @@ prime-outer scheme against the previous layer.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
@@ -42,6 +41,7 @@ _MAX_LAYER = int(np.iinfo(np.int8).max)
 # the shifted-prime inclusion starts at 3 + 7 = 10, the least pair sum of primes >= 5
 SHIFTED_MIN_PRIME = 7
 MAX_LISTED = 50  # rough-cover violations listed; the count covers them all
+CSV_CHUNK = 1 << 16  # rows formatted per write, so memory stays flat in the limit
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,14 +106,22 @@ class StrataTable:
         }
 
     def write_csv(self, path: str) -> None:
+        """Assigned rows in composite order, then the unassigned ones, written
+        ``CSV_CHUNK`` rows at a time."""
         idx = np.flatnonzero(self.layer)
-        comps, primes = self.composites[idx], self.witness_prime[idx]
-        columns = (comps, self.layer[idx], primes, comps + 3 - primes)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["c", "layer", "witness_prime", "witness_partner"])
-            writer.writerows(zip(*(col.tolist() for col in columns)))
-            writer.writerows([c, "", "", ""] for c in self.unassigned)
+            fh.write("c,layer,witness_prime,witness_partner\r\n")
+            for start in range(0, idx.size, CSV_CHUNK):
+                chunk = idx[start : start + CSV_CHUNK]
+                comps, primes = self.composites[chunk], self.witness_prime[chunk]
+                columns = (comps, self.layer[chunk], primes, comps + 3 - primes)
+                fh.write(
+                    "".join(
+                        f"{c},{k},{p},{q}\r\n"
+                        for c, k, p, q in zip(*(col.tolist() for col in columns))
+                    )
+                )
+            fh.write("".join(f"{c},,,\r\n" for c in self.unassigned))
 
 
 class _AssignedView(Mapping):

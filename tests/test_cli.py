@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sumcollapse import battery, collapse
+from sumcollapse import battery, collapse, relation_table_rows
 from sumcollapse.battery import MIN_LIMIT
 from sumcollapse.cli import MAX_REACH, main
 from sumcollapse.verdict import Status, holds, holds_on_window, hypothesis_failed
@@ -329,6 +329,8 @@ def test_ring_csv(tmp_path, capsys):
     assert payload["rows"] == len(rows) == 255 * 255 * 9
     assert payload["directed_rows"] == sum(r["directed"] == "1" for r in rows) == 3887
     # the counts do not depend on writing the table
+    code, out, _ = run_cli(["ring", "--modulus", "8", "--nmax", "3", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out) == payload
     code, out, _ = run_cli(["ring", "--modulus", "4", "--nmax", "2", "--format", "json"], capsys)
     assert code == 0
     assert (json.loads(out)["rows"], json.loads(out)["directed_rows"]) == (15 * 15 * 4, 40)
@@ -342,6 +344,42 @@ def test_ring_csv(tmp_path, capsys):
     assert picked[("3", "3")]["directed"] == "1"
     assert picked[("1", "2")]["directed"] == "1"
     assert picked[("2", "3")]["directed"] == "1"
+
+
+RING_HEADER = (
+    "modulus,b_mask,b_elements,c_mask,c_elements,m_fold,n_fold,"
+    "sumset_equal,fp,subset,symmetric,directed"
+).split(",")
+
+
+def test_ring_csv_matches_library_rows(tmp_path, capsys):
+    path = tmp_path / "ring4.csv"
+    code, _, _ = run_cli(["ring", "--modulus", "4", "--nmax", "2", "--csv", str(path)], capsys)
+    assert code == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == RING_HEADER and len(rows) == 1 + 15 * 15 * 4
+    want = [
+        [4, r.b.mask, _labels(r.b), r.c.mask, _labels(r.c), r.m_fold, r.n_fold]
+        + [int(x) for x in (r.sumset_equal, r.fp, r.subset, r.symmetric, r.directed)]
+        for r in relation_table_rows(4, 2)
+    ]
+    assert rows[1:] == [[str(x) for x in row] for row in want]
+
+
+def _labels(s):
+    return "|".join(map(str, s.elements()))
+
+
+@pytest.mark.parametrize("modulus, nmax", [("8", "40"), ("2", "1000000")])
+def test_ring_oversized_table_is_refused(tmp_path, capsys, modulus, nmax):
+    path = tmp_path / "ring.csv"
+    code, out, err = run_cli(
+        ["ring", "--modulus", modulus, "--nmax", nmax, "--csv", str(path)], capsys
+    )
+    assert code == 2
+    assert out == "" and "exceeds the bound 100000000 rows" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("nmax", ["0", "-2"])
@@ -413,6 +451,23 @@ def test_strata_golden_bytes(tmp_path, capsys):
     assert data.count(b"\r\n") == 698
     assert hashlib.sha256(data).hexdigest() == STRATA_2000_CSV_SHA256
     assert json_path.read_text() == STRATA_2000_CENSUS
+
+
+# sha256 of ``strata --limit 1000000 --csv`` and of its census, before the CSV was chunked
+STRATA_1E6_CSV_SHA256 = "539650e076e59affea05a057485b06a33bf5c3c1df3e04da7d812a87ff9f33ae"
+STRATA_1E6_CENSUS_SHA256 = "08f35e6c9d535f769430b3d9984f0f93fe3cdc2a97acb5f07ddc10394bf16ba7"
+
+
+def test_strata_csv_golden_at_1e6(tmp_path, capsys):
+    csv_path = tmp_path / "strata.csv"
+    json_path = tmp_path / "census.json"
+    code, _, _ = run_cli(
+        ["strata", "--limit", "1000000", "--csv", str(csv_path), "--out", str(json_path)],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == STRATA_1E6_CSV_SHA256
+    assert hashlib.sha256(json_path.read_bytes()).hexdigest() == STRATA_1E6_CENSUS_SHA256
 
 
 def test_partitions(capsys):

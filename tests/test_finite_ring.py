@@ -1,11 +1,16 @@
+import functools
 import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumcollapse import (
     ZmSubset,
     optimal_weight_set,
+    relation_table,
     relation_table_rows,
     zm_closure,
     zm_expansion_family,
@@ -18,6 +23,7 @@ from sumcollapse import (
     zm_sumset,
     zm_unit_group_check,
 )
+from sumcollapse.finite_ring import MAX_TABLE_ROWS
 
 from oracles import zm_families_bf
 
@@ -323,3 +329,43 @@ def test_relation_table_rows():
     for n_max in (0, -2):
         with pytest.raises(ValueError, match="n_max"):
             list(relation_table_rows(4, n_max))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_relation_table_rows_match_zm_relation(m):
+    rows = list(relation_table_rows(m, 3))
+    subsets = range(1, 1 << m)
+    keys = list(itertools.product(subsets, subsets, range(1, 4), range(1, 4)))
+    assert [(r.b.mask, r.c.mask, r.m_fold, r.n_fold) for r in rows] == keys
+    for r in rows:
+        assert r == zm_relation(r.b, r.c, r.m_fold, r.n_fold)
+
+
+@functools.cache
+def _table_blocks(m):
+    return list(relation_table(m, 3))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_relation_table_blocks_match_zm_relation(data):
+    m = data.draw(st.integers(6, 10))
+    b, c = (data.draw(st.integers(1, (1 << m) - 1)) for _ in range(2))
+    m_fold, n_fold = (data.draw(st.integers(1, 3)) for _ in range(2))
+    b_mask, eq, fp, subset = _table_blocks(m)[b - 1]
+    want = zm_relation(ZmSubset(m, b), ZmSubset(m, c), m_fold, n_fold)
+    assert b_mask == b
+    assert eq.shape == ((1 << m) - 1, 3, 3)
+    got = (eq[c - 1, m_fold - 1, n_fold - 1], fp[c - 1], subset[c - 1])
+    assert got == (want.sumset_equal, want.fp, want.subset)
+
+
+def test_relation_table_row_guard():
+    # refused at the call, before any table is built
+    for m, n_max in ((8, 40), (2, 1_000_000), (10, 10)):
+        with pytest.raises(ValueError, match=f"exceeds the bound {MAX_TABLE_ROWS} rows"):
+            relation_table(m, n_max)
+    # accepted without being iterated: 9.4 M and 84.8 M rows
+    for m, n_max in ((10, 3), (10, 9)):
+        assert ((1 << m) - 1) ** 2 * n_max**2 <= MAX_TABLE_ROWS
+        relation_table(m, n_max)

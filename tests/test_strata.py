@@ -1,10 +1,13 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sumcollapse import strata
 from sumcollapse import (
     PrimeTable,
+    StrataTable,
     compute_strata,
     nfold_all_integers_check,
     nfold_collapse_check,
@@ -230,3 +233,31 @@ def test_rough_pair_cover(table_1e5):
     assert goldbach_pair(10, min_prime=5) == (5, 5)
     with pytest.raises(ValueError):
         rough_pair_cover_evidence(2, (3, 100), table_1e5)
+
+
+def _write_csv_reference(st, path):
+    """The row-at-a-time writer the chunked one replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["c", "layer", "witness_prime", "witness_partner"])
+        for c, layer, (p, q) in zip(st.layers, st.layers.values(), st.witnesses.values()):
+            writer.writerow([c, layer, p, q])
+        writer.writerows([c, "", "", ""] for c in st.unassigned)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 5, 1 << 16])
+def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
+    # five assigned rows, a remainder for chunks of 2 and 3, and two unassigned ones
+    st = StrataTable(
+        limit=45,
+        composites=np.array([9, 15, 21, 25, 27, 33, 35], dtype=np.int32),
+        layer=np.array([1, 1, 0, 2, 1, 0, 1], dtype=np.int8),
+        witness_prime=np.array([5, 5, 0, 7, 7, 0, 5], dtype=np.int32),
+        passes=2,
+    )
+    monkeypatch.setattr(strata, "CSV_CHUNK", chunk)
+    st.write_csv(tmp_path / "got.csv")
+    _write_csv_reference(st, tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.endswith(b"35,1,5,33\r\n21,,,\r\n33,,,\r\n")
