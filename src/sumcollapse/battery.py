@@ -7,8 +7,10 @@ declares the status it expects, and its outcome is a
 its verdict's status *is* the expected one, so a slide from ``holds`` to
 ``holds_on_window`` fails as surely as a counterexample does.
 
-Work a group shares (the sieve arrays, the pair sweep, the strata table)
-lives in the group's own frame and is freed when the group ends.
+The sieve group reads the prime table once, in blocks of
+``CHECKPOINT_BITS`` odd numbers, carrying only the running prime count and
+composite rank.  Work the other groups share (the pair sweep, the strata
+table) lives in the group's own frame and is freed when the group ends.
 """
 
 from __future__ import annotations
@@ -113,101 +115,114 @@ def run_battery(limit: int) -> list[CheckResult]:
 # sieve
 
 
-def _composite_arrays(table: PrimeTable):
-    """For each odd composite c <= limit: c, its index k and pi(c)."""
-    mask = table.odd_prime_mask()
-    odd_vals = 2 * np.arange(mask.size, dtype=np.int64) + 1
-    comp = (~mask) & (odd_vals >= 9)
-    pi_at_odd = np.cumsum(mask) + 1  # counts the prime 2 for every odd x >= 3
-    pi_at_odd[0] = 0
-    return mask, odd_vals[comp], np.cumsum(comp)[comp], pi_at_odd[comp]
-
-
-def _first(*arrays):
-    """The first entry of the first non-empty array, or None."""
-    return next((int(a[0]) for a in arrays if a.size), None)
-
-
 def sieve_checks(table: PrimeTable):
-    require_limit(table.limit)
-    mask, lhs, ks, pis = _composite_arrays(table)
+    """The six prime-count checks, decided in one pass over the table in
+    blocks of ``CHECKPOINT_BITS`` odd numbers.
 
-    bad = lhs[lhs != 2 * ks + 2 * pis - 1]
+    Every check is pointwise in ``(c, k, pi(c))`` for the k-th odd composite
+    c, or in ``(x, pi(x))`` for the band, so the pass carries only the
+    running prime count and composite rank; each check keeps its first
+    failure.
+    """
+    require_limit(table.limit)
+    limit = table.limit
+    top_m = 0  # the largest m with 13^(m+1) <= limit
+    while 13 ** (top_m + 2) <= limit:
+        top_m += 1
+    guard = 1e-12  # double-precision slop on the band's strict inequalities
+    first: dict[str, int] = {}  # a check's part -> its first failure
+    surplus_holds: list[int] = []  # the first 22 indices where pi(c_i) >= i + 2
+    bad_ms: set[int] = set()
+
+    def note(part, values, bad):
+        if part not in first and bad.any():
+            first[part] = int(values[bad.argmax()])
+
+    pi, rank = 1, 0  # the prime 2 and no odd composite lie below the first block
+    for i0, mask in table.odd_prime_blocks():
+        odd = 2 * np.arange(i0, i0 + mask.size, dtype=np.int64) + 1
+        pi_odd = pi + np.cumsum(mask)
+        comp = ~mask & (odd >= 9)
+        lhs, pis = odd[comp], pi_odd[comp]
+        ks = rank + np.arange(1, lhs.size + 1)
+
+        note("identity", lhs, lhs != 2 * ks + 2 * pis - 1)
+        note("surplus", ks, pis < ks + 2)
+        if len(surplus_holds) < 22:
+            surplus_holds += ks[pis >= ks + 2][: 22 - len(surplus_holds)].tolist()
+
+        # every integer x of the block in [17, limit]; an even x shares pi with x - 1
+        xs = np.arange(max(odd[0], 17), min(odd[-1] + 1, limit) + 1)
+        pi_x = pi_odd[(xs - odd[0]) >> 1]
+        ratio = xs / np.log(xs.astype(np.float64))
+        note("band-low", xs, pi_x <= ratio * (1 - guard))
+        note("band-high", xs, pi_x >= 1.25506 * ratio * (1 + guard))
+
+        at31 = max(30 - rank, 0)  # ks, lhs and pis are sorted, so each bound cuts a suffix
+        c, k, p = lhs[at31:], ks[at31:], pis[at31:]
+        note("pi-bound", c, p > k - 1)
+        note("value-bound", c, c > 4 * k - 3)
+        note("log-bound", k, k >= (0.5 * np.log(4 * k.astype(np.float64)) - 1) * p + 1)
+        for m in range(1, top_m + 1):
+            past = lhs.searchsorted(13 ** (m + 1))
+            c, k, p = lhs[past:], ks[past:], pis[past:]
+            if (p * m >= k).any() or (c >= (2 + 2 / m) * k - 1).any():
+                bad_ms.add(m)
+
+        pi, rank = int(pi_odd[-1]), rank + lhs.size
+
+    bad = first.get("identity")
     yield (
         "sieve/composite-count-identity",
         "the k-th odd composite equals 2k + 2 pi(value) - 1 for every indexed k",
         HOLDS,
-        decided(bad.size == 0, _first(bad), (9, table.limit)),
+        decided(bad is None, bad, (9, limit)),
     )
 
-    holds_idx = ks[pis >= ks + 2]
-    first_fail = _first(ks[pis < ks + 2])
-    prefix_ok = bool((holds_idx[:22] == np.arange(1, 23)).all()) if holds_idx.size >= 22 else False
+    bad = first.get("surplus")
     yield (
         "sieve/prime-surplus-window",
         "pi at the i-th odd composite stays >= i + 2 exactly up to i = 22; the "
         "first failure is i = 23 where pi(93) = 24",
         HOLDS,
         decided(
-            prefix_ok and first_fail == 23 and table.prime_count(93) == 24,
-            first_fail,
+            surplus_holds == list(range(1, 23)) and bad == 23 and table.prime_count(93) == 24,
+            bad,
             witnesses=((23, 93, 24),),
         ),
     )
 
-    sel = ks >= 31
-    bad1 = lhs[sel][pis[sel] > ks[sel] - 1]
-    bad2 = lhs[sel][lhs[sel] > 4 * ks[sel] - 3]
+    bad = first.get("pi-bound", first.get("value-bound"))
     yield (
         "sieve/index-upper-bounds",
         "from index 31 on, pi(value) <= k - 1 and value <= 4k - 3",
         HOLDS,
-        decided(bad1.size == 0 and bad2.size == 0, _first(bad1, bad2), (31, table.limit)),
+        decided(bad is None, bad, (31, limit)),
     )
 
-    xs = np.arange(17, table.limit + 1, dtype=np.float64)
-    flags = np.zeros(table.limit + 1, dtype=bool)
-    flags[2] = True
-    flags[3::2] = mask[1:]
-    pi_all = np.cumsum(flags)[17:]
-    guard = 1e-12  # double-precision slop on the strict inequalities
-    ratio = xs / np.log(xs)
-    low_bad = np.nonzero(pi_all <= ratio * (1 - guard))[0] + 17
-    high_bad = np.nonzero(pi_all >= 1.25506 * ratio * (1 + guard))[0] + 17
-    del xs, flags, pi_all, ratio  # the group's frame outlives this check
+    bad = first.get("band-low", first.get("band-high"))
     yield (
         "sieve/prime-count-band",
         "x/ln x < pi(x) < 1.25506 x/ln x for every x in [17, limit] "
         "(checked in double precision with a 1e-12 relative guard)",
         HOLDS,
-        decided(
-            low_bad.size == 0 and high_bad.size == 0, _first(low_bad, high_bad), (17, table.limit)
-        ),
+        decided(bad is None, bad, (17, limit)),
     )
 
-    bad_ms = []
-    m = 1
-    while 13 ** (m + 1) <= table.limit:
-        sel = lhs >= 13 ** (m + 1)
-        if (pis[sel] * m >= ks[sel]).any() or (lhs[sel] >= (2 + 2 / m) * ks[sel] - 1).any():
-            bad_ms.append(m)
-        m += 1
     yield (
         "sieve/prime-count-scaling",
         "whenever the k-th odd composite reaches 13^(m+1), pi(value) < k/m and "
         "value < (2 + 2/m)k - 1",
         HOLDS,
-        decided(not bad_ms, bad_ms[0] if bad_ms else None, witnesses=((1, m - 1),)),
+        decided(not bad_ms, min(bad_ms, default=None), witnesses=((1, top_m),)),
     )
 
-    sel = ks >= 31
-    bound = (0.5 * np.log(4 * ks[sel].astype(np.float64)) - 1) * pis[sel] + 1
-    bad = ks[sel][ks[sel] >= bound]
+    bad = first.get("log-bound")
     yield (
         "sieve/index-log-bound",
         "for k >= 31, k < (ln(4k)/2 - 1) pi(value) + 1",
         HOLDS,
-        decided(bad.size == 0, _first(bad), (31, table.limit)),
+        decided(bad is None, bad, (31, limit)),
     )
 
 

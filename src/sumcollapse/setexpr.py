@@ -263,17 +263,18 @@ class Stratum(SetExpr):
         if layer < 1:
             raise ValueError(f"layer index must be >= 1, got {layer}")
         self.layer = layer
-        self._cache = None  # (limit, StrataTable)
+        self._cache = None  # (PrimeTable, the StrataTable built from it)
 
     def _strata(self, hi: int, table: PrimeTable | None):
         from .strata import compute_strata  # local import; strata builds on this module
 
         table = _require_table(table, hi, self.describe())
         # classification below hi is self-contained, so computing at the
-        # window end is exact and recomputing larger never relabels
+        # window end is exact and recomputing larger never relabels; strata
+        # built from another prime table are never reused
         bound = max(hi, 9)
-        if self._cache is None or self._cache[0] < bound:
-            self._cache = (bound, compute_strata(bound, table))
+        if self._cache is None or self._cache[0] is not table or self._cache[1].limit < bound:
+            self._cache = (table, compute_strata(bound, table))
         return self._cache[1]
 
     def contains(self, n, table=None):

@@ -214,6 +214,15 @@ class PrimeTable:
         raw = np.frombuffer(self._bits, dtype=np.uint8)
         return np.unpackbits(raw, bitorder="little", count=self._n_bits).astype(bool)
 
+    def odd_prime_blocks(self):
+        """Yield ``(i0, mask)`` for each block of ``CHECKPOINT_BITS`` odd
+        numbers in turn; ``mask[j]`` says whether ``2*(i0 + j) + 1`` is prime."""
+        raw = np.frombuffer(self._bits, dtype=np.uint8)
+        for i0 in range(0, self._n_bits, CHECKPOINT_BITS):
+            count = min(CHECKPOINT_BITS, self._n_bits - i0)
+            block = raw[i0 >> 3 : (i0 + count + 7) >> 3]
+            yield i0, np.unpackbits(block, bitorder="little", count=count).view(bool)
+
 
 @dataclass(frozen=True)
 class CompositeIndex:

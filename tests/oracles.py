@@ -5,6 +5,9 @@ the package under test, small-range only.
 """
 
 import itertools
+import math
+
+import numpy as np
 
 
 def simple_prime_set(limit: int) -> set[int]:
@@ -148,3 +151,70 @@ def zm_families_bf(m: int, n: int) -> dict:
         maximal = {d for d in exp if not any(d < e for e in exp)}
         out[b] = (red, minimal, exp, maximal)
     return out
+
+
+def odd_prime_flags(limit: int) -> np.ndarray:
+    """Sieve of Eratosthenes over every integer in [0, limit], one bool per
+    integer; returns the flags of the odd numbers (index i for 2i + 1)."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    flags[4::2] = False
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[p]:
+            flags[p * p :: 2 * p] = False
+    return flags[1::2].copy()
+
+
+def sieve_checks_bf(odd_prime: np.ndarray, limit: int) -> dict[str, tuple[bool, object]]:
+    """The six prime-count checks over an odd-prime mask (index i for
+    2i + 1, through ``limit``), each decided on whole arrays at once.
+
+    Maps each check's ref to ``(holds, counterexample)``; a failing check's
+    counterexample is its first failure in the order the battery reports
+    it, a holding check's is None.
+    """
+    flags = np.zeros(limit + 1, dtype=bool)
+    flags[2] = True
+    flags[1::2] = odd_prime
+    pi = np.cumsum(flags)  # pi[x] for every integer x in [0, limit]
+    x = np.arange(limit + 1)
+    c = np.flatnonzero(~flags & (x % 2 == 1) & (x >= 9))  # the odd composites
+    pi_c = pi[c]
+    k = np.arange(1, c.size + 1)
+
+    def first(*arrays):
+        return next((int(a[0]) for a in arrays if a.size), None)
+
+    out = {}
+    bad = first(c[c != 2 * k + 2 * pi_c - 1])
+    out["sieve/composite-count-identity"] = (bad is None, bad)
+
+    holding = k[pi_c >= k + 2][:22]
+    bad = first(k[pi_c < k + 2])
+    ok = holding.size == 22 and (holding == np.arange(1, 23)).all()
+    out["sieve/prime-surplus-window"] = (bool(ok and bad == 23 and pi[93] == 24), bad)
+
+    s = k >= 31
+    bad = first(c[s][pi_c[s] > k[s] - 1], c[s][c[s] > 4 * k[s] - 3])
+    out["sieve/index-upper-bounds"] = (bad is None, bad)
+
+    xs = x[17:]
+    ratio = xs / np.log(xs.astype(np.float64))
+    guard = 1e-12
+    bad = first(xs[pi[17:] <= ratio * (1 - guard)], xs[pi[17:] >= 1.25506 * ratio * (1 + guard)])
+    out["sieve/prime-count-band"] = (bad is None, bad)
+
+    bad_ms = []
+    m = 1
+    while 13 ** (m + 1) <= limit:
+        s = c >= 13 ** (m + 1)
+        if (pi_c[s] * m >= k[s]).any() or (c[s] >= (2 + 2 / m) * k[s] - 1).any():
+            bad_ms.append(m)
+        m += 1
+    out["sieve/prime-count-scaling"] = (not bad_ms, bad_ms[0] if bad_ms else None)
+
+    s = k >= 31
+    bound = (0.5 * np.log(4 * k[s].astype(np.float64)) - 1) * pi_c[s] + 1
+    bad = first(k[s][k[s] >= bound])
+    out["sieve/index-log-bound"] = (bad is None, bad)
+    return {ref: (ok, None if ok else bad) for ref, (ok, bad) in out.items()}

@@ -1,9 +1,13 @@
 import time
 
+import numpy as np
 import pytest
 
-from sumcollapse.battery import decided, run
+from sumcollapse import PrimeTable
+from sumcollapse.battery import decided, run, sieve_checks
 from sumcollapse.verdict import RelationVerdict, Status, holds, holds_on_window
+
+from oracles import odd_prime_flags, sieve_checks_bf
 
 HOLDS, WINDOW, FAILS = Status.HOLDS, Status.HOLDS_ON_WINDOW, Status.FAILS
 
@@ -39,3 +43,93 @@ def test_run_sorts_and_times_setup():
         "witnesses": [],
         "elapsed_ms": 0,
     }
+
+
+# -- the sieve group's blocked pass against a whole-array reference ----------
+
+BLOCK = 1 << 16  # odd numbers per block of the pass
+
+
+def _table_from_mask(limit, odd_prime):
+    """A table over ``limit`` whose packed bits are ``odd_prime`` (index i for 2i + 1)."""
+    table = PrimeTable(limit)
+    table._bits = np.packbits(odd_prime, bitorder="little").tobytes()
+    table._ckpt = table._build_checkpoints()
+    return table
+
+
+def _battery_sieve_verdicts(table):
+    return {
+        ref: (verdict.status is HOLDS, verdict.counterexample)
+        for ref, _, _, verdict in sieve_checks(table)
+    }
+
+
+@pytest.mark.parametrize("limit", [2**17 - 1, 2**17, 2**17 + 1, 3 * 2**17 + 2])
+def test_sieve_checks_at_block_edges(limit):
+    want = sieve_checks_bf(odd_prime_flags(limit), limit)
+    assert all(ok for ok, _ in want.values())
+    assert _battery_sieve_verdicts(PrimeTable(limit)) == want
+
+
+# Each tamper sets or clears runs of prime bits (slices of odd indices) so
+# that the listed checks first fail past the first block.  The
+# composite-count identity holds for any mask.
+_TAMPERS = {
+    # pi stalls in block 1: the band's low side fails first at an even x
+    # (145,652) and the log bound at k = 64,034
+    "clear-block-1": (
+        3 * 2**17 + 2,
+        [(slice(BLOCK, 2 * BLOCK), False)],
+        {"sieve/prime-count-band", "sieve/index-log-bound"},
+    ),
+    # pi races ahead in block 1; the next composites, in block 2, break the
+    # upper bounds and the m = 1 scaling
+    "fill-block-1": (
+        3 * 2**17 + 2,
+        [(slice(BLOCK, 2 * BLOCK), True)],
+        {"sieve/prime-count-band", "sieve/index-upper-bounds", "sieve/prime-count-scaling"},
+    ),
+    # no composite in block 0, so the surplus first fails at i = 65,535
+    "fill-0-clear-1": (
+        3 * 2**17 + 2,
+        [(slice(1, BLOCK), True), (slice(BLOCK, 2 * BLOCK), False)],
+        {
+            "sieve/prime-surplus-window",
+            "sieve/index-upper-bounds",
+            "sieve/prime-count-band",
+            "sieve/prime-count-scaling",
+        },
+    ),
+    # the band's high side fails early in block 1 and its low side later:
+    # the low failure is the one reported
+    "high-then-low": (
+        3 * 2**17 + 2,
+        [(slice(BLOCK, BLOCK + 4096), True), (slice(BLOCK + 4096, None), False)],
+        {"sieve/prime-count-band", "sieve/index-log-bound"},
+    ),
+    # pi reaches k/2 but not k in block 1: the least failing scaling m is 2
+    "half-scaling": (
+        3 * 2**17 + 2,
+        [(slice(BLOCK, BLOCK + 14_400), True)],
+        {"sieve/prime-count-band", "sieve/prime-count-scaling"},
+    ),
+    # every odd from 121 to 131,071 prime: the 31st composite is 131,073,
+    # alone in the last, one-number block
+    "last-block-only": (
+        2**17 + 1,
+        [(slice(60, BLOCK), True)],
+        {"sieve/prime-count-band", "sieve/index-upper-bounds", "sieve/prime-count-scaling"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAMPERS))
+def test_sieve_checks_on_tampered_tables(name):
+    limit, flips, failing = _TAMPERS[name]
+    odd_prime = odd_prime_flags(limit)
+    for odds, value in flips:
+        odd_prime[odds] = value
+    want = sieve_checks_bf(odd_prime, limit)
+    assert {ref for ref, (ok, _) in want.items() if not ok} == failing
+    assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want

@@ -208,6 +208,18 @@ def test_fold_golden_bytes(capsys, argv, want_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of ``sieve --limit 300000 --check --format json``, taken from the
+# whole-array sieve checks before they became one pass over 2^16-odd blocks;
+# the limit spans three blocks
+SIEVE_CHECK_300000_SHA256 = "ad1ca9c930d1529998913396ef539a1c6cfb3a1d9924fd8825418fb52dfc07d4"
+
+
+def test_sieve_check_golden_bytes(capsys):
+    code, out, _ = run_cli(["sieve", "--limit", "300000", "--check", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIEVE_CHECK_300000_SHA256
+
+
 @pytest.mark.parametrize(
     "rel, window, reach",
     [

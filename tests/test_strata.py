@@ -8,6 +8,7 @@ from sumcollapse import strata
 from sumcollapse import (
     PrimeTable,
     StrataTable,
+    Stratum,
     compute_strata,
     nfold_all_integers_check,
     nfold_collapse_check,
@@ -100,6 +101,17 @@ class _OnlyThreeVisible(PrimeTable):
         mask = super().odd_prime_mask().copy()
         mask[2:] = False
         return mask
+
+
+def test_stratum_answers_from_the_table_it_is_passed():
+    # 9 is layer 1 on the true sieve and unassigned when only 3 is visible;
+    # neither answer may leak into a query on the other table
+    true, masked = PrimeTable(300), _OnlyThreeVisible(300)
+    s = Stratum(1)
+    assert s.contains(9, true) and not s.contains(9, masked)
+    s = Stratum(1)
+    assert not s.contains(9, masked) and s.contains(9, true)
+    assert s.window_bits(9, 300, true) & 1 and not s.window_bits(9, 300, masked) & 1  # bit 0 is 9
 
 
 def test_higher_layers_match_loop_reference():
