@@ -131,7 +131,6 @@ def sieve_checks(table: PrimeTable):
         top_m += 1
     guard = 1e-12  # double-precision slop on the band's strict inequalities
     first: dict[str, int] = {}  # a check's part -> its first failure
-    surplus_holds: list[int] = []  # the first 22 indices where pi(c_i) >= i + 2
     bad_ms: set[int] = set()
 
     def note(part, values, bad):
@@ -148,8 +147,6 @@ def sieve_checks(table: PrimeTable):
 
         note("identity", lhs, lhs != 2 * ks + 2 * pis - 1)
         note("surplus", ks, pis < ks + 2)
-        if len(surplus_holds) < 22:
-            surplus_holds += ks[pis >= ks + 2][: 22 - len(surplus_holds)].tolist()
 
         # every integer x of the block in [17, limit]; an even x shares pi with x - 1
         xs = np.arange(max(odd[0], 17), min(odd[-1] + 1, limit) + 1)
@@ -160,8 +157,8 @@ def sieve_checks(table: PrimeTable):
 
         at31 = max(30 - rank, 0)  # ks, lhs and pis are sorted, so each bound cuts a suffix
         c, k, p = lhs[at31:], ks[at31:], pis[at31:]
+        # c <= 4k - 3 is pi(c) <= k - 1, since c = 2k + 2 pi(c) - 1 for any mask
         note("pi-bound", c, p > k - 1)
-        note("value-bound", c, c > 4 * k - 3)
         note("log-bound", k, k >= (0.5 * np.log(4 * k.astype(np.float64)) - 1) * p + 1)
         for m in range(1, top_m + 1):
             past = lhs.searchsorted(13 ** (m + 1))
@@ -185,14 +182,15 @@ def sieve_checks(table: PrimeTable):
         "pi at the i-th odd composite stays >= i + 2 exactly up to i = 22; the "
         "first failure is i = 23 where pi(93) = 24",
         HOLDS,
+        # a first failure at i = 23 means every i <= 22 holds
         decided(
-            surplus_holds == list(range(1, 23)) and bad == 23 and table.prime_count(93) == 24,
+            bad == 23 and table.prime_count(93) == 24,
             bad,
             witnesses=((23, 93, 24),),
         ),
     )
 
-    bad = first.get("pi-bound", first.get("value-bound"))
+    bad = first.get("pi-bound")
     yield (
         "sieve/index-upper-bounds",
         "from index 31 on, pi(value) <= k - 1 and value <= 4k - 3",
@@ -233,7 +231,7 @@ def sieve_checks(table: PrimeTable):
 def _random_hypothesis_tuples(index: CompositeIndex, count: int, value_cap: int):
     rng = random.Random(RANDOM_TUPLE_SEED)
     total = index.count(value_cap)
-    pool = [index.nth(k) for k in range(1, total + 1)]
+    pool = list(index.first(total))
     out = []
     while len(out) < count:
         size = rng.randint(1, min(22, total))

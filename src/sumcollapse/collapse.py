@@ -18,7 +18,9 @@ Every exact removal verdict -- a relation, a composite tuple, a gap family
 or a premise of the prefix cascade -- comes from one certificate,
 ``_removal_certificate``: the exact pair-sum decision, cross-checked with
 bitset sumsets over the range it enumerates, plus one least-prime witness
-per removed value.
+per removed value.  Those witnesses and the shifted composite pair sweep
+come from :func:`~sumcollapse.intsets.least_splits`, the one least-split
+search.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intsets import pair_sum_cover_decision, restrict, sumset_equal_window
+import numpy as np
+
+from .intsets import _not_in, least_splits, pair_sum_cover_decision, restrict, sumset_equal_window
 from .setexpr import FiniteSet, Primes, Progression, SetExpr, as_set_expr
 from .sieve import CompositeIndex, PrimeTable, _is_prime_slow, is_rough
 from .verdict import (
@@ -262,17 +266,13 @@ def prime_surplus_hypothesis(ks, table: PrimeTable) -> bool:
 
 
 def _removal_witnesses(excluded: frozenset[int], table: PrimeTable):
-    """For each removed value (largest first) a pair p + d = 3 + value avoiding
-    the removed set, found by walking the odd primes upward."""
-    out = []
-    for c in sorted(excluded, reverse=True):
-        s = 3 + c
-        for p in table.primes_in(3, s - 3):
-            d = s - p
-            if d >= 3 and d % 2 == 1 and d not in excluded:
-                out.append((c, p, d))
-                break
-    return tuple(out)
+    """For each removed value c (largest first) a pair p + d = 3 + c with p
+    the least odd prime whose partner d >= 3 avoids the removed set."""
+    removed = np.array(sorted(excluded))
+    primes = table.primes_in(3, int(removed[-1]))
+    found = least_splits(removed + 3, primes, 3, _not_in(removed))
+    pairs = zip(removed.tolist(), found.tolist())
+    return tuple((c, p, c + 3 - p) for c, p in reversed(list(pairs)) if p)
 
 
 def _removal_certificate(removal: Progression, table: PrimeTable) -> RelationVerdict:
@@ -618,49 +618,29 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
         raise ValueError(
             f"sieve limit {table.limit} holds fewer than {k_max} odd composites"
         )
-    comps = index.first(k_max)
-    is_prime, is_odd_composite = table.is_prime, table.is_odd_composite
-    missing = []
-    witnesses: dict[int, tuple[int, int]] = {}
-    for k in range(3, k_max + 1):
-        t = 3 + comps[k - 1]
-        found = None
-        for x in comps:
-            if 2 * x >= t:
-                break
-            partner = t - x
-            if is_odd_composite(partner):
-                found = (x, partner)
-                break
-        if found is None:
-            missing.append(k)
-        else:
-            witnesses[k] = found
+    comps = np.array(index.first(k_max))
+    # every sum is at most comps[-1] + 3, so each composite partner >= 9 is in comps
+    is_comp = np.zeros(comps[-1] // 2 + 1, dtype=bool)
+    is_comp[comps >> 1] = True
 
-    even_exc = []
-    even_distinct_exc = []
-    for k in range(3, k_max + 1):
-        t = 2 * k
-        shifted_prime = t - 3 >= 2 and is_prime(t - 3)
-        any_pair = False
-        distinct_pair = False
-        for x in comps:
-            if 2 * x > t:
-                break
-            partner = t - x
-            if is_odd_composite(partner):
-                any_pair = True
-                if partner != x:
-                    distinct_pair = True
-                    break
-        if not (any_pair or shifted_prime):
-            even_exc.append(k)
-        if not (distinct_pair or shifted_prime):
-            even_distinct_exc.append(k)
+    def least_pairs(sums):
+        # the symmetric set: a sum with a least part x has x <= its partner
+        least = least_splits(sums, comps.tolist(), 9, lambda q: is_comp[q >> 1])
+        return least, (least > 0) & (2 * least < sums)
 
-    return PairSweepReport(
-        k_max, tuple(missing), witnesses, tuple(even_exc), tuple(even_distinct_exc)
-    )
+    ks = np.arange(3, k_max + 1)
+    t = comps[2:] + 3
+    least, distinct = least_pairs(t)
+    missing = tuple(ks[~distinct].tolist())
+    pairs = zip(least[distinct].tolist(), (t - least)[distinct].tolist())
+    witnesses = dict(zip(ks[distinct].tolist(), pairs))
+
+    t = 2 * ks
+    least, distinct = least_pairs(t)
+    shifted_prime = ~is_comp[(t - 3) >> 1]  # an odd 2k - 3 >= 3 is prime or composite
+    even_exc = tuple(ks[(least == 0) & ~shifted_prime].tolist())
+    even_distinct_exc = tuple(ks[~distinct & ~shifted_prime].tolist())
+    return PairSweepReport(k_max, missing, witnesses, even_exc, even_distinct_exc)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,17 @@ operand; Python's big integers do the word-level work.  The loop stops as
 soon as the residue class that sums can reach (mod a step proven over both
 operands) is filled, so sums of odd numbers, odd primes or rough numbers
 stop after a few dozen shifts instead of running through every member.
-The exact pair-sum decision scans only the sums 3 + e for excluded e.
+The exact pair-sum decision splits only the sums 3 + e for excluded e, with
+:func:`least_splits`: the package's one least-witness search, which the
+strata layers, the removal witnesses and the pair sweeps ask too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+
+import numpy as np
 
 from .verdict import RelationVerdict, fails, holds, holds_on_window
 
@@ -263,6 +268,39 @@ def sumset_equal_window(
     )
 
 
+def least_splits(sums, parts, floor: int, accepts) -> np.ndarray:
+    """Per sum s of the increasing array ``sums``, the least a of the
+    increasing iterable ``parts`` (endless is fine) whose partner s - a is
+    >= ``floor`` and passes ``accepts``, a test on an array of partners; 0
+    where none does.  Partners shrink as a grows, so a sum whose partner
+    falls below the floor is dropped for good.
+
+    With a symmetric accept set -- the parts are exactly the accepted values
+    >= ``floor`` -- a split s = a + b reads both ways, b being a part with
+    the accepted partner a.  So the least part a* is at most s - a*: a split
+    with a <= b exists iff a* > 0, and one with a < b iff 0 < 2a* < s.
+    """
+    sums = np.asarray(sums)
+    found = np.zeros(sums.size, dtype=sums.dtype)
+    pos = np.arange(sums.size, dtype=np.int32)  # half the memory of int64; fewer than 2^31 sums
+    cand = sums
+    for a in parts:
+        if not cand.size or cand[-1] < a + floor:
+            break
+        first = int(cand.searchsorted(cand.dtype.type(a + floor)))
+        pos, cand = pos[first:], cand[first:]
+        hit = accepts(cand - a)
+        found[pos[hit]] = a
+        pos, cand = pos[~hit], cand[~hit]
+    return found
+
+
+def _not_in(values: np.ndarray):
+    """A "not in" test for the sorted, non-empty ``values``."""
+    last = values.size - 1  # a binary search: np.isin maps ~1 MB more of numpy
+    return lambda b: values[np.minimum(values.searchsorted(b), last)] != b
+
+
 def pair_sum_cover_decision(d) -> RelationVerdict:
     """Decide exactly whether 2*(odd integers >= 3) equals 2*D, for a
     :class:`~sumcollapse.setexpr.Progression` D of odd integers >= 3 minus
@@ -277,27 +315,25 @@ def pair_sum_cover_decision(d) -> RelationVerdict:
     Below the threshold only the sums 3 + e, e excluded, need the
     enumeration: any other even s >= 6 is 3 + (s - 3) unless 3 itself is
     excluded, and then 6 = 3 + 3, which has no other representation, is the
-    least counterexample.  Scanning those candidates in increasing order
-    therefore finds the least counterexample.
+    least counterexample: the least of those candidates that
+    :func:`least_splits` leaves unsplit over D.
     """
     if (d.base, d.step) != (3, 2):
         raise ValueError("the exact pair-sum decision is defined for odd>=3 minus a finite set")
     m = d.max_excluded
     threshold = 2 * m + 6
     excluded = d.excluded
-    for s in sorted(3 + e for e in excluded):
-        found = False
-        for a in range(3, s // 2 + 1, 2):
-            if a not in excluded and (s - a) not in excluded:
-                found = True
-                break
-        if not found:
-            return fails(
-                s,
-                f"{s} has no representation a + b with both odd, >= 3 and outside "
-                f"{sorted(excluded)}",
-                certified_range=(6, threshold),
-            )
+    removed = np.array(sorted(excluded))
+    members = (a for a in itertools.count(3, 2) if a not in excluded)
+    found = least_splits(removed + 3, members, 3, _not_in(removed))
+    if not found.all():
+        s = int(removed[found.argmin()]) + 3
+        return fails(
+            s,
+            f"{s} has no representation a + b with both odd, >= 3 and outside "
+            f"{sorted(excluded)}",
+            certified_range=(6, threshold),
+        )
     return holds(
         f"all even sums in [6, {threshold}] verified by enumeration; for even "
         f"s > {threshold} pick an odd a in ({m}, s/2] with a >= 3: neither a nor "

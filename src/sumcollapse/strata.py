@@ -10,14 +10,15 @@ A :class:`StrataTable` is three parallel arrays indexed by composite rank:
 the sorted odd composites, one ``int8`` layer each (0 for unassigned) and
 one ``int32`` witness prime p each; the witness partner is c + 3 - p.
 
-Layer 1 is classified with the primes in the outer loop: for p = 3, 5, 7,
-... in increasing order, one numpy pass tests c + 3 - p against the sieve's
-odd-prime mask for every composite still pending, so each composite takes
-the least p whose partner is an odd prime >= 3.  A handful of prime passes
-settles everything (132 at 10^7, largest witness prime 751).  That count of
-prime passes is not the census ``passes`` field, which counts layer passes
-(1 when every composite lands in layer 1).  Higher layers repeat the same
-prime-outer scheme against the previous layer.
+Every layer is classified by :func:`~sumcollapse.intsets.least_splits`,
+the package's one least-witness search, with the primes in the outer loop:
+for p = 3, 5, 7, ... in increasing order, one numpy pass tests the partner
+c + 3 - p of every composite still pending, so each composite takes the
+least p whose partner is an odd prime >= 3 (layer 1) or a member of the
+previous layer.  A handful of prime passes settles layer 1 (132 at 10^7,
+largest witness prime 751).  That count of prime passes is not the census
+``passes`` field, which counts layer passes (1 when every composite lands
+in layer 1).  The absorption check asks the same search once per fold.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from .collapse import check_relation
-from .intsets import iter_bits, iterated_sumset, restrict
+from .intsets import iter_bits, iterated_sumset, least_splits, restrict
 from .setexpr import IntRange, Primes, Progression, RoughOdd
 from .sieve import PrimeTable
 from .verdict import RelationVerdict
@@ -160,25 +161,6 @@ def _odd_composites(odd_prime: np.ndarray) -> np.ndarray:
     return (2 * np.flatnonzero(~odd_prime[4:]) + 9).astype(np.int32)
 
 
-def _least_prime_splits(values: np.ndarray, primes, floor: int, accepts) -> np.ndarray:
-    """Per sorted value c, the least p from the increasing ``primes`` whose
-    partner c + 3 - p is >= ``floor`` and passes ``accepts``; 0 where none."""
-    found = np.zeros(values.size, dtype=np.int32)
-    pos = np.arange(values.size)
-    cand = values
-    for p in primes:
-        # partners only shrink as p grows: a value whose partner fell below
-        # the floor can never be split by a later prime
-        first = int(cand.searchsorted(cand.dtype.type(p + floor - 3)))
-        pos, cand = pos[first:], cand[first:]
-        if not cand.size:
-            break
-        hit = accepts(cand + (3 - p))
-        found[pos[hit]] = p
-        pos, cand = pos[~hit], cand[~hit]
-    return found
-
-
 def _layer_by_odd(composites: np.ndarray, layer: np.ndarray, size: int) -> np.ndarray:
     """Layer per odd number (index i for 2i + 1), 0 where the table has none."""
     out = np.zeros(size, dtype=np.int8)
@@ -202,8 +184,8 @@ def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
     odd_prime = _odd_prime_mask(table, limit)
     composites = _odd_composites(odd_prime)
 
-    witness = _least_prime_splits(
-        composites, table.primes_in(3, limit), 3, lambda q: odd_prime[q >> 1]
+    witness = least_splits(
+        composites + 3, table.primes_in(3, limit), 3, lambda q: odd_prime[q >> 1]
     )
     layer = (witness > 0).astype(np.int8)
 
@@ -214,8 +196,8 @@ def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
         if not pending.size:
             break
         by_odd = _layer_by_odd(composites, layer, odd_prime.size)
-        found = _least_prime_splits(
-            composites[pending],
+        found = least_splits(
+            composites[pending] + 3,
             table.primes_in(3, limit),
             9,
             lambda q, lower=passes: by_odd[q >> 1] == lower,
@@ -319,15 +301,6 @@ class AbsorptionReport:
         return not self.failures
 
 
-def _sum_of_k_odd_primes(s: int, k: int, table: PrimeTable) -> bool:
-    if k == 1:
-        return s >= 3 and s % 2 == 1 and table.is_prime(s)
-    for p in table.primes_in(3, s - 3 * (k - 1)):
-        if _sum_of_k_odd_primes(s - p, k - 1, table):
-            return True
-    return False
-
-
 def verify_absorption(
     st: StrataTable,
     k_max: int,
@@ -335,23 +308,35 @@ def verify_absorption(
     table: PrimeTable | None = None,
 ) -> AbsorptionReport:
     """For k in [2, k_max], check 3(k-1) + c is a k-fold odd-prime sum for every
-    layer-(k-1) member c in the window; empty layers pass vacuously."""
+    layer-(k-1) member c in the window; empty layers pass vacuously.
+
+    The k-fold test is :func:`least_splits` over the odd primes, recursing on
+    whole arrays of sums down to the odd-prime flags at k = 1.
+    """
     if table is None:
         table = PrimeTable(st.limit)
     lo, hi = window
+    top = min(hi, st.limit)  # no prime or partner the tests read exceeds a member
+    odd_prime = _odd_prime_mask(table, top)
+
+    def k_fold(sums: np.ndarray, k: int) -> np.ndarray:
+        if k == 1:
+            return _at_odd(odd_prime, sums)
+        rest = lambda r: k_fold(r, k - 1)  # noqa: E731
+        return least_splits(sums, table.primes_in(3, top), 3 * (k - 1), rest) > 0
+
     checked: dict[int, int] = {}
     vacuous: list[int] = []
     failures: list[tuple[int, int]] = []
     for k in range(2, k_max + 1):
         members = st.composites[st.layer == k - 1]
-        members = members[(members >= lo) & (members <= hi)].tolist()
-        if not members:
+        members = members[(members >= lo) & (members <= hi)]
+        if not members.size:
             vacuous.append(k)
             continue
-        checked[k] = len(members)
-        for c in members:
-            if not _sum_of_k_odd_primes(3 * (k - 1) + c, k, table):
-                failures.append((k, c))
+        checked[k] = int(members.size)
+        bad = members[~k_fold(members.astype(np.int64) + 3 * (k - 1), k)]
+        failures += [(k, c) for c in bad.tolist()]
     return AbsorptionReport((2, k_max), checked, tuple(vacuous), tuple(failures))
 
 

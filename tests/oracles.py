@@ -62,6 +62,12 @@ def sum_of_k_primes_bf(s: int, k: int, min_prime: int = 3) -> bool:
     return False
 
 
+def least_split_bf(s: int, parts, floor: int, accepted) -> int:
+    """The least a of ``parts`` whose partner s - a is >= ``floor`` and lies
+    in ``accepted``, found by trying every part; 0 when none does."""
+    return next((a for a in sorted(parts) if s - a >= floor and s - a in accepted), 0)
+
+
 def nfold_sums_bf(values, n: int, lo: int, hi: int) -> list[int]:
     return sorted(
         {

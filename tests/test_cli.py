@@ -186,6 +186,18 @@ def test_verify_golden_bytes(capsys):
         assert removed == sorted(set(removed), reverse=True), ref
 
 
+# sha256 of ``verify --limit 1000000 --format json``, taken before every
+# least-witness question went through one search; past 10^5 it reaches the
+# absorption and fold caps that the 30000 digest stays below
+VERIFY_1E6_SHA256 = "b4897e7db427225f115b208299d2165cb4144626345b5164cb6e06815ca87500"
+
+
+def test_verify_1e6_golden_bytes(capsys):
+    code, out, _ = run_cli(["verify", "--limit", "1000000", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_1E6_SHA256
+
+
 # sha256 of fold-check outputs at the saturation cutoff's introduction, taken
 # from the kernel that ran every shift: a drift in a certified range or a
 # counterexample changes these bytes

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from sumcollapse import (
@@ -11,9 +14,10 @@ from sumcollapse import (
     restrict,
     sumset_equal_window,
 )
+from sumcollapse.intsets import least_splits
 from sumcollapse.verdict import Status
 
-from oracles import goldbach_pair, nfold_sums_bf
+from oracles import goldbach_pair, least_split_bf, nfold_sums_bf
 
 
 def test_cofinite_validation():
@@ -124,6 +128,32 @@ def test_dilation():
     assert dilation(ws, 1) == ws
     tiny = dilation(restrict([15], 9, 20), 2)
     assert list(tiny.members()) == []  # 30 exceeds the window
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
+def test_least_splits_against_brute_force(symmetric):
+    rng = random.Random(0x5B117 + symmetric)
+    part_above_partner = 0
+    for _ in range(300):
+        sums = sorted(rng.randrange(0, 160) for _ in range(rng.randint(0, 40)))
+        floor = rng.randrange(symmetric, 25)  # parts are positive: 0 marks "no split"
+        # accepted values below the floor, and negative ones, must never split a sum
+        accepted = set(rng.sample(range(-20, 160), rng.randint(0, 90)))
+        if symmetric:
+            parts = sorted(a for a in accepted if a >= floor)
+        else:
+            parts = sorted(rng.sample(range(1, 160), rng.randint(0, 60)))
+        ok = np.array(sorted(accepted), dtype=np.int64)
+        found = least_splits(np.array(sums, dtype=np.int64), iter(parts), floor,
+                             lambda q: np.isin(q, ok))
+        want = [least_split_bf(s, parts, floor, accepted) for s in sums]
+        assert found.tolist() == want, (sums, parts, floor, sorted(accepted))
+        for s, a in zip(sums, want):
+            if a and symmetric:
+                assert a <= s - a
+            part_above_partner += a > s - a > 0
+    # the removal witnesses rely on parts larger than their partners
+    assert symmetric or part_above_partner > 0
 
 
 def test_pair_sum_cover_decisions():

@@ -212,6 +212,31 @@ def test_absorption(strata_1e5, table_1e5):
     assert sum_of_k_primes_bf(3 + 9, 2)
 
 
+def test_absorption_at_higher_folds(table_small):
+    # real strata have no layer 2, so this table is built by hand: the even
+    # members 10 and 64 shift to sums of the wrong parity, and 69 lies past
+    # the window
+    comps = [9, 10, 15, 21, 25, 27, 33, 35, 39, 45, 63, 64, 65, 69]
+    layer = [1, 2, 2, 3, 3, 1, 2, 0, 2, 3, 2, 3, 1, 3]
+    st = StrataTable(
+        limit=200,
+        composites=np.array(comps, dtype=np.int32),
+        layer=np.array(layer, dtype=np.int8),
+        witness_prime=np.zeros(len(comps), dtype=np.int32),
+        passes=3,
+    )
+    rep = verify_absorption(st, 4, (9, 65), table_small)
+    want = [
+        (k, c)
+        for k in (2, 3, 4)
+        for c, lay in zip(comps, layer)
+        if lay == k - 1 and c <= 65 and not sum_of_k_primes_bf(3 * (k - 1) + c, k)
+    ]
+    assert rep.checked == {2: 3, 3: 5, 4: 4} and rep.vacuous == ()
+    assert rep.failures == tuple(want) == ((3, 10), (4, 64))
+    assert not rep.ok
+
+
 def test_nfold_checks(table_1e5):
     for n in (2, 3):
         v = nfold_collapse_check(n, (3, 20_000), table_1e5)
