@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intsets import _not_in, least_splits, pair_sum_cover_decision, restrict, sumset_equal_window
-from .setexpr import FiniteSet, Primes, Progression, SetExpr, as_set_expr
+from .intsets import _not_in, iterated_sumset, least_splits, pair_sum_cover_decision
+from .intsets import restrict, sumset_equal_window
+from .setexpr import FiniteSet, Primes, Progression, RoughOdd, SetExpr, as_set_expr
 from .sieve import CompositeIndex, PrimeTable, _is_prime_slow, is_rough
 from .verdict import (
     RelationVerdict,
@@ -186,6 +187,9 @@ def relation_parts(
     lo, hi = window
     if lo < 1:
         raise ValueError(f"relation checks need a window within [1, ..], got lo={lo}")
+    start = max(m_fold, n_fold) * lo
+    if start > hi:
+        raise ValueError(f"sums to compare start at {start}, past the window end {hi}")
     b_expr = as_set_expr(b_spec)
     c_expr = as_set_expr(c_spec)
     b_ws = restrict(b_expr, lo, hi, table)
@@ -619,9 +623,8 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
             f"sieve limit {table.limit} holds fewer than {k_max} odd composites"
         )
     comps = np.array(index.first(k_max))
-    # every sum is at most comps[-1] + 3, so each composite partner >= 9 is in comps
-    is_comp = np.zeros(comps[-1] // 2 + 1, dtype=bool)
-    is_comp[comps >> 1] = True
+    # each partner >= 9 and each 2k - 3 is odd and below comps[-1]; there, not prime is composite
+    is_comp = ~table.odd_prime_mask(int(comps[-1]))
 
     def least_pairs(sums):
         # the symmetric set: a sum with a least part x has x <= its partner
@@ -670,22 +673,27 @@ class UniquenessReport:
 def parameter_uniqueness_report(table: PrimeTable, hi: int) -> UniquenessReport:
     """Exhibit the obstruction for every wrong (base, prime-floor) choice and
     verify on-window that the right choice has none."""
+
+    def least_pair_sum(expr: SetExpr) -> int | None:
+        # the 2-fold sums on [3, 30] are exact on [6, 30], past each minimum sought
+        return next(iterated_sumset(restrict(expr, 3, 30, table), 2).members(), None)
+
     cases = []
 
+    below_base = check_fp({1}, Primes(3), (1, 1), table)
     cases.append(
         CaseResult(
             "no-factorization-below-base",
-            confirmed=True,
+            confirmed=(below_base.status, below_base.counterexample) == (Status.FAILS, 1),
             witness=1,
             note="1 is a positive odd integer but no product of primes >= 3 equals it",
         )
     )
 
-    two_fold_min_high = 2 * 5
     cases.append(
         CaseResult(
             "minimum-mismatch-higher-base",
-            confirmed=two_fold_min_high > 6,
+            confirmed=least_pair_sum(Progression(5)) == 10,
             witness=6,
             note="pair sums of odds >= 5 start at 10, yet 6 = 3 + 3 is a prime pair sum",
         )
@@ -704,7 +712,7 @@ def parameter_uniqueness_report(table: PrimeTable, hi: int) -> UniquenessReport:
     cases.append(
         CaseResult(
             "semigroup-minimum-forces-equal-floors",
-            confirmed=True,
+            confirmed=(least_pair_sum(RoughOdd(3)), least_pair_sum(RoughOdd(5))) == (6, 10),
             witness=(6, 10),
             note="two-fold sums of the semigroups floored at 3 and 5 start at 6 "
             "and 10 respectively, so different floors cannot share sumsets",

@@ -2,9 +2,12 @@
 
 The table stores one bit per odd number (bit ``i`` says whether ``2*i + 1``
 is prime), so a table up to ``limit`` costs ``limit/16`` bytes plus a fixed
-segment buffer during construction.  Prime counts are answered from
-checkpoint sums plus a popcount over the residual block, which keeps
-``prime_count`` effectively O(1).
+segment buffer during construction; its base primes come from the same
+sieve one level down, so the module imports nothing from the package.
+Prime counts are answered from checkpoint sums plus a popcount over the
+residual block, which keeps ``prime_count`` effectively O(1).  One reader,
+``odd_prime_blocks(lo, hi)``, decodes the bits of a range; the mask and the
+scans share its range semantics.
 
 All element indices are 1-based: ``nth_prime(1) == 2`` and the first odd
 composite has rank 1.
@@ -12,13 +15,12 @@ composite has rank 1.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .intsets import _BITPOS
 
 SEGMENT_ODDS = 1 << 20      # odd numbers sieved per segment
 CHECKPOINT_BITS = 1 << 16   # bits per prime-count checkpoint block
@@ -26,22 +28,18 @@ CHECKPOINT_BITS = 1 << 16   # bits per prime-count checkpoint block
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
 
-def _simple_odd_sieve(limit: int) -> bytearray:
-    """Byte-per-odd primality flags up to ``limit`` (``flags[i]`` for ``2i+1``)."""
-    n = max((limit + 1) // 2, 1)
-    flags = bytearray([1]) * n
-    flags[0] = 0  # 1 is not prime
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if flags[p >> 1]:
-            start = (p * p) >> 1
-            flags[start::p] = bytearray(len(range(start, n, p)))
-    return flags
+def _unpack(bits: bytes, i0: int, i1: int) -> np.ndarray:
+    """Flags of the odd numbers with index in ``[i0, i1)`` of packed ``bits``;
+    only the bytes holding them are unpacked."""
+    skip = i0 & 7
+    raw = np.frombuffer(bits, dtype=np.uint8)[i0 >> 3 : (i1 + 7) >> 3]
+    return np.unpackbits(raw, bitorder="little", count=i1 - i0 + skip)[skip:].view(bool)
 
 
 class PrimeTable:
     """Immutable primality table over ``[2, limit]``; safe for concurrent reads."""
 
-    __slots__ = ("limit", "_bits", "_n_bits", "_ckpt")
+    __slots__ = ("limit", "_bits", "_ckpt")
 
     def __init__(self, limit: int):
         if limit < 9:
@@ -49,15 +47,15 @@ class PrimeTable:
         if limit.bit_length() > 62:
             raise ValueError("sieve limit exceeds supported index range")
         self.limit = limit
-        self._n_bits = (limit + 1) // 2
         self._bits = self._build_bits(limit)
         self._ckpt = self._build_checkpoints()
 
     @staticmethod
     def _build_bits(limit: int) -> bytes:
         n_bits = (limit + 1) // 2
-        base = _simple_odd_sieve(math.isqrt(limit))
-        base_primes = [2 * i + 1 for i, f in enumerate(base) if f and i > 0]
+        root = math.isqrt(limit)  # below 9 every odd number but 1 is prime
+        base = _unpack(PrimeTable._build_bits(root), 0, (root + 1) // 2) if limit >= 9 else []
+        base_primes = (2 * np.flatnonzero(base) + 1).tolist()
 
         chunks = []
         for seg_start in range(0, n_bits, SEGMENT_ODDS):
@@ -145,31 +143,15 @@ class PrimeTable:
         total = self.prime_count(self.limit)
         if k > total:
             raise ValueError(f"only {total} primes <= {self.limit}, asked for #{k}")
-        lo, hi = 3, self.limit
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.prime_count(mid) >= k:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect.bisect_left(range(self.limit + 1), k, 3, key=self.prime_count)
 
     def nth_odd_composite(self, k: int) -> int:
         if k < 1:
             raise ValueError(f"composite indices are 1-based, got {k}")
         total = self.odd_composite_count(self.limit)
         if k > total:
-            raise ValueError(
-                f"only {total} odd composites <= {self.limit}, asked for #{k}"
-            )
-        lo, hi = 9, self.limit
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.odd_composite_count(mid) >= k:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+            raise ValueError(f"only {total} odd composites <= {self.limit}, asked for #{k}")
+        return bisect.bisect_left(range(self.limit + 1), k, 9, key=self.odd_composite_count)
 
     # -- scans -----------------------------------------------------------
 
@@ -178,50 +160,33 @@ class PrimeTable:
         self._check_range(hi)
         if lo <= 2 <= hi:
             yield 2
-        start = max(lo, 3)
-        if start % 2 == 0:
-            start += 1
-        top = hi if hi % 2 else hi - 1
-        if start > top:
-            return
-        i0, i1 = start >> 1, top >> 1
-        bits = self._bits
-        for byte_idx in range(i0 >> 3, (i1 >> 3) + 1):
-            b = bits[byte_idx]
-            if not b:
-                continue
-            base = byte_idx << 3
-            for j in _BITPOS[b]:
-                i = base + j
-                if i0 <= i <= i1:
-                    yield 2 * i + 1
+        for i0, mask in self.odd_prime_blocks(lo, hi):
+            # one int at a time: a caller that stops early holds no block-long list
+            yield from map(int, 2 * (i0 + np.flatnonzero(mask)) + 1)
 
     def odd_composites_in(self, lo: int, hi: int):
         """Yield odd composites in ``[lo, hi]`` in increasing order."""
+        for i0, mask in self.odd_prime_blocks(max(lo, 9), hi):
+            yield from map(int, 2 * (i0 + np.flatnonzero(~mask)) + 1)
+
+    def odd_prime_mask(self, hi: int | None = None) -> np.ndarray:
+        """Boolean array indexed by ``i`` for the odd numbers ``2i+1 <= hi``
+        (``hi`` defaults to the limit); only the bytes through ``hi`` are read."""
+        hi = self.limit if hi is None else hi
         self._check_range(hi)
-        start = max(lo, 9)
-        if start % 2 == 0:
-            start += 1
-        n = start
-        is_p = self.is_prime
-        while n <= hi:
-            if not is_p(n):
-                yield n
-            n += 2
+        return _unpack(self._bits, 0, (hi + 1) // 2)
 
-    def odd_prime_mask(self) -> np.ndarray:
-        """Boolean array indexed by ``i`` for the odd number ``2i+1``."""
-        raw = np.frombuffer(self._bits, dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little", count=self._n_bits).astype(bool)
-
-    def odd_prime_blocks(self):
-        """Yield ``(i0, mask)`` for each block of ``CHECKPOINT_BITS`` odd
-        numbers in turn; ``mask[j]`` says whether ``2*(i0 + j) + 1`` is prime."""
-        raw = np.frombuffer(self._bits, dtype=np.uint8)
-        for i0 in range(0, self._n_bits, CHECKPOINT_BITS):
-            count = min(CHECKPOINT_BITS, self._n_bits - i0)
-            block = raw[i0 >> 3 : (i0 + count + 7) >> 3]
-            yield i0, np.unpackbits(block, bitorder="little", count=count).view(bool)
+    def odd_prime_blocks(self, lo: int = 1, hi: int | None = None):
+        """Yield ``(i0, mask)`` over the odd numbers in ``[lo, hi]`` (``hi``
+        defaults to the limit), cut where an index is a multiple of
+        ``CHECKPOINT_BITS``; ``mask[j]`` says whether ``2*(i0 + j) + 1`` is prime."""
+        hi = self.limit if hi is None else hi
+        self._check_range(hi)
+        i0, end = max(lo, 1) // 2, (hi + 1) // 2
+        while i0 < end:
+            i1 = min((i0 // CHECKPOINT_BITS + 1) * CHECKPOINT_BITS, end)
+            yield i0, _unpack(self._bits, i0, i1)
+            i0 = i1
 
 
 @dataclass(frozen=True)

@@ -149,13 +149,6 @@ class _AssignedView(Mapping):
         return int(np.count_nonzero(self._st.layer))
 
 
-def _odd_prime_mask(table: PrimeTable, limit: int) -> np.ndarray:
-    """The sieve's odd-prime flags (index i for 2i + 1) through ``limit``."""
-    if table.limit < limit:
-        raise ValueError(f"sieve limit {table.limit} below requested {limit}")
-    return table.odd_prime_mask()[: (limit + 1) // 2]
-
-
 def _odd_composites(odd_prime: np.ndarray) -> np.ndarray:
     """Sorted odd composites >= 9 covered by an odd-prime mask."""
     return (2 * np.flatnonzero(~odd_prime[4:]) + 9).astype(np.int32)
@@ -181,7 +174,7 @@ def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
         raise ValueError(f"limit must be <= {_MAX_LIMIT}, got {limit}")
     if table is None:
         table = PrimeTable(limit)
-    odd_prime = _odd_prime_mask(table, limit)
+    odd_prime = table.odd_prime_mask(limit)
     composites = _odd_composites(odd_prime)
 
     witness = least_splits(
@@ -243,7 +236,7 @@ def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> Partit
     """
     if table is None:
         table = PrimeTable(st.limit)
-    odd_prime = _odd_prime_mask(table, st.limit)
+    odd_prime = table.odd_prime_mask(st.limit)
     expected = _odd_composites(odd_prime)
     comps = st.composites.astype(np.int64)
     lay = st.layer.astype(np.int16)
@@ -317,7 +310,7 @@ def verify_absorption(
         table = PrimeTable(st.limit)
     lo, hi = window
     top = min(hi, st.limit)  # no prime or partner the tests read exceeds a member
-    odd_prime = _odd_prime_mask(table, top)
+    odd_prime = table.odd_prime_mask(top)
 
     def k_fold(sums: np.ndarray, k: int) -> np.ndarray:
         if k == 1:

@@ -325,6 +325,16 @@ def test_collapse_windowed_prime_rhs(capsys):
     assert out.startswith("holds_on_window:")
 
 
+def test_collapse_window_without_sums_is_refused(capsys):
+    # the 99999-fold sums start at 299997, far past the window end
+    code, out, err = run_cli(
+        ["collapse", "--rel", "odd>=3 ~(99999,2)~ odd>=3", "--window", "3..100"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "start at 299997, past the window end 100" in err
+
+
 def test_collapse_bad_relation(capsys):
     code, _, err = run_cli(["collapse", "--rel", "odd>=3 vs odd>=5"], capsys)
     assert code == 2

@@ -5,6 +5,7 @@ from sumcollapse import (
     FiniteSet,
     IntRange,
     Primes,
+    PrimeTable,
     Progression,
     Union,
     check_fp,
@@ -24,7 +25,10 @@ from sumcollapse import (
     relation_parts,
     shifted_composite_pair_sweep,
 )
-from sumcollapse.verdict import Status, fails
+from sumcollapse import collapse as collapse_module
+from sumcollapse import intsets
+from sumcollapse.battery import collapse_checks, run
+from sumcollapse.verdict import Status, fails, holds
 
 from oracles import (
     goldbach_pair,
@@ -399,3 +403,33 @@ def test_parameter_uniqueness(table_1e5):
     assert "eleven-separates-integers-from-primes" in labels
     # 11 = 4 + 7 with both parts >= 2, but no prime pair reaches 11
     assert goldbach_pair(11, min_prime=2) is None
+
+
+def _sums_from_six(ws, n):
+    out = intsets.iterated_sumset(ws, n)
+    return intsets.WindowSet(out.lo, out.hi, out.bits | 1)  # 2 * 3 = 6 for every set
+
+
+@pytest.mark.parametrize(
+    "decider, stand_in, unconfirmed",
+    [
+        ("check_fp", lambda *args: holds("1 factors"), ["no-factorization-below-base"]),
+        (
+            "iterated_sumset",
+            _sums_from_six,
+            ["minimum-mismatch-higher-base", "semigroup-minimum-forces-equal-floors"],
+        ),
+    ],
+    ids=["check_fp", "iterated_sumset"],
+)
+def test_parameter_scan_cases_are_decided(monkeypatch, decider, stand_in, unconfirmed):
+    monkeypatch.setattr(collapse_module, decider, stand_in)
+    limit = 20_000
+    table = PrimeTable(limit)
+    rep = parameter_uniqueness_report(table, limit)
+    assert [c.label for c in rep.cases if not c.confirmed] == unconfirmed
+    (scan,) = [
+        r for r in run(collapse_checks(table, limit)) if r.ref == "collapse/base-parameter-scan"
+    ]
+    assert not scan.passed
+    assert scan.verdict.status is Status.FAILS and scan.verdict.counterexample == unconfirmed

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from sumcollapse import CompositeIndex, PrimeTable, is_rough
+from sumcollapse.sieve import CHECKPOINT_BITS
 
-from oracles import is_prime_bf, odd_composites_upto, pi_bf, primes_upto
+from oracles import is_prime_bf, odd_composites_upto, odd_prime_flags, pi_bf, primes_upto
 
 
 def test_prime_count_cited_points():
@@ -180,3 +181,93 @@ def test_odd_prime_mask_shape(table_small):
     assert mask.size == (table_small.limit + 1) // 2
     assert not mask[0]  # 1 is not prime
     assert mask[1]  # 3 is prime
+
+
+# -- the range reader of the packed table ------------------------------------
+
+READER_LIMIT = 3 * 2**17 + 5  # three full blocks of odd numbers and 3 more
+
+READER_RANGES = [
+    (1, READER_LIMIT),
+    (0, 20),
+    (21, 1_001),  # starts and ends mid-byte
+    (2**17 - 17, 2**17 + 17),  # across the first block edge (index 2^16)
+    (2**17 + 1, 2**18),  # from the first odd of a block to the last of the next
+    (2**18 - 3, 2**18 + 3),
+    (2**18 + 1, READER_LIMIT),
+    (1_000, 500),  # lo > hi
+    (2**17, 2**17),  # lo == hi, even
+    (2**17 + 1, 2**17 + 1),  # lo == hi, odd
+    (READER_LIMIT, READER_LIMIT),
+]
+
+
+@pytest.fixture(scope="module")
+def reader_table():
+    return PrimeTable(READER_LIMIT)
+
+
+@pytest.fixture(scope="module")
+def reader_flags():
+    return odd_prime_flags(READER_LIMIT)
+
+
+@pytest.mark.parametrize("lo, hi", READER_RANGES)
+def test_odd_prime_blocks_tile_the_range(reader_table, reader_flags, lo, hi):
+    blocks = list(reader_table.odd_prime_blocks(lo, hi))
+    index = np.array([v >> 1 for v in range(max(lo, 1), hi + 1) if v % 2], dtype=np.int64)
+    starts = [i0 for i0, _ in blocks]
+    ends = [i0 + mask.size for i0, mask in blocks]
+    assert starts[:1] == index[:1].tolist()
+    assert starts[1:] == ends[:-1]  # no gap and no overlap
+    assert ends[-1:] == (index[-1:] + 1).tolist()
+    for i0, mask in blocks:
+        assert 0 < mask.size <= CHECKPOINT_BITS
+        assert i0 // CHECKPOINT_BITS == (i0 + mask.size - 1) // CHECKPOINT_BITS
+    got = np.concatenate([mask for _, mask in blocks]) if blocks else np.zeros(0, bool)
+    assert np.array_equal(got, reader_flags[index])
+
+
+@pytest.mark.parametrize("lo, hi", READER_RANGES)
+def test_scans_read_the_range(reader_table, reader_flags, lo, hi):
+    odd = [v for v in range(max(lo, 1), hi + 1) if v % 2]
+    primes = [v for v in odd if reader_flags[v >> 1]]
+    if lo <= 2 <= hi:
+        primes.insert(0, 2)
+    assert list(reader_table.primes_in(lo, hi)) == primes
+    composites = [v for v in odd if v >= 9 and not reader_flags[v >> 1]]
+    assert list(reader_table.odd_composites_in(lo, hi)) == composites
+
+
+@pytest.mark.parametrize("hi", [0, 1, 2, 9, 10, 2**17, 2**17 + 1, 2**18 - 1, READER_LIMIT, None])
+def test_odd_prime_mask_through_hi(reader_table, reader_flags, hi):
+    top = READER_LIMIT if hi is None else hi
+    assert np.array_equal(reader_table.odd_prime_mask(hi), reader_flags[: (top + 1) // 2])
+
+
+def test_range_past_the_limit_raises_before_a_value(reader_table):
+    past = READER_LIMIT + 1
+    scans = [
+        reader_table.odd_prime_blocks(1, past),
+        reader_table.primes_in(1, past),  # 2 is not yielded first
+        reader_table.odd_composites_in(9, past),
+    ]
+    for scan in scans:
+        with pytest.raises(ValueError, match="exceeds sieve limit"):
+            next(scan)
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        reader_table.odd_prime_mask(past)
+
+
+@pytest.mark.parametrize("hi", [2**17 - 1, 2**17 + 3, 2**18 + 15])
+def test_odd_prime_mask_reads_no_byte_past_hi(reader_table, hi):
+    tampered = PrimeTable(READER_LIMIT)
+    n = (hi + 1) // 2  # the mask holds the indices below n
+    raw = bytearray(tampered._bits)
+    raw[n >> 3] ^= 0xFF & (0xFF << (n & 7))
+    raw[(n >> 3) + 1 :] = bytes(b ^ 0xFF for b in raw[(n >> 3) + 1 :])
+    tampered._bits = bytes(raw)
+    assert np.array_equal(tampered.odd_prime_mask(hi), reader_table.odd_prime_mask(hi))
+    assert not np.array_equal(tampered.odd_prime_mask(), reader_table.odd_prime_mask())
+    blocks = [mask for _, mask in tampered.odd_prime_blocks(1, hi)]
+    assert np.array_equal(np.concatenate(blocks), reader_table.odd_prime_mask(hi))

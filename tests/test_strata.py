@@ -97,8 +97,8 @@ def _strata_loop(limit, visible):
 class _OnlyThreeVisible(PrimeTable):
     """Masks every odd prime but 3, so higher layers and unassigned entries occur."""
 
-    def odd_prime_mask(self):
-        mask = super().odd_prime_mask().copy()
+    def odd_prime_mask(self, hi=None):
+        mask = super().odd_prime_mask(hi).copy()
         mask[2:] = False
         return mask
 
