@@ -9,8 +9,16 @@ its verdict's status *is* the expected one, so a slide from ``holds`` to
 
 The sieve group reads the prime table once, in blocks of
 ``CHECKPOINT_BITS`` odd numbers, carrying only the running prime count and
-composite rank.  Work the other groups share (the pair sweep, the strata
-table) lives in the group's own frame and is freed when the group ends.
+composite rank.  The strata group decides layer 1 and audits it over the
+same blocks (:func:`~sumcollapse.strata.audit_layer_one`: each block is
+searched with a margin of ``strata.MARGIN_ODDS`` odd numbers below it and
+audited against a separate read), carrying only the layer-1 count, whether
+anything was left unassigned and the first anomalies.  Only if a composite
+is left outside layer 1 does it fall back to the whole-limit
+:func:`~sumcollapse.strata.compute_strata` and
+:func:`~sumcollapse.strata.verify_partition`, which place and explain it.
+Work the other groups share (the pair sweep) lives in the group's own frame
+and is freed when the group ends.
 """
 
 from __future__ import annotations
@@ -349,29 +357,41 @@ def collapse_checks(table: PrimeTable, limit: int):
 
 
 def strata_checks(table: PrimeTable, limit: int):
-    st = strata_mod.compute_strata(limit, table)
+    """The strata checks.  Layer 1 and its audit come from one blocked pass
+    (:func:`~sumcollapse.strata.audit_layer_one`), which keeps only a census;
+    if it leaves a composite outside layer 1, the whole-limit table and its
+    full audit decide both checks instead, as they explain what is left."""
+    audit = strata_mod.audit_layer_one(limit, table)
+    if audit.unassigned:
+        st = strata_mod.compute_strata(limit, table)
+        single = decided(
+            st.max_layer == 1 and not st.unassigned,
+            (st.max_layer, len(st.unassigned)),
+            (9, limit),
+            ((st.census().get(1, {}).get("count", 0),),),
+        )
+        anomalies = strata_mod.verify_partition(st, table).anomalies
+        del st
+    else:
+        single = decided(True, None, (9, limit), ((audit.count,),))
+        anomalies = audit.anomalies
     yield (
         "strata/single-layer",
         "every odd composite in range lands in layer 1 (its shift by 3 is a "
         "sum of two odd primes)",
         HOLDS,
-        decided(
-            st.max_layer == 1 and not st.unassigned,
-            (st.max_layer, len(st.unassigned)),
-            (9, limit),
-            ((st.census().get(1, {}).get("count", 0),),),
-        ),
+        single,
     )
-    rep = strata_mod.verify_partition(st, table)
     yield (
         "strata/partition-audit",
         "the layer assignment covers every odd composite exactly once with "
         "consistent witnesses",
         HOLDS,
-        decided(rep.ok, rep.anomalies[:3], (9, limit)),
+        decided(not anomalies, anomalies[:3], (9, limit)),
     )
     cap = min(limit, 100_000)
-    rep = strata_mod.verify_absorption(st, 3, (9, cap), table)
+    # the classification is self-contained, so the capped table has the same members
+    rep = strata_mod.verify_absorption(strata_mod.compute_strata(cap, table), 3, (9, cap), table)
     yield (
         "strata/absorption-pairs",
         "3 + c is a two-odd-prime sum for every layer-1 member (higher layers "

@@ -15,12 +15,13 @@ verdict.  Each part has one decider: the sumsets
 :func:`check_fp` and the containment ``_containment``.
 
 Every exact removal verdict -- a relation, a composite tuple, a gap family
-or a premise of the prefix cascade -- comes from one certificate,
-``_removal_certificate``: the exact pair-sum decision, cross-checked with
-bitset sumsets over the range it enumerates, plus one least-prime witness
-per removed value.  Those witnesses and the shifted composite pair sweep
-come from :func:`~sumcollapse.intsets.least_splits`, the one least-split
-search.
+or a step of the prefix cascade -- comes from one decision,
+``_removal_decision``: the exact pair-sum decision, cross-checked with
+bitset sumsets over the range it enumerates.  ``_removal_certificate`` adds
+one least-prime witness per removed value; the cascade keeps only statuses,
+so it asks the decision alone.  Those witnesses and the shifted composite
+pair sweep come from :func:`~sumcollapse.intsets.least_splits`, the one
+least-split search.
 """
 
 from __future__ import annotations
@@ -279,14 +280,12 @@ def _removal_witnesses(excluded: frozenset[int], table: PrimeTable):
     return tuple((c, p, c + 3 - p) for c, p in reversed(list(pairs)) if p)
 
 
-def _removal_certificate(removal: Progression, table: PrimeTable) -> RelationVerdict:
+def _removal_decision(removal: Progression) -> RelationVerdict:
     """Exact decision whether 2*(odd integers >= 3) equals 2*``removal``.
 
-    Every exact removal verdict comes from here.  A ``holds`` is
-    cross-validated against the windowed sumset engine on ``[3, 2M + 6]``
-    (at least ``[3, 60]``), M the largest removed value, which is the range
-    the enumeration covers; it carries one witness per removed value,
-    largest first, each with the least prime that works.
+    A ``holds`` is cross-validated against the windowed sumset engine on
+    ``[3, 2M + 6]`` (at least ``[3, 60]``), M the largest removed value,
+    which is the range the enumeration covers, and its note says so.
     """
     exact = pair_sum_cover_decision(removal)
     if exact.status is not Status.HOLDS or not removal.excluded:
@@ -300,11 +299,19 @@ def _removal_certificate(removal: Progression, table: PrimeTable) -> RelationVer
             f"exact decision and windowed sumsets disagree for removal "
             f"{sorted(removal.excluded)}"
         )
-    witnesses = _removal_witnesses(removal.excluded, table)
+    return holds(exact.note + f"; cross-validated against bitset sumsets on [3, {hi}]")
+
+
+def _removal_certificate(removal: Progression, table: PrimeTable) -> RelationVerdict:
+    """:func:`_removal_decision`, whose ``holds`` here carries one witness per
+    removed value, largest first, each with the least prime that works."""
+    decision = _removal_decision(removal)
+    if decision.status is not Status.HOLDS or not removal.excluded:
+        return decision
     return holds(
-        exact.note + f"; cross-validated against bitset sumsets on [3, {hi}]; "
-        "the removed values are composite, so factorization into odd primes is untouched",
-        witnesses=witnesses,
+        decision.note + "; the removed values are composite, so factorization "
+        "into odd primes is untouched",
+        witnesses=_removal_witnesses(removal.excluded, table),
     )
 
 
@@ -426,14 +433,14 @@ def prefix_removal_cascade(k: int, l: int, table: PrimeTable) -> RelationVerdict
     results = []
     for i in range(l + 1):
         kept = prefix[k + i - 1]
-        verdict = _removal_certificate(Progression(3, 2, frozenset(prefix) - {kept}), table)
+        verdict = _removal_decision(Progression(3, 2, frozenset(prefix) - {kept}))
         results.append({"premise": i, "kept": kept, "status": verdict.status.value})
         if verdict.status is Status.FAILS:
             return fails(
                 verdict.counterexample,
                 f"premise {i} (keeping {kept}) fails: {verdict.note}",
             )
-    conclusion = _removal_certificate(Progression(3, 2, frozenset(prefix)), table)
+    conclusion = _removal_decision(Progression(3, 2, frozenset(prefix)))
     results.append({"conclusion": True, "status": conclusion.status.value})
     status = weakest(conclusion.status, *(Status(r["status"]) for r in results[:-1]))
     return RelationVerdict(

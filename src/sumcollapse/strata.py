@@ -19,6 +19,18 @@ previous layer.  A handful of prime passes settles layer 1 (132 at 10^7,
 largest witness prime 751).  That count of prime passes is not the census
 ``passes`` field, which counts layer passes (1 when every composite lands
 in layer 1).  The absorption check asks the same search once per fold.
+
+Layer 1 is searched one block of the prime table at a time, by
+:func:`layer_one_blocks`: the blocks of ``sieve.CHECKPOINT_BITS`` odd
+numbers that ``PrimeTable.odd_prime_blocks`` cuts, each read with a margin
+of ``MARGIN_ODDS`` odd numbers below it.  A witness whose partner lies in
+the margin is already the least one, since every smaller prime has a larger
+partner, inside the block or its margin; a sum whose least witness lies
+past the margin (none up to 10^8, where the largest least witness is 1,093)
+is searched again against every flag below the block.  :func:`compute_strata`
+concatenates the blocks; :func:`audit_layer_one` keeps only a census of
+them and audits each block against its own read of the table, so it never
+holds an array over the whole limit.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ import numpy as np
 from .collapse import check_relation
 from .intsets import iter_bits, iterated_sumset, least_splits, restrict
 from .setexpr import IntRange, Primes, Progression, RoughOdd
-from .sieve import PrimeTable
+from .sieve import CHECKPOINT_BITS, PrimeTable
 from .verdict import RelationVerdict
 
 # c + 3 - p is computed in int32, so c + 3 must fit
@@ -43,6 +55,8 @@ _MAX_LAYER = int(np.iinfo(np.int8).max)
 SHIFTED_MIN_PRIME = 7
 MAX_LISTED = 50  # rough-cover violations listed; the count covers them all
 CSV_CHUNK = 1 << 16  # rows formatted per write, so memory stays flat in the limit
+MARGIN_ODDS = 1 << 12  # odd numbers read below each layer-1 block for the partners
+AUDIT_LISTED = 3  # anomalies of each kind the blocked audit keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,25 +175,72 @@ def _layer_by_odd(composites: np.ndarray, layer: np.ndarray, size: int) -> np.nd
     return out
 
 
-def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
-    """Assign every odd composite <= limit to its layer.
-
-    Passes repeat until nothing new is assigned; whatever remains is surfaced
-    as unassigned rather than raising, since within a self-contained window
-    an unassigned composite indicates an implementation bug worth inspecting.
-    """
+def _check_limit(limit: int) -> None:
     if limit < 9:
         raise ValueError(f"limit must be >= 9, got {limit}")
     if limit > _MAX_LIMIT:
         raise ValueError(f"limit must be <= {_MAX_LIMIT}, got {limit}")
+
+
+def _with_margin(blocks, below: np.ndarray):
+    """``(lo, i0, flags)`` per ``(i0, mask)`` block: ``flags`` covers the odd
+    indices ``[lo, i0 + mask.size)``, the block and up to ``MARGIN_ODDS``
+    flags below it, starting from ``below``, the flags just below the first
+    block."""
+    for i0, mask in blocks:
+        flags = np.concatenate((below, mask))
+        yield i0 - below.size, i0, flags
+        below = flags[-MARGIN_ODDS:]
+
+
+def layer_one_blocks(limit: int, table: PrimeTable, odd_prime: np.ndarray | None = None):
+    """Yield ``(composites, witness_prime)`` for each block of the odd
+    composites in ``[9, limit]``: the composites sorted (``int32``) and the
+    least odd prime p whose partner c + 3 - p is an odd prime, 0 where none is.
+
+    Blocks are the table's ``odd_prime_blocks(9, limit)``, or slices of
+    ``odd_prime``, the odd-prime flags through ``limit``, when the caller
+    holds them.  Each block is searched against its own flags and the
+    ``MARGIN_ODDS`` below it; the sums it leaves are searched once more
+    against every flag below the block's end.
+    """
+    _check_limit(limit)
+    if odd_prime is None:
+        blocks, flags_through = table.odd_prime_blocks(9, limit), table.odd_prime_mask
+    else:
+        starts = range(4, (limit + 1) // 2, CHECKPOINT_BITS)
+        blocks = ((i0, odd_prime[i0 : i0 + CHECKPOINT_BITS]) for i0 in starts)
+        flags_through = lambda hi: odd_prime[: (hi + 1) // 2]  # noqa: E731
+    for lo, i0, flags in _with_margin(blocks, flags_through(7)):
+        comps = (2 * (i0 + np.flatnonzero(~flags[i0 - lo :])) + 1).astype(np.int32)
+        sums = comps + 3
+        # a partner below the margin fails the floor, so its sum waits for the retry
+        found = least_splits(
+            sums, table.primes_in(3, limit), max(2 * lo + 1, 3), lambda q: flags[(q >> 1) - lo]
+        )
+        missed = np.flatnonzero(found == 0)
+        if missed.size:
+            below_end = flags_through(2 * (lo + flags.size) - 1)
+            found[missed] = least_splits(
+                sums[missed], table.primes_in(3, limit), 3, lambda q: below_end[q >> 1]
+            )
+        yield comps, found
+
+
+def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
+    """Assign every odd composite <= limit to its layer.
+
+    Layer 1 is the concatenation of :func:`layer_one_blocks`; the deeper
+    passes repeat until nothing new is assigned.  Whatever remains is
+    surfaced as unassigned rather than raising, since within a
+    self-contained window an unassigned composite indicates an
+    implementation bug worth inspecting.
+    """
+    _check_limit(limit)
     if table is None:
         table = PrimeTable(limit)
     odd_prime = table.odd_prime_mask(limit)
-    composites = _odd_composites(odd_prime)
-
-    witness = least_splits(
-        composites + 3, table.primes_in(3, limit), 3, lambda q: odd_prime[q >> 1]
-    )
+    composites, witness = map(np.concatenate, zip(*layer_one_blocks(limit, table, odd_prime)))
     layer = (witness > 0).astype(np.int8)
 
     # pass k assigns layer k, so the last layer assigned is also the pass count
@@ -278,6 +339,77 @@ def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> Partit
     return PartitionReport(
         st.limit, int(expected.size), int(np.count_nonzero(assigned)), tuple(anomalies)
     )
+
+
+@dataclass(frozen=True)
+class LayerOneAudit:
+    """Census and audit of the blocked layer-1 pass.
+
+    ``count`` is the number of composites given a layer-1 witness and
+    ``unassigned`` whether some composite got none; the pass stops there, so
+    ``count`` is then partial and nothing is audited.  ``anomalies`` holds
+    the first ``AUDIT_LISTED`` of each kind in :func:`verify_partition`'s
+    order and wording.
+    """
+
+    count: int
+    unassigned: bool
+    anomalies: tuple[str, ...]
+
+
+def _keep_first(listed: list, values: np.ndarray) -> None:
+    listed += values[: AUDIT_LISTED - len(listed)].tolist()
+
+
+def audit_layer_one(limit: int, table: PrimeTable) -> LayerOneAudit:
+    """Classify layer 1 with :func:`layer_one_blocks` and audit each block
+    against a separate read of the table.
+
+    A block's listed composites must be the odd composites of its read, and
+    each witness p an odd prime whose partner c + 3 - p is one too; the
+    reads' composites must add up to ``table.odd_composite_count(limit)``,
+    which comes from the checkpoint counts.  Values below a block and its
+    margin are read from flags through the largest such value yet asked for.
+    """
+    _check_limit(limit)
+    head = table.odd_prime_mask(7)
+
+    def odd_prime_at(values: np.ndarray, lo: int, flags: np.ndarray) -> np.ndarray:
+        nonlocal head
+        out = _at_odd(flags, values - 2 * lo)
+        below = values < 2 * lo + 1
+        top = int(values[below].max(initial=0))
+        if top >> 1 >= head.size:
+            head = table.odd_prime_mask(min(max(top, 4 * head.size), limit))
+        out[below] = _at_odd(head, values[below])
+        return out
+
+    count = seen = 0
+    missing: list[int] = []
+    stray: list[int] = []
+    bad: list[int] = []
+    reads = _with_margin(table.odd_prime_blocks(9, limit), head)
+    for (comps, found), (lo, i0, flags) in zip(layer_one_blocks(limit, table), reads):
+        if not found.all():
+            return LayerOneAudit(count, True, ())
+        count += comps.size
+        expected = 2 * (i0 + np.flatnonzero(~flags[i0 - lo :])) + 1
+        seen += expected.size
+        if not np.array_equal(comps, expected):
+            _keep_first(missing, expected[~np.isin(expected, comps)])
+            _keep_first(stray, np.unique(comps[~np.isin(comps, expected)]))
+        c, p = comps.astype(np.int64), found.astype(np.int64)
+        paired = odd_prime_at(p, lo, flags) & odd_prime_at(c + 3 - p, lo, flags)
+        _keep_first(bad, c[~paired])
+
+    anomalies: list[str] = []
+    total = table.odd_composite_count(limit)
+    if seen != total:
+        anomalies.append(f"{seen} odd composites <= {limit} audited, the sieve counts {total}")
+    anomalies += [f"odd composite {c} missing from the table" for c in missing]
+    anomalies += [f"table entry {c} is not an odd composite <= {limit}" for c in stray]
+    anomalies += [f"layer-1 witness for {c} is not an odd prime pair" for c in bad]
+    return LayerOneAudit(count, False, tuple(anomalies))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
-from sumcollapse import PrimeTable
-from sumcollapse.battery import decided, run, sieve_checks
+from sumcollapse import PrimeTable, compute_strata, strata, verify_partition
+from sumcollapse.battery import decided, run, sieve_checks, strata_checks
 from sumcollapse.verdict import RelationVerdict, Status, holds, holds_on_window
 
 from oracles import odd_prime_flags, sieve_checks_bf
@@ -133,3 +134,129 @@ def test_sieve_checks_on_tampered_tables(name):
     want = sieve_checks_bf(odd_prime, limit)
     assert {ref for ref, (ok, _) in want.items() if not ok} == failing
     assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
+
+
+# -- the strata group's blocked layer-1 pass ----------------------------------
+
+STRATA_LIMIT = 3 * 2**17 + 2
+
+
+def _strata_verdicts(table, limit):
+    """The single-layer and partition-audit verdicts of the strata group."""
+    group = strata_checks(table, limit)
+    return {ref: verdict for ref, _, _, verdict in itertools.islice(group, 2)}
+
+
+def _whole_limit_verdicts(table, limit):
+    """The two verdicts as the whole-limit table and its full audit give them."""
+    st = compute_strata(limit, table)
+    rep = verify_partition(st, table)
+    return {
+        "strata/single-layer": decided(
+            st.max_layer == 1 and not st.unassigned,
+            (st.max_layer, len(st.unassigned)),
+            (9, limit),
+            ((st.census().get(1, {}).get("count", 0),),),
+        ),
+        "strata/partition-audit": decided(rep.ok, rep.anomalies[:3], (9, limit)),
+    }
+
+
+class _MaskLog(PrimeTable):
+    """Records the end of every odd-prime mask it unpacks."""
+
+    def odd_prime_mask(self, hi=None):
+        self.mask_ends = getattr(self, "mask_ends", []) + [self.limit if hi is None else hi]
+        return super().odd_prime_mask(hi)
+
+
+def test_strata_group_builds_no_whole_limit_table(monkeypatch):
+    limit, cap = 300_000, 100_000
+    real = strata.compute_strata
+
+    def capped(n, table=None):
+        assert n <= cap, f"a strata table over [9, {n}]"
+        return real(n, table)
+
+    monkeypatch.setattr(strata, "compute_strata", capped)
+    monkeypatch.setattr(strata, "verify_partition", None)
+    table = _MaskLog(limit)
+    results = run(strata_checks(table, limit))
+    assert all(r.passed for r in results)
+    assert max(table.mask_ends) == cap  # the windowed checks' masks; layer 1 reads blocks
+
+
+def test_strata_blocked_verdicts_match_the_whole_limit_ones():
+    table = PrimeTable(STRATA_LIMIT)
+    assert _strata_verdicts(table, STRATA_LIMIT) == _whole_limit_verdicts(table, STRATA_LIMIT)
+
+
+def test_strata_fallback_on_a_tampered_table():
+    # without the prime 7, 3 + 9 = 12 = 5 + 7 has no two-odd-prime split left
+    odd_prime = odd_prime_flags(STRATA_LIMIT)
+    odd_prime[7 >> 1] = False
+    table = _table_from_mask(STRATA_LIMIT, odd_prime)
+    got = _strata_verdicts(table, STRATA_LIMIT)
+    assert got == _whole_limit_verdicts(table, STRATA_LIMIT)
+    assert got["strata/single-layer"].counterexample == (1, 1)
+    assert got["strata/partition-audit"].counterexample == ("9 was never assigned to a layer",)
+
+
+def _tampered_blocks(monkeypatch, tamper):
+    """Let ``tamper(comps, witness)`` rewrite each block of the layer-1 search."""
+    real = strata.layer_one_blocks
+
+    def blocks(limit, table, odd_prime=None):
+        for comps, witness in real(limit, table, odd_prime):
+            yield tamper(comps.copy(), witness.copy())
+
+    monkeypatch.setattr(strata, "layer_one_blocks", blocks)
+
+
+def test_strata_audit_flags_a_wrong_witness(monkeypatch):
+    table = PrimeTable(STRATA_LIMIT)
+    c = int(next(table.odd_composites_in(2**17, STRATA_LIMIT)))
+
+    def wrong(comps, witness):
+        witness[comps == c] = 9  # 9 + (c - 6): the prime is not one
+        return comps, witness
+
+    _tampered_blocks(monkeypatch, wrong)
+    got = _strata_verdicts(table, STRATA_LIMIT)
+    assert got == _whole_limit_verdicts(table, STRATA_LIMIT)
+    assert got["strata/single-layer"].status is HOLDS
+    assert got["strata/partition-audit"].counterexample == (
+        f"layer-1 witness for {c} is not an odd prime pair",
+    )
+
+
+def test_strata_audit_counts_a_dropped_composite(monkeypatch):
+    table = PrimeTable(STRATA_LIMIT)
+    c = int(next(table.odd_composites_in(2**18, STRATA_LIMIT)))
+    _tampered_blocks(monkeypatch, lambda comps, witness: (comps[comps != c], witness[comps != c]))
+    got = _strata_verdicts(table, STRATA_LIMIT)
+    assert got == _whole_limit_verdicts(table, STRATA_LIMIT)
+    assert got["strata/partition-audit"].counterexample == (f"odd composite {c} missing from the table",)
+
+
+class _CountsOneMore(PrimeTable):
+    def odd_composite_count(self, x):
+        return super().odd_composite_count(x) + 1
+
+
+def test_strata_audit_counts_against_the_checkpoints(monkeypatch):
+    table = PrimeTable(STRATA_LIMIT)
+    total = table.odd_composite_count(STRATA_LIMIT)
+    real = strata.layer_one_blocks
+    # a search that stops after two blocks leaves the rest unaudited
+    monkeypatch.setattr(strata, "layer_one_blocks", lambda *a: itertools.islice(real(*a), 2))
+    seen = table.odd_composite_count(2 * 2 * 2**16 - 1)
+    assert strata.audit_layer_one(STRATA_LIMIT, table).anomalies == (
+        f"{seen} odd composites <= {STRATA_LIMIT} audited, the sieve counts {total}",
+    )
+    monkeypatch.setattr(strata, "layer_one_blocks", real)
+    got = _strata_verdicts(_CountsOneMore(STRATA_LIMIT), STRATA_LIMIT)
+    assert got["strata/single-layer"].status is HOLDS
+    assert got["strata/partition-audit"].counterexample == (
+        f"{total} odd composites <= {STRATA_LIMIT} audited, the sieve counts {total + 1}",
+    )

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -539,10 +541,14 @@ def test_no_op_options_are_gone(capsys, argv):
 
 
 def test_entry_point_runs():
+    # a fresh process does not see pytest's path, so hand it this checkout's src
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sumcollapse.cli", "sieve", "--limit", "1000"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "168" in proc.stdout

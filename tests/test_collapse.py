@@ -234,6 +234,19 @@ def test_prefix_cascade(table_small):
     assert all(w["status"] == "holds" for w in v.witnesses)
 
 
+def test_prefix_cascade_asks_no_witnesses(monkeypatch, table_small):
+    # the cascade keeps only statuses, so it never searches for least primes
+    want = prefix_removal_cascade(1, 7, table_small)
+
+    def no_witnesses(excluded, table):
+        raise AssertionError(f"witnesses asked for {sorted(excluded)}")
+
+    monkeypatch.setattr(collapse, "_removal_witnesses", no_witnesses)
+    assert prefix_removal_cascade(1, 7, table_small) == want
+    with pytest.raises(AssertionError, match="witnesses asked"):
+        composite_removal_check((9, 15, 21), table_small)
+
+
 def test_removal_disagreement_is_an_internal_error(monkeypatch, table_small):
     # every exact removal verdict is cross-checked against windowed sumsets
     real = collapse.sumset_equal_window

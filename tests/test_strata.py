@@ -16,6 +16,7 @@ from sumcollapse import (
     verify_absorption,
     verify_partition,
 )
+from sumcollapse.intsets import least_splits
 from sumcollapse.verdict import Status
 
 from oracles import goldbach_pair, odd_composites_upto, primes_upto, sum_of_k_primes_bf
@@ -298,3 +299,57 @@ def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert got.endswith(b"35,1,5,33\r\n21,,,\r\n33,,,\r\n")
+
+
+# -- the blocked layer-1 search -----------------------------------------------
+
+BLOCK = 1 << 16  # odd numbers per block of the search
+
+
+def _whole_limit_witnesses(limit, table):
+    """Least two-odd-prime witnesses over the whole mask at once: the search
+    layer 1 ran before it was cut into blocks."""
+    odd_prime = table.odd_prime_mask(limit)
+    comps = (2 * np.flatnonzero(~odd_prime[4:]) + 9).astype(np.int32)
+    return comps, least_splits(comps + 3, table.primes_in(3, limit), 3, lambda q: odd_prime[q >> 1])
+
+
+def _blocked(limit, table):
+    blocks = list(strata.layer_one_blocks(limit, table))
+    return np.concatenate([c for c, _ in blocks]), np.concatenate([w for _, w in blocks])
+
+
+@pytest.mark.parametrize(
+    "limit", [2 * k * BLOCK + d for k in (1, 2) for d in (-1, 1, 3)] + [1_000_000]
+)
+def test_layer_one_blocks_match_the_whole_limit_search(limit):
+    table = PrimeTable(limit)
+    comps, witness = _blocked(limit, table)
+    want_comps, want_witness = _whole_limit_witnesses(limit, table)
+    assert np.array_equal(comps, want_comps) and np.array_equal(witness, want_witness)
+    st = compute_strata(limit, table)
+    assert np.array_equal(st.composites, comps) and np.array_equal(st.witness_prime, witness)
+    # the pair oracle on the first composites and on those around each block edge
+    spots = [c for c in comps.tolist() if c < 2_000 or abs(c % (2 * BLOCK) - BLOCK) > BLOCK - 60]
+    for c in spots:
+        i = int(np.searchsorted(comps, c))
+        assert (int(witness[i]), c + 3 - int(witness[i])) == goldbach_pair(c + 3), c
+
+
+def test_layer_one_retry_past_a_short_margin(monkeypatch):
+    limit = 3 * 2 * BLOCK
+    table = PrimeTable(limit)
+    want = _blocked(limit, table)
+    floors = []
+
+    def spy(sums, parts, floor, accepts):
+        floors.append(floor)
+        return least_splits(sums, parts, floor, accepts)
+
+    monkeypatch.setattr(strata, "MARGIN_ODDS", 3)
+    monkeypatch.setattr(strata, "least_splits", spy)
+    got = _blocked(limit, table)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # blocks 1 and 2 are searched above their three-odd margin, then again from 3
+    margin_floor = [2 * (k * BLOCK - 3) + 1 for k in (1, 2)]
+    assert floors == [3, margin_floor[0], 3, margin_floor[1], 3]
