@@ -9,11 +9,13 @@ its verdict's status *is* the expected one, so a slide from ``holds`` to
 
 The sieve group reads the prime table once, in blocks of
 ``CHECKPOINT_BITS`` odd numbers, carrying only the running prime count and
-composite rank.  The strata group decides layer 1 and audits it over the
-same blocks (:func:`~sumcollapse.strata.audit_layer_one`: each block is
-searched with a margin of ``strata.MARGIN_ODDS`` odd numbers below it and
-audited against a separate read), carrying only the layer-1 count, whether
-anything was left unassigned and the first anomalies.  Only if a composite
+composite rank; the prime-count band is read where pi jumps.  The strata
+group decides layer 1 and audits it over the same blocks
+(:func:`~sumcollapse.strata.audit_layer_one`: each block is searched by one
+shifted-mask pass per prime over its flags and a margin of
+``strata.MARGIN_ODDS`` odd numbers below it, and audited against a
+separate read), carrying only the layer-1 count, whether anything was left
+unassigned and the first anomalies.  Only if a composite
 is left outside layer 1 does it fall back to the whole-limit
 :func:`~sumcollapse.strata.compute_strata` and
 :func:`~sumcollapse.strata.verify_partition`, which place and explain it.
@@ -130,7 +132,8 @@ def sieve_checks(table: PrimeTable):
     Every check is pointwise in ``(c, k, pi(c))`` for the k-th odd composite
     c, or in ``(x, pi(x))`` for the band, so the pass carries only the
     running prime count and composite rank; each check keeps its first
-    failure.
+    failure.  The band is read once per run of constant pi, and x by x only
+    in the first run that fails.
     """
     require_limit(table.limit)
     limit = table.limit
@@ -145,6 +148,28 @@ def sieve_checks(table: PrimeTable):
         if part not in first and bad.any():
             first[part] = int(values[bad.argmax()])
 
+    def ratio(x):
+        return x / np.log(x.astype(np.float64))
+
+    sides = {
+        "band-low": lambda pi, x: pi <= ratio(x) * (1 - guard),
+        "band-high": lambda pi, x: pi >= 1.25506 * ratio(x) * (1 + guard),
+    }
+
+    def band(starts, ends, pis):
+        """The band on runs [starts, ends] of constant pi.  x/ln x rises by
+        about 1/ln x per step, far above double rounding, so on a run the
+        low side can first fail only at its end and the high side only at
+        its start; the first failing run is searched x by x."""
+        for part, at in (("band-low", ends), ("band-high", starts)):
+            if part in first:
+                continue
+            bad = sides[part](pis, at)
+            if bad.any():
+                k = int(bad.argmax())
+                xs = np.arange(starts[k], ends[k] + 1)
+                note(part, xs, sides[part](pis[k], xs))
+
     pi, rank = 1, 0  # the prime 2 and no odd composite lie below the first block
     for i0, mask in table.odd_prime_blocks():
         odd = 2 * np.arange(i0, i0 + mask.size, dtype=np.int64) + 1
@@ -156,12 +181,12 @@ def sieve_checks(table: PrimeTable):
         note("identity", lhs, lhs != 2 * ks + 2 * pis - 1)
         note("surplus", ks, pis < ks + 2)
 
-        # every integer x of the block in [17, limit]; an even x shares pi with x - 1
-        xs = np.arange(max(odd[0], 17), min(odd[-1] + 1, limit) + 1)
-        pi_x = pi_odd[(xs - odd[0]) >> 1]
-        ratio = xs / np.log(xs.astype(np.float64))
-        note("band-low", xs, pi_x <= ratio * (1 - guard))
-        note("band-high", xs, pi_x >= 1.25506 * ratio * (1 + guard))
+        # the integers x of the block in [17, limit], cut into runs from each
+        # prime (or the first x) to the last x before the next one
+        x_lo, x_hi = max(int(odd[0]), 17), min(int(odd[-1]) + 1, limit)
+        if x_lo <= x_hi:
+            starts = np.append(x_lo, odd[mask & (odd > x_lo) & (odd <= x_hi)])
+            band(starts, np.append(starts[1:] - 1, x_hi), pi_odd[(starts - odd[0]) >> 1])
 
         at31 = max(30 - rank, 0)  # ks, lhs and pis are sorted, so each bound cuts a suffix
         c, k, p = lhs[at31:], ks[at31:], pis[at31:]

@@ -12,9 +12,15 @@ operand; Python's big integers do the word-level work.  The loop stops as
 soon as the residue class that sums can reach (mod a step proven over both
 operands) is filled, so sums of odd numbers, odd primes or rough numbers
 stop after a few dozen shifts instead of running through every member.
+Operands of mixed parity are split into their parity classes first, so
+that each pair of classes saturates on its own.
+
 The exact pair-sum decision splits only the sums 3 + e for excluded e, with
-:func:`least_splits`: the package's one least-witness search, which the
-strata layers, the removal witnesses and the pair sweeps ask too.
+:func:`least_splits`, the least-witness search that the deeper strata
+layers, the absorption check, the removal witnesses and the pair sweeps ask
+too.  Layer 1 of the strata asks its block form,
+:func:`least_splits_block`, which returns the same least part for a
+contiguous block of sums against a flag array.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .verdict import RelationVerdict, fails, holds, holds_on_window
 
-
+DENSE_SHARE = 16  # least_splits_block ANDs whole blocks until under 1/16 of them is pending
 _BITPOS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
 
@@ -157,7 +163,8 @@ def _position_step(bits: int) -> int:
 
 
 def _sumset_bits(a_bits: int, b_bits: int, out_len: int) -> int:
-    """OR of ``a_bits`` shifted by every set position of ``b_bits``.
+    """OR of ``a_bits`` shifted by every set position of ``b_bits``, cut to
+    ``out_len`` bits.
 
     Enumerates the sparser operand, drops shifts past the output window and
     keeps the shifted operand trimmed so intermediate integers never grow
@@ -167,33 +174,52 @@ def _sumset_bits(a_bits: int, b_bits: int, out_len: int) -> int:
     in each operand, every sum lies in the class of ``a_lsb + b_lsb`` mod g.
     Once ``acc`` holds every position of that class from the lowest one a
     remaining shift can touch up to ``out_len``, no later shift adds a bit.
+    An odd g means mixed parities, and then the odd sums of one class pair
+    would keep the even sums of another from ever saturating (the prime 2
+    beside the odd primes): the operands are split by parity, and each pair
+    of classes runs the loop with its own cutoff.
     """
     if out_len <= 0:
         return 0
     full = (1 << out_len) - 1
-    if a_bits.bit_count() < b_bits.bit_count():
-        a_bits, b_bits = b_bits, a_bits
     a_bits &= full
     b_bits &= full
     if not a_bits or not b_bits:
         return 0
-    a_lsb = _lsb(a_bits)
-    step = math.gcd(_position_step(a_bits), _position_step(b_bits)) or 1
-    reachable = progression_bits(a_lsb + _lsb(b_bits), step, 0, out_len - 1)
+    step = math.gcd(_position_step(a_bits), _position_step(b_bits))
+    if step % 2 == 0:
+        pairs = [(a_bits, b_bits, step or 1)]
+    else:
+        evens = progression_bits(0, 2, 0, out_len - 1)
+        a_cls, b_cls = ((bits & evens, bits & ~evens) for bits in (a_bits, b_bits))
+        # positions of one parity differ by multiples of 2 as well
+        pairs = [
+            (a, b, math.lcm(2, math.gcd(_position_step(a), _position_step(b))) or 2)
+            for a in a_cls
+            for b in b_cls
+            if a and b
+        ]
+    del a_bits, b_bits  # so an unsplit loop holds the only copy of its operands as it trims them
     acc = 0
-    slack = 1 << 13  # trim the shifted operand only once it overshoots by this much
-    since_check = 0
-    for j in iter_bits(b_bits):
-        allowed = out_len - j
-        if a_bits.bit_length() > allowed + slack:
-            a_bits &= (1 << (allowed + slack)) - 1
-        acc |= a_bits << j
-        since_check += 1
-        if since_check >= 64:
-            since_check = 0
-            # every reachable position a later shift could touch is filled
-            if (reachable & ~acc).bit_length() <= j + 1 + a_lsb:
-                break
+    while pairs:
+        a_bits, b_bits, step = pairs.pop()
+        if a_bits.bit_count() < b_bits.bit_count():
+            a_bits, b_bits = b_bits, a_bits
+        a_lsb = _lsb(a_bits)
+        reachable = progression_bits(a_lsb + _lsb(b_bits), step, 0, out_len - 1)
+        slack = 1 << 13  # trim the shifted operand only once it overshoots by this much
+        since_check = 0
+        for j in iter_bits(b_bits):
+            allowed = out_len - j
+            if a_bits.bit_length() > allowed + slack:
+                a_bits &= (1 << (allowed + slack)) - 1
+            acc |= a_bits << j
+            since_check += 1
+            if since_check >= 64:
+                since_check = 0
+                # every reachable position a later shift could touch is filled
+                if (reachable & ~acc).bit_length() <= j + 1 + a_lsb:
+                    break
     return acc & full
 
 
@@ -293,6 +319,70 @@ def least_splits(sums, parts, floor: int, accepts) -> np.ndarray:
         found[pos[hit]] = a
         pos, cand = pos[~hit], cand[~hit]
     return found
+
+
+def least_splits_block(pending: np.ndarray, flags: np.ndarray, parts) -> np.ndarray:
+    """The block form of :func:`least_splits` for a flag-array accept set:
+    per set position of ``pending``, in increasing order, the least odd part
+    p >= 3 of the increasing iterable ``parts`` whose partner is flagged;
+    0 where none is.
+
+    ``flags[i]`` says whether the odd number 2(lo + i) + 1 is accepted, and
+    ``pending`` lines up with the last ``pending.size`` flags: with
+    off = ``flags.size - pending.size``, position j stands for the sum
+    s_j = 2(lo + off + j) + 4, whose partner for p sits at
+    ``flags[off + j - (p - 3)/2]``.  So each part is one contiguous AND of
+    the pending positions with the flags shifted by (p - 3)/2, and a
+    position's part is that of the pass that cleared it, counted by the
+    passes it stayed pending through.  Once fewer than 1/``DENSE_SHARE`` of
+    the positions are left (or after 252 passes, all a ``uint8`` count
+    holds), each part gathers the partners of the positions left instead.
+    A position whose partner falls below ``flags[0]`` gets 0.
+
+    This is the least part ``least_splits`` returns for the sums s_j with
+    floor 2 lo + 1 and the test ``flags[(q >> 1) - lo]``; the search stops
+    once nothing is pending or every partner is below the flags.  Parts
+    must be below 2^31.
+    """
+    n = pending.size
+    off = flags.size - n
+    at = np.flatnonzero(pending)
+    pending = pending.copy()
+    hit = np.empty(n, dtype=bool)
+    stayed = np.zeros(n, dtype=np.uint8)  # dense passes each position stayed pending through
+    dense: list[int] = []  # the part of each dense pass
+    found = rest = None
+    left = at.size
+    for p in parts:
+        shift = (p - 3) >> 1
+        j0 = max(shift - off, 0)  # the partners of positions below j0 are below the flags
+        if not left or j0 >= n:
+            break
+        if rest is None:
+            window = hit[: n - j0]
+            np.logical_and(pending[j0:], flags[off - shift + j0 : off - shift + n], out=window)
+            np.logical_xor(pending[j0:], window, out=pending[j0:])
+            stayed += pending
+            dense.append(p)
+            if len(dense) % 4 == 0:  # 252 is the last such count below the uint8 limit
+                left = np.count_nonzero(pending)
+                if left * DENSE_SHARE < n or len(dense) == 252:
+                    found = _dense_parts(dense, pending, stayed)
+                    rest = np.flatnonzero(pending)
+        else:
+            rest = rest[rest.searchsorted(j0) :]
+            got = flags[off - shift + rest]
+            found[rest[got]] = p
+            rest = rest[~got]
+            left = rest.size
+    if rest is None:
+        found = _dense_parts(dense, pending, stayed)
+    return found[at]
+
+
+def _dense_parts(dense: list[int], pending: np.ndarray, stayed: np.ndarray) -> np.ndarray:
+    """Per position, the dense pass's part that cleared it, 0 if none did."""
+    return np.array(dense + [0], dtype=np.int32)[np.where(pending, len(dense), stayed)]
 
 
 def _not_in(values: np.ndarray):

@@ -10,27 +10,31 @@ A :class:`StrataTable` is three parallel arrays indexed by composite rank:
 the sorted odd composites, one ``int8`` layer each (0 for unassigned) and
 one ``int32`` witness prime p each; the witness partner is c + 3 - p.
 
-Every layer is classified by :func:`~sumcollapse.intsets.least_splits`,
-the package's one least-witness search, with the primes in the outer loop:
-for p = 3, 5, 7, ... in increasing order, one numpy pass tests the partner
-c + 3 - p of every composite still pending, so each composite takes the
-least p whose partner is an odd prime >= 3 (layer 1) or a member of the
-previous layer.  A handful of prime passes settles layer 1 (132 at 10^7,
-largest witness prime 751).  That count of prime passes is not the census
-``passes`` field, which counts layer passes (1 when every composite lands
-in layer 1).  The absorption check asks the same search once per fold.
+Every layer is searched with the primes in the outer loop: for p = 3, 5,
+7, ... in increasing order, one numpy pass tests the partner c + 3 - p of
+every composite still pending, so each composite takes the least p whose
+partner is an odd prime >= 3 (layer 1) or a member of the previous layer.
+The census ``passes`` field counts layer passes (1 when every composite
+lands in layer 1), not these prime passes.
 
 Layer 1 is searched one block of the prime table at a time, by
 :func:`layer_one_blocks`: the blocks of ``sieve.CHECKPOINT_BITS`` odd
 numbers that ``PrimeTable.odd_prime_blocks`` cuts, each read with a margin
-of ``MARGIN_ODDS`` odd numbers below it.  A witness whose partner lies in
-the margin is already the least one, since every smaller prime has a larger
-partner, inside the block or its margin; a sum whose least witness lies
-past the margin (none up to 10^8, where the largest least witness is 1,093)
-is searched again against every flag below the block.  :func:`compute_strata`
-concatenates the blocks; :func:`audit_layer_one` keeps only a census of
-them and audits each block against its own read of the table, so it never
-holds an array over the whole limit.
+of ``MARGIN_ODDS`` odd numbers below it.  Within a block the partners of
+consecutive composites are consecutive flags, so
+:func:`~sumcollapse.intsets.least_splits_block` makes each prime pass one
+AND of the pending composites with the flags shifted by (p - 3)/2 (about
+95 passes a block at 10^7, largest witness prime 751).  A witness whose
+partner lies in the margin is already the least one, since every smaller
+prime has a larger partner, inside the block or its margin; a sum whose
+least witness lies past the margin (none up to 10^8, where the largest
+least witness is 1,093) is searched again by
+:func:`~sumcollapse.intsets.least_splits` against every flag below the
+block's end.  :func:`compute_strata` concatenates the blocks;
+:func:`audit_layer_one` keeps only a census of them and audits each block
+against its own read of the table, so it never holds an array over the
+whole limit.  The deeper layers and the absorption check ask
+``least_splits`` over the pending composites.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from itertools import islice
 import numpy as np
 
 from .collapse import check_relation
-from .intsets import iter_bits, iterated_sumset, least_splits, restrict
+from .intsets import iter_bits, iterated_sumset, least_splits, least_splits_block, restrict
 from .setexpr import IntRange, Primes, Progression, RoughOdd
 from .sieve import CHECKPOINT_BITS, PrimeTable
 from .verdict import RelationVerdict
@@ -200,9 +204,10 @@ def layer_one_blocks(limit: int, table: PrimeTable, odd_prime: np.ndarray | None
 
     Blocks are the table's ``odd_prime_blocks(9, limit)``, or slices of
     ``odd_prime``, the odd-prime flags through ``limit``, when the caller
-    holds them.  Each block is searched against its own flags and the
-    ``MARGIN_ODDS`` below it; the sums it leaves are searched once more
-    against every flag below the block's end.
+    holds them.  Each block is searched by ``least_splits_block`` against
+    its own flags and the ``MARGIN_ODDS`` below it; the sums it leaves are
+    searched once more, by ``least_splits``, against every flag below the
+    block's end.
     """
     _check_limit(limit)
     if odd_prime is None:
@@ -212,17 +217,15 @@ def layer_one_blocks(limit: int, table: PrimeTable, odd_prime: np.ndarray | None
         blocks = ((i0, odd_prime[i0 : i0 + CHECKPOINT_BITS]) for i0 in starts)
         flags_through = lambda hi: odd_prime[: (hi + 1) // 2]  # noqa: E731
     for lo, i0, flags in _with_margin(blocks, flags_through(7)):
-        comps = (2 * (i0 + np.flatnonzero(~flags[i0 - lo :])) + 1).astype(np.int32)
-        sums = comps + 3
-        # a partner below the margin fails the floor, so its sum waits for the retry
-        found = least_splits(
-            sums, table.primes_in(3, limit), max(2 * lo + 1, 3), lambda q: flags[(q >> 1) - lo]
-        )
+        pending = ~flags[i0 - lo :]
+        comps = (2 * (i0 + np.flatnonzero(pending)) + 1).astype(np.int32)
+        # a partner below the margin ends its search, so its sum waits for the retry
+        found = least_splits_block(pending, flags, table.primes_in(3, limit))
         missed = np.flatnonzero(found == 0)
         if missed.size:
             below_end = flags_through(2 * (lo + flags.size) - 1)
             found[missed] = least_splits(
-                sums[missed], table.primes_in(3, limit), 3, lambda q: below_end[q >> 1]
+                comps[missed] + 3, table.primes_in(3, limit), 3, lambda q: below_end[q >> 1]
             )
         yield comps, found
 

@@ -136,6 +136,22 @@ def test_sieve_checks_on_tampered_tables(name):
     assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
 
 
+def test_prime_count_band_fails_at_a_run_start():
+    # pi is constant from a prime to the next; here it first reaches the
+    # band's high side at a prime x followed by a gap, so the high side
+    # fails at x and not at the end of x's run
+    limit = 3 * 2**17 + 2
+    odd_prime = odd_prime_flags(limit)
+    odd_prime[BLOCK : 2 * BLOCK] = True
+    ok, x = sieve_checks_bf(odd_prime, limit)["sieve/prime-count-band"]
+    odd_prime = odd_prime_flags(limit)
+    odd_prime[BLOCK : (x >> 1) + 1] = True
+    odd_prime[(x >> 1) + 1 : (x >> 1) + 65] = False
+    want = sieve_checks_bf(odd_prime, limit)
+    assert not ok and want["sieve/prime-count-band"] == (False, x)
+    assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
+
+
 # -- the strata group's blocked layer-1 pass ----------------------------------
 
 STRATA_LIMIT = 3 * 2**17 + 2

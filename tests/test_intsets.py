@@ -14,7 +14,8 @@ from sumcollapse import (
     restrict,
     sumset_equal_window,
 )
-from sumcollapse.intsets import least_splits
+from sumcollapse import intsets
+from sumcollapse.intsets import least_splits, least_splits_block
 from sumcollapse.verdict import Status
 
 from oracles import goldbach_pair, least_split_bf, nfold_sums_bf
@@ -154,6 +155,38 @@ def test_least_splits_against_brute_force(symmetric):
             part_above_partner += a > s - a > 0
     # the removal witnesses rely on parts larger than their partners
     assert symmetric or part_above_partner > 0
+
+
+@pytest.mark.parametrize("dense_share", [16, 2], ids=["default-switch", "early-switch"])
+def test_least_splits_block_against_least_splits(monkeypatch, dense_share):
+    monkeypatch.setattr(intsets, "DENSE_SHARE", dense_share)
+    rng = random.Random(0xB10C + dense_share)
+    odd_primes = [p for p in range(3, 700, 2) if all(p % d for d in range(3, p, 2))]
+    fell_below = 0
+    for _ in range(300):
+        lo = rng.randrange(0, 50)
+        n = rng.randint(0, 400)
+        off = rng.choice([0, 1, rng.randrange(0, 40), rng.randrange(0, 300)])
+        # nearly empty flags keep most positions pending through 252 dense passes
+        density = rng.choice([0.0, 0.005, 0.05, 0.3, 0.8])
+        flags = np.array([rng.random() < density for _ in range(off + n)], dtype=bool)
+        pending = np.array([rng.random() < 0.7 for _ in range(n)], dtype=bool)
+        kind = rng.randrange(3)
+        if kind == 0:
+            parts = odd_primes[: rng.randint(0, len(odd_primes))]
+        elif kind == 1:
+            parts = sorted(rng.sample(range(3, 700, 2), rng.randint(0, 120)))
+        else:
+            parts = range(3, 10**9, 2)
+        positions = np.flatnonzero(pending)
+        sums = 2 * (lo + off + positions) + 4
+        want = least_splits(sums, iter(parts), 2 * lo + 1, lambda q: flags[(q >> 1) - lo])
+        got = least_splits_block(pending, flags, iter(parts))
+        assert got.tolist() == want.tolist(), (lo, off, pending, flags, parts)
+        # unsplit sums that still had parts left when their partner fell below flags[0]
+        last_shift = (parts[-1] - 3) // 2 if parts else -1
+        fell_below += int(np.count_nonzero((got == 0) & (off + positions < last_shift)))
+    assert fell_below > 0
 
 
 def test_pair_sum_cover_decisions():

@@ -161,12 +161,32 @@ def _class_operand(data, length):
     return bits
 
 
+def _two_class_operand(data, length):
+    """A whole or holed parity class below ``length`` beside one position of
+    the other parity, as the prime 2 sits beside the odd primes."""
+    parity = data.draw(st.integers(0, 1))
+    keep = data.draw(st.sampled_from([1.0, 0.9]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    bits = 0
+    for p in range(parity, length, 2):
+        if keep == 1.0 or rng.random() < keep:
+            bits |= 1 << p
+    return bits | 1 << 2 * rng.randrange(length // 2) + 1 - parity
+
+
+def _operand(data):
+    if data.draw(st.integers(0, 2)) == 2:
+        return _two_class_operand(data, data.draw(st.sampled_from([3000, 700, 40])))
+    # lengths 0 give empty operands
+    return _class_operand(data, data.draw(st.sampled_from([3000, 700, 40, 1, 0])))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_sumset_kernel_against_shift_or(data):
-    # lengths 0 give empty operands; windows below, at and past the operands
-    a = _class_operand(data, data.draw(st.sampled_from([3000, 700, 40, 1, 0])))
-    b = _class_operand(data, data.draw(st.sampled_from([3000, 700, 40, 1, 0])))
+    # windows below, at and past the operands
+    a = _operand(data)
+    b = _operand(data)
     longest = max(a.bit_length(), b.bit_length())
     out_len = data.draw(st.one_of(
         st.sampled_from([0, longest, a.bit_length() + b.bit_length()]),

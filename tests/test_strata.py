@@ -340,16 +340,22 @@ def test_layer_one_retry_past_a_short_margin(monkeypatch):
     limit = 3 * 2 * BLOCK
     table = PrimeTable(limit)
     want = _blocked(limit, table)
-    floors = []
+    retried = []
 
     def spy(sums, parts, floor, accepts):
-        floors.append(floor)
+        retried.append((floor, sums.tolist()))
         return least_splits(sums, parts, floor, accepts)
 
     monkeypatch.setattr(strata, "MARGIN_ODDS", 3)
     monkeypatch.setattr(strata, "least_splits", spy)
     got = _blocked(limit, table)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    # blocks 1 and 2 are searched above their three-odd margin, then again from 3
-    margin_floor = [2 * (k * BLOCK - 3) + 1 for k in (1, 2)]
-    assert floors == [3, margin_floor[0], 3, margin_floor[1], 3]
+    # block 0 reads from the odd number 1; blocks 1 and 2 leave to the retry,
+    # which searches from 3, exactly the sums whose least partner lies below
+    # their three-odd margin
+    comps, witness = want
+    below = comps + 3 - witness < 2 * (comps // (2 * BLOCK) * BLOCK - 3) + 1
+    assert [floor for floor, _ in retried] == [3, 3]
+    for k, (_, sums) in zip((1, 2), retried):
+        in_block = comps // (2 * BLOCK) == k
+        assert sums == (comps[in_block & below] + 3).tolist() and sums
