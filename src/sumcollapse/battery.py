@@ -14,11 +14,14 @@ group decides layer 1 and audits it over the same blocks
 (:func:`~sumcollapse.strata.audit_layer_one`: each block is searched by one
 shifted-mask pass per prime over its flags and a margin of
 ``strata.MARGIN_ODDS`` odd numbers below it, and audited against a
-separate read), carrying only the layer-1 count, whether anything was left
-unassigned and the first anomalies.  Only if a composite
-is left outside layer 1 does it fall back to the whole-limit
-:func:`~sumcollapse.strata.compute_strata` and
+separate read, its witness pairs looked up with ``PrimeTable.odd_prime_at``),
+carrying only the layer-1 count, whether anything was left unassigned and
+the first anomalies.  Only if a composite is left outside layer 1 does it
+fall back to the whole-limit :func:`~sumcollapse.strata.compute_strata` and
 :func:`~sumcollapse.strata.verify_partition`, which place and explain it.
+Short of that fallback, no check unpacks a prefix of the table past layer
+1's first margin: the absorption check and the pair sweep look primes up
+with ``odd_prime_at`` too.
 Work the other groups share (the pair sweep) lives in the group's own frame
 and is freed when the group ends.
 """
@@ -193,10 +196,10 @@ def sieve_checks(table: PrimeTable):
         # c <= 4k - 3 is pi(c) <= k - 1, since c = 2k + 2 pi(c) - 1 for any mask
         note("pi-bound", c, p > k - 1)
         note("log-bound", k, k >= (0.5 * np.log(4 * k.astype(np.float64)) - 1) * p + 1)
+        # c >= (2 + 2/m)k - 1 is pi(c) m >= k, since c = 2k + 2 pi(c) - 1 for any mask
         for m in range(1, top_m + 1):
             past = lhs.searchsorted(13 ** (m + 1))
-            c, k, p = lhs[past:], ks[past:], pis[past:]
-            if (p * m >= k).any() or (c >= (2 + 2 / m) * k - 1).any():
+            if (pis[past:] * m >= ks[past:]).any():
                 bad_ms.add(m)
 
         pi, rank = int(pi_odd[-1]), rank + lhs.size

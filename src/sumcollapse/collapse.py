@@ -630,12 +630,11 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
             f"sieve limit {table.limit} holds fewer than {k_max} odd composites"
         )
     comps = np.array(index.first(k_max))
-    # each partner >= 9 and each 2k - 3 is odd and below comps[-1]; there, not prime is composite
-    is_comp = ~table.odd_prime_mask(int(comps[-1]))
 
     def least_pairs(sums):
-        # the symmetric set: a sum with a least part x has x <= its partner
-        least = least_splits(sums, comps.tolist(), 9, lambda q: is_comp[q >> 1])
+        # the symmetric set: a sum with a least part x has x <= its partner;
+        # each partner is odd, >= 9 and below comps[-1], where not prime is composite
+        least = least_splits(sums, comps.tolist(), 9, lambda q: ~table.odd_prime_at(q))
         return least, (least > 0) & (2 * least < sums)
 
     ks = np.arange(3, k_max + 1)
@@ -647,7 +646,7 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
 
     t = 2 * ks
     least, distinct = least_pairs(t)
-    shifted_prime = ~is_comp[(t - 3) >> 1]  # an odd 2k - 3 >= 3 is prime or composite
+    shifted_prime = table.odd_prime_at(t - 3)  # an odd 2k - 3 >= 3 is prime or composite
     even_exc = tuple(ks[(least == 0) & ~shifted_prime].tolist())
     even_distinct_exc = tuple(ks[~distinct & ~shifted_prime].tolist())
     return PairSweepReport(k_max, missing, witnesses, even_exc, even_distinct_exc)

@@ -7,7 +7,9 @@ sieve one level down, so the module imports nothing from the package.
 Prime counts are answered from checkpoint sums plus a popcount over the
 residual block, which keeps ``prime_count`` effectively O(1).  One reader,
 ``odd_prime_blocks(lo, hi)``, decodes the bits of a range; the mask and the
-scans share its range semantics.
+scans share its range semantics.  ``odd_prime_at(values)`` looks up an array
+of values in the packed bits themselves, so no caller needs to unpack a
+prefix only to index it.
 
 All element indices are 1-based: ``nth_prime(1) == 2`` and the first odd
 composite has rank 1.
@@ -100,6 +102,16 @@ class PrimeTable:
             return n == 2
         i = n >> 1
         return bool(self._bits[i >> 3] >> (i & 7) & 1)
+
+    def odd_prime_at(self, values) -> np.ndarray:
+        """Per integer of the array ``values``, whether it is an odd prime in
+        ``[3, limit]``; False for even values, values below 3 and values past
+        the limit, so nothing raises."""
+        values = np.asarray(values, dtype=np.int64)
+        inside = (values & 1 == 1) & (values >= 3) & (values <= self.limit)
+        i = np.where(inside, values >> 1, 0)
+        raw = np.frombuffer(self._bits, dtype=np.uint8)
+        return inside & (raw[i >> 3] >> (i & 7) & 1).astype(bool)
 
     def is_odd_composite(self, n: int) -> bool:
         """Odd, >= 9 and not prime; only the primality lookup checks the range."""

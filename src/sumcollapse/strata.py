@@ -18,23 +18,23 @@ The census ``passes`` field counts layer passes (1 when every composite
 lands in layer 1), not these prime passes.
 
 Layer 1 is searched one block of the prime table at a time, by
-:func:`layer_one_blocks`: the blocks of ``sieve.CHECKPOINT_BITS`` odd
-numbers that ``PrimeTable.odd_prime_blocks`` cuts, each read with a margin
-of ``MARGIN_ODDS`` odd numbers below it.  Within a block the partners of
-consecutive composites are consecutive flags, so
-:func:`~sumcollapse.intsets.least_splits_block` makes each prime pass one
-AND of the pending composites with the flags shifted by (p - 3)/2 (about
-95 passes a block at 10^7, largest witness prime 751).  A witness whose
-partner lies in the margin is already the least one, since every smaller
-prime has a larger partner, inside the block or its margin; a sum whose
-least witness lies past the margin (none up to 10^8, where the largest
-least witness is 1,093) is searched again by
-:func:`~sumcollapse.intsets.least_splits` against every flag below the
-block's end.  :func:`compute_strata` concatenates the blocks;
-:func:`audit_layer_one` keeps only a census of them and audits each block
-against its own read of the table, so it never holds an array over the
-whole limit.  The deeper layers and the absorption check ask
-``least_splits`` over the pending composites.
+:func:`layer_one_blocks`: the blocks that ``PrimeTable.odd_prime_blocks``
+cuts, each read with a margin of ``MARGIN_ODDS`` odd numbers below it.
+Within a block the partners of consecutive composites are consecutive
+flags, so :func:`~sumcollapse.intsets.least_splits_block` makes each prime
+pass one AND of the pending composites with the flags shifted by (p - 3)/2
+(about 95 passes a block at 10^7, largest witness prime 751).  A witness
+whose partner lies in the margin is already the least one, since every
+smaller prime has a larger partner, inside the block or its margin; a sum
+whose least witness lies past the margin (none up to 10^8, where the
+largest least witness is 1,093) is searched again by
+:func:`~sumcollapse.intsets.least_splits` with ``PrimeTable.odd_prime_at``,
+the lookup in the packed bits, as its accept test.
+:func:`compute_strata` concatenates the blocks; :func:`audit_layer_one`
+keeps only a census of them and audits each block against its own read of
+the table and each witness pair against ``odd_prime_at``, so it never holds
+an array over the whole limit.  The deeper layers and the absorption check
+ask ``least_splits`` over the pending composites.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 from .collapse import check_relation
 from .intsets import iter_bits, iterated_sumset, least_splits, least_splits_block, restrict
 from .setexpr import IntRange, Primes, Progression, RoughOdd
-from .sieve import CHECKPOINT_BITS, PrimeTable
+from .sieve import PrimeTable
 from .verdict import RelationVerdict
 
 # c + 3 - p is computed in int32, so c + 3 must fit
@@ -186,46 +186,29 @@ def _check_limit(limit: int) -> None:
         raise ValueError(f"limit must be <= {_MAX_LIMIT}, got {limit}")
 
 
-def _with_margin(blocks, below: np.ndarray):
-    """``(lo, i0, flags)`` per ``(i0, mask)`` block: ``flags`` covers the odd
-    indices ``[lo, i0 + mask.size)``, the block and up to ``MARGIN_ODDS``
-    flags below it, starting from ``below``, the flags just below the first
-    block."""
-    for i0, mask in blocks:
-        flags = np.concatenate((below, mask))
-        yield i0 - below.size, i0, flags
-        below = flags[-MARGIN_ODDS:]
-
-
-def layer_one_blocks(limit: int, table: PrimeTable, odd_prime: np.ndarray | None = None):
+def layer_one_blocks(limit: int, table: PrimeTable):
     """Yield ``(composites, witness_prime)`` for each block of the odd
     composites in ``[9, limit]``: the composites sorted (``int32``) and the
     least odd prime p whose partner c + 3 - p is an odd prime, 0 where none is.
 
-    Blocks are the table's ``odd_prime_blocks(9, limit)``, or slices of
-    ``odd_prime``, the odd-prime flags through ``limit``, when the caller
-    holds them.  Each block is searched by ``least_splits_block`` against
-    its own flags and the ``MARGIN_ODDS`` below it; the sums it leaves are
-    searched once more, by ``least_splits``, against every flag below the
-    block's end.
+    Blocks are the table's ``odd_prime_blocks(9, limit)``.  Each block is
+    searched by ``least_splits_block`` against its own flags and the
+    ``MARGIN_ODDS`` below it; the sums it leaves are searched once more, by
+    ``least_splits`` with ``table.odd_prime_at`` as the accept test.
     """
     _check_limit(limit)
-    if odd_prime is None:
-        blocks, flags_through = table.odd_prime_blocks(9, limit), table.odd_prime_mask
-    else:
-        starts = range(4, (limit + 1) // 2, CHECKPOINT_BITS)
-        blocks = ((i0, odd_prime[i0 : i0 + CHECKPOINT_BITS]) for i0 in starts)
-        flags_through = lambda hi: odd_prime[: (hi + 1) // 2]  # noqa: E731
-    for lo, i0, flags in _with_margin(blocks, flags_through(7)):
-        pending = ~flags[i0 - lo :]
+    below = table.odd_prime_mask(7)
+    for i0, mask in table.odd_prime_blocks(9, limit):
+        flags = np.concatenate((below, mask))
+        below = flags[-MARGIN_ODDS:]
+        pending = ~mask
         comps = (2 * (i0 + np.flatnonzero(pending)) + 1).astype(np.int32)
         # a partner below the margin ends its search, so its sum waits for the retry
         found = least_splits_block(pending, flags, table.primes_in(3, limit))
         missed = np.flatnonzero(found == 0)
         if missed.size:
-            below_end = flags_through(2 * (lo + flags.size) - 1)
             found[missed] = least_splits(
-                comps[missed] + 3, table.primes_in(3, limit), 3, lambda q: below_end[q >> 1]
+                comps[missed] + 3, table.primes_in(3, limit), 3, table.odd_prime_at
             )
         yield comps, found
 
@@ -242,8 +225,7 @@ def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
     _check_limit(limit)
     if table is None:
         table = PrimeTable(limit)
-    odd_prime = table.odd_prime_mask(limit)
-    composites, witness = map(np.concatenate, zip(*layer_one_blocks(limit, table, odd_prime)))
+    composites, witness = map(np.concatenate, zip(*layer_one_blocks(limit, table)))
     layer = (witness > 0).astype(np.int8)
 
     # pass k assigns layer k, so the last layer assigned is also the pass count
@@ -252,7 +234,7 @@ def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
         pending = np.flatnonzero(layer == 0)
         if not pending.size:
             break
-        by_odd = _layer_by_odd(composites, layer, odd_prime.size)
+        by_odd = _layer_by_odd(composites, layer, (limit + 1) // 2)
         found = least_splits(
             composites[pending] + 3,
             table.primes_in(3, limit),
@@ -352,7 +334,8 @@ class LayerOneAudit:
     ``unassigned`` whether some composite got none; the pass stops there, so
     ``count`` is then partial and nothing is audited.  ``anomalies`` holds
     the first ``AUDIT_LISTED`` of each kind in :func:`verify_partition`'s
-    order and wording.
+    order and wording, the witness pairs checked with
+    ``PrimeTable.odd_prime_at`` wherever their partners lie.
     """
 
     count: int
@@ -366,43 +349,31 @@ def _keep_first(listed: list, values: np.ndarray) -> None:
 
 def audit_layer_one(limit: int, table: PrimeTable) -> LayerOneAudit:
     """Classify layer 1 with :func:`layer_one_blocks` and audit each block
-    against a separate read of the table.
+    against a separate ``odd_prime_blocks(9, limit)`` read of the table.
 
     A block's listed composites must be the odd composites of its read, and
-    each witness p an odd prime whose partner c + 3 - p is one too; the
-    reads' composites must add up to ``table.odd_composite_count(limit)``,
-    which comes from the checkpoint counts.  Values below a block and its
-    margin are read from flags through the largest such value yet asked for.
+    each witness p an odd prime whose partner c + 3 - p is one too, both
+    looked up with ``table.odd_prime_at``; the reads' composites must add up
+    to ``table.odd_composite_count(limit)``, which comes from the checkpoint
+    counts.
     """
     _check_limit(limit)
-    head = table.odd_prime_mask(7)
-
-    def odd_prime_at(values: np.ndarray, lo: int, flags: np.ndarray) -> np.ndarray:
-        nonlocal head
-        out = _at_odd(flags, values - 2 * lo)
-        below = values < 2 * lo + 1
-        top = int(values[below].max(initial=0))
-        if top >> 1 >= head.size:
-            head = table.odd_prime_mask(min(max(top, 4 * head.size), limit))
-        out[below] = _at_odd(head, values[below])
-        return out
-
     count = seen = 0
     missing: list[int] = []
     stray: list[int] = []
     bad: list[int] = []
-    reads = _with_margin(table.odd_prime_blocks(9, limit), head)
-    for (comps, found), (lo, i0, flags) in zip(layer_one_blocks(limit, table), reads):
+    reads = table.odd_prime_blocks(9, limit)
+    for (comps, found), (i0, mask) in zip(layer_one_blocks(limit, table), reads):
         if not found.all():
             return LayerOneAudit(count, True, ())
         count += comps.size
-        expected = 2 * (i0 + np.flatnonzero(~flags[i0 - lo :])) + 1
+        expected = 2 * (i0 + np.flatnonzero(~mask)) + 1
         seen += expected.size
         if not np.array_equal(comps, expected):
             _keep_first(missing, expected[~np.isin(expected, comps)])
             _keep_first(stray, np.unique(comps[~np.isin(comps, expected)]))
         c, p = comps.astype(np.int64), found.astype(np.int64)
-        paired = odd_prime_at(p, lo, flags) & odd_prime_at(c + 3 - p, lo, flags)
+        paired = table.odd_prime_at(p) & table.odd_prime_at(c + 3 - p)
         _keep_first(bad, c[~paired])
 
     anomalies: list[str] = []
@@ -439,17 +410,16 @@ def verify_absorption(
     layer-(k-1) member c in the window; empty layers pass vacuously.
 
     The k-fold test is :func:`least_splits` over the odd primes, recursing on
-    whole arrays of sums down to the odd-prime flags at k = 1.
+    whole arrays of sums down to ``table.odd_prime_at`` at k = 1.
     """
     if table is None:
         table = PrimeTable(st.limit)
     lo, hi = window
     top = min(hi, st.limit)  # no prime or partner the tests read exceeds a member
-    odd_prime = table.odd_prime_mask(top)
 
     def k_fold(sums: np.ndarray, k: int) -> np.ndarray:
         if k == 1:
-            return _at_odd(odd_prime, sums)
+            return table.odd_prime_at(sums)
         rest = lambda r: k_fold(r, k - 1)  # noqa: E731
         return least_splits(sums, table.primes_in(3, top), 3 * (k - 1), rest) > 0
 

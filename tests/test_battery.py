@@ -199,7 +199,7 @@ def test_strata_group_builds_no_whole_limit_table(monkeypatch):
     table = _MaskLog(limit)
     results = run(strata_checks(table, limit))
     assert all(r.passed for r in results)
-    assert max(table.mask_ends) == cap  # the windowed checks' masks; layer 1 reads blocks
+    assert max(table.mask_ends) == 7  # layer 1's first margin; the rest reads blocks and lookups
 
 
 def test_strata_blocked_verdicts_match_the_whole_limit_ones():
@@ -222,8 +222,8 @@ def _tampered_blocks(monkeypatch, tamper):
     """Let ``tamper(comps, witness)`` rewrite each block of the layer-1 search."""
     real = strata.layer_one_blocks
 
-    def blocks(limit, table, odd_prime=None):
-        for comps, witness in real(limit, table, odd_prime):
+    def blocks(limit, table):
+        for comps, witness in real(limit, table):
             yield tamper(comps.copy(), witness.copy())
 
     monkeypatch.setattr(strata, "layer_one_blocks", blocks)

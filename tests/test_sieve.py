@@ -245,6 +245,42 @@ def test_odd_prime_mask_through_hi(reader_table, reader_flags, hi):
     assert np.array_equal(reader_table.odd_prime_mask(hi), reader_flags[: (top + 1) // 2])
 
 
+def _odd_prime_at_inputs():
+    """Every integer across byte edges and the first ``CHECKPOINT_BITS`` edge,
+    plus values the lookup must answer False for without raising."""
+    edge = 2 * CHECKPOINT_BITS + 1  # the first odd number of the second block
+    return np.concatenate(
+        [
+            np.arange(-4, 40),
+            np.arange(edge - 40, edge + 40),
+            [2**18, -(2**40), READER_LIMIT - 1, READER_LIMIT, READER_LIMIT + 2, 2**40 + 1],
+        ]
+    )
+
+
+def _odd_prime_at_reference(table, values):
+    return [v % 2 == 1 and 3 <= v <= table.limit and table.is_prime(int(v)) for v in values]
+
+
+def test_odd_prime_at_matches_is_prime(reader_table):
+    values = _odd_prime_at_inputs()
+    got = reader_table.odd_prime_at(values)
+    assert got.dtype == bool and got.tolist() == _odd_prime_at_reference(reader_table, values)
+    assert not reader_table.odd_prime_at([1, 2, 4, 2**17, -3, -7, READER_LIMIT + 2]).any()
+
+
+def test_odd_prime_at_reads_the_packed_bits(reader_table):
+    tampered = PrimeTable(READER_LIMIT)
+    raw = bytearray(tampered._bits)
+    for at in (0, 1, CHECKPOINT_BITS // 8 - 1, CHECKPOINT_BITS // 8):
+        raw[at] ^= 0xA5
+    tampered._bits = bytes(raw)
+    values = _odd_prime_at_inputs()
+    got = tampered.odd_prime_at(values)
+    assert got.tolist() == _odd_prime_at_reference(tampered, values)
+    assert got.tolist() != reader_table.odd_prime_at(values).tolist()
+
+
 def test_range_past_the_limit_raises_before_a_value(reader_table):
     past = READER_LIMIT + 1
     scans = [

@@ -96,12 +96,23 @@ def _strata_loop(limit, visible):
 
 
 class _OnlyThreeVisible(PrimeTable):
-    """Masks every odd prime but 3, so higher layers and unassigned entries occur."""
+    """Masks every odd prime but 3 in the flag readers, so higher layers and
+    unassigned entries occur; ``primes_in`` still yields every prime as a part."""
 
     def odd_prime_mask(self, hi=None):
         mask = super().odd_prime_mask(hi).copy()
         mask[2:] = False
         return mask
+
+    def odd_prime_blocks(self, lo=1, hi=None):
+        for i0, mask in super().odd_prime_blocks(lo, hi):
+            yield i0, mask & (np.arange(i0, i0 + mask.size) == 1)
+
+    def odd_prime_at(self, values):
+        return super().odd_prime_at(values) & (np.asarray(values) == 3)
+
+    def primes_in(self, lo, hi):
+        return PrimeTable(self.limit).primes_in(lo, hi)
 
 
 def test_stratum_answers_from_the_table_it_is_passed():
@@ -359,3 +370,30 @@ def test_layer_one_retry_past_a_short_margin(monkeypatch):
     for k, (_, sums) in zip((1, 2), retried):
         in_block = comps // (2 * BLOCK) == k
         assert sums == (comps[in_block & below] + 3).tolist() and sums
+
+
+def test_layer_one_audit_reads_retry_partners_below_the_margin(monkeypatch):
+    limit = 3 * 2 * BLOCK
+    table = PrimeTable(limit)
+    monkeypatch.setattr(strata, "MARGIN_ODDS", 3)
+    total = table.odd_composite_count(limit)
+    assert strata.audit_layer_one(limit, table) == strata.LayerOneAudit(total, False, ())
+    # move a retry witness of block 1 to a larger prime, whose partner lies
+    # further below the margin and is composite
+    comps, witness = _blocked(limit, table)
+    retried = (comps // (2 * BLOCK) == 1) & (comps + 3 - witness < 2 * (BLOCK - 3) + 1)
+    i = int(np.flatnonzero(retried)[0])
+    c = int(comps[i])
+    p = next(q for q in table.primes_in(int(witness[i]) + 1, c) if not table.is_prime(c + 3 - q))
+    real = strata.layer_one_blocks
+
+    def tampered(limit, table):
+        for cs, found in real(limit, table):
+            found = found.copy()
+            found[cs == c] = p
+            yield cs, found
+
+    monkeypatch.setattr(strata, "layer_one_blocks", tampered)
+    got = strata.audit_layer_one(limit, table).anomalies
+    assert got == (f"layer-1 witness for {c} is not an odd prime pair",)
+    assert got == verify_partition(compute_strata(limit, table), table).anomalies
