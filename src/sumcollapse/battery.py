@@ -10,18 +10,18 @@ its verdict's status *is* the expected one, so a slide from ``holds`` to
 The sieve group reads the prime table once, in blocks of
 ``CHECKPOINT_BITS`` odd numbers, carrying only the running prime count and
 composite rank; the prime-count band is read where pi jumps.  The strata
-group decides layer 1 and audits it over the same blocks
-(:func:`~sumcollapse.strata.audit_layer_one`: each block is searched by one
-shifted-mask pass per prime over its flags and a margin of
-``strata.MARGIN_ODDS`` odd numbers below it, and audited against a
-separate read, its witness pairs looked up with ``PrimeTable.odd_prime_at``),
-carrying only the layer-1 count, whether anything was left unassigned and
-the first anomalies.  Only if a composite is left outside layer 1 does it
-fall back to the whole-limit :func:`~sumcollapse.strata.compute_strata` and
-:func:`~sumcollapse.strata.verify_partition`, which place and explain it.
-Short of that fallback, no check unpacks a prefix of the table past layer
-1's first margin: the absorption check and the pair sweep look primes up
-with ``odd_prime_at`` too.
+group reads the strata stream once
+(:func:`~sumcollapse.strata.audit_layer_one` over
+:func:`~sumcollapse.strata.strata_blocks`: each block's layer 1 is searched
+by one shifted-mask pass per prime over its flags and a margin of
+``strata.MARGIN_ODDS`` odd numbers below it, and any exception is placed in
+a deeper layer from a sparse list).  It audits each block against a
+separate read, its layer-1 witness pairs looked up with
+``PrimeTable.odd_prime_at`` and its deeper witnesses peeled against the
+list, carrying only the layer counts, the list and the first anomalies.  So
+no check holds a strata array over the whole limit, and none unpacks a
+prefix of the table past layer 1's first margin: the absorption check (on
+its 10^5 cap) and the pair sweep look primes up with ``odd_prime_at`` too.
 Work the other groups share (the pair sweep) lives in the group's own frame
 and is freed when the group ends.
 """
@@ -385,37 +385,29 @@ def collapse_checks(table: PrimeTable, limit: int):
 
 
 def strata_checks(table: PrimeTable, limit: int):
-    """The strata checks.  Layer 1 and its audit come from one blocked pass
-    (:func:`~sumcollapse.strata.audit_layer_one`), which keeps only a census;
-    if it leaves a composite outside layer 1, the whole-limit table and its
-    full audit decide both checks instead, as they explain what is left."""
+    """The strata checks.  Both the layer assignment and its audit come
+    from one read of the strata stream
+    (:func:`~sumcollapse.strata.audit_layer_one`), which keeps only a census,
+    the exceptions' sparse list and the first anomalies."""
     audit = strata_mod.audit_layer_one(limit, table)
-    if audit.unassigned:
-        st = strata_mod.compute_strata(limit, table)
-        single = decided(
-            st.max_layer == 1 and not st.unassigned,
-            (st.max_layer, len(st.unassigned)),
-            (9, limit),
-            ((st.census().get(1, {}).get("count", 0),),),
-        )
-        anomalies = strata_mod.verify_partition(st, table).anomalies
-        del st
-    else:
-        single = decided(True, None, (9, limit), ((audit.count,),))
-        anomalies = audit.anomalies
     yield (
         "strata/single-layer",
         "every odd composite in range lands in layer 1 (its shift by 3 is a "
         "sum of two odd primes)",
         HOLDS,
-        single,
+        decided(
+            audit.max_layer == 1 and not audit.unassigned,
+            (audit.max_layer, audit.unassigned),
+            (9, limit),
+            ((audit.count,),),
+        ),
     )
     yield (
         "strata/partition-audit",
         "the layer assignment covers every odd composite exactly once with "
         "consistent witnesses",
         HOLDS,
-        decided(not anomalies, anomalies[:3], (9, limit)),
+        decided(not audit.anomalies, audit.anomalies[:3], (9, limit)),
     )
     cap = min(limit, 100_000)
     # the classification is self-contained, so the capped table has the same members

@@ -32,6 +32,7 @@ import contextlib
 import json
 import re
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,22 +128,20 @@ def _cmd_sieve(args) -> int:
 
 def _cmd_strata(args) -> int:
     table = PrimeTable(_within_reach("strata", args.limit))
-    st = strata_mod.compute_strata(args.limit, table)
-    if args.csv:
-        st.write_csv(args.csv)
-    payload = st.census_dict()
+    tally = strata_mod.strata_census(args.limit, table, args.csv)
+    payload = tally.census_dict()
     _write_report(args.out, payload)
     if args.format == "json":
         sys.stdout.write(_canonical_json(payload))
     else:
-        for layer, info in st.census().items():
+        for layer, info in tally.census().items():
             print(
                 f"layer {layer}: {info['count']} composites in "
                 f"[{info['min']}, {info['max']}]"
             )
-        if st.unassigned:
-            print(f"unassigned: {len(st.unassigned)} (anomaly)")
-    return 1 if st.unassigned else 0
+        if tally.unassigned:
+            print(f"unassigned: {len(tally.unassigned)} (anomaly)")
+    return 1 if tally.unassigned else 0
 
 
 _REL_PATTERN = re.compile(r"^(?P<lhs>.*?)~\((?P<m>\d+),(?P<n>\d+)\)~(?P<rhs>.*)$")
@@ -184,22 +183,6 @@ _RING_HEADER = (
     "modulus,b_mask,b_elements,c_mask,c_elements,m_fold,n_fold,"
     "sumset_equal,fp,subset,symmetric,directed\r\n"
 )
-_RING_CHUNK = 1 << 16  # CSV lines joined into one write
-
-
-def _ring_lines(prefixes: list[str], suffixes: list[str], eq, low, n_max: int):
-    """One B block of the ring CSV, in strings of at most ``_RING_CHUNK`` lines.
-
-    Line ``i`` is ``prefixes[i // n_max]`` (modulus, B, C, m_fold) joined to
-    ``suffixes[8 * (n_fold - 1) + code]``, where ``code`` packs
-    (sumset_equal, fp, subset) and ``low`` holds fp and subset per C.
-    """
-    flat = eq.ravel()
-    for start in range(0, flat.size, _RING_CHUNK):
-        i = np.arange(start, min(start + _RING_CHUNK, flat.size))
-        code = i % n_max * 8 + flat[i] * 4 + low[i // (n_max * n_max)]
-        heads = map(prefixes.__getitem__, (i // n_max).tolist())
-        yield "".join(map(str.__add__, heads, map(suffixes.__getitem__, code.tolist())))
 
 
 def _cmd_ring(args) -> int:
@@ -207,10 +190,11 @@ def _cmd_ring(args) -> int:
     # a refused modulus or fold bound raises here, before any file is created
     blocks = ring.relation_table(m, n_max)
     labels = ["|".join(str(x) for x in range(m) if mask >> x & 1) for mask in range(1 << m)]
-    c_parts = [f"{c},{labels[c]}," for c in range(1, 1 << m)]
-    m_parts = [f"{mf}," for mf in range(1, n_max + 1)]
-    suffixes = [
-        f"{nf},{eq},{fp},{sub},{eq & fp},{eq & fp & sub}\r\n"
+    # the row after "modulus,B," for each (C, m_fold, n_fold, eq * 4 + fp * 2 + subset)
+    tails = [
+        f"{c},{labels[c]},{mf},{nf},{eq},{fp},{sub},{eq & fp},{eq & fp & sub}\r\n"
+        for c in range(1, 1 << m)
+        for mf in range(1, n_max + 1)
         for nf in range(1, n_max + 1)
         for eq in (0, 1)
         for fp in (0, 1)
@@ -224,10 +208,12 @@ def _cmd_ring(args) -> int:
             rows += eq.size
             directed += int(np.count_nonzero(eq[fp & subset]))
             if fh is not None:
+                # eq runs over (C, m_fold, n_fold), so row i's tail is tails[8 i + code]
+                low = np.repeat(fp * 2 + subset, n_max * n_max)
+                idx = np.arange(eq.size) * 8 + eq.ravel() * 4 + low
                 head = f"{m},{b},{labels[b]},"
-                prefixes = [head + c + mf for c in c_parts for mf in m_parts]
-                low = fp * 2 + subset
-                fh.writelines(_ring_lines(prefixes, suffixes, eq, low, n_max))
+                # a block has at least 3 rows (modulus >= 2), so the getter returns a tuple
+                fh.write(head + head.join(itemgetter(*idx.tolist())(tails)))
     payload = {
         "schema": SCHEMA_VERSION,
         "modulus": m,

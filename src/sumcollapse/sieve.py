@@ -27,8 +27,6 @@ import numpy as np
 SEGMENT_ODDS = 1 << 20      # odd numbers sieved per segment
 CHECKPOINT_BITS = 1 << 16   # bits per prime-count checkpoint block
 
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
 
 def _unpack(bits: bytes, i0: int, i1: int) -> np.ndarray:
     """Flags of the odd numbers with index in ``[i0, i1)`` of packed ``bits``;
@@ -53,13 +51,16 @@ class PrimeTable:
         self._ckpt = self._build_checkpoints()
 
     @staticmethod
-    def _build_bits(limit: int) -> bytes:
+    def _build_bits(limit: int) -> bytearray:
+        """The packed bits, each segment sieved and packed into its place in
+        one buffer of the table's own size."""
         n_bits = (limit + 1) // 2
         root = math.isqrt(limit)  # below 9 every odd number but 1 is prime
         base = _unpack(PrimeTable._build_bits(root), 0, (root + 1) // 2) if limit >= 9 else []
         base_primes = (2 * np.flatnonzero(base) + 1).tolist()
 
-        chunks = []
+        bits = bytearray((n_bits + 7) // 8)
+        packed = np.frombuffer(bits, dtype=np.uint8)
         for seg_start in range(0, n_bits, SEGMENT_ODDS):
             seg_len = min(SEGMENT_ODDS, n_bits - seg_start)
             buf = np.ones(seg_len, dtype=np.uint8)
@@ -76,17 +77,20 @@ class PrimeTable:
                 idx = (first >> 1) - seg_start
                 if idx < seg_len:
                     buf[idx::p] = 0
-            chunks.append(np.packbits(buf, bitorder="little").tobytes())
-        return b"".join(chunks)
+            # SEGMENT_ODDS is a multiple of 8, so each segment starts on a byte
+            at = seg_start >> 3
+            packed[at : at + (seg_len + 7) // 8] = np.packbits(buf, bitorder="little")
+        return bits
 
     def _build_checkpoints(self) -> np.ndarray:
-        counts = _POPCOUNT[np.frombuffer(self._bits, dtype=np.uint8)]
-        block_bytes = CHECKPOINT_BITS // 8
-        starts = np.arange(0, len(counts), block_bytes)
-        block_sums = np.add.reduceat(counts, starts)
-        ckpt = np.zeros(len(starts) + 1, dtype=np.int64)
-        np.cumsum(block_sums, out=ckpt[1:])
-        return ckpt
+        """Prime bits before each ``CHECKPOINT_BITS`` block, from one popcount
+        per block."""
+        bits, block_bytes = memoryview(self._bits), CHECKPOINT_BITS // 8
+        counts = [
+            int.from_bytes(bits[i : i + block_bytes], "little").bit_count()
+            for i in range(0, len(bits), block_bytes)
+        ]
+        return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
     # -- point queries ---------------------------------------------------
 

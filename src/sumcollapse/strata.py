@@ -6,41 +6,43 @@ layer-(k-1) composite.  Within a window the classification is
 self-contained: deciding c only ever consults primes and composites below
 c + 3, so recomputing with a larger limit never relabels anything.
 
-A :class:`StrataTable` is three parallel arrays indexed by composite rank:
-the sorted odd composites, one ``int8`` layer each (0 for unassigned) and
-one ``int32`` witness prime p each; the witness partner is c + 3 - p.
+The strata are read as a stream, :func:`strata_blocks`, which yields
+``(composites, layer, witness_prime)`` for one block of the prime table at
+a time: the blocks that ``PrimeTable.odd_prime_blocks`` cuts, each searched
+with a margin of ``MARGIN_ODDS`` odd numbers below it.  The witness partner
+is c + 3 - p.  Every consumer reads that stream: :func:`strata_census`
+(the ``strata`` command's census and CSV), :func:`audit_layer_one` (the
+battery's audit) and :func:`compute_strata`, which concatenates it into a
+:class:`StrataTable` for library callers and ``Stratum(k)``.  Only the
+last holds arrays over the whole limit.
 
-Every layer is searched with the primes in the outer loop: for p = 3, 5,
-7, ... in increasing order, one numpy pass tests the partner c + 3 - p of
-every composite still pending, so each composite takes the least p whose
-partner is an odd prime >= 3 (layer 1) or a member of the previous layer.
-The census ``passes`` field counts layer passes (1 when every composite
-lands in layer 1), not these prime passes.
-
-Layer 1 is searched one block of the prime table at a time, by
-:func:`layer_one_blocks`: the blocks that ``PrimeTable.odd_prime_blocks``
-cuts, each read with a margin of ``MARGIN_ODDS`` odd numbers below it.
-Within a block the partners of consecutive composites are consecutive
-flags, so :func:`~sumcollapse.intsets.least_splits_block` makes each prime
-pass one AND of the pending composites with the flags shifted by (p - 3)/2
-(about 95 passes a block at 10^7, largest witness prime 751).  A witness
-whose partner lies in the margin is already the least one, since every
-smaller prime has a larger partner, inside the block or its margin; a sum
-whose least witness lies past the margin (none up to 10^8, where the
-largest least witness is 1,093) is searched again by
+Layer 1 is searched block by block in :func:`layer_one_blocks`.  Within a
+block the partners of consecutive composites are consecutive flags, so
+:func:`~sumcollapse.intsets.least_splits_block` makes each prime pass one
+AND of the pending composites with the flags shifted by (p - 3)/2 (about 95
+passes a block at 10^7, largest witness prime 751), and each composite takes
+the least odd prime p whose partner is an odd prime.  A witness whose
+partner lies in the margin is already the least one, since every smaller
+prime has a larger partner, inside the block or its margin; a sum whose
+least witness lies past the margin (none up to 10^8, where the largest least
+witness is 1,093) is searched again by
 :func:`~sumcollapse.intsets.least_splits` with ``PrimeTable.odd_prime_at``,
 the lookup in the packed bits, as its accept test.
-:func:`compute_strata` concatenates the blocks; :func:`audit_layer_one`
-keeps only a census of them and audits each block against its own read of
-the table and each witness pair against ``odd_prime_at``, so it never holds
-an array over the whole limit.  The deeper layers and the absorption check
-ask ``least_splits`` over the pending composites.
+
+A composite left without a two-odd-prime split is an exception (none on a
+true table).  The stream keeps the exceptions in a sorted, sparse list and
+places them as they come: an exception takes 1 + the least layer among its
+partners c + 3 - p, and the least p reaching that layer as its witness.
+Every partner lies below c, so its layer is known when c is placed: it is
+read from the list, or is 1 for an odd composite the list does not hold.
+The census ``passes`` field is max(1, max_layer), the number of layer
+passes a whole-limit search would make.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -58,7 +60,7 @@ _MAX_LAYER = int(np.iinfo(np.int8).max)
 # the shifted-prime inclusion starts at 3 + 7 = 10, the least pair sum of primes >= 5
 SHIFTED_MIN_PRIME = 7
 MAX_LISTED = 50  # rough-cover violations listed; the count covers them all
-CSV_CHUNK = 1 << 16  # rows formatted per write, so memory stays flat in the limit
+CSV_CHUNK = 1 << 13  # rows formatted per write, so memory stays flat in the limit
 MARGIN_ODDS = 1 << 12  # odd numbers read below each layer-1 block for the partners
 AUDIT_LISTED = 3  # anomalies of each kind the blocked audit keeps
 
@@ -102,17 +104,53 @@ class StrataTable:
     def max_layer(self) -> int:
         return int(self.layer.max(initial=0))
 
+    def _tally(self) -> StrataCensus:
+        tally = StrataCensus(self.limit)
+        tally.add(self.composites, self.layer)
+        return tally
+
     def census(self) -> dict[int, dict[str, int]]:
-        out: dict[int, dict[str, int]] = {}
-        for k in np.unique(self.layer).tolist():
-            if k:
-                members = self.composites[self.layer == k]
-                out[k] = {
-                    "count": int(members.size),
-                    "min": int(members[0]),
-                    "max": int(members[-1]),
-                }
-        return out
+        return self._tally().census()
+
+    def census_dict(self) -> dict:
+        return {**self._tally().census_dict(), "passes": self.passes}
+
+    def write_csv(self, path: str) -> None:
+        """Assigned rows in composite order, then the unassigned ones, written
+        ``CSV_CHUNK`` rows at a time."""
+        block = (self.composites, self.layer, self.witness_prime)
+        _write_csv(path, [block], StrataCensus(self.limit))
+
+
+@dataclass
+class StrataCensus:
+    """Count, least and largest member per layer, and the unassigned
+    composites in increasing order, tallied one block of the strata at a time."""
+
+    limit: int
+    layers: dict[int, dict[str, int]] = field(default_factory=dict)
+    unassigned: list[int] = field(default_factory=list)
+
+    def add(self, composites: np.ndarray, layer: np.ndarray) -> None:
+        """Tally a block that follows every block added before it."""
+        if not composites.size:
+            return
+        single = bool((layer == layer[0]).all())
+        for k in [int(layer[0])] if single else np.unique(layer).tolist():
+            members = composites if single else composites[layer == k]
+            if not k:
+                self.unassigned += members.tolist()
+                continue
+            entry = self.layers.setdefault(k, {"count": 0, "min": int(members[0]), "max": 0})
+            entry["count"] += members.size
+            entry["max"] = int(members[-1])
+
+    @property
+    def max_layer(self) -> int:
+        return max(self.layers, default=0)
+
+    def census(self) -> dict[int, dict[str, int]]:
+        return dict(sorted(self.layers.items()))
 
     def census_dict(self) -> dict:
         return {
@@ -121,26 +159,37 @@ class StrataTable:
             "layers": {str(k): v for k, v in self.census().items()},
             "max_layer": self.max_layer,
             "unassigned": list(self.unassigned),
-            "passes": self.passes,
+            # the layer passes a whole-limit search makes: one per layer, at least one
+            "passes": max(1, self.max_layer),
         }
 
-    def write_csv(self, path: str) -> None:
-        """Assigned rows in composite order, then the unassigned ones, written
-        ``CSV_CHUNK`` rows at a time."""
-        idx = np.flatnonzero(self.layer)
-        with open(path, "w", newline="") as fh:
-            fh.write("c,layer,witness_prime,witness_partner\r\n")
-            for start in range(0, idx.size, CSV_CHUNK):
-                chunk = idx[start : start + CSV_CHUNK]
-                comps, primes = self.composites[chunk], self.witness_prime[chunk]
-                columns = (comps, self.layer[chunk], primes, comps + 3 - primes)
-                fh.write(
-                    "".join(
-                        f"{c},{k},{p},{q}\r\n"
-                        for c, k, p, q in zip(*(col.tolist() for col in columns))
-                    )
-                )
-            fh.write("".join(f"{c},,,\r\n" for c in self.unassigned))
+
+_CSV_HEADER = b"c,layer,witness_prime,witness_partner\r\n"
+
+
+def _assigned_rows(composites: np.ndarray, layer: np.ndarray, witness: np.ndarray):
+    """The CSV rows of a block's assigned entries in composite order, one
+    bytes string per ``CSV_CHUNK`` rows."""
+    idx = np.flatnonzero(layer)
+    for start in range(0, idx.size, CSV_CHUNK):
+        at = idx[start : start + CSV_CHUNK]
+        c, p = composites[at].astype(np.int64), witness[at].astype(np.int64)
+        rows = np.column_stack((c, layer[at], p, c + 3 - p))
+        yield (b"%d,%d,%d,%d\r\n" * at.size) % tuple(rows.ravel().tolist())
+
+
+def _write_csv(path: str, blocks, tally: StrataCensus) -> None:
+    """Write the ``(composites, layer, witness_prime)`` blocks to ``path`` as
+    they come, tallying each, then the unassigned rows the tally collected."""
+    with open(path, "wb") as fh:
+        fh.write(_CSV_HEADER)
+        for comps, layer, witness in blocks:
+            tally.add(comps, layer)
+            fh.writelines(_assigned_rows(comps, layer, witness))
+        left = tally.unassigned
+        for start in range(0, len(left), CSV_CHUNK):
+            chunk = left[start : start + CSV_CHUNK]
+            fh.write((b"%d,,,\r\n" * len(chunk)) % tuple(chunk))
 
 
 class _AssignedView(Mapping):
@@ -170,13 +219,6 @@ class _AssignedView(Mapping):
 def _odd_composites(odd_prime: np.ndarray) -> np.ndarray:
     """Sorted odd composites >= 9 covered by an odd-prime mask."""
     return (2 * np.flatnonzero(~odd_prime[4:]) + 9).astype(np.int32)
-
-
-def _layer_by_odd(composites: np.ndarray, layer: np.ndarray, size: int) -> np.ndarray:
-    """Layer per odd number (index i for 2i + 1), 0 where the table has none."""
-    out = np.zeros(size, dtype=np.int8)
-    out[composites >> 1] = layer
-    return out
 
 
 def _check_limit(limit: int) -> None:
@@ -213,42 +255,88 @@ def layer_one_blocks(limit: int, table: PrimeTable):
         yield comps, found
 
 
-def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
-    """Assign every odd composite <= limit to its layer.
+def _listed_layer(values: np.ndarray, listed: np.ndarray, layers: np.ndarray, table) -> np.ndarray:
+    """The layer of each value the strata stream has passed: ``layers[i]``
+    where the value is ``listed[i]`` (sorted), else 1 for an odd number >= 9
+    that ``table.odd_prime_at`` says is not prime, else 0."""
+    out = ((values & 1 == 1) & (values >= 9) & ~table.odd_prime_at(values)).astype(np.int8)
+    if listed.size:
+        i = np.minimum(listed.searchsorted(values), listed.size - 1)
+        hit = listed[i] == values
+        out[hit] = layers[i[hit]]
+    return out
 
-    Layer 1 is the concatenation of :func:`layer_one_blocks`; the deeper
-    passes repeat until nothing new is assigned.  Whatever remains is
-    surfaced as unassigned rather than raising, since within a
-    self-contained window an unassigned composite indicates an
+
+def strata_blocks(limit: int, table: PrimeTable):
+    """Yield ``(composites, layer, witness_prime)`` for each block of the odd
+    composites in ``[9, limit]``: layer 1 and its witnesses from
+    :func:`layer_one_blocks`, and the exceptions it leaves placed in the
+    deeper layers (layer 0 and witness 0 where none is reached).
+
+    The exceptions are kept in a sorted, sparse list.  A block's exceptions
+    join it unassigned; pass k then gives layer k to those with a partner
+    c + 3 - p in layer k - 1, each with the least such p, until a pass finds
+    nothing and no earlier block reached layer k, or at ``_MAX_LAYER``.
+    Those are the passes a whole-limit search makes, since every partner
+    lies below its composite.
+    """
+    _check_limit(limit)
+    listed = np.zeros(0, dtype=np.int64)
+    layers = np.zeros(0, dtype=np.int8)
+    for comps, witness in layer_one_blocks(limit, table):
+        layer = (witness > 0).astype(np.int8)
+        pending = np.flatnonzero(witness == 0)
+        if pending.size:
+            top = max(int(layers.max(initial=0)), 1)  # the deepest layer before this block
+            at = np.arange(listed.size, listed.size + pending.size)
+            listed = np.concatenate((listed, comps[pending]))
+            layers = np.concatenate((layers, layer[pending]))
+            k = 2
+            while pending.size and k <= _MAX_LAYER:
+                found = least_splits(
+                    comps[pending] + 3,
+                    table.primes_in(3, limit),
+                    9,
+                    lambda q, lower=k - 1: _listed_layer(q, listed, layers, table) == lower,
+                )
+                hit = found > 0
+                if not hit.any() and k > top:
+                    break
+                layer[pending[hit]] = layers[at[hit]] = k
+                witness[pending[hit]] = found[hit]
+                pending, at = pending[~hit], at[~hit]
+                k += 1
+        yield comps, layer, witness
+
+
+def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
+    """Assign every odd composite <= limit to its layer: the concatenation
+    of :func:`strata_blocks`.
+
+    Whatever remains is surfaced as unassigned rather than raising, since
+    within a self-contained window an unassigned composite indicates an
     implementation bug worth inspecting.
     """
     _check_limit(limit)
     if table is None:
         table = PrimeTable(limit)
-    composites, witness = map(np.concatenate, zip(*layer_one_blocks(limit, table)))
-    layer = (witness > 0).astype(np.int8)
+    composites, layer, witness = map(np.concatenate, zip(*strata_blocks(limit, table)))
+    return StrataTable(limit, composites, layer, witness, max(1, int(layer.max(initial=0))))
 
-    # pass k assigns layer k, so the last layer assigned is also the pass count
-    passes = 1
-    while passes < _MAX_LAYER:
-        pending = np.flatnonzero(layer == 0)
-        if not pending.size:
-            break
-        by_odd = _layer_by_odd(composites, layer, (limit + 1) // 2)
-        found = least_splits(
-            composites[pending] + 3,
-            table.primes_in(3, limit),
-            9,
-            lambda q, lower=passes: by_odd[q >> 1] == lower,
-        )
-        hit = found > 0
-        if not hit.any():
-            break
-        passes += 1
-        layer[pending[hit]] = passes
-        witness[pending[hit]] = found[hit]
 
-    return StrataTable(limit, composites, layer, witness, passes)
+def strata_census(limit: int, table: PrimeTable, csv: str | None = None) -> StrataCensus:
+    """The census of the strata up to ``limit``, tallied from
+    :func:`strata_blocks` block by block; with ``csv``, the rows are written
+    there as the blocks come, and the unassigned ones last."""
+    _check_limit(limit)
+    tally = StrataCensus(limit)
+    blocks = strata_blocks(limit, table)
+    if csv:
+        _write_csv(csv, blocks, tally)
+    else:
+        for comps, layer, _ in blocks:
+            tally.add(comps, layer)
+    return tally
 
 
 @dataclass(frozen=True)
@@ -310,7 +398,8 @@ def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> Partit
     checked = assigned & ~no_witness
     p_odd_prime = _at_odd(odd_prime, p)
     bad_first = checked & (lay == 1) & ~(p_odd_prime & _at_odd(odd_prime, q))
-    by_odd = _layer_by_odd(comps[in_range], st.layer[in_range], odd_prime.size)
+    by_odd = np.zeros(odd_prime.size, dtype=np.int8)  # layer per odd number, 0 where none
+    by_odd[comps[in_range] >> 1] = st.layer[in_range]
     peels = (p_odd_prime | (p == 2)) & (_at_odd(by_odd, q) == lay - 1)
     bad_deeper = checked & (lay != 1) & ~peels
     for i in np.flatnonzero(no_witness | bad_first | bad_deeper).tolist():
@@ -328,18 +417,18 @@ def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> Partit
 
 @dataclass(frozen=True)
 class LayerOneAudit:
-    """Census and audit of the blocked layer-1 pass.
+    """Census and audit of the strata stream.
 
-    ``count`` is the number of composites given a layer-1 witness and
-    ``unassigned`` whether some composite got none; the pass stops there, so
-    ``count`` is then partial and nothing is audited.  ``anomalies`` holds
-    the first ``AUDIT_LISTED`` of each kind in :func:`verify_partition`'s
-    order and wording, the witness pairs checked with
-    ``PrimeTable.odd_prime_at`` wherever their partners lie.
+    ``count`` is the number of layer-1 members, ``max_layer`` the deepest
+    layer reached and ``unassigned`` the number of composites left without
+    a layer.  ``anomalies`` holds the first ``AUDIT_LISTED`` of each kind in
+    :func:`verify_partition`'s order and wording, the witness pairs checked
+    with ``PrimeTable.odd_prime_at`` wherever their partners lie.
     """
 
     count: int
-    unassigned: bool
+    max_layer: int
+    unassigned: int
     anomalies: tuple[str, ...]
 
 
@@ -348,42 +437,67 @@ def _keep_first(listed: list, values: np.ndarray) -> None:
 
 
 def audit_layer_one(limit: int, table: PrimeTable) -> LayerOneAudit:
-    """Classify layer 1 with :func:`layer_one_blocks` and audit each block
-    against a separate ``odd_prime_blocks(9, limit)`` read of the table.
+    """Read :func:`strata_blocks` and audit each block against a separate
+    ``odd_prime_blocks(9, limit)`` read of the table.
 
     A block's listed composites must be the odd composites of its read, and
-    each witness p an odd prime whose partner c + 3 - p is one too, both
-    looked up with ``table.odd_prime_at``; the reads' composites must add up
-    to ``table.odd_composite_count(limit)``, which comes from the checkpoint
-    counts.
+    every composite must have a layer.  A layer-1 witness p must be an odd
+    prime whose partner c + 3 - p is one too, both looked up with
+    ``table.odd_prime_at``; a layer-k witness must peel: p an odd prime and
+    the partner in layer k - 1, read from the stream's entries outside
+    layer 1, which the audit keeps as a sparse list of its own.  The reads'
+    composites must add up to ``table.odd_composite_count(limit)``, which
+    comes from the checkpoint counts, less whichever of 3, 5 and 7 the table
+    does not hold prime.
     """
     _check_limit(limit)
-    count = seen = 0
+    count = seen = max_layer = unassigned = 0
     missing: list[int] = []
     stray: list[int] = []
-    bad: list[int] = []
+    never: list[int] = []
+    bad: list[str] = []
+    listed = np.zeros(0, dtype=np.int64)  # the entries outside layer 1 so far, and their layers
+    layers = np.zeros(0, dtype=np.int8)
     reads = table.odd_prime_blocks(9, limit)
-    for (comps, found), (i0, mask) in zip(layer_one_blocks(limit, table), reads):
-        if not found.all():
-            return LayerOneAudit(count, True, ())
-        count += comps.size
+    for (comps, layer, found), (i0, mask) in zip(strata_blocks(limit, table), reads):
         expected = 2 * (i0 + np.flatnonzero(~mask)) + 1
         seen += expected.size
         if not np.array_equal(comps, expected):
             _keep_first(missing, expected[~np.isin(expected, comps)])
             _keep_first(stray, np.unique(comps[~np.isin(comps, expected)]))
+        count += int(np.count_nonzero(layer == 1))
+        max_layer = max(max_layer, int(layer.max(initial=0)))
         c, p = comps.astype(np.int64), found.astype(np.int64)
-        paired = table.odd_prime_at(p) & table.odd_prime_at(c + 3 - p)
-        _keep_first(bad, c[~paired])
+        q = c + 3 - p
+        ok = table.odd_prime_at(p) & table.odd_prime_at(q)
+        deeper = layer != 1
+        if deeper.any():
+            left = c[layer == 0]
+            unassigned += left.size
+            _keep_first(never, left)
+            listed = np.concatenate((listed, c[deeper]))
+            layers = np.concatenate((layers, layer[deeper]))
+            peels = (table.odd_prime_at(p) | (p == 2)) & (
+                _listed_layer(q, listed, layers, table) == layer.astype(np.int16) - 1
+            )
+            ok = np.where(deeper, peels, ok)
+        for i in np.flatnonzero((layer != 0) & ~ok)[: AUDIT_LISTED - len(bad)].tolist():
+            if not p[i]:
+                bad.append(f"witness for {c[i]} does not sum to {c[i] + 3}")
+            elif layer[i] == 1:
+                bad.append(f"layer-1 witness for {c[i]} is not an odd prime pair")
+            else:
+                bad.append(f"layer-{layer[i]} witness for {c[i]} does not peel correctly")
 
     anomalies: list[str] = []
-    total = table.odd_composite_count(limit)
+    # less the table's non-primes among 3, 5 and 7, which lie below the strata's range
+    total = table.odd_composite_count(limit) - (4 - table.prime_count(7))
     if seen != total:
         anomalies.append(f"{seen} odd composites <= {limit} audited, the sieve counts {total}")
     anomalies += [f"odd composite {c} missing from the table" for c in missing]
     anomalies += [f"table entry {c} is not an odd composite <= {limit}" for c in stray]
-    anomalies += [f"layer-1 witness for {c} is not an odd prime pair" for c in bad]
-    return LayerOneAudit(count, False, tuple(anomalies))
+    anomalies += [f"{c} was never assigned to a layer" for c in never]
+    return LayerOneAudit(count, max_layer, unassigned, tuple(anomalies + bad))
 
 
 @dataclass(frozen=True)

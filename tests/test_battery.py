@@ -186,8 +186,9 @@ class _MaskLog(PrimeTable):
         return super().odd_prime_mask(hi)
 
 
-def test_strata_group_builds_no_whole_limit_table(monkeypatch):
-    limit, cap = 300_000, 100_000
+def _forbid_whole_limit_strata(monkeypatch, cap=100_000):
+    """Fail any strata table past the absorption check's cap, and any call
+    of the whole-limit audit."""
     real = strata.compute_strata
 
     def capped(n, table=None):
@@ -196,6 +197,11 @@ def test_strata_group_builds_no_whole_limit_table(monkeypatch):
 
     monkeypatch.setattr(strata, "compute_strata", capped)
     monkeypatch.setattr(strata, "verify_partition", None)
+
+
+def test_strata_group_builds_no_whole_limit_table(monkeypatch):
+    limit = 300_000
+    _forbid_whole_limit_strata(monkeypatch)
     table = _MaskLog(limit)
     results = run(strata_checks(table, limit))
     assert all(r.passed for r in results)
@@ -207,15 +213,29 @@ def test_strata_blocked_verdicts_match_the_whole_limit_ones():
     assert _strata_verdicts(table, STRATA_LIMIT) == _whole_limit_verdicts(table, STRATA_LIMIT)
 
 
-def test_strata_fallback_on_a_tampered_table():
-    # without the prime 7, 3 + 9 = 12 = 5 + 7 has no two-odd-prime split left
+def _without_seven():
+    """The true table with the prime 7 cleared: 3 + 9 = 12 = 5 + 7 then has no
+    two-odd-prime split left, and 9 no partner below it."""
     odd_prime = odd_prime_flags(STRATA_LIMIT)
     odd_prime[7 >> 1] = False
-    table = _table_from_mask(STRATA_LIMIT, odd_prime)
+    return _table_from_mask(STRATA_LIMIT, odd_prime)
+
+
+def test_strata_verdicts_on_a_tampered_table():
+    table = _without_seven()
     got = _strata_verdicts(table, STRATA_LIMIT)
     assert got == _whole_limit_verdicts(table, STRATA_LIMIT)
     assert got["strata/single-layer"].counterexample == (1, 1)
     assert got["strata/partition-audit"].counterexample == ("9 was never assigned to a layer",)
+
+
+def test_strata_group_on_a_tampered_table_builds_no_whole_limit_table(monkeypatch):
+    table = _without_seven()
+    want = _whole_limit_verdicts(table, STRATA_LIMIT)
+    _forbid_whole_limit_strata(monkeypatch)
+    results = run(strata_checks(table, STRATA_LIMIT))
+    assert {r.ref: r.verdict for r in results if r.ref in want} == want
+    assert not any(r.passed for r in results if r.ref in want)
 
 
 def _tampered_blocks(monkeypatch, tamper):

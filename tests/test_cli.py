@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sumcollapse import battery, collapse, relation_table_rows
+from sumcollapse import PrimeTable, battery, cli, collapse, relation_table_rows, strata
 from sumcollapse.battery import MIN_LIMIT
 from sumcollapse.cli import MAX_REACH, main
 from sumcollapse.verdict import Status, holds, holds_on_window, hypothesis_failed
@@ -504,6 +505,32 @@ def test_strata_csv_golden_at_1e6(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == STRATA_1E6_CSV_SHA256
     assert hashlib.sha256(json_path.read_bytes()).hexdigest() == STRATA_1E6_CENSUS_SHA256
+
+
+def test_strata_command_streams_without_a_whole_limit_table(tmp_path, capsys, monkeypatch):
+    # a table two blocks long without the prime 7, so 9 is left unassigned:
+    # the command's rows and census must be the whole-limit table's
+    limit = 2 * 2**17 + 1
+    table = PrimeTable(limit)
+    odd_prime = table.odd_prime_mask().copy()
+    odd_prime[7 >> 1] = False
+    table._bits = np.packbits(odd_prime, bitorder="little").tobytes()
+    table._ckpt = table._build_checkpoints()
+    st = strata.compute_strata(limit, table)
+    st.write_csv(tmp_path / "want.csv")
+    assert st.unassigned == (9,)
+
+    monkeypatch.setattr(cli, "PrimeTable", lambda n: table)
+    monkeypatch.setattr(strata, "compute_strata", None)
+    monkeypatch.setattr(strata, "StrataTable", None)
+    csv_path, json_path = tmp_path / "got.csv", tmp_path / "census.json"
+    code, out, _ = run_cli(
+        ["strata", "--limit", str(limit), "--csv", str(csv_path), "--out", str(json_path)],
+        capsys,
+    )
+    assert code == 1 and "unassigned: 1 (anomaly)" in out
+    assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert json.loads(json_path.read_text()) == st.census_dict()
 
 
 def test_partitions(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sumcollapse import CompositeIndex, PrimeTable, is_rough
-from sumcollapse.sieve import CHECKPOINT_BITS
+from sumcollapse.sieve import CHECKPOINT_BITS, SEGMENT_ODDS
 
 from oracles import is_prime_bf, odd_composites_upto, odd_prime_flags, pi_bf, primes_upto
 
@@ -307,3 +307,26 @@ def test_odd_prime_mask_reads_no_byte_past_hi(reader_table, hi):
     assert not np.array_equal(tampered.odd_prime_mask(), reader_table.odd_prime_mask())
     blocks = [mask for _, mask in tampered.odd_prime_blocks(1, hi)]
     assert np.array_equal(np.concatenate(blocks), reader_table.odd_prime_mask(hi))
+
+
+def _checkpoints_reference(bits):
+    """Prime bits before each checkpoint block, from a popcount of every byte."""
+    popcount = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+    counts = popcount[np.frombuffer(bits, dtype=np.uint8)]
+    sums = np.add.reduceat(counts, np.arange(0, counts.size, CHECKPOINT_BITS // 8))
+    return np.concatenate(([0], np.cumsum(sums)))
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [10**7 + 12_345]
+    + [2 * k * CHECKPOINT_BITS + d for k in (1, 2) for d in (-1, 1)]
+    + [2 * SEGMENT_ODDS + d for d in (-1, 1)],
+)
+def test_table_built_in_place_with_per_block_checkpoints(limit):
+    table = PrimeTable(limit)
+    assert np.array_equal(table._ckpt, _checkpoints_reference(table._bits))
+    if limit < 10**7:
+        # every segment packed into its place in the one buffer
+        want = np.packbits(odd_prime_flags(limit), bitorder="little")
+        assert np.array_equal(np.frombuffer(table._bits, dtype=np.uint8), want)

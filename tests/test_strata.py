@@ -61,10 +61,11 @@ def test_determinism_across_limits(table_small, strata_1e5):
         assert strata_1e5.witnesses[c] == small.witnesses[c]
 
 
-def _strata_loop(limit, visible):
+def _strata_loop(limit, visible, primes=None):
     """Per-composite loop reference: partners must lie in ``visible``
-    (layer 1) or the previous layer; witness primes come from all odd primes."""
-    primes = [p for p in primes_upto(limit) if p > 2]
+    (layer 1) or the previous layer; witness primes come from ``primes``,
+    by default all odd primes."""
+    primes = [p for p in primes_upto(limit) if p > 2] if primes is None else sorted(primes)
     comps = [c for c in range(9, limit + 1, 2) if c not in visible]
     layers, witnesses = {}, {}
     for c in comps:
@@ -143,6 +144,71 @@ def test_higher_layers_match_loop_reference():
     rep = verify_partition(replace(st, witness_prime=primes), PrimeTable(300))
     c = int(st.composites[i])
     assert f"layer-2 witness for {c} does not peel correctly" in rep.anomalies
+
+
+class _OnlyListedPrimes(PrimeTable):
+    """A table whose only odd primes are ``primes``, read in blocks of
+    ``block`` odd numbers, so most composites are exceptions spread over
+    many blocks."""
+
+    def __init__(self, limit, primes, block):
+        super().__init__(limit)
+        mask = np.zeros((limit + 1) // 2, dtype=bool)
+        mask[[p >> 1 for p in primes]] = True
+        self._bits = np.packbits(mask, bitorder="little").tobytes()
+        self._ckpt = self._build_checkpoints()
+        self.block = block
+
+    def odd_prime_blocks(self, lo=1, hi=None):
+        for i0, mask in super().odd_prime_blocks(lo, hi):
+            for j in range(0, mask.size, self.block):
+                yield i0 + j, mask[j : j + self.block]
+
+
+def test_exceptions_placed_across_blocks():
+    # with only 3, 7 and 13 prime, layer 1 ends at 23 and each deeper layer
+    # reaches at most 10 further, so nearly every composite is an exception
+    # whose partners are exceptions of earlier 16-odd blocks
+    primes = (3, 7, 13)
+    table = _OnlyListedPrimes(300, primes, 16)
+    st = compute_strata(300, table)
+    layers, witnesses, unassigned = _strata_loop(300, set(primes), primes)
+    assert st.layers == layers and st.witnesses == witnesses
+    assert st.unassigned == unassigned == (9,)
+    assert st.max_layer == st.passes == 31
+    deep = [(c, c + 3 - p) for c, (p, _) in st.witnesses.items() if st.layers[c] > 2]
+    assert any((c >> 5) > (d >> 5) for c, d in deep)  # 16 odd numbers are 32 integers
+    # the audit peels every deeper witness against its own list of exceptions
+    audit = strata.audit_layer_one(300, table)
+    rep = verify_partition(st, table)
+    assert rep.anomalies == audit.anomalies == ("9 was never assigned to a layer",)
+    assert (audit.count, audit.max_layer, audit.unassigned) == (st.census()[1]["count"], 31, 1)
+
+
+def test_audit_flags_a_deeper_witness_that_does_not_peel(monkeypatch):
+    primes = (3, 7, 13)
+    table = _OnlyListedPrimes(300, primes, 16)
+    st = compute_strata(300, table)
+    # 3 instead of the least witness of the first layer-20 member: the
+    # partner is the member itself, in layer 20 and not 19
+    i = int(np.flatnonzero(st.layer == 20)[0])
+    c = int(st.composites[i])
+    real = strata.strata_blocks
+
+    def tampered(limit, table):
+        for comps, layer, witness in real(limit, table):
+            witness = witness.copy()
+            witness[comps == c] = 3
+            yield comps, layer, witness
+
+    monkeypatch.setattr(strata, "strata_blocks", tampered)
+    primes_at = st.witness_prime.copy()
+    primes_at[i] = 3
+    want = verify_partition(replace(st, witness_prime=primes_at), table).anomalies
+    assert strata.audit_layer_one(300, table).anomalies == want == (
+        "9 was never assigned to a layer",
+        f"layer-20 witness for {c} does not peel correctly",
+    )
 
 
 def test_partition_audit(strata_1e5, table_1e5):
@@ -310,6 +376,14 @@ def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert got.endswith(b"35,1,5,33\r\n21,,,\r\n33,,,\r\n")
+    # the streamed writer, fed the same table as two blocks, writes the same
+    # bytes and tallies the same census
+    columns = (st.composites, st.layer, st.witness_prime)
+    blocks = [tuple(col[:4] for col in columns), tuple(col[4:] for col in columns)]
+    monkeypatch.setattr(strata, "strata_blocks", lambda limit, table: iter(blocks))
+    tally = strata.strata_census(45, None, tmp_path / "streamed.csv")
+    assert (tmp_path / "streamed.csv").read_bytes() == got
+    assert tally.census_dict() == st.census_dict()
 
 
 # -- the blocked layer-1 search -----------------------------------------------
@@ -377,7 +451,7 @@ def test_layer_one_audit_reads_retry_partners_below_the_margin(monkeypatch):
     table = PrimeTable(limit)
     monkeypatch.setattr(strata, "MARGIN_ODDS", 3)
     total = table.odd_composite_count(limit)
-    assert strata.audit_layer_one(limit, table) == strata.LayerOneAudit(total, False, ())
+    assert strata.audit_layer_one(limit, table) == strata.LayerOneAudit(total, 1, 0, ())
     # move a retry witness of block 1 to a larger prime, whose partner lies
     # further below the margin and is composite
     comps, witness = _blocked(limit, table)
