@@ -32,7 +32,6 @@ import contextlib
 import json
 import re
 import sys
-from operator import itemgetter
 
 import numpy as np
 
@@ -183,37 +182,73 @@ _RING_HEADER = (
     "modulus,b_mask,b_elements,c_mask,c_elements,m_fold,n_fold,"
     "sumset_equal,fp,subset,symmetric,directed\r\n"
 )
+_RING_CHUNK = 1 << 16  # CSV lines joined into one write, in whole runs
+_RING_TAILS = 1 << 17  # most row tails built for the whole (C, m_fold, n_fold) grid
+
+
+def _ring_lines(prefixes: list[str], tails: list[str], eq, low):
+    """One B block of the ring CSV, as strings of whole runs, at most
+    ``_RING_CHUNK`` lines each unless a single run is longer.
+
+    The block's rows fall into one run per prefix, of equal length.  Row
+    ``i`` is its run's prefix joined to ``tails[8 * (i % period) + code]``,
+    where the tails repeat every ``period`` rows, ``code`` packs
+    (sumset_equal, fp, subset) and ``low`` holds fp and subset per C.
+    """
+    flat = eq.ravel()
+    span, period, per_c = flat.size // len(prefixes), len(tails) // 8, flat.size // low.size
+    step = max(1, _RING_CHUNK // span)
+    for r0 in range(0, len(prefixes), step):
+        i = np.arange(r0 * span, min((r0 + step) * span, flat.size))
+        idx = (i % period * 8 + flat[i] * 4 + low[i // per_c]).tolist()
+        yield "".join(
+            p + p.join(map(tails.__getitem__, idx[j * span : (j + 1) * span]))
+            for j, p in enumerate(prefixes[r0 : r0 + step])
+        )
+
+
+def _ring_block_writer(fh, m: int, n_max: int):
+    """Write the ring CSV header to ``fh`` and return ``write(b, eq, fp,
+    subset)``, which writes one B block of rows.
+
+    While the tails of the whole (C, m_fold, n_fold) grid number at most
+    ``_RING_TAILS``, they are built once and a block is one run under
+    ``"m,B,B_elements,"``.  Past that the tails cover n_fold only and each
+    (C, m_fold) is a run of n_max rows under its own prefix, so the strings
+    held grow with the fold bound, not with its square.
+    """
+    labels = ["|".join(str(x) for x in range(m) if mask >> x & 1) for mask in range(1 << m)]
+    grid = [f"{c},{labels[c]},{mf}," for c in range(1, 1 << m) for mf in range(1, n_max + 1)]
+    inner, outer = (grid, [""]) if 8 * len(grid) * n_max <= _RING_TAILS else ([""], grid)
+    tails = [
+        f"{g}{nf},{eq},{fp},{sub},{eq & fp},{eq & fp & sub}\r\n"
+        for g in inner
+        for nf in range(1, n_max + 1)
+        for eq in (0, 1)
+        for fp in (0, 1)
+        for sub in (0, 1)
+    ]
+    fh.write(_RING_HEADER)
+
+    def write(b: int, eq, fp, subset) -> None:
+        head = f"{m},{b},{labels[b]},"
+        fh.writelines(_ring_lines([head + g for g in outer], tails, eq, fp * 2 + subset))
+
+    return write
 
 
 def _cmd_ring(args) -> int:
     m, n_max = args.modulus, args.nmax
     # a refused modulus or fold bound raises here, before any file is created
     blocks = ring.relation_table(m, n_max)
-    labels = ["|".join(str(x) for x in range(m) if mask >> x & 1) for mask in range(1 << m)]
-    # the row after "modulus,B," for each (C, m_fold, n_fold, eq * 4 + fp * 2 + subset)
-    tails = [
-        f"{c},{labels[c]},{mf},{nf},{eq},{fp},{sub},{eq & fp},{eq & fp & sub}\r\n"
-        for c in range(1, 1 << m)
-        for mf in range(1, n_max + 1)
-        for nf in range(1, n_max + 1)
-        for eq in (0, 1)
-        for fp in (0, 1)
-        for sub in (0, 1)
-    ]
     rows = directed = 0
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
-        if fh is not None:
-            fh.write(_RING_HEADER)
+        write = None if fh is None else _ring_block_writer(fh, m, n_max)
         for b, eq, fp, subset in blocks:
             rows += eq.size
             directed += int(np.count_nonzero(eq[fp & subset]))
-            if fh is not None:
-                # eq runs over (C, m_fold, n_fold), so row i's tail is tails[8 i + code]
-                low = np.repeat(fp * 2 + subset, n_max * n_max)
-                idx = np.arange(eq.size) * 8 + eq.ravel() * 4 + low
-                head = f"{m},{b},{labels[b]},"
-                # a block has at least 3 rows (modulus >= 2), so the getter returns a tuple
-                fh.write(head + head.join(itemgetter(*idx.tolist())(tails)))
+            if write is not None:
+                write(b, eq, fp, subset)
     payload = {
         "schema": SCHEMA_VERSION,
         "modulus": m,

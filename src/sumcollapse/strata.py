@@ -82,7 +82,6 @@ class StrataTable:
     composites: np.ndarray
     layer: np.ndarray
     witness_prime: np.ndarray
-    passes: int
 
     @property
     def layers(self) -> Mapping[int, int]:
@@ -104,6 +103,10 @@ class StrataTable:
     def max_layer(self) -> int:
         return int(self.layer.max(initial=0))
 
+    @property
+    def passes(self) -> int:
+        return self._tally().passes
+
     def _tally(self) -> StrataCensus:
         tally = StrataCensus(self.limit)
         tally.add(self.composites, self.layer)
@@ -113,13 +116,12 @@ class StrataTable:
         return self._tally().census()
 
     def census_dict(self) -> dict:
-        return {**self._tally().census_dict(), "passes": self.passes}
+        return self._tally().census_dict()
 
     def write_csv(self, path: str) -> None:
         """Assigned rows in composite order, then the unassigned ones, written
         ``CSV_CHUNK`` rows at a time."""
-        block = (self.composites, self.layer, self.witness_prime)
-        _write_csv(path, [block], StrataCensus(self.limit))
+        _write_csv(path, [(self.composites, self.layer, self.witness_prime)])
 
 
 @dataclass
@@ -149,6 +151,11 @@ class StrataCensus:
     def max_layer(self) -> int:
         return max(self.layers, default=0)
 
+    @property
+    def passes(self) -> int:
+        """The layer passes a whole-limit search makes: one per layer, at least one."""
+        return max(1, self.max_layer)
+
     def census(self) -> dict[int, dict[str, int]]:
         return dict(sorted(self.layers.items()))
 
@@ -159,8 +166,7 @@ class StrataCensus:
             "layers": {str(k): v for k, v in self.census().items()},
             "max_layer": self.max_layer,
             "unassigned": list(self.unassigned),
-            # the layer passes a whole-limit search makes: one per layer, at least one
-            "passes": max(1, self.max_layer),
+            "passes": self.passes,
         }
 
 
@@ -178,15 +184,15 @@ def _assigned_rows(composites: np.ndarray, layer: np.ndarray, witness: np.ndarra
         yield (b"%d,%d,%d,%d\r\n" * at.size) % tuple(rows.ravel().tolist())
 
 
-def _write_csv(path: str, blocks, tally: StrataCensus) -> None:
-    """Write the ``(composites, layer, witness_prime)`` blocks to ``path`` as
-    they come, tallying each, then the unassigned rows the tally collected."""
+def _write_csv(path: str, blocks) -> None:
+    """Write the assigned rows of the ``(composites, layer, witness_prime)``
+    blocks to ``path`` as they come, then the unassigned rows."""
+    left: list[int] = []
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER)
         for comps, layer, witness in blocks:
-            tally.add(comps, layer)
+            left += comps[layer == 0].tolist()
             fh.writelines(_assigned_rows(comps, layer, witness))
-        left = tally.unassigned
         for start in range(0, len(left), CSV_CHUNK):
             chunk = left[start : start + CSV_CHUNK]
             fh.write((b"%d,,,\r\n" * len(chunk)) % tuple(chunk))
@@ -321,7 +327,7 @@ def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
     if table is None:
         table = PrimeTable(limit)
     composites, layer, witness = map(np.concatenate, zip(*strata_blocks(limit, table)))
-    return StrataTable(limit, composites, layer, witness, max(1, int(layer.max(initial=0))))
+    return StrataTable(limit, composites, layer, witness)
 
 
 def strata_census(limit: int, table: PrimeTable, csv: str | None = None) -> StrataCensus:
@@ -330,12 +336,17 @@ def strata_census(limit: int, table: PrimeTable, csv: str | None = None) -> Stra
     there as the blocks come, and the unassigned ones last."""
     _check_limit(limit)
     tally = StrataCensus(limit)
-    blocks = strata_blocks(limit, table)
-    if csv:
-        _write_csv(csv, blocks, tally)
-    else:
-        for comps, layer, _ in blocks:
+
+    def tallied():
+        for comps, layer, witness in strata_blocks(limit, table):
             tally.add(comps, layer)
+            yield comps, layer, witness
+
+    if csv:
+        _write_csv(csv, tallied())
+    else:
+        for _ in tallied():
+            pass
     return tally
 
 

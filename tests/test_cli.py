@@ -404,6 +404,22 @@ def test_ring_csv_matches_library_rows(tmp_path, capsys):
     assert rows[1:] == [[str(x) for x in row] for row in want]
 
 
+@pytest.mark.parametrize("modulus,nmax", [("4", "1"), ("4", "3"), ("8", "3")])
+def test_ring_csv_in_runs_past_the_tail_bound(tmp_path, capsys, monkeypatch, modulus, nmax):
+    # with no tails held for the whole grid, each (C, m_fold) is a run of
+    # n_max rows under its own prefix, and chunks of 7 lines split a block
+    # into many writes; the bytes stay those of one run per block
+    args = ["ring", "--modulus", modulus, "--nmax", nmax, "--csv"]
+    assert run_cli(args + [str(tmp_path / "one_run.csv")], capsys)[0] == 0
+    monkeypatch.setattr(cli, "_RING_TAILS", 0)
+    monkeypatch.setattr(cli, "_RING_CHUNK", 7)
+    assert run_cli(args + [str(tmp_path / "runs.csv")], capsys)[0] == 0
+    got = (tmp_path / "runs.csv").read_bytes()
+    assert got == (tmp_path / "one_run.csv").read_bytes()
+    if modulus == "8":
+        assert hashlib.sha256(got).hexdigest() == RING_8_3_CSV_SHA256
+
+
 def _labels(s):
     return "|".join(map(str, s.elements()))
 

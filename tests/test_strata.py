@@ -301,7 +301,6 @@ def test_absorption_at_higher_folds(table_small):
         composites=np.array(comps, dtype=np.int32),
         layer=np.array(layer, dtype=np.int8),
         witness_prime=np.zeros(len(comps), dtype=np.int32),
-        passes=3,
     )
     rep = verify_absorption(st, 4, (9, 65), table_small)
     want = [
@@ -368,7 +367,6 @@ def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
         composites=np.array([9, 15, 21, 25, 27, 33, 35], dtype=np.int32),
         layer=np.array([1, 1, 0, 2, 1, 0, 1], dtype=np.int8),
         witness_prime=np.array([5, 5, 0, 7, 7, 0, 5], dtype=np.int32),
-        passes=2,
     )
     monkeypatch.setattr(strata, "CSV_CHUNK", chunk)
     st.write_csv(tmp_path / "got.csv")
