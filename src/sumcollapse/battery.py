@@ -9,7 +9,10 @@ its verdict's status *is* the expected one, so a slide from ``holds`` to
 
 The sieve group reads the prime table once, in blocks of
 ``CHECKPOINT_BITS`` odd numbers, carrying only the running prime count and
-composite rank; the prime-count band is read where pi jumps.  The strata
+composite rank.  It decides each check at one end of each run of odd
+composites between two primes, where pi is constant and k rises by one per
+composite, and searches k by k only inside the first run that fails; the
+prime-count band is read the same way, where pi jumps.  The strata
 group reads the strata stream once
 (:func:`~sumcollapse.strata.audit_layer_one` over
 :func:`~sumcollapse.strata.strata_blocks`: each block's layer 1 is searched
@@ -130,22 +133,36 @@ def run_battery(limit: int) -> list[CheckResult]:
 
 def sieve_checks(table: PrimeTable):
     """The six prime-count checks, decided in one pass over the table in
-    blocks of ``CHECKPOINT_BITS`` odd numbers.
+    blocks of ``CHECKPOINT_BITS`` odd numbers, at the ends of runs.
 
     Every check is pointwise in ``(c, k, pi(c))`` for the k-th odd composite
-    c, or in ``(x, pi(x))`` for the band, so the pass carries only the
-    running prime count and composite rank; each check keeps its first
-    failure.  The band is read once per run of constant pi, and x by x only
-    in the first run that fails.
+    c, or in ``(x, pi(x))`` for the band, and pi is constant on a run of odd
+    composites between two primes while k rises by one per composite.  So
+    each predicate can first fail on a run only at one known end of it (of
+    its part inside a block, cut again where k reaches 31 or c reaches
+    13^(m+1)):
+
+    * the identity at the start, since c - 2k is constant on a run;
+    * pi-bound (pi > k - 1) and scaling (pi m >= k) at the start, so a run
+      fails scaling for each m from ceil(k/pi) on whose 13^(m+1) it is past;
+    * surplus (pi < k + 2) and log-bound at the end: from k = 31 on the
+      bound fails only where pi < 2k (else k - (ln(4k)/2 - 1) pi <=
+      k (3 - ln 4k) < 0), and from there on that difference rises in k.
+
+    The pass carries only the running prime count and composite rank.  Each
+    check keeps its first failure (scaling its least failing m), searched k
+    by k only inside the first run that fails.  The band is read the same
+    way, once per run of constant pi over the integers x.
     """
     require_limit(table.limit)
     limit = table.limit
     top_m = 0  # the largest m with 13^(m+1) <= limit
     while 13 ** (top_m + 2) <= limit:
         top_m += 1
+    powers = np.array([13 ** (m + 1) for m in range(1, top_m + 1)], dtype=np.int64)
     guard = 1e-12  # double-precision slop on the band's strict inequalities
     first: dict[str, int] = {}  # a check's part -> its first failure
-    bad_ms: set[int] = set()
+    bad_ms: set[int] = set()  # m's that scaling fails for, the least one always among them
 
     def note(part, values, bad):
         if part not in first and bad.any():
@@ -173,36 +190,76 @@ def sieve_checks(table: PrimeTable):
                 xs = np.arange(starts[k], ends[k] + 1)
                 note(part, xs, sides[part](pis[k], xs))
 
+    def at_ends(part, k0, k1, pis, fails):
+        """Note the first k where ``fails(k, pi)`` holds on the runs
+        [k0, k1], for a check that fails on a run only if it fails at the
+        run's end; the runs that do are searched k by k in order."""
+        if part in first:
+            return
+        for r in np.flatnonzero(fails(k1, pis)).tolist():
+            ks = np.arange(k0[r], k1[r] + 1)
+            note(part, ks, fails(ks, pis[r]))
+            if part in first:
+                return
+
+    def surplus(k, pi):
+        return pi < k + 2
+
+    def log_bound(k, pi):
+        return k >= (0.5 * np.log(4 * k.astype(np.float64)) - 1) * pi + 1
+
     pi, rank = 1, 0  # the prime 2 and no odd composite lie below the first block
     for i0, mask in table.odd_prime_blocks():
-        odd = 2 * np.arange(i0, i0 + mask.size, dtype=np.int64) + 1
-        pi_odd = pi + np.cumsum(mask)
-        comp = ~mask & (odd >= 9)
-        lhs, pis = odd[comp], pi_odd[comp]
-        ks = rank + np.arange(1, lhs.size + 1)
+        n = mask.size
+        prime_at = np.flatnonzero(mask)  # offsets of the block's odd primes
+        # composites start at 9: in the first block the offsets of 1, 3, 5, 7 cut runs too
+        lead = min(max(4 - i0, 0), n)
+        cuts = np.union1d(np.arange(lead), prime_at) if lead else prime_at
+        edges = np.concatenate(([-1], cuts, [n]))
+        pis = pi + np.arange(cuts.size + 1)  # pi after each cut, every cut a prime
+        if lead:  # but for the offset of 1 (and of 3, 5, 7 where they are not flagged)
+            pis[1:] = pi + np.cumsum(mask[cuts])
+        j = np.flatnonzero(np.diff(edges) > 1)  # the runs of composites: run j follows cut j - 1
+        start, end, pis = edges[j] + 1, edges[j + 1] - 1, pis[j]
+        k0 = rank + 1 + start - j  # the rank of each run's first composite
+        k1 = k0 + end - start
+        c0 = 2 * (i0 + start) + 1
 
-        note("identity", lhs, lhs != 2 * ks + 2 * pis - 1)
-        note("surplus", ks, pis < ks + 2)
+        note("identity", c0, c0 != 2 * k0 + 2 * pis - 1)
+        at_ends("surplus", k0, k1, pis, surplus)
 
         # the integers x of the block in [17, limit], cut into runs from each
         # prime (or the first x) to the last x before the next one
-        x_lo, x_hi = max(int(odd[0]), 17), min(int(odd[-1]) + 1, limit)
+        x_lo, x_hi = max(2 * i0 + 1, 17), min(2 * (i0 + n), limit)
         if x_lo <= x_hi:
-            starts = np.append(x_lo, odd[mask & (odd > x_lo) & (odd <= x_hi)])
-            band(starts, np.append(starts[1:] - 1, x_hi), pi_odd[(starts - odd[0]) >> 1])
+            primes = 2 * (i0 + prime_at) + 1
+            q = int(primes.searchsorted(x_lo, side="right"))
+            starts = np.append(x_lo, primes[q:])
+            band(starts, np.append(starts[1:] - 1, x_hi), pi + np.arange(q, primes.size + 1))
 
-        at31 = max(30 - rank, 0)  # ks, lhs and pis are sorted, so each bound cuts a suffix
-        c, k, p = lhs[at31:], ks[at31:], pis[at31:]
+        # k rises over the runs, so those reaching k = 31 are a suffix
+        r31 = int(k1.searchsorted(31))
+        k31, k_end, p31 = np.maximum(k0[r31:], 31), k1[r31:], pis[r31:]
         # c <= 4k - 3 is pi(c) <= k - 1, since c = 2k + 2 pi(c) - 1 for any mask
-        note("pi-bound", c, p > k - 1)
-        note("log-bound", k, k >= (0.5 * np.log(4 * k.astype(np.float64)) - 1) * p + 1)
-        # c >= (2 + 2/m)k - 1 is pi(c) m >= k, since c = 2k + 2 pi(c) - 1 for any mask
-        for m in range(1, top_m + 1):
-            past = lhs.searchsorted(13 ** (m + 1))
-            if (pis[past:] * m >= ks[past:]).any():
-                bad_ms.add(m)
+        note("pi-bound", c0[r31:] + 2 * (k31 - k0[r31:]), p31 > k31 - 1)
+        at_ends("log-bound", k31, k_end, p31, log_bound)
 
-        pi, rank = int(pi_odd[-1]), rank + lhs.size
+        # c >= (2 + 2/m)k - 1 is pi(c) m >= k, since c = 2k + 2 pi(c) - 1 for any mask.
+        # A run fails for every m from ceil(k0/pi) up to the count of powers
+        # at or below its start; a power inside a run is tried at itself.
+        if top_m:
+            past = powers.searchsorted(c0, side="right")
+            need = -(-k0 // pis)
+            fails = need <= past
+            if fails.any():
+                bad_ms.add(int(need[fails].min()))
+            c1 = c0 + 2 * (end - start)
+            for m, power in enumerate(powers.tolist(), start=1):
+                r = int(c1.searchsorted(power))
+                if r < c1.size and c0[r] < power and pis[r] * m >= k0[r] + (power - c0[r]) // 2:
+                    bad_ms.add(m)
+
+        pi, rank = pi + prime_at.size, rank + n - cuts.size
 
     bad = first.get("identity")
     yield (

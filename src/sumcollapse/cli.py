@@ -246,9 +246,11 @@ def _cmd_ring(args) -> int:
         write = None if fh is None else _ring_block_writer(fh, m, n_max)
         for b, eq, fp, subset in blocks:
             rows += eq.size
-            directed += int(np.count_nonzero(eq[fp & subset]))
+            # per-C counts, so the selected rows are not copied
+            directed += int(np.count_nonzero(eq, axis=(1, 2))[fp & subset].sum())
             if write is not None:
                 write(b, eq, fp, subset)
+            del eq  # so the next block is built without this one alive
     payload = {
         "schema": SCHEMA_VERSION,
         "modulus": m,

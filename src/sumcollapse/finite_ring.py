@@ -410,7 +410,7 @@ def _table_blocks(m: int, n_max: int):
             acc |= np.where(masks >> r & 1, ((prev << r) | (prev >> (m - r))) & full, 0)
         sums[n] = acc
     closures = np.array([zm_closure(ZmSubset(m, c)).mask for c in masks.tolist()])
-    by_c = sums.T[:, None, :]
+    by_c = np.ascontiguousarray(sums.T)[:, None, :]  # so each block comes out in C order
     for i, b in enumerate(masks.tolist()):
         yield b, sums[:, i, None] == by_c, (b & ~closures) == 0, (masks & ~b) == 0
 

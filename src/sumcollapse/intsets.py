@@ -10,8 +10,9 @@ integers >= 3 minus finitely many values, decided by
 Sumsets are computed by shift-OR bitset convolution over the sparser
 operand; Python's big integers do the word-level work.  The loop stops as
 soon as the residue class that sums can reach (mod a step proven over both
-operands) is filled, so sums of odd numbers, odd primes or rough numbers
-stop after a few dozen shifts instead of running through every member.
+operands) is filled, checked after 1, 2, 4, ..., 64 shifts and then every
+64, so a nearly full operand stops after one shift and sums of odd primes
+or rough numbers after a few dozen, instead of running through every member.
 Operands of mixed parity are split into their parity classes first, so
 that each pair of classes saturates on its own.
 
@@ -53,7 +54,13 @@ def iter_bits(bits: int):
 
 
 def _lsb(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
+    """The lowest set position of ``bits`` (-1 for 0), read from low words
+    of doubling width, so the cost follows the position and not the length."""
+    width = 64
+    while not bits & ((1 << width) - 1) and width < bits.bit_length():
+        width <<= 1
+    low = bits & ((1 << width) - 1)
+    return (low & -low).bit_length() - 1
 
 
 def bits_from_values(values, lo: int, hi: int) -> int:
@@ -174,6 +181,9 @@ def _sumset_bits(a_bits: int, b_bits: int, out_len: int) -> int:
     in each operand, every sum lies in the class of ``a_lsb + b_lsb`` mod g.
     Once ``acc`` holds every position of that class from the lowest one a
     remaining shift can touch up to ``out_len``, no later shift adds a bit.
+    That holds after any shift, so the loop tests it on a doubling schedule,
+    after 1, 2, 4, ..., 64 shifts and then every 64: a test costs about one
+    shift, and a nearly full operand is done after its first.
     An odd g means mixed parities, and then the odd sums of one class pair
     would keep the even sums of another from ever saturating (the prime 2
     beside the odd primes): the operands are split by parity, and each pair
@@ -181,9 +191,7 @@ def _sumset_bits(a_bits: int, b_bits: int, out_len: int) -> int:
     """
     if out_len <= 0:
         return 0
-    full = (1 << out_len) - 1
-    a_bits &= full
-    b_bits &= full
+    a_bits, b_bits = _cut(a_bits, out_len), _cut(b_bits, out_len)
     if not a_bits or not b_bits:
         return 0
     step = math.gcd(_position_step(a_bits), _position_step(b_bits))
@@ -208,19 +216,24 @@ def _sumset_bits(a_bits: int, b_bits: int, out_len: int) -> int:
         a_lsb = _lsb(a_bits)
         reachable = progression_bits(a_lsb + _lsb(b_bits), step, 0, out_len - 1)
         slack = 1 << 13  # trim the shifted operand only once it overshoots by this much
-        since_check = 0
-        for j in iter_bits(b_bits):
+        check_at = 1  # checks after 1, 2, 4, ..., 64 shifts, then every 64
+        for taken, j in enumerate(iter_bits(b_bits), start=1):
             allowed = out_len - j
             if a_bits.bit_length() > allowed + slack:
                 a_bits &= (1 << (allowed + slack)) - 1
             acc |= a_bits << j
-            since_check += 1
-            if since_check >= 64:
-                since_check = 0
+            if taken == check_at:
+                check_at += min(taken, 64)
                 # every reachable position a later shift could touch is filled
                 if (reachable & ~acc).bit_length() <= j + 1 + a_lsb:
                     break
-    return acc & full
+    return _cut(acc, out_len)
+
+
+def _cut(bits: int, length: int) -> int:
+    """``bits`` cut to its low ``length`` bits; the same object when nothing
+    lies above them, so no window-sized copy or mask is made."""
+    return bits if bits.bit_length() <= length else bits & ((1 << length) - 1)
 
 
 def iterated_sumset(ws: WindowSet, n: int) -> WindowSet:

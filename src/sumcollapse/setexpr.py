@@ -188,7 +188,9 @@ class Primes(SetExpr):
 
     def window_bits(self, lo, hi, table=None):
         table = _require_table(table, hi, self.describe())
-        return bits_from_values(table.primes_in(max(lo, self.min_prime), hi), lo, hi)
+        start = max(lo, self.min_prime)
+        bits = table.odd_flag_bits(start, hi, lo)
+        return bits | (1 << (2 - lo)) if start <= 2 <= hi else bits
 
     def prime_floor(self):
         return self.min_prime
@@ -245,9 +247,7 @@ class OddComposites(SetExpr):
 
     def window_bits(self, lo, hi, table=None):
         table = _require_table(table, hi, self.describe())
-        odd = progression_bits(9, 2, lo, hi)
-        prime = bits_from_values(table.primes_in(max(lo, 9), hi), lo, hi)
-        return odd & ~prime
+        return table.odd_flag_bits(max(lo, 9), hi, lo, composite=True)
 
     def prime_floor(self):
         return 3

@@ -6,10 +6,11 @@ segment buffer during construction; its base primes come from the same
 sieve one level down, so the module imports nothing from the package.
 Prime counts are answered from checkpoint sums plus a popcount over the
 residual block, which keeps ``prime_count`` effectively O(1).  One reader,
-``odd_prime_blocks(lo, hi)``, decodes the bits of a range; the mask and the
-scans share its range semantics.  ``odd_prime_at(values)`` looks up an array
-of values in the packed bits themselves, so no caller needs to unpack a
-prefix only to index it.
+``odd_prime_blocks(lo, hi)``, decodes the bits of a range into flags; the
+mask and the scans share its range semantics.  ``odd_flag_bits`` spreads
+the packed bytes of a range straight into a window bitset, and
+``odd_prime_at(values)`` looks up an array of values in the packed bits
+themselves, so no caller needs to unpack a prefix only to index it.
 
 All element indices are 1-based: ``nth_prime(1) == 2`` and the first odd
 composite has rank 1.
@@ -26,6 +27,12 @@ import numpy as np
 
 SEGMENT_ODDS = 1 << 20      # odd numbers sieved per segment
 CHECKPOINT_BITS = 1 << 16   # bits per prime-count checkpoint block
+
+
+# byte -> uint16 with bit j of the byte moved to bit 2j: eight odd flags onto
+# the sixteen integers they stand among (built in Python: the numpy calls
+# that would build it cost every import about 0.3 MB of lazy set-up)
+_SPREAD = np.array([sum((b >> j & 1) << 2 * j for j in range(8)) for b in range(256)], dtype="<u2")
 
 
 def _unpack(bits: bytes, i0: int, i1: int) -> np.ndarray:
@@ -112,10 +119,13 @@ class PrimeTable:
         ``[3, limit]``; False for even values, values below 3 and values past
         the limit, so nothing raises."""
         values = np.asarray(values, dtype=np.int64)
-        inside = (values & 1 == 1) & (values >= 3) & (values <= self.limit)
-        i = np.where(inside, values >> 1, 0)
+        # one unsigned compare for 3 <= v <= limit: values below 3 wrap past it
+        inside = ((values - 3).view(np.uint64) <= self.limit - 3) & (values & 1).astype(bool)
+        i = values >> 1
+        i *= inside  # index 0 for the values outside
         raw = np.frombuffer(self._bits, dtype=np.uint8)
-        return inside & (raw[i >> 3] >> (i & 7) & 1).astype(bool)
+        # a uint8 shift count keeps the bit extraction in bytes
+        return inside & (raw[i >> 3] >> (i & 7).astype(np.uint8) & 1).view(bool)
 
     def is_odd_composite(self, n: int) -> bool:
         """Odd, >= 9 and not prime; only the primality lookup checks the range."""
@@ -191,6 +201,27 @@ class PrimeTable:
         hi = self.limit if hi is None else hi
         self._check_range(hi)
         return _unpack(self._bits, 0, (hi + 1) // 2)
+
+    def odd_flag_bits(self, lo: int, hi: int, origin: int, composite: bool = False) -> int:
+        """Bitset with bit ``v - origin`` set for each odd v in ``[lo, hi]``
+        whose bit is set (with ``composite``, clear); ``origin <= lo``.
+
+        Each packed byte is spread to 16 bits through a lookup table, so the
+        bitset is built from the bytes of the range with no more than a few
+        bitset-sized (n/8-byte) buffers alive."""
+        self._check_range(hi)
+        i0, i1 = max(lo, 0) // 2, (hi + 1) // 2  # the odd 2i + 1 in [lo, hi]
+        if i0 >= i1:
+            return 0
+        raw = np.frombuffer(self._bits, dtype=np.uint8)[i0 >> 3 : (i1 + 7) >> 3]
+        words = _SPREAD[raw]
+        if composite:
+            words ^= 0x5555
+        words[0] &= _SPREAD[0xFF << (i0 & 7) & 0xFF]  # the flags below i0 in the first byte
+        words[-1] &= _SPREAD[0xFF >> (-i1 & 7)]  # and from i1 on in the last
+        bits = int.from_bytes(words.tobytes(), "little")
+        shift = 16 * (i0 >> 3) + 1 - origin  # bit 0 stands for 16 (i0 >> 3) + 1
+        return bits << shift if shift >= 0 else bits >> -shift
 
     def odd_prime_blocks(self, lo: int = 1, hi: int | None = None):
         """Yield ``(i0, mask)`` over the odd numbers in ``[lo, hi]`` (``hi``

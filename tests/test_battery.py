@@ -152,6 +152,48 @@ def test_prime_count_band_fails_at_a_run_start():
     assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
 
 
+# Each tamper decides one check strictly inside a run of odd composites,
+# at the odd composite given last, where no end of the run shows it: the
+# check's first failure, or for scaling 13^2 = 169 inside a run that starts
+# below it, so that only 169 itself may count.
+_FILL_9_119_CLEAR_121_399 = [(slice(4, 60), True), (slice(60, 200), False)]
+_MID_RUN = {
+    # pi = 60 from 121 on; 121 has k = 1, so pi < k + 2 first holds at k = 59
+    "surplus": (_FILL_9_119_CLEAR_121_399, "sieve/prime-surplus-window", 59, 237),
+    # on the same run pi > k - 1 holds from k = 1, but the check starts at k = 31
+    "pi-bound-across-31": (_FILL_9_119_CLEAR_121_399, "sieve/index-upper-bounds", 181, 181),
+    # pi stalls on 119,995..200,001, across the first block edge (index 2^16);
+    # the bound first fails in the run's second block
+    "log-bound": ([(slice(60_000, 100_000), False)], "sieve/index-log-bound", 58_564, 139_729),
+    # odd 9..159 prime and 161..599 composite: pi = 80 >= k = 5 at 169, and
+    # never again once the run passes k = 80
+    "scaling-at-169": (
+        [(slice(4, 80), True), (slice(80, 300), False)], "sieve/prime-count-scaling", 1, 169,
+    ),
+    # 9, 15, 21 and 161 prime, 163 and 167 composite: the run 163..171 has
+    # pi = 41 = k at 163 but k = 44 at 169, so scaling holds
+    "scaling-not-below-169": (
+        [(slice(4, 11, 3), True), (80, True), (81, False), (83, False)],
+        "sieve/prime-count-scaling", None, 169,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_MID_RUN))
+def test_sieve_checks_decided_inside_a_run(name):
+    limit = 3 * 2**17 + 2
+    flips, ref, first, at = _MID_RUN[name]
+    odd_prime = odd_prime_flags(limit)
+    for odds, value in flips:
+        odd_prime[odds] = value
+    want = sieve_checks_bf(odd_prime, limit)
+    assert want[ref] == (first is None, first)
+    if ref in ("sieve/prime-surplus-window", "sieve/index-log-bound"):  # k, not the value
+        assert 2 * (np.flatnonzero(~odd_prime[4:]) + 4)[first - 1] + 1 == at
+    assert all(x >= 9 and not odd_prime[x >> 1] for x in (at - 2, at, at + 2))
+    assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
+
+
 # -- the strata group's blocked layer-1 pass ----------------------------------
 
 STRATA_LIMIT = 3 * 2**17 + 2

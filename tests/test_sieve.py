@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sumcollapse import CompositeIndex, PrimeTable, is_rough
+from sumcollapse import CompositeIndex, OddComposites, PrimeTable, Primes, is_rough
+from sumcollapse.intsets import bits_from_values, progression_bits
 from sumcollapse.sieve import CHECKPOINT_BITS, SEGMENT_ODDS
 
 from oracles import is_prime_bf, odd_composites_upto, odd_prime_flags, pi_bf, primes_upto
@@ -279,6 +280,73 @@ def test_odd_prime_at_reads_the_packed_bits(reader_table):
     got = tampered.odd_prime_at(values)
     assert got.tolist() == _odd_prime_at_reference(tampered, values)
     assert got.tolist() != reader_table.odd_prime_at(values).tolist()
+
+
+def _tampered_reader():
+    """The reader table with bits flipped at block edges and every bit of
+    the last byte flipped, the padding past the limit included."""
+    tampered = PrimeTable(READER_LIMIT)
+    raw = bytearray(tampered._bits)
+    for at in (0, 1, CHECKPOINT_BITS // 8 - 1, CHECKPOINT_BITS // 8):
+        raw[at] ^= 0xA5
+    raw[-1] ^= 0xFF
+    tampered._bits = bytes(raw)
+    return tampered
+
+
+def _odd_prime_at_masks(table, values):
+    """The lookup as three masks and an index select: the form the single
+    unsigned compare replaced."""
+    values = np.asarray(values, dtype=np.int64)
+    inside = (values & 1 == 1) & (values >= 3) & (values <= table.limit)
+    i = np.where(inside, values >> 1, 0)
+    raw = np.frombuffer(table._bits, dtype=np.uint8)
+    return inside & (raw[i >> 3] >> (i & 7) & 1).astype(bool)
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_odd_prime_at_on_random_int64(reader_table, tampered):
+    table = _tampered_reader() if tampered else reader_table
+    rng = np.random.default_rng(17)
+    info = np.iinfo(np.int64)
+    values = np.concatenate(
+        [
+            rng.integers(info.min, info.max, 2000, endpoint=True),
+            rng.integers(-50, 50, 500),
+            rng.integers(READER_LIMIT - 60, READER_LIMIT + 60, 500),
+            rng.integers(0, READER_LIMIT, 2000),
+            [info.min, info.min + 1, info.min + 3, info.max, info.max - 1, -3, 3],
+        ]
+    )
+    got = table.odd_prime_at(values)
+    assert got.dtype == bool and np.array_equal(got, _odd_prime_at_masks(table, values))
+    sample = values[::7]
+    assert table.odd_prime_at(sample).tolist() == _odd_prime_at_reference(table, sample)
+
+
+def _random_windows(rng, count):
+    """Windows from lo <= 2 up, empty ones and ones that straddle 2^17."""
+    edge = 2**17
+    for _ in range(count):
+        lo = int(rng.choice([rng.integers(-20, 4), rng.integers(edge - 60, edge + 60),
+                             rng.integers(3, READER_LIMIT)]))
+        hi = int(rng.choice([lo + rng.integers(-2, 3), lo + rng.integers(0, 300),
+                             rng.integers(edge - 60, edge + 60), READER_LIMIT]))
+        yield lo, min(hi, READER_LIMIT)
+
+
+@pytest.mark.parametrize("tampered", [False, True])
+def test_window_bits_match_the_value_scans(reader_table, tampered):
+    table = _tampered_reader() if tampered else reader_table
+    rng = np.random.default_rng(5)
+    windows = list(_random_windows(rng, 60)) + [(2, 2), (1, 2), (3, 2), (9, 8), (-5, -1)]
+    for lo, hi in windows:
+        for p in (2, 3, 5, 7):
+            want = bits_from_values(table.primes_in(max(lo, p), hi), lo, hi)
+            assert Primes(p).window_bits(lo, hi, table) == want, (p, lo, hi)
+        prime = bits_from_values(table.primes_in(max(lo, 9), hi), lo, hi)
+        want = progression_bits(9, 2, lo, hi) & ~prime
+        assert OddComposites().window_bits(lo, hi, table) == want, (lo, hi)
 
 
 def test_range_past_the_limit_raises_before_a_value(reader_table):
