@@ -32,6 +32,7 @@ and is freed when the group ends.
 from __future__ import annotations
 
 import random
+import resource
 import time
 from dataclasses import dataclass
 
@@ -63,14 +64,17 @@ class CheckResult:
     expected: Status
     verdict: RelationVerdict
     elapsed_ms: float = 0.0
+    peak_rss_kb: int = 0  # the process's peak RSS once the check is done
 
     @property
     def passed(self) -> bool:
         return self.verdict.status is self.expected
 
     def to_dict(self, timings: bool) -> dict:
+        """The report entry; with ``timings`` it carries the check's time and
+        the peak RSS after it, so the check that sets the peak shows."""
         v = self.verdict
-        return {
+        entry = {
             "ref": self.ref,
             "claim": self.claim,
             "status": v.status.value,
@@ -79,6 +83,9 @@ class CheckResult:
             "witnesses": jsonable(v.witnesses[:8]),
             "elapsed_ms": round(self.elapsed_ms, 3) if timings else 0,
         }
+        if timings:
+            entry["peak_rss_kb"] = self.peak_rss_kb
+        return entry
 
 
 def decided(
@@ -104,13 +111,17 @@ def decided(
 
 def run(*groups) -> list[CheckResult]:
     """Drain the groups in order; each check's time runs from the end of the
-    previous one, so a group's setup counts toward its first check."""
+    previous one, so a group's setup counts toward its first check, and its
+    peak RSS (``ru_maxrss``, in KB on Linux) is read as it ends."""
     results = []
     t0 = time.perf_counter()
     for group in groups:
         for ref, claim, expected, verdict in group:
             t1 = time.perf_counter()
-            results.append(CheckResult(ref, claim, expected, verdict, (t1 - t0) * 1000.0))
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            results.append(
+                CheckResult(ref, claim, expected, verdict, (t1 - t0) * 1000.0, peak)
+            )
             t0 = t1
     results.sort(key=lambda r: r.ref)
     return results
@@ -214,7 +225,7 @@ def sieve_checks(table: PrimeTable):
         prime_at = np.flatnonzero(mask)  # offsets of the block's odd primes
         # composites start at 9: in the first block the offsets of 1, 3, 5, 7 cut runs too
         lead = min(max(4 - i0, 0), n)
-        cuts = np.union1d(np.arange(lead), prime_at) if lead else prime_at
+        cuts = np.flatnonzero(mask | (np.arange(n) < lead)) if lead else prime_at
         edges = np.concatenate(([-1], cuts, [n]))
         pis = pi + np.arange(cuts.size + 1)  # pi after each cut, every cut a prime
         if lead:  # but for the offset of 1 (and of 3, 5, 7 where they are not flagged)
@@ -275,10 +286,11 @@ def sieve_checks(table: PrimeTable):
         "pi at the i-th odd composite stays >= i + 2 exactly up to i = 22; the "
         "first failure is i = 23 where pi(93) = 24",
         HOLDS,
-        # a first failure at i = 23 means every i <= 22 holds
+        # a first failure at i = 23 means every i <= 22 holds; with no failure
+        # at all, the claimed one at i = 23 is what fails
         decided(
             bad == 23 and table.prime_count(93) == 24,
-            bad,
+            23 if bad is None else bad,
             witnesses=((23, 93, 24),),
         ),
     )

@@ -21,8 +21,8 @@ own consistency guard tripped or it ran out of memory; no claim was
 decided).
 
 JSON reports are canonical: keys sorted, entries sorted by ``ref``, and
-timings zeroed unless ``--timings`` is given, so identical configurations
-produce byte-identical files.
+timings zeroed unless ``--timings`` is given (which also adds each check's
+``peak_rss_kb``), so identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -312,7 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full theorem-check battery")
     p.add_argument("--limit", type=int, default=1_000_000)
-    p.add_argument("--timings", action="store_true", help="include real timings (non-reproducible)")
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="include real timings and each check's peak RSS (non-reproducible)",
+    )
     common(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -17,7 +17,10 @@ verdict.  Each part has one decider: the sumsets
 Every exact removal verdict -- a relation, a composite tuple, a gap family
 or a step of the prefix cascade -- comes from one decision,
 ``_removal_decision``: the exact pair-sum decision, cross-checked with
-bitset sumsets over the range it enumerates.  ``_removal_certificate`` adds
+bitset sumsets on the even sums up to ``PREFIX_SUMS`` and near each sum
+3 + e, e removed, that the decision searches; every other even sum is
+3 plus a member.  So the check's cost follows the removed values, not the
+largest of them.  ``_removal_certificate`` adds
 one least-prime witness per removed value; the cascade keeps only statuses,
 so it asks the decision alone.  Those witnesses and the shifted composite
 pair sweep come from :func:`~sumcollapse.intsets.least_splits`, the one
@@ -26,13 +29,15 @@ least-split search.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .intsets import _not_in, iterated_sumset, least_splits, pair_sum_cover_decision
-from .intsets import restrict, sumset_equal_window
+from .intsets import WindowSet, _lsb, _not_in, bits_from_values, iterated_sumset, least_splits
+from .intsets import pair_sum_cover_decision, progression_bits, restrict, sumset_equal_window
+from .intsets import window_sumset
 from .setexpr import FiniteSet, Primes, Progression, RoughOdd, SetExpr, as_set_expr
 from .sieve import CompositeIndex, PrimeTable, _is_prime_slow, is_rough
 from .verdict import (
@@ -245,6 +250,9 @@ def check_relation(
 # ---------------------------------------------------------------------------
 # exact removal certificates
 
+PREFIX_SUMS = 1 << 12  # the removal cross-check covers every even sum up to here
+NEAR_SUMS = 1 << 6  # and those within this distance of each 3 + e past it
+
 
 def _validate_composite_tuple(ks, table: PrimeTable) -> tuple[int, ...]:
     ks = tuple(ks)
@@ -280,26 +288,79 @@ def _removal_witnesses(excluded: frozenset[int], table: PrimeTable):
     return tuple((c, p, c + 3 - p) for c, p in reversed(list(pairs)) if p)
 
 
+def _cross_check_spans(removed: list[int], top: int) -> list[tuple[int, int]]:
+    """The even sums the removal cross-check covers, as merged intervals
+    [s0, s1] with even ends: the prefix [6, top] and [3 + e - NEAR_SUMS,
+    3 + e + NEAR_SUMS] for each removed e with 3 + e past it."""
+    spans = [(6, top)]
+    for e in removed:
+        if 3 + e <= top:
+            continue
+        s0, s1 = 3 + e - NEAR_SUMS, 3 + e + NEAR_SUMS
+        if s0 <= spans[-1][1] + 2:
+            spans[-1] = (spans[-1][0], s1)
+        else:
+            spans.append((s0, s1))
+    return spans
+
+
+def _members(removed: list[int], lo: int, hi: int) -> WindowSet:
+    """The odd integers >= 3 outside the sorted ``removed``, on [lo, hi]."""
+    cut = removed[bisect.bisect_left(removed, lo) : bisect.bisect_right(removed, hi)]
+    return WindowSet(lo, hi, progression_bits(3, 2, lo, hi) & ~bits_from_values(cut, lo, hi))
+
+
+def _uncovered_sum(removed: list[int], s0: int, s1: int) -> int | None:
+    """The least even sum in [s0, s1] that is no a + b with a, b odd, >= 3
+    and outside the sorted ``removed``; None when there is none.
+
+    The sums a + b with a <= t, from the members in [3, t] and those in
+    [s0 - t, s1 - 3], are a subset of the pair sums, and every pair sum in
+    [s0, s1] whose smaller part is at most t is among them.  t starts at
+    3 + 2 * 8 and doubles while some sum is missing, until it reaches s1/2:
+    then every split a <= b of a sum s <= s1 has a <= t, so a sum still
+    missing is missing from the pair sums."""
+    t = 19
+    while True:
+        t = min(t, s1 // 2)
+        small = _members(removed, 3, t)
+        large = _members(removed, max(3, s0 - t), s1 - 3)
+        sums = window_sumset(small, large, s1)
+        missing = progression_bits(s0, 2, sums.lo, s1) & ~sums.bits
+        if not missing:
+            return None
+        if t == s1 // 2:
+            return sums.lo + _lsb(missing)
+        t = 2 * t - 3  # twice as many odd parts
+
+
 def _removal_decision(removal: Progression) -> RelationVerdict:
     """Exact decision whether 2*(odd integers >= 3) equals 2*``removal``.
 
-    A ``holds`` is cross-validated against the windowed sumset engine on
-    ``[3, 2M + 6]`` (at least ``[3, 60]``), M the largest removed value,
-    which is the range the enumeration covers, and its note says so.
+    A ``holds`` is cross-checked with bitset sumsets on the even sums up
+    to 2M + 6 (at least 60), M the largest removed value, or up to
+    ``PREFIX_SUMS`` where that is less, and on those within ``NEAR_SUMS``
+    of each sum 3 + e, e removed, past that prefix
+    (:func:`_cross_check_spans`), so on every sum the decision searches.
+    No other sum needs a check: 3 is not removed (else 6 = 3 + 3 would
+    fail), so an even s >= 6 outside 3 + E is 3 + (s - 3) with both parts
+    members, the argument that covers every s > 2M + 6 too.  So the cost
+    follows the removed values and their least splits, not M.
     """
     exact = pair_sum_cover_decision(removal)
     if exact.status is not Status.HOLDS or not removal.excluded:
         return exact
-    hi = max(2 * removal.max_excluded + 6, 60)
-    cross = sumset_equal_window(
-        restrict(Progression(3), 3, hi), restrict(removal, 3, hi), 2
-    )
-    if cross.status is not Status.HOLDS_ON_WINDOW:
-        raise RuntimeError(
-            f"exact decision and windowed sumsets disagree for removal "
-            f"{sorted(removal.excluded)}"
-        )
-    return holds(exact.note + f"; cross-validated against bitset sumsets on [3, {hi}]")
+    removed = sorted(removal.excluded)
+    top = min(max(2 * removed[-1] + 6, 60), PREFIX_SUMS)
+    for s0, s1 in _cross_check_spans(removed, top):
+        s = _uncovered_sum(removed, s0, s1)
+        if s is not None:
+            raise RuntimeError(
+                f"exact decision and windowed sumsets disagree for removal "
+                f"{removed} at {s}"
+            )
+    near = f" and within {NEAR_SUMS} of each 3 + e past it" if 3 + removed[-1] > top else ""
+    return holds(exact.note + f"; bitset sumsets confirm every even sum in [6, {top}]" + near)
 
 
 def _removal_certificate(removal: Progression, table: PrimeTable) -> RelationVerdict:

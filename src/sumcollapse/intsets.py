@@ -14,7 +14,10 @@ operands) is filled, checked after 1, 2, 4, ..., 64 shifts and then every
 64, so a nearly full operand stops after one shift and sums of odd primes
 or rough numbers after a few dozen, instead of running through every member.
 Operands of mixed parity are split into their parity classes first, so
-that each pair of classes saturates on its own.
+that each pair of classes saturates on its own.  :func:`window_sumset`
+runs the same kernel on two windows at different offsets, which lets a
+caller check the sums of a short interval far from 0 without a window that
+reaches down to it.
 
 The exact pair-sum decision splits only the sums 3 + e for excluded e, with
 :func:`least_splits`, the least-witness search that the deeper strata
@@ -260,6 +263,14 @@ def iterated_sumset(ws: WindowSet, n: int) -> WindowSet:
     return WindowSet(n * ws.lo, ws.hi, acc)
 
 
+def window_sumset(a: WindowSet, b: WindowSet, hi: int) -> WindowSet:
+    """Every sum of a member of ``a`` and a member of ``b``, on
+    ``[a.lo + b.lo, hi]``: the sums of the two finite windows, so a sum
+    missing here may still be reached by members outside them."""
+    lo = a.lo + b.lo
+    return WindowSet(lo, hi, _sumset_bits(a.bits, b.bits, hi - lo + 1))
+
+
 def dilation(ws: WindowSet, n: int) -> WindowSet:
     """Pointwise scaling {n*c}; the window becomes ``[n*lo, hi]``."""
     if n < 1:
@@ -409,17 +420,13 @@ def pair_sum_cover_decision(d) -> RelationVerdict:
     :class:`~sumcollapse.setexpr.Progression` D of odd integers >= 3 minus
     finitely many.
 
-    Even sums up to twice the largest excluded element plus 6 are checked by
-    enumeration.  Beyond that threshold a representation always exists: with
-    M the largest excluded element, any even s > 2M + 6 leaves the interval
-    (M, s/2] wide enough to contain an odd a >= 3 that is not excluded, and
-    its partner s - a >= s/2 > M cannot be excluded either.
-
-    Below the threshold only the sums 3 + e, e excluded, need the
-    enumeration: any other even s >= 6 is 3 + (s - 3) unless 3 itself is
+    Only the sums 3 + e, e excluded, are searched: any other even s >= 6 is
+    3 + (s - 3), both odd, >= 3 and not excluded, unless 3 itself is
     excluded, and then 6 = 3 + 3, which has no other representation, is the
-    least counterexample: the least of those candidates that
-    :func:`least_splits` leaves unsplit over D.
+    least counterexample.  So the decision is the least of those candidates
+    that :func:`least_splits` leaves unsplit over D.  A counterexample is
+    certified on [6, 2M + 6], M the largest excluded element, the range the
+    candidates lie in.
     """
     if (d.base, d.step) != (3, 2):
         raise ValueError("the exact pair-sum decision is defined for odd>=3 minus a finite set")
@@ -438,7 +445,7 @@ def pair_sum_cover_decision(d) -> RelationVerdict:
             certified_range=(6, threshold),
         )
     return holds(
-        f"all even sums in [6, {threshold}] verified by enumeration; for even "
-        f"s > {threshold} pick an odd a in ({m}, s/2] with a >= 3: neither a nor "
-        f"s - a >= s/2 > {m} can be excluded, so s = a + (s - a) works"
+        f"each of the {removed.size} sums 3 + e, e excluded, is a + b with a and b "
+        "odd, >= 3 and not excluded (found by enumeration); every other even "
+        "s >= 6 is 3 + (s - 3), and neither part is excluded"
     )

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,26 @@ def test_run_sorts_and_times_setup():
         "witnesses": [],
         "elapsed_ms": 0,
     }
+
+
+def test_battery_leaves_numpy_ma_unimported():
+    # np.unique, behind np.union1d and np.isin, imports numpy.ma (about
+    # 14 ms and 1 MB); a fresh process shows whether any check reaches it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from sumcollapse.battery import run_battery\n"
+        "assert all(r.passed for r in run_battery(30_000))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 # -- the sieve group's blocked pass against a whole-array reference ----------
@@ -134,6 +158,21 @@ def test_sieve_checks_on_tampered_tables(name):
     want = sieve_checks_bf(odd_prime, limit)
     assert {ref for ref, (ok, _) in want.items() if not ok} == failing
     assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
+
+
+def test_prime_surplus_that_never_fails():
+    # every odd number from 9 on is prime but one in a thousand, so pi stays
+    # far above k + 2: the check fails at the first failure it claims, i = 23
+    limit = 3 * 2**17 + 2
+    odd_prime = odd_prime_flags(limit)
+    odd_prime[4:] = True
+    odd_prime[1000::1000] = False
+    want = sieve_checks_bf(odd_prime, limit)
+    got = _battery_sieve_verdicts(_table_from_mask(limit, odd_prime))
+    ref = "sieve/prime-surplus-window"
+    assert want.pop(ref) == (False, None)
+    assert got.pop(ref) == (False, 23)
+    assert got == want
 
 
 def test_prime_count_band_fails_at_a_run_start():

@@ -41,7 +41,7 @@ def test_verify_json_report(tmp_path, capsys):
     assert payload["failed"] == 0
     refs = [c["ref"] for c in payload["checks"]]
     assert refs == sorted(refs)
-    assert all(c["elapsed_ms"] == 0 for c in payload["checks"])
+    assert all(c["elapsed_ms"] == 0 and "peak_rss_kb" not in c for c in payload["checks"])
     assert json.loads(out) == payload
 
 
@@ -53,6 +53,8 @@ def test_verify_timings_flag(tmp_path, capsys):
     assert code == 0
     payload = json.loads(path.read_text())
     assert any(c["elapsed_ms"] > 0 for c in payload["checks"])
+    # and the process's peak RSS after each check
+    assert all(c["peak_rss_kb"] > 0 for c in payload["checks"])
 
 
 def test_collapse_exact(capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from sumcollapse import (
@@ -28,12 +30,13 @@ from sumcollapse import (
 from sumcollapse import collapse as collapse_module
 from sumcollapse import intsets
 from sumcollapse.battery import collapse_checks, run
-from sumcollapse.verdict import Status, fails, holds
+from sumcollapse.verdict import Status, holds
 
 from oracles import (
     goldbach_pair,
     is_prime_bf,
     k_partitions_bf,
+    least_uncovered_pair_sum,
     odd_composites_upto,
     ordered_factorizations_bf,
 )
@@ -248,15 +251,17 @@ def test_prefix_cascade_asks_no_witnesses(monkeypatch, table_small):
 
 
 def test_removal_disagreement_is_an_internal_error(monkeypatch, table_small):
-    # every exact removal verdict is cross-checked against windowed sumsets
-    real = collapse.sumset_equal_window
+    # every exact removal verdict is cross-checked against bitset sumsets
+    real = collapse.window_sumset
 
     def disagree_from(removed):
-        """Windowed sumsets that disagree once ``removed`` values are missing."""
-        def planted(a, b, m, n=None):
-            if len(a) - len(b) >= removed:
-                return fails(6, "planted disagreement")
-            return real(a, b, m, n)
+        """Window sums that come out empty once ``removed`` values are
+        missing from the larger operand's window."""
+        def planted(small, large, hi):
+            odd = (large.hi + 1) // 2 - large.lo // 2
+            if odd - len(large) >= removed:
+                return intsets.WindowSet(small.lo + large.lo, hi, 0)
+            return real(small, large, hi)
         return planted
 
     claims = [
@@ -268,9 +273,35 @@ def test_removal_disagreement_is_an_internal_error(monkeypatch, table_small):
         (8, lambda: prefix_removal_cascade(1, 7, table_small)),
     ]
     for removed, claim in claims:
-        monkeypatch.setattr(collapse, "sumset_equal_window", disagree_from(removed))
+        monkeypatch.setattr(collapse, "window_sumset", disagree_from(removed))
         with pytest.raises(RuntimeError, match="disagree"):
             claim()
+
+
+def test_removal_cross_check_catches_a_sum_past_the_prefix(monkeypatch):
+    # removing every odd value in [5003, 10001] leaves 10004 as the only
+    # even sum without a split; a decider planted to say holds is caught
+    # on the interval around 3 + 10001, not on the prefix
+    excluded = frozenset(range(5003, 10002, 2))
+    assert least_uncovered_pair_sum(excluded, 2 * 10001 + 6) == 10004
+    monkeypatch.setattr(collapse, "pair_sum_cover_decision", lambda d: holds("planted"))
+    with pytest.raises(RuntimeError, match="disagree .* at 10004"):
+        collapse._removal_decision(Progression(3, 2, excluded))
+
+
+def test_removal_cross_check_memory_follows_the_removed_set():
+    # the six odd primorial products up to 10^7 (largest 4,849,845); a
+    # cross-check over [3, 2M + 6] held a 13.5 MB traced peak here
+    fam = primorial_odd_products(10**7)
+    table = PrimeTable(fam[-1])
+    tracemalloc.start()
+    try:
+        v = gap_subsequence_check(fam, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.status is Status.HOLDS
+    assert peak < 1 << 20
 
 
 def test_prefix_cascade_precondition(table_small):

@@ -15,6 +15,7 @@ from sumcollapse import (
     Progression,
     RoughOdd,
     check_fp,
+    collapse,
     intsets,
     iterated_sumset,
     pair_sum_cover_decision,
@@ -239,9 +240,9 @@ def _expected_pair_cover(excluded):
     s = least_uncovered_pair_sum(excluded, threshold)
     if s is None:
         return "holds", None, None, (
-            f"all even sums in [6, {threshold}] verified by enumeration; for even "
-            f"s > {threshold} pick an odd a in ({m}, s/2] with a >= 3: neither a nor "
-            f"s - a >= s/2 > {m} can be excluded, so s = a + (s - a) works"
+            f"each of the {len(excluded)} sums 3 + e, e excluded, is a + b with a and b "
+            "odd, >= 3 and not excluded (found by enumeration); every other even "
+            "s >= 6 is 3 + (s - 3), and neither part is excluded"
         )
     return "fails", s, (6, threshold), (
         f"{s} has no representation a + b with both odd, >= 3 and outside "
@@ -265,6 +266,35 @@ def test_pair_cover_decision_against_brute_force(picks, runs, with_three, primes
     v = pair_sum_cover_decision(Progression(3, 2, frozenset(excluded)))
     got = (v.status.value, v.counterexample, v.certified_range, v.note)
     assert got == _expected_pair_cover(excluded)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    picks=st.sets(st.integers(1, 3000), min_size=1, max_size=10),
+    cover=st.one_of(st.none(), st.integers(4, 4500)),
+    with_three=st.booleans(),
+)
+def test_removal_decision_against_brute_force(picks, cover, with_three):
+    # a few odd values, some past the 2^12 prefix, and optionally every odd
+    # value in [x/2, x - 3], which leaves the even x without a split
+    excluded = {2 * k + 1 for k in picks}
+    if cover is not None:
+        excluded |= set(range(cover | 1, 2 * cover - 2, 2))
+    if with_three:
+        excluded.add(3)
+    removed = sorted(excluded)
+    top = 2 * removed[-1] + 6
+    want = least_uncovered_pair_sum(excluded, top)
+    v = collapse._removal_decision(Progression(3, 2, frozenset(excluded)))
+    assert (v.status, v.counterexample) == (
+        (Status.HOLDS, None) if want is None else (Status.FAILS, want)
+    )
+    # the cross-check alone finds the same sum, and its intervals hold
+    # every sum 3 + e
+    assert collapse._uncovered_sum(removed, 6, top) == want
+    spans = collapse._cross_check_spans(removed, min(max(top, 60), collapse.PREFIX_SUMS))
+    assert all(any(s0 <= 3 + e <= s1 for s0, s1 in spans) for e in removed)
+    assert all(a1 + 2 < b0 for (_, a1), (b0, _) in zip(spans, spans[1:]))
 
 
 def _least_prime_factor(v):
