@@ -8,11 +8,14 @@ its verdict's status *is* the expected one, so a slide from ``holds`` to
 ``holds_on_window`` fails as surely as a counterexample does.
 
 The sieve group reads the prime table once, in blocks of
-``CHECKPOINT_BITS`` odd numbers, carrying only the running prime count and
-composite rank.  It decides each check at one end of each run of odd
-composites between two primes, where pi is constant and k rises by one per
-composite, and searches k by k only inside the first run that fails; the
-prime-count band is read the same way, where pi jumps.  The strata
+``CHECKPOINT_BITS`` odd numbers, as one table of runs [p, q - 1] between
+consecutive primes, carrying only the last prime and the prime count.  pi
+is constant on a run, so each check is decided at one end of each run and
+searched value by value only inside the first run that fails.  No
+composite rank is carried: k is read from c and pi(c) through the
+composite-count identity, which is decided once, at the first odd
+composite, and the final prime count is checked against the table's
+checkpoints.  The strata
 group reads the strata stream once
 (:func:`~sumcollapse.strata.audit_layer_one` over
 :func:`~sumcollapse.strata.strata_blocks`: each block's layer 1 is searched
@@ -144,135 +147,100 @@ def run_battery(limit: int) -> list[CheckResult]:
 
 def sieve_checks(table: PrimeTable):
     """The six prime-count checks, decided in one pass over the table in
-    blocks of ``CHECKPOINT_BITS`` odd numbers, at the ends of runs.
+    blocks of ``CHECKPOINT_BITS`` odd numbers, once per run of constant pi.
 
-    Every check is pointwise in ``(c, k, pi(c))`` for the k-th odd composite
-    c, or in ``(x, pi(x))`` for the band, and pi is constant on a run of odd
-    composites between two primes while k rises by one per composite.  So
-    each predicate can first fail on a run only at one known end of it (of
-    its part inside a block, cut again where k reaches 31 or c reaches
-    13^(m+1)):
+    The k-th odd composite c has k = (c - 2 pi(c) - d)/2 for one d: to the
+    next odd composite, c rises by 2 plus 2 per flagged value between them,
+    k by 1 and pi by those values.  The odd numbers up to c are the k
+    composites, the pi(c) - 1 flagged ones and the unflagged ones below 9,
+    so the identity c = 2k + 2 pi(c) - 1 holds exactly when 1 is unflagged
+    and 3, 5 and 7 are flagged, and otherwise fails at every c: it is
+    decided at the first odd composite.  Where it holds, the value forms of
+    pi-bound and scaling are their pi forms.
 
-    * the identity at the start, since c - 2k is constant on a run;
-    * pi-bound (pi > k - 1) and scaling (pi m >= k) at the start, so a run
-      fails scaling for each m from ceil(k/pi) on whose 13^(m+1) it is past;
-    * surplus (pi < k + 2) and log-bound at the end: from k = 31 on the
-      bound fails only where pi < 2k (else k - (ln(4k)/2 - 1) pi <=
-      k (3 - ln 4k) < 0), and from there on that difference rises in k.
-
-    The pass carries only the running prime count and composite rank.  Each
-    check keeps its first failure (scaling its least failing m), searched k
-    by k only inside the first run that fails.  The band is read the same
-    way, once per run of constant pi over the integers x.
+    pi is constant on each run [p, q - 1] between consecutive cuts p < q
+    (the flagged odd values and 2; the last run closes at the limit), so a
+    check can first fail on a run only at one end: the band's low side at
+    the end and its high side at the start (x/ln x rises by about 1/ln x per
+    step, far above double rounding); pi-bound (pi > k - 1) and scaling
+    (pi m >= k) at the first odd composite, or scaling at a power 13^(m+1)
+    inside the run; log-bound at the last, since from k = 31 on it fails
+    only where pi < 2k (else k - (ln(4k)/2 - 1) pi <= k (3 - ln 4k) < 0),
+    and there its difference rises in k.  Each check keeps its first failure
+    (scaling its least m), searched only inside the first run that fails.
+    The surplus is :func:`~sumcollapse.collapse.surplus_shortfall`'s, and
+    the final pi must match ``table.prime_count(limit)`` (the checkpoints).
     """
     require_limit(table.limit)
     limit = table.limit
-    top_m = 0  # the largest m with 13^(m+1) <= limit
-    while 13 ** (top_m + 2) <= limit:
-        top_m += 1
-    powers = np.array([13 ** (m + 1) for m in range(1, top_m + 1)], dtype=np.int64)
+    # 13^(m+1) for m = 1, 2, ... up to the limit
+    powers = np.array([13**j for j in range(2, limit.bit_length()) if 13**j <= limit], np.int64)
     guard = 1e-12  # double-precision slop on the band's strict inequalities
-    first: dict[str, int] = {}  # a check's part -> its first failure
-    bad_ms: set[int] = set()  # m's that scaling fails for, the least one always among them
-
-    def note(part, values, bad):
-        if part not in first and bad.any():
-            first[part] = int(values[bad.argmax()])
-
-    def ratio(x):
-        return x / np.log(x.astype(np.float64))
-
-    sides = {
-        "band-low": lambda pi, x: pi <= ratio(x) * (1 - guard),
-        "band-high": lambda pi, x: pi >= 1.25506 * ratio(x) * (1 + guard),
+    fails = {  # each check's predicate on (x or k, pi)
+        "band-low": lambda x, pi: pi <= x / np.log(x.astype(float)) * (1 - guard),
+        "band-high": lambda x, pi: pi >= 1.25506 * (x / np.log(x.astype(float))) * (1 + guard),
+        "pi-bound": lambda k, pi: pi > k - 1,
+        "log-bound": lambda k, pi: k >= (0.5 * np.log(4 * k.astype(float)) - 1) * pi + 1,
     }
+    first: dict[str, int] = {}  # a check -> its first failure
+    bad_ms: set[int] = set()  # m's that scaling fails for, the least one always among them
+    lead = None  # the first odd composite and pi there
 
-    def band(starts, ends, pis):
-        """The band on runs [starts, ends] of constant pi.  x/ln x rises by
-        about 1/ln x per step, far above double rounding, so on a run the
-        low side can first fail only at its end and the high side only at
-        its start; the first failing run is searched x by x."""
-        for part, at in (("band-low", ends), ("band-high", starts)):
-            if part in first:
-                continue
-            bad = sides[part](pis, at)
-            if bad.any():
-                k = int(bad.argmax())
-                xs = np.arange(starts[k], ends[k] + 1)
-                note(part, xs, sides[part](pis[k], xs))
-
-    def at_ends(part, k0, k1, pis, fails):
-        """Note the first k where ``fails(k, pi)`` holds on the runs
-        [k0, k1], for a check that fails on a run only if it fails at the
-        run's end; the runs that do are searched k by k in order."""
-        if part in first:
+    def search(part, lo, hi, pis, at, report=lambda v, pi: v):
+        """Note the first failure of ``part`` on the runs [lo, hi] of constant
+        ``pis``, where on each run it first fails at ``at`` (lo or hi) if
+        anywhere; only the first run that fails is searched value by value.
+        ``report`` maps the failing value and pi there to what is noted."""
+        if part in first or not (bad := fails[part](at, pis)).any():
             return
-        for r in np.flatnonzero(fails(k1, pis)).tolist():
-            ks = np.arange(k0[r], k1[r] + 1)
-            note(part, ks, fails(ks, pis[r]))
-            if part in first:
-                return
+        r = int(bad.argmax())
+        values = np.arange(lo[r], hi[r] + 1)
+        first[part] = int(report(values[fails[part](values, pis[r]).argmax()], pis[r]))
 
-    def surplus(k, pi):
-        return pi < k + 2
+    def runs(starts, ends, pis):
+        nonlocal lead
+        r = int(ends.searchsorted(17))  # the band's runs, from x = 17: a suffix
+        xs, ends_x, pis_x = np.maximum(starts[r:], 17), ends[r:], pis[r:]
+        search("band-low", xs, ends_x, pis_x, ends_x)
+        search("band-high", xs, ends_x, pis_x, xs)
 
-    def log_bound(k, pi):
-        return k >= (0.5 * np.log(4 * k.astype(np.float64)) - 1) * pi + 1
+        c0, c1 = np.maximum(starts + 2, 9), (ends - 1) | 1  # each run's odd composites
+        has = c0 <= c1
+        if not has.any():
+            return
+        c0, c1, pis = c0[has], c1[has], pis[has]
+        if lead is None:
+            lead = int(c0[0]), int(pis[0])
+        d = lead[0] - 2 * lead[1] - 2
+        k0, k1 = (c0 - 2 * pis - d) >> 1, (c1 - 2 * pis - d) >> 1
 
-    pi, rank = 1, 0  # the prime 2 and no odd composite lie below the first block
+        r = int(k1.searchsorted(31))  # k rises over the runs, so those reaching 31 are a suffix
+        k31 = np.maximum(k0[r:], 31)
+        search("pi-bound", k31, k1[r:], pis[r:], k31, lambda k, pi: 2 * k + 2 * pi + d)
+        search("log-bound", k31, k1[r:], pis[r:], k1[r:])
+
+        need = -(-k0 // pis)  # the least m with pi m >= k at each run's start
+        bad = need[need <= powers.searchsorted(c0, side="right")]
+        if bad.size:
+            bad_ms.add(int(bad.min()))
+        for m, power in enumerate(powers.tolist(), start=1):
+            r = int(c1.searchsorted(power))
+            if r < c1.size and c0[r] < power and pis[r] * m >= k0[r] + (power - c0[r]) // 2:
+                bad_ms.add(m)
+
+    # the first cut is 2; a flagged 1 cuts after it, out of order, but no
+    # check reads an x below 9
+    start, pi = 2, 1
     for i0, mask in table.odd_prime_blocks():
-        n = mask.size
-        prime_at = np.flatnonzero(mask)  # offsets of the block's odd primes
-        # composites start at 9: in the first block the offsets of 1, 3, 5, 7 cut runs too
-        lead = min(max(4 - i0, 0), n)
-        cuts = np.flatnonzero(mask | (np.arange(n) < lead)) if lead else prime_at
-        edges = np.concatenate(([-1], cuts, [n]))
-        pis = pi + np.arange(cuts.size + 1)  # pi after each cut, every cut a prime
-        if lead:  # but for the offset of 1 (and of 3, 5, 7 where they are not flagged)
-            pis[1:] = pi + np.cumsum(mask[cuts])
-        j = np.flatnonzero(np.diff(edges) > 1)  # the runs of composites: run j follows cut j - 1
-        start, end, pis = edges[j] + 1, edges[j + 1] - 1, pis[j]
-        k0 = rank + 1 + start - j  # the rank of each run's first composite
-        k1 = k0 + end - start
-        c0 = 2 * (i0 + start) + 1
+        cuts = 2 * (i0 + np.flatnonzero(mask)) + 1
+        if cuts.size:
+            runs(np.append(start, cuts[:-1]), cuts - 1, pi + np.arange(cuts.size))
+            start, pi = int(cuts[-1]), pi + cuts.size
+    runs(np.array([start]), np.array([limit]), np.array([pi]))
+    if pi != (counted := table.prime_count(limit)):  # the checkpoints' count
+        raise RuntimeError(f"the sieve pass counts {pi} primes up to {limit}, the table {counted}")
 
-        note("identity", c0, c0 != 2 * k0 + 2 * pis - 1)
-        at_ends("surplus", k0, k1, pis, surplus)
-
-        # the integers x of the block in [17, limit], cut into runs from each
-        # prime (or the first x) to the last x before the next one
-        x_lo, x_hi = max(2 * i0 + 1, 17), min(2 * (i0 + n), limit)
-        if x_lo <= x_hi:
-            primes = 2 * (i0 + prime_at) + 1
-            q = int(primes.searchsorted(x_lo, side="right"))
-            starts = np.append(x_lo, primes[q:])
-            band(starts, np.append(starts[1:] - 1, x_hi), pi + np.arange(q, primes.size + 1))
-
-        # k rises over the runs, so those reaching k = 31 are a suffix
-        r31 = int(k1.searchsorted(31))
-        k31, k_end, p31 = np.maximum(k0[r31:], 31), k1[r31:], pis[r31:]
-        # c <= 4k - 3 is pi(c) <= k - 1, since c = 2k + 2 pi(c) - 1 for any mask
-        note("pi-bound", c0[r31:] + 2 * (k31 - k0[r31:]), p31 > k31 - 1)
-        at_ends("log-bound", k31, k_end, p31, log_bound)
-
-        # c >= (2 + 2/m)k - 1 is pi(c) m >= k, since c = 2k + 2 pi(c) - 1 for any mask.
-        # A run fails for every m from ceil(k0/pi) up to the count of powers
-        # at or below its start; a power inside a run is tried at itself.
-        if top_m:
-            past = powers.searchsorted(c0, side="right")
-            need = -(-k0 // pis)
-            fails = need <= past
-            if fails.any():
-                bad_ms.add(int(need[fails].min()))
-            c1 = c0 + 2 * (end - start)
-            for m, power in enumerate(powers.tolist(), start=1):
-                r = int(c1.searchsorted(power))
-                if r < c1.size and c0[r] < power and pis[r] * m >= k0[r] + (power - c0[r]) // 2:
-                    bad_ms.add(m)
-
-        pi, rank = pi + prime_at.size, rank + n - cuts.size
-
-    bad = first.get("identity")
+    bad = lead[0] if lead and lead[0] != 2 * lead[1] + 1 else None
     yield (
         "sieve/composite-count-identity",
         "the k-th odd composite equals 2k + 2 pi(value) - 1 for every indexed k",
@@ -280,7 +248,7 @@ def sieve_checks(table: PrimeTable):
         decided(bad is None, bad, (9, limit)),
     )
 
-    bad = first.get("surplus")
+    bad = col.surplus_shortfall(table.odd_composites_in(9, limit), table)
     yield (
         "sieve/prime-surplus-window",
         "pi at the i-th odd composite stays >= i + 2 exactly up to i = 22; the "
@@ -317,7 +285,7 @@ def sieve_checks(table: PrimeTable):
         "whenever the k-th odd composite reaches 13^(m+1), pi(value) < k/m and "
         "value < (2 + 2/m)k - 1",
         HOLDS,
-        decided(not bad_ms, min(bad_ms, default=None), witnesses=((1, top_m),)),
+        decided(not bad_ms, min(bad_ms, default=None), witnesses=((1, powers.size),)),
     )
 
     bad = first.get("log-bound")

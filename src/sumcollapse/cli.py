@@ -155,8 +155,8 @@ def _cmd_collapse(args) -> int:
     m_fold, n_fold = int(match.group("m")), int(match.group("n"))
     lo, hi = args.window
     removed_top = rhs.max_excluded if isinstance(rhs, Progression) else 0
-    reach = max(hi, 9, 2 * removed_top + 6)
-    why = " (the window end or twice the largest excluded value plus 6)"
+    reach = max(hi, 9, removed_top)
+    why = " (the window end or the largest excluded value)"
     table = PrimeTable(_within_reach("collapse", reach, why))
     verdict = col.check_relation(
         lhs, rhs, m_fold, n_fold, (lo, hi), table, require_subset=args.directed

@@ -29,13 +29,12 @@ least-split search.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .intsets import WindowSet, _lsb, _not_in, bits_from_values, iterated_sumset, least_splits
+from .intsets import _lsb, _not_in, iterated_sumset, least_splits
 from .intsets import pair_sum_cover_decision, progression_bits, restrict, sumset_equal_window
 from .intsets import window_sumset
 from .setexpr import FiniteSet, Primes, Progression, RoughOdd, SetExpr, as_set_expr
@@ -266,8 +265,10 @@ def _validate_composite_tuple(ks, table: PrimeTable) -> tuple[int, ...]:
     return ks
 
 
-def _surplus_shortfall(ks: tuple[int, ...], table: PrimeTable) -> int | None:
-    """The first index i whose candidate has fewer than i + 2 primes below it."""
+def surplus_shortfall(ks, table: PrimeTable) -> int | None:
+    """The first index i whose candidate, in the increasing iterable ``ks``,
+    has fewer than i + 2 primes below it; None when none has.  It reads
+    ``ks`` only up to that index."""
     return next(
         (i for i, c in enumerate(ks, start=1) if table.prime_count(c) < i + 2), None
     )
@@ -275,20 +276,21 @@ def _surplus_shortfall(ks: tuple[int, ...], table: PrimeTable) -> int | None:
 
 def prime_surplus_hypothesis(ks, table: PrimeTable) -> bool:
     """True iff the i-th candidate has at least i + 2 primes below it."""
-    return _surplus_shortfall(_validate_composite_tuple(ks, table), table) is None
+    return surplus_shortfall(_validate_composite_tuple(ks, table), table) is None
 
 
-def _removal_witnesses(excluded: frozenset[int], table: PrimeTable):
-    """For each removed value c (largest first) a pair p + d = 3 + c with p
-    the least odd prime whose partner d >= 3 avoids the removed set."""
-    removed = np.array(sorted(excluded))
+def _removal_witnesses(removed: tuple[int, ...], table: PrimeTable):
+    """For each removed value c in the sorted ``removed`` (largest first) a
+    pair p + d = 3 + c with p the least odd prime whose partner d >= 3
+    avoids the removed set."""
+    removed = np.array(removed)
     primes = table.primes_in(3, int(removed[-1]))
     found = least_splits(removed + 3, primes, 3, _not_in(removed))
     pairs = zip(removed.tolist(), found.tolist())
     return tuple((c, p, c + 3 - p) for c, p in reversed(list(pairs)) if p)
 
 
-def _cross_check_spans(removed: list[int], top: int) -> list[tuple[int, int]]:
+def _cross_check_spans(removed, top: int) -> list[tuple[int, int]]:
     """The even sums the removal cross-check covers, as merged intervals
     [s0, s1] with even ends: the prefix [6, top] and [3 + e - NEAR_SUMS,
     3 + e + NEAR_SUMS] for each removed e with 3 + e past it."""
@@ -304,15 +306,10 @@ def _cross_check_spans(removed: list[int], top: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _members(removed: list[int], lo: int, hi: int) -> WindowSet:
-    """The odd integers >= 3 outside the sorted ``removed``, on [lo, hi]."""
-    cut = removed[bisect.bisect_left(removed, lo) : bisect.bisect_right(removed, hi)]
-    return WindowSet(lo, hi, progression_bits(3, 2, lo, hi) & ~bits_from_values(cut, lo, hi))
-
-
-def _uncovered_sum(removed: list[int], s0: int, s1: int) -> int | None:
-    """The least even sum in [s0, s1] that is no a + b with a, b odd, >= 3
-    and outside the sorted ``removed``; None when there is none.
+def _uncovered_sum(removal: Progression, s0: int, s1: int) -> int | None:
+    """The least even sum in [s0, s1] that is no a + b with a, b members of
+    ``removal`` (odd integers >= 3 minus finitely many); None when there is
+    none.
 
     The sums a + b with a <= t, from the members in [3, t] and those in
     [s0 - t, s1 - 3], are a subset of the pair sums, and every pair sum in
@@ -323,8 +320,8 @@ def _uncovered_sum(removed: list[int], s0: int, s1: int) -> int | None:
     t = 19
     while True:
         t = min(t, s1 // 2)
-        small = _members(removed, 3, t)
-        large = _members(removed, max(3, s0 - t), s1 - 3)
+        small = restrict(removal, 3, t)
+        large = restrict(removal, max(3, s0 - t), s1 - 3)
         sums = window_sumset(small, large, s1)
         missing = progression_bits(s0, 2, sums.lo, s1) & ~sums.bits
         if not missing:
@@ -350,14 +347,14 @@ def _removal_decision(removal: Progression) -> RelationVerdict:
     exact = pair_sum_cover_decision(removal)
     if exact.status is not Status.HOLDS or not removal.excluded:
         return exact
-    removed = sorted(removal.excluded)
+    removed = removal.excluded_sorted
     top = min(max(2 * removed[-1] + 6, 60), PREFIX_SUMS)
     for s0, s1 in _cross_check_spans(removed, top):
-        s = _uncovered_sum(removed, s0, s1)
+        s = _uncovered_sum(removal, s0, s1)
         if s is not None:
             raise RuntimeError(
                 f"exact decision and windowed sumsets disagree for removal "
-                f"{removed} at {s}"
+                f"{list(removed)} at {s}"
             )
     near = f" and within {NEAR_SUMS} of each 3 + e past it" if 3 + removed[-1] > top else ""
     return holds(exact.note + f"; bitset sumsets confirm every even sum in [6, {top}]" + near)
@@ -372,7 +369,7 @@ def _removal_certificate(removal: Progression, table: PrimeTable) -> RelationVer
     return holds(
         decision.note + "; the removed values are composite, so factorization "
         "into odd primes is untouched",
-        witnesses=_removal_witnesses(removal.excluded, table),
+        witnesses=_removal_witnesses(removal.excluded_sorted, table),
     )
 
 
@@ -383,7 +380,7 @@ def composite_removal_check(ks, table: PrimeTable) -> RelationVerdict:
     attempted and a hypothesis failure is reported instead.
     """
     ks = _validate_composite_tuple(ks, table)
-    i = _surplus_shortfall(ks, table)
+    i = surplus_shortfall(ks, table)
     if i is not None:
         c = ks[i - 1]
         return hypothesis_failed(

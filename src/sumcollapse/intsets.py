@@ -131,11 +131,6 @@ class WindowSet:
         for i in iter_bits(self.bits):
             yield lo + i
 
-    def is_subset_of(self, other: "WindowSet") -> bool:
-        if (self.lo, self.hi) != (other.lo, other.hi):
-            raise ValueError("subset test requires matching windows")
-        return not (self.bits & ~other.bits & ((1 << (self.hi - self.lo + 1)) - 1))
-
 
 def restrict(source, lo: int, hi: int, table=None) -> WindowSet:
     """Materialise a set onto ``[lo, hi]``.
@@ -433,7 +428,7 @@ def pair_sum_cover_decision(d) -> RelationVerdict:
     m = d.max_excluded
     threshold = 2 * m + 6
     excluded = d.excluded
-    removed = np.array(sorted(excluded))
+    removed = np.array(d.excluded_sorted)
     members = (a for a in itertools.count(3, 2) if a not in excluded)
     found = least_splits(removed + 3, members, 3, _not_in(removed))
     if not found.all():
@@ -441,7 +436,7 @@ def pair_sum_cover_decision(d) -> RelationVerdict:
         return fails(
             s,
             f"{s} has no representation a + b with both odd, >= 3 and outside "
-            f"{sorted(excluded)}",
+            f"{list(d.excluded_sorted)}",
             certified_range=(6, threshold),
         )
     return holds(

@@ -23,8 +23,9 @@ decision accepts.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .intsets import bits_from_values, progression_bits
 from .sieve import PrimeTable, _is_prime_slow, is_rough
@@ -74,6 +75,8 @@ class Progression(SetExpr):
     base: int
     step: int = 2
     excluded: frozenset[int] = frozenset()
+    # the excluded values in increasing order, sorted once
+    excluded_sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step < 1:
@@ -82,17 +85,20 @@ class Progression(SetExpr):
         for e in self.excluded:
             if e < self.base or (e - self.base) % self.step:
                 raise ValueError(f"excluded element {e} is not in {self._head()}")
+        object.__setattr__(self, "excluded_sorted", tuple(sorted(self.excluded)))
 
     @property
     def max_excluded(self) -> int:
-        return max(self.excluded, default=0)
+        return self.excluded_sorted[-1] if self.excluded else 0
 
     def contains(self, n, table=None):
         return n >= self.base and (n - self.base) % self.step == 0 and n not in self.excluded
 
     def window_bits(self, lo, hi, table=None):
-        bits = progression_bits(self.base, self.step, lo, hi)
-        return bits & ~bits_from_values(self.excluded, lo, hi)
+        """Only the excluded values inside [lo, hi] are read."""
+        ex = self.excluded_sorted
+        inside = ex[bisect.bisect_left(ex, lo) : bisect.bisect_right(ex, hi)]
+        return progression_bits(self.base, self.step, lo, hi) & ~bits_from_values(inside, lo, hi)
 
     def least_not_in(self, other: "Progression") -> int | None:
         """The least member of this set missing from ``other``; None when
@@ -144,7 +150,7 @@ class Progression(SetExpr):
     def describe(self):
         if not self.excluded:
             return self._head()
-        return f"{self._head()} \\ {{{','.join(map(str, sorted(self.excluded)))}}}"
+        return f"{self._head()} \\ {{{','.join(map(str, self.excluded_sorted))}}}"
 
 
 @dataclass(frozen=True)

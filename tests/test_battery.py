@@ -97,9 +97,12 @@ def test_sieve_checks_at_block_edges(limit):
     assert _battery_sieve_verdicts(PrimeTable(limit)) == want
 
 
-# Each tamper sets or clears runs of prime bits (slices of odd indices) so
-# that the listed checks first fail past the first block.  The
-# composite-count identity holds for any mask.
+# Each tamper sets or clears runs of prime bits (slices of odd indices) and
+# lists the checks that then fail.  The composite-count identity holds for
+# any mask that flags 3, 5 and 7 and not 1; the last three tampers get that
+# lead wrong, so it fails at every odd composite, first at 9.  The others
+# make the listed checks first fail past the first block, but for
+# "clear-13-17".
 _TAMPERS = {
     # pi stalls in block 1: the band's low side fails first at an even x
     # (145,652) and the log bound at k = 64,034
@@ -146,6 +149,33 @@ _TAMPERS = {
         [(slice(60, BLOCK), True)],
         {"sieve/prime-count-band", "sieve/index-upper-bounds", "sieve/prime-count-scaling"},
     ),
+    # pi is 5 on the run 11..18, so the band's low side fails from 13 on,
+    # but the band starts at 17 (inside the run), and there it first fails
+    "clear-13-17": (
+        3 * 2**17 + 2,
+        [(6, False), (8, False)],
+        {"sieve/prime-surplus-window", "sieve/prime-count-band"},
+    ),
+    "clear-7": (
+        3 * 2**17 + 2,
+        [(3, False)],
+        {"sieve/composite-count-identity", "sieve/prime-surplus-window", "sieve/prime-count-band"},
+    ),
+    "flag-1": (
+        3 * 2**17 + 2,
+        [(0, True)],
+        {
+            "sieve/composite-count-identity",
+            "sieve/prime-surplus-window",
+            "sieve/index-upper-bounds",
+            "sieve/prime-count-band",
+        },
+    ),
+    "clear-3-5": (
+        3 * 2**17 + 2,
+        [(slice(1, 3), False)],
+        {"sieve/composite-count-identity", "sieve/prime-surplus-window", "sieve/prime-count-band"},
+    ),
 }
 
 
@@ -158,6 +188,16 @@ def test_sieve_checks_on_tampered_tables(name):
     want = sieve_checks_bf(odd_prime, limit)
     assert {ref for ref, (ok, _) in want.items() if not ok} == failing
     assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
+
+
+def test_sieve_pass_disagreeing_with_the_checkpoints_is_an_internal_error():
+    # the pass counts the primes block by block; prime_count(limit) starts
+    # from a checkpoint popcount, here one too high
+    limit = 3 * 2**17 + 2
+    table = PrimeTable(limit)
+    table._ckpt[(limit - 1) >> 17] += 1
+    with pytest.raises(RuntimeError, match="counts 33335 primes up to 393218, the table 33336"):
+        list(sieve_checks(table))
 
 
 def test_prime_surplus_that_never_fails():

@@ -203,6 +203,18 @@ def test_verify_1e6_golden_bytes(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_1E6_SHA256
 
 
+# sha256 of ``verify --limit 10000000 --format json``, the battery at the
+# benchmark's scale (about 1 s and 45 MB), taken before the sieve group read
+# one table of runs
+VERIFY_1E7_SHA256 = "65f7309f8c02cdbd84d7d8dfb7bab3b6ff8809b385ba317096b786d098cba6ba"
+
+
+def test_verify_1e7_golden_bytes(capsys):
+    code, out, _ = run_cli(["verify", "--limit", "10000000", "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_1E7_SHA256
+
+
 # sha256 of fold-check outputs at the saturation cutoff's introduction, taken
 # from the kernel that ran every shift: a drift in a certified range or a
 # counterexample changes these bytes
@@ -241,7 +253,7 @@ def test_sieve_check_golden_bytes(capsys):
     "rel, window, reach",
     [
         ("odd>=3 ~(2,2)~ primes>=3", "3..1000000001", 1_000_000_001),
-        ("odd>=3 ~(2,2)~ odd>=3 \\ {9,499999999}", "3..100", 1_000_000_004),
+        ("odd>=3 ~(2,2)~ odd>=3 \\ {9,1000000001}", "3..100", 1_000_000_001),
     ],
     ids=["window-end", "excluded-value"],
 )
@@ -256,22 +268,28 @@ def test_collapse_past_reach_is_refused(monkeypatch, capsys, rel, window, reach)
     assert f"primes up to {reach}" in err and f"past the bound {MAX_REACH}" in err
 
 
+# the certificate reads primes only up to the largest removed value, so the
+# table reaches that value, not twice it
 @pytest.mark.parametrize(
-    "rel, window",
+    "rel, window, reach",
     [
-        ("odd>=3 ~(2,2)~ primes>=3", "3..1000000000"),
-        ("odd>=3 ~(2,2)~ odd>=3 \\ {9,499999997}", "3..100"),
+        ("odd>=3 ~(2,2)~ primes>=3", "3..1000000000", MAX_REACH),
+        ("odd>=3 ~(2,2)~ odd>=3 \\ {9,999999999}", "3..100", 999_999_999),
+        ("odd>=3 ~(2,2)~ odd>=3 \\ {500000001}", "3..100", 500_000_001),
     ],
-    ids=["window-end", "excluded-value"],
+    ids=["window-end", "excluded-value", "excluded-half-reach"],
 )
-def test_collapse_at_reach_builds_its_table(monkeypatch, capsys, rel, window):
-    def stop(limit):
+def test_collapse_at_reach_builds_its_table(monkeypatch, capsys, rel, window, reach):
+    requested = []
+
+    def stop(limit):  # records the limit and allocates nothing
+        requested.append(limit)
         raise ValueError(f"table requested to {limit}")
 
     monkeypatch.setattr("sumcollapse.cli.PrimeTable", stop)
     code, _, err = run_cli(["collapse", "--rel", rel, "--window", window], capsys)
     assert code == 2
-    assert f"table requested to {MAX_REACH}" in err
+    assert requested == [reach] and f"table requested to {reach}" in err
 
 
 REACH_COMMANDS = {

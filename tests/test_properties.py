@@ -285,13 +285,14 @@ def test_removal_decision_against_brute_force(picks, cover, with_three):
     removed = sorted(excluded)
     top = 2 * removed[-1] + 6
     want = least_uncovered_pair_sum(excluded, top)
-    v = collapse._removal_decision(Progression(3, 2, frozenset(excluded)))
+    removal = Progression(3, 2, frozenset(excluded))
+    v = collapse._removal_decision(removal)
     assert (v.status, v.counterexample) == (
         (Status.HOLDS, None) if want is None else (Status.FAILS, want)
     )
     # the cross-check alone finds the same sum, and its intervals hold
     # every sum 3 + e
-    assert collapse._uncovered_sum(removed, 6, top) == want
+    assert collapse._uncovered_sum(removal, 6, top) == want
     spans = collapse._cross_check_spans(removed, min(max(top, 60), collapse.PREFIX_SUMS))
     assert all(any(s0 <= 3 + e <= s1 for s0, s1 in spans) for e in removed)
     assert all(a1 + 2 < b0 for (_, a1), (b0, _) in zip(spans, spans[1:]))

@@ -13,6 +13,7 @@ from sumcollapse import (
     pair_sum_cover_decision,
     parse_set_expr,
     restrict,
+    setexpr,
 )
 
 from oracles import is_prime_bf
@@ -133,6 +134,26 @@ def test_odd_forms_are_progressions():
         pair_sum_cover_decision(Progression(1))
     assert not isinstance(Primes(3), Progression)
     assert Progression(3, 4, frozenset({7})).describe() == "3+4k \\ {7}"
+
+
+def test_progression_window_reads_only_the_excluded_values_inside(monkeypatch):
+    # the excluded values are sorted once on the progression, so a window
+    # hands bits_from_values only those that fall inside it
+    seen = []
+
+    def recorder(values, lo, hi, real=setexpr.bits_from_values):
+        seen.extend(values)
+        return real(values, lo, hi)
+
+    monkeypatch.setattr(setexpr, "bits_from_values", recorder)
+    p = Progression(3, 2, frozenset(range(9, 100_001, 6)))
+    assert list(restrict(p, 21, 45).members()) == [23, 25, 29, 31, 35, 37, 41, 43]
+    assert seen == [21, 27, 33, 39, 45]
+    assert p.max_excluded == 99_999
+    # the sorted copy is left out of equality, hashing and the repr
+    q = Progression(3, 2, frozenset(range(99_999, 8, -6)))
+    assert p == q and hash(p) == hash(q)
+    assert "excluded_sorted" not in repr(p)
 
 
 def test_as_set_expr_coercions():
