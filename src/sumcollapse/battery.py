@@ -15,7 +15,8 @@ searched value by value only inside the first run that fails.  No
 composite rank is carried: k is read from c and pi(c) through the
 composite-count identity, which is decided once, at the first odd
 composite, and the final prime count is checked against the table's
-checkpoints.  The strata
+checkpoints.  The value forms of the index bound and of scaling are their
+pi forms with pi shifted by a constant, decided on the same runs.  The strata
 group reads the strata stream once
 (:func:`~sumcollapse.strata.audit_layer_one` over
 :func:`~sumcollapse.strata.strata_blocks`: each block's layer 1 is searched
@@ -155,8 +156,12 @@ def sieve_checks(table: PrimeTable):
     composites, the pi(c) - 1 flagged ones and the unflagged ones below 9,
     so the identity c = 2k + 2 pi(c) - 1 holds exactly when 1 is unflagged
     and 3, 5 and 7 are flagged, and otherwise fails at every c: it is
-    decided at the first odd composite.  Where it holds, the value forms of
-    pi-bound and scaling are their pi forms.
+    decided at the first odd composite.  The value forms of pi-bound
+    (c > 4k - 3) and scaling (c >= (2 + 2/m)k - 1) are their pi forms with
+    h = (c + 1)/2 - k for pi, and h - pi is the same constant at every c (0
+    where the identity holds), so they are decided on the same runs: pi-bound
+    reports its first pi failure, else its first value failure, and scaling
+    fails for m where either form does.
 
     pi is constant on each run [p, q - 1] between consecutive cuts p < q
     (the flagged odd values and 2; the last run closes at the limit), so a
@@ -180,6 +185,7 @@ def sieve_checks(table: PrimeTable):
         "band-low": lambda x, pi: pi <= x / np.log(x.astype(float)) * (1 - guard),
         "band-high": lambda x, pi: pi >= 1.25506 * (x / np.log(x.astype(float))) * (1 + guard),
         "pi-bound": lambda k, pi: pi > k - 1,
+        "value-bound": lambda k, h: h > k - 1,
         "log-bound": lambda k, pi: k >= (0.5 * np.log(4 * k.astype(float)) - 1) * pi + 1,
     }
     first: dict[str, int] = {}  # a check -> its first failure
@@ -212,20 +218,23 @@ def sieve_checks(table: PrimeTable):
         if lead is None:
             lead = int(c0[0]), int(pis[0])
         d = lead[0] - 2 * lead[1] - 2
+        hs = pis + (d + 1) // 2  # h = (c + 1)/2 - k on each run
         k0, k1 = (c0 - 2 * pis - d) >> 1, (c1 - 2 * pis - d) >> 1
 
         r = int(k1.searchsorted(31))  # k rises over the runs, so those reaching 31 are a suffix
         k31 = np.maximum(k0[r:], 31)
         search("pi-bound", k31, k1[r:], pis[r:], k31, lambda k, pi: 2 * k + 2 * pi + d)
+        search("value-bound", k31, k1[r:], hs[r:], k31, lambda k, h: 2 * (k + h) - 1)
         search("log-bound", k31, k1[r:], pis[r:], k1[r:])
 
-        need = -(-k0 // pis)  # the least m with pi m >= k at each run's start
+        top = np.maximum(pis, hs)  # scaling fails where pi m >= k or h m >= k
+        need = -(-k0 // top)  # the least such m at each run's start
         bad = need[need <= powers.searchsorted(c0, side="right")]
         if bad.size:
             bad_ms.add(int(bad.min()))
         for m, power in enumerate(powers.tolist(), start=1):
             r = int(c1.searchsorted(power))
-            if r < c1.size and c0[r] < power and pis[r] * m >= k0[r] + (power - c0[r]) // 2:
+            if r < c1.size and c0[r] < power and top[r] * m >= k0[r] + (power - c0[r]) // 2:
                 bad_ms.add(m)
 
     # the first cut is 2; a flagged 1 cuts after it, out of order, but no
@@ -263,7 +272,7 @@ def sieve_checks(table: PrimeTable):
         ),
     )
 
-    bad = first.get("pi-bound")
+    bad = first.get("pi-bound", first.get("value-bound"))
     yield (
         "sieve/index-upper-bounds",
         "from index 31 on, pi(value) <= k - 1 and value <= 4k - 3",

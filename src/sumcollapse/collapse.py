@@ -30,6 +30,7 @@ least-split search.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -669,11 +670,16 @@ class PairSweepReport:
     3 plus a prime; ``even_distinct_exceptions`` is the stricter variant
     that also demands the two composites differ (it additionally flags 9,
     whose double 18 = 9 + 9 only repeats a part).
+
+    ``pair_witnesses`` is a read-only ``{k: (x, y)}`` view, x the least odd
+    composite with x + y = 3 + (k-th odd composite) and x < y, over arrays
+    of the indices, least parts and partners; it compares equal to the dict
+    of the same pairs.
     """
 
     k_max: int
     pair_missing: tuple[int, ...]
-    pair_witnesses: dict[int, tuple[int, int]]
+    pair_witnesses: Mapping[int, tuple[int, int]]
     even_exceptions: tuple[int, ...]
     even_distinct_exceptions: tuple[int, ...]
 
@@ -699,8 +705,7 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
     t = comps[2:] + 3
     least, distinct = least_pairs(t)
     missing = tuple(ks[~distinct].tolist())
-    pairs = zip(least[distinct].tolist(), (t - least)[distinct].tolist())
-    witnesses = dict(zip(ks[distinct].tolist(), pairs))
+    witnesses = _PairWitnesses(ks[distinct], least[distinct], (t - least)[distinct])
 
     t = 2 * ks
     least, distinct = least_pairs(t)
@@ -708,6 +713,28 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
     even_exc = tuple(ks[(least == 0) & ~shifted_prime].tolist())
     even_distinct_exc = tuple(ks[~distinct & ~shifted_prime].tolist())
     return PairSweepReport(k_max, missing, witnesses, even_exc, even_distinct_exc)
+
+
+class _PairWitnesses(Mapping):
+    """Read-only ``{k: (x, y)}`` view over the increasing indices ``ks`` and
+    the parallel arrays of their least parts x and partners y."""
+
+    def __init__(self, ks: np.ndarray, least: np.ndarray, partner: np.ndarray):
+        self._ks, self._least, self._partner = ks, least, partner
+
+    def __getitem__(self, k):
+        ks = self._ks
+        if isinstance(k, (int, np.integer)) and ks.size and ks[0] <= k <= ks[-1]:
+            i = int(ks.searchsorted(k))
+            if ks[i] == k:
+                return int(self._least[i]), int(self._partner[i])
+        raise KeyError(k)
+
+    def __iter__(self):
+        return iter(self._ks.tolist())
+
+    def __len__(self) -> int:
+        return self._ks.size
 
 
 # ---------------------------------------------------------------------------

@@ -365,13 +365,12 @@ def least_splits_block(pending: np.ndarray, flags: np.ndarray, parts) -> np.ndar
     """
     n = pending.size
     off = flags.size - n
-    at = np.flatnonzero(pending)
-    pending = pending.copy()
+    asked, pending = pending, pending.copy()
     hit = np.empty(n, dtype=bool)
     stayed = np.zeros(n, dtype=np.uint8)  # dense passes each position stayed pending through
     dense: list[int] = []  # the part of each dense pass
     found = rest = None
-    left = at.size
+    left = np.count_nonzero(pending)
     for p in parts:
         shift = (p - 3) >> 1
         j0 = max(shift - off, 0)  # the partners of positions below j0 are below the flags
@@ -396,12 +395,13 @@ def least_splits_block(pending: np.ndarray, flags: np.ndarray, parts) -> np.ndar
             left = rest.size
     if rest is None:
         found = _dense_parts(dense, pending, stayed)
-    return found[at]
+    return found[asked]
 
 
 def _dense_parts(dense: list[int], pending: np.ndarray, stayed: np.ndarray) -> np.ndarray:
     """Per position, the dense pass's part that cleared it, 0 if none did."""
-    return np.array(dense + [0], dtype=np.int32)[np.where(pending, len(dense), stayed)]
+    # a uint8 index: a scalar of its dtype keeps np.where from widening it
+    return np.array(dense + [0], dtype=np.int32)[np.where(pending, np.uint8(len(dense)), stayed)]
 
 
 def _not_in(values: np.ndarray):

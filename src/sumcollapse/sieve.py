@@ -117,15 +117,25 @@ class PrimeTable:
     def odd_prime_at(self, values) -> np.ndarray:
         """Per integer of the array ``values``, whether it is an odd prime in
         ``[3, limit]``; False for even values, values below 3 and values past
-        the limit, so nothing raises."""
-        values = np.asarray(values, dtype=np.int64)
-        # one unsigned compare for 3 <= v <= limit: values below 3 wrap past it
-        inside = ((values - 3).view(np.uint64) <= self.limit - 3) & (values & 1).astype(bool)
+        the limit, so nothing raises.  ``int32`` values are looked up in
+        ``int32``, any others in ``int64``."""
+        if not (isinstance(values, np.ndarray) and values.dtype == np.int32):
+            values = np.asarray(values, dtype=np.int64)
+        unsigned = np.uint32 if values.dtype == np.int32 else np.uint64
+        # one unsigned compare for 3 <= v <= limit: values below 3 wrap past it,
+        # and the dtype's three least values wrap to above its top - 3, the cap
+        top = min(self.limit, np.iinfo(values.dtype).max) - 3
+        inside = (values - 3).view(unsigned) <= top
+        inside &= (values & 1).astype(bool)
         i = values >> 1
         i *= inside  # index 0 for the values outside
-        raw = np.frombuffer(self._bits, dtype=np.uint8)
-        # a uint8 shift count keeps the bit extraction in bytes
-        return inside & (raw[i >> 3] >> (i & 7).astype(np.uint8) & 1).view(bool)
+        bit = (i & 7).astype(np.uint8)  # a uint8 shift count keeps the bit extraction in bytes
+        i >>= 3
+        byte = np.frombuffer(self._bits, dtype=np.uint8)[i]
+        byte >>= bit
+        byte &= 1
+        inside &= byte.view(bool)
+        return inside
 
     def is_odd_composite(self, n: int) -> bool:
         """Odd, >= 9 and not prime; only the primality lookup checks the range."""

@@ -10,7 +10,9 @@ The strata are read as a stream, :func:`strata_blocks`, which yields
 ``(composites, layer, witness_prime)`` for one block of the prime table at
 a time: the blocks that ``PrimeTable.odd_prime_blocks`` cuts, each searched
 with a margin of ``MARGIN_ODDS`` odd numbers below it.  The witness partner
-is c + 3 - p.  Every consumer reads that stream: :func:`strata_census`
+is c + 3 - p.  A block's arrays are ``int32`` (the layers ``int8``), and so
+are the composites, partners and lookups the audit derives from them: c + 3
+stays below 2^31.  Every consumer reads that stream: :func:`strata_census`
 (the ``strata`` command's census and CSV), :func:`audit_layer_one` (the
 battery's audit) and :func:`compute_strata`, which concatenates it into a
 :class:`StrataTable` for library callers and ``Stratum(k)``.  Only the
@@ -222,9 +224,13 @@ class _AssignedView(Mapping):
         return int(np.count_nonzero(self._st.layer))
 
 
-def _odd_composites(odd_prime: np.ndarray) -> np.ndarray:
-    """Sorted odd composites >= 9 covered by an odd-prime mask."""
-    return (2 * np.flatnonzero(~odd_prime[4:]) + 9).astype(np.int32)
+def _odd_values(i0: int, flags: np.ndarray) -> np.ndarray:
+    """The odd numbers 2(i0 + j) + 1 at the set ``flags[j]``, in ``int32``,
+    scaled and offset in place."""
+    values = np.flatnonzero(flags).astype(np.int32)
+    values <<= 1
+    values += 2 * i0 + 1
+    return values
 
 
 def _check_limit(limit: int) -> None:
@@ -236,7 +242,7 @@ def _check_limit(limit: int) -> None:
 
 def layer_one_blocks(limit: int, table: PrimeTable):
     """Yield ``(composites, witness_prime)`` for each block of the odd
-    composites in ``[9, limit]``: the composites sorted (``int32``) and the
+    composites in ``[9, limit]``, both ``int32``: the composites sorted and the
     least odd prime p whose partner c + 3 - p is an odd prime, 0 where none is.
 
     Blocks are the table's ``odd_prime_blocks(9, limit)``.  Each block is
@@ -250,7 +256,7 @@ def layer_one_blocks(limit: int, table: PrimeTable):
         flags = np.concatenate((below, mask))
         below = flags[-MARGIN_ODDS:]
         pending = ~mask
-        comps = (2 * (i0 + np.flatnonzero(pending)) + 1).astype(np.int32)
+        comps = _odd_values(i0, pending)
         # a partner below the margin ends its search, so its sum waits for the retry
         found = least_splits_block(pending, flags, table.primes_in(3, limit))
         missed = np.flatnonzero(found == 0)
@@ -287,7 +293,7 @@ def strata_blocks(limit: int, table: PrimeTable):
     lies below its composite.
     """
     _check_limit(limit)
-    listed = np.zeros(0, dtype=np.int64)
+    listed = np.zeros(0, dtype=np.int32)
     layers = np.zeros(0, dtype=np.int8)
     for comps, witness in layer_one_blocks(limit, table):
         layer = (witness > 0).astype(np.int8)
@@ -382,7 +388,7 @@ def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> Partit
     if table is None:
         table = PrimeTable(st.limit)
     odd_prime = table.odd_prime_mask(st.limit)
-    expected = _odd_composites(odd_prime)
+    expected = _odd_values(4, ~odd_prime[4:])  # the odd composites >= 9
     comps = st.composites.astype(np.int64)
     lay = st.layer.astype(np.int16)
     assigned = lay != 0
@@ -467,38 +473,41 @@ def audit_layer_one(limit: int, table: PrimeTable) -> LayerOneAudit:
     stray: list[int] = []
     never: list[int] = []
     bad: list[str] = []
-    listed = np.zeros(0, dtype=np.int64)  # the entries outside layer 1 so far, and their layers
+    listed = np.zeros(0, dtype=np.int32)  # the entries outside layer 1 so far, and their layers
     layers = np.zeros(0, dtype=np.int8)
     reads = table.odd_prime_blocks(9, limit)
     for (comps, layer, found), (i0, mask) in zip(strata_blocks(limit, table), reads):
-        expected = 2 * (i0 + np.flatnonzero(~mask)) + 1
+        expected = _odd_values(i0, ~mask)
         seen += expected.size
         if not np.array_equal(comps, expected):
             _keep_first(missing, expected[~np.isin(expected, comps)])
             _keep_first(stray, np.unique(comps[~np.isin(comps, expected)]))
         count += int(np.count_nonzero(layer == 1))
         max_layer = max(max_layer, int(layer.max(initial=0)))
-        c, p = comps.astype(np.int64), found.astype(np.int64)
-        q = c + 3 - p
-        ok = table.odd_prime_at(p) & table.odd_prime_at(q)
+        q = comps + 3  # the partners c + 3 - p, in int32 as c + 3 fits
+        q -= found
+        ok = table.odd_prime_at(found)
+        ok &= table.odd_prime_at(q)
         deeper = layer != 1
         if deeper.any():
-            left = c[layer == 0]
+            left = comps[layer == 0]
             unassigned += left.size
             _keep_first(never, left)
-            listed = np.concatenate((listed, c[deeper]))
+            listed = np.concatenate((listed, comps[deeper]))
             layers = np.concatenate((layers, layer[deeper]))
-            peels = (table.odd_prime_at(p) | (p == 2)) & (
+            peels = (table.odd_prime_at(found) | (found == 2)) & (
                 _listed_layer(q, listed, layers, table) == layer.astype(np.int16) - 1
             )
             ok = np.where(deeper, peels, ok)
         for i in np.flatnonzero((layer != 0) & ~ok)[: AUDIT_LISTED - len(bad)].tolist():
-            if not p[i]:
-                bad.append(f"witness for {c[i]} does not sum to {c[i] + 3}")
+            c = int(comps[i])
+            if not found[i]:
+                bad.append(f"witness for {c} does not sum to {c + 3}")
             elif layer[i] == 1:
-                bad.append(f"layer-1 witness for {c[i]} is not an odd prime pair")
+                bad.append(f"layer-1 witness for {c} is not an odd prime pair")
             else:
-                bad.append(f"layer-{layer[i]} witness for {c[i]} does not peel correctly")
+                bad.append(f"layer-{layer[i]} witness for {c} does not peel correctly")
+        del expected, q, ok  # freed before the stream builds the next block
 
     anomalies: list[str] = []
     # less the table's non-primes among 3, 5 and 7, which lie below the strata's range

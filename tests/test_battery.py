@@ -99,7 +99,7 @@ def test_sieve_checks_at_block_edges(limit):
 
 # Each tamper sets or clears runs of prime bits (slices of odd indices) and
 # lists the checks that then fail.  The composite-count identity holds for
-# any mask that flags 3, 5 and 7 and not 1; the last three tampers get that
+# any mask that flags 3, 5 and 7 and not 1; the last four tampers get that
 # lead wrong, so it fails at every odd composite, first at 9.  The others
 # make the listed checks first fail past the first block, but for
 # "clear-13-17".
@@ -176,6 +176,20 @@ _TAMPERS = {
         [(slice(1, 3), False)],
         {"sieve/composite-count-identity", "sieve/prime-surplus-window", "sieve/prime-count-band"},
     ),
+    # with 7 cleared pi is one below h = (c + 1)/2 - k, so at 183, after the
+    # odd values 167..181 are flagged, pi = k - 1 holds the bound but
+    # 183 > 4k - 3 does not; scaling fails at m = 1 in its value form alone
+    "clear-7-flag-167-181": (
+        200,
+        [(3, False), (slice(83, 91), True)],
+        {
+            "sieve/composite-count-identity",
+            "sieve/prime-surplus-window",
+            "sieve/index-upper-bounds",
+            "sieve/prime-count-band",
+            "sieve/prime-count-scaling",
+        },
+    ),
 }
 
 
@@ -188,6 +202,24 @@ def test_sieve_checks_on_tampered_tables(name):
     want = sieve_checks_bf(odd_prime, limit)
     assert {ref for ref, (ok, _) in want.items() if not ok} == failing
     assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
+
+
+def test_sieve_checks_on_random_small_masks():
+    # each of 1, 3, 5 and 7 flipped now and then, and up to five runs of
+    # up to 15 odd values set or cleared, on limits up to 2,000
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        limit = int(rng.integers(93, 2001))
+        odd_prime = odd_prime_flags(limit)
+        odd_prime[:4] ^= rng.random(4) < 0.3
+        for _ in range(rng.integers(0, 6)):
+            at = int(rng.integers(4, odd_prime.size))
+            odd_prime[at : at + int(rng.integers(1, 16))] = rng.random() < 0.5
+        want = sieve_checks_bf(odd_prime, limit)
+        ref = "sieve/prime-surplus-window"
+        if want[ref] == (False, None):  # see test_prime_surplus_that_never_fails
+            want[ref] = (False, 23)
+        assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want, limit
 
 
 def test_sieve_pass_disagreeing_with_the_checkpoints_is_an_internal_error():

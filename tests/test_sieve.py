@@ -324,6 +324,22 @@ def test_odd_prime_at_on_random_int64(reader_table, tampered):
     assert table.odd_prime_at(sample).tolist() == _odd_prime_at_reference(table, sample)
 
 
+@pytest.mark.parametrize("limit", [1001, 1000])
+def test_odd_prime_at_on_int32_matches_int64(limit):
+    table = PrimeTable(limit)
+    info = np.iinfo(np.int32)
+    values = [info.min, info.min + 1, info.min + 2, info.min + 3, -3, -1, 0, 1, 2, 3, 9]
+    values += [4, 10, 998, 997, limit - 1, limit, limit + 1, limit + 2, info.max - 1, info.max]
+    got = table.odd_prime_at(np.array(values, dtype=np.int32))
+    assert got.dtype == bool and got.tolist() == table.odd_prime_at(values).tolist()
+    assert got.tolist() == _odd_prime_at_reference(table, values)
+    # past 2^31 + 1, v - 3 of the least int32 values would pass as v <= limit
+    # if it were not capped at the int32 top
+    table.limit = 2**40
+    wrapped = np.array([info.min, info.min + 1, info.min + 2, 3, 5], dtype=np.int32)
+    assert table.odd_prime_at(wrapped).tolist() == [False, False, False, True, True]
+
+
 def _random_windows(rng, count):
     """Windows from lo <= 2 up, empty ones and ones that straddle 2^17."""
     edge = 2**17

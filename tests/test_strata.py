@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -469,3 +470,18 @@ def test_layer_one_audit_reads_retry_partners_below_the_margin(monkeypatch):
     got = strata.audit_layer_one(limit, table).anomalies
     assert got == (f"layer-1 witness for {c} is not an odd prime pair",)
     assert got == verify_partition(compute_strata(limit, table), table).anomalies
+
+
+def test_layer_one_audit_holds_no_int64_block_copies():
+    # the audit traces about 1.9 MB here with numpy 2.4 (4.2 MB while each
+    # block was copied to int64); one int64 copy of a block's 57,000 or so
+    # composites, live beside its int32 arrays, adds about 0.46 MB
+    limit = 2**21
+    table = PrimeTable(limit)
+    tracemalloc.start()
+    try:
+        audit = strata.audit_layer_one(limit, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit.anomalies == () and peak < 2.2e6, peak
