@@ -30,15 +30,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import re
 import sys
 
+# Set before numpy is first imported: no module here calls BLAS, so
+# OpenBLAS's thread pool would only add startup time.  A value the user set
+# wins (README, "Startup").
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
-from . import battery
 from . import collapse as col
-from . import finite_ring as ring
-from . import strata as strata_mod
 from .setexpr import Progression, parse_set_expr
 from .sieve import CompositeIndex, PrimeTable
 from .verdict import Status
@@ -66,15 +69,18 @@ def _within_reach(command: str, reach: int, why: str = "") -> int:
     return reach
 
 
-def _mark(result: battery.CheckResult) -> str:
-    return "PASS" if result.passed else "FAIL"
+def _mark(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers; battery, strata and finite_ring are imported by the
+# commands that run them, so a collapse query does not pay for loading them
 
 
 def _cmd_verify(args) -> int:
+    from . import battery
+
     results = battery.run_battery(_within_reach("verify", args.limit))
     passed = sum(1 for r in results if r.passed)
     payload = {
@@ -91,7 +97,7 @@ def _cmd_verify(args) -> int:
     else:
         for r in results:
             status = r.verdict.status.value
-            print(f"{_mark(r)} {r.ref} [{status}] {r.claim}")
+            print(f"{_mark(r.passed)} {r.ref} [{status}] {r.claim}")
             if r.verdict.status is Status.FAILS:
                 print(f"     counterexample: {r.verdict.counterexample}")
         print(f"{payload['passed']} passed, {payload['failed']} failed")
@@ -99,6 +105,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
+    from . import battery
+
     if args.check:
         battery.require_limit(args.limit)
     table = PrimeTable(_within_reach("sieve", args.limit))
@@ -121,13 +129,15 @@ def _cmd_sieve(args) -> int:
         print(f"primes <= {args.limit}: {info['prime_count']}")
         print(f"odd composites <= {args.limit}: {info['odd_composite_count']}")
         for r in results:
-            print(f"{_mark(r)} {r.ref}")
+            print(f"{_mark(r.passed)} {r.ref}")
     return 1 if info.get("failed") else 0
 
 
 def _cmd_strata(args) -> int:
+    from .strata import strata_census
+
     table = PrimeTable(_within_reach("strata", args.limit))
-    tally = strata_mod.strata_census(args.limit, table, args.csv)
+    tally = strata_census(args.limit, table, args.csv)
     payload = tally.census_dict()
     _write_report(args.out, payload)
     if args.format == "json":
@@ -238,9 +248,11 @@ def _ring_block_writer(fh, m: int, n_max: int):
 
 
 def _cmd_ring(args) -> int:
+    from .finite_ring import relation_table
+
     m, n_max = args.modulus, args.nmax
     # a refused modulus or fold bound raises here, before any file is created
-    blocks = ring.relation_table(m, n_max)
+    blocks = relation_table(m, n_max)
     rows = directed = 0
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
         write = None if fh is None else _ring_block_writer(fh, m, n_max)

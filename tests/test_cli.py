@@ -1,5 +1,7 @@
+import ast
 import csv
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sumcollapse
 from sumcollapse import PrimeTable, battery, cli, collapse, relation_table_rows, strata
 from sumcollapse.battery import MIN_LIMIT
 from sumcollapse.cli import MAX_REACH, main
@@ -603,15 +606,134 @@ def test_no_op_options_are_gone(capsys, argv):
     capsys.readouterr()
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(args, env=None):
+    """Run ``python args`` in a fresh process that sees this checkout's ``src``
+    (it does not inherit pytest's path)."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_entry_point_runs():
-    # a fresh process does not see pytest's path, so hand it this checkout's src
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sumcollapse.cli", "sieve", "--limit", "1000"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _fresh_python(["-m", "sumcollapse.cli", "sieve", "--limit", "1000"])
     assert proc.returncode == 0
     assert "168" in proc.stdout
+
+
+# -- what a process imports ----------------------------------------------------
+
+LOADED = (
+    "import sys\n"
+    "print(' '.join(sorted(m.rpartition('.')[2] for m in sys.modules\n"
+    "                      if m == 'numpy' or m.startswith('sumcollapse.'))))\n"
+)
+LATE = {"battery", "finite_ring", "strata"}  # imported only by the commands that run them
+
+
+def _run_main(argv):
+    return f"import sumcollapse.cli\nsumcollapse.cli.main({argv!r})\n"
+
+
+def test_package_import_loads_no_numpy_and_no_submodule():
+    proc = _fresh_python(["-c", "import sumcollapse\n" + LOADED])
+    assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import sumcollapse.cli\n", set()),
+        (_run_main(["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3 \\ {9,15,21}"]), set()),
+        (_run_main(["strata", "--limit", "1000"]), {"strata"}),
+        (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"finite_ring"}),
+        (_run_main(["verify", "--limit", str(MIN_LIMIT)]), LATE),
+    ],
+    ids=["cli", "collapse", "strata", "ring", "verify"],
+)
+def test_a_process_imports_what_its_command_runs(code, loaded):
+    proc = _fresh_python(["-c", code + LOADED])
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) & LATE == loaded
+
+
+# every name the package exported when ``import sumcollapse`` imported every submodule
+EAGER_EXPORTS = {
+    "collapse": "DecompositionRecord FactorStats PairSweepReport PartitionRecord check_fp "
+    "check_relation composite_removal_check decompositions euclid_chain_composites "
+    "factor_stats gap_subsequence_check k_partitions parameter_uniqueness_report "
+    "prefix_removal_cascade prime_surplus_hypothesis primorial_odd_products "
+    "progression_removal_check relation_parts shifted_composite_pair_sweep",
+    "finite_ring": "RelationTableEntry ZmSubset optimal_weight_set relation_table "
+    "relation_table_rows zm_closure zm_expansion_family zm_optimal_subsets "
+    "zm_product_witness zm_quotient_check zm_reduction_chain zm_reduction_family "
+    "zm_relation zm_sumset zm_unit_group_check",
+    "intsets": "WindowSet dilation iterated_sumset pair_sum_cover_decision restrict "
+    "sumset_equal_window",
+    "setexpr": "FiniteSet IntRange OddComposites Primes Progression RoughOdd SetExpr Stratum "
+    "Union as_set_expr parse_set_expr",
+    "sieve": "CompositeIndex PrimeTable is_rough",
+    "strata": "StrataTable compute_strata nfold_all_integers_check nfold_collapse_check "
+    "rough_pair_cover_evidence verify_absorption verify_partition",
+    "verdict": "RelationVerdict Status",
+}
+
+
+def test_lazy_namespace_resolves_every_export():
+    names = set()
+    for module, exported in EAGER_EXPORTS.items():
+        home = importlib.import_module(f"sumcollapse.{module}")
+        assert getattr(sumcollapse, module) is home
+        for name in exported.split():
+            assert getattr(sumcollapse, name) is getattr(home, name), name
+            names.add(name)
+    assert len(names) == 63
+    assert sorted(sumcollapse.__all__) == sorted(names)
+    assert names | set(EAGER_EXPORTS) | {"battery", "cli"} <= set(dir(sumcollapse))
+    star: dict = {}
+    exec("from sumcollapse import *", star)
+    assert {name: star[name] for name in names} == {n: getattr(sumcollapse, n) for n in names}
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        sumcollapse.no_such_name
+    assert sumcollapse.__version__ == "0.1.0"
+
+
+# -- the OpenBLAS pin ------------------------------------------------------------
+
+READ_PIN = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+
+
+@pytest.mark.parametrize(
+    "module, preset, seen",
+    [("sumcollapse.cli", "3", "3"), ("sumcollapse.cli", None, "1"), ("sumcollapse.finite_ring", None, "None")],
+    ids=["user-value-wins", "cli-pins", "library-untouched"],
+)
+def test_openblas_pin(module, preset, seen):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = _fresh_python(["-c", f"import {module}\n" + READ_PIN], env)
+    assert (proc.returncode, proc.stdout) == (0, seen + "\n"), proc.stderr
+
+
+BLAS_CALLS = {"dot", "vdot", "matmul", "linalg", "einsum", "inner", "outer", "tensordot"}
+
+
+def test_no_module_calls_blas():
+    # the CLI pins OpenBLAS to one thread because nothing here calls it; a BLAS
+    # call would make that pin a slowdown
+    found = []
+    for path in sorted((SRC / "sumcollapse").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Attribute) and (
+                node.attr in ("dot", "vdot")
+                or node.attr in BLAS_CALLS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            ):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []
