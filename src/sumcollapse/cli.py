@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import os
 import re
@@ -45,6 +46,29 @@ from . import collapse as col
 from .setexpr import Progression, parse_set_expr
 from .sieve import CompositeIndex, PrimeTable
 from .verdict import Status
+
+
+def _lazy(name: str):
+    """The submodule ``name``, in ``sys.modules`` and on the package as if
+    imported, but executed on its first attribute access
+    (``importlib.util.LazyLoader``), so a command that does not use it does
+    not pay for loading it."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# only verify, sieve --check, strata and ring run these three
+battery = _lazy("battery")
+ring = _lazy("finite_ring")
+strata_mod = _lazy("strata")
 
 SCHEMA_VERSION = 1
 MAX_REACH = 10**9  # largest prime table any command builds (README, "Notes on scale")
@@ -69,18 +93,15 @@ def _within_reach(command: str, reach: int, why: str = "") -> int:
     return reach
 
 
-def _mark(passed: bool) -> str:
-    return "PASS" if passed else "FAIL"
+def _mark(result: battery.CheckResult) -> str:
+    return "PASS" if result.passed else "FAIL"
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; battery, strata and finite_ring are imported by the
-# commands that run them, so a collapse query does not pay for loading them
+# subcommand handlers
 
 
 def _cmd_verify(args) -> int:
-    from . import battery
-
     results = battery.run_battery(_within_reach("verify", args.limit))
     passed = sum(1 for r in results if r.passed)
     payload = {
@@ -97,7 +118,7 @@ def _cmd_verify(args) -> int:
     else:
         for r in results:
             status = r.verdict.status.value
-            print(f"{_mark(r.passed)} {r.ref} [{status}] {r.claim}")
+            print(f"{_mark(r)} {r.ref} [{status}] {r.claim}")
             if r.verdict.status is Status.FAILS:
                 print(f"     counterexample: {r.verdict.counterexample}")
         print(f"{payload['passed']} passed, {payload['failed']} failed")
@@ -105,8 +126,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    from . import battery
-
     if args.check:
         battery.require_limit(args.limit)
     table = PrimeTable(_within_reach("sieve", args.limit))
@@ -129,15 +148,13 @@ def _cmd_sieve(args) -> int:
         print(f"primes <= {args.limit}: {info['prime_count']}")
         print(f"odd composites <= {args.limit}: {info['odd_composite_count']}")
         for r in results:
-            print(f"{_mark(r.passed)} {r.ref}")
+            print(f"{_mark(r)} {r.ref}")
     return 1 if info.get("failed") else 0
 
 
 def _cmd_strata(args) -> int:
-    from .strata import strata_census
-
     table = PrimeTable(_within_reach("strata", args.limit))
-    tally = strata_census(args.limit, table, args.csv)
+    tally = strata_mod.strata_census(args.limit, table, args.csv)
     payload = tally.census_dict()
     _write_report(args.out, payload)
     if args.format == "json":
@@ -248,11 +265,9 @@ def _ring_block_writer(fh, m: int, n_max: int):
 
 
 def _cmd_ring(args) -> int:
-    from .finite_ring import relation_table
-
     m, n_max = args.modulus, args.nmax
     # a refused modulus or fold bound raises here, before any file is created
-    blocks = relation_table(m, n_max)
+    blocks = ring.relation_table(m, n_max)
     rows = directed = 0
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
         write = None if fh is None else _ring_block_writer(fh, m, n_max)

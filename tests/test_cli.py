@@ -625,12 +625,13 @@ def test_entry_point_runs():
 
 # -- what a process imports ----------------------------------------------------
 
-LOADED = (
-    "import sys\n"
-    "print(' '.join(sorted(m.rpartition('.')[2] for m in sys.modules\n"
-    "                      if m == 'numpy' or m.startswith('sumcollapse.'))))\n"
+LOADED = (  # the package modules a process has executed; a lazy one not yet run is skipped
+    "import sys, types\n"
+    "print(' '.join(sorted(m.rpartition('.')[2] for m, mod in list(sys.modules.items())\n"
+    "                      if m == 'numpy' or m.startswith('sumcollapse.')\n"
+    "                      and type(mod) is types.ModuleType)))\n"
 )
-LATE = {"battery", "finite_ring", "strata"}  # imported only by the commands that run them
+LATE = {"battery", "finite_ring", "strata"}  # executed only by the commands that run them
 
 
 def _run_main(argv):
@@ -647,16 +648,46 @@ def test_package_import_loads_no_numpy_and_no_submodule():
     [
         ("import sumcollapse.cli\n", set()),
         (_run_main(["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3 \\ {9,15,21}"]), set()),
+        (_run_main(["sieve", "--limit", "1000"]), set()),
         (_run_main(["strata", "--limit", "1000"]), {"strata"}),
         (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"finite_ring"}),
+        (_run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"]), {"battery"}),
         (_run_main(["verify", "--limit", str(MIN_LIMIT)]), LATE),
     ],
-    ids=["cli", "collapse", "strata", "ring", "verify"],
+    ids=["cli", "collapse", "sieve", "strata", "ring", "sieve-check", "verify"],
 )
 def test_a_process_imports_what_its_command_runs(code, loaded):
     proc = _fresh_python(["-c", code + LOADED])
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.splitlines()[-1].split()) & LATE == loaded
+
+
+def test_lazy_modules_are_registered_before_they_run():
+    # the three late modules are in sys.modules and on the package from the
+    # start (tools that look modules up there, like perfbench's tracer, find
+    # them), and the first attribute read runs the module
+    code = (
+        "import sys, types, sumcollapse, sumcollapse.cli\n"
+        "mod = sys.modules['sumcollapse.strata']\n"
+        "assert sumcollapse.strata is mod and sumcollapse.cli.strata_mod is mod\n"
+        "assert type(mod) is not types.ModuleType\n"
+        "table = mod.StrataTable\n"
+        "assert type(mod) is types.ModuleType and sys.modules['sumcollapse.strata'] is mod\n"
+        "from sumcollapse.strata import StrataTable\n"
+        "assert StrataTable is table\n"
+    )
+    proc = _fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_cli_process_runs_one_thread():
+    # the pin must come before numpy's first import, or OpenBLAS has already
+    # started its pool (one thread per further core) by the time it is read
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = "import os, sumcollapse.cli\nprint(len(os.listdir('/proc/self/task')))\n"
+    proc = _fresh_python(["-c", code], env)
+    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
 
 
 # every name the package exported when ``import sumcollapse`` imported every submodule
