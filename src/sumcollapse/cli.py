@@ -35,12 +35,10 @@ import os
 import re
 import sys
 
-# Set before numpy is first imported: no module here calls BLAS, so
-# OpenBLAS's thread pool would only add startup time.  A value the user set
-# wins (README, "Startup").
+# Set before numpy is first imported, which only the commands that build
+# arrays do: no module here calls BLAS, so OpenBLAS's thread pool would only
+# add startup time.  A value the user set wins (README, "Startup").
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from . import collapse as col
 from .setexpr import Progression, parse_set_expr
@@ -222,6 +220,8 @@ def _ring_lines(prefixes: list[str], tails: list[str], eq, low):
     where the tails repeat every ``period`` rows, ``code`` packs
     (sumset_equal, fp, subset) and ``low`` holds fp and subset per C.
     """
+    import numpy as np
+
     flat = eq.ravel()
     span, period, per_c = flat.size // len(prefixes), len(tails) // 8, flat.size // low.size
     step = max(1, _RING_CHUNK // span)
@@ -265,6 +265,8 @@ def _ring_block_writer(fh, m: int, n_max: int):
 
 
 def _cmd_ring(args) -> int:
+    import numpy as np
+
     m, n_max = args.modulus, args.nmax
     # a refused modulus or fold bound raises here, before any file is created
     blocks = ring.relation_table(m, n_max)

@@ -22,9 +22,10 @@ bitset sumsets on the even sums up to ``PREFIX_SUMS`` and near each sum
 3 plus a member.  So the check's cost follows the removed values, not the
 largest of them.  ``_removal_certificate`` adds
 one least-prime witness per removed value; the cascade keeps only statuses,
-so it asks the decision alone.  Those witnesses and the shifted composite
-pair sweep come from :func:`~sumcollapse.intsets.least_splits`, the one
-least-split search.
+so it asks the decision alone.  The decision and those witnesses are loops
+over Python ints, a few tries per removed value, so a removal query imports
+no numpy; the shifted composite pair sweep asks the array search
+:func:`~sumcollapse.intsets.least_splits`, which does.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .intsets import _lsb, _not_in, iterated_sumset, least_splits
+from .intsets import _lsb, iterated_sumset, least_splits
 from .intsets import pair_sum_cover_decision, progression_bits, restrict, sumset_equal_window
 from .intsets import window_sumset
 from .setexpr import FiniteSet, Primes, Progression, RoughOdd, SetExpr, as_set_expr
@@ -50,6 +50,8 @@ from .verdict import (
     weakest,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # factorization property
@@ -283,12 +285,14 @@ def prime_surplus_hypothesis(ks, table: PrimeTable) -> bool:
 def _removal_witnesses(removed: tuple[int, ...], table: PrimeTable):
     """For each removed value c in the sorted ``removed`` (largest first) a
     pair p + d = 3 + c with p the least odd prime whose partner d >= 3
-    avoids the removed set."""
-    removed = np.array(removed)
-    primes = table.primes_in(3, int(removed[-1]))
-    found = least_splits(removed + 3, primes, 3, _not_in(removed))
-    pairs = zip(removed.tolist(), found.tolist())
-    return tuple((c, p, c + 3 - p) for c, p in reversed(list(pairs)) if p)
+    avoids the removed set; a c with no such pair gets none."""
+    excluded = frozenset(removed)
+    pairs = []
+    for c in reversed(removed):
+        p = next((p for p in table.primes_in(3, c) if c + 3 - p not in excluded), 0)
+        if p:
+            pairs.append((c, p, c + 3 - p))
+    return tuple(pairs)
 
 
 def _cross_check_spans(removed, top: int) -> list[tuple[int, int]]:
@@ -686,6 +690,8 @@ class PairSweepReport:
 
 def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepReport:
     """Sweep both pair-representation claims over the first ``k_max`` indices."""
+    import numpy as np
+
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3, got {k_max}")
     index = CompositeIndex(table)
@@ -723,6 +729,8 @@ class _PairWitnesses(Mapping):
         self._ks, self._least, self._partner = ks, least, partner
 
     def __getitem__(self, k):
+        import numpy as np
+
         ks = self._ks
         if isinstance(k, (int, np.integer)) and ks.size and ks[0] <= k <= ks[-1]:
             i = int(ks.searchsorted(k))

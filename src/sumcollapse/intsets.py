@@ -19,22 +19,24 @@ runs the same kernel on two windows at different offsets, which lets a
 caller check the sums of a short interval far from 0 without a window that
 reaches down to it.
 
-The exact pair-sum decision splits only the sums 3 + e for excluded e, with
+The exact pair-sum decision searches a split of each sum 3 + e, e excluded,
+and of no other sum, in one loop over Python ints.  The array searches are
 :func:`least_splits`, the least-witness search that the deeper strata
-layers, the absorption check, the removal witnesses and the pair sweeps ask
-too.  Layer 1 of the strata asks its block form,
-:func:`least_splits_block`, which returns the same least part for a
-contiguous block of sums against a flag array.
+layers, the absorption check and the pair sweeps ask, and its block form
+:func:`least_splits_block`, which layer 1 of the strata asks for the same
+least part of a contiguous block of sums against a flag array; they import
+numpy when called, so importing this module does not.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .verdict import RelationVerdict, fails, holds, holds_on_window
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSE_SHARE = 16  # least_splits_block ANDs whole blocks until under 1/16 of them is pending
 _BITPOS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
@@ -325,6 +327,8 @@ def least_splits(sums, parts, floor: int, accepts) -> np.ndarray:
     the accepted partner a.  So the least part a* is at most s - a*: a split
     with a <= b exists iff a* > 0, and one with a < b iff 0 < 2a* < s.
     """
+    import numpy as np
+
     sums = np.asarray(sums)
     found = np.zeros(sums.size, dtype=sums.dtype)
     pos = np.arange(sums.size, dtype=np.int32)  # half the memory of int64; fewer than 2^31 sums
@@ -363,6 +367,8 @@ def least_splits_block(pending: np.ndarray, flags: np.ndarray, parts) -> np.ndar
     once nothing is pending or every partner is below the flags.  Parts
     must be below 2^31.
     """
+    import numpy as np
+
     n = pending.size
     off = flags.size - n
     asked, pending = pending, pending.copy()
@@ -400,14 +406,10 @@ def least_splits_block(pending: np.ndarray, flags: np.ndarray, parts) -> np.ndar
 
 def _dense_parts(dense: list[int], pending: np.ndarray, stayed: np.ndarray) -> np.ndarray:
     """Per position, the dense pass's part that cleared it, 0 if none did."""
+    import numpy as np
+
     # a uint8 index: a scalar of its dtype keeps np.where from widening it
     return np.array(dense + [0], dtype=np.int32)[np.where(pending, np.uint8(len(dense)), stayed)]
-
-
-def _not_in(values: np.ndarray):
-    """A "not in" test for the sorted, non-empty ``values``."""
-    last = values.size - 1  # a binary search: np.isin maps ~1 MB more of numpy
-    return lambda b: values[np.minimum(values.searchsorted(b), last)] != b
 
 
 def pair_sum_cover_decision(d) -> RelationVerdict:
@@ -419,28 +421,26 @@ def pair_sum_cover_decision(d) -> RelationVerdict:
     3 + (s - 3), both odd, >= 3 and not excluded, unless 3 itself is
     excluded, and then 6 = 3 + 3, which has no other representation, is the
     least counterexample.  So the decision is the least of those candidates
-    that :func:`least_splits` leaves unsplit over D.  A counterexample is
-    certified on [6, 2M + 6], M the largest excluded element, the range the
-    candidates lie in.
+    with no split a + (s - a), a odd in [3, s - 3], neither part excluded.
+    A candidate's search stops at its first split, and each a it fails on
+    has a or its partner excluded, so it tries at most 2|E| + 1 values of a
+    for the excluded set E.  A counterexample is certified on [6, 2M + 6],
+    M the largest excluded element, the range the candidates lie in.
     """
     if (d.base, d.step) != (3, 2):
         raise ValueError("the exact pair-sum decision is defined for odd>=3 minus a finite set")
-    m = d.max_excluded
-    threshold = 2 * m + 6
     excluded = d.excluded
-    removed = np.array(d.excluded_sorted)
-    members = (a for a in itertools.count(3, 2) if a not in excluded)
-    found = least_splits(removed + 3, members, 3, _not_in(removed))
-    if not found.all():
-        s = int(removed[found.argmin()]) + 3
-        return fails(
-            s,
-            f"{s} has no representation a + b with both odd, >= 3 and outside "
-            f"{list(d.excluded_sorted)}",
-            certified_range=(6, threshold),
-        )
+    for e in d.excluded_sorted:
+        s = e + 3
+        if not any(a not in excluded and s - a not in excluded for a in range(3, e + 1, 2)):
+            return fails(
+                s,
+                f"{s} has no representation a + b with both odd, >= 3 and outside "
+                f"{list(d.excluded_sorted)}",
+                certified_range=(6, 2 * d.max_excluded + 6),
+            )
     return holds(
-        f"each of the {removed.size} sums 3 + e, e excluded, is a + b with a and b "
+        f"each of the {len(excluded)} sums 3 + e, e excluded, is a + b with a and b "
         "odd, >= 3 and not excluded (found by enumeration); every other even "
         "s >= 6 is 3 + (s - 3), and neither part is excluded"
     )

@@ -5,12 +5,16 @@ is prime), so a table up to ``limit`` costs ``limit/16`` bytes plus a fixed
 segment buffer during construction; its base primes come from the same
 sieve one level down, so the module imports nothing from the package.
 Prime counts are answered from checkpoint sums plus a popcount over the
-residual block, which keeps ``prime_count`` effectively O(1).  One reader,
-``odd_prime_blocks(lo, hi)``, decodes the bits of a range into flags; the
-mask and the scans share its range semantics.  ``odd_flag_bits`` spreads
-the packed bytes of a range straight into a window bitset, and
-``odd_prime_at(values)`` looks up an array of values in the packed bits
-themselves, so no caller needs to unpack a prefix only to index it.
+residual block, which keeps ``prime_count`` effectively O(1).
+
+The table is built and read with bytes and ints alone, so the scalar
+queries, the scans ``primes_in`` / ``odd_composites_in`` (which walk the
+packed bytes) and ``odd_flag_bits`` (which spreads them straight into a
+window bitset) run without numpy.  The array readers import it when
+called: ``odd_prime_blocks(lo, hi)`` decodes the bits of a range into flag
+arrays, ``odd_prime_mask`` a prefix, and ``odd_prime_at(values)`` looks up
+an array of values in the packed bits themselves, so no caller needs to
+unpack a prefix only to index it.
 
 All element indices are 1-based: ``nth_prime(1) == 2`` and the first odd
 composite has rank 1.
@@ -22,25 +26,60 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SEGMENT_ODDS = 1 << 20      # odd numbers sieved per segment
 CHECKPOINT_BITS = 1 << 16   # bits per prime-count checkpoint block
 
-
-# byte -> uint16 with bit j of the byte moved to bit 2j: eight odd flags onto
-# the sixteen integers they stand among (built in Python: the numpy calls
-# that would build it cost every import about 0.3 MB of lazy set-up)
-_SPREAD = np.array([sum((b >> j & 1) << 2 * j for j in range(8)) for b in range(256)], dtype="<u2")
+# byte -> the offsets 2j of its set bits j: the odd numbers a packed byte
+# flags, counted from the one its bit 0 stands for
+_OFFSETS = [tuple(2 * j for j in range(8) if b >> j & 1) for b in range(256)]
+_INVERT = bytes(range(255, -1, -1))
+_PHASES = bytes(1 << j for j in range(8))  # each odd number's bit in its packed byte
+# byte -> its low (high) nibble with bit j moved to bit 2j: the two bytes of
+# the 16 integers that a byte's eight odd flags stand among
+_NIBBLE = [sum((n >> j & 1) << 2 * j for j in range(4)) for n in range(16)]
+_LOW = bytes(_NIBBLE[b & 15] for b in range(256))
+_HIGH = bytes(_NIBBLE[b >> 4] for b in range(256))
 
 
 def _unpack(bits: bytes, i0: int, i1: int) -> np.ndarray:
-    """Flags of the odd numbers with index in ``[i0, i1)`` of packed ``bits``;
-    only the bytes holding them are unpacked."""
+    """Flags of the odd numbers with index in ``[i0, i1)`` of packed ``bits``,
+    as a bool array; only the bytes holding them are unpacked."""
+    import numpy as np
+
     skip = i0 & 7
     raw = np.frombuffer(bits, dtype=np.uint8)[i0 >> 3 : (i1 + 7) >> 3]
     return np.unpackbits(raw, bitorder="little", count=i1 - i0 + skip)[skip:].view(bool)
+
+
+def _window_bytes(bits: bytes, i0: int, i1: int, clear: bool) -> bytearray:
+    """The bytes of ``bits`` that hold the indices ``[i0, i1)``, ``i0 < i1``,
+    inverted with ``clear``, with the bits of other indices zeroed."""
+    raw = bytearray(bits[i0 >> 3 : (i1 + 7) >> 3])
+    if clear:
+        raw = raw.translate(_INVERT)
+    raw[0] &= 0xFF << (i0 & 7) & 0xFF
+    raw[-1] &= 0xFF >> (-i1 & 7)
+    return raw
+
+
+def _odd_values(bits: bytes, i0: int, i1: int, clear: bool = False):
+    """Yield 2i + 1 for each index i in ``[i0, i1)`` whose bit is set (with
+    ``clear``, clear), in increasing order.  The bytes are read
+    ``CHECKPOINT_BITS`` indices at a time, so a caller that stops early
+    reads little."""
+    for j0 in range(i0, i1, CHECKPOINT_BITS):
+        j1 = min(j0 + CHECKPOINT_BITS, i1)
+        value = 16 * (j0 >> 3) + 1  # the odd number of bit 0 of the first byte
+        for byte in _window_bytes(bits, j0, j1, clear):
+            if byte:
+                for offset in _OFFSETS[byte]:
+                    yield value + offset
+            value += 16
 
 
 class PrimeTable:
@@ -60,17 +99,23 @@ class PrimeTable:
     @staticmethod
     def _build_bits(limit: int) -> bytearray:
         """The packed bits, each segment sieved and packed into its place in
-        one buffer of the table's own size."""
+        one buffer of the table's own size.
+
+        A segment is one byte per odd number, each holding its bit of the
+        packed byte (``1 << (i & 7)`` for index i) until a base prime's slice
+        assignment clears it.  The segment then packs as the OR of its eight
+        bit phases (bytes ``j::8``), read as ints.
+        """
         n_bits = (limit + 1) // 2
         root = math.isqrt(limit)  # below 9 every odd number but 1 is prime
-        base = _unpack(PrimeTable._build_bits(root), 0, (root + 1) // 2) if limit >= 9 else []
-        base_primes = (2 * np.flatnonzero(base) + 1).tolist()
+        base = PrimeTable._build_bits(root) if limit >= 9 else b""
+        base_primes = list(_odd_values(base, 0, (root + 1) // 2)) if base else []
 
         bits = bytearray((n_bits + 7) // 8)
-        packed = np.frombuffer(bits, dtype=np.uint8)
         for seg_start in range(0, n_bits, SEGMENT_ODDS):
             seg_len = min(SEGMENT_ODDS, n_bits - seg_start)
-            buf = np.ones(seg_len, dtype=np.uint8)
+            buf = bytearray(_PHASES) * ((seg_len + 7) // 8)
+            del buf[seg_len:]
             if seg_start == 0:
                 buf[0] = 0  # the odd number 1
             lo_value = 2 * seg_start + 1
@@ -83,21 +128,24 @@ class PrimeTable:
                     first += p
                 idx = (first >> 1) - seg_start
                 if idx < seg_len:
-                    buf[idx::p] = 0
+                    buf[idx::p] = bytearray((seg_len - 1 - idx) // p + 1)
+            packed = 0
+            for j in range(8):
+                packed |= int.from_bytes(buf[j::8], "little")
             # SEGMENT_ODDS is a multiple of 8, so each segment starts on a byte
-            at = seg_start >> 3
-            packed[at : at + (seg_len + 7) // 8] = np.packbits(buf, bitorder="little")
+            size = (seg_len + 7) // 8
+            bits[seg_start >> 3 : (seg_start >> 3) + size] = packed.to_bytes(size, "little")
         return bits
 
-    def _build_checkpoints(self) -> np.ndarray:
+    def _build_checkpoints(self) -> list[int]:
         """Prime bits before each ``CHECKPOINT_BITS`` block, from one popcount
         per block."""
         bits, block_bytes = memoryview(self._bits), CHECKPOINT_BITS // 8
-        counts = [
+        counts = (
             int.from_bytes(bits[i : i + block_bytes], "little").bit_count()
             for i in range(0, len(bits), block_bytes)
-        ]
-        return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        )
+        return list(itertools.accumulate(counts, initial=0))
 
     # -- point queries ---------------------------------------------------
 
@@ -119,6 +167,8 @@ class PrimeTable:
         ``[3, limit]``; False for even values, values below 3 and values past
         the limit, so nothing raises.  ``int32`` values are looked up in
         ``int32``, any others in ``int64``."""
+        import numpy as np
+
         if not (isinstance(values, np.ndarray) and values.dtype == np.int32):
             values = np.asarray(values, dtype=np.int64)
         unsigned = np.uint32 if values.dtype == np.int32 else np.uint64
@@ -196,14 +246,12 @@ class PrimeTable:
         self._check_range(hi)
         if lo <= 2 <= hi:
             yield 2
-        for i0, mask in self.odd_prime_blocks(lo, hi):
-            # one int at a time: a caller that stops early holds no block-long list
-            yield from map(int, 2 * (i0 + np.flatnonzero(mask)) + 1)
+        yield from _odd_values(self._bits, max(lo, 1) // 2, (hi + 1) // 2)
 
     def odd_composites_in(self, lo: int, hi: int):
         """Yield odd composites in ``[lo, hi]`` in increasing order."""
-        for i0, mask in self.odd_prime_blocks(max(lo, 9), hi):
-            yield from map(int, 2 * (i0 + np.flatnonzero(~mask)) + 1)
+        self._check_range(hi)
+        yield from _odd_values(self._bits, max(lo, 9) // 2, (hi + 1) // 2, clear=True)
 
     def odd_prime_mask(self, hi: int | None = None) -> np.ndarray:
         """Boolean array indexed by ``i`` for the odd numbers ``2i+1 <= hi``
@@ -216,20 +264,19 @@ class PrimeTable:
         """Bitset with bit ``v - origin`` set for each odd v in ``[lo, hi]``
         whose bit is set (with ``composite``, clear); ``origin <= lo``.
 
-        Each packed byte is spread to 16 bits through a lookup table, so the
-        bitset is built from the bytes of the range with no more than a few
+        Each packed byte is spread to 16 bits, its nibbles through the
+        ``_LOW`` and ``_HIGH`` tables into alternate bytes, so the bitset is
+        built from the bytes of the range with no more than a few
         bitset-sized (n/8-byte) buffers alive."""
         self._check_range(hi)
         i0, i1 = max(lo, 0) // 2, (hi + 1) // 2  # the odd 2i + 1 in [lo, hi]
         if i0 >= i1:
             return 0
-        raw = np.frombuffer(self._bits, dtype=np.uint8)[i0 >> 3 : (i1 + 7) >> 3]
-        words = _SPREAD[raw]
-        if composite:
-            words ^= 0x5555
-        words[0] &= _SPREAD[0xFF << (i0 & 7) & 0xFF]  # the flags below i0 in the first byte
-        words[-1] &= _SPREAD[0xFF >> (-i1 & 7)]  # and from i1 on in the last
-        bits = int.from_bytes(words.tobytes(), "little")
+        raw = _window_bytes(self._bits, i0, i1, composite)
+        words = bytearray(2 * len(raw))
+        words[0::2] = raw.translate(_LOW)
+        words[1::2] = raw.translate(_HIGH)
+        bits = int.from_bytes(words, "little")
         shift = 16 * (i0 >> 3) + 1 - origin  # bit 0 stands for 16 (i0 >> 3) + 1
         return bits << shift if shift >= 0 else bits >> -shift
 

@@ -643,23 +643,35 @@ def test_package_import_loads_no_numpy_and_no_submodule():
     assert (proc.returncode, proc.stdout) == (0, "\n"), proc.stderr
 
 
+def _windowed(rel, window):
+    return _run_main(["collapse", "--rel", rel, "--window", window])
+
+
+# numpy is imported only by the commands that build arrays
 @pytest.mark.parametrize(
-    "code, loaded",
+    "code, loaded, numpy",
     [
-        ("import sumcollapse.cli\n", set()),
-        (_run_main(["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3 \\ {9,15,21}"]), set()),
-        (_run_main(["sieve", "--limit", "1000"]), set()),
-        (_run_main(["strata", "--limit", "1000"]), {"strata"}),
-        (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"finite_ring"}),
-        (_run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"]), {"battery"}),
-        (_run_main(["verify", "--limit", str(MIN_LIMIT)]), LATE),
+        ("import sumcollapse.cli\n", set(), False),
+        ("import sumcollapse.sieve, sumcollapse.setexpr, sumcollapse.intsets, sumcollapse.collapse\n",
+         set(), False),
+        (_run_main(["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3 \\ {9,15,21}"]), set(), False),
+        (_windowed("odd>=3 ~(2,2)~ primes>=3", "3..2000"), set(), False),
+        (_windowed("composites ~(2,2)~ composites", "9..1000"), set(), False),
+        (_run_main(["sieve", "--limit", "1000"]), set(), False),
+        (_run_main(["partitions", "--set", "primes>=3", "--target", "100", "--k", "2"]), set(), False),
+        (_run_main(["strata", "--limit", "1000"]), {"strata"}, True),
+        (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"finite_ring"}, True),
+        (_run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"]), {"battery"}, True),
+        (_run_main(["verify", "--limit", str(MIN_LIMIT)]), LATE, True),
     ],
-    ids=["cli", "collapse", "sieve", "strata", "ring", "sieve-check", "verify"],
+    ids=["cli", "modules", "collapse", "collapse-primes", "collapse-composites", "sieve",
+         "partitions", "strata", "ring", "sieve-check", "verify"],
 )
-def test_a_process_imports_what_its_command_runs(code, loaded):
+def test_a_process_imports_what_its_command_runs(code, loaded, numpy):
     proc = _fresh_python(["-c", code + LOADED])
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.splitlines()[-1].split()) & LATE == loaded
+    names = set(proc.stdout.splitlines()[-1].split())
+    assert (names & LATE, "numpy" in names) == (loaded, numpy)
 
 
 def test_lazy_modules_are_registered_before_they_run():
@@ -683,11 +695,17 @@ def test_lazy_modules_are_registered_before_they_run():
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
 def test_cli_process_runs_one_thread():
     # the pin must come before numpy's first import, or OpenBLAS has already
-    # started its pool (one thread per further core) by the time it is read
+    # started its pool (one thread per further core) by the time it is read;
+    # ring is a command that imports numpy
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    code = "import os, sumcollapse.cli\nprint(len(os.listdir('/proc/self/task')))\n"
+    code = (
+        _run_main(["ring", "--modulus", "4", "--nmax", "2"])
+        + "import os, sys\nassert 'numpy' in sys.modules\n"
+        + "print(len(os.listdir('/proc/self/task')))\n"
+    )
     proc = _fresh_python(["-c", code], env)
-    assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
 
 
 # every name the package exported when ``import sumcollapse`` imported every submodule

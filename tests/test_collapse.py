@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     goldbach_pair,
     is_prime_bf,
     k_partitions_bf,
+    least_split_bf,
     least_uncovered_pair_sum,
     odd_composites_upto,
     ordered_factorizations_bf,
@@ -179,6 +181,25 @@ def test_removal_witnesses_verify(table_small):
         assert p + d == c + 3
         assert is_prime_bf(p)
         assert d % 2 == 1 and d >= 3 and d not in ks
+
+
+def test_removal_witnesses_take_the_least_prime(table_small):
+    # removed sets of any odd values >= 3; with 3 removed, 3 + 3 has no witness
+    rng = random.Random(11)
+    primes = [p for p in range(3, table_small.limit + 1) if is_prime_bf(p)]
+    for _ in range(200):
+        count = rng.choice([1, 2, 5, 30, 120])
+        removed = tuple(sorted(rng.sample(range(3, table_small.limit, 2), count)))
+        want = []
+        for c in reversed(removed):
+            partners = set(range(3, c + 1, 2)) - set(removed)
+            p = least_split_bf(c + 3, primes, 3, partners)
+            if p:
+                want.append((c, p, c + 3 - p))
+        assert collapse_module._removal_witnesses(removed, table_small) == tuple(want), removed
+    assert collapse_module._removal_witnesses((3,), table_small) == ()
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        collapse_module._removal_witnesses((9, table_small.limit + 1), table_small)
 
 
 def test_gap_subsequence(table_1e5):

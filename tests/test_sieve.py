@@ -202,6 +202,15 @@ READER_RANGES = [
     (READER_LIMIT, READER_LIMIT),
 ]
 
+# windows whose ends fall on each of the 8 bit phases of a byte (the odd
+# number 16b + 2j + 1 is bit j of byte b), odd and even ends, within one
+# byte and across many, and across the first block edge
+PHASE_RANGES = [
+    (16 * 700 + 2 * j + 1 - even, 16 * (700 + span) + 2 * ((j + shift) % 8) + 1 + even)
+    for j in range(8)
+    for span, shift, even in ((0, 7 - j, 0), (1, 3, 0), (40, 5, 1), (2**13, 1, 0))
+]
+
 
 @pytest.fixture(scope="module")
 def reader_table():
@@ -229,7 +238,7 @@ def test_odd_prime_blocks_tile_the_range(reader_table, reader_flags, lo, hi):
     assert np.array_equal(got, reader_flags[index])
 
 
-@pytest.mark.parametrize("lo, hi", READER_RANGES)
+@pytest.mark.parametrize("lo, hi", READER_RANGES + PHASE_RANGES)
 def test_scans_read_the_range(reader_table, reader_flags, lo, hi):
     odd = [v for v in range(max(lo, 1), hi + 1) if v % 2]
     primes = [v for v in odd if reader_flags[v >> 1]]
@@ -238,6 +247,10 @@ def test_scans_read_the_range(reader_table, reader_flags, lo, hi):
     assert list(reader_table.primes_in(lo, hi)) == primes
     composites = [v for v in odd if v >= 9 and not reader_flags[v >> 1]]
     assert list(reader_table.odd_composites_in(lo, hi)) == composites
+    assert reader_table.odd_flag_bits(lo, hi, lo) == _flag_bits(reader_flags, lo, hi, 1)
+    assert reader_table.odd_flag_bits(max(lo, 9), hi, lo, composite=True) == _flag_bits(
+        reader_flags, lo, hi, 9, composite=True
+    )
 
 
 @pytest.mark.parametrize("hi", [0, 1, 2, 9, 10, 2**17, 2**17 + 1, 2**18 - 1, READER_LIMIT, None])
@@ -351,18 +364,41 @@ def _random_windows(rng, count):
         yield lo, min(hi, READER_LIMIT)
 
 
+def _flag_bits(flags, lo, hi, start, composite=False, two=False):
+    """Bitset over ``[lo, hi]`` (bit v - lo) of the odd v >= ``start`` whose
+    flag in ``flags`` (index i for 2i + 1) is set, with ``composite`` the odd
+    v >= 9 whose flag is clear, and with ``two`` the prime 2 too."""
+    v = np.arange(max(lo, 9 if composite else start), hi + 1)
+    v = v[v % 2 == 1]
+    v = v[flags[v >> 1] != composite]
+    out = bits_from_values(v.tolist(), lo, hi)
+    if two and max(lo, start) <= 2 <= hi:
+        out |= 1 << (2 - lo)
+    return out
+
+
+def _unpacked(table):
+    """The flags of a table's packed bits, read without the package."""
+    raw = np.frombuffer(bytes(table._bits), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[: (table.limit + 1) // 2].astype(bool)
+
+
 @pytest.mark.parametrize("tampered", [False, True])
-def test_window_bits_match_the_value_scans(reader_table, tampered):
+def test_window_bits_match_the_value_scans(reader_table, reader_flags, tampered):
     table = _tampered_reader() if tampered else reader_table
+    flags = _unpacked(table)
+    assert np.array_equal(flags, reader_flags) != tampered
     rng = np.random.default_rng(5)
     windows = list(_random_windows(rng, 60)) + [(2, 2), (1, 2), (3, 2), (9, 8), (-5, -1)]
-    for lo, hi in windows:
+    for lo, hi in windows + PHASE_RANGES:
         for p in (2, 3, 5, 7):
             want = bits_from_values(table.primes_in(max(lo, p), hi), lo, hi)
             assert Primes(p).window_bits(lo, hi, table) == want, (p, lo, hi)
+            assert want == _flag_bits(flags, lo, hi, p, two=True), (p, lo, hi)
         prime = bits_from_values(table.primes_in(max(lo, 9), hi), lo, hi)
         want = progression_bits(9, 2, lo, hi) & ~prime
         assert OddComposites().window_bits(lo, hi, table) == want, (lo, hi)
+        assert want == _flag_bits(flags, lo, hi, 9, composite=True), (lo, hi)
 
 
 def test_range_past_the_limit_raises_before_a_value(reader_table):
@@ -405,7 +441,8 @@ def _checkpoints_reference(bits):
     "limit",
     [10**7 + 12_345]
     + [2 * k * CHECKPOINT_BITS + d for k in (1, 2) for d in (-1, 1)]
-    + [2 * SEGMENT_ODDS + d for d in (-1, 1)],
+    + [2 * SEGMENT_ODDS + d for d in (-1, 1)]
+    + list(range(9, 301)),  # where the base-prime recursion bottoms out (roots 3..17)
 )
 def test_table_built_in_place_with_per_block_checkpoints(limit):
     table = PrimeTable(limit)
