@@ -445,7 +445,7 @@ def strata_checks(table: PrimeTable, limit: int):
             audit.max_layer == 1 and not audit.unassigned,
             (audit.max_layer, audit.unassigned),
             (9, limit),
-            ((audit.count,),),
+            ((audit.layer_one,),),
         ),
     )
     yield (

@@ -263,37 +263,56 @@ class OddComposites(SetExpr):
 
 
 class Stratum(SetExpr):
-    """Odd composites assigned to one layer of the prime-shift stratification."""
+    """Odd composites assigned to one layer of the prime-shift stratification,
+    read from :func:`~sumcollapse.strata.strata_blocks` up to a query's end
+    (classification is self-contained below it) and kept as the layer's sorted
+    ``int32`` members from the query's start on."""
 
     def __init__(self, layer: int):
         if layer < 1:
             raise ValueError(f"layer index must be >= 1, got {layer}")
         self.layer = layer
-        self._cache = None  # (PrimeTable, the StrataTable built from it)
+        self._cache = None  # (PrimeTable, lo, hi, the sorted members in [lo, hi])
 
-    def _strata(self, hi: int, table: PrimeTable | None):
-        from .strata import compute_strata  # local import; strata builds on this module
-
+    def _members(self, lo: int, hi: int, table: PrimeTable | None, grow: bool = False):
+        """The members over a cached range covering [lo, hi], read anew if none
+        does; with ``grow`` a read reaches twice as far as the table's last."""
         table = _require_table(table, hi, self.describe())
-        # classification below hi is self-contained, so computing at the
-        # window end is exact and recomputing larger never relabels; strata
-        # built from another prime table are never reused
-        bound = max(hi, 9)
-        if self._cache is None or self._cache[0] is not table or self._cache[1].limit < bound:
-            self._cache = (table, compute_strata(bound, table))
-        return self._cache[1]
+        cache = self._cache
+        if cache is None or cache[0] is not table or not cache[1] <= lo <= hi <= cache[2]:
+            import numpy as np
+
+            from .strata import strata_blocks  # local import; strata builds on this module
+
+            if grow and cache is not None and cache[0] is table:
+                # rising queries then read the stream a logarithmic number of times
+                hi = min(table.limit, max(hi, 2 * cache[2]))
+            kept = []
+            for comps, layer, _ in strata_blocks(max(hi, 9), table):
+                members = comps[layer == self.layer]
+                kept.append(members[members >= lo])
+            self._cache = cache = (table, lo, hi, np.concatenate(kept))
+        return cache[3]
 
     def contains(self, n, table=None):
         if n < 9 or n % 2 == 0:
             return False
-        st = self._strata(n, table)
-        return st.layers.get(n) == self.layer
+        members = self._members(9, n, table, grow=True)
+        i = int(members.searchsorted(n))
+        return i < members.size and members[i] == n
 
     def window_bits(self, lo, hi, table=None):
-        st = self._strata(hi, table)
-        members = st.composites[st.layer == self.layer]
-        members = members[(members >= lo) & (members <= hi)]
-        return bits_from_values(members.tolist(), lo, hi)
+        import numpy as np
+
+        if lo > hi:
+            return 0
+        members = self._members(lo, hi, table)
+        at = members[members.searchsorted(lo) : members.searchsorted(hi, side="right")] - lo
+        bit = np.uint8(1) << (at & 7).astype(np.uint8)
+        at >>= 3
+        buf = np.zeros((hi - lo) // 8 + 1, dtype=np.uint8)
+        np.bitwise_or.at(buf, at, bit)
+        return int.from_bytes(buf, "little")
 
     def prime_floor(self):
         return 3

@@ -14,9 +14,12 @@ is c + 3 - p.  A block's arrays are ``int32`` (the layers ``int8``), and so
 are the composites, partners and lookups the audit derives from them: c + 3
 stays below 2^31.  Every consumer reads that stream: :func:`strata_census`
 (the ``strata`` command's census and CSV), :func:`audit_layer_one` (the
-battery's audit) and :func:`compute_strata`, which concatenates it into a
-:class:`StrataTable` for library callers and ``Stratum(k)``.  Only the
-last holds arrays over the whole limit.
+battery's audit), ``Stratum(k)``, which keeps only its layer's members, and
+:func:`compute_strata`, which concatenates it into a :class:`StrataTable`
+for library callers.  Only the last holds arrays over the whole limit.  The
+partition has one audit, :func:`_audit`, block by block against the table's
+reads; :func:`audit_layer_one` feeds it the stream, and
+:func:`verify_partition` a :class:`StrataTable` cut into views at the reads.
 
 Layer 1 is searched block by block in :func:`layer_one_blocks`.  Within a
 block the partners of consecutive composites are consecutive flags, so
@@ -43,7 +46,7 @@ passes a whole-limit search would make.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -202,7 +205,8 @@ def _write_csv(path: str, blocks) -> None:
 
 class _AssignedView(Mapping):
     """Read-only ``{c: value}`` view over the assigned entries of a table;
-    ``values`` maps an index array to the list of its values."""
+    ``values`` maps an index array to the list of its values.  Its items and
+    values iterate from one pass over the layers."""
 
     def __init__(self, st: StrataTable, values):
         self._st = st
@@ -222,6 +226,23 @@ class _AssignedView(Mapping):
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._st.layer))
+
+    def items(self):
+        return _AssignedItems(self)
+
+    def values(self):
+        return _AssignedValues(self)
+
+
+class _AssignedItems(ItemsView):
+    def __iter__(self):
+        st, idx = self._mapping._st, np.flatnonzero(self._mapping._st.layer)
+        return zip(st.composites[idx].tolist(), self._mapping._values(idx))
+
+
+class _AssignedValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._values(np.flatnonzero(self._mapping._st.layer)))
 
 
 def _odd_values(i0: int, flags: np.ndarray) -> np.ndarray:
@@ -358,11 +379,15 @@ def strata_census(limit: int, table: PrimeTable, csv: str | None = None) -> Stra
 
 @dataclass(frozen=True)
 class PartitionReport:
-    """Coverage/disjointness audit of a strata table."""
+    """Census and audit of a strata partition: the odd composites of the
+    table's reads, the layer-1 entries, the deepest layer, the entries without
+    a layer, and the first ``AUDIT_LISTED`` anomalies of each kind."""
 
     limit: int
     total_composites: int
-    assigned: int
+    layer_one: int
+    max_layer: int
+    unassigned: int
     anomalies: tuple[str, ...]
 
     @property
@@ -370,131 +395,57 @@ class PartitionReport:
         return not self.anomalies
 
 
-def _at_odd(flags: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``flags[v >> 1]`` for each odd ``v`` that ``flags`` covers, else 0."""
-    inside = (values & 1 == 1) & (values > 0) & ((values >> 1) < flags.size)
-    out = np.zeros(values.shape, dtype=flags.dtype)
-    out[inside] = flags[values[inside] >> 1]
-    return out
-
-
-def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> PartitionReport:
-    """Re-derive the composite list from the sieve and audit the table against it.
-
-    The partner of a witness is c + 3 - p by construction, so the sum check
-    reduces to a witness prime being recorded (p != 0) for every assigned
-    entry.
-    """
-    if table is None:
-        table = PrimeTable(st.limit)
-    odd_prime = table.odd_prime_mask(st.limit)
-    expected = _odd_values(4, ~odd_prime[4:])  # the odd composites >= 9
-    comps = st.composites.astype(np.int64)
-    lay = st.layer.astype(np.int16)
-    assigned = lay != 0
-
-    in_range = (comps & 1 == 1) & (comps >= 9) & (comps <= st.limit)
-    is_comp = in_range & ~_at_odd(odd_prime, comps)
-    listed = np.zeros(odd_prime.size, dtype=bool)
-    listed[comps[is_comp] >> 1] = True
-    unassigned = comps[~assigned]
-
-    anomalies: list[str] = []
-    for c in expected[~listed[expected >> 1]].tolist():
-        anomalies.append(f"odd composite {c} missing from the table")
-    for c in np.unique(comps[~is_comp]).tolist():
-        anomalies.append(f"table entry {c} is not an odd composite <= {st.limit}")
-    for c in np.unique(comps[assigned & np.isin(comps, unassigned)]).tolist():
-        anomalies.append(f"{c} is both assigned and unassigned")
-    for c in unassigned.tolist():
-        anomalies.append(f"{c} was never assigned to a layer")
-
-    p = st.witness_prime.astype(np.int64)
-    q = comps + 3 - p
-    no_witness = assigned & (p == 0)
-    checked = assigned & ~no_witness
-    p_odd_prime = _at_odd(odd_prime, p)
-    bad_first = checked & (lay == 1) & ~(p_odd_prime & _at_odd(odd_prime, q))
-    by_odd = np.zeros(odd_prime.size, dtype=np.int8)  # layer per odd number, 0 where none
-    by_odd[comps[in_range] >> 1] = st.layer[in_range]
-    peels = (p_odd_prime | (p == 2)) & (_at_odd(by_odd, q) == lay - 1)
-    bad_deeper = checked & (lay != 1) & ~peels
-    for i in np.flatnonzero(no_witness | bad_first | bad_deeper).tolist():
-        c = int(comps[i])
-        if no_witness[i]:
-            anomalies.append(f"witness for {c} does not sum to {c + 3}")
-        elif bad_first[i]:
-            anomalies.append(f"layer-1 witness for {c} is not an odd prime pair")
-        else:
-            anomalies.append(f"layer-{int(lay[i])} witness for {c} does not peel correctly")
-    return PartitionReport(
-        st.limit, int(expected.size), int(np.count_nonzero(assigned)), tuple(anomalies)
-    )
-
-
-@dataclass(frozen=True)
-class LayerOneAudit:
-    """Census and audit of the strata stream.
-
-    ``count`` is the number of layer-1 members, ``max_layer`` the deepest
-    layer reached and ``unassigned`` the number of composites left without
-    a layer.  ``anomalies`` holds the first ``AUDIT_LISTED`` of each kind in
-    :func:`verify_partition`'s order and wording, the witness pairs checked
-    with ``PrimeTable.odd_prime_at`` wherever their partners lie.
-    """
-
-    count: int
-    max_layer: int
-    unassigned: int
-    anomalies: tuple[str, ...]
-
-
 def _keep_first(listed: list, values: np.ndarray) -> None:
     listed += values[: AUDIT_LISTED - len(listed)].tolist()
 
 
-def audit_layer_one(limit: int, table: PrimeTable) -> LayerOneAudit:
-    """Read :func:`strata_blocks` and audit each block against a separate
-    ``odd_prime_blocks(9, limit)`` read of the table.
+def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
+    """Audit ``(composites, layer, witness_prime)`` blocks, each paired with
+    the ``(i0, mask)`` read of ``table.odd_prime_blocks(9, limit)`` it covers.
 
-    A block's listed composites must be the odd composites of its read, and
-    every composite must have a layer.  A layer-1 witness p must be an odd
-    prime whose partner c + 3 - p is one too, both looked up with
-    ``table.odd_prime_at``; a layer-k witness must peel: p an odd prime and
-    the partner in layer k - 1, read from the stream's entries outside
-    layer 1, which the audit keeps as a sparse list of its own.  The reads'
-    composites must add up to ``table.odd_composite_count(limit)``, which
-    comes from the checkpoint counts, less whichever of 3, 5 and 7 the table
-    does not hold prime.
+    A block's entries must be its read's odd composites, each once, and all
+    must have a layer.  A layer-1 witness p must be an odd prime whose partner
+    c + 3 - p is one too (``table.odd_prime_at``); a layer-k witness must peel:
+    p an odd prime or 2, the partner in layer k - 1.  A partner's layer is read
+    from a sorted, sparse list of the entries outside layer 1, else is 1 for an
+    odd composite; a block that is not its read's composites lists all its
+    entries (a value's first listing counts) and the composites it misses at
+    layer 0.  The reads' composites must add up to the checkpoint count
+    ``table.odd_composite_count(limit)``, less the non-primes among 3, 5, 7.
     """
-    _check_limit(limit)
-    count = seen = max_layer = unassigned = 0
-    missing: list[int] = []
-    stray: list[int] = []
-    never: list[int] = []
-    bad: list[str] = []
-    listed = np.zeros(0, dtype=np.int32)  # the entries outside layer 1 so far, and their layers
+    seen = layer_one = max_layer = unassigned = 0
+    missing, stray, repeated, never, bad = [], [], [], [], []  # the first of each kind
+    listed = np.zeros(0, dtype=np.int32)
     layers = np.zeros(0, dtype=np.int8)
-    reads = table.odd_prime_blocks(9, limit)
-    for (comps, layer, found), (i0, mask) in zip(strata_blocks(limit, table), reads):
+    for (comps, layer, found), (i0, mask) in blocks:
         expected = _odd_values(i0, ~mask)
         seen += expected.size
-        if not np.array_equal(comps, expected):
-            _keep_first(missing, expected[~np.isin(expected, comps)])
-            _keep_first(stray, np.unique(comps[~np.isin(comps, expected)]))
-        count += int(np.count_nonzero(layer == 1))
+        deeper = layer != 1
+        if np.array_equal(comps, expected):
+            keep, keep_layers = comps[deeper], layer[deeper]
+        else:
+            values, first, counts = np.unique(comps, return_index=True, return_counts=True)
+            gone = expected[~np.isin(expected, values)]
+            _keep_first(missing, gone)
+            _keep_first(stray, values[~np.isin(values, expected)])
+            _keep_first(repeated, values[counts > 1])
+            keep = np.concatenate((values, gone))
+            keep_layers = np.concatenate((layer[first], np.zeros(gone.size, dtype=np.int8)))
+        if keep.size:
+            listed = np.concatenate((listed, keep))
+            layers = np.concatenate((layers, keep_layers))
+            order = np.argsort(listed, kind="stable")
+            listed, layers = listed[order], layers[order]
+        layer_one += int(np.count_nonzero(layer == 1))
         max_layer = max(max_layer, int(layer.max(initial=0)))
         q = comps + 3  # the partners c + 3 - p, in int32 as c + 3 fits
         q -= found
         ok = table.odd_prime_at(found)
         ok &= table.odd_prime_at(q)
-        deeper = layer != 1
         if deeper.any():
             left = comps[layer == 0]
             unassigned += left.size
             _keep_first(never, left)
-            listed = np.concatenate((listed, comps[deeper]))
-            layers = np.concatenate((layers, layer[deeper]))
             peels = (table.odd_prime_at(found) | (found == 2)) & (
                 _listed_layer(q, listed, layers, table) == layer.astype(np.int16) - 1
             )
@@ -507,7 +458,7 @@ def audit_layer_one(limit: int, table: PrimeTable) -> LayerOneAudit:
                 bad.append(f"layer-1 witness for {c} is not an odd prime pair")
             else:
                 bad.append(f"layer-{layer[i]} witness for {c} does not peel correctly")
-        del expected, q, ok  # freed before the stream builds the next block
+        del expected, q, ok  # freed before the source builds the next block
 
     anomalies: list[str] = []
     # less the table's non-primes among 3, 5 and 7, which lie below the strata's range
@@ -516,8 +467,37 @@ def audit_layer_one(limit: int, table: PrimeTable) -> LayerOneAudit:
         anomalies.append(f"{seen} odd composites <= {limit} audited, the sieve counts {total}")
     anomalies += [f"odd composite {c} missing from the table" for c in missing]
     anomalies += [f"table entry {c} is not an odd composite <= {limit}" for c in stray]
+    anomalies += [f"{c} is listed more than once" for c in repeated]
     anomalies += [f"{c} was never assigned to a layer" for c in never]
-    return LayerOneAudit(count, max_layer, unassigned, tuple(anomalies + bad))
+    return PartitionReport(limit, seen, layer_one, max_layer, unassigned, tuple(anomalies + bad))
+
+
+def audit_layer_one(limit: int, table: PrimeTable) -> PartitionReport:
+    """Audit the strata stream: :func:`strata_blocks` read beside a separate
+    ``odd_prime_blocks(9, limit)`` read of the table, block by block."""
+    _check_limit(limit)
+    return _audit(limit, table, zip(strata_blocks(limit, table), table.odd_prime_blocks(9, limit)))
+
+
+def _table_blocks(st: StrataTable, reads):
+    """Pair each read with the views of ``st``'s arrays from its first value up
+    to the next read's; the first and last run to the ends, so all are read."""
+    columns = (st.composites, st.layer, st.witness_prime)
+    start, read = 0, next(reads)
+    for after in reads:
+        cut = st.composites.dtype.type(2 * after[0] + 1)
+        end = max(start, int(st.composites.searchsorted(cut)))
+        yield tuple(a[start:end] for a in columns), read
+        start, read = end, after
+    yield tuple(a[start:] for a in columns), read
+
+
+def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> PartitionReport:
+    """Audit a strata table against ``table`` (a sieve up to its limit by
+    default) block by block; entries past the limit are reported as strays."""
+    _check_limit(st.limit)
+    table = PrimeTable(st.limit) if table is None else table
+    return _audit(st.limit, table, _table_blocks(st, table.odd_prime_blocks(9, st.limit)))
 
 
 @dataclass(frozen=True)

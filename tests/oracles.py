@@ -4,6 +4,7 @@ Everything here is deliberately naive and self-contained: no imports from
 the package under test, small-range only.
 """
 
+import collections
 import itertools
 import math
 
@@ -224,3 +225,48 @@ def sieve_checks_bf(odd_prime: np.ndarray, limit: int) -> dict[str, tuple[bool, 
     bad = first(k[s][k[s] >= bound])
     out["sieve/index-log-bound"] = (bad is None, bad)
     return {ref: (ok, None if ok else bad) for ref, (ok, bad) in out.items()}
+
+
+def partition_audit_bf(entries, limit: int, is_prime=is_prime_bf, listed: int = 3) -> tuple[str, ...]:
+    """The anomalies of a strata table over the odd composites in [9, limit],
+    found with Python sets.  ``entries`` lists ``(c, layer, witness_prime)``
+    in table order, and ``is_prime`` says which numbers are prime.
+
+    The kinds come in this order, the first ``listed`` of each: odd
+    composites the table misses, entries that are not one and values listed
+    more than once (each in increasing order), then in table order the
+    entries without a layer and the assigned entries whose witness p fails: p = 0, a layer-1 pair that is not two odd primes
+    <= limit, or a layer-k witness whose p is neither 2 nor such a prime or
+    whose partner c + 3 - p is not listed at layer k - 1 (a value's layer is
+    the one it is first listed with).  A count of the composites against
+    the sieve's own checkpoint counts has no analogue here.
+    """
+
+    def odd_prime(v):
+        return v % 2 == 1 and 3 <= v <= limit and is_prime(v)
+
+    entries = list(entries)
+    composites = {c for c in range(9, limit + 1, 2) if not is_prime(c)}
+    times = collections.Counter(c for c, _, _ in entries)
+    layer_of: dict[int, int] = {}
+    for c, layer, _ in entries:
+        layer_of.setdefault(c, layer)
+    witnesses = []
+    for c, layer, p in entries:
+        q = c + 3 - p
+        if not layer:
+            continue
+        if not p:
+            witnesses.append(f"witness for {c} does not sum to {c + 3}")
+        elif layer == 1 and not (odd_prime(p) and odd_prime(q)):
+            witnesses.append(f"layer-1 witness for {c} is not an odd prime pair")
+        elif layer != 1 and not ((p == 2 or odd_prime(p)) and layer_of.get(q, 0) == layer - 1):
+            witnesses.append(f"layer-{layer} witness for {c} does not peel correctly")
+    kinds = [
+        [f"odd composite {c} missing from the table" for c in sorted(composites - set(times))],
+        [f"table entry {c} is not an odd composite <= {limit}" for c in sorted(set(times) - composites)],
+        [f"{c} is listed more than once" for c in sorted(c for c, n in times.items() if n > 1)],
+        [f"{c} was never assigned to a layer" for c, layer, _ in entries if not layer],
+        witnesses,
+    ]
+    return tuple(anomaly for kind in kinds for anomaly in kind[:listed])

@@ -428,6 +428,22 @@ def test_strata_audit_counts_a_dropped_composite(monkeypatch):
     assert got["strata/partition-audit"].counterexample == (f"odd composite {c} missing from the table",)
 
 
+def test_strata_audit_flags_a_composite_listed_twice(monkeypatch):
+    # the stream lists 9 twice, with a layer both times: the partition-audit
+    # claim "covers every odd composite exactly once" must fail
+    table = PrimeTable(2_000)
+    real = strata.strata_blocks
+
+    def doubled(limit, table):
+        for block in real(limit, table):
+            yield tuple(np.insert(a, 0, a[0]) for a in block)
+
+    monkeypatch.setattr(strata, "strata_blocks", doubled)
+    got = _strata_verdicts(table, 2_000)
+    assert got["strata/partition-audit"].status is FAILS
+    assert got["strata/partition-audit"].counterexample == ("9 is listed more than once",)
+
+
 class _CountsOneMore(PrimeTable):
     def odd_composite_count(self, x):
         return super().odd_composite_count(x) + 1

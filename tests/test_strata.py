@@ -20,7 +20,14 @@ from sumcollapse import (
 from sumcollapse.intsets import least_splits
 from sumcollapse.verdict import Status
 
-from oracles import goldbach_pair, odd_composites_upto, primes_upto, sum_of_k_primes_bf
+from oracles import (
+    goldbach_pair,
+    is_prime_bf,
+    odd_composites_upto,
+    partition_audit_bf,
+    primes_upto,
+    sum_of_k_primes_bf,
+)
 
 
 def test_first_layer_witnesses(table_small):
@@ -98,8 +105,9 @@ def _strata_loop(limit, visible, primes=None):
 
 
 class _OnlyThreeVisible(PrimeTable):
-    """Masks every odd prime but 3 in the flag readers, so higher layers and
-    unassigned entries occur; ``primes_in`` still yields every prime as a part."""
+    """Masks every odd prime but 3 in the flag readers and the prime count,
+    so higher layers and unassigned entries occur; ``primes_in`` still
+    yields every prime as a part."""
 
     def odd_prime_mask(self, hi=None):
         mask = super().odd_prime_mask(hi).copy()
@@ -115,6 +123,9 @@ class _OnlyThreeVisible(PrimeTable):
 
     def primes_in(self, lo, hi):
         return PrimeTable(self.limit).primes_in(lo, hi)
+
+    def prime_count(self, x):
+        return min(super().prime_count(x), 2)  # the primes 2 and 3
 
 
 def test_stratum_answers_from_the_table_it_is_passed():
@@ -145,6 +156,22 @@ def test_higher_layers_match_loop_reference():
     rep = verify_partition(replace(st, witness_prime=primes), PrimeTable(300))
     c = int(st.composites[i])
     assert f"layer-2 witness for {c} does not peel correctly" in rep.anomalies
+
+
+@pytest.mark.parametrize("limit,table_type", [(4_000, PrimeTable), (300, _OnlyThreeVisible)])
+def test_stratum_reads_the_stream_a_few_times_for_rising_queries(monkeypatch, limit, table_type):
+    table = table_type(limit)
+    layers = compute_strata(limit, table).layers
+    real = strata.strata_blocks
+    reads = []
+    monkeypatch.setattr(strata, "strata_blocks", lambda n, t: reads.append(n) or real(n, t))
+    for k in (1, 2):
+        reads.clear()
+        s = Stratum(k)
+        got = [s.contains(n, table) for n in range(9, limit + 1)]
+        assert got == [n % 2 == 1 and layers.get(n) == k for n in range(9, limit + 1)]
+        # each read reaches twice as far as the last: 9, 18, ..., then the limit
+        assert reads == [min(limit, 9 << i) for i in range(len(reads))] and len(reads) <= 12
 
 
 class _OnlyListedPrimes(PrimeTable):
@@ -181,9 +208,9 @@ def test_exceptions_placed_across_blocks():
     assert any((c >> 5) > (d >> 5) for c, d in deep)  # 16 odd numbers are 32 integers
     # the audit peels every deeper witness against its own list of exceptions
     audit = strata.audit_layer_one(300, table)
-    rep = verify_partition(st, table)
-    assert rep.anomalies == audit.anomalies == ("9 was never assigned to a layer",)
-    assert (audit.count, audit.max_layer, audit.unassigned) == (st.census()[1]["count"], 31, 1)
+    assert verify_partition(st, table) == audit
+    assert audit.anomalies == ("9 was never assigned to a layer",)
+    assert (audit.layer_one, audit.max_layer, audit.unassigned) == (st.census()[1]["count"], 31, 1)
 
 
 def test_audit_flags_a_deeper_witness_that_does_not_peel(monkeypatch):
@@ -215,12 +242,24 @@ def test_audit_flags_a_deeper_witness_that_does_not_peel(monkeypatch):
 def test_partition_audit(strata_1e5, table_1e5):
     rep = verify_partition(strata_1e5, table_1e5)
     assert rep.ok
-    assert rep.assigned == rep.total_composites
+    assert rep.layer_one == rep.total_composites
     # frozen from the sieve: odd composites up to 10^4
     st4 = compute_strata(10_000)
     rep4 = verify_partition(st4)
     assert rep4.total_composites == 3771
     assert rep4.ok
+
+
+def test_table_views_iterate_without_lookups(monkeypatch, table_small):
+    st = compute_strata(2_000, table_small)
+    st.layer[st.composites == 25] = 0
+    want_layers = {c: 1 for c in odd_composites_upto(2_000) if c != 25}
+    want_witnesses = {c: goldbach_pair(c + 3) for c in want_layers}
+    monkeypatch.setattr(strata._AssignedView, "__getitem__", None)
+    assert dict(st.layers.items()) == want_layers and list(st.layers.values()) == [1] * 696
+    assert list(st.witnesses.items()) == list(want_witnesses.items())
+    assert list(st.witnesses.values()) == list(want_witnesses.values())
+    assert st.layers == want_layers and st.witnesses == want_witnesses
 
 
 def _without(st, c):
@@ -270,6 +309,83 @@ def test_partition_audit_flags_corruption(table_small):
     primes[1] = 0  # no witness recorded for 15
     rep = verify_partition(replace(st, witness_prime=primes), table_small)
     assert rep.anomalies == ("witness for 15 does not sum to 18",)
+    # 9 listed twice, with a layer both times
+    rep = verify_partition(_with(st, 9, 1, 5), table_small)
+    assert rep.anomalies == ("9 is listed more than once",)
+    assert (rep.total_composites, rep.layer_one) == (697, 698)
+
+
+def _witness(st, i, p):
+    primes = st.witness_prime.copy()
+    primes[i] = p
+    return replace(st, witness_prime=primes)
+
+
+def _deeper_witness_that_does_not_peel(_st, _table):
+    # 3 for the first layer-20 member: its partner is the member itself
+    table = _OnlyListedPrimes(300, (3, 7, 13), 16)
+    st = compute_strata(300, table)
+    return _witness(st, int(np.flatnonzero(st.layer == 20)[0]), 3), table, lambda v: v in (3, 7, 13)
+
+
+def _layer_one_partner_dropped(_st, _table):
+    # the partner of the first layer-2 member, a layer-1 composite, goes missing
+    table = _OnlyListedPrimes(300, (3, 7, 13), 16)
+    st = compute_strata(300, table)
+    i = int(np.flatnonzero(st.layer == 2)[0])
+    partner = int(st.composites[i] + 3 - st.witness_prime[i])
+    assert st.layers[partner] == 1
+    return _without(st, partner), table, lambda v: v in (3, 7, 13)
+
+
+def _only_three_visible(against_the_sieve):
+    def case(_st, _table):
+        table = _OnlyThreeVisible(300)
+        st = compute_strata(300, table)
+        if against_the_sieve:
+            return st, PrimeTable(300), is_prime_bf
+        return st, table, lambda v: v == 3
+
+    return case
+
+
+# (tampered strata table, the table it is audited against, its prime test)
+# from the strata and the sieve up to 2,000
+AUDIT_CASES = {
+    "true-table": lambda st, table: (st, table, is_prime_bf),
+    "prime-smuggled-in": lambda st, table: (_with(st, 11, 1, 7), table, is_prime_bf),
+    "composite-dropped": lambda st, table: (_without(st, 9), table, is_prime_bf),
+    "layer-1-witness-3-for-9": lambda st, table: (_witness(st, 0, 3), table, is_prime_bf),
+    "layer-1-witness-9-for-25": lambda st, table: (_witness(st, 3, 9), table, is_prime_bf),
+    "no-witness-for-15": lambda st, table: (_witness(st, 1, 0), table, is_prime_bf),
+    "listed-twice": lambda st, table: (_with(st, 9, 1, 5), table, is_prime_bf),
+    "listed-twice-once-unassigned": lambda st, table: (_with(st, 9, 0, 0), table, is_prime_bf),
+    "layer-20-does-not-peel": _deeper_witness_that_does_not_peel,
+    "layer-1-partner-dropped": _layer_one_partner_dropped,
+    "only-3-visible": _only_three_visible(False),
+    "only-3-visible-against-the-sieve": _only_three_visible(True),
+}
+
+
+def _stream_of(monkeypatch, st, table):
+    """Let ``strata_blocks`` yield the entries of ``st``, cut where the reads
+    of ``table`` start."""
+    starts = [2 * i0 + 1 for i0, _ in table.odd_prime_blocks(9, st.limit)][1:]
+    cuts = [0, *np.searchsorted(st.composites, starts).tolist(), st.composites.size]
+    columns = (st.composites, st.layer, st.witness_prime)
+    blocks = [tuple(a[i:j] for a in columns) for i, j in zip(cuts, cuts[1:])]
+    monkeypatch.setattr(strata, "strata_blocks", lambda limit, table: iter(blocks))
+
+
+@pytest.mark.parametrize("case", AUDIT_CASES)
+def test_both_audits_match_the_brute_force_audit(monkeypatch, table_small, case):
+    st, table, is_prime = AUDIT_CASES[case](compute_strata(2_000, table_small), table_small)
+    entries = zip(st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist())
+    want = partition_audit_bf(entries, st.limit, is_prime)
+    assert bool(want) == (case != "true-table")
+    assert verify_partition(st, table).anomalies == want
+    _stream_of(monkeypatch, st, table)
+    assert strata.audit_layer_one(st.limit, table).anomalies == want
 
 
 def test_census(strata_1e5):
@@ -450,7 +566,9 @@ def test_layer_one_audit_reads_retry_partners_below_the_margin(monkeypatch):
     table = PrimeTable(limit)
     monkeypatch.setattr(strata, "MARGIN_ODDS", 3)
     total = table.odd_composite_count(limit)
-    assert strata.audit_layer_one(limit, table) == strata.LayerOneAudit(total, 1, 0, ())
+    assert strata.audit_layer_one(limit, table) == strata.PartitionReport(
+        limit, total, total, 1, 0, ()
+    )
     # move a retry witness of block 1 to a larger prime, whose partner lies
     # further below the margin and is composite
     comps, witness = _blocked(limit, table)
@@ -485,3 +603,19 @@ def test_layer_one_audit_holds_no_int64_block_copies():
     finally:
         tracemalloc.stop()
     assert audit.anomalies == () and peak < 2.2e6, peak
+
+
+def test_partition_audit_holds_no_whole_limit_masks():
+    # the audit traces about 1.3 MB above the table here with numpy 2.4 (it
+    # traced 48 MB while it copied the table to int64 and built masks over
+    # every odd number); the table itself is 8 MB
+    limit = 2**21
+    table = PrimeTable(limit)
+    st = compute_strata(limit, table)
+    tracemalloc.start()
+    try:
+        rep = verify_partition(st, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and peak < 2.2e6, peak
