@@ -436,14 +436,17 @@ def strata_checks(table: PrimeTable, limit: int):
     (:func:`~sumcollapse.strata.audit_layer_one`), which keeps only a census,
     the exceptions' sparse list and the first anomalies."""
     audit = strata_mod.audit_layer_one(limit, table)
+    single = audit.max_layer == 1 and not audit.unassigned
     yield (
         "strata/single-layer",
         "every odd composite in range lands in layer 1 (its shift by 3 is a "
         "sum of two odd primes)",
         HOLDS,
         decided(
-            audit.max_layer == 1 and not audit.unassigned,
-            (audit.max_layer, audit.unassigned),
+            # an entry listed twice leaves more layer-1 entries than composites
+            single and audit.layer_one == audit.total_composites,
+            (audit.max_layer, audit.unassigned) if not single
+            else f"{audit.layer_one} layer-1 entries for {audit.total_composites} odd composites",
             (9, limit),
             ((audit.layer_one,),),
         ),

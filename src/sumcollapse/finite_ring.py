@@ -5,9 +5,11 @@ the factorization property by multiplicative-closure membership, and the
 reduction / expansion families by walks from B, down one removal or up one
 addition (inside closure(B)) at a time; the families are upward / downward
 closed, so the walks miss no member, and one single-removal test decides
-reducibility.  The exhaustive (B, C, m_fold, n_fold) table has one decider,
-:func:`relation_table`, which answers one B at a time in numpy blocks over
-every C from an S_n table and a closure table built once;
+reducibility.  Scans over every subset read one builder, :func:`_zm_tables`
+(the closure and S_1..S_n of every mask, as int lists indexed by mask): the
+optimal-subset scans are lookups in it, and the exhaustive (B, C, m_fold,
+n_fold) table has one decider, :func:`relation_table`, which answers one B
+at a time in numpy blocks over every C from those tables;
 :func:`relation_table_rows` reads its rows from those blocks.  Size guards
 fail fast instead of sampling, since exhaustive semantics is the point.
 """
@@ -17,10 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 MAX_MODULUS = 30
-MAX_SUBSET_SCAN = 1 << 16  # all of Z/16 walks in about 3 s, all of Z/20 not in 300 s
+# the walk down from all of Z/16 takes about 3 s, the optimal-subset scan of Z/16 0.25 s
+MAX_SUBSET_SCAN = 1 << 16
 _GUARD = f"2^{MAX_SUBSET_SCAN.bit_length() - 1} guard"
 MAX_TABLE_ROWS = 10**8  # (2^m - 1)^2 * n_max^2 rows: modulus 10 takes n_max <= 9
 
@@ -28,6 +29,11 @@ MAX_TABLE_ROWS = 10**8  # (2^m - 1)^2 * n_max^2 rows: modulus 10 takes n_max <= 
 def _require_modulus(m: int) -> None:
     if not (2 <= m <= MAX_MODULUS):
         raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {m}")
+
+
+def _require_scan(what: str, bits: int) -> None:
+    if 1 << bits > MAX_SUBSET_SCAN:
+        raise ValueError(f"{what} scan over 2^{bits} masks exceeds the {_GUARD}")
 
 
 @dataclass(frozen=True)
@@ -178,21 +184,27 @@ def zm_relation(b: ZmSubset, c: ZmSubset, m_fold: int, n_fold: int) -> RelationT
     return RelationTableEntry(b, c, m_fold, n_fold, sumset_equal, fp, subset)
 
 
-def _reduces(b: ZmSubset, c: ZmSubset, n: int, nb: int) -> bool:
-    """b relates onto its submask c by the directed n-fold relation (nb = S_n(b))."""
-    return bool(c.mask) and zm_sumset(c, n).mask == nb and b.is_subset_of(zm_closure(c))
+def _lookups(m: int, n: int):
+    """S_n and the closure of one mask at a time, for the single-subset deciders."""
+    return lambda c: zm_sumset(ZmSubset(m, c), n).mask, lambda c: zm_closure(ZmSubset(m, c)).mask
 
 
-def _removals(b: ZmSubset, n: int, nb: int | None = None):
-    """Each b \\ {x}, x ascending, that b relates onto: the one reducibility
-    decider (``nb`` is S_n(b) when known).
+def _reduces(b: int, c: int, nb: int, sums, closures) -> bool:
+    """Mask b relates onto its submask c by the directed n-fold relation, where
+    nb = S_n(b) and ``sums`` / ``closures`` map a mask to its S_n / closure."""
+    return bool(c) and sums(c) == nb and not b & ~closures(c)
+
+
+def _removals(b: int, nb: int, sums, closures):
+    """Each mask b \\ {x}, x ascending, that b relates onto: the one
+    reducibility decider, for the table scan and the single subsets alike.
 
     Reduction families are upward closed among the submasks of b: for
     c ⊆ c' ⊆ b, S_n(c) ⊆ S_n(c') ⊆ S_n(b) and closure(c) ⊆ closure(c').  So
     b is reducible iff this yields anything.
     """
-    nb = zm_sumset(b, n).mask if nb is None else nb
-    return (c for c in map(b.without, b.elements()) if _reduces(b, c, n, nb))
+    cuts = (b ^ (1 << x) for x in range(b.bit_length()) if b >> x & 1)
+    return (c for c in cuts if _reduces(b, c, nb, sums, closures))
 
 
 def _walk(start: ZmSubset, free: int, keep):
@@ -244,10 +256,10 @@ def zm_reduction_family(b: ZmSubset, n: int) -> RdFamily:
     c \\ {x} is a member.
     """
     _require_nonempty(b)
-    if 1 << len(b) > MAX_SUBSET_SCAN:
-        raise ValueError(f"subset scan over 2^{len(b)} masks exceeds the {_GUARD}")
+    _require_scan("subset", len(b))
     nb = zm_sumset(b, n).mask
-    return RdFamily(b, n, *_walk(b, b.mask, lambda c: _reduces(b, c, n, nb)))
+    lookups = _lookups(b.modulus, n)
+    return RdFamily(b, n, *_walk(b, b.mask, lambda c: _reduces(b.mask, c.mask, nb, *lookups)))
 
 
 @dataclass(frozen=True)
@@ -275,8 +287,7 @@ def zm_expansion_family(b: ZmSubset, n: int) -> EpFamily:
     _require_nonempty(b)
     closure_b = zm_closure(b)
     free = closure_b.mask & ~b.mask
-    if 1 << free.bit_count() > MAX_SUBSET_SCAN:
-        raise ValueError(f"superset scan over 2^{free.bit_count()} masks exceeds the {_GUARD}")
+    _require_scan("superset", free.bit_count())
     nb = zm_sumset(b, n).mask
     return EpFamily(b, n, *_walk(b, free, lambda d: zm_sumset(d, n).mask == nb))
 
@@ -287,23 +298,70 @@ def zm_reduction_chain(b: ZmSubset, n: int) -> list[ZmSubset]:
     _require_nonempty(b)
     chain = [b]
     nb = zm_sumset(b, n).mask
-    while (step := next(_removals(chain[-1], n, nb), None)) is not None:
-        chain.append(step)
+    lookups = _lookups(b.modulus, n)
+    while (step := next(_removals(chain[-1].mask, nb, *lookups), None)) is not None:
+        chain.append(ZmSubset(b.modulus, step))
     return chain
+
+
+def _zm_tables(m: int, n_max: int):
+    """``(closure, sums)``: the multiplicative closure of every mask of Z/mZ,
+    and an iterator over S_1, ..., S_{n_max} of every mask, each a list of
+    ints indexed by mask.  With x the lowest bit of a and r = a \\ {x}:
+    S_k(a) = S_k(r) | (S_{k-1}(a) + x), as a k-fold sum avoids x or is x plus
+    a (k-1)-fold sum; the product set P(a) = P(r) | x·a, the row x·a itself
+    built from lowest bits; and closure(a) = closure(a | P(a)) unless P(a) ⊆ a,
+    filled in descending order, since a | P(a) is then a larger int."""
+    size, full = 1 << m, (1 << m) - 1
+    low = [0] * size  # index of each mask's lowest bit
+    for x in range(m):
+        low[1 << x :: 2 << x] = [x] * (size >> (x + 1))
+    prod = [0] * size
+    for x in reversed(range(m)):
+        times_x = [1 << (x * y % m) for y in range(x, m)]
+        row = [0] * (size >> x)  # row[t] = x·(t << x)
+        for t in range(1, size >> x):
+            row[t] = row[t & (t - 1)] | times_x[low[t]]
+        for a in range(1 << x, size, 2 << x):  # the masks whose lowest bit is x
+            prod[a] = prod[a ^ (1 << x)] | row[a >> x]
+    closure = list(range(size))
+    for a in range(size - 1, 0, -1):
+        if (grown := a | prod[a]) != a:
+            closure[a] = closure[grown]
+
+    def sums():
+        cur = list(range(size))
+        yield cur
+        for _ in range(n_max - 1):
+            prev, cur = cur, [0] * size
+            for a in range(1, size):
+                x, s = low[a], prev[a]
+                cur[a] = cur[a & (a - 1)] | ((s << x | s >> (m - x)) & full)
+            yield cur
+
+    return closure, sums()
+
+
+def _optimal_masks(closure: list[int], sums: list[int]):
+    """The masks b, ascending, with S_n(closure(b)) = S_n(b) and no removal
+    that b relates onto, from the tables of :func:`_zm_tables`."""
+    lookups = sums.__getitem__, closure.__getitem__
+    for b in range(1, len(sums)):
+        nb = sums[b]
+        if sums[closure[b]] == nb and next(_removals(b, nb, *lookups), None) is None:
+            yield b
 
 
 def zm_optimal_subsets(m: int, n: int) -> tuple[ZmSubset, ...]:
     """All subsets whose closure relates onto them while they stay irreducible."""
     _require_modulus(m)
-    if m > 16:
-        raise ValueError(f"full subset scan requires modulus <= 16, got {m}")
-    out = []
-    for mask in range(1, 1 << m):
-        b = ZmSubset(m, mask)
-        nb = zm_sumset(b, n).mask
-        if zm_sumset(zm_closure(b), n).mask == nb and next(_removals(b, n, nb), None) is None:
-            out.append(b)
-    return tuple(out)
+    _require_scan("subset", m)
+    if n < 1:
+        raise ValueError(f"fold count must be >= 1, got {n}")
+    closure, sums = _zm_tables(m, n)
+    for sums_n in sums:  # S_n is the last table
+        pass
+    return tuple(ZmSubset(m, b) for b in _optimal_masks(closure, sums_n))
 
 
 @dataclass(frozen=True)
@@ -322,7 +380,12 @@ class OptimalWeights:
 def optimal_weight_set(m: int, n_max: int) -> OptimalWeights:
     """Scans n in [2, n_max] only; the unbounded analogue is not computable here."""
     _require_modulus(m)
-    values = tuple(n for n in range(2, n_max + 1) if zm_optimal_subsets(m, n))
+    values = ()
+    if n_max >= 2:
+        _require_scan("subset", m)
+        closure, sums = _zm_tables(m, n_max)
+        next(sums)  # S_1
+        values = tuple(n for n, s in enumerate(sums, 2) if any(_optimal_masks(closure, s)))
     return OptimalWeights(m, n_max, values)
 
 
@@ -339,7 +402,7 @@ class UnitGroupReport:
 
 def zm_unit_group_check(m: int) -> UnitGroupReport:
     units = ZmSubset.from_elements(m, (a for a in range(1, m) if math.gcd(a, m) == 1))
-    steps = {c.mask for c in _removals(units, 2)}
+    steps = set(_removals(units.mask, zm_sumset(units, 2).mask, *_lookups(m, 2)))
     removable = {b: units.without(b).mask in steps for b in units.elements()}
     small = not any(removable.values()) if len(units) <= 2 else None
     return UnitGroupReport(m, units, removable, len(set(removable.values())) <= 1, small)
@@ -399,17 +462,12 @@ def relation_table(m: int, n_max: int):
 
 
 def _table_blocks(m: int, n_max: int):
-    masks = np.arange(1, 1 << m)
-    full = (1 << m) - 1
-    # sums[n - 1] holds S_n of every mask: S_{n+1}(A) is S_n(A) rotated by each r in A
-    sums = np.empty((n_max, masks.size), dtype=np.int64)
-    sums[0] = masks
-    for n in range(1, n_max):
-        prev, acc = sums[n - 1], np.zeros_like(masks)
-        for r in range(m):
-            acc |= np.where(masks >> r & 1, ((prev << r) | (prev >> (m - r))) & full, 0)
-        sums[n] = acc
-    closures = np.array([zm_closure(ZmSubset(m, c)).mask for c in masks.tolist()])
+    import numpy as np
+
+    closure, sums = _zm_tables(m, n_max)
+    masks = np.arange(1, 1 << m, dtype=np.int64)
+    sums = np.array(list(sums), dtype=np.int64)[:, 1:]  # sums[n - 1] holds S_n of every mask
+    closures = np.array(closure[1:], dtype=np.int64)
     by_c = np.ascontiguousarray(sums.T)[:, None, :]  # so each block comes out in C order
     for i, b in enumerate(masks.tolist()):
         yield b, sums[:, i, None] == by_c, (b & ~closures) == 0, (masks & ~b) == 0

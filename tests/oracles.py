@@ -129,14 +129,10 @@ def least_uncovered_pair_sum(excluded, threshold: int) -> int | None:
     return None
 
 
-def zm_families_bf(m: int, n: int) -> dict:
-    """Reduction and expansion families of every non-empty subset B of Z/mZ
-    under the directed n-fold relation, by scanning every subset.
-
-    Sumsets enumerate n-tuples of elements and closures multiply pairs until
-    nothing new appears.  Maps B (a frozenset) to (reduction members, minimal
-    members, expansion members, maximal members), each a set of frozensets.
-    """
+def _zm_tables_bf(m: int, n: int):
+    """Every non-empty subset of Z/mZ as a frozenset, with its n-fold sumset
+    (enumerating n-tuples of elements) and its multiplicative closure
+    (multiplying pairs until nothing new appears)."""
     subsets = [
         frozenset(c) for k in range(1, m + 1) for c in itertools.combinations(range(m), k)
     ]
@@ -150,6 +146,17 @@ def zm_families_bf(m: int, n: int) -> dict:
                 break
             grown = more
         closure[s] = frozenset(grown)
+    return subsets, sums, closure
+
+
+def zm_families_bf(m: int, n: int) -> dict:
+    """Reduction and expansion families of every non-empty subset B of Z/mZ
+    under the directed n-fold relation, by scanning every subset.
+
+    Maps B (a frozenset) to (reduction members, minimal members, expansion
+    members, maximal members), each a set of frozensets.
+    """
+    subsets, sums, closure = _zm_tables_bf(m, n)
     out = {}
     for b in subsets:
         red = {c for c in subsets if c <= b and sums[c] == sums[b] and b <= closure[c]}
@@ -158,6 +165,21 @@ def zm_families_bf(m: int, n: int) -> dict:
         maximal = {d for d in exp if not any(d < e for e in exp)}
         out[b] = (red, minimal, exp, maximal)
     return out
+
+
+def zm_optimal_bf(m: int, n: int) -> list[int]:
+    """Masks, ascending, of the optimal subsets B of Z/mZ for the n-fold
+    relation: closure(B) has the n-fold sums of B, and no proper non-empty
+    subset C of B has them with B inside closure(C).  Every proper subset is
+    tried, not only the single removals."""
+    subsets, sums, closure = _zm_tables_bf(m, n)
+    optimal = [
+        b
+        for b in subsets
+        if sums[closure[b]] == sums[b]
+        and not any(c < b and sums[c] == sums[b] and b <= closure[c] for c in subsets)
+    ]
+    return sorted(sum(1 << x for x in b) for b in optimal)
 
 
 def odd_prime_flags(limit: int) -> np.ndarray:

@@ -320,12 +320,15 @@ def _whole_limit_verdicts(table, limit):
     """The two verdicts as the whole-limit table and its full audit give them."""
     st = compute_strata(limit, table)
     rep = verify_partition(st, table)
+    single = st.max_layer == 1 and not st.unassigned
+    count = st.census().get(1, {}).get("count", 0)
     return {
         "strata/single-layer": decided(
-            st.max_layer == 1 and not st.unassigned,
-            (st.max_layer, len(st.unassigned)),
+            single and count == rep.total_composites,
+            (st.max_layer, len(st.unassigned)) if not single
+            else f"{count} layer-1 entries for {rep.total_composites} odd composites",
             (9, limit),
-            ((st.census().get(1, {}).get("count", 0),),),
+            ((count,),),
         ),
         "strata/partition-audit": decided(rep.ok, rep.anomalies[:3], (9, limit)),
     }
@@ -426,6 +429,7 @@ def test_strata_audit_counts_a_dropped_composite(monkeypatch):
     got = _strata_verdicts(table, STRATA_LIMIT)
     assert got == _whole_limit_verdicts(table, STRATA_LIMIT)
     assert got["strata/partition-audit"].counterexample == (f"odd composite {c} missing from the table",)
+    assert got["strata/single-layer"].status is FAILS  # c lands in no layer
 
 
 def test_strata_audit_flags_a_composite_listed_twice(monkeypatch):
@@ -442,6 +446,9 @@ def test_strata_audit_flags_a_composite_listed_twice(monkeypatch):
     got = _strata_verdicts(table, 2_000)
     assert got["strata/partition-audit"].status is FAILS
     assert got["strata/partition-audit"].counterexample == ("9 is listed more than once",)
+    # nor does single-layer hold on a layer-1 count past the odd composites
+    assert got["strata/single-layer"].status is FAILS
+    assert got["strata/single-layer"].counterexample == "698 layer-1 entries for 697 odd composites"
 
 
 class _CountsOneMore(PrimeTable):

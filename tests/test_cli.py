@@ -661,11 +661,17 @@ def _windowed(rel, window):
         (_run_main(["partitions", "--set", "primes>=3", "--target", "100", "--k", "2"]), set(), False),
         (_run_main(["strata", "--limit", "1000"]), {"strata"}, True),
         (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"finite_ring"}, True),
+        ("from sumcollapse.finite_ring import zm_optimal_subsets, optimal_weight_set\n"
+         "assert zm_optimal_subsets(6, 2) and optimal_weight_set(6, 3).n_values\n",
+         {"finite_ring"}, False),
+        ("from sumcollapse.finite_ring import relation_table\nnext(relation_table(3, 2))\n",
+         {"finite_ring"}, True),
         (_run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"]), {"battery"}, True),
         (_run_main(["verify", "--limit", str(MIN_LIMIT)]), LATE, True),
     ],
     ids=["cli", "modules", "collapse", "collapse-primes", "collapse-composites", "sieve",
-         "partitions", "strata", "ring", "sieve-check", "verify"],
+         "partitions", "strata", "ring", "optimal-scan", "relation-table", "sieve-check",
+         "verify"],
 )
 def test_a_process_imports_what_its_command_runs(code, loaded, numpy):
     proc = _fresh_python(["-c", code + LOADED])

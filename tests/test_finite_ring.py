@@ -23,9 +23,10 @@ from sumcollapse import (
     zm_sumset,
     zm_unit_group_check,
 )
+from sumcollapse import finite_ring
 from sumcollapse.finite_ring import MAX_TABLE_ROWS
 
-from oracles import zm_families_bf
+from oracles import zm_families_bf, zm_optimal_bf
 
 Z = ZmSubset.from_elements
 
@@ -201,7 +202,8 @@ def test_families_against_brute_force(m, n):
 
 
 # sha256 of the JSON mask list of ``zm_optimal_subsets(m, 2)``, frozen from the
-# scan that tested every submask of each candidate for reducibility
+# scan that tested every submask of each candidate for reducibility (m <= 12)
+# and from the scan that called zm_sumset and zm_closure per subset (m = 16)
 OPTIMAL_PAIR_SHA256 = {
     2: "a36b1f2c3f84522dd1005145646617d7054c0851e97c72a039c0bdfac9fa07f3",
     3: "0795b18fffb85f4981b3902fb9ca30f6c18a1abc0ece66ce018e8e889f5e2d13",
@@ -214,6 +216,7 @@ OPTIMAL_PAIR_SHA256 = {
     10: "685d0c62f534b5898d3359df35aa56a87caef0a2b998c1039d505fd5fc63b596",
     11: "7ee7e8ae22f60614dccdccb973d2beb03860a221ed9f936453fa32f70a367457",
     12: "c68193079b2c9fd8b073b8fe773c555c61849e89b7d75ab7a4ef5ce545513408",
+    16: "d5a927af074790cd0efb26b233ed0367b4fbf8d37c535fb6d6b858b74168e557",
 }
 
 
@@ -221,6 +224,30 @@ OPTIMAL_PAIR_SHA256 = {
 def test_optimal_subsets_golden(m):
     masks = json.dumps([s.mask for s in zm_optimal_subsets(m, 2)])
     assert hashlib.sha256(masks.encode()).hexdigest() == OPTIMAL_PAIR_SHA256[m]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_optimal_subsets_against_brute_force(m, n):
+    assert [s.mask for s in zm_optimal_subsets(m, n)] == zm_optimal_bf(m, n)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_optimal_weights_against_brute_force(m):
+    want = tuple(n for n in range(2, 6) if zm_optimal_bf(m, n))
+    assert optimal_weight_set(m, 5).n_values == want
+
+
+def test_optimal_scan_guard_builds_no_table(monkeypatch):
+    # refused before the builder is reached (calling None would raise TypeError)
+    monkeypatch.setattr(finite_ring, "_zm_tables", None)
+    guard = r"^subset scan over 2\^17 masks exceeds the 2\^16 guard$"
+    for call in (lambda: zm_optimal_subsets(17, 2), lambda: optimal_weight_set(17, 3)):
+        with pytest.raises(ValueError, match=guard):
+            call()
+    with pytest.raises(ValueError, match="fold count must be >= 1, got 0"):
+        zm_optimal_subsets(4, 0)
+    assert optimal_weight_set(17, 1).n_values == ()  # no fold count to scan
 
 
 def test_optimal_subsets_mod6():
