@@ -34,16 +34,13 @@ import json
 import os
 import re
 import sys
+from itertools import chain
+from operator import add
 
 # Set before numpy is first imported, which only the commands that build
 # arrays do: no module here calls BLAS, so OpenBLAS's thread pool would only
 # add startup time.  A value the user set wins (README, "Startup").
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from . import collapse as col
-from .setexpr import Progression, parse_set_expr
-from .sieve import CompositeIndex, PrimeTable
-from .verdict import Status
 
 
 def _lazy(name: str):
@@ -63,10 +60,16 @@ def _lazy(name: str):
     return module
 
 
-# only verify, sieve --check, strata and ring run these three
+# every package module: each is found in sys.modules from here on (the
+# benchmark's tracer looks there) and runs on the first read of it
 battery = _lazy("battery")
+col = _lazy("collapse")
 ring = _lazy("finite_ring")
+_lazy("intsets")  # read only through collapse, setexpr and strata
+setexpr = _lazy("setexpr")
+sieve = _lazy("sieve")
 strata_mod = _lazy("strata")
+verdict_mod = _lazy("verdict")
 
 SCHEMA_VERSION = 1
 MAX_REACH = 10**9  # largest prime table any command builds (README, "Notes on scale")
@@ -117,7 +120,7 @@ def _cmd_verify(args) -> int:
         for r in results:
             status = r.verdict.status.value
             print(f"{_mark(r)} {r.ref} [{status}] {r.claim}")
-            if r.verdict.status is Status.FAILS:
+            if r.verdict.status is verdict_mod.Status.FAILS:
                 print(f"     counterexample: {r.verdict.counterexample}")
         print(f"{payload['passed']} passed, {payload['failed']} failed")
     return 1 if payload["failed"] else 0
@@ -126,8 +129,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sieve(args) -> int:
     if args.check:
         battery.require_limit(args.limit)
-    table = PrimeTable(_within_reach("sieve", args.limit))
-    index = CompositeIndex(table)
+    table = sieve.PrimeTable(_within_reach("sieve", args.limit))
+    index = sieve.CompositeIndex(table)
     info = {
         "schema": SCHEMA_VERSION,
         "limit": args.limit,
@@ -151,7 +154,7 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_strata(args) -> int:
-    table = PrimeTable(_within_reach("strata", args.limit))
+    table = sieve.PrimeTable(_within_reach("strata", args.limit))
     tally = strata_mod.strata_census(args.limit, table, args.csv)
     payload = tally.census_dict()
     _write_report(args.out, payload)
@@ -172,18 +175,22 @@ _REL_PATTERN = re.compile(r"^(?P<lhs>.*?)~\((?P<m>\d+),(?P<n>\d+)\)~(?P<rhs>.*)$
 
 
 def _cmd_collapse(args) -> int:
+    # read first, so collapse (the largest module) is compiled and run before
+    # the modules it imports, as an eager import would: the compile's scratch
+    # memory then sits on the smallest heap, and the peak RSS stays put
+    check_relation = col.check_relation
     match = _REL_PATTERN.match(args.rel.strip())
     if match is None:
         raise ValueError(f"malformed relation {args.rel!r}; expected 'A ~(m,n)~ B'")
-    lhs = parse_set_expr(match.group("lhs"))
-    rhs = parse_set_expr(match.group("rhs"))
+    lhs = setexpr.parse_set_expr(match.group("lhs"))
+    rhs = setexpr.parse_set_expr(match.group("rhs"))
     m_fold, n_fold = int(match.group("m")), int(match.group("n"))
     lo, hi = args.window
-    removed_top = rhs.max_excluded if isinstance(rhs, Progression) else 0
+    removed_top = rhs.max_excluded if isinstance(rhs, setexpr.Progression) else 0
     reach = max(hi, 9, removed_top)
     why = " (the window end or the largest excluded value)"
-    table = PrimeTable(_within_reach("collapse", reach, why))
-    verdict = col.check_relation(
+    table = sieve.PrimeTable(_within_reach("collapse", reach, why))
+    verdict = check_relation(
         lhs, rhs, m_fold, n_fold, (lo, hi), table, require_subset=args.directed
     )
     payload = {
@@ -200,7 +207,7 @@ def _cmd_collapse(args) -> int:
         print(f"{verdict.status.value}: {verdict.note}")
         if verdict.counterexample is not None:
             print(f"counterexample: {verdict.counterexample}")
-    return 1 if verdict.status is Status.FAILS else 0
+    return 1 if verdict.status is verdict_mod.Status.FAILS else 0
 
 
 _RING_HEADER = (
@@ -211,75 +218,101 @@ _RING_CHUNK = 1 << 16  # CSV lines joined into one write, in whole runs
 _RING_TAILS = 1 << 17  # most row tails built for the whole (C, m_fold, n_fold) grid
 
 
-def _ring_lines(prefixes: list[str], tails: list[str], eq, low):
-    """One B block of the ring CSV, as strings of whole runs, at most
-    ``_RING_CHUNK`` lines each unless a single run is longer.
-
-    The block's rows fall into one run per prefix, of equal length.  Row
-    ``i`` is its run's prefix joined to ``tails[8 * (i % period) + code]``,
-    where the tails repeat every ``period`` rows, ``code`` packs
-    (sumset_equal, fp, subset) and ``low`` holds fp and subset per C.
-    """
-    import numpy as np
-
-    flat = eq.ravel()
-    span, period, per_c = flat.size // len(prefixes), len(tails) // 8, flat.size // low.size
-    step = max(1, _RING_CHUNK // span)
-    for r0 in range(0, len(prefixes), step):
-        i = np.arange(r0 * span, min((r0 + step) * span, flat.size))
-        idx = (i % period * 8 + flat[i] * 4 + low[i // per_c]).tolist()
-        yield "".join(
-            p + p.join(map(tails.__getitem__, idx[j * span : (j + 1) * span]))
-            for j, p in enumerate(prefixes[r0 : r0 + step])
-        )
-
-
 def _ring_block_writer(fh, m: int, n_max: int):
-    """Write the ring CSV header to ``fh`` and return ``write(b, eq, fp,
-    subset)``, which writes one B block of rows.
+    """Write the ring CSV header to ``fh`` and return ``write(b, low,
+    equal)``, which writes one B block of
+    :func:`~sumcollapse.finite_ring.relation_table`.
 
     While the tails of the whole (C, m_fold, n_fold) grid number at most
     ``_RING_TAILS``, they are built once and a block is one run under
-    ``"m,B,B_elements,"``.  Past that the tails cover n_fold only and each
-    (C, m_fold) is a run of n_max rows under its own prefix, so the strings
-    held grow with the fold bound, not with its square.
+    ``"m,B,B_elements,"``: each C's tails for its (fp, subset) code, chained,
+    with the tails of the equal cells put in.  Past that the tails cover
+    n_fold only and each (C, m_fold) is a run of n_max rows under its own
+    prefix, so the strings held grow with the fold bound, not with its
+    square; a run with equal cells is built once per (S_{m_fold}(B), C), and
+    each write joins whole runs of at most ``_RING_CHUNK`` lines.
     """
     labels = ["|".join(str(x) for x in range(m) if mask >> x & 1) for mask in range(1 << m)]
     grid = [f"{c},{labels[c]},{mf}," for c in range(1, 1 << m) for mf in range(1, n_max + 1)]
-    inner, outer = (grid, [""]) if 8 * len(grid) * n_max <= _RING_TAILS else ([""], grid)
+    whole = 8 * len(grid) * n_max <= _RING_TAILS
     tails = [
         f"{g}{nf},{eq},{fp},{sub},{eq & fp},{eq & fp & sub}\r\n"
-        for g in inner
+        for g in (grid if whole else [""])
         for nf in range(1, n_max + 1)
         for eq in (0, 1)
         for fp in (0, 1)
         for sub in (0, 1)
     ]
     fh.write(_RING_HEADER)
+    # plain[4 * j + code]: the tails of unit j (C = j + 1, or any run) for the
+    # code 2 * fp + subset, with every sumset unequal
+    unit = n_max * n_max if whole else n_max
+    plain = [tails[8 * i + code : 8 * (i + unit) : 8]
+             for i in range(0, len(tails) // 8, unit) for code in range(4)]
 
-    def write(b: int, eq, fp, subset) -> None:
+    # (hits, m_fold) -> for each of its equal cells: the row, the index of
+    # its equal tail less the code, and its C
+    cells = {}
+
+    def write_grid(b: int, low: bytes, equal) -> None:
+        firsts = map(add, range(0, len(plain), 4), low[1:])
+        row = list(chain.from_iterable(map(plain.__getitem__, firsts)))
+        for m_folds, hits in equal:
+            for mf in m_folds:
+                if (found := cells.get((hits, mf))) is None:
+                    at = (((c - 1) * unit + nf, c)
+                          for nf, cs in enumerate(hits, (mf - 1) * n_max) for c in cs)
+                    found = cells[hits, mf] = [(i, 8 * i + 4, c) for i, c in at]
+                for i, t, c in found:
+                    row[i] = tails[t + low[c]]
         head = f"{m},{b},{labels[b]},"
-        fh.writelines(_ring_lines([head + g for g in outer], tails, eq, fp * 2 + subset))
+        fh.write(head + head.join(row))
 
-    return write
+    def write_runs(b: int, low: bytes, equal) -> None:
+        runs_at = [None] * n_max  # m_fold - 1 -> {c: C's run with its equal cells}
+        for m_folds, hits in equal:
+            runs: dict[int, list[str]] = {}
+            for nf, cs in enumerate(hits):
+                for c in cs:
+                    if (run := runs.get(c)) is None:
+                        run = runs[c] = plain[low[c]].copy()
+                    run[nf] = tails[8 * nf + 4 + low[c]]
+            for mf in m_folds:
+                runs_at[mf - 1] = runs
+        head = f"{m},{b},{labels[b]},"
+        per_write = max(1, _RING_CHUNK // n_max)
+        pieces, k = [], 0
+        for c in range(1, 1 << m):
+            unequal = plain[low[c]]
+            for runs in runs_at:
+                p = head + grid[k]
+                pieces += (p, p.join(runs.get(c, unequal)))
+                k += 1
+                if k % per_write == 0:
+                    fh.write("".join(pieces))
+                    pieces = []
+        if pieces:
+            fh.write("".join(pieces))
+
+    return write_grid if whole else write_runs
 
 
 def _cmd_ring(args) -> int:
-    import numpy as np
-
     m, n_max = args.modulus, args.nmax
     # a refused modulus or fold bound raises here, before any file is created
     blocks = ring.relation_table(m, n_max)
     rows = directed = 0
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
         write = None if fh is None else _ring_block_writer(fh, m, n_max)
-        for b, eq, fp, subset in blocks:
-            rows += eq.size
-            # per-C counts, so the selected rows are not copied
-            directed += int(np.count_nonzero(eq, axis=(1, 2))[fp & subset].sum())
+        for b, low, equal in blocks:
+            rows += ((1 << m) - 1) * n_max * n_max
+            # directed: the equal cells whose C has fp and subset (code 3)
+            directed += sum(
+                len(m_folds) * sum(low[c] == 3 for cs in hits for c in cs)
+                for m_folds, hits in equal
+            )
             if write is not None:
-                write(b, eq, fp, subset)
-            del eq  # so the next block is built without this one alive
+                write(b, low, equal)
     payload = {
         "schema": SCHEMA_VERSION,
         "modulus": m,
@@ -297,9 +330,10 @@ def _cmd_ring(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    expr = parse_set_expr(args.set)
-    table = PrimeTable(_within_reach("partitions", max(args.target, 9)))
-    records = col.k_partitions(args.target, expr, args.k, (1, args.target), table)
+    k_partitions = col.k_partitions  # collapse first, as in _cmd_collapse
+    expr = setexpr.parse_set_expr(args.set)
+    table = sieve.PrimeTable(_within_reach("partitions", max(args.target, 9)))
+    records = k_partitions(args.target, expr, args.k, (1, args.target), table)
     payload = {
         "schema": SCHEMA_VERSION,
         "target": args.target,
@@ -322,10 +356,14 @@ def _cmd_partitions(args) -> int:
 
 def _window(text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = map(int, text.split(".."))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad window {text!r}; expected 'a..b'") from exc
+    if lo > hi:
+        raise argparse.ArgumentTypeError(
+            f"bad window {text!r}: it starts at {lo}, past its end {hi}"
+        )
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,9 +9,12 @@ reducibility.  Scans over every subset read one builder, :func:`_zm_tables`
 (the closure and S_1..S_n of every mask, as int lists indexed by mask): the
 optimal-subset scans are lookups in it, and the exhaustive (B, C, m_fold,
 n_fold) table has one decider, :func:`relation_table`, which answers one B
-at a time in numpy blocks over every C from those tables;
-:func:`relation_table_rows` reads its rows from those blocks.  Size guards
-fail fast instead of sampling, since exhaustive semantics is the point.
+at a time from those same int lists: the (fp, subset) code of every C, and
+the cells with equal sumsets, found by looking S_{m_fold}(B) up in a
+per-n_fold index from each S_{n_fold}(C) to its masks.
+:func:`relation_table_rows` reads its rows from those blocks.  Nothing here
+imports numpy.  Size guards fail fast instead of sampling, since exhaustive
+semantics is the point.
 """
 
 from __future__ import annotations
@@ -441,11 +444,17 @@ def zm_quotient_check(
 def relation_table(m: int, n_max: int):
     """The one decider of the exhaustive relation table.
 
-    Yields ``(b_mask, sumset_equal, fp, subset)`` for each non-empty B in mask
-    order; each array runs over every non-empty C in mask order, and
-    ``sumset_equal[c - 1, m_fold - 1, n_fold - 1]`` compares S_{m_fold}(B) with
-    S_{n_fold}(C).  ``fp`` is B ⊆ closure(C) and ``subset`` is C ⊆ B.  The
-    guards raise at the call, before any table is built.
+    Yields ``(b_mask, low, equal)`` for each non-empty B in mask order.
+    ``low[c]`` is ``2 * fp + subset`` for the C of mask c (``bytes``, 0 at the
+    empty mask), where ``fp`` is B ⊆ closure(C) and ``subset`` is C ⊆ B.
+    ``equal`` holds the cells where S_{m_fold}(B) = S_{n_fold}(C), as pairs
+    ``(m_folds, hits)``, one per distinct set S_{m_fold}(B): that set is the
+    same for every fold count in ``m_folds``, and ``hits[n_fold - 1]`` lists,
+    ascending, the masks c with S_{n_fold}(C) equal to it.  ``hits`` is the
+    set's lookup in a per-n_fold index from S_{n_fold}(C) to the masks c,
+    made once per set and shared by every block that meets it, so a block
+    costs its distinct sets, not its (m_fold, n_fold) grid.  The guards
+    raise at the call, before any table is built.
     """
     _require_modulus(m)
     if m > 10:
@@ -458,19 +467,42 @@ def relation_table(m: int, n_max: int):
             f"a table of {rows} rows (modulus {m}, n_max {n_max}) exceeds the bound "
             f"{MAX_TABLE_ROWS} rows"
         )
-    return _table_blocks(m, n_max)
+    return _relation_blocks(m, n_max)
 
 
-def _table_blocks(m: int, n_max: int):
-    import numpy as np
-
+def _relation_blocks(m: int, n_max: int):
     closure, sums = _zm_tables(m, n_max)
-    masks = np.arange(1, 1 << m, dtype=np.int64)
-    sums = np.array(list(sums), dtype=np.int64)[:, 1:]  # sums[n - 1] holds S_n of every mask
-    closures = np.array(closure[1:], dtype=np.int64)
-    by_c = np.ascontiguousarray(sums.T)[:, None, :]  # so each block comes out in C order
-    for i, b in enumerate(masks.tolist()):
-        yield b, sums[:, i, None] == by_c, (b & ~closures) == 0, (masks & ~b) == 0
+    sums = list(sums)  # sums[n - 1][c] = S_n(c)
+    masks = range(1, 1 << m)
+    index = []  # index[n - 1]: S_n(c) -> the masks c, ascending
+    for sums_n in sums:
+        masks_of: dict[int, list[int]] = {}
+        for c in masks:
+            masks_of.setdefault(sums_n[c], []).append(c)
+        index.append({value: tuple(cs) for value, cs in masks_of.items()})
+    closing: dict[int, list[int]] = {}  # closure(c) -> the masks c
+    for c in masks:
+        closing.setdefault(closure[c], []).append(c)
+    hits_of: dict[int, tuple[tuple[int, ...], ...]] = {}
+    for b in masks:
+        folds_of: dict[int, list[int]] = {}
+        for mf, sums_mf in enumerate(sums, 1):
+            folds_of.setdefault(sums_mf[b], []).append(mf)
+        equal = []
+        for value, m_folds in folds_of.items():
+            if (hits := hits_of.get(value)) is None:
+                hits = hits_of[value] = tuple(ix.get(value, ()) for ix in index)
+            equal.append((tuple(m_folds), hits))
+        low = bytearray(1 << m)
+        for closed, cs in closing.items():
+            if not b & ~closed:
+                for c in cs:
+                    low[c] = 2
+        c = b
+        while c:  # every non-empty submask of b
+            low[c] += 1
+            c = (c - 1) & b
+        yield b, bytes(low), equal
 
 
 def relation_table_rows(m: int, n_max: int):
@@ -478,12 +510,16 @@ def relation_table_rows(m: int, n_max: int):
     [1, n_max]^2, as rows of :func:`relation_table`; rows come out in
     canonical (B, C, m_fold, n_fold) order."""
     blocks = relation_table(m, n_max)
-    folds = [(mf, nf) for mf in range(1, n_max + 1) for nf in range(1, n_max + 1)]
-    subsets = [ZmSubset(m, c) for c in range(1, 1 << m)]
-    for b_mask, eq, fp, subset in blocks:
-        b = subsets[b_mask - 1]
-        for c, eq_c, fp_c, sub_c in zip(
-            subsets, eq.reshape(len(subsets), -1).tolist(), fp.tolist(), subset.tolist()
-        ):
-            for (mf, nf), e in zip(folds, eq_c):
-                yield RelationTableEntry(b, c, mf, nf, e, fp_c, sub_c)
+    folds = range(1, n_max + 1)
+    subsets = [ZmSubset(m, c) for c in range(1 << m)]
+    for b, low, equal in blocks:
+        cells = {(c, mf, nf) for m_folds, hits in equal for mf in m_folds
+                 for nf, cs in enumerate(hits, 1) for c in cs}
+        for c in range(1, 1 << m):
+            fp, subset = divmod(low[c], 2)
+            for mf in folds:
+                for nf in folds:
+                    equal_sums = (c, mf, nf) in cells
+                    yield RelationTableEntry(
+                        subsets[b], subsets[c], mf, nf, equal_sums, bool(fp), bool(subset)
+                    )

@@ -52,9 +52,7 @@ from itertools import islice
 
 import numpy as np
 
-from .collapse import check_relation
 from .intsets import iter_bits, iterated_sumset, least_splits, least_splits_block, restrict
-from .setexpr import IntRange, Primes, Progression, RoughOdd
 from .sieve import PrimeTable
 from .verdict import RelationVerdict
 
@@ -562,6 +560,11 @@ def nfold_collapse_check(
     lo, hi = window
     if 3 * n > hi:
         raise ValueError(f"window [{lo}, {hi}] too small for {n}-fold sums of odds >= 3")
+    # collapse and setexpr are read only by these three battery claims, so
+    # the strata command loads neither
+    from .collapse import check_relation
+    from .setexpr import Primes, Progression
+
     return check_relation(Progression(3), Primes(3), n, n, window, table)
 
 
@@ -577,6 +580,9 @@ def nfold_all_integers_check(
     lo, hi = window
     if 2 * n > hi:
         raise ValueError(f"window [{lo}, {hi}] too small for {n}-fold sums of ints >= 2")
+    from .collapse import check_relation
+    from .setexpr import IntRange, Primes
+
     return check_relation(IntRange(2), Primes(2), n, n, (2, hi), table)
 
 
@@ -606,6 +612,8 @@ def rough_pair_cover_evidence(
     on the window."""
     if p == 2:
         raise ValueError("p = 2 is covered by the all-integers witness 11 = 4 + 7")
+    from .setexpr import Primes, RoughOdd
+
     lo, hi = window
     rough = restrict(RoughOdd(p), lo, hi, table)
     primes = restrict(Primes(p), lo, hi, table)

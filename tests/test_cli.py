@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +160,7 @@ def test_battery_limit_below_floor_is_refused(monkeypatch, capsys, command, limi
         raise AssertionError("a table was built before the limit was checked")
 
     monkeypatch.setattr(battery, "PrimeTable", no_table)
-    monkeypatch.setattr("sumcollapse.cli.PrimeTable", no_table)
+    monkeypatch.setattr("sumcollapse.sieve.PrimeTable", no_table)
     code, out, err = run_cli(command + ["--limit", str(limit)], capsys)
     assert code == 2
     assert out == ""
@@ -264,7 +265,7 @@ def test_collapse_past_reach_is_refused(monkeypatch, capsys, rel, window, reach)
     def no_table(*args, **kwargs):
         raise AssertionError("a table was built before the reach was checked")
 
-    monkeypatch.setattr("sumcollapse.cli.PrimeTable", no_table)
+    monkeypatch.setattr("sumcollapse.sieve.PrimeTable", no_table)
     code, out, err = run_cli(["collapse", "--rel", rel, "--window", window], capsys)
     assert code == 2
     assert out == ""
@@ -289,7 +290,7 @@ def test_collapse_at_reach_builds_its_table(monkeypatch, capsys, rel, window, re
         requested.append(limit)
         raise ValueError(f"table requested to {limit}")
 
-    monkeypatch.setattr("sumcollapse.cli.PrimeTable", stop)
+    monkeypatch.setattr("sumcollapse.sieve.PrimeTable", stop)
     code, _, err = run_cli(["collapse", "--rel", rel, "--window", window], capsys)
     assert code == 2
     assert requested == [reach] and f"table requested to {reach}" in err
@@ -310,7 +311,7 @@ def test_table_past_reach_is_refused(monkeypatch, capsys, command):
         raise AssertionError("a table was built before the reach was checked")
 
     monkeypatch.setattr(battery, "PrimeTable", no_table)
-    monkeypatch.setattr("sumcollapse.cli.PrimeTable", no_table)
+    monkeypatch.setattr("sumcollapse.sieve.PrimeTable", no_table)
     argv = [a.format(MAX_REACH + 1) for a in REACH_COMMANDS[command]]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
@@ -324,7 +325,7 @@ def test_table_at_reach_is_built(monkeypatch, capsys, command):
         raise ValueError(f"table requested to {limit}")
 
     monkeypatch.setattr(battery, "PrimeTable", stop)
-    monkeypatch.setattr("sumcollapse.cli.PrimeTable", stop)
+    monkeypatch.setattr("sumcollapse.sieve.PrimeTable", stop)
     argv = [a.format(MAX_REACH) for a in REACH_COMMANDS[command]]
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -359,6 +360,16 @@ def test_collapse_window_without_sums_is_refused(capsys):
     assert code == 2
     assert out == ""
     assert "start at 299997, past the window end 100" in err
+
+
+def test_collapse_inverted_window_is_refused(capsys):
+    # refused as a window, before any sums are compared
+    with pytest.raises(SystemExit) as exc:
+        main(["collapse", "--rel", "odd>=3 ~(2,2)~ primes>=3", "--window", "100..3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --window: bad window '100..3': it starts at 100, past its end 3" in err
+    assert "sums to compare" not in err
 
 
 def test_collapse_bad_relation(capsys):
@@ -441,6 +452,24 @@ def test_ring_csv_in_runs_past_the_tail_bound(tmp_path, capsys, monkeypatch, mod
     assert got == (tmp_path / "one_run.csv").read_bytes()
     if modulus == "8":
         assert hashlib.sha256(got).hexdigest() == RING_8_3_CSV_SHA256
+
+
+def _ring_peak(nmax):
+    tracemalloc.start()
+    try:
+        assert main(["ring", "--modulus", "2", "--nmax", str(nmax), "--csv", os.devnull]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ring_writer_memory_grows_with_nmax_not_its_square(capsys):
+    # at modulus 2 both fold bounds are past the tail bound, so the writer
+    # holds runs of n_max rows and whole writes of at most _RING_CHUNK lines;
+    # a table held per B (or its tails) would take 4 times the memory at twice n_max
+    small, large = _ring_peak(200), _ring_peak(400)
+    capsys.readouterr()
+    assert large < 2 * small
 
 
 def _labels(s):
@@ -559,7 +588,7 @@ def test_strata_command_streams_without_a_whole_limit_table(tmp_path, capsys, mo
     st.write_csv(tmp_path / "want.csv")
     assert st.unassigned == (9,)
 
-    monkeypatch.setattr(cli, "PrimeTable", lambda n: table)
+    monkeypatch.setattr(cli.sieve, "PrimeTable", lambda n: table)
     monkeypatch.setattr(strata, "compute_strata", None)
     monkeypatch.setattr(strata, "StrataTable", None)
     csv_path, json_path = tmp_path / "got.csv", tmp_path / "census.json"
@@ -631,7 +660,6 @@ LOADED = (  # the package modules a process has executed; a lazy one not yet run
     "                      if m == 'numpy' or m.startswith('sumcollapse.')\n"
     "                      and type(mod) is types.ModuleType)))\n"
 )
-LATE = {"battery", "finite_ring", "strata"}  # executed only by the commands that run them
 
 
 def _run_main(argv):
@@ -647,45 +675,56 @@ def _windowed(rel, window):
     return _run_main(["collapse", "--rel", rel, "--window", window])
 
 
-# numpy is imported only by the commands that build arrays
+RELATIONS = {"cli", "collapse", "intsets", "setexpr", "sieve", "verdict"}  # a collapse query's
+STRATA = {"cli", "intsets", "sieve", "strata", "verdict"}
+EVERY = RELATIONS | STRATA | {"battery", "finite_ring"}
+
+
+# every package module a process executes, and whether it imports numpy:
+# numpy only where arrays are built
 @pytest.mark.parametrize(
-    "code, loaded, numpy",
+    "code, executed, numpy",
     [
-        ("import sumcollapse.cli\n", set(), False),
+        ("import sumcollapse.cli\n", {"cli"}, False),
         ("import sumcollapse.sieve, sumcollapse.setexpr, sumcollapse.intsets, sumcollapse.collapse\n",
-         set(), False),
-        (_run_main(["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3 \\ {9,15,21}"]), set(), False),
-        (_windowed("odd>=3 ~(2,2)~ primes>=3", "3..2000"), set(), False),
-        (_windowed("composites ~(2,2)~ composites", "9..1000"), set(), False),
-        (_run_main(["sieve", "--limit", "1000"]), set(), False),
-        (_run_main(["partitions", "--set", "primes>=3", "--target", "100", "--k", "2"]), set(), False),
-        (_run_main(["strata", "--limit", "1000"]), {"strata"}, True),
-        (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"finite_ring"}, True),
+         RELATIONS - {"cli"}, False),
+        (_run_main(["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3 \\ {9,15,21}"]), RELATIONS, False),
+        (_windowed("odd>=3 ~(2,2)~ primes>=3", "3..2000"), RELATIONS, False),
+        (_windowed("composites ~(2,2)~ composites", "9..1000"), RELATIONS, False),
+        (_run_main(["sieve", "--limit", "1000"]), {"cli", "sieve"}, False),
+        (_run_main(["partitions", "--set", "primes>=3", "--target", "100", "--k", "2"]),
+         RELATIONS, False),
+        (_run_main(["strata", "--limit", "1000"]), STRATA, True),
+        (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"cli", "finite_ring"}, False),
         ("from sumcollapse.finite_ring import zm_optimal_subsets, optimal_weight_set\n"
          "assert zm_optimal_subsets(6, 2) and optimal_weight_set(6, 3).n_values\n",
          {"finite_ring"}, False),
-        ("from sumcollapse.finite_ring import relation_table\nnext(relation_table(3, 2))\n",
-         {"finite_ring"}, True),
-        (_run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"]), {"battery"}, True),
-        (_run_main(["verify", "--limit", str(MIN_LIMIT)]), LATE, True),
+        ("from sumcollapse.finite_ring import relation_table, relation_table_rows\n"
+         "next(relation_table(3, 2)) and next(relation_table_rows(3, 2))\n",
+         {"finite_ring"}, False),
+        (_run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"]), RELATIONS | {"battery"}, True),
+        (_run_main(["verify", "--limit", str(MIN_LIMIT)]), EVERY, True),
     ],
     ids=["cli", "modules", "collapse", "collapse-primes", "collapse-composites", "sieve",
          "partitions", "strata", "ring", "optimal-scan", "relation-table", "sieve-check",
          "verify"],
 )
-def test_a_process_imports_what_its_command_runs(code, loaded, numpy):
+def test_a_process_imports_what_its_command_runs(code, executed, numpy):
     proc = _fresh_python(["-c", code + LOADED])
     assert proc.returncode == 0, proc.stderr
     names = set(proc.stdout.splitlines()[-1].split())
-    assert (names & LATE, "numpy" in names) == (loaded, numpy)
+    assert (names - {"numpy"}, "numpy" in names) == (executed, numpy)
 
 
 def test_lazy_modules_are_registered_before_they_run():
-    # the three late modules are in sys.modules and on the package from the
+    # every package module is in sys.modules and on the package from the
     # start (tools that look modules up there, like perfbench's tracer, find
     # them), and the first attribute read runs the module
     code = (
         "import sys, types, sumcollapse, sumcollapse.cli\n"
+        "for n in ('battery', 'collapse', 'finite_ring', 'intsets', 'setexpr', 'sieve', 'strata',\n"
+        "          'verdict'):\n"
+        "    assert type(sys.modules['sumcollapse.' + n]) is not types.ModuleType, n\n"
         "mod = sys.modules['sumcollapse.strata']\n"
         "assert sumcollapse.strata is mod and sumcollapse.cli.strata_mod is mod\n"
         "assert type(mod) is not types.ModuleType\n"
@@ -702,10 +741,10 @@ def test_lazy_modules_are_registered_before_they_run():
 def test_cli_process_runs_one_thread():
     # the pin must come before numpy's first import, or OpenBLAS has already
     # started its pool (one thread per further core) by the time it is read;
-    # ring is a command that imports numpy
+    # strata is a command that imports numpy
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     code = (
-        _run_main(["ring", "--modulus", "4", "--nmax", "2"])
+        _run_main(["strata", "--limit", "1000"])
         + "import os, sys\nassert 'numpy' in sys.modules\n"
         + "print(len(os.listdir('/proc/self/task')))\n"
     )

@@ -370,7 +370,15 @@ def test_relation_table_rows_match_zm_relation(m):
 
 @functools.cache
 def _table_blocks(m):
-    return list(relation_table(m, 3))
+    blocks = []
+    for b_mask, low, equal in relation_table(m, 3):
+        # every m_fold falls in one group, and a group's hits come from one set S_{m_fold}(B)
+        assert sorted(mf for m_folds, _ in equal for mf in m_folds) == [1, 2, 3]
+        assert all(len(hits) == 3 for _, hits in equal)
+        cells = {(c, mf, nf) for m_folds, hits in equal for mf in m_folds
+                 for nf, cs in enumerate(hits, 1) for c in cs}
+        blocks.append((b_mask, low, cells))
+    return blocks
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -379,11 +387,11 @@ def test_relation_table_blocks_match_zm_relation(data):
     m = data.draw(st.integers(6, 10))
     b, c = (data.draw(st.integers(1, (1 << m) - 1)) for _ in range(2))
     m_fold, n_fold = (data.draw(st.integers(1, 3)) for _ in range(2))
-    b_mask, eq, fp, subset = _table_blocks(m)[b - 1]
+    b_mask, low, cells = _table_blocks(m)[b - 1]
     want = zm_relation(ZmSubset(m, b), ZmSubset(m, c), m_fold, n_fold)
     assert b_mask == b
-    assert eq.shape == ((1 << m) - 1, 3, 3)
-    got = (eq[c - 1, m_fold - 1, n_fold - 1], fp[c - 1], subset[c - 1])
+    assert len(low) == 1 << m
+    got = ((c, m_fold, n_fold) in cells, low[c] >> 1 == 1, low[c] & 1 == 1)
     assert got == (want.sumset_equal, want.fp, want.subset)
 
 
