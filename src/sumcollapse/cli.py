@@ -79,12 +79,6 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_report(path: str | None, payload: dict) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(_canonical_json(payload))
-
-
 def _within_reach(command: str, reach: int, why: str = "") -> int:
     """``reach``, refused past ``MAX_REACH`` before any prime table is built."""
     if reach > MAX_REACH:
@@ -99,40 +93,36 @@ def _mark(result: battery.CheckResult) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (report payload, text lines, exit code),
+# and main adds the schema, writes --out and prints one of the two
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     results = battery.run_battery(_within_reach("verify", args.limit))
     passed = sum(1 for r in results if r.passed)
+    failed = len(results) - passed
     payload = {
-        "schema": SCHEMA_VERSION,
         "suite": "theorems",
         "limit": args.limit,
         "checks": [r.to_dict(args.timings) for r in results],
         "passed": passed,
-        "failed": len(results) - passed,
+        "failed": failed,
     }
-    _write_report(args.out, payload)
-    if args.format == "json":
-        sys.stdout.write(_canonical_json(payload))
-    else:
-        for r in results:
-            status = r.verdict.status.value
-            print(f"{_mark(r)} {r.ref} [{status}] {r.claim}")
-            if r.verdict.status is verdict_mod.Status.FAILS:
-                print(f"     counterexample: {r.verdict.counterexample}")
-        print(f"{payload['passed']} passed, {payload['failed']} failed")
-    return 1 if payload["failed"] else 0
+    lines = []
+    for r in results:
+        lines.append(f"{_mark(r)} {r.ref} [{r.verdict.status.value}] {r.claim}")
+        if r.verdict.status is verdict_mod.Status.FAILS:
+            lines.append(f"     counterexample: {r.verdict.counterexample}")
+    lines.append(f"{passed} passed, {failed} failed")
+    return payload, lines, 1 if failed else 0
 
 
-def _cmd_sieve(args) -> int:
+def _cmd_sieve(args):
     if args.check:
         battery.require_limit(args.limit)
     table = sieve.PrimeTable(_within_reach("sieve", args.limit))
     index = sieve.CompositeIndex(table)
     info = {
-        "schema": SCHEMA_VERSION,
         "limit": args.limit,
         "prime_count": table.prime_count(args.limit),
         "odd_composite_count": index.count(args.limit),
@@ -142,39 +132,30 @@ def _cmd_sieve(args) -> int:
         results = battery.run(battery.sieve_checks(table))
         info["checks"] = [r.to_dict(args.timings) for r in results]
         info["failed"] = sum(1 for r in results if not r.passed)
-    _write_report(args.out, info)
-    if args.format == "json":
-        sys.stdout.write(_canonical_json(info))
-    else:
-        print(f"primes <= {args.limit}: {info['prime_count']}")
-        print(f"odd composites <= {args.limit}: {info['odd_composite_count']}")
-        for r in results:
-            print(f"{_mark(r)} {r.ref}")
-    return 1 if info.get("failed") else 0
+    lines = [
+        f"primes <= {args.limit}: {info['prime_count']}",
+        f"odd composites <= {args.limit}: {info['odd_composite_count']}",
+        *(f"{_mark(r)} {r.ref}" for r in results),
+    ]
+    return info, lines, 1 if info.get("failed") else 0
 
 
-def _cmd_strata(args) -> int:
+def _cmd_strata(args):
     table = sieve.PrimeTable(_within_reach("strata", args.limit))
     tally = strata_mod.strata_census(args.limit, table, args.csv)
-    payload = tally.census_dict()
-    _write_report(args.out, payload)
-    if args.format == "json":
-        sys.stdout.write(_canonical_json(payload))
-    else:
-        for layer, info in tally.census().items():
-            print(
-                f"layer {layer}: {info['count']} composites in "
-                f"[{info['min']}, {info['max']}]"
-            )
-        if tally.unassigned:
-            print(f"unassigned: {len(tally.unassigned)} (anomaly)")
-    return 1 if tally.unassigned else 0
+    lines = [
+        f"layer {layer}: {info['count']} composites in [{info['min']}, {info['max']}]"
+        for layer, info in tally.census().items()
+    ]
+    if tally.unassigned:
+        lines.append(f"unassigned: {len(tally.unassigned)} (anomaly)")
+    return tally.census_dict(), lines, 1 if tally.unassigned else 0
 
 
 _REL_PATTERN = re.compile(r"^(?P<lhs>.*?)~\((?P<m>\d+),(?P<n>\d+)\)~(?P<rhs>.*)$")
 
 
-def _cmd_collapse(args) -> int:
+def _cmd_collapse(args):
     # read first, so collapse (the largest module) is compiled and run before
     # the modules it imports, as an eager import would: the compile's scratch
     # memory then sits on the smallest heap, and the peak RSS stays put
@@ -194,20 +175,15 @@ def _cmd_collapse(args) -> int:
         lhs, rhs, m_fold, n_fold, (lo, hi), table, require_subset=args.directed
     )
     payload = {
-        "schema": SCHEMA_VERSION,
         "relation": args.rel,
         "window": [lo, hi],
         "directed": args.directed,
         "verdict": verdict.to_dict(),
     }
-    _write_report(args.out, payload)
-    if args.format == "json":
-        sys.stdout.write(_canonical_json(payload))
-    else:
-        print(f"{verdict.status.value}: {verdict.note}")
-        if verdict.counterexample is not None:
-            print(f"counterexample: {verdict.counterexample}")
-    return 1 if verdict.status is verdict_mod.Status.FAILS else 0
+    lines = [f"{verdict.status.value}: {verdict.note}"]
+    if verdict.counterexample is not None:
+        lines.append(f"counterexample: {verdict.counterexample}")
+    return payload, lines, 1 if verdict.status is verdict_mod.Status.FAILS else 0
 
 
 _RING_HEADER = (
@@ -297,7 +273,7 @@ def _ring_block_writer(fh, m: int, n_max: int):
     return write_grid if whole else write_runs
 
 
-def _cmd_ring(args) -> int:
+def _cmd_ring(args):
     m, n_max = args.modulus, args.nmax
     # a refused modulus or fold bound raises here, before any file is created
     blocks = ring.relation_table(m, n_max)
@@ -313,45 +289,29 @@ def _cmd_ring(args) -> int:
             )
             if write is not None:
                 write(b, low, equal)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "modulus": m,
-        "n_max": n_max,
-        "rows": rows,
-        "directed_rows": directed,
-    }
-    _write_report(args.out, payload)
-    if args.format == "json":
-        sys.stdout.write(_canonical_json(payload))
-    else:
-        print(f"{rows} rows for modulus {m}, folds up to {n_max}")
-        print(f"directed relation holds in {directed} rows")
-    return 0
+    payload = {"modulus": m, "n_max": n_max, "rows": rows, "directed_rows": directed}
+    lines = [
+        f"{rows} rows for modulus {m}, folds up to {n_max}",
+        f"directed relation holds in {directed} rows",
+    ]
+    return payload, lines, 0
 
 
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(args):
     k_partitions = col.k_partitions  # collapse first, as in _cmd_collapse
     expr = setexpr.parse_set_expr(args.set)
     table = sieve.PrimeTable(_within_reach("partitions", max(args.target, 9)))
     records = k_partitions(args.target, expr, args.k, (1, args.target), table)
     payload = {
-        "schema": SCHEMA_VERSION,
         "target": args.target,
         "set": args.set,
         "k": args.k,
-        "partitions": [
-            {"parts": [[b, m] for b, m in r.parts]} for r in records
-        ],
+        "partitions": [{"parts": [[b, m] for b, m in r.parts]} for r in records],
         "count": len(records),
     }
-    _write_report(args.out, payload)
-    if args.format == "json":
-        sys.stdout.write(_canonical_json(payload))
-    else:
-        for r in records:
-            print(" + ".join(f"{b}*{m}" if m > 1 else str(b) for b, m in r.parts))
-        print(f"{len(records)} partitions")
-    return 0
+    lines = [" + ".join(f"{b}*{m}" if m > 1 else str(b) for b, m in r.parts) for r in records]
+    lines.append(f"{len(records)} partitions")
+    return payload, lines, 0
 
 
 def _window(text: str) -> tuple[int, int]:
@@ -428,7 +388,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        payload, lines, code = args.fn(args)
+        report = _canonical_json({"schema": SCHEMA_VERSION, **payload})
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(report)
+        sys.stdout.write(report if args.format == "json" else "".join(f"{s}\n" for s in lines))
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

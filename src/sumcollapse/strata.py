@@ -16,7 +16,8 @@ stays below 2^31.  Every consumer reads that stream: :func:`strata_census`
 (the ``strata`` command's census and CSV), :func:`audit_layer_one` (the
 battery's audit), ``Stratum(k)``, which keeps only its layer's members, and
 :func:`compute_strata`, which concatenates it into a :class:`StrataTable`
-for library callers.  Only the last holds arrays over the whole limit.  The
+for library callers.  Only the last holds arrays over the whole limit, and
+it stays only for the benchmark tracer's spans on it and on its CSV.  The
 partition has one audit, :func:`_audit`, block by block against the table's
 reads; :func:`audit_layer_one` feeds it the stream, and
 :func:`verify_partition` a :class:`StrataTable` cut into views at the reads.
@@ -46,7 +47,7 @@ passes a whole-limit search would make.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -75,10 +76,11 @@ class StrataTable:
     Parallel arrays, one entry per odd composite in ``[9, limit]``:
     ``composites`` holds them sorted (``int32``), ``layer`` their layer
     (``int8``, 0 for unassigned) and ``witness_prime`` the prime p of each
-    witness split (``int32``); the partner is ``c + 3 - p``.  ``layers`` and
-    ``witnesses`` are read-only ``{c: layer}`` and ``{c: (p, partner)}``
-    views over the assigned entries.  ``passes`` counts layer passes, not
-    the prime passes inside layer 1.
+    witness split (``int32``); the partner is ``c + 3 - p``.  Beside the
+    arrays it keeps only what the benchmark's tracer reads of a table:
+    ``layers``, a read-only ``{c: layer}`` view over the assigned entries,
+    ``unassigned``, ``passes`` (the layer passes, not the prime passes
+    inside layer 1) and :meth:`write_csv`.
     """
 
     limit: int
@@ -88,38 +90,15 @@ class StrataTable:
 
     @property
     def layers(self) -> Mapping[int, int]:
-        return _AssignedView(self, lambda idx: self.layer[idx].tolist())
-
-    @property
-    def witnesses(self) -> Mapping[int, tuple[int, int]]:
-        return _AssignedView(self, self._witness_pairs)
-
-    def _witness_pairs(self, idx) -> list[tuple[int, int]]:
-        primes = self.witness_prime[idx]
-        return list(zip(primes.tolist(), (self.composites[idx] + 3 - primes).tolist()))
+        return _LayerView(self)
 
     @property
     def unassigned(self) -> tuple[int, ...]:
         return tuple(self.composites[self.layer == 0].tolist())
 
     @property
-    def max_layer(self) -> int:
-        return int(self.layer.max(initial=0))
-
-    @property
     def passes(self) -> int:
-        return self._tally().passes
-
-    def _tally(self) -> StrataCensus:
-        tally = StrataCensus(self.limit)
-        tally.add(self.composites, self.layer)
-        return tally
-
-    def census(self) -> dict[int, dict[str, int]]:
-        return self._tally().census()
-
-    def census_dict(self) -> dict:
-        return self._tally().census_dict()
+        return max(1, int(self.layer.max(initial=0)))
 
     def write_csv(self, path: str) -> None:
         """Assigned rows in composite order, then the unassigned ones, written
@@ -164,7 +143,6 @@ class StrataCensus:
 
     def census_dict(self) -> dict:
         return {
-            "schema": 1,
             "limit": self.limit,
             "layers": {str(k): v for k, v in self.census().items()},
             "max_layer": self.max_layer,
@@ -201,14 +179,11 @@ def _write_csv(path: str, blocks) -> None:
             fh.write((b"%d,,,\r\n" * len(chunk)) % tuple(chunk))
 
 
-class _AssignedView(Mapping):
-    """Read-only ``{c: value}`` view over the assigned entries of a table;
-    ``values`` maps an index array to the list of its values.  Its items and
-    values iterate from one pass over the layers."""
+class _LayerView(Mapping):
+    """Read-only ``{c: layer}`` view over the assigned entries of a table."""
 
-    def __init__(self, st: StrataTable, values):
+    def __init__(self, st: StrataTable):
         self._st = st
-        self._values = values
 
     def __getitem__(self, c):
         comps = self._st.composites
@@ -216,7 +191,7 @@ class _AssignedView(Mapping):
             # a scalar of the array's own dtype keeps searchsorted from casting the array
             i = int(comps.searchsorted(comps.dtype.type(c)))
             if i < comps.size and comps[i] == c and self._st.layer[i]:
-                return self._values([i])[0]
+                return int(self._st.layer[i])
         raise KeyError(c)
 
     def __iter__(self):
@@ -224,23 +199,6 @@ class _AssignedView(Mapping):
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._st.layer))
-
-    def items(self):
-        return _AssignedItems(self)
-
-    def values(self):
-        return _AssignedValues(self)
-
-
-class _AssignedItems(ItemsView):
-    def __iter__(self):
-        st, idx = self._mapping._st, np.flatnonzero(self._mapping._st.layer)
-        return zip(st.composites[idx].tolist(), self._mapping._values(idx))
-
-
-class _AssignedValues(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._values(np.flatnonzero(self._mapping._st.layer)))
 
 
 def _odd_values(i0: int, flags: np.ndarray) -> np.ndarray:

@@ -249,6 +249,79 @@ def sieve_checks_bf(odd_prime: np.ndarray, limit: int) -> dict[str, tuple[bool, 
     return {ref: (ok, None if ok else bad) for ref, (ok, bad) in out.items()}
 
 
+def strata_bf(limit: int, is_prime, primes=None) -> tuple[list[int], list[int], list[int]]:
+    """The strata of the odd composites in [9, limit] by plain peeling, one
+    composite and one prime at a time.
+
+    The composites are the odd c >= 9 that ``is_prime`` rejects.  Layer 1
+    holds those with a split c + 3 = p + q, p from ``primes`` (by default
+    the odd v <= limit that ``is_prime`` accepts) and q an odd number it
+    accepts; layer k > 1 those with a partner c + 3 - p >= 9 in layer k - 1.
+    Each takes the least layer, then the least p reaching it.  Returns the
+    aligned lists (composites, layer, witness prime), 0 and 0 where no layer
+    is reached.
+    """
+    primes = [v for v in range(3, limit + 1, 2) if is_prime(v)] if primes is None else sorted(primes)
+    comps = [c for c in range(9, limit + 1, 2) if not is_prime(c)]
+    layer_of, witness_of = {}, {}
+    for c in comps:
+        for p in primes:
+            if p > c:
+                break
+            if is_prime(c + 3 - p):
+                layer_of[c], witness_of[c] = 1, p
+                break
+    pending = [c for c in comps if c not in layer_of]
+    k = 2
+    while pending:
+        placed = {}
+        for c in pending:
+            for p in primes:
+                if c + 3 - p < 9:
+                    break
+                if layer_of.get(c + 3 - p) == k - 1:
+                    placed[c] = p
+                    break
+        if not placed:
+            break
+        for c, p in placed.items():
+            layer_of[c], witness_of[c] = k, p
+        pending = [c for c in pending if c not in placed]
+        k += 1
+    return comps, [layer_of.get(c, 0) for c in comps], [witness_of.get(c, 0) for c in comps]
+
+
+def strata_census_bf(limit: int, composites, layer) -> dict:
+    """The ``strata`` command's census of aligned ``composites`` and
+    ``layer`` lists: per layer its count, least and largest member, then
+    the deepest layer, the unassigned composites and the layer passes
+    (the deepest layer, at least one)."""
+    layers: dict[str, dict[str, int]] = {}
+    for c, k in zip(composites, layer):
+        if k:
+            entry = layers.setdefault(str(k), {"count": 0, "min": c, "max": c})
+            entry["count"] += 1
+            entry["min"], entry["max"] = min(entry["min"], c), max(entry["max"], c)
+    deepest = max(layer, default=0)
+    return {
+        "limit": limit,
+        "layers": layers,
+        "max_layer": deepest,
+        "unassigned": [c for c, k in zip(composites, layer) if not k],
+        "passes": max(1, deepest),
+    }
+
+
+def strata_csv_bf(composites, layer, witness) -> bytes:
+    """The ``strata`` command's CSV of aligned lists, one row at a time: a
+    header, the assigned rows in list order with the partner c + 3 - p,
+    then the unassigned composites with empty fields."""
+    rows = ["c,layer,witness_prime,witness_partner"]
+    rows += [f"{c},{k},{p},{c + 3 - p}" for c, k, p in zip(composites, layer, witness) if k]
+    rows += [f"{c},,," for c, k in zip(composites, layer) if not k]
+    return "".join(row + "\r\n" for row in rows).encode()
+
+
 def partition_audit_bf(entries, limit: int, is_prime=is_prime_bf, listed: int = 3) -> tuple[str, ...]:
     """The anomalies of a strata table over the odd composites in [9, limit],
     found with Python sets.  ``entries`` lists ``(c, layer, witness_prime)``

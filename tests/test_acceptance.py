@@ -27,7 +27,7 @@ from sumcollapse.cli import main as cli_main
 from sumcollapse.verdict import Status
 
 import property_suites as ps
-from oracles import simple_prime_set
+from oracles import simple_prime_set, strata_bf
 
 LIMIT = 1_000_000
 
@@ -155,21 +155,17 @@ def test_a07_strata_single_layer(acc_table):
     st = compute_strata(LIMIT, acc_table)
     elapsed = time.perf_counter() - t0
     partition = verify_partition(st, acc_table)
-    single = st.max_layer == 1 and not st.unassigned and partition.ok
+    single = bool((st.layer == 1).all()) and partition.ok
 
-    # independent cross-check: a plain sieve confirms every shift splits
+    # independent cross-check: peeling on a plain sieve gives the same layers
+    # and least witnesses, each a pair of primes that sieve confirms
     oracle_primes = simple_prime_set(LIMIT + 3)
-    oracle_ok = True
-    for c, (p, q) in st.witnesses.items():
-        if p + q != c + 3 or p not in oracle_primes or q not in oracle_primes:
-            oracle_ok = False
-            break
+    want = strata_bf(LIMIT, oracle_primes.__contains__)
+    oracle_ok = (st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist()) == want
     # equivalently: every even in [6, LIMIT + 3] splits into two odd primes,
     # via 3 + (s - 3) when s - 3 is prime and via the layer-1 witness otherwise
-    evens_ok = all(
-        (s - 3) in oracle_primes or (s - 3) in st.witnesses
-        for s in range(6, LIMIT + 4, 2)
-    )
+    split = oracle_primes | {c for c, k in zip(want[0], want[1]) if k == 1}
+    evens_ok = all((s - 3) in split for s in range(6, LIMIT + 4, 2))
     _report(
         "A07",
         single and oracle_ok and evens_ok and elapsed < 60.0,

@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sumcollapse import PrimeTable, compute_strata, strata, verify_partition
+from sumcollapse import PrimeTable, battery, finite_ring as ring, strata
 from sumcollapse.battery import decided, run, sieve_checks, strata_checks
 from sumcollapse.verdict import RelationVerdict, Status, holds, holds_on_window
 
-from oracles import odd_prime_flags, sieve_checks_bf
+from oracles import odd_prime_flags, partition_audit_bf, sieve_checks_bf, simple_prime_set, strata_bf
 
 HOLDS, WINDOW, FAILS = Status.HOLDS, Status.HOLDS_ON_WINDOW, Status.FAILS
 
@@ -204,22 +204,34 @@ def test_sieve_checks_on_tampered_tables(name):
     assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
 
 
+def _judge_random_mask(rng, limit):
+    """Tamper a true mask up to ``limit`` at random, and check the battery's
+    sieve verdicts on it against the oracle's: each of 1, 3, 5 and 7 flipped
+    now and then, and up to five runs of up to 15 odd values set or cleared."""
+    odd_prime = odd_prime_flags(limit)
+    odd_prime[:4] ^= rng.random(4) < 0.3
+    for _ in range(rng.integers(0, 6)):
+        at = int(rng.integers(4, odd_prime.size))
+        odd_prime[at : at + int(rng.integers(1, 16))] = rng.random() < 0.5
+    want = sieve_checks_bf(odd_prime, limit)
+    ref = "sieve/prime-surplus-window"
+    if want[ref] == (False, None):  # see test_prime_surplus_that_never_fails
+        want[ref] = (False, 23)
+    assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want, limit
+
+
 def test_sieve_checks_on_random_small_masks():
-    # each of 1, 3, 5 and 7 flipped now and then, and up to five runs of
-    # up to 15 odd values set or cleared, on limits up to 2,000
     rng = np.random.default_rng(20)
     for _ in range(300):
-        limit = int(rng.integers(93, 2001))
-        odd_prime = odd_prime_flags(limit)
-        odd_prime[:4] ^= rng.random(4) < 0.3
-        for _ in range(rng.integers(0, 6)):
-            at = int(rng.integers(4, odd_prime.size))
-            odd_prime[at : at + int(rng.integers(1, 16))] = rng.random() < 0.5
-        want = sieve_checks_bf(odd_prime, limit)
-        ref = "sieve/prime-surplus-window"
-        if want[ref] == (False, None):  # see test_prime_surplus_that_never_fails
-            want[ref] = (False, 23)
-        assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want, limit
+        _judge_random_mask(rng, int(rng.integers(93, 2001)))
+
+
+@pytest.mark.parametrize("limit", [13**j + d for j in (2, 3, 4) for d in (-1, 0, 1)])
+def test_sieve_checks_on_random_masks_at_powers_of_13(limit):
+    # a limit 13^(m+1) is the first where the scaling check reads its m
+    rng = np.random.default_rng(limit)
+    for _ in range(100):
+        _judge_random_mask(rng, limit)
 
 
 def test_sieve_pass_disagreeing_with_the_checkpoints_is_an_internal_error():
@@ -316,22 +328,30 @@ def _strata_verdicts(table, limit):
     return {ref: verdict for ref, _, _, verdict in itertools.islice(group, 2)}
 
 
-def _whole_limit_verdicts(table, limit):
-    """The two verdicts as the whole-limit table and its full audit give them."""
-    st = compute_strata(limit, table)
-    rep = verify_partition(st, table)
-    single = st.max_layer == 1 and not st.unassigned
-    count = st.census().get(1, {}).get("count", 0)
+def _verdicts_bf(limit, is_prime, entries=None):
+    """The two verdicts as the oracles give them: on ``entries`` (aligned
+    composites, layers and witness primes), by default the strata that
+    ``strata_bf`` peels, audited by ``partition_audit_bf``, both reading
+    ``is_prime``."""
+    comps, layer, witness = strata_bf(limit, is_prime) if entries is None else entries
+    anomalies = partition_audit_bf(zip(comps, layer, witness), limit, is_prime)
+    total = sum(1 for c in range(9, limit + 1, 2) if not is_prime(c))
+    count, deepest, left = layer.count(1), max(layer, default=0), layer.count(0)
+    single = deepest == 1 and not left
     return {
         "strata/single-layer": decided(
-            single and count == rep.total_composites,
-            (st.max_layer, len(st.unassigned)) if not single
-            else f"{count} layer-1 entries for {rep.total_composites} odd composites",
+            single and count == total,
+            (deepest, left) if not single else f"{count} layer-1 entries for {total} odd composites",
             (9, limit),
             ((count,),),
         ),
-        "strata/partition-audit": decided(rep.ok, rep.anomalies[:3], (9, limit)),
+        "strata/partition-audit": decided(not anomalies, anomalies[:3], (9, limit)),
     }
+
+
+def _sieve(limit, hidden=()):
+    """The prime test of a true sieve up to ``limit`` with ``hidden`` cleared."""
+    return (simple_prime_set(limit) - set(hidden)).__contains__
 
 
 class _MaskLog(PrimeTable):
@@ -366,7 +386,7 @@ def test_strata_group_builds_no_whole_limit_table(monkeypatch):
 
 def test_strata_blocked_verdicts_match_the_whole_limit_ones():
     table = PrimeTable(STRATA_LIMIT)
-    assert _strata_verdicts(table, STRATA_LIMIT) == _whole_limit_verdicts(table, STRATA_LIMIT)
+    assert _strata_verdicts(table, STRATA_LIMIT) == _verdicts_bf(STRATA_LIMIT, _sieve(STRATA_LIMIT))
 
 
 def _without_seven():
@@ -380,14 +400,14 @@ def _without_seven():
 def test_strata_verdicts_on_a_tampered_table():
     table = _without_seven()
     got = _strata_verdicts(table, STRATA_LIMIT)
-    assert got == _whole_limit_verdicts(table, STRATA_LIMIT)
+    assert got == _verdicts_bf(STRATA_LIMIT, _sieve(STRATA_LIMIT, {7}))
     assert got["strata/single-layer"].counterexample == (1, 1)
     assert got["strata/partition-audit"].counterexample == ("9 was never assigned to a layer",)
 
 
 def test_strata_group_on_a_tampered_table_builds_no_whole_limit_table(monkeypatch):
     table = _without_seven()
-    want = _whole_limit_verdicts(table, STRATA_LIMIT)
+    want = _verdicts_bf(STRATA_LIMIT, _sieve(STRATA_LIMIT, {7}))
     _forbid_whole_limit_strata(monkeypatch)
     results = run(strata_checks(table, STRATA_LIMIT))
     assert {r.ref: r.verdict for r in results if r.ref in want} == want
@@ -415,7 +435,10 @@ def test_strata_audit_flags_a_wrong_witness(monkeypatch):
 
     _tampered_blocks(monkeypatch, wrong)
     got = _strata_verdicts(table, STRATA_LIMIT)
-    assert got == _whole_limit_verdicts(table, STRATA_LIMIT)
+    is_prime = _sieve(STRATA_LIMIT)
+    comps, layer, witness = strata_bf(STRATA_LIMIT, is_prime)
+    witness[comps.index(c)] = 9
+    assert got == _verdicts_bf(STRATA_LIMIT, is_prime, (comps, layer, witness))
     assert got["strata/single-layer"].status is HOLDS
     assert got["strata/partition-audit"].counterexample == (
         f"layer-1 witness for {c} is not an odd prime pair",
@@ -427,9 +450,28 @@ def test_strata_audit_counts_a_dropped_composite(monkeypatch):
     c = int(next(table.odd_composites_in(2**18, STRATA_LIMIT)))
     _tampered_blocks(monkeypatch, lambda comps, witness: (comps[comps != c], witness[comps != c]))
     got = _strata_verdicts(table, STRATA_LIMIT)
-    assert got == _whole_limit_verdicts(table, STRATA_LIMIT)
+    is_prime = _sieve(STRATA_LIMIT)
+    comps, layer, witness = strata_bf(STRATA_LIMIT, is_prime)
+    i = comps.index(c)
+    entries = comps[:i] + comps[i + 1 :], layer[:i] + layer[i + 1 :], witness[:i] + witness[i + 1 :]
+    assert got == _verdicts_bf(STRATA_LIMIT, is_prime, entries)
     assert got["strata/partition-audit"].counterexample == (f"odd composite {c} missing from the table",)
     assert got["strata/single-layer"].status is FAILS  # c lands in no layer
+
+
+def test_z6_optimal_pair_fails_when_no_optimal_set_is_the_pair(monkeypatch):
+    Z = ring.ZmSubset.from_elements
+    verdicts = {}
+    for name, optimal in (
+        ("the pair among two", [Z(6, [0]), Z(6, [0, 2])]),
+        ("two others", [Z(6, [0]), Z(6, [0, 4])]),
+        ("one other", [Z(6, [0, 4])]),
+    ):
+        monkeypatch.setattr(ring, "zm_optimal_subsets", lambda m, n, found=optimal: found)
+        verdicts[name] = {r.ref: r.verdict for r in run(battery.ring_checks())}["ring/z6-optimal-pair"]
+    assert verdicts["the pair among two"].status is HOLDS
+    for name in ("two others", "one other"):
+        assert verdicts[name].status is FAILS and verdicts[name].counterexample == [2, 3, 4, 5]
 
 
 def test_strata_audit_flags_a_composite_listed_twice(monkeypatch):

@@ -18,7 +18,7 @@ from sumcollapse.battery import MIN_LIMIT
 from sumcollapse.cli import MAX_REACH, main
 from sumcollapse.verdict import Status, holds, holds_on_window, hypothesis_failed
 
-from oracles import is_prime_bf
+from oracles import is_prime_bf, simple_prime_set, strata_bf, strata_census_bf, strata_csv_bf
 
 
 def run_cli(args, capsys):
@@ -577,16 +577,15 @@ def test_strata_csv_golden_at_1e6(tmp_path, capsys):
 
 def test_strata_command_streams_without_a_whole_limit_table(tmp_path, capsys, monkeypatch):
     # a table two blocks long without the prime 7, so 9 is left unassigned:
-    # the command's rows and census must be the whole-limit table's
+    # the command's rows and census must be the strata oracle's
     limit = 2 * 2**17 + 1
     table = PrimeTable(limit)
     odd_prime = table.odd_prime_mask().copy()
     odd_prime[7 >> 1] = False
     table._bits = np.packbits(odd_prime, bitorder="little").tobytes()
     table._ckpt = table._build_checkpoints()
-    st = strata.compute_strata(limit, table)
-    st.write_csv(tmp_path / "want.csv")
-    assert st.unassigned == (9,)
+    comps, layer, witness = strata_bf(limit, (simple_prime_set(limit) - {7}).__contains__)
+    assert [c for c, k in zip(comps, layer) if not k] == [9]
 
     monkeypatch.setattr(cli.sieve, "PrimeTable", lambda n: table)
     monkeypatch.setattr(strata, "compute_strata", None)
@@ -597,8 +596,8 @@ def test_strata_command_streams_without_a_whole_limit_table(tmp_path, capsys, mo
         capsys,
     )
     assert code == 1 and "unassigned: 1 (anomaly)" in out
-    assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert json.loads(json_path.read_text()) == st.census_dict()
+    assert csv_path.read_bytes() == strata_csv_bf(comps, layer, witness)
+    assert json.loads(json_path.read_text()) == {"schema": 1, **strata_census_bf(limit, comps, layer)}
 
 
 def test_partitions(capsys):

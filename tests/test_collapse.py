@@ -31,7 +31,7 @@ from sumcollapse import (
 from sumcollapse import collapse as collapse_module
 from sumcollapse import intsets
 from sumcollapse.battery import collapse_checks, run
-from sumcollapse.verdict import Status, holds
+from sumcollapse.verdict import Status, fails, holds
 
 from oracles import (
     goldbach_pair,
@@ -200,6 +200,17 @@ def test_removal_witnesses_take_the_least_prime(table_small):
     assert collapse_module._removal_witnesses((3,), table_small) == ()
     with pytest.raises(ValueError, match="exceeds sieve limit"):
         collapse_module._removal_witnesses((9, table_small.limit + 1), table_small)
+
+
+def test_a_failing_removal_decision_is_no_certificate(monkeypatch, table_small):
+    # no true removal decision fails for odd composites below 2,000, so the
+    # decider is made to: every certificate path must hand its fails back
+    failing = fails(30, "injected failing decision")
+    monkeypatch.setattr(collapse_module, "_removal_decision", lambda removal: failing)
+    assert composite_removal_check((9, 15, 21), table_small) is failing
+    assert gap_subsequence_check((9, 15, 21, 25), table_small) is failing
+    rel = check_relation(Progression(3), Progression(3, 2, frozenset({9})), 2, 2, (3, 100), table_small)
+    assert rel is failing
 
 
 def test_gap_subsequence(table_1e5):

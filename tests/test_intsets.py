@@ -7,6 +7,7 @@ from sumcollapse import (
     Primes,
     Progression,
     WindowSet,
+    check_relation,
     dilation,
     iterated_sumset,
     pair_sum_cover_decision,
@@ -67,6 +68,11 @@ def test_window_set_basics():
         WindowSet(3, 5, 0b10000)  # bit outside window
     with pytest.raises(ValueError):
         WindowSet(7, 5, 0)  # more than an empty window
+    # sets that differ in one field alone are unequal
+    ws = WindowSet(3, 10, 0b101)
+    assert ws == WindowSet(3, 10, 0b101)
+    assert ws != WindowSet(2, 10, 0b101) and ws != WindowSet(3, 11, 0b101)
+    assert ws != WindowSet(3, 10, 0b100) and ws != (3, 10, 0b101)
 
 
 def test_degenerate_window():
@@ -243,6 +249,12 @@ def test_sumset_equal_window_empty_range():
     assert v.status is Status.HOLDS_ON_WINDOW
     assert v.certified_range is None
     assert "empty" in v.note
+    # a certified range of one sum is compared, not reported empty:
+    # {2} + {2} = {4} and {3} + {3} = {6} differ at 4
+    v = sumset_equal_window(restrict({2}, 2, 4), restrict({3}, 2, 4), 2)
+    assert (v.status, v.counterexample, v.certified_range) == (Status.FAILS, 4, (4, 4))
+    v = check_relation({2}, {3}, 2, 2, (2, 4))
+    assert (v.status, v.counterexample) == (Status.FAILS, 4)
 
 
 def test_exact_decision_agrees_with_windowed_engine():

@@ -1,4 +1,3 @@
-import csv
 import tracemalloc
 from dataclasses import replace
 
@@ -26,16 +25,26 @@ from oracles import (
     odd_composites_upto,
     partition_audit_bf,
     primes_upto,
+    strata_bf,
+    strata_census_bf,
+    strata_csv_bf,
     sum_of_k_primes_bf,
 )
+from test_battery import STRATA_LIMIT, _sieve, _without_seven
+
+
+def _lists(st):
+    """A table's three arrays as the lists :func:`oracles.strata_bf` returns."""
+    return st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist()
 
 
 def test_first_layer_witnesses(table_small):
     st = compute_strata(2_000, table_small)
-    assert st.layers[9] == 1 and st.witnesses[9] == (5, 7)
-    assert st.layers[15] == 1 and st.witnesses[15] == (5, 13)
-    assert st.max_layer == 1
-    assert st.unassigned == ()
+    want = strata_bf(2_000, _sieve(2_000))
+    assert _lists(st) == want
+    # 9 + 3 = 5 + 7 and 15 + 3 = 5 + 13
+    assert want[0][:2] == [9, 15] and want[2][:2] == [5, 5]
+    assert set(want[1]) == {1} and st.unassigned == ()
 
 
 def test_minimal_table():
@@ -48,60 +57,27 @@ def test_minimal_table():
 def test_layer_one_matches_pair_oracle(strata_1e5):
     # spot the full window: layer 1 iff a two-odd-prime split of 3 + c exists,
     # and the witness is the split with the least odd prime
-    for c in odd_composites_upto(3_000):
+    comps = odd_composites_upto(3_000)
+    assert strata_1e5.composites[: len(comps)].tolist() == comps
+    for c, layer, p in zip(comps, strata_1e5.layer.tolist(), strata_1e5.witness_prime.tolist()):
         pair = goldbach_pair(3 + c)
-        assert (strata_1e5.layers.get(c) == 1) == (pair is not None)
-        assert strata_1e5.witnesses.get(c) == pair
+        assert (layer == 1) == (pair is not None)
+        assert (p, c + 3 - p) == pair if layer else p == 0
 
 
 def test_witnesses_use_smallest_prime(strata_1e5, table_1e5):
     for c in (9, 15, 21, 25, 10_001):
-        p, q = strata_1e5.witnesses[c]
-        assert p + q == c + 3
+        i = int(np.searchsorted(strata_1e5.composites, c))
+        p = int(strata_1e5.witness_prime[i])
+        assert strata_1e5.composites[i] == c and strata_1e5.layer[i] == 1
+        assert table_1e5.is_prime(p) and table_1e5.is_prime(c + 3 - p)
         for smaller in table_1e5.primes_in(3, p - 1):
             assert not table_1e5.is_prime(3 + c - smaller)
 
 
 def test_determinism_across_limits(table_small, strata_1e5):
-    small = compute_strata(2_000, table_small)
-    for c, layer in small.layers.items():
-        assert strata_1e5.layers[c] == layer
-        assert strata_1e5.witnesses[c] == small.witnesses[c]
-
-
-def _strata_loop(limit, visible, primes=None):
-    """Per-composite loop reference: partners must lie in ``visible``
-    (layer 1) or the previous layer; witness primes come from ``primes``,
-    by default all odd primes."""
-    primes = [p for p in primes_upto(limit) if p > 2] if primes is None else sorted(primes)
-    comps = [c for c in range(9, limit + 1, 2) if c not in visible]
-    layers, witnesses = {}, {}
-    for c in comps:
-        for p in primes:
-            if p > c:
-                break
-            if c + 3 - p in visible:
-                layers[c], witnesses[c] = 1, (p, c + 3 - p)
-                break
-    pending = [c for c in comps if c not in layers]
-    k = 2
-    while pending:
-        newly = {}
-        for c in pending:
-            for p in primes:
-                partner = c + 3 - p
-                if partner < 9:
-                    break
-                if layers.get(partner) == k - 1:
-                    newly[c] = (p, partner)
-                    break
-        if not newly:
-            break
-        for c, wit in newly.items():
-            layers[c], witnesses[c] = k, wit
-        pending = [c for c in pending if c not in newly]
-        k += 1
-    return layers, witnesses, tuple(pending)
+    small = _lists(compute_strata(2_000, table_small))
+    assert tuple(got[: len(small[0])] for got in _lists(strata_1e5)) == small
 
 
 class _OnlyThreeVisible(PrimeTable):
@@ -141,10 +117,10 @@ def test_stratum_answers_from_the_table_it_is_passed():
 
 def test_higher_layers_match_loop_reference():
     st = compute_strata(300, _OnlyThreeVisible(300))
-    layers, witnesses, unassigned = _strata_loop(300, {3})
-    assert st.layers == layers and st.witnesses == witnesses
-    assert st.unassigned == unassigned == (9,)
-    assert st.passes == 2 and st.max_layer == 2
+    want = strata_bf(300, {3}.__contains__, primes_upto(300)[1:])
+    assert _lists(st) == want
+    assert st.unassigned == (9,) and want[1][0] == 0
+    assert st.passes == 2 == max(want[1])
     # against the true sieve, the hidden primes are stray entries, but every
     # higher-layer witness still peels onto layer 1
     rep = verify_partition(st, PrimeTable(300))
@@ -200,17 +176,18 @@ def test_exceptions_placed_across_blocks():
     primes = (3, 7, 13)
     table = _OnlyListedPrimes(300, primes, 16)
     st = compute_strata(300, table)
-    layers, witnesses, unassigned = _strata_loop(300, set(primes), primes)
-    assert st.layers == layers and st.witnesses == witnesses
-    assert st.unassigned == unassigned == (9,)
-    assert st.max_layer == st.passes == 31
-    deep = [(c, c + 3 - p) for c, (p, _) in st.witnesses.items() if st.layers[c] > 2]
-    assert any((c >> 5) > (d >> 5) for c, d in deep)  # 16 odd numbers are 32 integers
+    want = strata_bf(300, set(primes).__contains__)
+    assert _lists(st) == want
+    assert st.unassigned == (9,) and want[1][0] == 0
+    assert st.passes == max(want[1]) == 31
+    deep = st.layer > 2
+    partners = st.composites[deep] + 3 - st.witness_prime[deep]
+    assert ((st.composites[deep] >> 5) > (partners >> 5)).any()  # 16 odd numbers are 32 integers
     # the audit peels every deeper witness against its own list of exceptions
     audit = strata.audit_layer_one(300, table)
     assert verify_partition(st, table) == audit
     assert audit.anomalies == ("9 was never assigned to a layer",)
-    assert (audit.layer_one, audit.max_layer, audit.unassigned) == (st.census()[1]["count"], 31, 1)
+    assert (audit.layer_one, audit.max_layer, audit.unassigned) == (want[1].count(1), 31, 1)
 
 
 def test_audit_flags_a_deeper_witness_that_does_not_peel(monkeypatch):
@@ -239,6 +216,59 @@ def test_audit_flags_a_deeper_witness_that_does_not_peel(monkeypatch):
     )
 
 
+# (table, the prime test strata_bf reads it by, the witness primes) on the
+# true sieve at block edges of 2^17 odd numbers, and on tables with hidden
+# primes, where deeper layers and unassigned composites occur
+ORACLE_TABLES = {
+    "true-2^17-1": lambda: (PrimeTable(2**17 - 1), _sieve(2**17 - 1), None),
+    "true-2^17+1": lambda: (PrimeTable(2**17 + 1), _sieve(2**17 + 1), None),
+    "true-3*2^17+2": lambda: (PrimeTable(STRATA_LIMIT), _sieve(STRATA_LIMIT), None),
+    "only-3-visible": lambda: (_OnlyThreeVisible(300), {3}.__contains__, primes_upto(300)[1:]),
+    "only-3-7-13-in-16-odd-blocks": lambda: (
+        _OnlyListedPrimes(300, (3, 7, 13), 16), {3, 7, 13}.__contains__, None
+    ),
+    "without-7": lambda: (_without_seven(), _sieve(STRATA_LIMIT, {7}), None),
+    "no-odd-primes": lambda: (_OnlyListedPrimes(300, (), 16), set().__contains__, None),
+}
+
+
+def _bits(values, lo, hi):
+    buf = bytearray((hi - lo) // 8 + 1)
+    for v in values:
+        buf[(v - lo) >> 3] |= 1 << ((v - lo) & 7)
+    return int.from_bytes(buf, "little")
+
+
+@pytest.mark.parametrize("case", ORACLE_TABLES)
+def test_the_stream_and_its_readers_match_the_strata_oracle(tmp_path, case):
+    table, is_prime, primes = ORACLE_TABLES[case]()
+    limit = table.limit
+    want = strata_bf(limit, is_prime, primes)
+    comps, layer, witness = want
+    # the whole-limit table, its tracer reads and the concatenated stream
+    st = compute_strata(limit, table)
+    assert _lists(st) == want
+    assert st.unassigned == tuple(c for c, k in zip(comps, layer) if not k)
+    assert len(st.layers) == len(comps) - len(st.unassigned)
+    assert st.passes == max(1, max(layer))
+    blocks = list(strata.strata_blocks(limit, table))
+    assert [a.dtype for a in blocks[0]] == [np.int32, np.int8, np.int32]
+    assert tuple(sum((a.tolist() for a in col), []) for col in zip(*blocks)) == want
+    # the census, and the CSV both writers make
+    tally = strata.strata_census(limit, table, tmp_path / "streamed.csv")
+    assert tally.census_dict() == strata_census_bf(limit, comps, layer)
+    rows = strata_csv_bf(comps, layer, witness)
+    assert (tmp_path / "streamed.csv").read_bytes() == rows
+    st.write_csv(tmp_path / "table.csv")
+    assert (tmp_path / "table.csv").read_bytes() == rows
+    # each layer's members, one past the deepest being empty, on the whole
+    # window and on its middle third
+    for k in range(1, max(layer) + 2):
+        for lo, hi in ((9, limit), (limit // 3, 2 * limit // 3)):
+            members = [c for c, j in zip(comps, layer) if j == k and lo <= c <= hi]
+            assert Stratum(k).window_bits(lo, hi, table) == _bits(members, lo, hi), (k, lo, hi)
+
+
 def test_partition_audit(strata_1e5, table_1e5):
     rep = verify_partition(strata_1e5, table_1e5)
     assert rep.ok
@@ -248,18 +278,6 @@ def test_partition_audit(strata_1e5, table_1e5):
     rep4 = verify_partition(st4)
     assert rep4.total_composites == 3771
     assert rep4.ok
-
-
-def test_table_views_iterate_without_lookups(monkeypatch, table_small):
-    st = compute_strata(2_000, table_small)
-    st.layer[st.composites == 25] = 0
-    want_layers = {c: 1 for c in odd_composites_upto(2_000) if c != 25}
-    want_witnesses = {c: goldbach_pair(c + 3) for c in want_layers}
-    monkeypatch.setattr(strata._AssignedView, "__getitem__", None)
-    assert dict(st.layers.items()) == want_layers and list(st.layers.values()) == [1] * 696
-    assert list(st.witnesses.items()) == list(want_witnesses.items())
-    assert list(st.witnesses.values()) == list(want_witnesses.values())
-    assert st.layers == want_layers and st.witnesses == want_witnesses
 
 
 def _without(st, c):
@@ -295,14 +313,14 @@ def test_partition_audit_flags_corruption(table_small):
     primes = st.witness_prime.copy()
     primes[0] = 3  # witness (3, 9) for 9 does not peel to an odd prime pair
     bad = replace(st, witness_prime=primes)
-    assert bad.witnesses[9] == (3, 9)
+    assert (bad.composites[0], bad.witness_prime[0]) == (9, 3)
     rep = verify_partition(bad, table_small)
     assert not rep.ok
     assert rep.anomalies == ("layer-1 witness for 9 is not an odd prime pair",)
     primes = st.witness_prime.copy()
     primes[3] = 9  # witness (9, 19) for 25: the partner is prime, p is not
     bad = replace(st, witness_prime=primes)
-    assert bad.witnesses[25] == (9, 19)
+    assert (bad.composites[3], bad.witness_prime[3]) == (25, 9)
     rep = verify_partition(bad, table_small)
     assert rep.anomalies == ("layer-1 witness for 25 is not an odd prime pair",)
     primes = st.witness_prime.copy()
@@ -388,14 +406,15 @@ def test_both_audits_match_the_brute_force_audit(monkeypatch, table_small, case)
     assert strata.audit_layer_one(st.limit, table).anomalies == want
 
 
-def test_census(strata_1e5):
-    cen = strata_1e5.census()
-    assert set(cen) == {1}
-    assert cen[1]["min"] == 9
-    assert cen[1]["count"] == len(odd_composites_upto(100_000))
-    assert len(strata_1e5.layers) == len(strata_1e5.witnesses) == cen[1]["count"]
-    d = strata_1e5.census_dict()
-    assert d["schema"] == 1 and d["max_layer"] == 1 and d["unassigned"] == []
+def test_census(strata_1e5, table_1e5):
+    tally = strata.strata_census(100_000, table_1e5)
+    cen = tally.census()
+    comps = odd_composites_upto(100_000)
+    assert cen == {1: {"count": len(comps), "min": 9, "max": comps[-1]}}
+    assert len(strata_1e5.layers) == len(comps)
+    want = strata_bf(100_000, _sieve(100_000))
+    assert tally.census_dict() == strata_census_bf(100_000, want[0], want[1])
+    assert tally.max_layer == tally.passes == 1 and tally.unassigned == []
 
 
 def test_absorption(strata_1e5, table_1e5):
@@ -429,6 +448,16 @@ def test_absorption_at_higher_folds(table_small):
     assert rep.checked == {2: 3, 3: 5, 4: 4} and rep.vacuous == ()
     assert rep.failures == tuple(want) == ((3, 10), (4, 64))
     assert not rep.ok
+
+
+def test_evidence_is_clean_only_without_violations_of_either_kind():
+    def report(violations, shifted):
+        return strata.EvidenceReport(3, (3, 100), (6, 100), violations, len(violations), 7, shifted)
+
+    assert report((), ()).clean
+    assert not report((), (89,)).clean  # shifted violations alone
+    assert not report((40,), ()).clean  # pair violations alone
+    assert not report((40,), (89,)).clean
 
 
 def test_nfold_checks(table_1e5):
@@ -466,30 +495,20 @@ def test_rough_pair_cover(table_1e5):
         rough_pair_cover_evidence(2, (3, 100), table_1e5)
 
 
-def _write_csv_reference(st, path):
-    """The row-at-a-time writer the chunked one replaced."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "layer", "witness_prime", "witness_partner"])
-        for c, layer, (p, q) in zip(st.layers, st.layers.values(), st.witnesses.values()):
-            writer.writerow([c, layer, p, q])
-        writer.writerows([c, "", "", ""] for c in st.unassigned)
-
-
 @pytest.mark.parametrize("chunk", [2, 3, 5, 1 << 16])
 def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
     # five assigned rows, a remainder for chunks of 2 and 3, and two unassigned ones
+    comps, layer, witness = [9, 15, 21, 25, 27, 33, 35], [1, 1, 0, 2, 1, 0, 1], [5, 5, 0, 7, 7, 0, 5]
     st = StrataTable(
         limit=45,
-        composites=np.array([9, 15, 21, 25, 27, 33, 35], dtype=np.int32),
-        layer=np.array([1, 1, 0, 2, 1, 0, 1], dtype=np.int8),
-        witness_prime=np.array([5, 5, 0, 7, 7, 0, 5], dtype=np.int32),
+        composites=np.array(comps, dtype=np.int32),
+        layer=np.array(layer, dtype=np.int8),
+        witness_prime=np.array(witness, dtype=np.int32),
     )
     monkeypatch.setattr(strata, "CSV_CHUNK", chunk)
     st.write_csv(tmp_path / "got.csv")
-    _write_csv_reference(st, tmp_path / "want.csv")
     got = (tmp_path / "got.csv").read_bytes()
-    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got == strata_csv_bf(comps, layer, witness)
     assert got.endswith(b"35,1,5,33\r\n21,,,\r\n33,,,\r\n")
     # the streamed writer, fed the same table as two blocks, writes the same
     # bytes and tallies the same census
@@ -498,7 +517,7 @@ def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
     monkeypatch.setattr(strata, "strata_blocks", lambda limit, table: iter(blocks))
     tally = strata.strata_census(45, None, tmp_path / "streamed.csv")
     assert (tmp_path / "streamed.csv").read_bytes() == got
-    assert tally.census_dict() == st.census_dict()
+    assert tally.census_dict() == strata_census_bf(45, comps, layer)
 
 
 # -- the blocked layer-1 search -----------------------------------------------
