@@ -21,16 +21,16 @@ group reads the strata stream once
 (:func:`~sumcollapse.strata.audit_layer_one` over
 :func:`~sumcollapse.strata.strata_blocks`: each block's layer 1 is searched
 by one shifted-mask pass per prime over its flags and a margin of
-``strata.MARGIN_ODDS`` odd numbers below it, and any exception is placed in
-a deeper layer from a sparse list).  It audits each block against a
-separate read, its layer-1 witness pairs looked up with
-``PrimeTable.odd_prime_at`` and its deeper witnesses peeled against the
-list, carrying only the layer counts, the list and the first anomalies.  So
-no check holds a strata array over the whole limit, and none unpacks a
-prefix of the table past layer 1's first margin: the absorption check (on
-its 10^5 cap) and the pair sweep look primes up with ``odd_prime_at`` too.
-Work the other groups share (the pair sweep) lives in the group's own frame
-and is freed when the group ends.
+``strata.MARGIN_ODDS`` odd numbers below it, and each exception is placed
+in a deeper layer from a ``{composite: layer}`` map).  It audits each block
+against a separate read, its layer-1 witness pairs looked up with
+``PrimeTable.odd_prime_at`` and its deeper witnesses peeled one by one
+against its own map, carrying only the layer counts, the map and the first
+anomalies.  So no check holds a strata array over the whole limit, and none
+unpacks a prefix of the table past layer 1's first margin: the absorption
+check (on its 10^5 cap) and the pair sweep look primes up with
+``odd_prime_at`` too.  Work the other groups share (the pair sweep) lives in
+the group's own frame and is freed when the group ends.
 """
 
 from __future__ import annotations
@@ -434,7 +434,7 @@ def strata_checks(table: PrimeTable, limit: int):
     """The strata checks.  Both the layer assignment and its audit come
     from one read of the strata stream
     (:func:`~sumcollapse.strata.audit_layer_one`), which keeps only a census,
-    the exceptions' sparse list and the first anomalies."""
+    the exceptions' ``{composite: layer}`` map and the first anomalies."""
     audit = strata_mod.audit_layer_one(limit, table)
     single = audit.max_layer == 1 and not audit.unassigned
     yield (

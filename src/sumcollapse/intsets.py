@@ -21,8 +21,8 @@ reaches down to it.
 
 The exact pair-sum decision searches a split of each sum 3 + e, e excluded,
 and of no other sum, in one loop over Python ints.  The array searches are
-:func:`least_splits`, the least-witness search that the deeper strata
-layers, the absorption check and the pair sweeps ask, and its block form
+:func:`least_splits`, the least-witness search that the layer-1 retry of the
+strata, the absorption check and the pair sweeps ask, and its block form
 :func:`least_splits_block`, which layer 1 of the strata asks for the same
 least part of a contiguous block of sums against a flag array; they import
 numpy when called, so importing this module does not.

@@ -36,17 +36,16 @@ witness is 1,093) is searched again by
 the lookup in the packed bits, as its accept test.
 
 A composite left without a two-odd-prime split is an exception (none on a
-true table).  The stream keeps the exceptions in a sorted, sparse list and
-places them as they come: an exception takes 1 + the least layer among its
-partners c + 3 - p, and the least p reaching that layer as its witness.
-Every partner lies below c, so its layer is known when c is placed: it is
-read from the list, or is 1 for an odd composite the list does not hold.
-The census ``passes`` field is max(1, max_layer), the number of layer
-passes a whole-limit search would make.
+true table).  :func:`strata_blocks` places each one as it comes, from a
+``{composite: layer}`` map of the exceptions: 1 + the least layer among its
+partners c + 3 - p, all at or below c, and the least p reaching it.  The
+census ``passes`` field is max(1, max_layer), the number of layer passes a
+whole-limit search would make.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
@@ -117,11 +116,9 @@ class StrataCensus:
 
     def add(self, composites: np.ndarray, layer: np.ndarray) -> None:
         """Tally a block that follows every block added before it."""
-        if not composites.size:
-            return
-        single = bool((layer == layer[0]).all())
-        for k in [int(layer[0])] if single else np.unique(layer).tolist():
-            members = composites if single else composites[layer == k]
+        # the stream's layers are 0..127; np.unique would import numpy.ma, about 1 MB
+        for k in np.flatnonzero(np.bincount(layer)).tolist():
+            members = composites[layer == k]
             if not k:
                 self.unassigned += members.tolist()
                 continue
@@ -244,57 +241,40 @@ def layer_one_blocks(limit: int, table: PrimeTable):
         yield comps, found
 
 
-def _listed_layer(values: np.ndarray, listed: np.ndarray, layers: np.ndarray, table) -> np.ndarray:
-    """The layer of each value the strata stream has passed: ``layers[i]``
-    where the value is ``listed[i]`` (sorted), else 1 for an odd number >= 9
-    that ``table.odd_prime_at`` says is not prime, else 0."""
-    out = ((values & 1 == 1) & (values >= 9) & ~table.odd_prime_at(values)).astype(np.int8)
-    if listed.size:
-        i = np.minimum(listed.searchsorted(values), listed.size - 1)
-        hit = listed[i] == values
-        out[hit] = layers[i[hit]]
-    return out
-
-
 def strata_blocks(limit: int, table: PrimeTable):
     """Yield ``(composites, layer, witness_prime)`` for each block of the odd
     composites in ``[9, limit]``: layer 1 and its witnesses from
     :func:`layer_one_blocks`, and the exceptions it leaves placed in the
     deeper layers (layer 0 and witness 0 where none is reached).
 
-    The exceptions are kept in a sorted, sparse list.  A block's exceptions
-    join it unassigned; pass k then gives layer k to those with a partner
-    c + 3 - p in layer k - 1, each with the least such p, until a pass finds
-    nothing and no earlier block reached layer k, or at ``_MAX_LAYER``.
-    Those are the passes a whole-limit search makes, since every partner
-    lies below its composite.
+    Each exception c, in increasing order, takes 1 + the least positive layer
+    below ``_MAX_LAYER`` among its partners c + 3 - p, p an odd prime <= c - 6,
+    and the least p reaching it (a layer-1 partner ends the walk).  A partner's
+    layer is read from the exceptions' ``{composite: layer}`` map, else is 1
+    where ``table.odd_prime_at`` says it is not prime, else 0.  Every partner
+    lies at or below c; c is mapped to 0 first, so it is unassigned for p = 3.
     """
     _check_limit(limit)
-    listed = np.zeros(0, dtype=np.int32)
-    layers = np.zeros(0, dtype=np.int8)
+    placed: dict[int, int] = {}
+    parts, primes = table.primes_in(3, limit), []  # read only as far as the exceptions reach
     for comps, witness in layer_one_blocks(limit, table):
         layer = (witness > 0).astype(np.int8)
-        pending = np.flatnonzero(witness == 0)
-        if pending.size:
-            top = max(int(layers.max(initial=0)), 1)  # the deepest layer before this block
-            at = np.arange(listed.size, listed.size + pending.size)
-            listed = np.concatenate((listed, comps[pending]))
-            layers = np.concatenate((layers, layer[pending]))
-            k = 2
-            while pending.size and k <= _MAX_LAYER:
-                found = least_splits(
-                    comps[pending] + 3,
-                    table.primes_in(3, limit),
-                    9,
-                    lambda q, lower=k - 1: _listed_layer(q, listed, layers, table) == lower,
-                )
-                hit = found > 0
-                if not hit.any() and k > top:
-                    break
-                layer[pending[hit]] = layers[at[hit]] = k
-                witness[pending[hit]] = found[hit]
-                pending, at = pending[~hit], at[~hit]
-                k += 1
+        for i in np.flatnonzero(witness == 0).tolist():
+            c = int(comps[i])
+            placed[c] = 0
+            while (not primes or primes[-1] <= c - 6) and (p := next(parts, 0)):
+                primes.append(p)
+            walk = primes[: bisect_right(primes, c - 6)]
+            partners = c + 3 - np.array(walk, dtype=np.int64)
+            least = _MAX_LAYER
+            for p, q, prime in zip(walk, partners.tolist(), table.odd_prime_at(partners).tolist()):
+                k = placed.get(q, 0 if prime else 1)
+                if 0 < k < least:
+                    least, witness[i] = k, p
+                    if k == 1:
+                        break
+            if least < _MAX_LAYER:
+                layer[i] = placed[c] = least + 1
         yield comps, layer, witness
 
 
@@ -361,18 +341,18 @@ def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
 
     A block's entries must be its read's odd composites, each once, and all
     must have a layer.  A layer-1 witness p must be an odd prime whose partner
-    c + 3 - p is one too (``table.odd_prime_at``); a layer-k witness must peel:
-    p an odd prime or 2, the partner in layer k - 1.  A partner's layer is read
-    from a sorted, sparse list of the entries outside layer 1, else is 1 for an
-    odd composite; a block that is not its read's composites lists all its
-    entries (a value's first listing counts) and the composites it misses at
-    layer 0.  The reads' composites must add up to the checkpoint count
-    ``table.odd_composite_count(limit)``, less the non-primes among 3, 5, 7.
+    c + 3 - p is one too (``table.odd_prime_at``); any other layer-k witness
+    must peel, entry by entry: p an odd prime or 2, the partner in layer k - 1
+    in the audit's own ``{composite: layer}`` map of the entries outside layer
+    1, which reads 1 for an odd composite it does not hold.  A block that is
+    not its read's composites maps all its entries (a value's first listing
+    counts) and the composites it misses at layer 0.  The reads' composites
+    must add up to ``table.odd_composite_count(limit)``, the checkpoint
+    count, less the non-primes among 3, 5, 7.
     """
     seen = layer_one = max_layer = unassigned = 0
     missing, stray, repeated, never, bad = [], [], [], [], []  # the first of each kind
-    listed = np.zeros(0, dtype=np.int32)
-    layers = np.zeros(0, dtype=np.int8)
+    listed: dict[int, int] = {}
     for (comps, layer, found), (i0, mask) in blocks:
         expected = _odd_values(i0, ~mask)
         seen += expected.size
@@ -387,25 +367,22 @@ def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
             _keep_first(repeated, values[counts > 1])
             keep = np.concatenate((values, gone))
             keep_layers = np.concatenate((layer[first], np.zeros(gone.size, dtype=np.int8)))
-        if keep.size:
-            listed = np.concatenate((listed, keep))
-            layers = np.concatenate((layers, keep_layers))
-            order = np.argsort(listed, kind="stable")
-            listed, layers = listed[order], layers[order]
+        for c, k in zip(keep.tolist(), keep_layers.tolist()):
+            listed.setdefault(c, k)
         layer_one += int(np.count_nonzero(layer == 1))
         max_layer = max(max_layer, int(layer.max(initial=0)))
         q = comps + 3  # the partners c + 3 - p, in int32 as c + 3 fits
         q -= found
-        ok = table.odd_prime_at(found)
-        ok &= table.odd_prime_at(q)
+        p_prime, q_prime = table.odd_prime_at(found), table.odd_prime_at(q)
+        ok = p_prime & q_prime
         if deeper.any():
             left = comps[layer == 0]
             unassigned += left.size
             _keep_first(never, left)
-            peels = (table.odd_prime_at(found) | (found == 2)) & (
-                _listed_layer(q, listed, layers, table) == layer.astype(np.int16) - 1
-            )
-            ok = np.where(deeper, peels, ok)
+            for i in np.flatnonzero(deeper & (layer != 0)).tolist():
+                r = int(q[i])
+                partner = listed.get(r, 1 if r & 1 and r >= 9 and not q_prime[i] else 0)
+                ok[i] = partner == int(layer[i]) - 1 and (p_prime[i] or found[i] == 2)
         for i in np.flatnonzero((layer != 0) & ~ok)[: AUDIT_LISTED - len(bad)].tolist():
             c = int(comps[i])
             if not found[i]:
@@ -414,7 +391,7 @@ def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
                 bad.append(f"layer-1 witness for {c} is not an odd prime pair")
             else:
                 bad.append(f"layer-{layer[i]} witness for {c} does not peel correctly")
-        del expected, q, ok  # freed before the source builds the next block
+        del expected, q, p_prime, q_prime, ok  # freed before the source builds the next block
 
     anomalies: list[str] = []
     # less the table's non-primes among 3, 5 and 7, which lie below the strata's range

@@ -99,7 +99,7 @@ def test_sieve_checks_at_block_edges(limit):
 
 # Each tamper sets or clears runs of prime bits (slices of odd indices) and
 # lists the checks that then fail.  The composite-count identity holds for
-# any mask that flags 3, 5 and 7 and not 1; the last four tampers get that
+# any mask that flags 3, 5 and 7 and not 1; the last five tampers get that
 # lead wrong, so it fails at every odd composite, first at 9.  The others
 # make the listed checks first fail past the first block, but for
 # "clear-13-17".
@@ -182,6 +182,21 @@ _TAMPERS = {
     "clear-7-flag-167-181": (
         200,
         [(3, False), (slice(83, 91), True)],
+        {
+            "sieve/composite-count-identity",
+            "sieve/prime-surplus-window",
+            "sieve/index-upper-bounds",
+            "sieve/prime-count-band",
+            "sieve/prime-count-scaling",
+        },
+    ),
+    # with 1 flagged as well as 3, 5 and 7, h = pi - 1; flagging 9, 15, 21
+    # and 25 and clearing 167 leaves the limit 169 = 13^2 inside the run
+    # from 163, with pi = k = 43 there: scaling fails for m = 1 at the power
+    # itself, with pi m = k exactly
+    "flag-1-pi-equals-k-at-169": (
+        13**2,
+        [(0, True), (4, True), (7, True), (10, True), (12, True), (83, False)],
         {
             "sieve/composite-count-identity",
             "sieve/prime-surplus-window",

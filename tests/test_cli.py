@@ -332,6 +332,23 @@ def test_table_at_reach_is_built(monkeypatch, capsys, command):
     assert f"table requested to {MAX_REACH}" in err
 
 
+def test_collapse_symmetric_skips_containment(capsys):
+    # the odd primes are no superset of the odd integers, so only the
+    # directed check, which also asks for containment, fails, at 9
+    rel = ["collapse", "--rel", "primes>=3 ~(4,4)~ odd>=3", "--window", "3..2000"]
+    code, out, _ = run_cli(rel + ["--symmetric", "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["directed"] is False
+    assert doc["verdict"]["status"] == "holds_on_window"
+    assert doc["verdict"]["certified_range"] == [12, 2000]
+    code, out, _ = run_cli(rel + ["--format", "json"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["directed"] is True
+    assert doc["verdict"]["status"] == "fails"
+    assert doc["verdict"]["counterexample"] == 9
+    assert doc["verdict"]["note"].endswith("containment: fails")
+
+
 def test_collapse_windowed_failure(capsys):
     # excluding the prime 3 breaks the pair sum 6 and takes the windowed path
     code, out, _ = run_cli(

@@ -442,6 +442,34 @@ def test_shifted_pair_sweep_witnesses_are_distinct_composites(table_small):
         assert x < index.nth(k) and y < index.nth(k)
 
 
+def test_shifted_pair_sweep_matches_the_brute_force_sweep(table_1e5):
+    # every witness is the least odd composite x < y of its sum, and every
+    # index without one, or without an even-shift representation, is listed
+    k_max = 2_000
+    rep = shifted_composite_pair_sweep(k_max, table_1e5)
+    comps = odd_composites_upto(6_000)[:k_max]
+    assert len(comps) == k_max
+    odd_comps = set(comps)  # every partner lies below comps[-1]
+    witnesses, missing, even, even_distinct = {}, [], [], []
+    for k in range(3, k_max + 1):
+        t = 3 + comps[k - 1]
+        x = least_split_bf(t, comps, 9, odd_comps)
+        if x and 2 * x < t:
+            witnesses[k] = (x, t - x)
+        else:
+            missing.append(k)
+        x = least_split_bf(2 * k, comps, 9, odd_comps)
+        if not is_prime_bf(2 * k - 3):
+            if not x:
+                even.append(k)
+            if not (x and x < k):
+                even_distinct.append(k)
+    assert rep.pair_witnesses == witnesses
+    assert rep.pair_missing == tuple(missing)
+    assert rep.even_exceptions == tuple(even)
+    assert rep.even_distinct_exceptions == tuple(even_distinct)
+
+
 def test_shifted_pair_absences_brute(table_small):
     # the two exceptional indices really have no distinct composite pair
     comps = odd_composites_upto(60)

@@ -107,6 +107,8 @@ def test_iterated_sumset_preconditions():
         iterated_sumset(base, 0)
     with pytest.raises(ValueError):
         iterated_sumset(WindowSet(-3, 10, 1), 2)  # negative window
+    # a window from 0 is non-negative: {0, 4} + {0, 4} on [0, 4] is {0, 4}
+    assert iterated_sumset(WindowSet(0, 4, 0b10001), 2) == WindowSet(0, 4, 0b10001)
 
 
 def test_sumset_monotone(table_small):

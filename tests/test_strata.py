@@ -472,6 +472,15 @@ def test_nfold_checks(table_1e5):
         nfold_all_integers_check(2, (2, 100), table_1e5)
     with pytest.raises(ValueError):
         nfold_collapse_check(4, (3, 11), table_1e5)
+    # a window that ends at the least n-fold sum is the one-sum range, not a refusal
+    for n in (2, 3, 4):
+        v = nfold_collapse_check(n, (3, 3 * n), table_1e5)
+        assert v.status is Status.HOLDS_ON_WINDOW
+        assert v.certified_range == (3 * n, 3 * n)
+    for n in (3, 4):
+        v = nfold_all_integers_check(n, (2, 2 * n), table_1e5)
+        assert v.status is Status.HOLDS_ON_WINDOW
+        assert v.certified_range == (2 * n, 2 * n)
 
 
 def test_three_fold_odd_sums_brute(table_1e5):
