@@ -20,17 +20,18 @@ pi forms with pi shifted by a constant, decided on the same runs.  The strata
 group reads the strata stream once
 (:func:`~sumcollapse.strata.audit_layer_one` over
 :func:`~sumcollapse.strata.strata_blocks`: each block's layer 1 is searched
-by one shifted-mask pass per prime over its flags and a margin of
-``strata.MARGIN_ODDS`` odd numbers below it, and each exception is placed
-in a deeper layer from a ``{composite: layer}`` map).  It audits each block
-against a separate read, its layer-1 witness pairs looked up with
-``PrimeTable.odd_prime_at`` and its deeper witnesses peeled one by one
-against its own map, carrying only the layer counts, the map and the first
-anomalies.  So no check holds a strata array over the whole limit, and none
-unpacks a prefix of the table past layer 1's first margin: the absorption
-check (on its 10^5 cap) and the pair sweep look primes up with
-``odd_prime_at`` too.  Work the other groups share (the pair sweep) lives in
-the group's own frame and is freed when the group ends.
+by one shifted AND per prime of Python ints over its prime bits and a
+margin of ``strata.MARGIN_ODDS`` odd numbers below it, each exception is
+placed in a deeper layer from a ``{composite: layer}`` map, and the block
+is decoded into arrays).  It audits each block against a separate read,
+its layer-1 witness pairs looked up with ``PrimeTable.odd_prime_at`` and
+its deeper witnesses peeled one by one against its own map, carrying only
+the layer counts, the map and the first anomalies.  So no check holds a
+strata array over the whole limit, and none unpacks a prefix of the
+table: the absorption check (on its 10^5 cap) and the pair sweep look
+primes up with ``odd_prime_at`` too.  Work the other groups share (the
+pair sweep) lives in the group's own frame and is freed when the group
+ends.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import importlib.util
 import json
 import os
@@ -384,10 +385,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unwritable(path: str) -> None:
+    """Raise the error that opening ``path`` to write would, without creating
+    it: a parent that is missing or no directory, a directory at ``path``, or
+    no write permission."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # every output path is checked before any table is built
+        for path in (args.out, getattr(args, "csv", None)):
+            if path:
+                _refuse_unwritable(path)
         payload, lines, code = args.fn(args)
         report = _canonical_json({"schema": SCHEMA_VERSION, **payload})
         if args.out:

@@ -20,12 +20,13 @@ caller check the sums of a short interval far from 0 without a window that
 reaches down to it.
 
 The exact pair-sum decision searches a split of each sum 3 + e, e excluded,
-and of no other sum, in one loop over Python ints.  The array searches are
-:func:`least_splits`, the least-witness search that the layer-1 retry of the
-strata, the absorption check and the pair sweeps ask, and its block form
-:func:`least_splits_block`, which layer 1 of the strata asks for the same
-least part of a contiguous block of sums against a flag array; they import
-numpy when called, so importing this module does not.
+and of no other sum, in one loop over Python ints.  The least-witness
+searches are :func:`least_splits`, on arrays, which the absorption check and
+the pair sweeps ask (it imports numpy when called, so importing this module
+does not), and its bit form :func:`least_splits_bits`, which layer 1 of the
+strata asks for the least part of every sum of a contiguous block at once:
+one AND and XOR of Python ints per part, the hits kept in bit planes of
+their pass number.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .verdict import RelationVerdict, fails, holds, holds_on_window
 if TYPE_CHECKING:
     import numpy as np
 
-DENSE_SHARE = 16  # least_splits_block ANDs whole blocks until under 1/16 of them is pending
+PLANE_PASSES = 255  # the passes least_splits_bits numbers in its eight bit planes
 _BITPOS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
 
@@ -344,72 +345,50 @@ def least_splits(sums, parts, floor: int, accepts) -> np.ndarray:
     return found
 
 
-def least_splits_block(pending: np.ndarray, flags: np.ndarray, parts) -> np.ndarray:
-    """The block form of :func:`least_splits` for a flag-array accept set:
-    per set position of ``pending``, in increasing order, the least odd part
-    p >= 3 of the increasing iterable ``parts`` whose partner is flagged;
-    0 where none is.
+def least_splits_bits(pending: int, flags: int, off: int, parts):
+    """The bit form of :func:`least_splits` for a flag accept set, on Python
+    ints: per set bit j of ``pending``, the least odd part p >= 3 of the
+    increasing iterable ``parts`` whose partner is flagged at bit
+    ``off + j - (p - 3)/2`` of ``flags``.
 
-    ``flags[i]`` says whether the odd number 2(lo + i) + 1 is accepted, and
-    ``pending`` lines up with the last ``pending.size`` flags: with
-    off = ``flags.size - pending.size``, position j stands for the sum
-    s_j = 2(lo + off + j) + 4, whose partner for p sits at
-    ``flags[off + j - (p - 3)/2]``.  So each part is one contiguous AND of
-    the pending positions with the flags shifted by (p - 3)/2, and a
-    position's part is that of the pass that cleared it, counted by the
-    passes it stayed pending through.  Once fewer than 1/``DENSE_SHARE`` of
-    the positions are left (or after 252 passes, all a ``uint8`` count
-    holds), each part gathers the partners of the positions left instead.
-    A position whose partner falls below ``flags[0]`` gets 0.
+    Bit t of ``flags`` says whether the odd number 2(lo + t) + 1 is accepted,
+    and bit j of ``pending`` stands for the sum s_j = 2(lo + off + j) + 4,
+    whose partner for p is 2(lo + off + j) + 3 - p.  So each part is one
+    pass: an AND of the pending bits with the flags shifted by
+    off - (p - 3)/2, and an XOR that clears the hits.  The hits of pass k
+    are ORed into ``planes[b]`` for each set bit b of k, so the passes that
+    found each bit are read back from the planes at once.  Eight planes
+    number ``PLANE_PASSES`` passes; the hits of later passes are kept one by
+    one.
 
-    This is the least part ``least_splits`` returns for the sums s_j with
-    floor 2 lo + 1 and the test ``flags[(q >> 1) - lo]``; the search stops
-    once nothing is pending or every partner is below the flags.  Parts
-    must be below 2^31.
+    Returns ``(planes, passes, late, left)``: bit j of ``planes[b]`` is bit b
+    of the number k of the pass that found j, whose part is
+    ``passes[k - 1]``; ``late`` maps a bit found after ``PLANE_PASSES``
+    passes to its part; ``left`` holds the bits no part found.  The search
+    stops once nothing is pending, every pending partner lies below flag
+    bit 0 or the parts run out, so ``left`` is what :func:`least_splits`
+    leaves at 0 for the sums s_j with floor 2 lo + 1 and the test
+    ``flags >> ((q >> 1) - lo) & 1``.
     """
-    import numpy as np
-
-    n = pending.size
-    off = flags.size - n
-    asked, pending = pending, pending.copy()
-    hit = np.empty(n, dtype=bool)
-    stayed = np.zeros(n, dtype=np.uint8)  # dense passes each position stayed pending through
-    dense: list[int] = []  # the part of each dense pass
-    found = rest = None
-    left = np.count_nonzero(pending)
+    planes: list[int] = []
+    passes: list[int] = []
+    late: dict[int, int] = {}
     for p in parts:
-        shift = (p - 3) >> 1
-        j0 = max(shift - off, 0)  # the partners of positions below j0 are below the flags
-        if not left or j0 >= n:
+        shift = off - ((p - 3) >> 1)  # partners of the bits below -shift lie below the flags
+        if not pending or pending.bit_length() <= -shift:
             break
-        if rest is None:
-            window = hit[: n - j0]
-            np.logical_and(pending[j0:], flags[off - shift + j0 : off - shift + n], out=window)
-            np.logical_xor(pending[j0:], window, out=pending[j0:])
-            stayed += pending
-            dense.append(p)
-            if len(dense) % 4 == 0:  # 252 is the last such count below the uint8 limit
-                left = np.count_nonzero(pending)
-                if left * DENSE_SHARE < n or len(dense) == 252:
-                    found = _dense_parts(dense, pending, stayed)
-                    rest = np.flatnonzero(pending)
-        else:
-            rest = rest[rest.searchsorted(j0) :]
-            got = flags[off - shift + rest]
-            found[rest[got]] = p
-            rest = rest[~got]
-            left = rest.size
-    if rest is None:
-        found = _dense_parts(dense, pending, stayed)
-    return found[asked]
-
-
-def _dense_parts(dense: list[int], pending: np.ndarray, stayed: np.ndarray) -> np.ndarray:
-    """Per position, the dense pass's part that cleared it, 0 if none did."""
-    import numpy as np
-
-    # a uint8 index: a scalar of its dtype keeps np.where from widening it
-    return np.array(dense + [0], dtype=np.int32)[np.where(pending, np.uint8(len(dense)), stayed)]
+        hit = pending & (flags >> shift if shift >= 0 else flags << -shift)
+        if len(passes) < PLANE_PASSES:
+            passes.append(p)
+            if hit:
+                k = len(passes)
+                planes += [0] * (k.bit_length() - len(planes))
+                for b in _BITPOS[k]:
+                    planes[b] |= hit
+        elif hit:
+            late.update(dict.fromkeys(iter_bits(hit), p))
+        pending ^= hit
+    return planes, passes, late, pending
 
 
 def pair_sum_cover_decision(d) -> RelationVerdict:

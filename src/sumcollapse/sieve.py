@@ -9,12 +9,16 @@ residual block, which keeps ``prime_count`` effectively O(1).
 
 The table is built and read with bytes and ints alone, so the scalar
 queries, the scans ``primes_in`` / ``odd_composites_in`` (which walk the
-packed bytes) and ``odd_flag_bits`` (which spreads them straight into a
-window bitset) run without numpy.  The array readers import it when
-called: ``odd_prime_blocks(lo, hi)`` decodes the bits of a range into flag
-arrays, ``odd_prime_mask`` a prefix, and ``odd_prime_at(values)`` looks up
-an array of values in the packed bits themselves, so no caller needs to
-unpack a prefix only to index it.
+packed bytes), ``odd_flag_bits`` (which spreads them straight into a
+window bitset) and the block source run without numpy.  The block source
+is ``odd_block_bounds(lo, hi)``, the ``CHECKPOINT_BITS``-odd blocks that
+tile a range, and ``odd_prime_bits(i0, i1)``, one int sliced from the
+packed bytes of an index range, which layer 1 of the strata reads per
+block and margin.  The array readers import numpy when called:
+``odd_prime_blocks(lo, hi)`` decodes the bits of a range into flag arrays,
+``odd_prime_mask`` a prefix, and ``odd_prime_at(values)`` looks up an array
+of values in the packed bits themselves, so no caller needs to unpack a
+prefix only to index it.
 
 All element indices are 1-based: ``nth_prime(1) == 2`` and the first odd
 composite has rank 1.
@@ -280,17 +284,32 @@ class PrimeTable:
         shift = 16 * (i0 >> 3) + 1 - origin  # bit 0 stands for 16 (i0 >> 3) + 1
         return bits << shift if shift >= 0 else bits >> -shift
 
-    def odd_prime_blocks(self, lo: int = 1, hi: int | None = None):
-        """Yield ``(i0, mask)`` over the odd numbers in ``[lo, hi]`` (``hi``
-        defaults to the limit), cut where an index is a multiple of
-        ``CHECKPOINT_BITS``; ``mask[j]`` says whether ``2*(i0 + j) + 1`` is prime."""
+    def odd_block_bounds(self, lo: int = 1, hi: int | None = None):
+        """Yield ``(i0, i1)``, the index ranges of the blocks that tile the odd
+        numbers in ``[lo, hi]`` (``hi`` defaults to the limit), cut where an
+        index is a multiple of ``CHECKPOINT_BITS``; index i stands for 2i + 1."""
         hi = self.limit if hi is None else hi
         self._check_range(hi)
         i0, end = max(lo, 1) // 2, (hi + 1) // 2
         while i0 < end:
             i1 = min((i0 // CHECKPOINT_BITS + 1) * CHECKPOINT_BITS, end)
-            yield i0, _unpack(self._bits, i0, i1)
+            yield i0, i1
             i0 = i1
+
+    def odd_prime_bits(self, i0: int, i1: int) -> int:
+        """The prime bits of the odd indices ``[i0, i1)`` as an int: bit j says
+        whether ``2*(i0 + j) + 1`` is prime.  Only the bytes holding them are read."""
+        if i0 >= i1:
+            return 0
+        self._check_range(2 * i1 - 1)
+        raw = int.from_bytes(self._bits[i0 >> 3 : (i1 + 7) >> 3], "little")
+        return raw >> (i0 & 7) & ((1 << (i1 - i0)) - 1)
+
+    def odd_prime_blocks(self, lo: int = 1, hi: int | None = None):
+        """Yield ``(i0, mask)`` for each block of :meth:`odd_block_bounds`;
+        ``mask[j]`` says whether ``2*(i0 + j) + 1`` is prime."""
+        for i0, i1 in self.odd_block_bounds(lo, hi):
+            yield i0, _unpack(self._bits, i0, i1)
 
 
 @dataclass(frozen=True)

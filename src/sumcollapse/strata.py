@@ -6,37 +6,45 @@ layer-(k-1) composite.  Within a window the classification is
 self-contained: deciding c only ever consults primes and composites below
 c + 3, so recomputing with a larger limit never relabels anything.
 
-The strata are read as a stream, :func:`strata_blocks`, which yields
-``(composites, layer, witness_prime)`` for one block of the prime table at
-a time: the blocks that ``PrimeTable.odd_prime_blocks`` cuts, each searched
-with a margin of ``MARGIN_ODDS`` odd numbers below it.  The witness partner
-is c + 3 - p.  A block's arrays are ``int32`` (the layers ``int8``), and so
-are the composites, partners and lookups the audit derives from them: c + 3
-stays below 2^31.  Every consumer reads that stream: :func:`strata_census`
-(the ``strata`` command's census and CSV), :func:`audit_layer_one` (the
-battery's audit), ``Stratum(k)``, which keeps only its layer's members, and
-:func:`compute_strata`, which concatenates it into a :class:`StrataTable`
-for library callers.  Only the last holds arrays over the whole limit, and
-it stays only for the benchmark tracer's spans on it and on its CSV.  The
-partition has one audit, :func:`_audit`, block by block against the table's
-reads; :func:`audit_layer_one` feeds it the stream, and
-:func:`verify_partition` a :class:`StrataTable` cut into views at the reads.
+The strata are read as a stream, :func:`strata_bits`, which yields one
+:class:`BitBlock` per block that ``PrimeTable.odd_block_bounds`` cuts: the
+block's odd composites and their layers and witness primes p, in Python
+ints (the witness partner is c + 3 - p).  Every reader decodes that stream.
+:func:`strata_census` (the ``strata`` command's census and CSV) reads it
+without numpy: the census from popcounts, the CSV rows from the pass
+numbers that one bit-matrix transpose of a Python int reads off the
+planes.  :func:`strata_blocks` decodes each block with ``np.unpackbits``
+and the same transpose on ``uint64`` words into ``(composites, layer,
+witness_prime)`` arrays, ``int32`` (the layers ``int8``), as are the
+composites, partners and lookups the audit derives from them: c + 3 stays
+below 2^31.  The array readers are
+:func:`audit_layer_one` (the battery's audit), ``Stratum(k)``, which keeps
+only its layer's members, and :func:`compute_strata`, which concatenates
+the arrays into a :class:`StrataTable` for library callers.  Only the last
+holds arrays over the whole limit, and it stays only for the benchmark
+tracer's spans on it and on its CSV.  Numpy is imported by the array
+readers alone, so a ``strata`` process loads none.  The partition has one
+audit, :func:`_audit`, block by block against the table's array reads;
+:func:`audit_layer_one` feeds it the stream, and :func:`verify_partition` a
+:class:`StrataTable` cut into views at the reads.
 
-Layer 1 is searched block by block in :func:`layer_one_blocks`.  Within a
-block the partners of consecutive composites are consecutive flags, so
-:func:`~sumcollapse.intsets.least_splits_block` makes each prime pass one
-AND of the pending composites with the flags shifted by (p - 3)/2 (about 95
-passes a block at 10^7, largest witness prime 751), and each composite takes
-the least odd prime p whose partner is an odd prime.  A witness whose
-partner lies in the margin is already the least one, since every smaller
-prime has a larger partner, inside the block or its margin; a sum whose
-least witness lies past the margin (none up to 10^8, where the largest least
-witness is 1,093) is searched again by
-:func:`~sumcollapse.intsets.least_splits` with ``PrimeTable.odd_prime_at``,
-the lookup in the packed bits, as its accept test.
+Layer 1 is searched block by block in :func:`layer_one_blocks`.  A block's
+prime bits and the ``MARGIN_ODDS`` odd numbers below it are one int read
+from the packed table (``PrimeTable.odd_prime_bits``).  The partners of
+consecutive composites are consecutive bits, so
+:func:`~sumcollapse.intsets.least_splits_bits` makes each prime pass one
+shift, AND and XOR of that int with the pending composites (about 94 passes
+a block at 10^7, largest witness prime 751), and keeps each composite's
+least odd prime p whose partner is an odd prime in bit planes of the pass
+number.  A witness whose partner lies in the margin is already the least
+one, since every smaller prime has a larger partner, inside the block or
+its margin; a sum whose least witness lies past the margin (none up to
+10^8, where the largest least witness is 1,093) is searched again alone,
+with ``PrimeTable.is_prime``, the point read of the packed bits, as its
+accept test.
 
 A composite left without a two-odd-prime split is an exception (none on a
-true table).  :func:`strata_blocks` places each one as it comes, from a
+true table).  :func:`strata_bits` places each one as it comes, from a
 ``{composite: layer}`` map of the exceptions: 1 + the least layer among its
 partners c + 3 - p, all at or below c, and the least p reaching it.  The
 census ``passes`` field is max(1, max_layer), the number of layer passes a
@@ -48,22 +56,26 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import reduce
+from itertools import chain, compress, count, islice, repeat
+from operator import or_
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .intsets import iter_bits, iterated_sumset, least_splits, least_splits_block, restrict
+from .intsets import _lsb, iter_bits, iterated_sumset, least_splits, least_splits_bits, restrict
 from .sieve import PrimeTable
 from .verdict import RelationVerdict
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # c + 3 - p is computed in int32, so c + 3 must fit
-_MAX_LIMIT = int(np.iinfo(np.int32).max) - 3
-_MAX_LAYER = int(np.iinfo(np.int8).max)
+_MAX_LIMIT = 2**31 - 1 - 3
+_MAX_LAYER = 127  # the int8 layers' top
 
 # the shifted-prime inclusion starts at 3 + 7 = 10, the least pair sum of primes >= 5
 SHIFTED_MIN_PRIME = 7
 MAX_LISTED = 50  # rough-cover violations listed; the count covers them all
-CSV_CHUNK = 1 << 13  # rows formatted per write, so memory stays flat in the limit
+CSV_CHUNK = 1 << 13  # rows (odd numbers, when streamed) formatted per write, so memory stays flat
 MARGIN_ODDS = 1 << 12  # odd numbers read below each layer-1 block for the partners
 AUDIT_LISTED = 3  # anomalies of each kind the blocked audit keeps
 
@@ -102,7 +114,35 @@ class StrataTable:
     def write_csv(self, path: str) -> None:
         """Assigned rows in composite order, then the unassigned ones, written
         ``CSV_CHUNK`` rows at a time."""
-        _write_csv(path, [(self.composites, self.layer, self.witness_prime)])
+        assigned = (self.layer != 0).nonzero()[0]
+
+        def rows():
+            for start in range(0, assigned.size, CSV_CHUNK):
+                at = assigned[start : start + CSV_CHUNK]
+                c, p = self.composites[at].astype("int64"), self.witness_prime[at].astype("int64")
+                yield _csv_rows(c.tolist(), self.layer[at].tolist(), p.tolist(), (c + 3 - p).tolist())
+
+        _write_csv(path, rows(), self.unassigned)
+
+
+@dataclass
+class BitBlock:
+    """One block of the strata stream in Python ints: bit j of each stands
+    for the odd number 2(i0 + j) + 1, j < ``size``.
+
+    ``composite`` holds the block's odd composites, the entries.  An entry
+    in ``singles`` has the ``(layer, witness prime)`` it maps to; any other
+    is in layer 1, found by pass k of the layer-1 search, where bit b of k
+    is its bit in ``planes[b]``, and its witness is ``passes[k - 1]``.  No
+    entry in ``singles`` has a bit in ``planes``.
+    """
+
+    i0: int
+    size: int
+    composite: int
+    planes: list[int]
+    passes: list[int]
+    singles: dict[int, tuple[int, int]]
 
 
 @dataclass
@@ -114,17 +154,27 @@ class StrataCensus:
     layers: dict[int, dict[str, int]] = field(default_factory=dict)
     unassigned: list[int] = field(default_factory=list)
 
-    def add(self, composites: np.ndarray, layer: np.ndarray) -> None:
-        """Tally a block that follows every block added before it."""
-        # the stream's layers are 0..127; np.unique would import numpy.ma, about 1 MB
-        for k in np.flatnonzero(np.bincount(layer)).tolist():
-            members = composites[layer == k]
+    def add(self, block: BitBlock) -> None:
+        """Tally a block that follows every block added before it: layer 1
+        from the popcount of its planes, the rest from its singles."""
+        first = 2 * block.i0 + 1
+        found = reduce(or_, block.planes, 0)
+        tally: dict[int, list[int]] = {}  # layer -> [count, least, largest] positions
+        if found:
+            tally[1] = [found.bit_count(), _lsb(found), found.bit_length() - 1]
+        for j, (k, _) in sorted(block.singles.items()):
             if not k:
-                self.unassigned += members.tolist()
-                continue
-            entry = self.layers.setdefault(k, {"count": 0, "min": int(members[0]), "max": 0})
-            entry["count"] += members.size
-            entry["max"] = int(members[-1])
+                self.unassigned.append(first + 2 * j)
+            elif k in tally:
+                entry = tally[k]
+                entry[0] += 1
+                entry[1], entry[2] = min(entry[1], j), max(entry[2], j)
+            else:
+                tally[k] = [1, j, j]
+        for k, (count, least, largest) in tally.items():
+            entry = self.layers.setdefault(k, {"count": 0, "min": first + 2 * least, "max": 0})
+            entry["count"] += count
+            entry["max"] = first + 2 * largest
 
     @property
     def max_layer(self) -> int:
@@ -149,31 +199,84 @@ class StrataCensus:
 
 
 _CSV_HEADER = b"c,layer,witness_prime,witness_partner\r\n"
+# the delta swaps (shift, mask) that transpose the 8 x 8 bit matrix of a
+# 64-bit word, byte i holding row i (Hacker's Delight, 7-3)
+_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
-def _assigned_rows(composites: np.ndarray, layer: np.ndarray, witness: np.ndarray):
-    """The CSV rows of a block's assigned entries in composite order, one
-    bytes string per ``CSV_CHUNK`` rows."""
-    idx = np.flatnonzero(layer)
-    for start in range(0, idx.size, CSV_CHUNK):
-        at = idx[start : start + CSV_CHUNK]
-        c, p = composites[at].astype(np.int64), witness[at].astype(np.int64)
-        rows = np.column_stack((c, layer[at], p, c + 3 - p))
-        yield (b"%d,%d,%d,%d\r\n" * at.size) % tuple(rows.ravel().tolist())
+def _csv_rows(composites: list[int], layer, witnesses: list[int], partners: list[int]) -> bytes:
+    """The CSV rows ``c,layer,p,q`` of aligned lists of ints; ``layer`` is
+    such a list too, or one int for every row."""
+    if isinstance(layer, int):
+        row, columns = b"%%d,%d,%%d,%%d\r\n" % layer, (composites, witnesses, partners)
+    else:
+        row, columns = b"%d,%d,%d,%d\r\n", (composites, layer, witnesses, partners)
+    values = [0] * (len(columns) * len(composites))
+    for i, column in enumerate(columns):
+        values[i :: len(columns)] = column
+    return (row * len(composites)) % tuple(values)
 
 
-def _write_csv(path: str, blocks) -> None:
-    """Write the assigned rows of the ``(composites, layer, witness_prime)``
-    blocks to ``path`` as they come, then the unassigned rows."""
-    left: list[int] = []
+def _write_csv(path: str, rows, unassigned) -> None:
+    """Write the header and the ``rows`` bytes to ``path`` as they come, then
+    a row for each value of ``unassigned``, read once ``rows`` is spent."""
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER)
-        for comps, layer, witness in blocks:
-            left += comps[layer == 0].tolist()
-            fh.writelines(_assigned_rows(comps, layer, witness))
-        for start in range(0, len(left), CSV_CHUNK):
-            chunk = left[start : start + CSV_CHUNK]
+        fh.writelines(rows)
+        for start in range(0, len(unassigned), CSV_CHUNK):
+            chunk = unassigned[start : start + CSV_CHUNK]
             fh.write((b"%d,,,\r\n" * len(chunk)) % tuple(chunk))
+
+
+def _interleaved(block: BitBlock, a: int, b: int) -> bytearray:
+    """The planes' bytes over the bits ``[a, b)`` of a block, interleaved:
+    byte 8i + place is byte i of ``planes[place]``, so each 8-byte word holds
+    the planes of eight bits, a row per plane.  Needs at most eight planes."""
+    size = (b - a + 7) // 8
+    mask = (1 << 8 * size) - 1
+    words = bytearray(8 * size)
+    for place, plane in enumerate(block.planes):
+        words[place::8] = (plane >> a & mask).to_bytes(size, "little")
+    return words
+
+
+def _pass_numbers(block: BitBlock, a: int, b: int) -> bytes:
+    """Byte j - a is the pass number of bit j, for a <= j < b: the 8 x 8 bit
+    matrix of each word of the interleaved planes transposed, all words at
+    once in one Python int, which leaves byte c of a word the pass number of
+    its bit c."""
+    words = _interleaved(block, a, b)
+    x = int.from_bytes(words, "little")
+    for shift, mask in _TRANSPOSE:
+        mask = int.from_bytes(mask.to_bytes(8, "little") * (len(words) // 8), "little")
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    return x.to_bytes(len(words), "little")[: b - a]
+
+
+def _bit_block_rows(block: BitBlock):
+    """The CSV rows of a block's assigned entries in composite order, one
+    bytes string per ``CSV_CHUNK`` odd numbers (at most as many rows)."""
+    first = 2 * block.i0 + 1
+    witness_of = [0, *block.passes]
+    shift_of = [0, *(p - 3 for p in block.passes)]  # c - shift_of[k] is the partner
+    singles = sorted((j, k, p) for j, (k, p) in block.singles.items() if k)
+    for a in range(0, block.size, CSV_CHUNK):
+        b = min(a + CSV_CHUNK, block.size)
+        numbers = _pass_numbers(block, a, b)
+        composites = list(compress(range(first + 2 * a, first + 2 * b, 2), numbers))
+        found = numbers.replace(b"\0", b"")
+        witnesses = [witness_of[k] for k in found]
+        partners = [c - shift_of[k] for c, k in zip(composites, found)]
+        layers = 1
+        lo, hi = bisect_right(singles, (a, -1)), bisect_right(singles, (b, -1))
+        if lo < hi:  # entries the planes do not hold, put in their places
+            rows = sorted(chain(zip(composites, repeat(1), witnesses, partners),
+                                ((first + 2 * j, k, p, first + 2 * j + 3 - p)
+                                 for j, k, p in singles[lo:hi])))
+            composites, layers, witnesses, partners = (list(col) for col in zip(*rows))
+        if composites:
+            yield _csv_rows(composites, layers, witnesses, partners)
 
 
 class _LayerView(Mapping):
@@ -183,6 +286,8 @@ class _LayerView(Mapping):
         self._st = st
 
     def __getitem__(self, c):
+        import numpy as np
+
         comps = self._st.composites
         if isinstance(c, (int, np.integer)) and 9 <= c <= _MAX_LIMIT:
             # a scalar of the array's own dtype keeps searchsorted from casting the array
@@ -195,13 +300,13 @@ class _LayerView(Mapping):
         return iter(self._st.composites[self._st.layer != 0].tolist())
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self._st.layer))
+        return int((self._st.layer != 0).sum())
 
 
 def _odd_values(i0: int, flags: np.ndarray) -> np.ndarray:
     """The odd numbers 2(i0 + j) + 1 at the set ``flags[j]``, in ``int32``,
     scaled and offset in place."""
-    values = np.flatnonzero(flags).astype(np.int32)
+    values = flags.nonzero()[0].astype("int32")
     values <<= 1
     values += 2 * i0 + 1
     return values
@@ -214,68 +319,144 @@ def _check_limit(limit: int) -> None:
         raise ValueError(f"limit must be <= {_MAX_LIMIT}, got {limit}")
 
 
-def layer_one_blocks(limit: int, table: PrimeTable):
-    """Yield ``(composites, witness_prime)`` for each block of the odd
-    composites in ``[9, limit]``, both ``int32``: the composites sorted and the
-    least odd prime p whose partner c + 3 - p is an odd prime, 0 where none is.
+class _OddPrimes:
+    """The odd primes up to ``limit`` of ``table`` in increasing order, read
+    from ``table.primes_in`` only as far as an iteration asks, and kept."""
 
-    Blocks are the table's ``odd_prime_blocks(9, limit)``.  Each block is
-    searched by ``least_splits_block`` against its own flags and the
-    ``MARGIN_ODDS`` below it; the sums it leaves are searched once more, by
-    ``least_splits`` with ``table.odd_prime_at`` as the accept test.
+    def __init__(self, table: PrimeTable, limit: int):
+        self._source = table.primes_in(3, limit)
+        self._read: list[int] = []
+
+    def __iter__(self):
+        read = self._read
+        for i in count():
+            if i == len(read):
+                p = next(self._source, 0)
+                if not p:
+                    return
+                read.append(p)
+            yield read[i]
+
+
+def _least_witness(s: int, primes: _OddPrimes, table: PrimeTable) -> int:
+    """The least odd prime p whose partner s - p >= 3 is prime, by point
+    reads of the packed bits; 0 where none is."""
+    for p in primes:
+        if p > s - 3:
+            break
+        if table.is_prime(s - p):
+            return p
+    return 0
+
+
+def layer_one_blocks(limit: int, table: PrimeTable):
+    """Yield a :class:`BitBlock` for each block of the odd composites in
+    ``[9, limit]`` holding layer 1: each composite's least odd prime p whose
+    partner c + 3 - p is an odd prime.  The composites without one are in
+    neither the planes nor ``singles``.
+
+    Blocks are the table's ``odd_block_bounds(9, limit)``.  Each is searched
+    by ``least_splits_bits`` against its own prime bits and the
+    ``MARGIN_ODDS`` below it; the sums it leaves with partners below the
+    margin are searched once more, one at a time, by point reads.
     """
     _check_limit(limit)
-    below = table.odd_prime_mask(7)
-    for i0, mask in table.odd_prime_blocks(9, limit):
-        flags = np.concatenate((below, mask))
-        below = flags[-MARGIN_ODDS:]
-        pending = ~mask
-        comps = _odd_values(i0, pending)
-        # a partner below the margin ends its search, so its sum waits for the retry
-        found = least_splits_block(pending, flags, table.primes_in(3, limit))
-        missed = np.flatnonzero(found == 0)
-        if missed.size:
-            found[missed] = least_splits(
-                comps[missed] + 3, table.primes_in(3, limit), 3, table.odd_prime_at
-            )
-        yield comps, found
+    primes = _OddPrimes(table, limit)
+    for i0, i1 in table.odd_block_bounds(9, limit):
+        lo = max(i0 - MARGIN_ODDS, 0)
+        flags = table.odd_prime_bits(lo, i1)
+        composite = ~flags >> (i0 - lo) & ((1 << (i1 - i0)) - 1)
+        planes, passes, late, left = least_splits_bits(composite, flags, i0 - lo, primes)
+        singles = {j: (1, p) for j, p in late.items()}
+        if lo:  # a partner below the margin ended the search of the sums left
+            for j in iter_bits(left):
+                if p := _least_witness(2 * (i0 + j) + 4, primes, table):
+                    singles[j] = (1, p)
+        yield BitBlock(i0, i1 - i0, composite, planes, passes, singles)
 
 
-def strata_blocks(limit: int, table: PrimeTable):
-    """Yield ``(composites, layer, witness_prime)`` for each block of the odd
-    composites in ``[9, limit]``: layer 1 and its witnesses from
-    :func:`layer_one_blocks`, and the exceptions it leaves placed in the
-    deeper layers (layer 0 and witness 0 where none is reached).
+def strata_bits(limit: int, table: PrimeTable):
+    """Yield a :class:`BitBlock` for each block of the odd composites in
+    ``[9, limit]``: layer 1 from :func:`layer_one_blocks`, and the
+    exceptions it leaves put in ``singles``, placed in the deeper layers
+    (layer 0 and witness 0 where none is reached).
 
     Each exception c, in increasing order, takes 1 + the least positive layer
     below ``_MAX_LAYER`` among its partners c + 3 - p, p an odd prime <= c - 6,
     and the least p reaching it (a layer-1 partner ends the walk).  A partner's
     layer is read from the exceptions' ``{composite: layer}`` map, else is 1
-    where ``table.odd_prime_at`` says it is not prime, else 0.  Every partner
+    where ``table.is_prime`` says it is not prime, else 0.  Every partner
     lies at or below c; c is mapped to 0 first, so it is unassigned for p = 3.
     """
     _check_limit(limit)
     placed: dict[int, int] = {}
-    parts, primes = table.primes_in(3, limit), []  # read only as far as the exceptions reach
-    for comps, witness in layer_one_blocks(limit, table):
-        layer = (witness > 0).astype(np.int8)
-        for i in np.flatnonzero(witness == 0).tolist():
-            c = int(comps[i])
+    primes = _OddPrimes(table, limit)  # read only as far as the exceptions reach
+    for block in layer_one_blocks(limit, table):
+        left = block.composite & ~reduce(or_, block.planes, 0)
+        for j in iter_bits(left):
+            if j in block.singles:
+                continue
+            c = 2 * (block.i0 + j) + 1
             placed[c] = 0
-            while (not primes or primes[-1] <= c - 6) and (p := next(parts, 0)):
-                primes.append(p)
-            walk = primes[: bisect_right(primes, c - 6)]
-            partners = c + 3 - np.array(walk, dtype=np.int64)
-            least = _MAX_LAYER
-            for p, q, prime in zip(walk, partners.tolist(), table.odd_prime_at(partners).tolist()):
-                k = placed.get(q, 0 if prime else 1)
+            least, witness = _MAX_LAYER, 0
+            for p in primes:
+                if p > c - 6:
+                    break
+                k = placed.get(c + 3 - p, 0 if table.is_prime(c + 3 - p) else 1)
                 if 0 < k < least:
-                    least, witness[i] = k, p
+                    least, witness = k, p
                     if k == 1:
                         break
             if least < _MAX_LAYER:
-                layer[i] = placed[c] = least + 1
-        yield comps, layer, witness
+                placed[c] = least + 1
+                block.singles[j] = (least + 1, witness)
+            else:
+                block.singles[j] = (0, 0)
+        yield block
+
+
+def _pass_numbers_array(block: BitBlock) -> np.ndarray:
+    """Per bit of the block, its pass number, as ``uint8``: the transpose of
+    :func:`_pass_numbers` on the words of a ``uint64`` array, in place."""
+    import numpy as np
+
+    x = np.frombuffer(_interleaved(block, 0, block.size), dtype="<u8")
+    for shift, mask in _TRANSPOSE:
+        t = x >> shift
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x.view(np.uint8)[: block.size]
+
+
+def _arrays(block: BitBlock):
+    """A block's ``(composites, layer, witness_prime)`` arrays; its scratch
+    arrays die on return."""
+    import numpy as np
+
+    first = 2 * block.i0 + 1
+    raw = block.composite.to_bytes((block.size + 7) // 8, "little")
+    entries = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=block.size, bitorder="little")
+    entries = entries.view(bool)
+    comps = np.compress(entries, np.arange(first, first + 2 * block.size, 2, dtype=np.int32))
+    numbers = np.compress(entries, _pass_numbers_array(block))
+    witness = np.take(np.array([0, *block.passes], dtype=np.int32), numbers)
+    layer = numbers.astype(bool).view(np.int8)
+    if block.singles:
+        values = np.array([first + 2 * j for j in block.singles], dtype=np.int32)
+        at = comps.searchsorted(values)
+        layer[at], witness[at] = zip(*block.singles.values())
+    return comps, layer, witness
+
+
+def strata_blocks(limit: int, table: PrimeTable):
+    """Yield ``(composites, layer, witness_prime)`` for each block of
+    :func:`strata_bits`, decoded with ``np.unpackbits``: the composites
+    sorted (``int32``), their layers (``int8``, 0 where none is reached) and
+    witness primes (``int32``, 0 likewise)."""
+    return map(_arrays, strata_bits(limit, table))
 
 
 def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
@@ -286,6 +467,8 @@ def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
     within a self-contained window an unassigned composite indicates an
     implementation bug worth inspecting.
     """
+    import numpy as np
+
     _check_limit(limit)
     if table is None:
         table = PrimeTable(limit)
@@ -295,20 +478,15 @@ def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
 
 def strata_census(limit: int, table: PrimeTable, csv: str | None = None) -> StrataCensus:
     """The census of the strata up to ``limit``, tallied from
-    :func:`strata_blocks` block by block; with ``csv``, the rows are written
-    there as the blocks come, and the unassigned ones last."""
+    :func:`strata_bits` block by block; with ``csv``, the rows are written
+    there as the blocks come, and the unassigned ones last.  Reads no numpy."""
     _check_limit(limit)
     tally = StrataCensus(limit)
-
-    def tallied():
-        for comps, layer, witness in strata_blocks(limit, table):
-            tally.add(comps, layer)
-            yield comps, layer, witness
-
+    blocks = (tally.add(block) or block for block in strata_bits(limit, table))
     if csv:
-        _write_csv(csv, tallied())
+        _write_csv(csv, chain.from_iterable(map(_bit_block_rows, blocks)), tally.unassigned)
     else:
-        for _ in tallied():
+        for _ in blocks:
             pass
     return tally
 
@@ -350,6 +528,8 @@ def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
     must add up to ``table.odd_composite_count(limit)``, the checkpoint
     count, less the non-primes among 3, 5, 7.
     """
+    import numpy as np
+
     seen = layer_one = max_layer = unassigned = 0
     missing, stray, repeated, never, bad = [], [], [], [], []  # the first of each kind
     listed: dict[int, int] = {}
@@ -459,6 +639,8 @@ def verify_absorption(
     The k-fold test is :func:`least_splits` over the odd primes, recursing on
     whole arrays of sums down to ``table.odd_prime_at`` at k = 1.
     """
+    import numpy as np
+
     if table is None:
         table = PrimeTable(st.limit)
     lo, hi = window

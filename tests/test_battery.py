@@ -396,7 +396,8 @@ def test_strata_group_builds_no_whole_limit_table(monkeypatch):
     table = _MaskLog(limit)
     results = run(strata_checks(table, limit))
     assert all(r.passed for r in results)
-    assert max(table.mask_ends) == 7  # layer 1's first margin; the rest reads blocks and lookups
+    # layer 1 reads int blocks of the packed bits; the rest reads blocks and lookups
+    assert getattr(table, "mask_ends", []) == []
 
 
 def test_strata_blocked_verdicts_match_the_whole_limit_ones():
@@ -429,13 +430,36 @@ def test_strata_group_on_a_tampered_table_builds_no_whole_limit_table(monkeypatc
     assert not any(r.passed for r in results if r.ref in want)
 
 
+def _bit_of(block, c):
+    """The bit that stands for ``c`` in a :class:`strata.BitBlock`, None
+    outside the block."""
+    j = (c >> 1) - block.i0
+    return j if 0 <= j < block.size else None
+
+
+def _set_entry(block, c, layer, witness):
+    """Give the entry ``c`` of ``block`` this layer and witness, out of the planes."""
+    if (j := _bit_of(block, c)) is not None:
+        block.planes = [plane & ~(1 << j) for plane in block.planes]
+        block.singles[j] = (layer, witness)
+
+
+def _drop_entry(block, c):
+    """Drop the entry ``c`` from ``block``, as if it were no odd composite."""
+    if (j := _bit_of(block, c)) is not None:
+        block.composite &= ~(1 << j)
+        block.planes = [plane & ~(1 << j) for plane in block.planes]
+        block.singles.pop(j, None)
+
+
 def _tampered_blocks(monkeypatch, tamper):
-    """Let ``tamper(comps, witness)`` rewrite each block of the layer-1 search."""
+    """Let ``tamper(block)`` rewrite each block of the layer-1 search in place."""
     real = strata.layer_one_blocks
 
     def blocks(limit, table):
-        for comps, witness in real(limit, table):
-            yield tamper(comps.copy(), witness.copy())
+        for block in real(limit, table):
+            tamper(block)
+            yield block
 
     monkeypatch.setattr(strata, "layer_one_blocks", blocks)
 
@@ -444,11 +468,8 @@ def test_strata_audit_flags_a_wrong_witness(monkeypatch):
     table = PrimeTable(STRATA_LIMIT)
     c = int(next(table.odd_composites_in(2**17, STRATA_LIMIT)))
 
-    def wrong(comps, witness):
-        witness[comps == c] = 9  # 9 + (c - 6): the prime is not one
-        return comps, witness
-
-    _tampered_blocks(monkeypatch, wrong)
+    # 9 + (c - 6): the prime is not one
+    _tampered_blocks(monkeypatch, lambda block: _set_entry(block, c, 1, 9))
     got = _strata_verdicts(table, STRATA_LIMIT)
     is_prime = _sieve(STRATA_LIMIT)
     comps, layer, witness = strata_bf(STRATA_LIMIT, is_prime)
@@ -463,7 +484,7 @@ def test_strata_audit_flags_a_wrong_witness(monkeypatch):
 def test_strata_audit_counts_a_dropped_composite(monkeypatch):
     table = PrimeTable(STRATA_LIMIT)
     c = int(next(table.odd_composites_in(2**18, STRATA_LIMIT)))
-    _tampered_blocks(monkeypatch, lambda comps, witness: (comps[comps != c], witness[comps != c]))
+    _tampered_blocks(monkeypatch, lambda block: _drop_entry(block, c))
     got = _strata_verdicts(table, STRATA_LIMIT)
     is_prime = _sieve(STRATA_LIMIT)
     comps, layer, witness = strata_bf(STRATA_LIMIT, is_prime)

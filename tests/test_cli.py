@@ -617,6 +617,42 @@ def test_strata_command_streams_without_a_whole_limit_table(tmp_path, capsys, mo
     assert json.loads(json_path.read_text()) == {"schema": 1, **strata_census_bf(limit, comps, layer)}
 
 
+def _no_table(*args):
+    raise AssertionError("a prime table was built")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--limit", str(MIN_LIMIT)], "--out"),
+        (["sieve", "--limit", "1000", "--check"], "--out"),
+        (["strata", "--limit", "1000"], "--out"),
+        (["strata", "--limit", "1000"], "--csv"),
+        (["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3"], "--out"),
+        (["partitions", "--target", "12", "--set", "primes>=3", "--k", "2"], "--out"),
+        (["ring", "--modulus", "4"], "--csv"),
+    ],
+    ids=["verify", "sieve-check", "strata-out", "strata-csv", "collapse", "partitions", "ring-csv"],
+)
+def test_an_unwritable_output_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.setattr(cli.sieve, "PrimeTable", _no_table)
+    monkeypatch.setattr(battery, "PrimeTable", _no_table)
+    monkeypatch.setattr(cli.ring, "relation_table", _no_table)
+    path = tmp_path / "missing" / "report"
+    code, out, err = run_cli(argv + [flag, str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    # a directory in its place, and a parent that is a file
+    path.parent.mkdir()
+    path.mkdir()
+    assert run_cli(argv + [flag, str(path)], capsys)[::2] == (2, f"error: [Errno 21] Is a directory: '{path}'\n")
+    (tmp_path / "file").write_text("")
+    below_a_file = tmp_path / "file" / "report"
+    assert run_cli(argv + [flag, str(below_a_file)], capsys)[::2] == (
+        2, f"error: [Errno 20] Not a directory: '{below_a_file}'\n"
+    )
+
+
 def test_partitions(capsys):
     code, out, _ = run_cli(
         ["partitions", "--target", "12", "--set", "primes>=3", "--k", "2"], capsys
@@ -710,7 +746,13 @@ EVERY = RELATIONS | STRATA | {"battery", "finite_ring"}
         (_run_main(["sieve", "--limit", "1000"]), {"cli", "sieve"}, False),
         (_run_main(["partitions", "--set", "primes>=3", "--target", "100", "--k", "2"]),
          RELATIONS, False),
-        (_run_main(["strata", "--limit", "1000"]), STRATA, True),
+        (_run_main(["strata", "--limit", "1000"]), STRATA, False),
+        (_run_main(["strata", "--limit", "1000", "--csv", os.devnull, "--out", os.devnull]),
+         STRATA, False),
+        ("from sumcollapse.sieve import PrimeTable\n"
+         "from sumcollapse.strata import strata_census\n"
+         f"assert strata_census(1000, PrimeTable(1000), {os.devnull!r}).max_layer == 1\n",
+         STRATA - {"cli"}, False),
         (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"cli", "finite_ring"}, False),
         ("from sumcollapse.finite_ring import zm_optimal_subsets, optimal_weight_set\n"
          "assert zm_optimal_subsets(6, 2) and optimal_weight_set(6, 3).n_values\n",
@@ -722,8 +764,8 @@ EVERY = RELATIONS | STRATA | {"battery", "finite_ring"}
         (_run_main(["verify", "--limit", str(MIN_LIMIT)]), EVERY, True),
     ],
     ids=["cli", "modules", "collapse", "collapse-primes", "collapse-composites", "sieve",
-         "partitions", "strata", "ring", "optimal-scan", "relation-table", "sieve-check",
-         "verify"],
+         "partitions", "strata", "strata-csv-out", "strata-census", "ring", "optimal-scan",
+         "relation-table", "sieve-check", "verify"],
 )
 def test_a_process_imports_what_its_command_runs(code, executed, numpy):
     proc = _fresh_python(["-c", code + LOADED])
@@ -757,10 +799,10 @@ def test_lazy_modules_are_registered_before_they_run():
 def test_cli_process_runs_one_thread():
     # the pin must come before numpy's first import, or OpenBLAS has already
     # started its pool (one thread per further core) by the time it is read;
-    # strata is a command that imports numpy
+    # sieve --check is a command that imports numpy
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     code = (
-        _run_main(["strata", "--limit", "1000"])
+        _run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"])
         + "import os, sys\nassert 'numpy' in sys.modules\n"
         + "print(len(os.listdir('/proc/self/task')))\n"
     )

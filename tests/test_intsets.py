@@ -16,7 +16,7 @@ from sumcollapse import (
     sumset_equal_window,
 )
 from sumcollapse import intsets
-from sumcollapse.intsets import least_splits, least_splits_block
+from sumcollapse.intsets import least_splits, least_splits_bits
 from sumcollapse.verdict import Status
 
 from oracles import goldbach_pair, least_split_bf, nfold_sums_bf
@@ -165,17 +165,21 @@ def test_least_splits_against_brute_force(symmetric):
     assert symmetric or part_above_partner > 0
 
 
-@pytest.mark.parametrize("dense_share", [16, 2], ids=["default-switch", "early-switch"])
-def test_least_splits_block_against_least_splits(monkeypatch, dense_share):
-    monkeypatch.setattr(intsets, "DENSE_SHARE", dense_share)
-    rng = random.Random(0xB10C + dense_share)
+def _int(flags):
+    return sum(1 << i for i, f in enumerate(flags) if f)
+
+
+@pytest.mark.parametrize("plane_passes", [255, 3], ids=["eight-planes", "two-planes"])
+def test_least_splits_bits_against_least_splits(monkeypatch, plane_passes):
+    monkeypatch.setattr(intsets, "PLANE_PASSES", plane_passes)
+    rng = random.Random(0xB175 + plane_passes)
     odd_primes = [p for p in range(3, 700, 2) if all(p % d for d in range(3, p, 2))]
-    fell_below = 0
+    fell_below = late_hits = 0
     for _ in range(300):
         lo = rng.randrange(0, 50)
         n = rng.randint(0, 400)
         off = rng.choice([0, 1, rng.randrange(0, 40), rng.randrange(0, 300)])
-        # nearly empty flags keep most positions pending through 252 dense passes
+        # nearly empty flags keep most positions pending past the planes' passes
         density = rng.choice([0.0, 0.005, 0.05, 0.3, 0.8])
         flags = np.array([rng.random() < density for _ in range(off + n)], dtype=bool)
         pending = np.array([rng.random() < 0.7 for _ in range(n)], dtype=bool)
@@ -189,12 +193,19 @@ def test_least_splits_block_against_least_splits(monkeypatch, dense_share):
         positions = np.flatnonzero(pending)
         sums = 2 * (lo + off + positions) + 4
         want = least_splits(sums, iter(parts), 2 * lo + 1, lambda q: flags[(q >> 1) - lo])
-        got = least_splits_block(pending, flags, iter(parts))
-        assert got.tolist() == want.tolist(), (lo, off, pending, flags, parts)
-        # unsplit sums that still had parts left when their partner fell below flags[0]
+        planes, passes, late, left = least_splits_bits(_int(pending), _int(flags), off, iter(parts))
+        assert len(planes) <= plane_passes.bit_length() and len(passes) <= plane_passes
+        at = positions.tolist()
+        numbers = [sum((plane >> j & 1) << b for b, plane in enumerate(planes)) for j in at]
+        got = [passes[k - 1] if k else late.get(j, 0) for j, k in zip(at, numbers)]
+        assert got == want.tolist(), (lo, off, pending, flags, parts)
+        assert left == sum(1 << j for j, a in zip(at, got) if not a)
+        assert not any(k for j, k in zip(at, numbers) if j in late)
+        late_hits += len(late)
+        # unsplit sums that still had parts left when their partner fell below flag bit 0
         last_shift = (parts[-1] - 3) // 2 if parts else -1
-        fell_below += int(np.count_nonzero((got == 0) & (off + positions < last_shift)))
-    assert fell_below > 0
+        fell_below += int(np.count_nonzero((want == 0) & (off + positions < last_shift)))
+    assert fell_below > 0 and late_hits > 0
 
 
 def test_pair_sum_cover_decisions():

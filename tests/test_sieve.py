@@ -239,6 +239,17 @@ def test_odd_prime_blocks_tile_the_range(reader_table, reader_flags, lo, hi):
 
 
 @pytest.mark.parametrize("lo, hi", READER_RANGES + PHASE_RANGES)
+def test_odd_prime_bits_read_the_index_range(reader_table, reader_flags, lo, hi):
+    i0, i1 = max(lo, 1) // 2, (hi + 1) // 2
+    want = sum(1 << (i - i0) for i in range(i0, i1) if reader_flags[i])
+    assert reader_table.odd_prime_bits(i0, i1) == want
+    # the block source: its bounds tile the range, and each block's bits are its mask's
+    bounds = list(reader_table.odd_block_bounds(lo, hi))
+    assert bounds == [(j0, j0 + mask.size) for j0, mask in reader_table.odd_prime_blocks(lo, hi)]
+    assert sum(reader_table.odd_prime_bits(j0, j1) << (j0 - i0) for j0, j1 in bounds) == want
+
+
+@pytest.mark.parametrize("lo, hi", READER_RANGES + PHASE_RANGES)
 def test_scans_read_the_range(reader_table, reader_flags, lo, hi):
     odd = [v for v in range(max(lo, 1), hi + 1) if v % 2]
     primes = [v for v in odd if reader_flags[v >> 1]]
@@ -404,6 +415,7 @@ def test_window_bits_match_the_value_scans(reader_table, reader_flags, tampered)
 def test_range_past_the_limit_raises_before_a_value(reader_table):
     past = READER_LIMIT + 1
     scans = [
+        reader_table.odd_block_bounds(1, past),
         reader_table.odd_prime_blocks(1, past),
         reader_table.primes_in(1, past),  # 2 is not yielded first
         reader_table.odd_composites_in(9, past),
@@ -413,6 +425,8 @@ def test_range_past_the_limit_raises_before_a_value(reader_table):
             next(scan)
     with pytest.raises(ValueError, match="exceeds sieve limit"):
         reader_table.odd_prime_mask(past)
+    with pytest.raises(ValueError, match="exceeds sieve limit"):
+        reader_table.odd_prime_bits(0, (past + 1) // 2 + 1)
 
 
 @pytest.mark.parametrize("hi", [2**17 - 1, 2**17 + 3, 2**18 + 15])

@@ -25,12 +25,13 @@ from oracles import (
     odd_composites_upto,
     partition_audit_bf,
     primes_upto,
+    simple_prime_set,
     strata_bf,
     strata_census_bf,
     strata_csv_bf,
     sum_of_k_primes_bf,
 )
-from test_battery import STRATA_LIMIT, _sieve, _without_seven
+from test_battery import STRATA_LIMIT, _set_entry, _sieve, _tampered_blocks, _without_seven
 
 
 def _lists(st):
@@ -80,28 +81,43 @@ def test_determinism_across_limits(table_small, strata_1e5):
     assert tuple(got[: len(small[0])] for got in _lists(strata_1e5)) == small
 
 
-class _OnlyThreeVisible(PrimeTable):
-    """Masks every odd prime but 3 in the flag readers and the prime count,
-    so higher layers and unassigned entries occur; ``primes_in`` still
-    yields every prime as a part."""
+def _keep_only(table, primes):
+    """Clear every odd prime of ``table``'s packed bits but ``primes``, so
+    each of its readers, array, int and point, sees only those."""
+    mask = np.zeros((table.limit + 1) // 2, dtype=bool)
+    mask[[p >> 1 for p in primes]] = True
+    table._bits = np.packbits(mask, bitorder="little").tobytes()
+    table._ckpt = table._build_checkpoints()
 
-    def odd_prime_mask(self, hi=None):
-        mask = super().odd_prime_mask(hi).copy()
-        mask[2:] = False
-        return mask
 
-    def odd_prime_blocks(self, lo=1, hi=None):
-        for i0, mask in super().odd_prime_blocks(lo, hi):
-            yield i0, mask & (np.arange(i0, i0 + mask.size) == 1)
+class _OnlyVisible(PrimeTable):
+    """Shows only ``visible`` as odd primes to every reader but ``primes_in``,
+    which still yields every prime as a part."""
 
-    def odd_prime_at(self, values):
-        return super().odd_prime_at(values) & (np.asarray(values) == 3)
+    def __init__(self, limit, visible):
+        super().__init__(limit)
+        _keep_only(self, visible)
 
     def primes_in(self, lo, hi):
         return PrimeTable(self.limit).primes_in(lo, hi)
 
-    def prime_count(self, x):
-        return min(super().prime_count(x), 2)  # the primes 2 and 3
+
+class _OnlyThreeVisible(_OnlyVisible):
+    """Shows 3 as the only odd prime, so higher layers and unassigned entries occur."""
+
+    def __init__(self, limit):
+        super().__init__(limit, (3,))
+
+
+def _past_255_passes():
+    """The true table to 20,001 with the primes in [18,000, 20,000] cleared:
+    the composites there (the cleared primes among them) find their least
+    witness p > 2,000, past the 255th odd prime 1,621, with a partner below
+    18,000."""
+    limit, hidden = 20_001, set(range(18_001, 20_000, 2))
+    table = PrimeTable(limit)
+    _keep_only(table, sorted(simple_prime_set(limit) - hidden - {2}))
+    return table, _sieve(limit, hidden), None
 
 
 def test_stratum_answers_from_the_table_it_is_passed():
@@ -157,16 +173,13 @@ class _OnlyListedPrimes(PrimeTable):
 
     def __init__(self, limit, primes, block):
         super().__init__(limit)
-        mask = np.zeros((limit + 1) // 2, dtype=bool)
-        mask[[p >> 1 for p in primes]] = True
-        self._bits = np.packbits(mask, bitorder="little").tobytes()
-        self._ckpt = self._build_checkpoints()
+        _keep_only(self, primes)
         self.block = block
 
-    def odd_prime_blocks(self, lo=1, hi=None):
-        for i0, mask in super().odd_prime_blocks(lo, hi):
-            for j in range(0, mask.size, self.block):
-                yield i0 + j, mask[j : j + self.block]
+    def odd_block_bounds(self, lo=1, hi=None):
+        for i0, i1 in super().odd_block_bounds(lo, hi):
+            for j in range(i0, i1, self.block):
+                yield j, min(j + self.block, i1)
 
 
 def test_exceptions_placed_across_blocks():
@@ -229,6 +242,8 @@ ORACLE_TABLES = {
     ),
     "without-7": lambda: (_without_seven(), _sieve(STRATA_LIMIT, {7}), None),
     "no-odd-primes": lambda: (_OnlyListedPrimes(300, (), 16), set().__contains__, None),
+    "no-visible-odd-prime": lambda: (_OnlyVisible(300, ()), set().__contains__, primes_upto(300)[1:]),
+    "past-255-passes": _past_255_passes,
 }
 
 
@@ -267,6 +282,18 @@ def test_the_stream_and_its_readers_match_the_strata_oracle(tmp_path, case):
         for lo, hi in ((9, limit), (limit // 3, 2 * limit // 3)):
             members = [c for c, j in zip(comps, layer) if j == k and lo <= c <= hi]
             assert Stratum(k).window_bits(lo, hi, table) == _bits(members, lo, hi), (k, lo, hi)
+
+
+def test_a_block_past_255_passes_keeps_its_later_hits_one_by_one():
+    table, is_prime, _ = _past_255_passes()
+    (block,) = strata.layer_one_blocks(table.limit, table)
+    assert len(block.passes) == 255 and len(block.planes) == 8
+    late = {2 * (block.i0 + j) + 1: p for j, (k, p) in block.singles.items() if k == 1}
+    assert len(late) == len(block.singles) > 0
+    assert min(late) > 18_000 and min(late.values()) > block.passes[-1] == 1_619
+    comps, layer, witness = strata_bf(table.limit, is_prime)
+    assert all(witness[comps.index(c)] == p for c, p in late.items())
+    assert strata.audit_layer_one(table.limit, table).ok
 
 
 def test_partition_audit(strata_1e5, table_1e5):
@@ -504,6 +531,23 @@ def test_rough_pair_cover(table_1e5):
         rough_pair_cover_evidence(2, (3, 100), table_1e5)
 
 
+def _bit_block(i0, size, entries):
+    """A :class:`strata.BitBlock` over ``size`` odd numbers from 2 i0 + 1
+    holding the ``(c, layer, witness)`` entries: layer 1 in the planes, by
+    pass numbers in witness order, the rest in ``singles``."""
+    passes = sorted({p for _, k, p in entries if k == 1})
+    block = strata.BitBlock(i0, size, 0, [0] * len(passes).bit_length(), passes, {})
+    for c, k, p in entries:
+        j = (c >> 1) - i0
+        block.composite |= 1 << j
+        if k == 1:
+            number = passes.index(p) + 1
+            block.planes = [plane | (number >> b & 1) << j for b, plane in enumerate(block.planes)]
+        else:
+            block.singles[j] = (k, p)
+    return block
+
+
 @pytest.mark.parametrize("chunk", [2, 3, 5, 1 << 16])
 def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
     # five assigned rows, a remainder for chunks of 2 and 3, and two unassigned ones
@@ -519,11 +563,11 @@ def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
     got = (tmp_path / "got.csv").read_bytes()
     assert got == strata_csv_bf(comps, layer, witness)
     assert got.endswith(b"35,1,5,33\r\n21,,,\r\n33,,,\r\n")
-    # the streamed writer, fed the same table as two blocks, writes the same
-    # bytes and tallies the same census
-    columns = (st.composites, st.layer, st.witness_prime)
-    blocks = [tuple(col[:4] for col in columns), tuple(col[4:] for col in columns)]
-    monkeypatch.setattr(strata, "strata_blocks", lambda limit, table: iter(blocks))
+    # the streamed writer, fed the same table as two bit blocks, writes the
+    # same bytes and tallies the same census
+    entries = list(zip(comps, layer, witness))
+    blocks = [_bit_block(4, 9, entries[:4]), _bit_block(13, 10, entries[4:])]
+    monkeypatch.setattr(strata, "strata_bits", lambda limit, table: iter(blocks))
     tally = strata.strata_census(45, None, tmp_path / "streamed.csv")
     assert (tmp_path / "streamed.csv").read_bytes() == got
     assert tally.census_dict() == strata_census_bf(45, comps, layer)
@@ -543,8 +587,10 @@ def _whole_limit_witnesses(limit, table):
 
 
 def _blocked(limit, table):
-    blocks = list(strata.layer_one_blocks(limit, table))
-    return np.concatenate([c for c, _ in blocks]), np.concatenate([w for _, w in blocks])
+    """The composites and layer-1 witnesses of the blocked search, decoded
+    and concatenated (0 where it finds none)."""
+    blocks = [strata._arrays(block) for block in strata.layer_one_blocks(limit, table)]
+    return np.concatenate([c for c, _, _ in blocks]), np.concatenate([w for _, _, w in blocks])
 
 
 @pytest.mark.parametrize(
@@ -570,23 +616,23 @@ def test_layer_one_retry_past_a_short_margin(monkeypatch):
     want = _blocked(limit, table)
     retried = []
 
-    def spy(sums, parts, floor, accepts):
-        retried.append((floor, sums.tolist()))
-        return least_splits(sums, parts, floor, accepts)
+    def spy(s, primes, table):
+        retried.append(s)
+        return real(s, primes, table)
 
+    real = strata._least_witness
     monkeypatch.setattr(strata, "MARGIN_ODDS", 3)
-    monkeypatch.setattr(strata, "least_splits", spy)
+    monkeypatch.setattr(strata, "_least_witness", spy)
     got = _blocked(limit, table)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    # block 0 reads from the odd number 1; blocks 1 and 2 leave to the retry,
-    # which searches from 3, exactly the sums whose least partner lies below
+    # block 0 reads from the odd number 3; blocks 1 and 2 leave to the retry,
+    # one sum at a time, exactly the sums whose least partner lies below
     # their three-odd margin
     comps, witness = want
     below = comps + 3 - witness < 2 * (comps // (2 * BLOCK) * BLOCK - 3) + 1
-    assert [floor for floor, _ in retried] == [3, 3]
-    for k, (_, sums) in zip((1, 2), retried):
-        in_block = comps // (2 * BLOCK) == k
-        assert sums == (comps[in_block & below] + 3).tolist() and sums
+    block_of = (np.array(retried) - 3) // (2 * BLOCK)
+    assert sorted(set(block_of.tolist())) == [1, 2]
+    assert retried == (comps[below] + 3).tolist()
 
 
 def test_layer_one_audit_reads_retry_partners_below_the_margin(monkeypatch):
@@ -604,15 +650,7 @@ def test_layer_one_audit_reads_retry_partners_below_the_margin(monkeypatch):
     i = int(np.flatnonzero(retried)[0])
     c = int(comps[i])
     p = next(q for q in table.primes_in(int(witness[i]) + 1, c) if not table.is_prime(c + 3 - q))
-    real = strata.layer_one_blocks
-
-    def tampered(limit, table):
-        for cs, found in real(limit, table):
-            found = found.copy()
-            found[cs == c] = p
-            yield cs, found
-
-    monkeypatch.setattr(strata, "layer_one_blocks", tampered)
+    _tampered_blocks(monkeypatch, lambda block: _set_entry(block, c, 1, p))
     got = strata.audit_layer_one(limit, table).anomalies
     assert got == (f"layer-1 witness for {c} is not an odd prime pair",)
     assert got == verify_partition(compute_strata(limit, table), table).anomalies
