@@ -8,30 +8,25 @@ its verdict's status *is* the expected one, so a slide from ``holds`` to
 ``holds_on_window`` fails as surely as a counterexample does.
 
 The sieve group reads the prime table once, in blocks of
-``CHECKPOINT_BITS`` odd numbers, as one table of runs [p, q - 1] between
-consecutive primes, carrying only the last prime and the prime count.  pi
-is constant on a run, so each check is decided at one end of each run and
-searched value by value only inside the first run that fails.  No
-composite rank is carried: k is read from c and pi(c) through the
-composite-count identity, which is decided once, at the first odd
-composite, and the final prime count is checked against the table's
-checkpoints.  The value forms of the index bound and of scaling are their
-pi forms with pi shifted by a constant, decided on the same runs.  The strata
-group reads the strata stream once
-(:func:`~sumcollapse.strata.audit_layer_one` over
-:func:`~sumcollapse.strata.strata_blocks`: each block's layer 1 is searched
-by one shifted AND per prime of Python ints over its prime bits and a
-margin of ``strata.MARGIN_ODDS`` odd numbers below it, each exception is
-placed in a deeper layer from a ``{composite: layer}`` map, and the block
-is decoded into arrays).  It audits each block against a separate read,
-its layer-1 witness pairs looked up with ``PrimeTable.odd_prime_at`` and
-its deeper witnesses peeled one by one against its own map, carrying only
-the layer counts, the map and the first anomalies.  So no check holds a
-strata array over the whole limit, and none unpacks a prefix of the
-table: the absorption check (on its 10^5 cap) and the pair sweep look
-primes up with ``odd_prime_at`` too.  Work the other groups share (the
-pair sweep) lives in the group's own frame and is freed when the group
-ends.
+``CHECKPOINT_BITS`` odd numbers, each one int of its prime bits, carrying
+only pi: a check's predicate is monotone on a range of values, so one test
+at the range's ends, with pi from popcounts, clears most of the table a
+block at a time, and only a range some check may fail on is halved down to
+leaves read run by run.  No composite rank is carried: k is read from c and
+pi(c) through the composite-count identity, which is decided once, at the
+first odd composite, and the final prime count is checked against the
+table's checkpoints.  The strata group reads the strata stream
+(:func:`~sumcollapse.strata.strata_bits`, one
+:class:`~sumcollapse.strata.BitBlock` of Python ints per block) once for
+its audit, :func:`~sumcollapse.strata.audit_layer_one`: each block's
+entries against a separate read of its prime bits, its layer-1 witnesses
+one AND a pass, and its deeper witnesses peeled one by one against the
+audit's own map, carrying only the layer counts, the map and the first
+anomalies.  The absorption check reads the stream again up to its 10^5
+cap, as bitsets, and the pair sweep searches the composite bits; so no check
+holds a strata table over the whole limit, and no module the battery runs
+imports numpy.  Work the other groups share (the pair sweep) lives in the
+group's own frame and is freed when the group ends.
 """
 
 from __future__ import annotations
@@ -39,19 +34,21 @@ from __future__ import annotations
 import random
 import resource
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from math import log
 
 from . import collapse as col
 from . import finite_ring as ring
 from . import strata as strata_mod
+from .intsets import _lsb, iter_bits
 from .sieve import CompositeIndex, PrimeTable
 from .verdict import RelationVerdict, Status, jsonable
 
 HOLDS, WINDOW = Status.HOLDS, Status.HOLDS_ON_WINDOW
 RANDOM_TUPLE_SEED = 0x5EED
 MIN_LIMIT = 93  # sieve/prime-surplus-window reads pi(93)
+SIEVE_LEAF = 1 << 8  # odd numbers in a range the sieve checks decide run by run
 
 
 def require_limit(limit: int) -> None:
@@ -147,9 +144,17 @@ def run_battery(limit: int) -> list[CheckResult]:
 # sieve
 
 
+def _odd_composites(a: int, b: int, bits: int) -> int:
+    """The odd composites >= 9 among the odd indices [a, b) whose prime bits
+    are ``bits``, as the int of their bits."""
+    comps = ~bits & ((1 << (b - a)) - 1)
+    return comps >> (4 - a) << (4 - a) if a < 4 else comps  # index 4 is 9
+
+
 def sieve_checks(table: PrimeTable):
     """The six prime-count checks, decided in one pass over the table in
-    blocks of ``CHECKPOINT_BITS`` odd numbers, once per run of constant pi.
+    blocks of ``CHECKPOINT_BITS`` odd numbers, each read as one int
+    (``PrimeTable.odd_prime_bits``).
 
     The k-th odd composite c has k = (c - 2 pi(c) - d)/2 for one d: to the
     next odd composite, c rises by 2 plus 2 per flagged value between them,
@@ -173,80 +178,131 @@ def sieve_checks(table: PrimeTable):
     inside the run; log-bound at the last, since from k = 31 on it fails
     only where pi < 2k (else k - (ln(4k)/2 - 1) pi <= k (3 - ln 4k) < 0),
     and there its difference rises in k.  Each check keeps its first failure
-    (scaling its least m), searched only inside the first run that fails.
+    (scaling its least m).
+
+    Few runs are read.  Each predicate is monotone in x or k and in pi, so
+    on a range of odd numbers one test at the range's ends, with the least
+    or the largest pi on it (popcounts of the block's int), proves that a
+    check cannot fail anywhere in the range: the band's low side, for one,
+    cannot fail on [a, b] when pi(a) > b/ln b, and scaling needs no m below
+    k/pi at the range's first composite and its largest pi.  A range where
+    some check stays open is halved, down to ``SIEVE_LEAF`` odd numbers, and
+    a leaf is decided run by run for its open checks, value by value inside
+    the first run that fails.  Each power 13^(m+1) is checked at itself.
     The surplus is :func:`~sumcollapse.collapse.surplus_shortfall`'s, and
     the final pi must match ``table.prime_count(limit)`` (the checkpoints).
     """
     require_limit(table.limit)
     limit = table.limit
     # 13^(m+1) for m = 1, 2, ... up to the limit
-    powers = np.array([13**j for j in range(2, limit.bit_length()) if 13**j <= limit], np.int64)
+    powers = [13**j for j in range(2, limit.bit_length()) if 13**j <= limit]
     guard = 1e-12  # double-precision slop on the band's strict inequalities
     fails = {  # each check's predicate on (x or k, pi)
-        "band-low": lambda x, pi: pi <= x / np.log(x.astype(float)) * (1 - guard),
-        "band-high": lambda x, pi: pi >= 1.25506 * (x / np.log(x.astype(float))) * (1 + guard),
+        "band-low": lambda x, pi: pi <= x / log(x) * (1 - guard),
+        "band-high": lambda x, pi: pi >= 1.25506 * (x / log(x)) * (1 + guard),
         "pi-bound": lambda k, pi: pi > k - 1,
         "value-bound": lambda k, h: h > k - 1,
-        "log-bound": lambda k, pi: k >= (0.5 * np.log(4 * k.astype(float)) - 1) * pi + 1,
+        "log-bound": lambda k, pi: k >= (0.5 * log(4 * k) - 1) * pi + 1,
     }
     first: dict[str, int] = {}  # a check -> its first failure
     bad_ms: set[int] = set()  # m's that scaling fails for, the least one always among them
     lead = None  # the first odd composite and pi there
+    d = shift = 0  # c - 2k - 2 pi at every odd composite, and h - pi
 
-    def search(part, lo, hi, pis, at, report=lambda v, pi: v):
-        """Note the first failure of ``part`` on the runs [lo, hi] of constant
-        ``pis``, where on each run it first fails at ``at`` (lo or hi) if
-        anywhere; only the first run that fails is searched value by value.
-        ``report`` maps the failing value and pi there to what is noted."""
-        if part in first or not (bad := fails[part](at, pis)).any():
+    def open_checks(a, b, bits, pi):
+        """The checks not yet decided that may fail on the odd indices
+        [a, b), with prime bits ``bits`` and pi(2a) = ``pi``."""
+        left = set()
+        top = pi + bits.bit_count()  # pi(2b), the largest pi on the range
+        x0, x1 = max(2 * a + 1, 17), min(2 * b, limit)
+        if x0 <= x1:
+            if fails["band-low"](x1, pi):
+                left.add("band-low")
+            if fails["band-high"](x0, top):
+                left.add("band-high")
+        comps = _odd_composites(a, b, bits)
+        if lead and comps:
+            j0, j1 = _lsb(comps), comps.bit_length() - 1
+            c0, c1 = 2 * (a + j0) + 1, 2 * (a + j1) + 1
+            k0 = (c0 - 2 * (pi + (bits & ((1 << j0) - 1)).bit_count()) - d) >> 1
+            k1 = (c1 - 2 * (top - (bits >> j1).bit_count()) - d) >> 1
+            if k1 >= 31:
+                k = max(k0, 31)
+                if fails["pi-bound"](k, top):
+                    left.add("pi-bound")
+                if fails["value-bound"](k, top + shift):
+                    left.add("value-bound")
+                if k1 >= (0.5 * log(4 * k) - 1) * pi + 1:
+                    left.add("log-bound")
+            need = -(-k0 // (top + max(shift, 0)))  # no c here fails scaling for an m below it
+            if need <= bisect_right(powers, c1) and need < min(bad_ms, default=need + 1):
+                left.add("scaling")
+        return left - first.keys()
+
+    def decide_run(s, e, pi, composite_start, checks):
+        """Decide ``checks`` on the run [s, e] of constant ``pi``, s odd; its
+        odd composites start at s with ``composite_start``, else at s + 2."""
+        checks -= first.keys()  # in place: a check decided here leaves the leaf's later runs
+        x0, x1 = max(s, 17), min(e, limit)
+        if x0 <= x1:
+            if "band-low" in checks and fails["band-low"](x1, pi):
+                first["band-low"] = next(x for x in range(x0, x1 + 1) if fails["band-low"](x, pi))
+            if "band-high" in checks and fails["band-high"](x0, pi):
+                first["band-high"] = x0
+        c0, c1 = max(s if composite_start else s + 2, 9), (min(e, limit) - 1) | 1
+        if not lead or c0 > c1:
             return
-        r = int(bad.argmax())
-        values = np.arange(lo[r], hi[r] + 1)
-        first[part] = int(report(values[fails[part](values, pis[r]).argmax()], pis[r]))
+        k0, k1 = (c0 - 2 * pi - d) >> 1, (c1 - 2 * pi - d) >> 1
+        if k1 >= 31:
+            k = max(k0, 31)
+            if "pi-bound" in checks and fails["pi-bound"](k, pi):
+                first["pi-bound"] = 2 * k + 2 * pi + d
+            if "value-bound" in checks and fails["value-bound"](k, pi + shift):
+                first["value-bound"] = 2 * (k + pi + shift) - 1
+            if "log-bound" in checks and fails["log-bound"](k1, pi):
+                first["log-bound"] = next(j for j in range(k, k1 + 1) if fails["log-bound"](j, pi))
+        need = -(-k0 // max(pi, pi + shift))  # the least m with pi m >= k or h m >= k at c0
+        if "scaling" in checks and need <= bisect_right(powers, c0):
+            bad_ms.add(need)
 
-    def runs(starts, ends, pis):
-        nonlocal lead
-        r = int(ends.searchsorted(17))  # the band's runs, from x = 17: a suffix
-        xs, ends_x, pis_x = np.maximum(starts[r:], 17), ends[r:], pis[r:]
-        search("band-low", xs, ends_x, pis_x, ends_x)
-        search("band-high", xs, ends_x, pis_x, xs)
-
-        c0, c1 = np.maximum(starts + 2, 9), (ends - 1) | 1  # each run's odd composites
-        has = c0 <= c1
-        if not has.any():
+    def decide(a, b, bits, pi):
+        """Decide every check on the odd indices [a, b): halve the range
+        while a check stays open, and read a leaf's runs."""
+        checks = open_checks(a, b, bits, pi)
+        if not checks:
             return
-        c0, c1, pis = c0[has], c1[has], pis[has]
-        if lead is None:
-            lead = int(c0[0]), int(pis[0])
-        d = lead[0] - 2 * lead[1] - 2
-        hs = pis + (d + 1) // 2  # h = (c + 1)/2 - k on each run
-        k0, k1 = (c0 - 2 * pis - d) >> 1, (c1 - 2 * pis - d) >> 1
-
-        r = int(k1.searchsorted(31))  # k rises over the runs, so those reaching 31 are a suffix
-        k31 = np.maximum(k0[r:], 31)
-        search("pi-bound", k31, k1[r:], pis[r:], k31, lambda k, pi: 2 * k + 2 * pi + d)
-        search("value-bound", k31, k1[r:], hs[r:], k31, lambda k, h: 2 * (k + h) - 1)
-        search("log-bound", k31, k1[r:], pis[r:], k1[r:])
-
-        top = np.maximum(pis, hs)  # scaling fails where pi m >= k or h m >= k
-        need = -(-k0 // top)  # the least such m at each run's start
-        bad = need[need <= powers.searchsorted(c0, side="right")]
-        if bad.size:
-            bad_ms.add(int(bad.min()))
-        for m, power in enumerate(powers.tolist(), start=1):
-            r = int(c1.searchsorted(power))
-            if r < c1.size and c0[r] < power and top[r] * m >= k0[r] + (power - c0[r]) // 2:
-                bad_ms.add(m)
+        if b - a > SIEVE_LEAF:
+            half = (b - a) >> 1
+            low = bits & ((1 << half) - 1)
+            decide(a, a + half, low, pi)
+            decide(a + half, b, bits >> half, pi + low.bit_count())
+            return
+        s, composite_start = 2 * a + 1, True  # the leaf's first run starts at its first value
+        for j in iter_bits(bits):
+            v = 2 * (a + j) + 1
+            if s < v:
+                decide_run(s, v - 1, pi, composite_start, checks)
+            s, composite_start, pi = v, False, pi + 1
+        decide_run(s, 2 * b, pi, composite_start, checks)
 
     # the first cut is 2; a flagged 1 cuts after it, out of order, but no
     # check reads an x below 9
-    start, pi = 2, 1
-    for i0, mask in table.odd_prime_blocks():
-        cuts = 2 * (i0 + np.flatnonzero(mask)) + 1
-        if cuts.size:
-            runs(np.append(start, cuts[:-1]), cuts - 1, pi + np.arange(cuts.size))
-            start, pi = int(cuts[-1]), pi + cuts.size
-    runs(np.array([start]), np.array([limit]), np.array([pi]))
+    pi = 1
+    for i0, i1 in table.odd_block_bounds(1, limit):
+        bits = table.odd_prime_bits(i0, i1)
+        if lead is None and (comps := _odd_composites(i0, i1, bits)):
+            j = _lsb(comps)
+            lead = 2 * (i0 + j) + 1, pi + (bits & ((1 << j) - 1)).bit_count()
+            d = lead[0] - 2 * lead[1] - 2
+            shift = (d + 1) // 2
+        decide(i0, i1, bits, pi)
+        for m, power in enumerate(powers, start=1):
+            j = (power >> 1) - i0
+            if 0 <= j < i1 - i0 and not bits >> j & 1:  # an odd composite, so lead is set
+                at = pi + (bits & ((1 << j) - 1)).bit_count()  # pi(power)
+                if max(at, at + shift) * m >= (power - 2 * at - d) >> 1:
+                    bad_ms.add(m)
+        pi += bits.bit_count()
     if pi != (counted := table.prime_count(limit)):  # the checkpoints' count
         raise RuntimeError(f"the sieve pass counts {pi} primes up to {limit}, the table {counted}")
 
@@ -295,7 +351,7 @@ def sieve_checks(table: PrimeTable):
         "whenever the k-th odd composite reaches 13^(m+1), pi(value) < k/m and "
         "value < (2 + 2/m)k - 1",
         HOLDS,
-        decided(not bad_ms, min(bad_ms, default=None), witnesses=((1, powers.size),)),
+        decided(not bad_ms, min(bad_ms, default=None), witnesses=((1, len(powers)),)),
     )
 
     bad = first.get("log-bound")
@@ -460,8 +516,8 @@ def strata_checks(table: PrimeTable, limit: int):
         decided(not audit.anomalies, audit.anomalies[:3], (9, limit)),
     )
     cap = min(limit, 100_000)
-    # the classification is self-contained, so the capped table has the same members
-    rep = strata_mod.verify_absorption(strata_mod.compute_strata(cap, table), 3, (9, cap), table)
+    # the classification is self-contained, so the capped stream has the same members
+    rep = strata_mod.verify_absorption(strata_mod.strata_bits(cap, table), 3, (9, cap), table)
     yield (
         "strata/absorption-pairs",
         "3 + c is a two-odd-prime sum for every layer-1 member (higher layers "

@@ -38,11 +38,6 @@ import sys
 from itertools import chain
 from operator import add
 
-# Set before numpy is first imported, which only the commands that build
-# arrays do: no module here calls BLAS, so OpenBLAS's thread pool would only
-# add startup time.  A value the user set wins (README, "Startup").
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 
 def _lazy(name: str):
     """The submodule ``name``, in ``sys.modules`` and on the package as if

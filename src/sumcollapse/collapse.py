@@ -23,9 +23,10 @@ bitset sumsets on the even sums up to ``PREFIX_SUMS`` and near each sum
 largest of them.  ``_removal_certificate`` adds
 one least-prime witness per removed value; the cascade keeps only statuses,
 so it asks the decision alone.  The decision and those witnesses are loops
-over Python ints, a few tries per removed value, so a removal query imports
-no numpy; the shifted composite pair sweep asks the array search
-:func:`~sumcollapse.intsets.least_splits`, which does.
+over Python ints, a few tries per removed value, and the shifted composite
+pair sweep is one bit search per claim
+(:func:`~sumcollapse.intsets.least_splits_bits` over the composite bits),
+so nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -33,11 +34,14 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import reduce
+from itertools import chain
+from operator import or_
+from types import MappingProxyType
 
-from .intsets import _lsb, iterated_sumset, least_splits
-from .intsets import pair_sum_cover_decision, progression_bits, restrict, sumset_equal_window
-from .intsets import window_sumset
+from .intsets import _lsb, iter_bits, iterated_sumset, least_splits_bits
+from .intsets import pair_sum_cover_decision, pass_groups, progression_bits, restrict
+from .intsets import sumset_equal_window, window_sumset
 from .setexpr import FiniteSet, Primes, Progression, RoughOdd, SetExpr, as_set_expr
 from .sieve import CompositeIndex, PrimeTable, _is_prime_slow, is_rough
 from .verdict import (
@@ -49,9 +53,6 @@ from .verdict import (
     hypothesis_failed,
     weakest,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # ---------------------------------------------------------------------------
 # factorization property
@@ -675,10 +676,9 @@ class PairSweepReport:
     that also demands the two composites differ (it additionally flags 9,
     whose double 18 = 9 + 9 only repeats a part).
 
-    ``pair_witnesses`` is a read-only ``{k: (x, y)}`` view, x the least odd
-    composite with x + y = 3 + (k-th odd composite) and x < y, over arrays
-    of the indices, least parts and partners; it compares equal to the dict
-    of the same pairs.
+    ``pair_witnesses`` is a read-only ``{k: (x, y)}`` mapping, x the least
+    odd composite with x + y = 3 + (k-th odd composite) and x < y; it
+    compares equal to the dict of the same pairs.
     """
 
     k_max: int
@@ -689,9 +689,11 @@ class PairSweepReport:
 
 
 def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepReport:
-    """Sweep both pair-representation claims over the first ``k_max`` indices."""
-    import numpy as np
+    """Sweep both pair-representation claims over the first ``k_max`` indices.
 
+    The least parts come from one :func:`~sumcollapse.intsets.least_splits_bits`
+    search per claim over the composite bits: the parts are the odd
+    composites in order, and a sum's partner must be an odd composite."""
     if k_max < 3:
         raise ValueError(f"k_max must be >= 3, got {k_max}")
     index = CompositeIndex(table)
@@ -699,50 +701,40 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
         raise ValueError(
             f"sieve limit {table.limit} holds fewer than {k_max} odd composites"
         )
-    comps = np.array(index.first(k_max))
+    comps = index.first(k_max)
+    # bit i: the odd number 2i + 1 is prime, or an odd composite >= 9, up to every partner
+    n = (max(comps[-1], 2 * k_max - 9) + 1) // 2
+    primes = table.odd_prime_bits(0, n)
+    flags = ~primes & ((1 << n) - 1) & ~0b1111
 
-    def least_pairs(sums):
-        # the symmetric set: a sum with a least part x has x <= its partner;
-        # each partner is odd, >= 9 and below comps[-1], where not prime is composite
-        least = least_splits(sums, comps.tolist(), 9, lambda q: ~table.odd_prime_at(q))
-        return least, (least > 0) & (2 * least < sums)
+    def least_parts(pending: int) -> tuple[list[int], int]:
+        """Per set bit j of ``pending``, standing for the even sum 2j + 4,
+        its least part at index j of a list (0 where none is), and the bits
+        with none.  The set is symmetric: a least part x is at most its
+        partner."""
+        planes, passes, late, left = least_splits_bits(pending, flags, 0, comps)
+        least = [0] * pending.bit_length()
+        for k, hits in pass_groups(reduce(or_, planes, 0), planes):
+            for j in iter_bits(hits):
+                least[j] = passes[k - 1]
+        for j, x in late.items():
+            least[j] = x
+        return least, left
 
-    ks = np.arange(3, k_max + 1)
-    t = comps[2:] + 3
-    least, distinct = least_pairs(t)
-    missing = tuple(ks[~distinct].tolist())
-    witnesses = _PairWitnesses(ks[distinct], least[distinct], (t - least)[distinct])
+    ks = range(3, k_max + 1)
+    # 3 + c for an odd composite c is bit (c - 1)/2, the composite's own bit
+    first, last = comps[2] >> 1, comps[-1] >> 1
+    least, _ = least_parts(flags >> first << first & ((2 << last) - 1))
+    pairs = {k: (x, c + 3 - x) for k, c in zip(ks, comps[2:]) if 0 < 2 * (x := least[c >> 1]) < c + 3}
+    missing = tuple(k for k in ks if k not in pairs)
 
-    t = 2 * ks
-    least, distinct = least_pairs(t)
-    shifted_prime = table.odd_prime_at(t - 3)  # an odd 2k - 3 >= 3 is prime or composite
-    even_exc = tuple(ks[(least == 0) & ~shifted_prime].tolist())
-    even_distinct_exc = tuple(ks[~distinct & ~shifted_prime].tolist())
-    return PairSweepReport(k_max, missing, witnesses, even_exc, even_distinct_exc)
-
-
-class _PairWitnesses(Mapping):
-    """Read-only ``{k: (x, y)}`` view over the increasing indices ``ks`` and
-    the parallel arrays of their least parts x and partners y."""
-
-    def __init__(self, ks: np.ndarray, least: np.ndarray, partner: np.ndarray):
-        self._ks, self._least, self._partner = ks, least, partner
-
-    def __getitem__(self, k):
-        import numpy as np
-
-        ks = self._ks
-        if isinstance(k, (int, np.integer)) and ks.size and ks[0] <= k <= ks[-1]:
-            i = int(ks.searchsorted(k))
-            if ks[i] == k:
-                return int(self._least[i]), int(self._partner[i])
-        raise KeyError(k)
-
-    def __iter__(self):
-        return iter(self._ks.tolist())
-
-    def __len__(self) -> int:
-        return self._ks.size
+    # 2k for k = 3..k_max is bit k - 2, which is also the bit of 2k - 3: an
+    # odd 2k - 3 >= 3 is prime or composite
+    least, left = least_parts(((1 << (k_max - 1)) - 1) & ~1)
+    even_exc = tuple(j + 2 for j in iter_bits(left & ~primes))
+    same = [j for j, x in enumerate(least) if x == j + 2 and not primes >> j & 1]  # only 2k = k + k
+    even_distinct_exc = tuple(sorted(j + 2 for j in chain(iter_bits(left & ~primes), same)))
+    return PairSweepReport(k_max, missing, MappingProxyType(pairs), even_exc, even_distinct_exc)
 
 
 # ---------------------------------------------------------------------------

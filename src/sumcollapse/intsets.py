@@ -21,23 +21,18 @@ reaches down to it.
 
 The exact pair-sum decision searches a split of each sum 3 + e, e excluded,
 and of no other sum, in one loop over Python ints.  The least-witness
-searches are :func:`least_splits`, on arrays, which the absorption check and
-the pair sweeps ask (it imports numpy when called, so importing this module
-does not), and its bit form :func:`least_splits_bits`, which layer 1 of the
-strata asks for the least part of every sum of a contiguous block at once:
-one AND and XOR of Python ints per part, the hits kept in bit planes of
-their pass number.
+search is :func:`least_splits_bits`, which layer 1 of the strata and the
+shifted composite pair sweep ask for the least part of every sum of a
+contiguous block at once: one AND and XOR of Python ints per part, the hits
+kept in bit planes of their pass number, which :func:`pass_groups` splits
+back into one group of bits per pass.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .verdict import RelationVerdict, fails, holds, holds_on_window
-
-if TYPE_CHECKING:
-    import numpy as np
 
 PLANE_PASSES = 255  # the passes least_splits_bits numbers in its eight bit planes
 _BITPOS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
@@ -316,39 +311,10 @@ def sumset_equal_window(
     )
 
 
-def least_splits(sums, parts, floor: int, accepts) -> np.ndarray:
-    """Per sum s of the increasing array ``sums``, the least a of the
-    increasing iterable ``parts`` (endless is fine) whose partner s - a is
-    >= ``floor`` and passes ``accepts``, a test on an array of partners; 0
-    where none does.  Partners shrink as a grows, so a sum whose partner
-    falls below the floor is dropped for good.
-
-    With a symmetric accept set -- the parts are exactly the accepted values
-    >= ``floor`` -- a split s = a + b reads both ways, b being a part with
-    the accepted partner a.  So the least part a* is at most s - a*: a split
-    with a <= b exists iff a* > 0, and one with a < b iff 0 < 2a* < s.
-    """
-    import numpy as np
-
-    sums = np.asarray(sums)
-    found = np.zeros(sums.size, dtype=sums.dtype)
-    pos = np.arange(sums.size, dtype=np.int32)  # half the memory of int64; fewer than 2^31 sums
-    cand = sums
-    for a in parts:
-        if not cand.size or cand[-1] < a + floor:
-            break
-        first = int(cand.searchsorted(cand.dtype.type(a + floor)))
-        pos, cand = pos[first:], cand[first:]
-        hit = accepts(cand - a)
-        found[pos[hit]] = a
-        pos, cand = pos[~hit], cand[~hit]
-    return found
-
-
 def least_splits_bits(pending: int, flags: int, off: int, parts):
-    """The bit form of :func:`least_splits` for a flag accept set, on Python
-    ints: per set bit j of ``pending``, the least odd part p >= 3 of the
-    increasing iterable ``parts`` whose partner is flagged at bit
+    """The least splits of a block of sums, on Python ints: per set bit j of
+    ``pending``, the least odd part p >= 3 of the increasing iterable
+    ``parts`` (endless is fine) whose partner is flagged at bit
     ``off + j - (p - 3)/2`` of ``flags``.
 
     Bit t of ``flags`` says whether the odd number 2(lo + t) + 1 is accepted,
@@ -364,11 +330,14 @@ def least_splits_bits(pending: int, flags: int, off: int, parts):
     Returns ``(planes, passes, late, left)``: bit j of ``planes[b]`` is bit b
     of the number k of the pass that found j, whose part is
     ``passes[k - 1]``; ``late`` maps a bit found after ``PLANE_PASSES``
-    passes to its part; ``left`` holds the bits no part found.  The search
-    stops once nothing is pending, every pending partner lies below flag
-    bit 0 or the parts run out, so ``left`` is what :func:`least_splits`
-    leaves at 0 for the sums s_j with floor 2 lo + 1 and the test
-    ``flags >> ((q >> 1) - lo) & 1``.
+    passes to its part; ``left`` holds the bits no part found.  Partners
+    shrink as p grows, so the search stops once nothing is pending, every
+    pending partner lies below flag bit 0 or the parts run out.
+
+    With a symmetric accept set -- the parts are exactly the flagged values
+    -- a split s = a + b reads both ways, b being a part with the accepted
+    partner a.  So the least part a* is at most s - a*: a split with a <= b
+    exists iff a* > 0, and one with a < b iff 0 < 2a* < s.
     """
     planes: list[int] = []
     passes: list[int] = []
@@ -389,6 +358,25 @@ def least_splits_bits(pending: int, flags: int, off: int, parts):
             late.update(dict.fromkeys(iter_bits(hit), p))
         pending ^= hit
     return planes, passes, late, pending
+
+
+def pass_groups(bits: int, planes: list[int]):
+    """Yield ``(k, group)`` for each pass number k that ``planes`` hold for
+    some bit of ``bits``, as :func:`least_splits_bits` numbers them: the
+    bits whose planes read k.  Each plane, the top one first, halves a group
+    with one AND and one XOR, so about two per pass, and depth first, so
+    only one group per plane is kept waiting."""
+    stack = [(0, len(planes), bits)] if bits else []
+    while stack:
+        k, b, group = stack.pop()
+        if not b:
+            yield k, group
+            continue
+        one = group & planes[b - 1]
+        if zero := group ^ one:
+            stack.append((2 * k, b - 1, zero))
+        if one:
+            stack.append((2 * k + 1, b - 1, one))
 
 
 def pair_sum_cover_decision(d) -> RelationVerdict:

@@ -264,55 +264,44 @@ class OddComposites(SetExpr):
 
 class Stratum(SetExpr):
     """Odd composites assigned to one layer of the prime-shift stratification,
-    read from :func:`~sumcollapse.strata.strata_blocks` up to a query's end
-    (classification is self-contained below it) and kept as the layer's sorted
-    ``int32`` members from the query's start on."""
+    read from :func:`~sumcollapse.strata.strata_bits` up to a query's end
+    (classification is self-contained below it) and kept as one bitset of
+    the layer's members from the query's start on."""
 
     def __init__(self, layer: int):
         if layer < 1:
             raise ValueError(f"layer index must be >= 1, got {layer}")
         self.layer = layer
-        self._cache = None  # (PrimeTable, lo, hi, the sorted members in [lo, hi])
+        self._cache = None  # (PrimeTable, lo, hi, the members in [lo, hi] as bits v - lo)
 
-    def _members(self, lo: int, hi: int, table: PrimeTable | None, grow: bool = False):
-        """The members over a cached range covering [lo, hi], read anew if none
-        does; with ``grow`` a read reaches twice as far as the table's last."""
+    def _bits(self, lo: int, hi: int, table: PrimeTable | None, grow: bool = False):
+        """``(lo, bits)`` over a cached range covering [lo, hi], read anew if
+        none does; with ``grow`` a read reaches twice as far as the table's last."""
         table = _require_table(table, hi, self.describe())
         cache = self._cache
         if cache is None or cache[0] is not table or not cache[1] <= lo <= hi <= cache[2]:
-            import numpy as np
-
-            from .strata import strata_blocks  # local import; strata builds on this module
+            # local import; strata builds on this module
+            from .strata import layer_window_bits, strata_bits
 
             if grow and cache is not None and cache[0] is table:
                 # rising queries then read the stream a logarithmic number of times
                 hi = min(table.limit, max(hi, 2 * cache[2]))
-            kept = []
-            for comps, layer, _ in strata_blocks(max(hi, 9), table):
-                members = comps[layer == self.layer]
-                kept.append(members[members >= lo])
-            self._cache = cache = (table, lo, hi, np.concatenate(kept))
-        return cache[3]
+            blocks = strata_bits(max(hi, 9), table)
+            bits = layer_window_bits(blocks, (self.layer,), lo, hi)[self.layer]
+            self._cache = cache = (table, lo, hi, bits)
+        return cache[1], cache[3]
 
     def contains(self, n, table=None):
         if n < 9 or n % 2 == 0:
             return False
-        members = self._members(9, n, table, grow=True)
-        i = int(members.searchsorted(n))
-        return i < members.size and members[i] == n
+        lo, bits = self._bits(9, n, table, grow=True)
+        return bool(bits >> (n - lo) & 1)
 
     def window_bits(self, lo, hi, table=None):
-        import numpy as np
-
         if lo > hi:
             return 0
-        members = self._members(lo, hi, table)
-        at = members[members.searchsorted(lo) : members.searchsorted(hi, side="right")] - lo
-        bit = np.uint8(1) << (at & 7).astype(np.uint8)
-        at >>= 3
-        buf = np.zeros((hi - lo) // 8 + 1, dtype=np.uint8)
-        np.bitwise_or.at(buf, at, bit)
-        return int.from_bytes(buf, "little")
+        start, bits = self._bits(lo, hi, table)
+        return bits >> (lo - start) & ((1 << (hi - lo + 1)) - 1)
 
     def prime_floor(self):
         return 3

@@ -10,15 +10,16 @@ residual block, which keeps ``prime_count`` effectively O(1).
 The table is built and read with bytes and ints alone, so the scalar
 queries, the scans ``primes_in`` / ``odd_composites_in`` (which walk the
 packed bytes), ``odd_flag_bits`` (which spreads them straight into a
-window bitset) and the block source run without numpy.  The block source
-is ``odd_block_bounds(lo, hi)``, the ``CHECKPOINT_BITS``-odd blocks that
-tile a range, and ``odd_prime_bits(i0, i1)``, one int sliced from the
-packed bytes of an index range, which layer 1 of the strata reads per
-block and margin.  The array readers import numpy when called:
-``odd_prime_blocks(lo, hi)`` decodes the bits of a range into flag arrays,
-``odd_prime_mask`` a prefix, and ``odd_prime_at(values)`` looks up an array
-of values in the packed bits themselves, so no caller needs to unpack a
-prefix only to index it.
+window bitset, :func:`spread_bits`) and the block source run without
+numpy.  The block source is ``odd_block_bounds(lo, hi)``, the
+``CHECKPOINT_BITS``-odd blocks that tile a range, and
+``odd_prime_bits(i0, i1)``, one int sliced from the packed bytes of an
+index range, which the battery's sieve pass, layer 1 of the strata and its
+audit read per block, and the pair sweep once.  So no command imports
+numpy.  The array readers, which only library callers use, import it when
+called: ``odd_prime_blocks(lo, hi)`` decodes the bits of a range into flag
+arrays, ``odd_prime_mask`` a prefix, and ``odd_prime_at(values)`` looks up
+an array of values in the packed bits themselves.
 
 All element indices are 1-based: ``nth_prime(1) == 2`` and the first odd
 composite has rank 1.
@@ -69,6 +70,17 @@ def _window_bytes(bits: bytes, i0: int, i1: int, clear: bool) -> bytearray:
     raw[0] &= 0xFF << (i0 & 7) & 0xFF
     raw[-1] &= 0xFF >> (-i1 & 7)
     return raw
+
+
+def spread_bits(raw: bytes) -> int:
+    """The int whose bit 2j is bit j of the little-endian ``raw``: each
+    byte spread to 16 bits, its nibbles through the ``_LOW`` and ``_HIGH``
+    tables into alternate bytes.  So bits that stand for consecutive odd
+    numbers land on the bits of those numbers among all integers."""
+    words = bytearray(2 * len(raw))
+    words[0::2] = raw.translate(_LOW)
+    words[1::2] = raw.translate(_HIGH)
+    return int.from_bytes(words, "little")
 
 
 def _odd_values(bits: bytes, i0: int, i1: int, clear: bool = False):
@@ -268,19 +280,14 @@ class PrimeTable:
         """Bitset with bit ``v - origin`` set for each odd v in ``[lo, hi]``
         whose bit is set (with ``composite``, clear); ``origin <= lo``.
 
-        Each packed byte is spread to 16 bits, its nibbles through the
-        ``_LOW`` and ``_HIGH`` tables into alternate bytes, so the bitset is
-        built from the bytes of the range with no more than a few
-        bitset-sized (n/8-byte) buffers alive."""
+        The packed bytes of the range are spread (:func:`spread_bits`), so
+        the bitset is built from them with no more than a few bitset-sized
+        (n/8-byte) buffers alive."""
         self._check_range(hi)
         i0, i1 = max(lo, 0) // 2, (hi + 1) // 2  # the odd 2i + 1 in [lo, hi]
         if i0 >= i1:
             return 0
-        raw = _window_bytes(self._bits, i0, i1, composite)
-        words = bytearray(2 * len(raw))
-        words[0::2] = raw.translate(_LOW)
-        words[1::2] = raw.translate(_HIGH)
-        bits = int.from_bytes(words, "little")
+        bits = spread_bits(_window_bytes(self._bits, i0, i1, composite))
         shift = 16 * (i0 >> 3) + 1 - origin  # bit 0 stands for 16 (i0 >> 3) + 1
         return bits << shift if shift >= 0 else bits >> -shift
 

@@ -9,24 +9,24 @@ c + 3, so recomputing with a larger limit never relabels anything.
 The strata are read as a stream, :func:`strata_bits`, which yields one
 :class:`BitBlock` per block that ``PrimeTable.odd_block_bounds`` cuts: the
 block's odd composites and their layers and witness primes p, in Python
-ints (the witness partner is c + 3 - p).  Every reader decodes that stream.
-:func:`strata_census` (the ``strata`` command's census and CSV) reads it
-without numpy: the census from popcounts, the CSV rows from the pass
-numbers that one bit-matrix transpose of a Python int reads off the
-planes.  :func:`strata_blocks` decodes each block with ``np.unpackbits``
-and the same transpose on ``uint64`` words into ``(composites, layer,
-witness_prime)`` arrays, ``int32`` (the layers ``int8``), as are the
-composites, partners and lookups the audit derives from them: c + 3 stays
-below 2^31.  The array readers are
-:func:`audit_layer_one` (the battery's audit), ``Stratum(k)``, which keeps
-only its layer's members, and :func:`compute_strata`, which concatenates
-the arrays into a :class:`StrataTable` for library callers.  Only the last
-holds arrays over the whole limit, and it stays only for the benchmark
-tracer's spans on it and on its CSV.  Numpy is imported by the array
-readers alone, so a ``strata`` process loads none.  The partition has one
-audit, :func:`_audit`, block by block against the table's array reads;
-:func:`audit_layer_one` feeds it the stream, and :func:`verify_partition` a
-:class:`StrataTable` cut into views at the reads.
+ints (the witness partner is c + 3 - p).  Every reader a command runs reads
+that stream without numpy: :func:`strata_census` (the ``strata``
+command's census and CSV) tallies the census from popcounts and reads the
+CSV rows' pass numbers off the planes with one bit-matrix transpose of a
+Python int; :func:`audit_layer_one` is the battery's audit; and
+:func:`layer_window_bits` spreads the members of chosen layers over a
+window into one bitset each, which ``Stratum(k)`` and the absorption check
+read.  Only the library's array readers import numpy:
+:func:`strata_blocks` decodes each block with ``np.unpackbits`` and the
+same transpose on ``uint64`` words into ``(composites, layer,
+witness_prime)`` arrays, ``int32`` (the layers ``int8``), and
+:func:`compute_strata` concatenates them into a :class:`StrataTable`, which
+holds arrays over the whole limit and stays for the benchmark tracer's
+spans on it and on its CSV.  The partition has one audit, :func:`_audit`,
+over blocks of bits: :func:`audit_layer_one` feeds it the stream, and
+:func:`verify_partition` a :class:`StrataTable` re-encoded block by block,
+with the listings no bit can hold (repeats, values outside the blocks' odd
+numbers) beside each block.
 
 Layer 1 is searched block by block in :func:`layer_one_blocks`.  A block's
 prime bits and the ``MARGIN_ODDS`` odd numbers below it are one int read
@@ -54,6 +54,7 @@ whole-limit search would make.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
@@ -61,8 +62,9 @@ from itertools import chain, compress, count, islice, repeat
 from operator import or_
 from typing import TYPE_CHECKING
 
-from .intsets import _lsb, iter_bits, iterated_sumset, least_splits, least_splits_bits, restrict
-from .sieve import PrimeTable
+from .intsets import WindowSet, _cut, _lsb, bits_from_values, iter_bits, iterated_sumset
+from .intsets import least_splits_bits, pass_groups, restrict
+from .sieve import PrimeTable, spread_bits
 from .verdict import RelationVerdict
 
 if TYPE_CHECKING:
@@ -303,15 +305,6 @@ class _LayerView(Mapping):
         return int((self._st.layer != 0).sum())
 
 
-def _odd_values(i0: int, flags: np.ndarray) -> np.ndarray:
-    """The odd numbers 2(i0 + j) + 1 at the set ``flags[j]``, in ``int32``,
-    scaled and offset in place."""
-    values = flags.nonzero()[0].astype("int32")
-    values <<= 1
-    values += 2 * i0 + 1
-    return values
-
-
 def _check_limit(limit: int) -> None:
     if limit < 9:
         raise ValueError(f"limit must be >= 9, got {limit}")
@@ -509,69 +502,100 @@ class PartitionReport:
         return not self.anomalies
 
 
-def _keep_first(listed: list, values: np.ndarray) -> None:
-    listed += values[: AUDIT_LISTED - len(listed)].tolist()
+def _values(bits: int, first: int, n: int = AUDIT_LISTED) -> list[int]:
+    """The values of the ``n`` lowest set bits, bit j standing for first + 2j."""
+    return [first + 2 * j for j in islice(iter_bits(bits), n)]
 
 
 def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
-    """Audit ``(composites, layer, witness_prime)`` blocks, each paired with
-    the ``(i0, mask)`` read of ``table.odd_prime_blocks(9, limit)`` it covers.
+    """Audit ``(block, extra)`` pairs: a :class:`BitBlock` and the listings
+    ``(c, layer, p)`` its bits do not hold, in table order (values outside
+    its odd numbers, and values its bits list already).
 
-    A block's entries must be its read's odd composites, each once, and all
-    must have a layer.  A layer-1 witness p must be an odd prime whose partner
-    c + 3 - p is one too (``table.odd_prime_at``); any other layer-k witness
-    must peel, entry by entry: p an odd prime or 2, the partner in layer k - 1
-    in the audit's own ``{composite: layer}`` map of the entries outside layer
-    1, which reads 1 for an odd composite it does not hold.  A block that is
-    not its read's composites maps all its entries (a value's first listing
-    counts) and the composites it misses at layer 0.  The reads' composites
-    must add up to ``table.odd_composite_count(limit)``, the checkpoint
-    count, less the non-primes among 3, 5, 7.
+    A block's entries (its composite, plane and single bits) must be the odd
+    composites of a separate ``table.odd_prime_bits`` read of its range,
+    each listed once, and all must have a layer.  A bit in the planes and in
+    ``singles`` is listed twice; the single comes first.  The planes' entries
+    are split by pass (:func:`~sumcollapse.intsets.pass_groups`): a pass's
+    prime p must be an odd prime, and its entries a subset of the prime bits
+    shifted by (p - 3)/2, read with a margin of ``MARGIN_ODDS`` odd numbers,
+    below which a partner is read alone.  Every other listing is judged one
+    by one: a layer-1 witness p and its partner c + 3 - p must be odd primes
+    (``table.is_prime``), and any other layer-k witness must peel: p an odd
+    prime or 2, the partner in layer k - 1 in the audit's own ``{value:
+    layer}`` map of each value's first listing outside the layer-1
+    composites, which reads 1 for an odd composite it does not hold.  A
+    missing composite maps to layer 0.  The blocks' composites must add up
+    to ``table.odd_composite_count(limit)``, the checkpoint count, less the
+    non-primes among 3, 5, 7.
     """
-    import numpy as np
+
+    def odd_prime(v: int) -> bool:
+        return bool(v & 1) and 3 <= v <= limit and table.is_prime(v)
+
+    def keep(kind: list, found) -> None:
+        kind += sorted(found)[: AUDIT_LISTED - len(kind)]
 
     seen = layer_one = max_layer = unassigned = 0
-    missing, stray, repeated, never, bad = [], [], [], [], []  # the first of each kind
+    missing, stray, repeated = [], [], []  # the first values of each kind
+    never, bad = [], []  # the first (value, rank, message) of each kind, in table order
     listed: dict[int, int] = {}
-    for (comps, layer, found), (i0, mask) in blocks:
-        expected = _odd_values(i0, ~mask)
-        seen += expected.size
-        deeper = layer != 1
-        if np.array_equal(comps, expected):
-            keep, keep_layers = comps[deeper], layer[deeper]
-        else:
-            values, first, counts = np.unique(comps, return_index=True, return_counts=True)
-            gone = expected[~np.isin(expected, values)]
-            _keep_first(missing, gone)
-            _keep_first(stray, values[~np.isin(values, expected)])
-            _keep_first(repeated, values[counts > 1])
-            keep = np.concatenate((values, gone))
-            keep_layers = np.concatenate((layer[first], np.zeros(gone.size, dtype=np.int8)))
-        for c, k in zip(keep.tolist(), keep_layers.tolist()):
-            listed.setdefault(c, k)
-        layer_one += int(np.count_nonzero(layer == 1))
-        max_layer = max(max_layer, int(layer.max(initial=0)))
-        q = comps + 3  # the partners c + 3 - p, in int32 as c + 3 fits
-        q -= found
-        p_prime, q_prime = table.odd_prime_at(found), table.odd_prime_at(q)
-        ok = p_prime & q_prime
-        if deeper.any():
-            left = comps[layer == 0]
-            unassigned += left.size
-            _keep_first(never, left)
-            for i in np.flatnonzero(deeper & (layer != 0)).tolist():
-                r = int(q[i])
-                partner = listed.get(r, 1 if r & 1 and r >= 9 and not q_prime[i] else 0)
-                ok[i] = partner == int(layer[i]) - 1 and (p_prime[i] or found[i] == 2)
-        for i in np.flatnonzero((layer != 0) & ~ok)[: AUDIT_LISTED - len(bad)].tolist():
-            c = int(comps[i])
-            if not found[i]:
-                bad.append(f"witness for {c} does not sum to {c + 3}")
-            elif layer[i] == 1:
-                bad.append(f"layer-1 witness for {c} is not an odd prime pair")
+    for block, extra in blocks:
+        i0, size, first = block.i0, block.size, 2 * block.i0 + 1
+        expected = ~table.odd_prime_bits(i0, i0 + size) & ((1 << size) - 1)
+        seen += expected.bit_count()
+        found = reduce(or_, block.planes, 0)
+        singled = bits_from_values(block.singles, 0, size - 1)
+        entries = block.composite | found | singled
+        blank = entries & ~found & ~singled  # entries without a layer
+        times = Counter(c for c, _, _ in extra)
+        outside = {c for c in times if (c - first) & 1 or not 0 <= c - first < 2 * size}
+        keep(missing, _values(expected & ~entries, first))
+        keep(stray, outside.union(_values(entries & ~expected, first)))
+        again = {c for c, n in times.items() if n > 1 or c not in outside}
+        keep(repeated, again.union(_values(found & singled, first)))
+
+        for j, (k, _) in block.singles.items():
+            listed.setdefault(first + 2 * j, k)
+        for j in iter_bits(found & ~expected & ~singled):
+            listed.setdefault(first + 2 * j, 1)
+        for j in iter_bits(blank | expected & ~entries):
+            listed.setdefault(first + 2 * j, 0)
+        for c, k, _ in extra:
+            if c in outside:  # a value of the block is first listed in its bits
+                listed.setdefault(c, k)
+
+        layer_one += found.bit_count()
+        max_layer = max(max_layer, 1 if found else 0)
+        unassigned += blank.bit_count()
+        block_never = [(c, 1, f"{c} was never assigned to a layer") for c in _values(blank, first)]
+        block_bad = []
+        nosum, badpair = _pass_failures(block, found, table, odd_prime)
+        block_bad += [(c, 1, f"witness for {c} does not sum to {c + 3}")
+                      for c in _values(nosum, first)]
+        block_bad += [(c, 1, f"layer-1 witness for {c} is not an odd prime pair")
+                      for c in _values(badpair, first)]
+        singles = ((first + 2 * j, 0, k, p) for j, (k, p) in sorted(block.singles.items()))
+        others = ((c, 2 + i, k, p) for i, (c, k, p) in enumerate(extra))
+        for c, rank, k, p in chain(singles, others):
+            layer_one += k == 1
+            max_layer = max(max_layer, k)
+            if not k:
+                unassigned += 1
+                block_never.append((c, rank, f"{c} was never assigned to a layer"))
+            elif not p:
+                block_bad.append((c, rank, f"witness for {c} does not sum to {c + 3}"))
+            elif k == 1:
+                if not (odd_prime(p) and odd_prime(c + 3 - p)):
+                    block_bad.append((c, rank, f"layer-1 witness for {c} is not an odd prime pair"))
             else:
-                bad.append(f"layer-{layer[i]} witness for {c} does not peel correctly")
-        del expected, q, p_prime, q_prime, ok  # freed before the source builds the next block
+                q = c + 3 - p
+                partner = listed.get(q, 1 if q & 1 and q >= 9 and not odd_prime(q) else 0)
+                if partner != k - 1 or not (p == 2 or odd_prime(p)):
+                    message = f"layer-{k} witness for {c} does not peel correctly"
+                    block_bad.append((c, rank, message))
+        keep(never, block_never)
+        keep(bad, block_bad)
 
     anomalies: list[str] = []
     # less the table's non-primes among 3, 5 and 7, which lie below the strata's range
@@ -581,23 +605,51 @@ def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
     anomalies += [f"odd composite {c} missing from the table" for c in missing]
     anomalies += [f"table entry {c} is not an odd composite <= {limit}" for c in stray]
     anomalies += [f"{c} is listed more than once" for c in repeated]
-    anomalies += [f"{c} was never assigned to a layer" for c in never]
-    return PartitionReport(limit, seen, layer_one, max_layer, unassigned, tuple(anomalies + bad))
+    anomalies += [message for _, _, message in never + bad]
+    return PartitionReport(limit, seen, layer_one, max_layer, unassigned, tuple(anomalies))
+
+
+def _pass_failures(block: BitBlock, found: int, table: PrimeTable, odd_prime) -> tuple[int, int]:
+    """The bits of the planes' entries whose pass names no prime, and those
+    whose pass's prime or partner is not an odd prime: each pass's entries
+    ANDed with the prime bits shifted by its prime, partners below the
+    read's margin looked up one at a time."""
+    i0, first = block.i0, 2 * block.i0 + 1
+    lo = max(i0 - MARGIN_ODDS, 0)
+    flags = table.odd_prime_bits(lo, i0 + block.size)
+    if not lo:
+        flags &= ~1  # the odd number 1 is not prime, flagged or not
+    nosum = badpair = 0
+    for k, hits in pass_groups(found, block.planes):
+        p = block.passes[k - 1] if 0 < k <= len(block.passes) else 0
+        if not p:
+            nosum |= hits
+        elif not odd_prime(p):
+            badpair |= hits
+        elif (below := ((p - 3) >> 1) - (i0 - lo)) <= 0:  # bit j's partner is flag bit j - below
+            badpair |= hits & ~(flags >> -below)
+        else:
+            badpair |= hits >> below << below & ~(flags << below)
+            for j in iter_bits(hits & ((1 << below) - 1)):
+                if not odd_prime(first + 2 * j + 3 - p):
+                    badpair |= 1 << j
+    return nosum, badpair
 
 
 def audit_layer_one(limit: int, table: PrimeTable) -> PartitionReport:
-    """Audit the strata stream: :func:`strata_blocks` read beside a separate
-    ``odd_prime_blocks(9, limit)`` read of the table, block by block."""
+    """Audit the strata stream, :func:`strata_bits`, block by block against
+    separate reads of the table's bits."""
     _check_limit(limit)
-    return _audit(limit, table, zip(strata_blocks(limit, table), table.odd_prime_blocks(9, limit)))
+    return _audit(limit, table, ((block, ()) for block in strata_bits(limit, table)))
 
 
-def _table_blocks(st: StrataTable, reads):
-    """Pair each read with the views of ``st``'s arrays from its first value up
-    to the next read's; the first and last run to the ends, so all are read."""
+def _table_blocks(st: StrataTable, bounds):
+    """Pair each ``(i0, i1)`` of ``bounds`` with the views of ``st``'s arrays
+    from its first value up to the next one's; the first and last run to the
+    ends, so all are read."""
     columns = (st.composites, st.layer, st.witness_prime)
-    start, read = 0, next(reads)
-    for after in reads:
+    start, read = 0, next(bounds)
+    for after in bounds:
         cut = st.composites.dtype.type(2 * after[0] + 1)
         end = max(start, int(st.composites.searchsorted(cut)))
         yield tuple(a[start:end] for a in columns), read
@@ -605,12 +657,54 @@ def _table_blocks(st: StrataTable, reads):
     yield tuple(a[start:] for a in columns), read
 
 
+def _packed(flags) -> int:
+    """The int whose bit j is set where ``flags[j]`` is nonzero."""
+    import numpy as np
+
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _encoded(comps, layer, witness, i0: int, i1: int):
+    """A block of a sorted strata table re-encoded for :func:`_audit`: a
+    :class:`BitBlock` over the odd indices [i0, i1) of the first listing of
+    each of its odd numbers that the arrays list (layer 1 by pass numbers
+    over the block's witness primes, in as many planes as they need, the
+    rest in ``singles``), and every other listing.  Its scratch arrays die
+    on return."""
+    import numpy as np
+
+    size, first = i1 - i0, 2 * i0 + 1
+    j = comps - np.int32(first)  # int32, as c + 3 fits
+    once = (j >= 0) & (j < 2 * size) & (j & 1 == 0)
+    j >>= 1
+    once[1:] &= j[1:] != j[:-1]  # a sorted table lists a value again right after it
+    flags = np.zeros(size, dtype=bool)
+    flags[j[once]] = True
+    one = once & (layer == 1)
+    passes = witness[one]
+    passes.sort()  # distinct below, without np.unique, which imports numpy.ma
+    passes = np.concatenate((passes[:1], passes[1:][passes[1:] != passes[:-1]]))
+    numbers = np.zeros(size, dtype=np.min_scalar_type(passes.size))  # per bit, its pass number
+    for s in range(0, comps.size, CSV_CHUNK):  # in chunks, so no scratch array spans the block
+        part = one[s : s + CSV_CHUNK]
+        at, primes = j[s : s + CSV_CHUNK][part], witness[s : s + CSV_CHUNK][part]
+        numbers[at] = np.searchsorted(passes, primes) + 1
+    planes = [_packed(numbers >> b & 1) for b in range(passes.size.bit_length())]
+    rest = once & ~one
+    singles = dict(zip(j[rest].tolist(), zip(layer[rest].tolist(), witness[rest].tolist())))
+    block = BitBlock(i0, size, _packed(flags), planes, passes.tolist(), singles)
+    rest = ~once
+    return block, list(zip(comps[rest].tolist(), layer[rest].tolist(), witness[rest].tolist()))
+
+
 def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> PartitionReport:
     """Audit a strata table against ``table`` (a sieve up to its limit by
-    default) block by block; entries past the limit are reported as strays."""
+    default) block by block, re-encoded as bits; entries past the limit are
+    reported as strays."""
     _check_limit(st.limit)
     table = PrimeTable(st.limit) if table is None else table
-    return _audit(st.limit, table, _table_blocks(st, table.odd_prime_blocks(9, st.limit)))
+    blocks = _table_blocks(st, table.odd_block_bounds(9, st.limit))
+    return _audit(st.limit, table, (_encoded(*arrays, *bounds) for arrays, bounds in blocks))
 
 
 @dataclass(frozen=True)
@@ -627,8 +721,39 @@ class AbsorptionReport:
         return not self.failures
 
 
+def _or_into(buf: bytearray, bits: int, at: int) -> None:
+    """OR ``bits`` shifted up by ``at`` (down, where negative) into the
+    little-endian ``buf``, dropping what falls outside it."""
+    if at < 0:
+        bits, at = bits >> -at, 0
+    room = 8 * (len(buf) - (at >> 3))
+    bits = _cut(bits << (at & 7), room) if room > 0 else 0
+    if bits:
+        a, n = at >> 3, (bits.bit_length() + 7) // 8
+        buf[a : a + n] = (int.from_bytes(buf[a : a + n], "little") | bits).to_bytes(n, "little")
+
+
+def layer_window_bits(blocks, layers, lo: int, hi: int) -> dict[int, int]:
+    """The members in ``[lo, hi]`` of each of ``layers``, read from the
+    :class:`BitBlock` stream ``blocks``: ``{layer: bits}``, bit v - lo
+    standing for v.  A block's layer-1 entries are its plane bits that are
+    not in ``singles``, and each block's bits of a layer are spread onto
+    the integers (``sieve.spread_bits``) and ORed into the window's bytes."""
+    size = max(hi - lo + 1, 0)
+    windows = {k: bytearray((size + 7) // 8) for k in layers}
+    for block in blocks:
+        top = block.size - 1
+        found = reduce(or_, block.planes, 0) & ~bits_from_values(block.singles, 0, top)
+        for k, window in windows.items():
+            singles = (j for j, (layer, _) in block.singles.items() if layer == k)
+            bits = bits_from_values(singles, 0, top) | (found if k == 1 else 0)
+            spread = spread_bits(bits.to_bytes(top // 8 + 1, "little"))
+            _or_into(window, spread, 2 * block.i0 + 1 - lo)
+    return {k: _cut(int.from_bytes(window, "little"), size) for k, window in windows.items()}
+
+
 def verify_absorption(
-    st: StrataTable,
+    st,
     k_max: int,
     window: tuple[int, int],
     table: PrimeTable | None = None,
@@ -636,34 +761,39 @@ def verify_absorption(
     """For k in [2, k_max], check 3(k-1) + c is a k-fold odd-prime sum for every
     layer-(k-1) member c in the window; empty layers pass vacuously.
 
-    The k-fold test is :func:`least_splits` over the odd primes, recursing on
-    whole arrays of sums down to ``table.odd_prime_at`` at k = 1.
+    ``st`` is a :class:`StrataTable` or the :func:`strata_bits` stream of
+    ``table``.  Each layer's members are one bitset over the window, and the
+    k-fold test is one AND with the k-fold sumset of the odd primes up to
+    top = min(hi, limit), the largest a member's sum can use:
+    :func:`~sumcollapse.intsets.iterated_sumset` of those primes on a
+    window that reaches top + 3(k - 1).
     """
-    import numpy as np
-
-    if table is None:
-        table = PrimeTable(st.limit)
     lo, hi = window
-    top = min(hi, st.limit)  # no prime or partner the tests read exceeds a member
-
-    def k_fold(sums: np.ndarray, k: int) -> np.ndarray:
-        if k == 1:
-            return table.odd_prime_at(sums)
-        rest = lambda r: k_fold(r, k - 1)  # noqa: E731
-        return least_splits(sums, table.primes_in(3, top), 3 * (k - 1), rest) > 0
+    layers = range(1, k_max)
+    if isinstance(st, StrataTable):
+        table = PrimeTable(st.limit) if table is None else table
+        top = min(hi, st.limit)  # no prime or partner the tests read exceeds a member
+        members = {k: bits_from_values(st.composites[st.layer == k].tolist(), lo, hi)
+                   for k in layers}
+    else:
+        if table is None:
+            raise ValueError("absorption over the strata stream needs the stream's table")
+        top = min(hi, table.limit)
+        members = layer_window_bits(st, layers, lo, hi)
+    primes = table.odd_flag_bits(3, top, 3) if top >= 3 else 0
 
     checked: dict[int, int] = {}
     vacuous: list[int] = []
     failures: list[tuple[int, int]] = []
     for k in range(2, k_max + 1):
-        members = st.composites[st.layer == k - 1]
-        members = members[(members >= lo) & (members <= hi)]
-        if not members.size:
+        if not (bits := members[k - 1]):
             vacuous.append(k)
             continue
-        checked[k] = int(members.size)
-        bad = members[~k_fold(members.astype(np.int64) + 3 * (k - 1), k)]
-        failures += [(k, c) for c in bad.tolist()]
+        checked[k] = bits.bit_count()
+        sums = iterated_sumset(WindowSet(3, max(top, 3) + 3 * (k - 1), primes), k)
+        # the sum c + 3(k - 1) is bit c - 3 of sums, and c is bit c - lo of bits
+        hit = sums.bits >> (lo - 3) if lo >= 3 else sums.bits << (3 - lo)
+        failures += [(k, lo + i) for i in iter_bits(bits & ~hit)]
     return AbsorptionReport((2, k_max), checked, tuple(vacuous), tuple(failures))
 
 

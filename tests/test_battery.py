@@ -332,6 +332,69 @@ def test_sieve_checks_decided_inside_a_run(name):
     assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
 
 
+# Each tamper puts one check's first failure past the first block, where a
+# range test must leave it open and the halving must reach it: at the start
+# of a run (the band's high side at a prime, a composite check at the first
+# odd composite after one) or at its end (the band's low side at the integer
+# before a prime, the log bound at the last odd composite before one).
+_PAST_THE_FIRST_BLOCK = {
+    "band-low-at-a-run-end": (
+        [(slice(69_543, 99_543), False), (77_243, True)], "sieve/prime-count-band", "end",
+    ),
+    "band-high-at-a-run-start": (
+        [(slice(70_536, 73_536), True)], "sieve/prime-count-band", "start",
+    ),
+    "log-bound-at-a-run-end": (
+        [(slice(70_536, 100_536), False), (82_064, True)], "sieve/index-log-bound", "end",
+    ),
+    "pi-bound-at-a-run-start": (
+        [(slice(BLOCK, BLOCK + 45_000), True)], "sieve/index-upper-bounds", "start",
+    ),
+    # with 7 cleared, h = pi + 1: pi = k - 1 there, so only the value form fails
+    "value-bound-at-a-run-start": (
+        [(3, False), (slice(BLOCK, BLOCK + 41_035), True)], "sieve/index-upper-bounds", "start",
+    ),
+    "scaling-at-a-run-start": (
+        [(slice(BLOCK, BLOCK + 45_000), True)], "sieve/prime-count-scaling", "start",
+    ),
+}
+
+
+def _failure_value(odd_prime, ref, first):
+    """The value where the oracle's first failure ``first`` of ``ref`` lies:
+    the log bound reports k, scaling its least m, the others the value."""
+    flags = np.zeros(2 * odd_prime.size, dtype=bool)
+    flags[2], flags[1::2] = True, odd_prime
+    c = np.flatnonzero(~flags & (np.arange(flags.size) % 2 == 1))
+    c = c[c >= 9]  # the odd composites, c[k - 1] the k-th
+    if ref == "sieve/index-log-bound":
+        return int(c[first - 1])
+    if ref == "sieve/prime-count-scaling":
+        pi, k = np.cumsum(flags)[c], np.arange(1, c.size + 1)
+        fails = (c >= 13 ** (first + 1)) & ((pi * first >= k) | (c >= (2 + 2 / first) * k - 1))
+        return int(c[fails.argmax()])
+    return first
+
+
+@pytest.mark.parametrize("name", list(_PAST_THE_FIRST_BLOCK))
+def test_sieve_checks_fail_first_past_the_first_block(name):
+    limit = 3 * 2**17 + 2
+    flips, ref, where = _PAST_THE_FIRST_BLOCK[name]
+    odd_prime = odd_prime_flags(limit)
+    for odds, value in flips:
+        odd_prime[odds] = value
+    want = sieve_checks_bf(odd_prime, limit)
+    ok, first = want[ref]
+    x = _failure_value(odd_prime, ref, first)
+    assert not ok and x >> 1 >= BLOCK
+    if ref == "sieve/prime-count-band":  # a run is [p, q - 1] between primes p < q
+        start, end = x & 1 and odd_prime[x >> 1], not x & 1 and odd_prime[(x + 1) >> 1]
+    else:  # x is an odd composite, and its run's composites lie between two primes
+        start, end = odd_prime[(x - 2) >> 1], odd_prime[(x + 2) >> 1]
+    assert start if where == "start" else end
+    assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
+
+
 # -- the strata group's blocked layer-1 pass ----------------------------------
 
 STRATA_LIMIT = 3 * 2**17 + 2
@@ -511,16 +574,16 @@ def test_z6_optimal_pair_fails_when_no_optimal_set_is_the_pair(monkeypatch):
 
 
 def test_strata_audit_flags_a_composite_listed_twice(monkeypatch):
-    # the stream lists 9 twice, with a layer both times: the partition-audit
-    # claim "covers every odd composite exactly once" must fail
+    # the stream lists 9 twice, with a layer both times (in the planes and
+    # in singles): the partition-audit claim "covers every odd composite
+    # exactly once" must fail
     table = PrimeTable(2_000)
-    real = strata.strata_blocks
 
-    def doubled(limit, table):
-        for block in real(limit, table):
-            yield tuple(np.insert(a, 0, a[0]) for a in block)
+    def list_nine_again(block):
+        if (j := _bit_of(block, 9)) is not None:
+            block.singles[j] = (1, 5)
 
-    monkeypatch.setattr(strata, "strata_blocks", doubled)
+    _tampered_blocks(monkeypatch, list_nine_again)
     got = _strata_verdicts(table, 2_000)
     assert got["strata/partition-audit"].status is FAILS
     assert got["strata/partition-audit"].counterexample == ("9 is listed more than once",)

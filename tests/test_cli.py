@@ -732,46 +732,45 @@ STRATA = {"cli", "intsets", "sieve", "strata", "verdict"}
 EVERY = RELATIONS | STRATA | {"battery", "finite_ring"}
 
 
-# every package module a process executes, and whether it imports numpy:
-# numpy only where arrays are built
+# every package module a process executes; numpy, which only the library's
+# array readers import, would be listed too
 @pytest.mark.parametrize(
-    "code, executed, numpy",
+    "code, executed",
     [
-        ("import sumcollapse.cli\n", {"cli"}, False),
+        ("import sumcollapse.cli\n", {"cli"}),
         ("import sumcollapse.sieve, sumcollapse.setexpr, sumcollapse.intsets, sumcollapse.collapse\n",
-         RELATIONS - {"cli"}, False),
-        (_run_main(["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3 \\ {9,15,21}"]), RELATIONS, False),
-        (_windowed("odd>=3 ~(2,2)~ primes>=3", "3..2000"), RELATIONS, False),
-        (_windowed("composites ~(2,2)~ composites", "9..1000"), RELATIONS, False),
-        (_run_main(["sieve", "--limit", "1000"]), {"cli", "sieve"}, False),
+         RELATIONS - {"cli"}),
+        (_run_main(["collapse", "--rel", "odd>=3 ~(2,2)~ odd>=3 \\ {9,15,21}"]), RELATIONS),
+        (_windowed("odd>=3 ~(2,2)~ primes>=3", "3..2000"), RELATIONS),
+        (_windowed("composites ~(2,2)~ composites", "9..1000"), RELATIONS),
+        (_run_main(["sieve", "--limit", "1000"]), {"cli", "sieve"}),
         (_run_main(["partitions", "--set", "primes>=3", "--target", "100", "--k", "2"]),
-         RELATIONS, False),
-        (_run_main(["strata", "--limit", "1000"]), STRATA, False),
+         RELATIONS),
+        (_run_main(["strata", "--limit", "1000"]), STRATA),
         (_run_main(["strata", "--limit", "1000", "--csv", os.devnull, "--out", os.devnull]),
-         STRATA, False),
+         STRATA),
         ("from sumcollapse.sieve import PrimeTable\n"
          "from sumcollapse.strata import strata_census\n"
          f"assert strata_census(1000, PrimeTable(1000), {os.devnull!r}).max_layer == 1\n",
-         STRATA - {"cli"}, False),
-        (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"cli", "finite_ring"}, False),
+         STRATA - {"cli"}),
+        (_run_main(["ring", "--modulus", "4", "--nmax", "2"]), {"cli", "finite_ring"}),
         ("from sumcollapse.finite_ring import zm_optimal_subsets, optimal_weight_set\n"
          "assert zm_optimal_subsets(6, 2) and optimal_weight_set(6, 3).n_values\n",
-         {"finite_ring"}, False),
+         {"finite_ring"}),
         ("from sumcollapse.finite_ring import relation_table, relation_table_rows\n"
          "next(relation_table(3, 2)) and next(relation_table_rows(3, 2))\n",
-         {"finite_ring"}, False),
-        (_run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"]), RELATIONS | {"battery"}, True),
-        (_run_main(["verify", "--limit", str(MIN_LIMIT)]), EVERY, True),
+         {"finite_ring"}),
+        (_run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"]), RELATIONS | {"battery"}),
+        (_run_main(["verify", "--limit", str(MIN_LIMIT)]), EVERY),
     ],
     ids=["cli", "modules", "collapse", "collapse-primes", "collapse-composites", "sieve",
          "partitions", "strata", "strata-csv-out", "strata-census", "ring", "optimal-scan",
          "relation-table", "sieve-check", "verify"],
 )
-def test_a_process_imports_what_its_command_runs(code, executed, numpy):
+def test_a_process_imports_what_its_command_runs(code, executed):
     proc = _fresh_python(["-c", code + LOADED])
     assert proc.returncode == 0, proc.stderr
-    names = set(proc.stdout.splitlines()[-1].split())
-    assert (names - {"numpy"}, "numpy" in names) == (executed, numpy)
+    assert set(proc.stdout.splitlines()[-1].split()) == executed
 
 
 def test_lazy_modules_are_registered_before_they_run():
@@ -797,13 +796,12 @@ def test_lazy_modules_are_registered_before_they_run():
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
 def test_cli_process_runs_one_thread():
-    # the pin must come before numpy's first import, or OpenBLAS has already
-    # started its pool (one thread per further core) by the time it is read;
-    # sieve --check is a command that imports numpy
+    # no command imports numpy, so none starts OpenBLAS's thread pool (one
+    # thread per further core); verify runs every module and group
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     code = (
-        _run_main(["sieve", "--limit", str(MIN_LIMIT), "--check"])
-        + "import os, sys\nassert 'numpy' in sys.modules\n"
+        _run_main(["verify", "--limit", str(MIN_LIMIT)])
+        + "import os, sys\nassert 'numpy' not in sys.modules\n"
         + "print(len(os.listdir('/proc/self/task')))\n"
     )
     proc = _fresh_python(["-c", code], env)
@@ -852,30 +850,46 @@ def test_lazy_namespace_resolves_every_export():
     assert sumcollapse.__version__ == "0.1.0"
 
 
-# -- the OpenBLAS pin ------------------------------------------------------------
+def _numpy_imports(node, deferred=False):
+    """Yield ``(line, deferred)`` for each numpy import under ``node``:
+    deferred when it sits inside a function or under ``if TYPE_CHECKING:``."""
+    if isinstance(node, ast.Import | ast.ImportFrom):
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            yield node.lineno, deferred
+        return
+    if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+        for child in node.body:
+            yield from _numpy_imports(child, True)
+        for child in node.orelse:
+            yield from _numpy_imports(child, deferred)
+        return
+    deferred = deferred or isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda)
+    for child in ast.iter_child_nodes(node):
+        yield from _numpy_imports(child, deferred)
 
-READ_PIN = "import os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
 
-
-@pytest.mark.parametrize(
-    "module, preset, seen",
-    [("sumcollapse.cli", "3", "3"), ("sumcollapse.cli", None, "1"), ("sumcollapse.finite_ring", None, "None")],
-    ids=["user-value-wins", "cli-pins", "library-untouched"],
-)
-def test_openblas_pin(module, preset, seen):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    proc = _fresh_python(["-c", f"import {module}\n" + READ_PIN], env)
-    assert (proc.returncode, proc.stdout) == (0, seen + "\n"), proc.stderr
+def test_numpy_is_imported_only_where_arrays_are_built():
+    # a module-level numpy import would load numpy (about 13 MB) into every
+    # process that runs the module; the array readers import it when called
+    imports = {
+        f"{path.name}:{line}": deferred
+        for path in sorted((SRC / "sumcollapse").glob("*.py"))
+        for line, deferred in _numpy_imports(ast.parse(path.read_text()))
+    }
+    assert [at for at, deferred in imports.items() if not deferred] == []
+    assert sum(imports.values()) >= 5  # the check sees the deferred ones
+    # and it would see a module-level one
+    assert list(_numpy_imports(ast.parse("import numpy as np\nif TYPE_CHECKING:\n    pass\n"))) == [(1, False)]
 
 
 BLAS_CALLS = {"dot", "vdot", "matmul", "linalg", "einsum", "inner", "outer", "tensordot"}
 
 
 def test_no_module_calls_blas():
-    # the CLI pins OpenBLAS to one thread because nothing here calls it; a BLAS
-    # call would make that pin a slowdown
+    # no module calls BLAS: the package's array work is elementwise, and a
+    # BLAS call would set OpenBLAS's thread pool, one thread per core, to
+    # work inside a library call
     found = []
     for path in sorted((SRC / "sumcollapse").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

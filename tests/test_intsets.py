@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from sumcollapse import (
@@ -16,7 +15,7 @@ from sumcollapse import (
     sumset_equal_window,
 )
 from sumcollapse import intsets
-from sumcollapse.intsets import least_splits, least_splits_bits
+from sumcollapse.intsets import least_splits_bits
 from sumcollapse.verdict import Status
 
 from oracles import goldbach_pair, least_split_bf, nfold_sums_bf
@@ -139,38 +138,16 @@ def test_dilation():
     assert list(tiny.members()) == []  # 30 exceeds the window
 
 
-@pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
-def test_least_splits_against_brute_force(symmetric):
-    rng = random.Random(0x5B117 + symmetric)
-    part_above_partner = 0
-    for _ in range(300):
-        sums = sorted(rng.randrange(0, 160) for _ in range(rng.randint(0, 40)))
-        floor = rng.randrange(symmetric, 25)  # parts are positive: 0 marks "no split"
-        # accepted values below the floor, and negative ones, must never split a sum
-        accepted = set(rng.sample(range(-20, 160), rng.randint(0, 90)))
-        if symmetric:
-            parts = sorted(a for a in accepted if a >= floor)
-        else:
-            parts = sorted(rng.sample(range(1, 160), rng.randint(0, 60)))
-        ok = np.array(sorted(accepted), dtype=np.int64)
-        found = least_splits(np.array(sums, dtype=np.int64), iter(parts), floor,
-                             lambda q: np.isin(q, ok))
-        want = [least_split_bf(s, parts, floor, accepted) for s in sums]
-        assert found.tolist() == want, (sums, parts, floor, sorted(accepted))
-        for s, a in zip(sums, want):
-            if a and symmetric:
-                assert a <= s - a
-            part_above_partner += a > s - a > 0
-    # the removal witnesses rely on parts larger than their partners
-    assert symmetric or part_above_partner > 0
-
-
 def _int(flags):
     return sum(1 << i for i, f in enumerate(flags) if f)
 
 
+def _int_of(positions):
+    return sum(1 << j for j in positions)
+
+
 @pytest.mark.parametrize("plane_passes", [255, 3], ids=["eight-planes", "two-planes"])
-def test_least_splits_bits_against_least_splits(monkeypatch, plane_passes):
+def test_least_splits_bits_against_brute_force(monkeypatch, plane_passes):
     monkeypatch.setattr(intsets, "PLANE_PASSES", plane_passes)
     rng = random.Random(0xB175 + plane_passes)
     odd_primes = [p for p in range(3, 700, 2) if all(p % d for d in range(3, p, 2))]
@@ -181,8 +158,8 @@ def test_least_splits_bits_against_least_splits(monkeypatch, plane_passes):
         off = rng.choice([0, 1, rng.randrange(0, 40), rng.randrange(0, 300)])
         # nearly empty flags keep most positions pending past the planes' passes
         density = rng.choice([0.0, 0.005, 0.05, 0.3, 0.8])
-        flags = np.array([rng.random() < density for _ in range(off + n)], dtype=bool)
-        pending = np.array([rng.random() < 0.7 for _ in range(n)], dtype=bool)
+        flags = [rng.random() < density for _ in range(off + n)]
+        pending = [rng.random() < 0.7 for _ in range(n)]
         kind = rng.randrange(3)
         if kind == 0:
             parts = odd_primes[: rng.randint(0, len(odd_primes))]
@@ -190,21 +167,27 @@ def test_least_splits_bits_against_least_splits(monkeypatch, plane_passes):
             parts = sorted(rng.sample(range(3, 700, 2), rng.randint(0, 120)))
         else:
             parts = range(3, 10**9, 2)
-        positions = np.flatnonzero(pending)
-        sums = 2 * (lo + off + positions) + 4
-        want = least_splits(sums, iter(parts), 2 * lo + 1, lambda q: flags[(q >> 1) - lo])
+        positions = [j for j, f in enumerate(pending) if f]
+        sums = [2 * (lo + off + j) + 4 for j in positions]
+        accepted = {2 * (lo + t) + 1 for t, f in enumerate(flags) if f}
+        # a part past s - 3 leaves no partner, so the oracle needs no more of the endless ones
+        tried = parts if kind < 2 else range(3, max(sums, default=0), 2)
+        want = [least_split_bf(s, tried, 2 * lo + 1, accepted) for s in sums]
         planes, passes, late, left = least_splits_bits(_int(pending), _int(flags), off, iter(parts))
         assert len(planes) <= plane_passes.bit_length() and len(passes) <= plane_passes
-        at = positions.tolist()
-        numbers = [sum((plane >> j & 1) << b for b, plane in enumerate(planes)) for j in at]
-        got = [passes[k - 1] if k else late.get(j, 0) for j, k in zip(at, numbers)]
-        assert got == want.tolist(), (lo, off, pending, flags, parts)
-        assert left == sum(1 << j for j, a in zip(at, got) if not a)
-        assert not any(k for j, k in zip(at, numbers) if j in late)
+        numbers = [sum((plane >> j & 1) << b for b, plane in enumerate(planes)) for j in positions]
+        got = [passes[k - 1] if k else late.get(j, 0) for j, k in zip(positions, numbers)]
+        assert got == want, (lo, off, pending, flags, parts)
+        assert left == sum(1 << j for j, a in zip(positions, got) if not a)
+        assert not any(k for j, k in zip(positions, numbers) if j in late)
+        assert dict(intsets.pass_groups(_int(pending) & ~left & ~_int_of(late), planes)) == {
+            k: sum(1 << j for j, number in zip(positions, numbers) if number == k)
+            for k in set(numbers) - {0}
+        }
         late_hits += len(late)
         # unsplit sums that still had parts left when their partner fell below flag bit 0
         last_shift = (parts[-1] - 3) // 2 if parts else -1
-        fell_below += int(np.count_nonzero((want == 0) & (off + positions < last_shift)))
+        fell_below += sum(1 for j, a in zip(positions, want) if not a and off + j < last_shift)
     assert fell_below > 0 and late_hits > 0
 
 

@@ -16,12 +16,12 @@ from sumcollapse import (
     verify_absorption,
     verify_partition,
 )
-from sumcollapse.intsets import least_splits
 from sumcollapse.verdict import Status
 
 from oracles import (
     goldbach_pair,
     is_prime_bf,
+    least_split_bf,
     odd_composites_upto,
     partition_audit_bf,
     primes_upto,
@@ -154,9 +154,9 @@ def test_higher_layers_match_loop_reference():
 def test_stratum_reads_the_stream_a_few_times_for_rising_queries(monkeypatch, limit, table_type):
     table = table_type(limit)
     layers = compute_strata(limit, table).layers
-    real = strata.strata_blocks
+    real = strata.strata_bits
     reads = []
-    monkeypatch.setattr(strata, "strata_blocks", lambda n, t: reads.append(n) or real(n, t))
+    monkeypatch.setattr(strata, "strata_bits", lambda n, t: reads.append(n) or real(n, t))
     for k in (1, 2):
         reads.clear()
         s = Stratum(k)
@@ -211,15 +211,14 @@ def test_audit_flags_a_deeper_witness_that_does_not_peel(monkeypatch):
     # partner is the member itself, in layer 20 and not 19
     i = int(np.flatnonzero(st.layer == 20)[0])
     c = int(st.composites[i])
-    real = strata.strata_blocks
+    real = strata.strata_bits
 
     def tampered(limit, table):
-        for comps, layer, witness in real(limit, table):
-            witness = witness.copy()
-            witness[comps == c] = 3
-            yield comps, layer, witness
+        for block in real(limit, table):
+            _set_entry(block, c, 20, 3)
+            yield block
 
-    monkeypatch.setattr(strata, "strata_blocks", tampered)
+    monkeypatch.setattr(strata, "strata_bits", tampered)
     primes_at = st.witness_prime.copy()
     primes_at[i] = 3
     want = verify_partition(replace(st, witness_prime=primes_at), table).anomalies
@@ -360,6 +359,22 @@ def test_partition_audit_flags_corruption(table_small):
     assert (rep.total_composites, rep.layer_one) == (697, 698)
 
 
+def test_partition_audit_peels_onto_a_value_at_its_first_listing(table_small):
+    # 9 listed again after its layer-1 entry, at layer 2 with witness 3: the
+    # partner is 9 itself, first listed at layer 1, so only the repeat is wrong
+    st = compute_strata(2_000, table_small)
+    i = int(np.searchsorted(st.composites, 9, side="right"))
+    st = replace(
+        st,
+        composites=np.insert(st.composites, i, 9),
+        layer=np.insert(st.layer, i, 2),
+        witness_prime=np.insert(st.witness_prime, i, 3),
+    )
+    entries = zip(st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist())
+    want = partition_audit_bf(entries, st.limit)
+    assert verify_partition(st, table_small).anomalies == want == ("9 is listed more than once",)
+
+
 def _witness(st, i, p):
     primes = st.witness_prime.copy()
     primes[i] = p
@@ -413,13 +428,14 @@ AUDIT_CASES = {
 
 
 def _stream_of(monkeypatch, st, table):
-    """Let ``strata_blocks`` yield the entries of ``st``, cut where the reads
-    of ``table`` start."""
-    starts = [2 * i0 + 1 for i0, _ in table.odd_prime_blocks(9, st.limit)][1:]
-    cuts = [0, *np.searchsorted(st.composites, starts).tolist(), st.composites.size]
-    columns = (st.composites, st.layer, st.witness_prime)
-    blocks = [tuple(a[i:j] for a in columns) for i, j in zip(cuts, cuts[1:])]
-    monkeypatch.setattr(strata, "strata_blocks", lambda limit, table: iter(blocks))
+    """Let ``strata_bits`` yield the entries of ``st`` as bit blocks, cut
+    where the reads of ``table`` start."""
+    entries = list(zip(st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist()))
+    blocks = [
+        _bit_block(i0, i1 - i0, [e for e in entries if 2 * i0 + 1 <= e[0] < 2 * i1 + 1])
+        for i0, i1 in table.odd_block_bounds(9, st.limit)
+    ]
+    monkeypatch.setattr(strata, "strata_bits", lambda limit, table: iter(blocks))
 
 
 @pytest.mark.parametrize("case", AUDIT_CASES)
@@ -475,6 +491,19 @@ def test_absorption_at_higher_folds(table_small):
     assert rep.checked == {2: 3, 3: 5, 4: 4} and rep.vacuous == ()
     assert rep.failures == tuple(want) == ((3, 10), (4, 64))
     assert not rep.ok
+
+
+@pytest.mark.parametrize("case", ["true-2^17+1", "only-3-7-13-in-16-odd-blocks", "only-3-visible"])
+def test_absorption_reads_the_stream_as_it_reads_the_table(case):
+    # the battery hands the check the strata stream; on tables with deeper
+    # layers some shifted members are no k-fold sums of the visible primes
+    table, _, _ = ORACLE_TABLES[case]()
+    limit = table.limit
+    want = verify_absorption(compute_strata(limit, table), 5, (9, limit), table)
+    assert verify_absorption(strata.strata_bits(limit, table), 5, (9, limit), table) == want
+    assert want.checked and (case == "true-2^17+1") == (want.vacuous == (3, 4, 5))
+    with pytest.raises(ValueError, match="needs the stream's table"):
+        verify_absorption(strata.strata_bits(limit, table), 3, (9, limit))
 
 
 def test_evidence_is_clean_only_without_violations_of_either_kind():
@@ -534,13 +563,14 @@ def test_rough_pair_cover(table_1e5):
 def _bit_block(i0, size, entries):
     """A :class:`strata.BitBlock` over ``size`` odd numbers from 2 i0 + 1
     holding the ``(c, layer, witness)`` entries: layer 1 in the planes, by
-    pass numbers in witness order, the rest in ``singles``."""
+    pass numbers in witness order, the rest in ``singles``, and so is a
+    second listing of a value (listed in the planes and in ``singles``)."""
     passes = sorted({p for _, k, p in entries if k == 1})
     block = strata.BitBlock(i0, size, 0, [0] * len(passes).bit_length(), passes, {})
     for c, k, p in entries:
         j = (c >> 1) - i0
         block.composite |= 1 << j
-        if k == 1:
+        if k == 1 and not any(plane >> j & 1 for plane in block.planes):
             number = passes.index(p) + 1
             block.planes = [plane | (number >> b & 1) << j for b, plane in enumerate(block.planes)]
         else:
@@ -578,12 +608,14 @@ def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
 BLOCK = 1 << 16  # odd numbers per block of the search
 
 
-def _whole_limit_witnesses(limit, table):
-    """Least two-odd-prime witnesses over the whole mask at once: the search
-    layer 1 ran before it was cut into blocks."""
-    odd_prime = table.odd_prime_mask(limit)
-    comps = (2 * np.flatnonzero(~odd_prime[4:]) + 9).astype(np.int32)
-    return comps, least_splits(comps + 3, table.primes_in(3, limit), 3, lambda q: odd_prime[q >> 1])
+def _whole_limit_witnesses(limit):
+    """Each odd composite's least two-odd-prime witness, found by trying the
+    odd primes below 2,000 in turn (``least_split_bf``), and 0 where none of
+    them is one; up to 10^6 the largest least witness is far below."""
+    primes = simple_prime_set(limit)
+    parts = sorted(p for p in primes if 2 < p < 2_000)
+    comps = [c for c in range(9, limit + 1, 2) if c not in primes]
+    return np.array(comps), np.array([least_split_bf(c + 3, parts, 3, primes) for c in comps])
 
 
 def _blocked(limit, table):
@@ -599,7 +631,7 @@ def _blocked(limit, table):
 def test_layer_one_blocks_match_the_whole_limit_search(limit):
     table = PrimeTable(limit)
     comps, witness = _blocked(limit, table)
-    want_comps, want_witness = _whole_limit_witnesses(limit, table)
+    want_comps, want_witness = _whole_limit_witnesses(limit)
     assert np.array_equal(comps, want_comps) and np.array_equal(witness, want_witness)
     st = compute_strata(limit, table)
     assert np.array_equal(st.composites, comps) and np.array_equal(st.witness_prime, witness)
