@@ -35,8 +35,8 @@ import random
 import resource
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import log
+from typing import NamedTuple
 
 from . import collapse as col
 from . import finite_ring as ring
@@ -59,8 +59,7 @@ def require_limit(limit: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ref: str
     claim: str
     expected: Status
@@ -393,7 +392,7 @@ def collapse_checks(table: PrimeTable, limit: int):
             rep.pair_missing == (4, 7),
             rep.pair_missing,
             (3, k_max),
-            (rep.pair_witnesses.get(3, ()),),
+            (rep.pair_witness(3) or (),),
         ),
     )
     even = (rep.even_exceptions, rep.even_distinct_exceptions)

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import or_
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .intsets import _lsb, iter_bits, iterated_sumset, least_splits_bits
 from .intsets import pair_sum_cover_decision, pass_groups, progression_bits, restrict
@@ -130,8 +130,7 @@ def check_fp(b_spec, c_spec, window: tuple[int, int], table: PrimeTable | None =
 # relation checks
 
 
-@dataclass(frozen=True)
-class RelationParts:
+class RelationParts(NamedTuple):
     """Component verdicts of one relation check."""
 
     sumsets: RelationVerdict
@@ -522,22 +521,25 @@ def prefix_removal_cascade(k: int, l: int, table: PrimeTable) -> RelationVerdict
 # decompositions, factor statistics, partitions
 
 
-@dataclass(frozen=True)
-class DecompositionRecord:
-    """One ordered factorization of ``target`` into set members."""
-
+class _Decomposition(NamedTuple):
     target: int
     factors: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.factors) < 1:
+
+class DecompositionRecord(_Decomposition):
+    """One ordered factorization of ``target`` into set members."""
+
+    __slots__ = ()
+
+    def __new__(cls, target: int, factors: tuple[int, ...]):
+        if len(factors) < 1:
             raise ValueError("a decomposition needs at least one factor")
-        if math.prod(self.factors) != self.target:
-            raise ValueError(f"factors {self.factors} do not multiply to {self.target}")
+        if math.prod(factors) != target:
+            raise ValueError(f"factors {factors} do not multiply to {target}")
+        return super().__new__(cls, target, factors)
 
 
-@dataclass(frozen=True)
-class FactorStats:
+class FactorStats(NamedTuple):
     """Distinct-factor count, largest exponent and largest total degree."""
 
     factor_count: int | float
@@ -545,23 +547,27 @@ class FactorStats:
     degree: int | float
 
 
-@dataclass(frozen=True)
-class PartitionRecord:
-    """A multiset of distinct parts with multiplicities summing to ``target``."""
-
+class _Partition(NamedTuple):
     target: int
     parts: tuple[tuple[int, int], ...]
+
+
+class PartitionRecord(_Partition):
+    """A multiset of distinct parts with multiplicities summing to ``target``."""
+
+    __slots__ = ()
+
+    def __new__(cls, target: int, parts: tuple[tuple[int, int], ...]):
+        values = [b for b, _ in parts]
+        if len(set(values)) != len(values):
+            raise ValueError("partition parts must be distinct")
+        if sum(b * m for b, m in parts) != target:
+            raise ValueError("partition parts do not sum to the target")
+        return super().__new__(cls, target, parts)
 
     @property
     def length(self) -> int:
         return sum(mult for _, mult in self.parts)
-
-    def __post_init__(self):
-        values = [b for b, _ in self.parts]
-        if len(set(values)) != len(values):
-            raise ValueError("partition parts must be distinct")
-        if sum(b * m for b, m in self.parts) != self.target:
-            raise ValueError("partition parts do not sum to the target")
 
 
 def _ordered_factorizations(a: int, member, memo) -> list[tuple[int, ...]]:
@@ -665,7 +671,6 @@ def k_partitions(
 # sweeps
 
 
-@dataclass(frozen=True)
 class PairSweepReport:
     """Outcome of the shifted-pair sweep over composite indices 3..k_max.
 
@@ -676,16 +681,39 @@ class PairSweepReport:
     that also demands the two composites differ (it additionally flags 9,
     whose double 18 = 9 + 9 only repeats a part).
 
-    ``pair_witnesses`` is a read-only ``{k: (x, y)}`` mapping, x the least
-    odd composite with x + y = 3 + (k-th odd composite) and x < y; it
+    The report keeps the sweep's odd composites and its least parts (index
+    (c - 1)/2 for the sum 3 + c, 0 where none is), and reads a witness from
+    them: :meth:`pair_witness` one, and ``pair_witnesses``, built on its
+    first read, the read-only ``{k: (x, y)}`` mapping of them all, which
     compares equal to the dict of the same pairs.
     """
 
-    k_max: int
-    pair_missing: tuple[int, ...]
-    pair_witnesses: Mapping[int, tuple[int, int]]
-    even_exceptions: tuple[int, ...]
-    even_distinct_exceptions: tuple[int, ...]
+    __slots__ = ("k_max", "pair_missing", "even_exceptions", "even_distinct_exceptions",
+                 "_composites", "_least", "_witnesses")
+
+    def __init__(self, k_max: int, composites: tuple[int, ...], least: list[int],
+                 even_exceptions: tuple[int, ...], even_distinct_exceptions: tuple[int, ...]):
+        self.k_max, self._composites, self._least = k_max, composites, least
+        self.pair_missing = tuple(k for k in range(3, k_max + 1) if not self.pair_witness(k))
+        self.even_exceptions = even_exceptions
+        self.even_distinct_exceptions = even_distinct_exceptions
+        self._witnesses = None
+
+    def pair_witness(self, k: int) -> tuple[int, int] | None:
+        """(x, y) for 3 <= k <= k_max: x the least odd composite with x + y =
+        3 + (k-th odd composite) and x < y; None where no such pair is."""
+        if not 3 <= k <= self.k_max:
+            raise ValueError(f"k must be in [3, {self.k_max}], got {k}")
+        c = self._composites[k - 1]
+        x = self._least[c >> 1]
+        return (x, c + 3 - x) if 0 < 2 * x < c + 3 else None
+
+    @property
+    def pair_witnesses(self) -> Mapping[int, tuple[int, int]]:
+        if self._witnesses is None:
+            ks = range(3, self.k_max + 1)
+            self._witnesses = MappingProxyType({k: w for k in ks if (w := self.pair_witness(k))})
+        return self._witnesses
 
 
 def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepReport:
@@ -721,12 +749,9 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
             least[j] = x
         return least, left
 
-    ks = range(3, k_max + 1)
     # 3 + c for an odd composite c is bit (c - 1)/2, the composite's own bit
     first, last = comps[2] >> 1, comps[-1] >> 1
-    least, _ = least_parts(flags >> first << first & ((2 << last) - 1))
-    pairs = {k: (x, c + 3 - x) for k, c in zip(ks, comps[2:]) if 0 < 2 * (x := least[c >> 1]) < c + 3}
-    missing = tuple(k for k in ks if k not in pairs)
+    pair_least, _ = least_parts(flags >> first << first & ((2 << last) - 1))
 
     # 2k for k = 3..k_max is bit k - 2, which is also the bit of 2k - 3: an
     # odd 2k - 3 >= 3 is prime or composite
@@ -734,23 +759,21 @@ def shifted_composite_pair_sweep(k_max: int, table: PrimeTable) -> PairSweepRepo
     even_exc = tuple(j + 2 for j in iter_bits(left & ~primes))
     same = [j for j, x in enumerate(least) if x == j + 2 and not primes >> j & 1]  # only 2k = k + k
     even_distinct_exc = tuple(sorted(j + 2 for j in chain(iter_bits(left & ~primes), same)))
-    return PairSweepReport(k_max, missing, MappingProxyType(pairs), even_exc, even_distinct_exc)
+    return PairSweepReport(k_max, comps, pair_least, even_exc, even_distinct_exc)
 
 
 # ---------------------------------------------------------------------------
 # parameter scan for the pair-cover base case
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     label: str
     confirmed: bool
     witness: object
     note: str
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Confirms that only the odd-from-3 base paired with primes-from-3 survives."""
 
     cases: tuple[CaseResult, ...]

@@ -20,7 +20,7 @@ semantics is the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_MODULUS = 30
 # the walk down from all of Z/16 takes about 3 s, the optimal-subset scan of Z/16 0.25 s
@@ -39,17 +39,25 @@ def _require_scan(what: str, bits: int) -> None:
         raise ValueError(f"{what} scan over 2^{bits} masks exceeds the {_GUARD}")
 
 
-@dataclass(frozen=True)
 class ZmSubset:
     """Subset of Z/mZ as an m-bit membership mask."""
 
-    modulus: int
-    mask: int
+    __slots__ = ("modulus", "mask")
 
-    def __post_init__(self):
-        _require_modulus(self.modulus)
-        if not (0 <= self.mask < (1 << self.modulus)):
-            raise ValueError(f"mask {self.mask:#x} out of range for modulus {self.modulus}")
+    def __init__(self, modulus: int, mask: int):
+        _require_modulus(modulus)
+        if not (0 <= mask < (1 << modulus)):
+            raise ValueError(f"mask {mask:#x} out of range for modulus {modulus}")
+        self.modulus, self.mask = modulus, mask
+
+    def __eq__(self, other):
+        return type(other) is ZmSubset and (other.modulus, other.mask) == (self.modulus, self.mask)
+
+    def __hash__(self):
+        return hash((self.modulus, self.mask))
+
+    def __repr__(self) -> str:
+        return f"ZmSubset(modulus={self.modulus}, mask={self.mask})"
 
     @classmethod
     def from_elements(cls, modulus: int, elements) -> "ZmSubset":
@@ -155,8 +163,7 @@ def zm_product_witness(target: int, gens: ZmSubset) -> tuple[int, ...] | None:
     return tuple(reversed(factors))
 
 
-@dataclass(frozen=True)
-class RelationTableEntry:
+class RelationTableEntry(NamedTuple):
     """All three components of one (m_fold, n_fold) relation question."""
 
     b: ZmSubset
@@ -237,8 +244,7 @@ def _by_size(sets) -> tuple[ZmSubset, ...]:
     return tuple(sorted(sets, key=lambda s: (len(s), s.mask)))
 
 
-@dataclass(frozen=True)
-class RdFamily:
+class RdFamily(NamedTuple):
     """Subsets of B reachable by the directed n-fold relation."""
 
     b: ZmSubset
@@ -265,8 +271,7 @@ def zm_reduction_family(b: ZmSubset, n: int) -> RdFamily:
     return RdFamily(b, n, *_walk(b, b.mask, lambda c: _reduces(b.mask, c.mask, nb, *lookups)))
 
 
-@dataclass(frozen=True)
-class EpFamily:
+class EpFamily(NamedTuple):
     """Supersets of B that relate onto it by the directed n-fold relation."""
 
     b: ZmSubset
@@ -367,8 +372,7 @@ def zm_optimal_subsets(m: int, n: int) -> tuple[ZmSubset, ...]:
     return tuple(ZmSubset(m, b) for b in _optimal_masks(closure, sums_n))
 
 
-@dataclass(frozen=True)
-class OptimalWeights:
+class OptimalWeights(NamedTuple):
     """Fold counts (within the scanned range) admitting an optimal subset."""
 
     modulus: int
@@ -392,8 +396,7 @@ def optimal_weight_set(m: int, n_max: int) -> OptimalWeights:
     return OptimalWeights(m, n_max, values)
 
 
-@dataclass(frozen=True)
-class UnitGroupReport:
+class UnitGroupReport(NamedTuple):
     """Single-removal behaviour of the unit group under the pair relation."""
 
     modulus: int
@@ -411,8 +414,7 @@ def zm_unit_group_check(m: int) -> UnitGroupReport:
     return UnitGroupReport(m, units, removable, len(set(removable.values())) <= 1, small)
 
 
-@dataclass(frozen=True)
-class QuotientReport:
+class QuotientReport(NamedTuple):
     """Image of a directed relation under reduction modulo a divisor."""
 
     modulus: int

@@ -25,14 +25,20 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 
 from .intsets import bits_from_values, progression_bits
 from .sieve import PrimeTable, _is_prime_slow, is_rough
 
 
 class SetExpr:
-    """Base class; subclasses are small immutable descriptions."""
+    """Base class; subclasses are small descriptions, not changed once built.
+
+    A subclass names the fields that define it in ``_fields`` (its
+    ``__slots__`` may hold more, such as caches): two descriptions are equal
+    when they are of one type with equal fields, and the repr shows them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def contains(self, n: int, table: PrimeTable | None = None) -> bool:
         raise NotImplementedError
@@ -52,8 +58,18 @@ class SetExpr:
         """A p such that every prime >= p is a member; None when none is known."""
         return None
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._values()))
+
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.describe()!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def _require_table(table: PrimeTable | None, hi: int, what: str) -> PrimeTable:
@@ -64,28 +80,26 @@ def _require_table(table: PrimeTable | None, hi: int, what: str) -> PrimeTable:
     return table
 
 
-@dataclass(frozen=True)
 class Progression(SetExpr):
     """The progression {base + i*step : i >= 0} minus a finite excluded set.
 
     With the default step 2 and an odd base this is ``odd>=base``; every
     excluded value must be a member of the bare progression.
+    ``excluded_sorted`` holds the excluded values in increasing order,
+    sorted once.
     """
 
-    base: int
-    step: int = 2
-    excluded: frozenset[int] = frozenset()
-    # the excluded values in increasing order, sorted once
-    excluded_sorted: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("base", "step", "excluded")
+    __slots__ = _fields + ("excluded_sorted",)
 
-    def __post_init__(self):
-        if self.step < 1:
-            raise ValueError(f"progression step must be positive, got {self.step}")
-        object.__setattr__(self, "excluded", frozenset(self.excluded))
+    def __init__(self, base: int, step: int = 2, excluded=frozenset()):
+        if step < 1:
+            raise ValueError(f"progression step must be positive, got {step}")
+        self.base, self.step, self.excluded = base, step, frozenset(excluded)
         for e in self.excluded:
-            if e < self.base or (e - self.base) % self.step:
+            if e < base or (e - base) % step:
                 raise ValueError(f"excluded element {e} is not in {self._head()}")
-        object.__setattr__(self, "excluded_sorted", tuple(sorted(self.excluded)))
+        self.excluded_sorted = tuple(sorted(self.excluded))
 
     @property
     def max_excluded(self) -> int:
@@ -153,11 +167,13 @@ class Progression(SetExpr):
         return f"{self._head()} \\ {{{','.join(map(str, self.excluded_sorted))}}}"
 
 
-@dataclass(frozen=True)
 class IntRange(SetExpr):
     """All integers >= ``lower``."""
 
-    lower: int
+    __slots__ = _fields = ("lower",)
+
+    def __init__(self, lower: int):
+        self.lower = lower
 
     def contains(self, n, table=None):
         return n >= self.lower
@@ -175,15 +191,15 @@ class IntRange(SetExpr):
         return f"ints>={self.lower}"
 
 
-@dataclass(frozen=True)
 class Primes(SetExpr):
     """All primes >= ``min_prime``."""
 
-    min_prime: int
+    __slots__ = _fields = ("min_prime",)
 
-    def __post_init__(self):
-        if not _is_prime_slow(self.min_prime):
-            raise ValueError(f"primes>= takes a prime bound, got {self.min_prime}")
+    def __init__(self, min_prime: int):
+        if not _is_prime_slow(min_prime):
+            raise ValueError(f"primes>= takes a prime bound, got {min_prime}")
+        self.min_prime = min_prime
 
     def contains(self, n, table=None):
         if n < self.min_prime:
@@ -208,7 +224,6 @@ class Primes(SetExpr):
         return f"primes>={self.min_prime}"
 
 
-@dataclass(frozen=True)
 class RoughOdd(SetExpr):
     """Odd integers >= 3 with no prime factor below ``min_prime``.
 
@@ -216,11 +231,12 @@ class RoughOdd(SetExpr):
     ``min_prime`` (an odd prime); with bound 3 it is all odd integers >= 3.
     """
 
-    min_prime: int
+    __slots__ = _fields = ("min_prime",)
 
-    def __post_init__(self):
-        if self.min_prime < 3 or not _is_prime_slow(self.min_prime):
-            raise ValueError(f"rough>= takes an odd prime bound, got {self.min_prime}")
+    def __init__(self, min_prime: int):
+        if min_prime < 3 or not _is_prime_slow(min_prime):
+            raise ValueError(f"rough>= takes an odd prime bound, got {min_prime}")
+        self.min_prime = min_prime
 
     def contains(self, n, table=None):
         return n >= 3 and n % 2 == 1 and is_rough(n, self.min_prime)
@@ -242,9 +258,10 @@ class RoughOdd(SetExpr):
         return f"rough>={self.min_prime}"
 
 
-@dataclass(frozen=True)
 class OddComposites(SetExpr):
     """All odd composite numbers (9, 15, 21, ...)."""
+
+    __slots__ = ()
 
     def contains(self, n, table=None):
         if table is not None and n <= table.limit:
@@ -267,6 +284,9 @@ class Stratum(SetExpr):
     read from :func:`~sumcollapse.strata.strata_bits` up to a query's end
     (classification is self-contained below it) and kept as one bitset of
     the layer's members from the query's start on."""
+
+    _fields = ("layer",)
+    __slots__ = ("layer", "_cache")
 
     def __init__(self, layer: int):
         if layer < 1:
@@ -309,21 +329,14 @@ class Stratum(SetExpr):
     def describe(self):
         return f"strata({self.layer})"
 
-    def __eq__(self, other):
-        return isinstance(other, Stratum) and other.layer == self.layer
 
-    def __hash__(self):
-        return hash(("strata", self.layer))
-
-
-@dataclass(frozen=True)
 class FiniteSet(SetExpr):
     """An explicit finite set of integers."""
 
-    values: frozenset[int]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", frozenset(self.values))
+    def __init__(self, values):
+        self.values = frozenset(values)
 
     def contains(self, n, table=None):
         return n in self.values
@@ -343,6 +356,8 @@ class FiniteSet(SetExpr):
 class PredicateSet(SetExpr):
     """Membership given by a plain callable; decidable pointwise only."""
 
+    __slots__ = _fields = ("fn", "label")
+
     def __init__(self, fn, label: str = "predicate"):
         self.fn = fn
         self.label = label
@@ -357,12 +372,13 @@ class PredicateSet(SetExpr):
         return self.label
 
 
-@dataclass(frozen=True)
 class Union(SetExpr):
     """Union of two set expressions."""
 
-    left: SetExpr
-    right: SetExpr
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: SetExpr, right: SetExpr):
+        self.left, self.right = left, right
 
     def contains(self, n, table=None):
         return self.left.contains(n, table) or self.right.contains(n, table)

@@ -30,13 +30,12 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
-SEGMENT_ODDS = 1 << 20      # odd numbers sieved per segment
+SEGMENT_ODDS = 1 << 19      # odd numbers sieved per segment
 CHECKPOINT_BITS = 1 << 16   # bits per prime-count checkpoint block
 
 # byte -> the offsets 2j of its set bits j: the odd numbers a packed byte
@@ -98,6 +97,37 @@ def _odd_values(bits: bytes, i0: int, i1: int, clear: bool = False):
             value += 16
 
 
+def _sieve_segment(seg_start: int, seg_len: int, base_primes: list[int]) -> int:
+    """The prime bits of the odd indices ``[seg_start, seg_start + seg_len)``
+    as an int, ``base_primes`` the odd primes up to the root of the last one.
+
+    The segment is one byte per odd number, each holding its bit of the
+    packed byte (``1 << (i & 7)`` for index i) until a base prime's slice
+    assignment clears it.  It then packs as the OR of its eight bit phases
+    (bytes ``j::8``), read as ints, and dies on return, so a build holds one
+    segment at a time.
+    """
+    buf = bytearray(_PHASES) * ((seg_len + 7) // 8)
+    del buf[seg_len:]
+    if seg_start == 0:
+        buf[0] = 0  # the odd number 1
+    lo_value = 2 * seg_start + 1
+    hi_value = 2 * (seg_start + seg_len - 1) + 1
+    for p in base_primes:
+        if p * p > hi_value:
+            break
+        first = max(p * p, ((lo_value + p - 1) // p) * p)
+        if first % 2 == 0:
+            first += p
+        idx = (first >> 1) - seg_start
+        if idx < seg_len:
+            buf[idx::p] = bytearray((seg_len - 1 - idx) // p + 1)
+    packed = 0
+    for j in range(8):
+        packed |= int.from_bytes(buf[j::8], "little")
+    return packed
+
+
 class PrimeTable:
     """Immutable primality table over ``[2, limit]``; safe for concurrent reads."""
 
@@ -114,14 +144,8 @@ class PrimeTable:
 
     @staticmethod
     def _build_bits(limit: int) -> bytearray:
-        """The packed bits, each segment sieved and packed into its place in
-        one buffer of the table's own size.
-
-        A segment is one byte per odd number, each holding its bit of the
-        packed byte (``1 << (i & 7)`` for index i) until a base prime's slice
-        assignment clears it.  The segment then packs as the OR of its eight
-        bit phases (bytes ``j::8``), read as ints.
-        """
+        """The packed bits, each segment sieved (:func:`_sieve_segment`) and
+        packed into its place in one buffer of the table's own size."""
         n_bits = (limit + 1) // 2
         root = math.isqrt(limit)  # below 9 every odd number but 1 is prime
         base = PrimeTable._build_bits(root) if limit >= 9 else b""
@@ -130,27 +154,9 @@ class PrimeTable:
         bits = bytearray((n_bits + 7) // 8)
         for seg_start in range(0, n_bits, SEGMENT_ODDS):
             seg_len = min(SEGMENT_ODDS, n_bits - seg_start)
-            buf = bytearray(_PHASES) * ((seg_len + 7) // 8)
-            del buf[seg_len:]
-            if seg_start == 0:
-                buf[0] = 0  # the odd number 1
-            lo_value = 2 * seg_start + 1
-            hi_value = 2 * (seg_start + seg_len - 1) + 1
-            for p in base_primes:
-                if p * p > hi_value:
-                    break
-                first = max(p * p, ((lo_value + p - 1) // p) * p)
-                if first % 2 == 0:
-                    first += p
-                idx = (first >> 1) - seg_start
-                if idx < seg_len:
-                    buf[idx::p] = bytearray((seg_len - 1 - idx) // p + 1)
-            packed = 0
-            for j in range(8):
-                packed |= int.from_bytes(buf[j::8], "little")
             # SEGMENT_ODDS is a multiple of 8, so each segment starts on a byte
-            size = (seg_len + 7) // 8
-            bits[seg_start >> 3 : (seg_start >> 3) + size] = packed.to_bytes(size, "little")
+            a, size = seg_start >> 3, (seg_len + 7) // 8
+            bits[a : a + size] = _sieve_segment(seg_start, seg_len, base_primes).to_bytes(size, "little")
         return bits
 
     def _build_checkpoints(self) -> list[int]:
@@ -319,11 +325,13 @@ class PrimeTable:
             yield i0, _unpack(self._bits, i0, i1)
 
 
-@dataclass(frozen=True)
 class CompositeIndex:
     """1-based index into the increasing sequence of odd composite numbers."""
 
-    table: PrimeTable
+    __slots__ = ("table",)
+
+    def __init__(self, table: PrimeTable):
+        self.table = table
 
     def nth(self, k: int) -> int:
         return self.table.nth_odd_composite(k)

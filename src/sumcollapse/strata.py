@@ -56,11 +56,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, compress, count, islice, repeat
 from operator import or_
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .intsets import WindowSet, _cut, _lsb, bits_from_values, iter_bits, iterated_sumset
 from .intsets import least_splits_bits, pass_groups, restrict
@@ -82,7 +81,6 @@ MARGIN_ODDS = 1 << 12  # odd numbers read below each layer-1 block for the partn
 AUDIT_LISTED = 3  # anomalies of each kind the blocked audit keeps
 
 
-@dataclass(frozen=True, eq=False)
 class StrataTable:
     """Layer assignment for every odd composite up to ``limit``.
 
@@ -96,10 +94,12 @@ class StrataTable:
     inside layer 1) and :meth:`write_csv`.
     """
 
-    limit: int
-    composites: np.ndarray
-    layer: np.ndarray
-    witness_prime: np.ndarray
+    __slots__ = ("limit", "composites", "layer", "witness_prime")
+
+    def __init__(self, limit: int, composites: np.ndarray, layer: np.ndarray,
+                 witness_prime: np.ndarray):
+        self.limit, self.composites = limit, composites
+        self.layer, self.witness_prime = layer, witness_prime
 
     @property
     def layers(self) -> Mapping[int, int]:
@@ -127,7 +127,6 @@ class StrataTable:
         _write_csv(path, rows(), self.unassigned)
 
 
-@dataclass
 class BitBlock:
     """One block of the strata stream in Python ints: bit j of each stands
     for the odd number 2(i0 + j) + 1, j < ``size``.
@@ -136,25 +135,28 @@ class BitBlock:
     in ``singles`` has the ``(layer, witness prime)`` it maps to; any other
     is in layer 1, found by pass k of the layer-1 search, where bit b of k
     is its bit in ``planes[b]``, and its witness is ``passes[k - 1]``.  No
-    entry in ``singles`` has a bit in ``planes``.
+    entry in ``singles`` has a bit in ``planes``.  :func:`strata_bits`
+    places the exceptions by adding to ``singles``.
     """
 
-    i0: int
-    size: int
-    composite: int
-    planes: list[int]
-    passes: list[int]
-    singles: dict[int, tuple[int, int]]
+    __slots__ = ("i0", "size", "composite", "planes", "passes", "singles")
+
+    def __init__(self, i0: int, size: int, composite: int, planes: list[int],
+                 passes: list[int], singles: dict[int, tuple[int, int]]):
+        self.i0, self.size, self.composite = i0, size, composite
+        self.planes, self.passes, self.singles = planes, passes, singles
 
 
-@dataclass
 class StrataCensus:
     """Count, least and largest member per layer, and the unassigned
     composites in increasing order, tallied one block of the strata at a time."""
 
-    limit: int
-    layers: dict[int, dict[str, int]] = field(default_factory=dict)
-    unassigned: list[int] = field(default_factory=list)
+    __slots__ = ("limit", "layers", "unassigned")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.layers: dict[int, dict[str, int]] = {}
+        self.unassigned: list[int] = []
 
     def add(self, block: BitBlock) -> None:
         """Tally a block that follows every block added before it: layer 1
@@ -484,8 +486,7 @@ def strata_census(limit: int, table: PrimeTable, csv: str | None = None) -> Stra
     return tally
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """Census and audit of a strata partition: the odd composites of the
     table's reads, the layer-1 entries, the deepest layer, the entries without
     a layer, and the first ``AUDIT_LISTED`` anomalies of each kind."""
@@ -611,14 +612,15 @@ def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
 
 def _pass_failures(block: BitBlock, found: int, table: PrimeTable, odd_prime) -> tuple[int, int]:
     """The bits of the planes' entries whose pass names no prime, and those
-    whose pass's prime or partner is not an odd prime: each pass's entries
-    ANDed with the prime bits shifted by its prime, partners below the
-    read's margin looked up one at a time."""
+    whose pass's prime or partner is not an odd prime: each pass's entries,
+    shifted by its prime, ANDed with the read's non-prime bits (its prime
+    bits complemented once); partners below the read's margin looked up one
+    at a time."""
     i0, first = block.i0, 2 * block.i0 + 1
     lo = max(i0 - MARGIN_ODDS, 0)
-    flags = table.odd_prime_bits(lo, i0 + block.size)
+    nonprime = ~table.odd_prime_bits(lo, i0 + block.size)  # a negative int: set past the read
     if not lo:
-        flags &= ~1  # the odd number 1 is not prime, flagged or not
+        nonprime |= 1  # the odd number 1 is not prime, flagged or not
     nosum = badpair = 0
     for k, hits in pass_groups(found, block.planes):
         p = block.passes[k - 1] if 0 < k <= len(block.passes) else 0
@@ -626,10 +628,11 @@ def _pass_failures(block: BitBlock, found: int, table: PrimeTable, odd_prime) ->
             nosum |= hits
         elif not odd_prime(p):
             badpair |= hits
-        elif (below := ((p - 3) >> 1) - (i0 - lo)) <= 0:  # bit j's partner is flag bit j - below
-            badpair |= hits & ~(flags >> -below)
+        elif (below := ((p - 3) >> 1) - (i0 - lo)) <= 0:  # bit j's partner is read bit j - below
+            badpair |= hits & nonprime >> -below
         else:
-            badpair |= hits >> below << below & ~(flags << below)
+            if bad := hits >> below & nonprime:  # none on a true table
+                badpair |= bad << below
             for j in iter_bits(hits & ((1 << below) - 1)):
                 if not odd_prime(first + 2 * j + 3 - p):
                     badpair |= 1 << j
@@ -707,8 +710,7 @@ def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> Partit
     return _audit(st.limit, table, (_encoded(*arrays, *bounds) for arrays, bounds in blocks))
 
 
-@dataclass(frozen=True)
-class AbsorptionReport:
+class AbsorptionReport(NamedTuple):
     """Witnessed check that shifted layer members are k-fold prime sums."""
 
     k_range: tuple[int, int]
@@ -833,8 +835,7 @@ def nfold_all_integers_check(
     return check_relation(IntRange(2), Primes(2), n, n, (2, hi), table)
 
 
-@dataclass(frozen=True)
-class EvidenceReport:
+class EvidenceReport(NamedTuple):
     """Windowed evidence (never a certificate) for the rough-number pair cover."""
 
     min_prime: int

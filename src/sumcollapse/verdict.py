@@ -8,9 +8,8 @@ windowed evidence for a full certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class Status(str, Enum):
@@ -36,8 +35,7 @@ def weakest(*statuses: Status) -> Status:
     return min(statuses, key=_STRENGTH.__getitem__)
 
 
-@dataclass(frozen=True)
-class RelationVerdict:
+class RelationVerdict(NamedTuple):
     """Outcome of one relation check.
 
     ``counterexample`` is always independently recheckable; ``note`` states

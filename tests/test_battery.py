@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,14 @@ from sumcollapse import PrimeTable, battery, finite_ring as ring, strata
 from sumcollapse.battery import decided, run, sieve_checks, strata_checks
 from sumcollapse.verdict import RelationVerdict, Status, holds, holds_on_window
 
-from oracles import odd_prime_flags, partition_audit_bf, sieve_checks_bf, simple_prime_set, strata_bf
+from oracles import (
+    odd_prime_flags,
+    partition_audit_bf,
+    primes_upto,
+    sieve_checks_bf,
+    simple_prime_set,
+    strata_bf,
+)
 
 HOLDS, WINDOW, FAILS = Status.HOLDS, Status.HOLDS_ON_WINDOW, Status.FAILS
 
@@ -288,6 +296,34 @@ def test_prime_count_band_fails_at_a_run_start():
     want = sieve_checks_bf(odd_prime, limit)
     assert not ok and want["sieve/prime-count-band"] == (False, x)
     assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want
+
+
+def _band_high_at(limit):
+    """The true odd-prime mask up to the prime ``limit`` with the fewest odd
+    composites just below it flagged that lift pi(limit) onto the band's
+    high side: where the band does not then first fail at x = limit, more
+    flags would only make it fail sooner."""
+    odd_prime = odd_prime_flags(limit)
+    below = np.flatnonzero(~odd_prime[4 : limit >> 1]) + 4  # the odd composites below the limit
+    need = math.ceil(1.25506 * limit / math.log(limit) * (1 + 1e-12)) - int(odd_prime.sum()) - 1
+    odd_prime[below[below.size - need :]] = True
+    return odd_prime
+
+
+def test_prime_count_band_fails_on_a_run_of_one_value():
+    # where the limit is prime, the table's last run holds the limit alone,
+    # and where it is also 2 i + 1 for a block start i, so does the last
+    # block: a range test that skipped a range of one value (x0 < x1 for
+    # x0 <= x1) would report holds where the band first fails at the limit
+    failing_at_limit = []
+    for limit in [p for p in primes_upto(463) if p >= 101] + [6 * 2**17 + 1]:
+        odd_prime = _band_high_at(limit)
+        want = sieve_checks_bf(odd_prime, limit)
+        assert _battery_sieve_verdicts(_table_from_mask(limit, odd_prime)) == want, limit
+        if want["sieve/prime-count-band"] == (False, limit):
+            failing_at_limit.append(limit)
+    # 40 of the 65 small primes, and the prime 786,433 = 6 * 2^17 + 1
+    assert len(failing_at_limit) == 41 and failing_at_limit[-2:] == [463, 6 * 2**17 + 1]
 
 
 # Each tamper decides one check strictly inside a run of odd composites,

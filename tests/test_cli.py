@@ -706,10 +706,13 @@ def test_entry_point_runs():
 
 # -- what a process imports ----------------------------------------------------
 
+# stdlib modules that no command needs: dataclasses imports inspect, which
+# imports ast, dis and tokenize, about 1 MB of a process's peak together
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 LOADED = (  # the package modules a process has executed; a lazy one not yet run is skipped
     "import sys, types\n"
     "print(' '.join(sorted(m.rpartition('.')[2] for m, mod in list(sys.modules.items())\n"
-    "                      if m == 'numpy' or m.startswith('sumcollapse.')\n"
+    f"                      if m in {('numpy',) + HEAVY!r} or m.startswith('sumcollapse.')\n"
     "                      and type(mod) is types.ModuleType)))\n"
 )
 
@@ -733,7 +736,7 @@ EVERY = RELATIONS | STRATA | {"battery", "finite_ring"}
 
 
 # every package module a process executes; numpy, which only the library's
-# array readers import, would be listed too
+# array readers import, and the HEAVY modules would be listed too
 @pytest.mark.parametrize(
     "code, executed",
     [
@@ -867,6 +870,19 @@ def _numpy_imports(node, deferred=False):
     deferred = deferred or isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda)
     for child in ast.iter_child_nodes(node):
         yield from _numpy_imports(child, deferred)
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize (about 1 MB) into every
+    # process that imports it; the records are named tuples and slotted classes
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "sumcollapse").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
 
 
 def test_numpy_is_imported_only_where_arrays_are_built():

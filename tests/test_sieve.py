@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -455,7 +457,10 @@ def _checkpoints_reference(bits):
     "limit",
     [10**7 + 12_345]
     + [2 * k * CHECKPOINT_BITS + d for k in (1, 2) for d in (-1, 1)]
-    + [2 * SEGMENT_ODDS + d for d in (-1, 1)]
+    # within 3 of the first three segment edges, where the last segment holds
+    # one odd number short of a whole segment, a whole one, one or two;
+    # 2 SEGMENT_ODDS - 3 = 2^20 - 3 is prime, the last bit of its table set
+    + [2 * k * SEGMENT_ODDS + d for k in (1, 2, 3) for d in range(-3, 4)]
     + list(range(9, 301)),  # where the base-prime recursion bottoms out (roots 3..17)
 )
 def test_table_built_in_place_with_per_block_checkpoints(limit):
@@ -465,3 +470,18 @@ def test_table_built_in_place_with_per_block_checkpoints(limit):
         # every segment packed into its place in the one buffer
         want = np.packbits(odd_prime_flags(limit), bitorder="little")
         assert np.array_equal(np.frombuffer(table._bits, dtype=np.uint8), want)
+
+
+def test_table_build_holds_one_segment_at_a_time():
+    # the build's working set is the table, one segment of one byte per odd
+    # number, and a fixed slack for the segment's packing (a few ints of an
+    # eighth of a segment each); a build holding two segments, or one of
+    # twice the size, would exceed it
+    slack = 3 << 17
+    tracemalloc.start()
+    try:
+        table = PrimeTable(4_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(table._bits) + SEGMENT_ODDS + slack

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +31,12 @@ from oracles import (
     sum_of_k_primes_bf,
 )
 from test_battery import STRATA_LIMIT, _set_entry, _sieve, _tampered_blocks, _without_seven
+
+
+def _replaced(st, **arrays):
+    """``st`` with the arrays named in ``arrays`` replaced."""
+    columns = {"composites": st.composites, "layer": st.layer, "witness_prime": st.witness_prime}
+    return StrataTable(st.limit, **(columns | arrays))
 
 
 def _lists(st):
@@ -145,7 +150,7 @@ def test_higher_layers_match_loop_reference():
     i = int(np.flatnonzero(st.layer == 2)[0])
     primes = st.witness_prime.copy()
     primes[i] = 3  # the partner is c itself, a layer-2 entry
-    rep = verify_partition(replace(st, witness_prime=primes), PrimeTable(300))
+    rep = verify_partition(_replaced(st, witness_prime=primes), PrimeTable(300))
     c = int(st.composites[i])
     assert f"layer-2 witness for {c} does not peel correctly" in rep.anomalies
 
@@ -221,7 +226,7 @@ def test_audit_flags_a_deeper_witness_that_does_not_peel(monkeypatch):
     monkeypatch.setattr(strata, "strata_bits", tampered)
     primes_at = st.witness_prime.copy()
     primes_at[i] = 3
-    want = verify_partition(replace(st, witness_prime=primes_at), table).anomalies
+    want = verify_partition(_replaced(st, witness_prime=primes_at), table).anomalies
     assert strata.audit_layer_one(300, table).anomalies == want == (
         "9 was never assigned to a layer",
         f"layer-20 witness for {c} does not peel correctly",
@@ -308,7 +313,7 @@ def test_partition_audit(strata_1e5, table_1e5):
 
 def _without(st, c):
     keep = st.composites != c
-    return replace(
+    return _replaced(
         st,
         composites=st.composites[keep],
         layer=st.layer[keep],
@@ -318,7 +323,7 @@ def _without(st, c):
 
 def _with(st, c, layer, p):
     i = int(np.searchsorted(st.composites, c))
-    return replace(
+    return _replaced(
         st,
         composites=np.insert(st.composites, i, c),
         layer=np.insert(st.layer, i, layer),
@@ -338,20 +343,20 @@ def test_partition_audit_flags_corruption(table_small):
     assert rep.anomalies == ("odd composite 9 missing from the table",)
     primes = st.witness_prime.copy()
     primes[0] = 3  # witness (3, 9) for 9 does not peel to an odd prime pair
-    bad = replace(st, witness_prime=primes)
+    bad = _replaced(st, witness_prime=primes)
     assert (bad.composites[0], bad.witness_prime[0]) == (9, 3)
     rep = verify_partition(bad, table_small)
     assert not rep.ok
     assert rep.anomalies == ("layer-1 witness for 9 is not an odd prime pair",)
     primes = st.witness_prime.copy()
     primes[3] = 9  # witness (9, 19) for 25: the partner is prime, p is not
-    bad = replace(st, witness_prime=primes)
+    bad = _replaced(st, witness_prime=primes)
     assert (bad.composites[3], bad.witness_prime[3]) == (25, 9)
     rep = verify_partition(bad, table_small)
     assert rep.anomalies == ("layer-1 witness for 25 is not an odd prime pair",)
     primes = st.witness_prime.copy()
     primes[1] = 0  # no witness recorded for 15
-    rep = verify_partition(replace(st, witness_prime=primes), table_small)
+    rep = verify_partition(_replaced(st, witness_prime=primes), table_small)
     assert rep.anomalies == ("witness for 15 does not sum to 18",)
     # 9 listed twice, with a layer both times
     rep = verify_partition(_with(st, 9, 1, 5), table_small)
@@ -364,7 +369,7 @@ def test_partition_audit_peels_onto_a_value_at_its_first_listing(table_small):
     # partner is 9 itself, first listed at layer 1, so only the repeat is wrong
     st = compute_strata(2_000, table_small)
     i = int(np.searchsorted(st.composites, 9, side="right"))
-    st = replace(
+    st = _replaced(
         st,
         composites=np.insert(st.composites, i, 9),
         layer=np.insert(st.layer, i, 2),
@@ -378,7 +383,7 @@ def test_partition_audit_peels_onto_a_value_at_its_first_listing(table_small):
 def _witness(st, i, p):
     primes = st.witness_prime.copy()
     primes[i] = p
-    return replace(st, witness_prime=primes)
+    return _replaced(st, witness_prime=primes)
 
 
 def _deeper_witness_that_does_not_peel(_st, _table):
