@@ -35,8 +35,6 @@ import json
 import os
 import re
 import sys
-from itertools import chain
-from operator import add
 
 
 def _lazy(name: str):
@@ -186,87 +184,66 @@ _RING_HEADER = (
     "modulus,b_mask,b_elements,c_mask,c_elements,m_fold,n_fold,"
     "sumset_equal,fp,subset,symmetric,directed\r\n"
 )
-_RING_CHUNK = 1 << 16  # CSV lines joined into one write, in whole runs
-_RING_TAILS = 1 << 17  # most row tails built for the whole (C, m_fold, n_fold) grid
+_RING_CHUNK = 1 << 16  # most CSV lines joined into one write, in whole runs
 
 
 def _ring_block_writer(fh, m: int, n_max: int):
-    """Write the ring CSV header to ``fh`` and return ``write(b, low,
-    equal)``, which writes one B block of
+    """Write the ring CSV header to the binary file ``fh`` and return
+    ``write(b, low, equal)``, which writes one B block of
     :func:`~sumcollapse.finite_ring.relation_table`.
 
-    While the tails of the whole (C, m_fold, n_fold) grid number at most
-    ``_RING_TAILS``, they are built once and a block is one run under
-    ``"m,B,B_elements,"``: each C's tails for its (fp, subset) code, chained,
-    with the tails of the equal cells put in.  Past that the tails cover
-    n_fold only and each (C, m_fold) is a run of n_max rows under its own
-    prefix, so the strings held grow with the fold bound, not with its
-    square; a run with equal cells is built once per (S_{m_fold}(B), C), and
-    each write joins whole runs of at most ``_RING_CHUNK`` lines.
+    A row is ``head(B) + prefix(C, m_fold) + tail(n_fold, sumset_equal, fp,
+    subset)``, and each (C, m_fold) is a run of n_max rows.  The writer holds
+    the (2^m - 1) * n_max prefixes, n_max tail leads and eight tail rests, as
+    bytes; a block adds its 8 * n_max ends (each tail followed by the next
+    row's head) and its list of runs.  A C's run of ends depends only on its
+    (fp, subset) code and the n_folds where its sumset equals S_{m_fold}(B),
+    so each distinct run is built once per set S_{m_fold}(B) and shared.
+    Each write is a slice of whole runs, at most ``_RING_CHUNK`` lines where
+    n_max allows: each run is joined on its prefix (it starts with an empty
+    piece, so that the prefix leads its first row too), and the write is the
+    head and those runs.  A bytes join holds an 80-byte buffer record per
+    piece, so a write joined row by row would hold two per row.  No string
+    is built per row tail, and the strings held grow with the fold bound,
+    not with its square.
     """
     labels = ["|".join(str(x) for x in range(m) if mask >> x & 1) for mask in range(1 << m)]
-    grid = [f"{c},{labels[c]},{mf}," for c in range(1, 1 << m) for mf in range(1, n_max + 1)]
-    whole = 8 * len(grid) * n_max <= _RING_TAILS
-    tails = [
-        f"{g}{nf},{eq},{fp},{sub},{eq & fp},{eq & fp & sub}\r\n"
-        for g in (grid if whole else [""])
-        for nf in range(1, n_max + 1)
-        for eq in (0, 1)
-        for fp in (0, 1)
-        for sub in (0, 1)
-    ]
-    fh.write(_RING_HEADER)
-    # plain[4 * j + code]: the tails of unit j (C = j + 1, or any run) for the
-    # code 2 * fp + subset, with every sumset unequal
-    unit = n_max * n_max if whole else n_max
-    plain = [tails[8 * i + code : 8 * (i + unit) : 8]
-             for i in range(0, len(tails) // 8, unit) for code in range(4)]
+    prefixes = [f"{c},{labels[c]},{mf},".encode()
+                for c in range(1, 1 << m) for mf in range(1, n_max + 1)]
+    leads = [f"{nf},".encode() for nf in range(1, n_max + 1)]
+    # rests[4 * sumset_equal + code]: the row's last five columns
+    rests = [f"{eq},{fp},{sub},{eq & fp},{eq & fp & sub}\r\n".encode()
+             for eq in (0, 1) for fp in (0, 1) for sub in (0, 1)]
+    per_write = max(1, _RING_CHUNK // n_max)
+    fh.write(_RING_HEADER.encode())
 
-    # (hits, m_fold) -> for each of its equal cells: the row, the index of
-    # its equal tail less the code, and its C
-    cells = {}
-
-    def write_grid(b: int, low: bytes, equal) -> None:
-        firsts = map(add, range(0, len(plain), 4), low[1:])
-        row = list(chain.from_iterable(map(plain.__getitem__, firsts)))
+    def write(b: int, low: bytes, equal) -> None:
+        head = f"{m},{b},{labels[b]},".encode()
+        rest = [r + head for r in rests]
+        ends = [lead + r for lead in leads for r in rest]  # ends[8 * (n_fold - 1) + ...]
+        runs = [None] * len(prefixes)  # runs[(c - 1) * n_max + m_fold - 1]
         for m_folds, hits in equal:
-            for mf in m_folds:
-                if (found := cells.get((hits, mf))) is None:
-                    at = (((c - 1) * unit + nf, c)
-                          for nf, cs in enumerate(hits, (mf - 1) * n_max) for c in cs)
-                    found = cells[hits, mf] = [(i, 8 * i + 4, c) for i, c in at]
-                for i, t, c in found:
-                    row[i] = tails[t + low[c]]
-        head = f"{m},{b},{labels[b]},"
-        fh.write(head + head.join(row))
-
-    def write_runs(b: int, low: bytes, equal) -> None:
-        runs_at = [None] * n_max  # m_fold - 1 -> {c: C's run with its equal cells}
-        for m_folds, hits in equal:
-            runs: dict[int, list[str]] = {}
+            # key[c]: C's code 2 * fp + subset, plus 4 << (n_fold - 1) for each
+            # n_fold where S_{n_fold}(C) equals this set
+            key = list(low)
             for nf, cs in enumerate(hits):
+                bit = 4 << nf
                 for c in cs:
-                    if (run := runs.get(c)) is None:
-                        run = runs[c] = plain[low[c]].copy()
-                    run[nf] = tails[8 * nf + 4 + low[c]]
+                    key[c] += bit
+            made = {k: [b"", *(ends[8 * nf + 4 * (k >> nf + 2 & 1) + (k & 3)]
+                                for nf in range(n_max))]
+                    for k in set(key)}
+            by_c = list(map(made.__getitem__, key[1:]))
             for mf in m_folds:
-                runs_at[mf - 1] = runs
-        head = f"{m},{b},{labels[b]},"
-        per_write = max(1, _RING_CHUNK // n_max)
-        pieces, k = [], 0
-        for c in range(1, 1 << m):
-            unequal = plain[low[c]]
-            for runs in runs_at:
-                p = head + grid[k]
-                pieces += (p, p.join(runs.get(c, unequal)))
-                k += 1
-                if k % per_write == 0:
-                    fh.write("".join(pieces))
-                    pieces = []
-        if pieces:
-            fh.write("".join(pieces))
+                runs[mf - 1 :: n_max] = by_c
+        for first in range(0, len(runs), per_write):
+            line = [head, *map(bytes.join, prefixes[first : first + per_write],
+                               runs[first : first + per_write])]
+            line[-1] = line[-1][: -len(head)]  # the last row has no next row
+            fh.write(b"".join(line))
+            del line  # this write's runs go before the next write's are joined
 
-    return write_grid if whole else write_runs
+    return write
 
 
 def _cmd_ring(args):
@@ -274,7 +251,7 @@ def _cmd_ring(args):
     # a refused modulus or fold bound raises here, before any file is created
     blocks = ring.relation_table(m, n_max)
     rows = directed = 0
-    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as fh:
+    with open(args.csv, "wb") if args.csv else contextlib.nullcontext() as fh:
         write = None if fh is None else _ring_block_writer(fh, m, n_max)
         for b, low, equal in blocks:
             rows += ((1 << m) - 1) * n_max * n_max

@@ -440,53 +440,86 @@ RING_HEADER = (
 ).split(",")
 
 
-def test_ring_csv_matches_library_rows(tmp_path, capsys):
-    path = tmp_path / "ring4.csv"
-    code, _, _ = run_cli(["ring", "--modulus", "4", "--nmax", "2", "--csv", str(path)], capsys)
-    assert code == 0
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == RING_HEADER and len(rows) == 1 + 15 * 15 * 4
-    want = [
-        [4, r.b.mask, _labels(r.b), r.c.mask, _labels(r.c), r.m_fold, r.n_fold]
+def _ring_library_rows(modulus, nmax):
+    return [
+        [modulus, r.b.mask, _labels(r.b), r.c.mask, _labels(r.c), r.m_fold, r.n_fold]
         + [int(x) for x in (r.sumset_equal, r.fp, r.subset, r.symmetric, r.directed)]
-        for r in relation_table_rows(4, 2)
+        for r in relation_table_rows(modulus, nmax)
     ]
+
+
+def _ring_csv_rows(tmp_path, capsys, modulus, nmax):
+    path = tmp_path / f"ring{modulus}_{nmax}.csv"
+    args = ["ring", "--modulus", str(modulus), "--nmax", str(nmax), "--csv", str(path)]
+    assert run_cli(args, capsys)[0] == 0
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("modulus,nmax", [(2, 1), (2, 7), (3, 3), (4, 2), (5, 2), (6, 4)])
+def test_ring_csv_matches_library_rows(tmp_path, capsys, modulus, nmax):
+    rows = _ring_csv_rows(tmp_path, capsys, modulus, nmax)
+    assert rows[0] == RING_HEADER and len(rows) == 1 + ((1 << modulus) - 1) ** 2 * nmax**2
+    assert rows[1:] == [[str(x) for x in row] for row in _ring_library_rows(modulus, nmax)]
+
+
+def test_ring_csv_matches_library_rows_across_write_edges(tmp_path, capsys, monkeypatch):
+    # chunks of 7 lines make each write two (C, m_fold) runs of 3 rows, so a
+    # block of Z/5Z takes many writes and runs joined each on its prefix
+    modulus, nmax, runs_per_write = 5, 3, 2
+    monkeypatch.setattr(cli, "_RING_CHUNK", 7)
+    rows = _ring_csv_rows(tmp_path, capsys, modulus, nmax)
+    want = _ring_library_rows(modulus, nmax)
     assert rows[1:] == [[str(x) for x in row] for row in want]
+    # the equal cells fall on both sides of write edges: some write and the
+    # next one in its block both hold an equal cell
+    per_block = ((1 << modulus) - 1) * nmax * nmax
+    equal_writes = {(i // per_block, i % per_block // (runs_per_write * nmax))
+                    for i, row in enumerate(want) if row[7]}
+    assert any((b, w + 1) in equal_writes for b, w in equal_writes)
 
 
 @pytest.mark.parametrize("modulus,nmax", [("4", "1"), ("4", "3"), ("8", "3")])
-def test_ring_csv_in_runs_past_the_tail_bound(tmp_path, capsys, monkeypatch, modulus, nmax):
-    # with no tails held for the whole grid, each (C, m_fold) is a run of
-    # n_max rows under its own prefix, and chunks of 7 lines split a block
-    # into many writes; the bytes stay those of one run per block
+def test_ring_csv_in_many_writes_keeps_its_bytes(tmp_path, capsys, monkeypatch, modulus, nmax):
+    # chunks of 7 lines split each block into many writes, each of whole
+    # (C, m_fold) runs joined on their prefixes; the bytes stay those of one
+    # write per block
     args = ["ring", "--modulus", modulus, "--nmax", nmax, "--csv"]
-    assert run_cli(args + [str(tmp_path / "one_run.csv")], capsys)[0] == 0
-    monkeypatch.setattr(cli, "_RING_TAILS", 0)
+    assert run_cli(args + [str(tmp_path / "one_write.csv")], capsys)[0] == 0
     monkeypatch.setattr(cli, "_RING_CHUNK", 7)
-    assert run_cli(args + [str(tmp_path / "runs.csv")], capsys)[0] == 0
-    got = (tmp_path / "runs.csv").read_bytes()
-    assert got == (tmp_path / "one_run.csv").read_bytes()
+    assert run_cli(args + [str(tmp_path / "writes.csv")], capsys)[0] == 0
+    got = (tmp_path / "writes.csv").read_bytes()
+    assert got == (tmp_path / "one_write.csv").read_bytes()
     if modulus == "8":
         assert hashlib.sha256(got).hexdigest() == RING_8_3_CSV_SHA256
 
 
-def _ring_peak(nmax):
+def _ring_peak(nmax, modulus=2):
     tracemalloc.start()
     try:
-        assert main(["ring", "--modulus", "2", "--nmax", str(nmax), "--csv", os.devnull]) == 0
+        args = ["ring", "--modulus", str(modulus), "--nmax", str(nmax), "--csv", os.devnull]
+        assert main(args) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_ring_writer_memory_grows_with_nmax_not_its_square(capsys):
-    # at modulus 2 both fold bounds are past the tail bound, so the writer
-    # holds runs of n_max rows and whole writes of at most _RING_CHUNK lines;
+    # at modulus 2 a block takes several writes at both fold bounds, so the
+    # writer holds runs of n_max rows and whole writes of at most _RING_CHUNK lines;
     # a table held per B (or its tails) would take 4 times the memory at twice n_max
     small, large = _ring_peak(200), _ring_peak(400)
     capsys.readouterr()
     assert large < 2 * small
+
+
+def test_ring_writer_holds_no_string_per_row_tail(capsys):
+    # the writer holds the prefixes, the pieces of the tails and one block's
+    # ends, runs and write: about 0.47 MiB at modulus 8, n_max 3, where a
+    # string for every (C, m_fold, n_fold, code) row tail took 2.4 MiB
+    peak = _ring_peak(3, modulus=8)
+    capsys.readouterr()
+    assert peak < 1 << 20
 
 
 def _labels(s):
