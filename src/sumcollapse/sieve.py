@@ -16,10 +16,8 @@ numpy.  The block source is ``odd_block_bounds(lo, hi)``, the
 ``odd_prime_bits(i0, i1)``, one int sliced from the packed bytes of an
 index range, which the battery's sieve pass, layer 1 of the strata and its
 audit read per block, and the pair sweep once.  So no command imports
-numpy.  The array readers, which only library callers use, import it when
-called: ``odd_prime_blocks(lo, hi)`` decodes the bits of a range into flag
-arrays, ``odd_prime_mask`` a prefix, and ``odd_prime_at(values)`` looks up
-an array of values in the packed bits themselves.
+numpy.  The one array reader, ``odd_prime_mask``, which decodes a prefix
+of the bits into a flag array for library callers, imports it when called.
 
 All element indices are 1-based: ``nth_prime(1) == 2`` and the first odd
 composite has rank 1.
@@ -184,31 +182,6 @@ class PrimeTable:
         i = n >> 1
         return bool(self._bits[i >> 3] >> (i & 7) & 1)
 
-    def odd_prime_at(self, values) -> np.ndarray:
-        """Per integer of the array ``values``, whether it is an odd prime in
-        ``[3, limit]``; False for even values, values below 3 and values past
-        the limit, so nothing raises.  ``int32`` values are looked up in
-        ``int32``, any others in ``int64``."""
-        import numpy as np
-
-        if not (isinstance(values, np.ndarray) and values.dtype == np.int32):
-            values = np.asarray(values, dtype=np.int64)
-        unsigned = np.uint32 if values.dtype == np.int32 else np.uint64
-        # one unsigned compare for 3 <= v <= limit: values below 3 wrap past it,
-        # and the dtype's three least values wrap to above its top - 3, the cap
-        top = min(self.limit, np.iinfo(values.dtype).max) - 3
-        inside = (values - 3).view(unsigned) <= top
-        inside &= (values & 1).astype(bool)
-        i = values >> 1
-        i *= inside  # index 0 for the values outside
-        bit = (i & 7).astype(np.uint8)  # a uint8 shift count keeps the bit extraction in bytes
-        i >>= 3
-        byte = np.frombuffer(self._bits, dtype=np.uint8)[i]
-        byte >>= bit
-        byte &= 1
-        inside &= byte.view(bool)
-        return inside
-
     def is_odd_composite(self, n: int) -> bool:
         """Odd, >= 9 and not prime; only the primality lookup checks the range."""
         return n % 2 == 1 and n >= 9 and not self.is_prime(n)
@@ -317,12 +290,6 @@ class PrimeTable:
         self._check_range(2 * i1 - 1)
         raw = int.from_bytes(self._bits[i0 >> 3 : (i1 + 7) >> 3], "little")
         return raw >> (i0 & 7) & ((1 << (i1 - i0)) - 1)
-
-    def odd_prime_blocks(self, lo: int = 1, hi: int | None = None):
-        """Yield ``(i0, mask)`` for each block of :meth:`odd_block_bounds`;
-        ``mask[j]`` says whether ``2*(i0 + j) + 1`` is prime."""
-        for i0, i1 in self.odd_block_bounds(lo, hi):
-            yield i0, _unpack(self._bits, i0, i1)
 
 
 class CompositeIndex:

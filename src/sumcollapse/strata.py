@@ -76,7 +76,7 @@ _MAX_LAYER = 127  # the int8 layers' top
 # the shifted-prime inclusion starts at 3 + 7 = 10, the least pair sum of primes >= 5
 SHIFTED_MIN_PRIME = 7
 MAX_LISTED = 50  # rough-cover violations listed; the count covers them all
-CSV_CHUNK = 1 << 13  # rows (odd numbers, when streamed) formatted per write, so memory stays flat
+CSV_CHUNK = 1 << 11  # rows (odd numbers, when streamed) formatted per write, so memory stays flat
 MARGIN_ODDS = 1 << 12  # odd numbers read below each layer-1 block for the partners
 AUDIT_LISTED = 3  # anomalies of each kind the blocked audit keeps
 
@@ -232,42 +232,42 @@ def _write_csv(path: str, rows, unassigned) -> None:
             fh.write((b"%d,,,\r\n" * len(chunk)) % tuple(chunk))
 
 
-def _interleaved(block: BitBlock, a: int, b: int) -> bytearray:
-    """The planes' bytes over the bits ``[a, b)`` of a block, interleaved:
-    byte 8i + place is byte i of ``planes[place]``, so each 8-byte word holds
-    the planes of eight bits, a row per plane.  Needs at most eight planes."""
-    size = (b - a + 7) // 8
-    mask = (1 << 8 * size) - 1
+def _interleaved(block: BitBlock) -> bytearray:
+    """The planes' bytes over the block, interleaved: byte 8i + place is
+    byte i of ``planes[place]``, so each 8-byte word holds the planes of
+    eight bits, a row per plane.  Needs at most eight planes."""
+    size = (block.size + 7) // 8
     words = bytearray(8 * size)
     for place, plane in enumerate(block.planes):
-        words[place::8] = (plane >> a & mask).to_bytes(size, "little")
+        words[place::8] = plane.to_bytes(size, "little")
     return words
 
 
-def _pass_numbers(block: BitBlock, a: int, b: int) -> bytes:
-    """Byte j - a is the pass number of bit j, for a <= j < b: the 8 x 8 bit
-    matrix of each word of the interleaved planes transposed, all words at
-    once in one Python int, which leaves byte c of a word the pass number of
-    its bit c."""
-    words = _interleaved(block, a, b)
+def _pass_numbers(block: BitBlock) -> bytes:
+    """Byte j is the pass number of bit j of the block: the 8 x 8 bit matrix
+    of each word of the interleaved planes transposed, all words at once in
+    one Python int, which leaves byte c of a word the pass number of its bit c."""
+    words = _interleaved(block)
     x = int.from_bytes(words, "little")
     for shift, mask in _TRANSPOSE:
         mask = int.from_bytes(mask.to_bytes(8, "little") * (len(words) // 8), "little")
         t = (x ^ x >> shift) & mask
         x ^= t ^ t << shift
-    return x.to_bytes(len(words), "little")[: b - a]
+    return x.to_bytes(len(words), "little")[: block.size]
 
 
 def _bit_block_rows(block: BitBlock):
     """The CSV rows of a block's assigned entries in composite order, one
-    bytes string per ``CSV_CHUNK`` odd numbers (at most as many rows)."""
+    bytes string per ``CSV_CHUNK`` odd numbers (at most as many rows), read
+    off one transpose of the block."""
     first = 2 * block.i0 + 1
     witness_of = [0, *block.passes]
     shift_of = [0, *(p - 3 for p in block.passes)]  # c - shift_of[k] is the partner
     singles = sorted((j, k, p) for j, (k, p) in block.singles.items() if k)
+    block_numbers = _pass_numbers(block)
     for a in range(0, block.size, CSV_CHUNK):
         b = min(a + CSV_CHUNK, block.size)
-        numbers = _pass_numbers(block, a, b)
+        numbers = block_numbers[a:b]
         composites = list(compress(range(first + 2 * a, first + 2 * b, 2), numbers))
         found = numbers.replace(b"\0", b"")
         witnesses = [witness_of[k] for k in found]
@@ -415,7 +415,7 @@ def _pass_numbers_array(block: BitBlock) -> np.ndarray:
     :func:`_pass_numbers` on the words of a ``uint64`` array, in place."""
     import numpy as np
 
-    x = np.frombuffer(_interleaved(block, 0, block.size), dtype="<u8")
+    x = np.frombuffer(_interleaved(block), dtype="<u8")
     for shift, mask in _TRANSPOSE:
         t = x >> shift
         t ^= x

@@ -226,18 +226,19 @@ def reader_flags():
 
 @pytest.mark.parametrize("lo, hi", READER_RANGES)
 def test_odd_prime_blocks_tile_the_range(reader_table, reader_flags, lo, hi):
-    blocks = list(reader_table.odd_prime_blocks(lo, hi))
-    index = np.array([v >> 1 for v in range(max(lo, 1), hi + 1) if v % 2], dtype=np.int64)
-    starts = [i0 for i0, _ in blocks]
-    ends = [i0 + mask.size for i0, mask in blocks]
-    assert starts[:1] == index[:1].tolist()
-    assert starts[1:] == ends[:-1]  # no gap and no overlap
-    assert ends[-1:] == (index[-1:] + 1).tolist()
-    for i0, mask in blocks:
-        assert 0 < mask.size <= CHECKPOINT_BITS
-        assert i0 // CHECKPOINT_BITS == (i0 + mask.size - 1) // CHECKPOINT_BITS
-    got = np.concatenate([mask for _, mask in blocks]) if blocks else np.zeros(0, bool)
-    assert np.array_equal(got, reader_flags[index])
+    # the block source: the bounds tile the range's indices, each within one
+    # checkpoint block, and each block's bits are its flags
+    bounds = list(reader_table.odd_block_bounds(lo, hi))
+    index = [v >> 1 for v in range(max(lo, 1), hi + 1) if v % 2]
+    assert [i0 for i0, _ in bounds[:1]] == index[:1]
+    assert [i0 for i0, _ in bounds[1:]] == [i1 for _, i1 in bounds[:-1]]  # no gap and no overlap
+    assert [i1 for _, i1 in bounds[-1:]] == [i + 1 for i in index[-1:]]
+    for i0, i1 in bounds:
+        assert 0 < i1 - i0 <= CHECKPOINT_BITS
+        assert i0 // CHECKPOINT_BITS == (i1 - 1) // CHECKPOINT_BITS
+        bits = reader_table.odd_prime_bits(i0, i1)
+        assert bits.bit_length() <= i1 - i0
+        assert [bool(bits >> (i - i0) & 1) for i in range(i0, i1)] == reader_flags[i0:i1].tolist()
 
 
 @pytest.mark.parametrize("lo, hi", READER_RANGES + PHASE_RANGES)
@@ -245,9 +246,8 @@ def test_odd_prime_bits_read_the_index_range(reader_table, reader_flags, lo, hi)
     i0, i1 = max(lo, 1) // 2, (hi + 1) // 2
     want = sum(1 << (i - i0) for i in range(i0, i1) if reader_flags[i])
     assert reader_table.odd_prime_bits(i0, i1) == want
-    # the block source: its bounds tile the range, and each block's bits are its mask's
+    # the block source: each block's bits are the range's, shifted into place
     bounds = list(reader_table.odd_block_bounds(lo, hi))
-    assert bounds == [(j0, j0 + mask.size) for j0, mask in reader_table.odd_prime_blocks(lo, hi)]
     assert sum(reader_table.odd_prime_bits(j0, j1) << (j0 - i0) for j0, j1 in bounds) == want
 
 
@@ -272,42 +272,6 @@ def test_odd_prime_mask_through_hi(reader_table, reader_flags, hi):
     assert np.array_equal(reader_table.odd_prime_mask(hi), reader_flags[: (top + 1) // 2])
 
 
-def _odd_prime_at_inputs():
-    """Every integer across byte edges and the first ``CHECKPOINT_BITS`` edge,
-    plus values the lookup must answer False for without raising."""
-    edge = 2 * CHECKPOINT_BITS + 1  # the first odd number of the second block
-    return np.concatenate(
-        [
-            np.arange(-4, 40),
-            np.arange(edge - 40, edge + 40),
-            [2**18, -(2**40), READER_LIMIT - 1, READER_LIMIT, READER_LIMIT + 2, 2**40 + 1],
-        ]
-    )
-
-
-def _odd_prime_at_reference(table, values):
-    return [v % 2 == 1 and 3 <= v <= table.limit and table.is_prime(int(v)) for v in values]
-
-
-def test_odd_prime_at_matches_is_prime(reader_table):
-    values = _odd_prime_at_inputs()
-    got = reader_table.odd_prime_at(values)
-    assert got.dtype == bool and got.tolist() == _odd_prime_at_reference(reader_table, values)
-    assert not reader_table.odd_prime_at([1, 2, 4, 2**17, -3, -7, READER_LIMIT + 2]).any()
-
-
-def test_odd_prime_at_reads_the_packed_bits(reader_table):
-    tampered = PrimeTable(READER_LIMIT)
-    raw = bytearray(tampered._bits)
-    for at in (0, 1, CHECKPOINT_BITS // 8 - 1, CHECKPOINT_BITS // 8):
-        raw[at] ^= 0xA5
-    tampered._bits = bytes(raw)
-    values = _odd_prime_at_inputs()
-    got = tampered.odd_prime_at(values)
-    assert got.tolist() == _odd_prime_at_reference(tampered, values)
-    assert got.tolist() != reader_table.odd_prime_at(values).tolist()
-
-
 def _tampered_reader():
     """The reader table with bits flipped at block edges and every bit of
     the last byte flipped, the padding past the limit included."""
@@ -318,52 +282,6 @@ def _tampered_reader():
     raw[-1] ^= 0xFF
     tampered._bits = bytes(raw)
     return tampered
-
-
-def _odd_prime_at_masks(table, values):
-    """The lookup as three masks and an index select: the form the single
-    unsigned compare replaced."""
-    values = np.asarray(values, dtype=np.int64)
-    inside = (values & 1 == 1) & (values >= 3) & (values <= table.limit)
-    i = np.where(inside, values >> 1, 0)
-    raw = np.frombuffer(table._bits, dtype=np.uint8)
-    return inside & (raw[i >> 3] >> (i & 7) & 1).astype(bool)
-
-
-@pytest.mark.parametrize("tampered", [False, True])
-def test_odd_prime_at_on_random_int64(reader_table, tampered):
-    table = _tampered_reader() if tampered else reader_table
-    rng = np.random.default_rng(17)
-    info = np.iinfo(np.int64)
-    values = np.concatenate(
-        [
-            rng.integers(info.min, info.max, 2000, endpoint=True),
-            rng.integers(-50, 50, 500),
-            rng.integers(READER_LIMIT - 60, READER_LIMIT + 60, 500),
-            rng.integers(0, READER_LIMIT, 2000),
-            [info.min, info.min + 1, info.min + 3, info.max, info.max - 1, -3, 3],
-        ]
-    )
-    got = table.odd_prime_at(values)
-    assert got.dtype == bool and np.array_equal(got, _odd_prime_at_masks(table, values))
-    sample = values[::7]
-    assert table.odd_prime_at(sample).tolist() == _odd_prime_at_reference(table, sample)
-
-
-@pytest.mark.parametrize("limit", [1001, 1000])
-def test_odd_prime_at_on_int32_matches_int64(limit):
-    table = PrimeTable(limit)
-    info = np.iinfo(np.int32)
-    values = [info.min, info.min + 1, info.min + 2, info.min + 3, -3, -1, 0, 1, 2, 3, 9]
-    values += [4, 10, 998, 997, limit - 1, limit, limit + 1, limit + 2, info.max - 1, info.max]
-    got = table.odd_prime_at(np.array(values, dtype=np.int32))
-    assert got.dtype == bool and got.tolist() == table.odd_prime_at(values).tolist()
-    assert got.tolist() == _odd_prime_at_reference(table, values)
-    # past 2^31 + 1, v - 3 of the least int32 values would pass as v <= limit
-    # if it were not capped at the int32 top
-    table.limit = 2**40
-    wrapped = np.array([info.min, info.min + 1, info.min + 2, 3, 5], dtype=np.int32)
-    assert table.odd_prime_at(wrapped).tolist() == [False, False, False, True, True]
 
 
 def _random_windows(rng, count):
@@ -418,7 +336,6 @@ def test_range_past_the_limit_raises_before_a_value(reader_table):
     past = READER_LIMIT + 1
     scans = [
         reader_table.odd_block_bounds(1, past),
-        reader_table.odd_prime_blocks(1, past),
         reader_table.primes_in(1, past),  # 2 is not yielded first
         reader_table.odd_composites_in(9, past),
     ]
@@ -441,8 +358,10 @@ def test_odd_prime_mask_reads_no_byte_past_hi(reader_table, hi):
     tampered._bits = bytes(raw)
     assert np.array_equal(tampered.odd_prime_mask(hi), reader_table.odd_prime_mask(hi))
     assert not np.array_equal(tampered.odd_prime_mask(), reader_table.odd_prime_mask())
-    blocks = [mask for _, mask in tampered.odd_prime_blocks(1, hi)]
-    assert np.array_equal(np.concatenate(blocks), reader_table.odd_prime_mask(hi))
+    bounds = list(tampered.odd_block_bounds(1, hi))
+    assert [tampered.odd_prime_bits(i0, i1) for i0, i1 in bounds] == [
+        reader_table.odd_prime_bits(i0, i1) for i0, i1 in bounds
+    ]
 
 
 def _checkpoints_reference(bits):

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -583,7 +584,7 @@ def _bit_block(i0, size, entries):
     return block
 
 
-@pytest.mark.parametrize("chunk", [2, 3, 5, 1 << 16])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 1 << 16])
 def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
     # five assigned rows, a remainder for chunks of 2 and 3, and two unassigned ones
     comps, layer, witness = [9, 15, 21, 25, 27, 33, 35], [1, 1, 0, 2, 1, 0, 1], [5, 5, 0, 7, 7, 0, 5]
@@ -606,6 +607,36 @@ def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
     tally = strata.strata_census(45, None, tmp_path / "streamed.csv")
     assert (tmp_path / "streamed.csv").read_bytes() == got
     assert tally.census_dict() == strata_census_bf(45, comps, layer)
+
+
+@pytest.fixture(scope="module")
+def edge_strata():
+    """A true table over two blocks and a partial third, and its oracle CSV."""
+    limit = 2 * 2**17 + 3
+    return PrimeTable(limit), strata_csv_bf(*strata_bf(limit, _sieve(limit)))
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_streamed_csv_across_chunk_and_block_edges(tmp_path, monkeypatch, edge_strata, chunk):
+    table, want = edge_strata
+    monkeypatch.setattr(strata, "CSV_CHUNK", chunk)
+    strata.strata_census(table.limit, table, tmp_path / "strata.csv")
+    assert (tmp_path / "strata.csv").read_bytes() == want
+
+
+def test_streamed_csv_writer_holds_one_block_transpose():
+    # the writer traces about 0.5 MiB above the census here: one block's
+    # transpose (64 KiB of pass numbers and its scratch ints) and one chunk's
+    # rows; a transpose per chunk of 2^13 odd numbers traced 1.3 MiB
+    table = PrimeTable(10**6)
+    strata.strata_census(10**6, table, csv=os.devnull)  # the first pass fills the caches
+    tracemalloc.start()
+    try:
+        strata.strata_census(10**6, table, csv=os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 << 10, peak
 
 
 # -- the blocked layer-1 search -----------------------------------------------
