@@ -9,24 +9,17 @@ c + 3, so recomputing with a larger limit never relabels anything.
 The strata are read as a stream, :func:`strata_bits`, which yields one
 :class:`BitBlock` per block that ``PrimeTable.odd_block_bounds`` cuts: the
 block's odd composites and their layers and witness primes p, in Python
-ints (the witness partner is c + 3 - p).  Every reader a command runs reads
-that stream without numpy: :func:`strata_census` (the ``strata``
-command's census and CSV) tallies the census from popcounts and reads the
-CSV rows' pass numbers off the planes with one bit-matrix transpose of a
-Python int; :func:`audit_layer_one` is the battery's audit; and
-:func:`layer_window_bits` spreads the members of chosen layers over a
-window into one bitset each, which ``Stratum(k)`` and the absorption check
-read.  Only the library's array readers import numpy:
-:func:`strata_blocks` decodes each block with ``np.unpackbits`` and the
-same transpose on ``uint64`` words into ``(composites, layer,
-witness_prime)`` arrays, ``int32`` (the layers ``int8``), and
-:func:`compute_strata` concatenates them into a :class:`StrataTable`, which
-holds arrays over the whole limit and stays for the benchmark tracer's
-spans on it and on its CSV.  The partition has one audit, :func:`_audit`,
-over blocks of bits: :func:`audit_layer_one` feeds it the stream, and
-:func:`verify_partition` a :class:`StrataTable` re-encoded block by block,
-with the listings no bit can hold (repeats, values outside the blocks' odd
-numbers) beside each block.
+ints (the witness partner is c + 3 - p).  Every reader reads that stream:
+:func:`strata_census` (the ``strata`` command's census and CSV) tallies
+the census from popcounts and reads the CSV rows' pass numbers off the
+planes with one bit-matrix transpose of a Python int; :func:`audit_layer_one`
+is the battery's audit; and :func:`layer_window_bits` spreads the members
+of chosen layers over a window into one bitset each, which ``Stratum(k)``
+and the absorption check read.  :func:`compute_strata` holds the stream
+whole, as the blocks of a :class:`StrataTable`, whose readers (its CSV,
+its audit :func:`verify_partition`, :func:`verify_absorption`) are those
+of the stream, and which stays for the library and the benchmark tracer's
+spans.  The partition has one audit, :func:`_audit`, over blocks of bits.
 
 Layer 1 is searched block by block in :func:`layer_one_blocks`.  A block's
 prime bits and the ``MARGIN_ODDS`` odd numbers below it are one int read
@@ -54,24 +47,18 @@ whole-limit search would make.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Mapping
 from functools import reduce
 from itertools import chain, compress, count, islice, repeat
 from operator import or_
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .intsets import WindowSet, _cut, _lsb, bits_from_values, iter_bits, iterated_sumset
 from .intsets import least_splits_bits, pass_groups, restrict
 from .sieve import PrimeTable, spread_bits
 from .verdict import RelationVerdict
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# c + 3 - p is computed in int32, so c + 3 must fit
-_MAX_LIMIT = 2**31 - 1 - 3
-_MAX_LAYER = 127  # the int8 layers' top
+_MAX_LAYER = 127  # the exception placement's walk assigns no deeper layer
 
 # the shifted-prime inclusion starts at 3 + 7 = 10, the least pair sum of primes >= 5
 SHIFTED_MIN_PRIME = 7
@@ -82,49 +69,43 @@ AUDIT_LISTED = 3  # anomalies of each kind the blocked audit keeps
 
 
 class StrataTable:
-    """Layer assignment for every odd composite up to ``limit``.
+    """The strata stream up to ``limit`` held whole: ``blocks``, each
+    :class:`BitBlock` of :func:`strata_bits` in order.  Blocks built another
+    way must keep that stream's form: each entry in the planes or in
+    ``singles``, an entry without a layer a single ``(0, 0)``, as the census,
+    and so ``unassigned`` and the CSV, reads no other bit.
 
-    Parallel arrays, one entry per odd composite in ``[9, limit]``:
-    ``composites`` holds them sorted (``int32``), ``layer`` their layer
-    (``int8``, 0 for unassigned) and ``witness_prime`` the prime p of each
-    witness split (``int32``); the partner is ``c + 3 - p``.  Beside the
-    arrays it keeps only what the benchmark's tracer reads of a table:
-    ``layers``, a read-only ``{c: layer}`` view over the assigned entries,
-    ``unassigned``, ``passes`` (the layer passes, not the prime passes
-    inside layer 1) and :meth:`write_csv`.
+    Its readers are :meth:`columns`, every listing as three aligned lists,
+    and what the benchmark's tracer reads of a table: ``layers``, a
+    read-only ``{c: layer}`` view, ``unassigned``, ``passes`` (the layer
+    passes, not the prime passes inside layer 1) and :meth:`write_csv`.
     """
 
-    __slots__ = ("limit", "composites", "layer", "witness_prime")
+    __slots__ = ("limit", "blocks", "layers")
 
-    def __init__(self, limit: int, composites: np.ndarray, layer: np.ndarray,
-                 witness_prime: np.ndarray):
-        self.limit, self.composites = limit, composites
-        self.layer, self.witness_prime = layer, witness_prime
-
-    @property
-    def layers(self) -> Mapping[int, int]:
-        return _LayerView(self)
+    def __init__(self, limit: int, blocks: tuple[BitBlock, ...]):
+        self.limit, self.blocks = limit, blocks
+        self.layers: Mapping[int, int] = _LayerView(blocks)
 
     @property
     def unassigned(self) -> tuple[int, ...]:
-        return tuple(self.composites[self.layer == 0].tolist())
+        return tuple(_census(self.limit, self.blocks).unassigned)
 
     @property
     def passes(self) -> int:
-        return max(1, int(self.layer.max(initial=0)))
+        return _census(self.limit, self.blocks).passes
+
+    def columns(self) -> tuple[list[int], list[int], list[int]]:
+        """The ``(composites, layers, witness_primes)`` lists of every
+        listing in composite order, layer and witness 0 where no layer is
+        reached; a value listed twice comes first as its single."""
+        rows = [row for block in self.blocks for row in _listings(block)]
+        return [c for c, _, _ in rows], [k for _, k, _ in rows], [p for _, _, p in rows]
 
     def write_csv(self, path: str) -> None:
-        """Assigned rows in composite order, then the unassigned ones, written
-        ``CSV_CHUNK`` rows at a time."""
-        assigned = (self.layer != 0).nonzero()[0]
-
-        def rows():
-            for start in range(0, assigned.size, CSV_CHUNK):
-                at = assigned[start : start + CSV_CHUNK]
-                c, p = self.composites[at].astype("int64"), self.witness_prime[at].astype("int64")
-                yield _csv_rows(c.tolist(), self.layer[at].tolist(), p.tolist(), (c + 3 - p).tolist())
-
-        _write_csv(path, rows(), self.unassigned)
+        """The rows :func:`strata_census` writes: the assigned ones in
+        composite order, then the unassigned ones."""
+        _write_csv(path, chain.from_iterable(map(_bit_block_rows, self.blocks)), self.unassigned)
 
 
 class BitBlock:
@@ -283,35 +264,62 @@ def _bit_block_rows(block: BitBlock):
             yield _csv_rows(composites, layers, witnesses, partners)
 
 
-class _LayerView(Mapping):
-    """Read-only ``{c: layer}`` view over the assigned entries of a table."""
+def _listings(block: BitBlock) -> list[tuple[int, int, int]]:
+    """A block's listings ``(c, layer, witness)`` in composite order, a
+    value's single before its plane entry; an entry in neither is listed
+    with layer and witness 0."""
+    first, size = 2 * block.i0 + 1, block.size
+    witness_of = [0, *block.passes]
+    singled = bits_from_values(block.singles, 0, size - 1)
+    blank = block.composite & ~reduce(or_, block.planes, 0) & ~singled
+    numbers = _pass_numbers(block)
+    rows = chain(
+        ((first + 2 * j, 0, k, p) for j, (k, p) in block.singles.items()),
+        ((first + 2 * j, 0, 0, 0) for j in iter_bits(blank)),
+        zip(compress(range(first, first + 2 * size, 2), numbers), repeat(1), repeat(1),
+            map(witness_of.__getitem__, numbers.replace(b"\0", b""))),
+    )
+    return [(c, k, p) for c, _, k, p in sorted(rows)]
 
-    def __init__(self, st: StrataTable):
-        self._st = st
+
+class _LayerView(Mapping):
+    """Read-only ``{c: layer}`` view of a table's values whose first listing
+    has a layer, a dict of :func:`_listings` built on the first lookup.  Its
+    length is the census's count of listings with a layer, which is the
+    number of keys, as no block of :func:`strata_bits` lists a value twice."""
+
+    def __init__(self, blocks: tuple[BitBlock, ...]):
+        self._blocks, self._first = blocks, None
+
+    def _map(self) -> dict[int, int]:
+        if self._first is None:
+            first: dict[int, int] = {}
+            for block in self._blocks:
+                for c, k, _ in _listings(block):
+                    first.setdefault(c, k)
+            self._first = {c: k for c, k in first.items() if k}
+        return self._first
 
     def __getitem__(self, c):
-        import numpy as np
-
-        comps = self._st.composites
-        if isinstance(c, (int, np.integer)) and 9 <= c <= _MAX_LIMIT:
-            # a scalar of the array's own dtype keeps searchsorted from casting the array
-            i = int(comps.searchsorted(comps.dtype.type(c)))
-            if i < comps.size and comps[i] == c and self._st.layer[i]:
-                return int(self._st.layer[i])
-        raise KeyError(c)
+        return self._map()[c]
 
     def __iter__(self):
-        return iter(self._st.composites[self._st.layer != 0].tolist())
+        return iter(self._map())
 
     def __len__(self) -> int:
-        return int((self._st.layer != 0).sum())
+        return sum(entry["count"] for entry in _census(0, self._blocks).layers.values())
+
+
+def _census(limit: int, blocks) -> StrataCensus:
+    tally = StrataCensus(limit)
+    for block in blocks:
+        tally.add(block)
+    return tally
 
 
 def _check_limit(limit: int) -> None:
     if limit < 9:
         raise ValueError(f"limit must be >= 9, got {limit}")
-    if limit > _MAX_LIMIT:
-        raise ValueError(f"limit must be <= {_MAX_LIMIT}, got {limit}")
 
 
 class _OddPrimes:
@@ -410,71 +418,24 @@ def strata_bits(limit: int, table: PrimeTable):
         yield block
 
 
-def _pass_numbers_array(block: BitBlock) -> np.ndarray:
-    """Per bit of the block, its pass number, as ``uint8``: the transpose of
-    :func:`_pass_numbers` on the words of a ``uint64`` array, in place."""
-    import numpy as np
-
-    x = np.frombuffer(_interleaved(block), dtype="<u8")
-    for shift, mask in _TRANSPOSE:
-        t = x >> shift
-        t ^= x
-        t &= mask
-        x ^= t
-        t <<= shift
-        x ^= t
-    return x.view(np.uint8)[: block.size]
-
-
-def _arrays(block: BitBlock):
-    """A block's ``(composites, layer, witness_prime)`` arrays; its scratch
-    arrays die on return."""
-    import numpy as np
-
-    first = 2 * block.i0 + 1
-    raw = block.composite.to_bytes((block.size + 7) // 8, "little")
-    entries = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=block.size, bitorder="little")
-    entries = entries.view(bool)
-    comps = np.compress(entries, np.arange(first, first + 2 * block.size, 2, dtype=np.int32))
-    numbers = np.compress(entries, _pass_numbers_array(block))
-    witness = np.take(np.array([0, *block.passes], dtype=np.int32), numbers)
-    layer = numbers.astype(bool).view(np.int8)
-    if block.singles:
-        values = np.array([first + 2 * j for j in block.singles], dtype=np.int32)
-        at = comps.searchsorted(values)
-        layer[at], witness[at] = zip(*block.singles.values())
-    return comps, layer, witness
-
-
-def strata_blocks(limit: int, table: PrimeTable):
-    """Yield ``(composites, layer, witness_prime)`` for each block of
-    :func:`strata_bits`, decoded with ``np.unpackbits``: the composites
-    sorted (``int32``), their layers (``int8``, 0 where none is reached) and
-    witness primes (``int32``, 0 likewise)."""
-    return map(_arrays, strata_bits(limit, table))
-
-
 def compute_strata(limit: int, table: PrimeTable | None = None) -> StrataTable:
-    """Assign every odd composite <= limit to its layer: the concatenation
-    of :func:`strata_blocks`.
+    """Assign every odd composite <= limit to its layer: every block of
+    :func:`strata_bits`, held in a :class:`StrataTable`.
 
     Whatever remains is surfaced as unassigned rather than raising, since
     within a self-contained window an unassigned composite indicates an
     implementation bug worth inspecting.
     """
-    import numpy as np
-
     _check_limit(limit)
     if table is None:
         table = PrimeTable(limit)
-    composites, layer, witness = map(np.concatenate, zip(*strata_blocks(limit, table)))
-    return StrataTable(limit, composites, layer, witness)
+    return StrataTable(limit, tuple(strata_bits(limit, table)))
 
 
 def strata_census(limit: int, table: PrimeTable, csv: str | None = None) -> StrataCensus:
     """The census of the strata up to ``limit``, tallied from
     :func:`strata_bits` block by block; with ``csv``, the rows are written
-    there as the blocks come, and the unassigned ones last.  Reads no numpy."""
+    there as the blocks come, and the unassigned ones last."""
     _check_limit(limit)
     tally = StrataCensus(limit)
     blocks = (tally.add(block) or block for block in strata_bits(limit, table))
@@ -509,9 +470,7 @@ def _values(bits: int, first: int, n: int = AUDIT_LISTED) -> list[int]:
 
 
 def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
-    """Audit ``(block, extra)`` pairs: a :class:`BitBlock` and the listings
-    ``(c, layer, p)`` its bits do not hold, in table order (values outside
-    its odd numbers, and values its bits list already).
+    """Audit ``blocks``, :class:`BitBlock` objects that tile [9, limit] in order.
 
     A block's entries (its composite, plane and single bits) must be the odd
     composites of a separate ``table.odd_prime_bits`` read of its range,
@@ -541,7 +500,7 @@ def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
     missing, stray, repeated = [], [], []  # the first values of each kind
     never, bad = [], []  # the first (value, rank, message) of each kind, in table order
     listed: dict[int, int] = {}
-    for block, extra in blocks:
+    for block in blocks:
         i0, size, first = block.i0, block.size, 2 * block.i0 + 1
         expected = ~table.odd_prime_bits(i0, i0 + size) & ((1 << size) - 1)
         seen += expected.bit_count()
@@ -549,22 +508,16 @@ def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
         singled = bits_from_values(block.singles, 0, size - 1)
         entries = block.composite | found | singled
         blank = entries & ~found & ~singled  # entries without a layer
-        times = Counter(c for c, _, _ in extra)
-        outside = {c for c in times if (c - first) & 1 or not 0 <= c - first < 2 * size}
         keep(missing, _values(expected & ~entries, first))
-        keep(stray, outside.union(_values(entries & ~expected, first)))
-        again = {c for c, n in times.items() if n > 1 or c not in outside}
-        keep(repeated, again.union(_values(found & singled, first)))
+        keep(stray, _values(entries & ~expected, first))
+        keep(repeated, _values(found & singled, first))
 
         for j, (k, _) in block.singles.items():
-            listed.setdefault(first + 2 * j, k)
+            listed[first + 2 * j] = k
         for j in iter_bits(found & ~expected & ~singled):
-            listed.setdefault(first + 2 * j, 1)
+            listed[first + 2 * j] = 1
         for j in iter_bits(blank | expected & ~entries):
-            listed.setdefault(first + 2 * j, 0)
-        for c, k, _ in extra:
-            if c in outside:  # a value of the block is first listed in its bits
-                listed.setdefault(c, k)
+            listed[first + 2 * j] = 0
 
         layer_one += found.bit_count()
         max_layer = max(max_layer, 1 if found else 0)
@@ -576,25 +529,23 @@ def _audit(limit: int, table: PrimeTable, blocks) -> PartitionReport:
                       for c in _values(nosum, first)]
         block_bad += [(c, 1, f"layer-1 witness for {c} is not an odd prime pair")
                       for c in _values(badpair, first)]
-        singles = ((first + 2 * j, 0, k, p) for j, (k, p) in sorted(block.singles.items()))
-        others = ((c, 2 + i, k, p) for i, (c, k, p) in enumerate(extra))
-        for c, rank, k, p in chain(singles, others):
+        for j, (k, p) in block.singles.items():  # a single comes before its value's plane bit
+            c = first + 2 * j
             layer_one += k == 1
             max_layer = max(max_layer, k)
             if not k:
                 unassigned += 1
-                block_never.append((c, rank, f"{c} was never assigned to a layer"))
+                block_never.append((c, 0, f"{c} was never assigned to a layer"))
             elif not p:
-                block_bad.append((c, rank, f"witness for {c} does not sum to {c + 3}"))
+                block_bad.append((c, 0, f"witness for {c} does not sum to {c + 3}"))
             elif k == 1:
                 if not (odd_prime(p) and odd_prime(c + 3 - p)):
-                    block_bad.append((c, rank, f"layer-1 witness for {c} is not an odd prime pair"))
+                    block_bad.append((c, 0, f"layer-1 witness for {c} is not an odd prime pair"))
             else:
                 q = c + 3 - p
                 partner = listed.get(q, 1 if q & 1 and q >= 9 and not odd_prime(q) else 0)
                 if partner != k - 1 or not (p == 2 or odd_prime(p)):
-                    message = f"layer-{k} witness for {c} does not peel correctly"
-                    block_bad.append((c, rank, message))
+                    block_bad.append((c, 0, f"layer-{k} witness for {c} does not peel correctly"))
         keep(never, block_never)
         keep(bad, block_bad)
 
@@ -643,71 +594,14 @@ def audit_layer_one(limit: int, table: PrimeTable) -> PartitionReport:
     """Audit the strata stream, :func:`strata_bits`, block by block against
     separate reads of the table's bits."""
     _check_limit(limit)
-    return _audit(limit, table, ((block, ()) for block in strata_bits(limit, table)))
-
-
-def _table_blocks(st: StrataTable, bounds):
-    """Pair each ``(i0, i1)`` of ``bounds`` with the views of ``st``'s arrays
-    from its first value up to the next one's; the first and last run to the
-    ends, so all are read."""
-    columns = (st.composites, st.layer, st.witness_prime)
-    start, read = 0, next(bounds)
-    for after in bounds:
-        cut = st.composites.dtype.type(2 * after[0] + 1)
-        end = max(start, int(st.composites.searchsorted(cut)))
-        yield tuple(a[start:end] for a in columns), read
-        start, read = end, after
-    yield tuple(a[start:] for a in columns), read
-
-
-def _packed(flags) -> int:
-    """The int whose bit j is set where ``flags[j]`` is nonzero."""
-    import numpy as np
-
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
-def _encoded(comps, layer, witness, i0: int, i1: int):
-    """A block of a sorted strata table re-encoded for :func:`_audit`: a
-    :class:`BitBlock` over the odd indices [i0, i1) of the first listing of
-    each of its odd numbers that the arrays list (layer 1 by pass numbers
-    over the block's witness primes, in as many planes as they need, the
-    rest in ``singles``), and every other listing.  Its scratch arrays die
-    on return."""
-    import numpy as np
-
-    size, first = i1 - i0, 2 * i0 + 1
-    j = comps - np.int32(first)  # int32, as c + 3 fits
-    once = (j >= 0) & (j < 2 * size) & (j & 1 == 0)
-    j >>= 1
-    once[1:] &= j[1:] != j[:-1]  # a sorted table lists a value again right after it
-    flags = np.zeros(size, dtype=bool)
-    flags[j[once]] = True
-    one = once & (layer == 1)
-    passes = witness[one]
-    passes.sort()  # distinct below, without np.unique, which imports numpy.ma
-    passes = np.concatenate((passes[:1], passes[1:][passes[1:] != passes[:-1]]))
-    numbers = np.zeros(size, dtype=np.min_scalar_type(passes.size))  # per bit, its pass number
-    for s in range(0, comps.size, CSV_CHUNK):  # in chunks, so no scratch array spans the block
-        part = one[s : s + CSV_CHUNK]
-        at, primes = j[s : s + CSV_CHUNK][part], witness[s : s + CSV_CHUNK][part]
-        numbers[at] = np.searchsorted(passes, primes) + 1
-    planes = [_packed(numbers >> b & 1) for b in range(passes.size.bit_length())]
-    rest = once & ~one
-    singles = dict(zip(j[rest].tolist(), zip(layer[rest].tolist(), witness[rest].tolist())))
-    block = BitBlock(i0, size, _packed(flags), planes, passes.tolist(), singles)
-    rest = ~once
-    return block, list(zip(comps[rest].tolist(), layer[rest].tolist(), witness[rest].tolist()))
+    return _audit(limit, table, strata_bits(limit, table))
 
 
 def verify_partition(st: StrataTable, table: PrimeTable | None = None) -> PartitionReport:
-    """Audit a strata table against ``table`` (a sieve up to its limit by
-    default) block by block, re-encoded as bits; entries past the limit are
-    reported as strays."""
+    """Audit a strata table's blocks against ``table`` (a sieve up to its
+    limit by default)."""
     _check_limit(st.limit)
-    table = PrimeTable(st.limit) if table is None else table
-    blocks = _table_blocks(st, table.odd_block_bounds(9, st.limit))
-    return _audit(st.limit, table, (_encoded(*arrays, *bounds) for arrays, bounds in blocks))
+    return _audit(st.limit, PrimeTable(st.limit) if table is None else table, st.blocks)
 
 
 class AbsorptionReport(NamedTuple):
@@ -764,24 +658,21 @@ def verify_absorption(
     layer-(k-1) member c in the window; empty layers pass vacuously.
 
     ``st`` is a :class:`StrataTable` or the :func:`strata_bits` stream of
-    ``table``.  Each layer's members are one bitset over the window, and the
-    k-fold test is one AND with the k-fold sumset of the odd primes up to
-    top = min(hi, limit), the largest a member's sum can use:
+    ``table``.  Each layer's members are one bitset over the window
+    (:func:`layer_window_bits` of the blocks), and the k-fold test is one
+    AND with the k-fold sumset of the odd primes up to top = min(hi,
+    limit), the largest a member's sum can use:
     :func:`~sumcollapse.intsets.iterated_sumset` of those primes on a
     window that reaches top + 3(k - 1).
     """
     lo, hi = window
-    layers = range(1, k_max)
     if isinstance(st, StrataTable):
         table = PrimeTable(st.limit) if table is None else table
-        top = min(hi, st.limit)  # no prime or partner the tests read exceeds a member
-        members = {k: bits_from_values(st.composites[st.layer == k].tolist(), lo, hi)
-                   for k in layers}
-    else:
-        if table is None:
-            raise ValueError("absorption over the strata stream needs the stream's table")
-        top = min(hi, table.limit)
-        members = layer_window_bits(st, layers, lo, hi)
+        st = st.blocks
+    elif table is None:
+        raise ValueError("absorption over the strata stream needs the stream's table")
+    top = min(hi, table.limit)  # no prime or partner the tests read exceeds a member
+    members = layer_window_bits(st, range(1, k_max), lo, hi)
     primes = table.odd_flag_bits(3, top, 3) if top >= 3 else 0
 
     checked: dict[int, int] = {}

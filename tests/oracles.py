@@ -54,11 +54,12 @@ def goldbach_pair(s: int, min_prime: int = 3) -> tuple[int, int] | None:
     return None
 
 
-def sum_of_k_primes_bf(s: int, k: int, min_prime: int = 3) -> bool:
+def sum_of_k_primes_bf(s: int, k: int, min_prime: int = 3, is_prime=is_prime_bf) -> bool:
+    """Whether ``s`` is a sum of k numbers >= ``min_prime`` that ``is_prime`` accepts."""
     if k == 1:
-        return s >= min_prime and is_prime_bf(s)
+        return s >= min_prime and is_prime(s)
     for p in range(min_prime, s - min_prime * (k - 1) + 1):
-        if is_prime_bf(p) and sum_of_k_primes_bf(s - p, k - 1, min_prime):
+        if is_prime(p) and sum_of_k_primes_bf(s - p, k - 1, min_prime, is_prime):
             return True
     return False
 

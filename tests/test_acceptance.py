@@ -155,13 +155,14 @@ def test_a07_strata_single_layer(acc_table):
     st = compute_strata(LIMIT, acc_table)
     elapsed = time.perf_counter() - t0
     partition = verify_partition(st, acc_table)
-    single = bool((st.layer == 1).all()) and partition.ok
+    columns = st.columns()
+    single = all(k == 1 for k in columns[1]) and partition.ok
 
     # independent cross-check: peeling on a plain sieve gives the same layers
     # and least witnesses, each a pair of primes that sieve confirms
     oracle_primes = simple_prime_set(LIMIT + 3)
     want = strata_bf(LIMIT, oracle_primes.__contains__)
-    oracle_ok = (st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist()) == want
+    oracle_ok = columns == want
     # equivalently: every even in [6, LIMIT + 3] splits into two odd primes,
     # via 3 + (s - 3) when s - 3 is prime and via the layer-1 witness otherwise
     split = oracle_primes | {c for c, k in zip(want[0], want[1]) if k == 1}

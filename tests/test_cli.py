@@ -920,14 +920,23 @@ def test_no_module_imports_dataclasses():
 
 def test_numpy_is_imported_only_where_arrays_are_built():
     # a module-level numpy import would load numpy (about 13 MB) into every
-    # process that runs the module; the array readers import it when called
+    # process that runs the module; the one array reader, the sieve's
+    # ``_unpack`` behind ``odd_prime_mask``, imports it when called, and no
+    # other module names numpy at all
+    sources = {path.name: ast.parse(path.read_text()) for path in sorted((SRC / "sumcollapse").glob("*.py"))}
     imports = {
-        f"{path.name}:{line}": deferred
-        for path in sorted((SRC / "sumcollapse").glob("*.py"))
-        for line, deferred in _numpy_imports(ast.parse(path.read_text()))
+        f"{name}:{line}": deferred
+        for name, tree in sources.items()
+        for line, deferred in _numpy_imports(tree)
     }
     assert [at for at, deferred in imports.items() if not deferred] == []
-    assert sum(imports.values()) >= 5  # the check sees the deferred ones
+    assert sorted({at.partition(":")[0] for at in imports}) == ["sieve.py"]
+    named = [
+        name
+        for name, tree in sources.items()
+        if any(isinstance(node, ast.Name) and node.id in ("np", "numpy") for node in ast.walk(tree))
+    ]
+    assert named == ["sieve.py"]
     # and it would see a module-level one
     assert list(_numpy_imports(ast.parse("import numpy as np\nif TYPE_CHECKING:\n    pass\n"))) == [(1, False)]
 

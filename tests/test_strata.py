@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sumcollapse import strata
+from sumcollapse.intsets import bits_from_values
 from sumcollapse import (
     PrimeTable,
     StrataTable,
@@ -31,24 +32,39 @@ from oracles import (
     strata_csv_bf,
     sum_of_k_primes_bf,
 )
-from test_battery import STRATA_LIMIT, _set_entry, _sieve, _tampered_blocks, _without_seven
+from test_battery import (
+    STRATA_LIMIT,
+    _bit_of,
+    _set_entry,
+    _sieve,
+    _tampered_blocks,
+    _without_seven,
+)
 
 
-def _replaced(st, **arrays):
-    """``st`` with the arrays named in ``arrays`` replaced."""
-    columns = {"composites": st.composites, "layer": st.layer, "witness_prime": st.witness_prime}
-    return StrataTable(st.limit, **(columns | arrays))
+def _replaced(st, c, tamper):
+    """``st`` with the block that holds ``c`` replaced by ``tamper(block)``,
+    which may rewrite the copy it is handed in place and return None;
+    ``st`` itself is left as it is."""
+    blocks = list(st.blocks)
+    i = next(i for i, block in enumerate(blocks) if _bit_of(block, c) is not None)
+    b = blocks[i]
+    b = strata.BitBlock(b.i0, b.size, b.composite, list(b.planes), list(b.passes), dict(b.singles))
+    blocks[i] = tamper(b) or b
+    return StrataTable(st.limit, tuple(blocks))
 
 
-def _lists(st):
-    """A table's three arrays as the lists :func:`oracles.strata_bf` returns."""
-    return st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist()
+def _relisted(st, c, edit):
+    """``st`` with the block that holds ``c`` rebuilt by :func:`_bit_block`
+    from its listings as ``edit(listings)`` leaves them, so a layer-1
+    listing lands in the planes, as the search puts it."""
+    return _replaced(st, c, lambda b: _bit_block(b.i0, b.size, edit(strata._listings(b))))
 
 
 def test_first_layer_witnesses(table_small):
     st = compute_strata(2_000, table_small)
     want = strata_bf(2_000, _sieve(2_000))
-    assert _lists(st) == want
+    assert st.columns() == want
     # 9 + 3 = 5 + 7 and 15 + 3 = 5 + 13
     assert want[0][:2] == [9, 15] and want[2][:2] == [5, 5]
     assert set(want[1]) == {1} and st.unassigned == ()
@@ -65,26 +81,28 @@ def test_layer_one_matches_pair_oracle(strata_1e5):
     # spot the full window: layer 1 iff a two-odd-prime split of 3 + c exists,
     # and the witness is the split with the least odd prime
     comps = odd_composites_upto(3_000)
-    assert strata_1e5.composites[: len(comps)].tolist() == comps
-    for c, layer, p in zip(comps, strata_1e5.layer.tolist(), strata_1e5.witness_prime.tolist()):
+    got = [column[: len(comps)] for column in strata_1e5.columns()]
+    assert got[0] == comps
+    for c, layer, p in zip(*got):
         pair = goldbach_pair(3 + c)
         assert (layer == 1) == (pair is not None)
         assert (p, c + 3 - p) == pair if layer else p == 0
 
 
 def test_witnesses_use_smallest_prime(strata_1e5, table_1e5):
+    comps, layer, witness = strata_1e5.columns()
     for c in (9, 15, 21, 25, 10_001):
-        i = int(np.searchsorted(strata_1e5.composites, c))
-        p = int(strata_1e5.witness_prime[i])
-        assert strata_1e5.composites[i] == c and strata_1e5.layer[i] == 1
+        i = comps.index(c)
+        p = witness[i]
+        assert layer[i] == 1 == strata_1e5.layers[c]
         assert table_1e5.is_prime(p) and table_1e5.is_prime(c + 3 - p)
         for smaller in table_1e5.primes_in(3, p - 1):
             assert not table_1e5.is_prime(3 + c - smaller)
 
 
 def test_determinism_across_limits(table_small, strata_1e5):
-    small = _lists(compute_strata(2_000, table_small))
-    assert tuple(got[: len(small[0])] for got in _lists(strata_1e5)) == small
+    small = compute_strata(2_000, table_small).columns()
+    assert tuple(got[: len(small[0])] for got in strata_1e5.columns()) == small
 
 
 def _keep_only(table, primes):
@@ -140,7 +158,7 @@ def test_stratum_answers_from_the_table_it_is_passed():
 def test_higher_layers_match_loop_reference():
     st = compute_strata(300, _OnlyThreeVisible(300))
     want = strata_bf(300, {3}.__contains__, primes_upto(300)[1:])
-    assert _lists(st) == want
+    assert st.columns() == want
     assert st.unassigned == (9,) and want[1][0] == 0
     assert st.passes == 2 == max(want[1])
     # against the true sieve, the hidden primes are stray entries, but every
@@ -148,11 +166,8 @@ def test_higher_layers_match_loop_reference():
     rep = verify_partition(st, PrimeTable(300))
     assert "9 was never assigned to a layer" in rep.anomalies
     assert not any("peel" in a for a in rep.anomalies)
-    i = int(np.flatnonzero(st.layer == 2)[0])
-    primes = st.witness_prime.copy()
-    primes[i] = 3  # the partner is c itself, a layer-2 entry
-    rep = verify_partition(_replaced(st, witness_prime=primes), PrimeTable(300))
-    c = int(st.composites[i])
+    c = want[0][want[1].index(2)]
+    rep = verify_partition(_witness(st, c, 3), PrimeTable(300))  # the partner is c itself, a layer-2 entry
     assert f"layer-2 witness for {c} does not peel correctly" in rep.anomalies
 
 
@@ -196,12 +211,11 @@ def test_exceptions_placed_across_blocks():
     table = _OnlyListedPrimes(300, primes, 16)
     st = compute_strata(300, table)
     want = strata_bf(300, set(primes).__contains__)
-    assert _lists(st) == want
+    assert st.columns() == want
     assert st.unassigned == (9,) and want[1][0] == 0
     assert st.passes == max(want[1]) == 31
-    deep = st.layer > 2
-    partners = st.composites[deep] + 3 - st.witness_prime[deep]
-    assert ((st.composites[deep] >> 5) > (partners >> 5)).any()  # 16 odd numbers are 32 integers
+    deep = [(c, c + 3 - p) for c, k, p in zip(*want) if k > 2]
+    assert any(c >> 5 > partner >> 5 for c, partner in deep)  # 16 odd numbers are 32 integers
     # the audit peels every deeper witness against its own list of exceptions
     audit = strata.audit_layer_one(300, table)
     assert verify_partition(st, table) == audit
@@ -215,8 +229,8 @@ def test_audit_flags_a_deeper_witness_that_does_not_peel(monkeypatch):
     st = compute_strata(300, table)
     # 3 instead of the least witness of the first layer-20 member: the
     # partner is the member itself, in layer 20 and not 19
-    i = int(np.flatnonzero(st.layer == 20)[0])
-    c = int(st.composites[i])
+    comps, layer, _ = st.columns()
+    c = comps[layer.index(20)]
     real = strata.strata_bits
 
     def tampered(limit, table):
@@ -225,9 +239,7 @@ def test_audit_flags_a_deeper_witness_that_does_not_peel(monkeypatch):
             yield block
 
     monkeypatch.setattr(strata, "strata_bits", tampered)
-    primes_at = st.witness_prime.copy()
-    primes_at[i] = 3
-    want = verify_partition(_replaced(st, witness_prime=primes_at), table).anomalies
+    want = verify_partition(_witness(st, c, 3), table).anomalies
     assert strata.audit_layer_one(300, table).anomalies == want == (
         "9 was never assigned to a layer",
         f"layer-20 witness for {c} does not peel correctly",
@@ -267,13 +279,12 @@ def test_the_stream_and_its_readers_match_the_strata_oracle(tmp_path, case):
     comps, layer, witness = want
     # the whole-limit table, its tracer reads and the concatenated stream
     st = compute_strata(limit, table)
-    assert _lists(st) == want
+    assert st.columns() == want
     assert st.unassigned == tuple(c for c, k in zip(comps, layer) if not k)
     assert len(st.layers) == len(comps) - len(st.unassigned)
+    assert list(st.layers) == [c for c, k in zip(comps, layer) if k]
+    assert [st.layers.get(c) for c in comps[:50]] == [k or None for k in layer[:50]]
     assert st.passes == max(1, max(layer))
-    blocks = list(strata.strata_blocks(limit, table))
-    assert [a.dtype for a in blocks[0]] == [np.int32, np.int8, np.int32]
-    assert tuple(sum((a.tolist() for a in col), []) for col in zip(*blocks)) == want
     # the census, and the CSV both writers make
     tally = strata.strata_census(limit, table, tmp_path / "streamed.csv")
     assert tally.census_dict() == strata_census_bf(limit, comps, layer)
@@ -313,51 +324,39 @@ def test_partition_audit(strata_1e5, table_1e5):
 
 
 def _without(st, c):
-    keep = st.composites != c
-    return _replaced(
-        st,
-        composites=st.composites[keep],
-        layer=st.layer[keep],
-        witness_prime=st.witness_prime[keep],
-    )
+    return _relisted(st, c, lambda rows: [row for row in rows if row[0] != c])
 
 
 def _with(st, c, layer, p):
-    i = int(np.searchsorted(st.composites, c))
-    return _replaced(
-        st,
-        composites=np.insert(st.composites, i, c),
-        layer=np.insert(st.layer, i, layer),
-        witness_prime=np.insert(st.witness_prime, i, p),
-    )
+    """``st`` listing ``c`` once more, first: a value ``st`` lists already
+    is then listed twice, and its first listing is a single."""
+    return _relisted(st, c, lambda rows: sorted([(c, layer, p), *rows], key=lambda row: row[0]))
 
 
 def test_partition_audit_flags_corruption(table_small):
     st = compute_strata(2_000, table_small)
     assert verify_partition(st, table_small).ok
     # a prime smuggled in, with a valid-looking witness 7 + 7 = 11 + 3
-    rep = verify_partition(_with(st, 11, 1, 7), table_small)
+    bad = _with(st, 11, 1, 7)
+    assert _in_planes(bad, 11)  # read by the pass for 7
+    rep = verify_partition(bad, table_small)
     assert not rep.ok
     assert rep.anomalies == ("table entry 11 is not an odd composite <= 2000",)
     rep = verify_partition(_without(st, 9), table_small)
     assert not rep.ok
     assert rep.anomalies == ("odd composite 9 missing from the table",)
-    primes = st.witness_prime.copy()
-    primes[0] = 3  # witness (3, 9) for 9 does not peel to an odd prime pair
-    bad = _replaced(st, witness_prime=primes)
-    assert (bad.composites[0], bad.witness_prime[0]) == (9, 3)
+    bad = _witness(st, 9, 3)  # witness (3, 9) for 9 does not peel to an odd prime pair
+    assert [column[0] for column in bad.columns()] == [9, 1, 3] and _in_planes(bad, 9)
     rep = verify_partition(bad, table_small)
     assert not rep.ok
     assert rep.anomalies == ("layer-1 witness for 9 is not an odd prime pair",)
-    primes = st.witness_prime.copy()
-    primes[3] = 9  # witness (9, 19) for 25: the partner is prime, p is not
-    bad = _replaced(st, witness_prime=primes)
-    assert (bad.composites[3], bad.witness_prime[3]) == (25, 9)
+    bad = _witness(st, 25, 9)  # witness (9, 19) for 25: the partner is prime, p is not
+    assert [column[3] for column in bad.columns()] == [25, 1, 9] and _in_planes(bad, 25)
     rep = verify_partition(bad, table_small)
     assert rep.anomalies == ("layer-1 witness for 25 is not an odd prime pair",)
-    primes = st.witness_prime.copy()
-    primes[1] = 0  # no witness recorded for 15
-    rep = verify_partition(_replaced(st, witness_prime=primes), table_small)
+    bad = _witness(st, 15, 0)  # no witness recorded for 15: its pass names the prime 0
+    assert _in_planes(bad, 15)
+    rep = verify_partition(bad, table_small)
     assert rep.anomalies == ("witness for 15 does not sum to 18",)
     # 9 listed twice, with a layer both times
     rep = verify_partition(_with(st, 9, 1, 5), table_small)
@@ -366,42 +365,75 @@ def test_partition_audit_flags_corruption(table_small):
 
 
 def test_partition_audit_peels_onto_a_value_at_its_first_listing(table_small):
-    # 9 listed again after its layer-1 entry, at layer 2 with witness 3: the
-    # partner is 9 itself, first listed at layer 1, so only the repeat is wrong
-    st = compute_strata(2_000, table_small)
-    i = int(np.searchsorted(st.composites, 9, side="right"))
-    st = _replaced(
-        st,
-        composites=np.insert(st.composites, i, 9),
-        layer=np.insert(st.layer, i, 2),
-        witness_prime=np.insert(st.witness_prime, i, 3),
-    )
-    entries = zip(st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist())
-    want = partition_audit_bf(entries, st.limit)
-    assert verify_partition(st, table_small).anomalies == want == ("9 is listed more than once",)
+    # 25 listed twice: first as a layer-2 single with witness 19 (its partner
+    # 9 is in layer 1), then as its layer-1 plane entry; 27, moved to layer 3
+    # with witness 5, peels onto 25 at its first listing, so only the repeat
+    # is wrong
+    st = _with(compute_strata(2_000, table_small), 25, 2, 19)
+    st = _replaced(st, 27, lambda block: _set_entry(block, 27, 3, 5))
+    assert [column[3:6] for column in st.columns()] == [[25, 25, 27], [2, 1, 3], [19, 5, 5]]
+    want = partition_audit_bf(zip(*st.columns()), st.limit)
+    assert verify_partition(st, table_small).anomalies == want == ("25 is listed more than once",)
 
 
-def _witness(st, i, p):
-    primes = st.witness_prime.copy()
-    primes[i] = p
-    return _replaced(st, witness_prime=primes)
+def _witness(st, c, p):
+    """``st`` with the witness prime of ``c`` set to ``p``, its layer kept: a
+    layer-1 entry then lies in the planes, as a hit of the pass for ``p``."""
+    return _relisted(st, c, lambda rows: [(v, k, p if v == c else w) for v, k, w in rows])
+
+
+def _in_planes(st, c):
+    """Whether ``st`` lists ``c`` in the planes only."""
+    block = next(block for block in st.blocks if _bit_of(block, c) is not None)
+    j = _bit_of(block, c)
+    return j not in block.singles and any(plane >> j & 1 for plane in block.planes)
+
+
+def _witness_single(st, c, p):
+    """``st`` with the witness prime of ``c`` set to ``p`` in a single, its layer kept."""
+    return _replaced(st, c, lambda block: _set_entry(block, c, st.layers[c], p))
 
 
 def _deeper_witness_that_does_not_peel(_st, _table):
     # 3 for the first layer-20 member: its partner is the member itself
     table = _OnlyListedPrimes(300, (3, 7, 13), 16)
     st = compute_strata(300, table)
-    return _witness(st, int(np.flatnonzero(st.layer == 20)[0]), 3), table, lambda v: v in (3, 7, 13)
+    comps, layer, _ = st.columns()
+    return _witness(st, comps[layer.index(20)], 3), table, lambda v: v in (3, 7, 13)
 
 
 def _layer_one_partner_dropped(_st, _table):
     # the partner of the first layer-2 member, a layer-1 composite, goes missing
     table = _OnlyListedPrimes(300, (3, 7, 13), 16)
     st = compute_strata(300, table)
-    i = int(np.flatnonzero(st.layer == 2)[0])
-    partner = int(st.composites[i] + 3 - st.witness_prime[i])
+    comps, layer, witness = st.columns()
+    i = layer.index(2)
+    partner = comps[i] + 3 - witness[i]
     assert st.layers[partner] == 1
     return _without(st, partner), table, lambda v: v in (3, 7, 13)
+
+
+def _prime_at_the_limit_smuggled_in(single):
+    # the prime limit 1,999 listed at layer 1 with witness 3: its pair (3,
+    # 1,999) is two odd primes <= the limit, so only the stray entry is wrong;
+    # as a single, its partner is looked up alone
+    def case(_st, _table):
+        table = PrimeTable(1_999)
+        st = _with(compute_strata(1_999, table), 1_999, 1, 3)
+        if single:
+            st = _replaced(st, 1_999, lambda block: _set_entry(block, 1_999, 1, 3))
+        return st, table, is_prime_bf
+
+    return case
+
+
+def _at_layer_two(c, p):
+    """A case that moves ``c`` to layer 2 with witness ``p``."""
+
+    def case(st, table):
+        return _replaced(st, c, lambda block: _set_entry(block, c, 2, p)), table, is_prime_bf
+
+    return case
 
 
 def _only_three_visible(against_the_sieve):
@@ -421,11 +453,22 @@ AUDIT_CASES = {
     "true-table": lambda st, table: (st, table, is_prime_bf),
     "prime-smuggled-in": lambda st, table: (_with(st, 11, 1, 7), table, is_prime_bf),
     "composite-dropped": lambda st, table: (_without(st, 9), table, is_prime_bf),
-    "layer-1-witness-3-for-9": lambda st, table: (_witness(st, 0, 3), table, is_prime_bf),
-    "layer-1-witness-9-for-25": lambda st, table: (_witness(st, 3, 9), table, is_prime_bf),
-    "no-witness-for-15": lambda st, table: (_witness(st, 1, 0), table, is_prime_bf),
+    "layer-1-witness-3-for-9": lambda st, table: (_witness(st, 9, 3), table, is_prime_bf),
+    "layer-1-witness-9-for-25": lambda st, table: (_witness(st, 25, 9), table, is_prime_bf),
+    "no-witness-for-15": lambda st, table: (_witness(st, 15, 0), table, is_prime_bf),
+    # the pass for 13 reads partner 25, shifted up, and partner -1, below the read, alone
+    "layer-1-witness-13-for-35": lambda st, table: (_witness(st, 35, 13), table, is_prime_bf),
+    "layer-1-witness-13-for-9": lambda st, table: (_witness(st, 9, 13), table, is_prime_bf),
+    # the same three witnesses as singles, as the search leaves a late or retried hit
+    "layer-1-witness-3-for-9-single": lambda st, t: (_witness_single(st, 9, 3), t, is_prime_bf),
+    "layer-1-witness-9-for-25-single": lambda st, t: (_witness_single(st, 25, 9), t, is_prime_bf),
+    "no-witness-for-15-single": lambda st, t: (_witness_single(st, 15, 0), t, is_prime_bf),
     "listed-twice": lambda st, table: (_with(st, 9, 1, 5), table, is_prime_bf),
     "listed-twice-once-unassigned": lambda st, table: (_with(st, 9, 0, 0), table, is_prime_bf),
+    "prime-at-the-limit-smuggled-in": _prime_at_the_limit_smuggled_in(False),
+    "prime-at-the-limit-smuggled-in-single": _prime_at_the_limit_smuggled_in(True),
+    "layer-2-partner-is-a-prime": _at_layer_two(25, 5),  # 25 + 3 = 5 + 23
+    "layer-2-partner-is-even": _at_layer_two(25, 2),  # 25 + 3 = 2 + 26
     "layer-20-does-not-peel": _deeper_witness_that_does_not_peel,
     "layer-1-partner-dropped": _layer_one_partner_dropped,
     "only-3-visible": _only_three_visible(False),
@@ -433,25 +476,14 @@ AUDIT_CASES = {
 }
 
 
-def _stream_of(monkeypatch, st, table):
-    """Let ``strata_bits`` yield the entries of ``st`` as bit blocks, cut
-    where the reads of ``table`` start."""
-    entries = list(zip(st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist()))
-    blocks = [
-        _bit_block(i0, i1 - i0, [e for e in entries if 2 * i0 + 1 <= e[0] < 2 * i1 + 1])
-        for i0, i1 in table.odd_block_bounds(9, st.limit)
-    ]
-    monkeypatch.setattr(strata, "strata_bits", lambda limit, table: iter(blocks))
-
-
 @pytest.mark.parametrize("case", AUDIT_CASES)
 def test_both_audits_match_the_brute_force_audit(monkeypatch, table_small, case):
     st, table, is_prime = AUDIT_CASES[case](compute_strata(2_000, table_small), table_small)
-    entries = zip(st.composites.tolist(), st.layer.tolist(), st.witness_prime.tolist())
-    want = partition_audit_bf(entries, st.limit, is_prime)
+    want = partition_audit_bf(zip(*st.columns()), st.limit, is_prime)
     assert bool(want) == (case != "true-table")
     assert verify_partition(st, table).anomalies == want
-    _stream_of(monkeypatch, st, table)
+    # the battery's audit, fed the same blocks as the stream
+    monkeypatch.setattr(strata, "strata_bits", lambda limit, table: iter(st.blocks))
     assert strata.audit_layer_one(st.limit, table).anomalies == want
 
 
@@ -475,39 +507,54 @@ def test_absorption(strata_1e5, table_1e5):
     assert sum_of_k_primes_bf(3 + 9, 2)
 
 
-def test_absorption_at_higher_folds(table_small):
-    # real strata have no layer 2, so this table is built by hand: the even
-    # members 10 and 64 shift to sums of the wrong parity, and 69 lies past
-    # the window
-    comps = [9, 10, 15, 21, 25, 27, 33, 35, 39, 45, 63, 64, 65, 69]
-    layer = [1, 2, 2, 3, 3, 1, 2, 0, 2, 3, 2, 3, 1, 3]
-    st = StrataTable(
-        limit=200,
-        composites=np.array(comps, dtype=np.int32),
-        layer=np.array(layer, dtype=np.int8),
-        witness_prime=np.zeros(len(comps), dtype=np.int32),
-    )
-    rep = verify_absorption(st, 4, (9, 65), table_small)
+def test_absorption_at_higher_folds():
+    # real strata always absorb, so this table is built by hand, on a sieve
+    # that hides 3 and 5: 9 + 3 * 2 = 15 is no sum of three primes >= 7, nor
+    # 21 + 3 * 3 = 30 of four, and 69 lies past the window
+    table = _OnlyListedPrimes(200, [p for p in primes_upto(200) if p >= 7], 16)
+    comps = [9, 15, 21, 25, 27, 33, 35, 39, 45, 63, 65, 69]
+    layer = [2, 1, 3, 3, 1, 2, 0, 2, 3, 2, 1, 3]
+    st = StrataTable(200, (_bit_block(4, 96, list(zip(comps, layer, [0] * len(comps)))),))
+    rep = verify_absorption(st, 4, (9, 65), table)
     want = [
         (k, c)
         for k in (2, 3, 4)
         for c, lay in zip(comps, layer)
-        if lay == k - 1 and c <= 65 and not sum_of_k_primes_bf(3 * (k - 1) + c, k)
+        if lay == k - 1 and c <= 65 and not sum_of_k_primes_bf(3 * (k - 1) + c, k, 7)
     ]
-    assert rep.checked == {2: 3, 3: 5, 4: 4} and rep.vacuous == ()
-    assert rep.failures == tuple(want) == ((3, 10), (4, 64))
+    assert rep.checked == {2: 3, 3: 4, 4: 3} and rep.vacuous == ()
+    assert rep.failures == tuple(want) == ((3, 9), (4, 21))
     assert not rep.ok
+
+
+def test_absorption_on_a_window_that_ends_at_3():
+    # a hand-built member 3 in layer 1: 3 + 3 is the pair sum of the prime
+    # 3, the top of the window, which the prime bits must still hold
+    st = StrataTable(9, (_bit_block(1, 4, [(3, 1, 3)]),))
+    rep = verify_absorption(st, 2, (3, 3), PrimeTable(9))
+    assert sum_of_k_primes_bf(3 + 3, 2)
+    assert rep.checked == {2: 1} and rep.failures == ()
 
 
 @pytest.mark.parametrize("case", ["true-2^17+1", "only-3-7-13-in-16-odd-blocks", "only-3-visible"])
 def test_absorption_reads_the_stream_as_it_reads_the_table(case):
-    # the battery hands the check the strata stream; on tables with deeper
-    # layers some shifted members are no k-fold sums of the visible primes
-    table, _, _ = ORACLE_TABLES[case]()
+    # the battery hands the check the strata stream; with only 3 visible
+    # some shifted members are no k-fold sums of the visible primes
+    table, is_prime, primes = ORACLE_TABLES[case]()
     limit = table.limit
     want = verify_absorption(compute_strata(limit, table), 5, (9, limit), table)
     assert verify_absorption(strata.strata_bits(limit, table), 5, (9, limit), table) == want
     assert want.checked and (case == "true-2^17+1") == (want.vacuous == (3, 4, 5))
+    # judged on the oracle's members, summed from the primes the table shows
+    comps, layer, _ = strata_bf(limit, is_prime, primes)
+    members = {k: [c for c, j in zip(comps, layer) if j == k - 1] for k in range(2, 6)}
+    assert want.checked == {k: len(cs) for k, cs in members.items() if cs}
+    assert want.vacuous == tuple(k for k, cs in members.items() if not cs)
+    assert want.failures == tuple(
+        (k, c) for k, cs in members.items() for c in cs
+        if not sum_of_k_primes_bf(3 * (k - 1) + c, k, 3, is_prime)
+    )
+    assert bool(want.failures) == (case == "only-3-visible")
     with pytest.raises(ValueError, match="needs the stream's table"):
         verify_absorption(strata.strata_bits(limit, table), 3, (9, limit))
 
@@ -568,42 +615,46 @@ def test_rough_pair_cover(table_1e5):
 
 def _bit_block(i0, size, entries):
     """A :class:`strata.BitBlock` over ``size`` odd numbers from 2 i0 + 1
-    holding the ``(c, layer, witness)`` entries: layer 1 in the planes, by
-    pass numbers in witness order, the rest in ``singles``, and so is a
-    second listing of a value (listed in the planes and in ``singles``)."""
-    passes = sorted({p for _, k, p in entries if k == 1})
-    block = strata.BitBlock(i0, size, 0, [0] * len(passes).bit_length(), passes, {})
-    for c, k, p in entries:
-        j = (c >> 1) - i0
-        block.composite |= 1 << j
-        if k == 1 and not any(plane >> j & 1 for plane in block.planes):
-            number = passes.index(p) + 1
-            block.planes = [plane | (number >> b & 1) << j for b, plane in enumerate(block.planes)]
+    holding the ``(c, layer, witness)`` listings in their order, as the
+    search puts them: a value's last listing in the planes if it is in layer
+    1, by pass numbers in witness order, and any other in ``singles``, which
+    every reader takes first.  A value is listed at most twice."""
+    entries = [((c >> 1) - i0, k, p) for c, k, p in entries]
+    last = {j: n for n, (j, _, _) in enumerate(entries)}
+    in_planes = [k == 1 and last[j] == n for n, (j, k, _) in enumerate(entries)]
+    passes = sorted({p for (_, _, p), plane in zip(entries, in_planes) if plane})
+    number = {p: n for n, p in enumerate(passes, 1)}
+    planes = [[] for _ in range(len(passes).bit_length())]
+    singles = {}
+    for (j, k, p), plane in zip(entries, in_planes):
+        if plane:
+            for b, bits in enumerate(planes):
+                if number[p] >> b & 1:
+                    bits.append(j)
         else:
-            block.singles[j] = (k, p)
-    return block
+            assert j not in singles, "a block lists a value at most twice"
+            singles[j] = (k, p)
+    return strata.BitBlock(
+        i0, size, bits_from_values(last, 0, size - 1),
+        [bits_from_values(bits, 0, size - 1) for bits in planes], passes, singles,
+    )
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 1 << 16])
 def test_write_csv_chunks_and_unassigned_rows(tmp_path, monkeypatch, chunk):
     # five assigned rows, a remainder for chunks of 2 and 3, and two unassigned ones
     comps, layer, witness = [9, 15, 21, 25, 27, 33, 35], [1, 1, 0, 2, 1, 0, 1], [5, 5, 0, 7, 7, 0, 5]
-    st = StrataTable(
-        limit=45,
-        composites=np.array(comps, dtype=np.int32),
-        layer=np.array(layer, dtype=np.int8),
-        witness_prime=np.array(witness, dtype=np.int32),
-    )
+    entries = list(zip(comps, layer, witness))
+    st = StrataTable(45, (_bit_block(4, 9, entries[:4]), _bit_block(13, 10, entries[4:])))
+    assert st.columns() == (comps, layer, witness)
     monkeypatch.setattr(strata, "CSV_CHUNK", chunk)
     st.write_csv(tmp_path / "got.csv")
     got = (tmp_path / "got.csv").read_bytes()
     assert got == strata_csv_bf(comps, layer, witness)
     assert got.endswith(b"35,1,5,33\r\n21,,,\r\n33,,,\r\n")
-    # the streamed writer, fed the same table as two bit blocks, writes the
-    # same bytes and tallies the same census
-    entries = list(zip(comps, layer, witness))
-    blocks = [_bit_block(4, 9, entries[:4]), _bit_block(13, 10, entries[4:])]
-    monkeypatch.setattr(strata, "strata_bits", lambda limit, table: iter(blocks))
+    # the streamed writer, fed the same two bit blocks, writes the same
+    # bytes and tallies the same census
+    monkeypatch.setattr(strata, "strata_bits", lambda limit, table: iter(st.blocks))
     tally = strata.strata_census(45, None, tmp_path / "streamed.csv")
     assert (tmp_path / "streamed.csv").read_bytes() == got
     assert tally.census_dict() == strata_census_bf(45, comps, layer)
@@ -655,10 +706,10 @@ def _whole_limit_witnesses(limit):
 
 
 def _blocked(limit, table):
-    """The composites and layer-1 witnesses of the blocked search, decoded
-    and concatenated (0 where it finds none)."""
-    blocks = [strata._arrays(block) for block in strata.layer_one_blocks(limit, table)]
-    return np.concatenate([c for c, _, _ in blocks]), np.concatenate([w for _, _, w in blocks])
+    """The composites and layer-1 witnesses of the blocked search, as
+    arrays (0 where it finds none)."""
+    rows = [row for block in strata.layer_one_blocks(limit, table) for row in strata._listings(block)]
+    return np.array([c for c, _, _ in rows]), np.array([p for _, _, p in rows])
 
 
 @pytest.mark.parametrize(
@@ -669,8 +720,8 @@ def test_layer_one_blocks_match_the_whole_limit_search(limit):
     comps, witness = _blocked(limit, table)
     want_comps, want_witness = _whole_limit_witnesses(limit)
     assert np.array_equal(comps, want_comps) and np.array_equal(witness, want_witness)
-    st = compute_strata(limit, table)
-    assert np.array_equal(st.composites, comps) and np.array_equal(st.witness_prime, witness)
+    got, _, got_witness = compute_strata(limit, table).columns()
+    assert got == comps.tolist() and got_witness == witness.tolist()
     # the pair oracle on the first composites and on those around each block edge
     spots = [c for c in comps.tolist() if c < 2_000 or abs(c % (2 * BLOCK) - BLOCK) > BLOCK - 60]
     for c in spots:
@@ -718,10 +769,15 @@ def test_layer_one_audit_reads_retry_partners_below_the_margin(monkeypatch):
     i = int(np.flatnonzero(retried)[0])
     c = int(comps[i])
     p = next(q for q in table.primes_in(int(witness[i]) + 1, c) if not table.is_prime(c + 3 - q))
+    # in the table the entry is a hit of the pass for p, whose partners
+    # below the margin the audit reads one by one; the search keeps a
+    # retried hit as a single
+    bad = _witness(compute_strata(limit, table), c, p)
+    assert _in_planes(bad, c)
     _tampered_blocks(monkeypatch, lambda block: _set_entry(block, c, 1, p))
     got = strata.audit_layer_one(limit, table).anomalies
     assert got == (f"layer-1 witness for {c} is not an odd prime pair",)
-    assert got == verify_partition(compute_strata(limit, table), table).anomalies
+    assert got == verify_partition(bad, table).anomalies
 
 
 def test_layer_one_audit_holds_no_int64_block_copies():
@@ -740,9 +796,10 @@ def test_layer_one_audit_holds_no_int64_block_copies():
 
 
 def test_partition_audit_holds_no_whole_limit_masks():
-    # the audit traces about 1.3 MB above the table here with numpy 2.4 (it
-    # traced 48 MB while it copied the table to int64 and built masks over
-    # every odd number); the table itself is 8 MB
+    # the audit traces about 0.12 MB here, reading the table's blocks as
+    # they are (0.8 MB while it re-encoded an array table into blocks, 48 MB
+    # while it copied the table to int64 and built masks over every odd
+    # number); the table itself is 1.1 MB of blocks
     limit = 2**21
     table = PrimeTable(limit)
     st = compute_strata(limit, table)
@@ -752,4 +809,4 @@ def test_partition_audit_holds_no_whole_limit_masks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.ok and peak < 2.2e6, peak
+    assert rep.ok and peak < 0.5e6, peak
